@@ -91,10 +91,19 @@ type Broker struct {
 	ports  map[message.NodeID]bool
 
 	// chain is the ordered middleware chain; legacy plugins are adapted
-	// onto it. sessionPlugins counts the adapted Plugin stages (border
-	// classification).
+	// onto it. The slices after it are the stages implementing each
+	// optional interface, in chain order, resolved once in UseMiddleware.
+	// sessionPlugins counts the adapted Plugin stages (border
+	// classification). free holds the idle chain cursors, hook the cursor
+	// whose stage hook is the innermost one running (middleware.go).
 	chain          []Middleware
+	interceptors   []MessageInterceptor
+	flushObservers []FlushObserver
+	linkObservers  []LinkObserver
+	dropObservers  []DropObserver
 	sessionPlugins int
+	free           []*cursor
+	hook           *cursor
 
 	nextFlushID uint64
 	flushes     map[flushKey]*flushState
@@ -178,7 +187,7 @@ func (b *Broker) Router() *routing.Router { return b.router }
 // Use attaches a session-layer plugin by adapting it onto the middleware
 // chain. Stages run in attachment order.
 func (b *Broker) Use(p Plugin) {
-	b.chain = append(b.chain, pluginStage{p: p})
+	b.UseMiddleware(pluginStage{p: p})
 	b.sessionPlugins++
 }
 
@@ -187,7 +196,21 @@ func (b *Broker) Use(p Plugin) {
 // the session-layer plugins run inside them, i.e. they see only the traffic
 // the session layers pass through.
 func (b *Broker) UseMiddleware(ms ...Middleware) {
-	b.chain = append(b.chain, ms...)
+	for _, m := range ms {
+		b.chain = append(b.chain, m)
+		if s, ok := m.(MessageInterceptor); ok {
+			b.interceptors = append(b.interceptors, s)
+		}
+		if s, ok := m.(FlushObserver); ok {
+			b.flushObservers = append(b.flushObservers, s)
+		}
+		if s, ok := m.(LinkObserver); ok {
+			b.linkObservers = append(b.linkObservers, s)
+		}
+		if s, ok := m.(DropObserver); ok {
+			b.dropObservers = append(b.dropObservers, s)
+		}
+	}
 }
 
 // Middlewares returns the chain length (plugins included) — introspection
@@ -269,7 +292,10 @@ func (b *Broker) HandleMessage(from message.NodeID, m proto.Message) {
 		return
 	}
 
-	b.runMessage(from, m, func() { b.dispatch(from, m) })
+	c := b.acquire(hookMessage)
+	c.from, c.m = from, m
+	c.run()
+	b.release(c)
 }
 
 // dispatch is the broker's default processing, run after the middleware
@@ -385,11 +411,11 @@ func (b *Broker) handlePublish(from message.NodeID, m proto.Message) {
 	// The chain sees (and may mutate) a broker-local copy; forwarded
 	// messages carry the mutated copy, queued messages elsewhere don't.
 	n := *m.Note
-	b.runPublish(from, &n, func() {
-		m := m
-		m.Note = &n
-		b.routePublish(from, m, n)
-	})
+	m.Note = &n
+	c := b.acquire(hookPublish)
+	c.from, c.m, c.note = from, m, &n
+	c.run()
+	b.release(c)
 }
 
 // routePublish is the default publish processing: match, forward, deliver.
@@ -458,15 +484,13 @@ func (b *Broker) DeliverLocal(port message.NodeID, n message.Notification) {
 // the IDs travel on the KDeliver so the client routes the notification to
 // its per-subscription streams without re-matching.
 func (b *Broker) DeliverMatched(port message.NodeID, n message.Notification, subs []message.SubID) {
-	delivered := false
-	b.runDeliver(port, &n, subs, func() {
-		delivered = true
-		b.stats.Delivered++
-		b.Send(port, proto.Message{Kind: proto.KDeliver, Client: port, Note: &n, SubIDs: subs})
-	})
-	if !delivered {
+	c := b.acquire(hookDeliver)
+	c.from, c.note, c.subs = port, &n, subs
+	c.run()
+	if !c.delivered {
 		b.stats.Intercepted++
 	}
+	b.release(c)
 }
 
 func (b *Broker) handleSubscribe(from message.NodeID, m proto.Message) {
@@ -503,6 +527,19 @@ func (b *Broker) handleSubscribe(from message.NodeID, m proto.Message) {
 		if e, ok := b.router.Table().Get(sub.ID); ok && !b.mesh.IsMember(e.Link) {
 			return
 		}
+	}
+	c := b.acquire(hookSubscribe)
+	c.from, c.m, c.sub = from, m, &sub
+	c.run()
+	b.release(c)
+}
+
+// installSubscribe is the default subscribe processing, run once the chain
+// has passed the subscription on: m is the KSubscribe it arrived in, sub
+// the broker-local copy the stages saw.
+func (b *Broker) installSubscribe(from message.NodeID, sub *proto.Subscription, m proto.Message) {
+	b.stats.SubsProcessed++
+	if b.mesh != nil && m.Fresh {
 		// Re-anchor wave (see reanchor): the subscriber's border re-issued
 		// this subscription after a tree change. Install or flip toward
 		// the arrival link — the wave came down the current tree from the
@@ -511,22 +548,16 @@ func (b *Broker) handleSubscribe(from message.NodeID, m proto.Message) {
 		// notwithstanding: the point is to revisit brokers that already
 		// know the sub but point it the old way. The elected tree is
 		// acyclic, so the wave crosses each component exactly once.
-		b.runSubscribe(from, &sub, func() {
-			b.stats.SubsProcessed++
-			b.router.Subscribe(sub, from, b.Peers())
-			fw := proto.Message{Kind: proto.KSubscribe, Sub: &sub, Origin: m.Origin, Epoch: m.Epoch, Fresh: true}
-			for p := range b.peers {
-				if p != from {
-					b.Send(p, fw)
-				}
+		b.router.Subscribe(*sub, from, b.Peers())
+		fw := proto.Message{Kind: proto.KSubscribe, Sub: sub, Origin: m.Origin, Epoch: m.Epoch, Fresh: true}
+		for p := range b.peers {
+			if p != from {
+				b.Send(p, fw)
 			}
-		})
+		}
 		return
 	}
-	b.runSubscribe(from, &sub, func() {
-		b.stats.SubsProcessed++
-		b.emitForwards(b.router.Subscribe(sub, from, b.Peers()))
-	})
+	b.emitForwards(b.router.Subscribe(*sub, from, b.Peers()))
 }
 
 func (b *Broker) handleUnsubscribe(from message.NodeID, m proto.Message) {

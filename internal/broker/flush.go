@@ -67,9 +67,7 @@ func (b *Broker) handleFlushAck(m proto.Message) {
 }
 
 func (b *Broker) flushDone(id uint64) {
-	for _, s := range b.chain {
-		if fo, ok := s.(FlushObserver); ok {
-			fo.OnFlushDone(b, id)
-		}
+	for _, fo := range b.flushObservers {
+		fo.OnFlushDone(b, id)
 	}
 }

@@ -13,7 +13,10 @@ import (
 // the rest of the chain and, ultimately, the broker's default processing.
 // Calling next at most once is enforced (extra calls are no-ops); not
 // calling it short-circuits: the event is consumed at this stage and the
-// default processing is skipped.
+// default processing is skipped. next is valid only until the hook returns
+// — a stage calls it synchronously or not at all, and must not retain it:
+// once the hook has returned the event is settled, and a late call does
+// nothing.
 //
 // Hook points:
 //
@@ -101,10 +104,8 @@ type DropObserver interface {
 // notifyDrop hands an abandoned-path event to every DropObserver stage on
 // the chain, in attachment order.
 func (b *Broker) notifyDrop(id message.NotificationID, reason string) {
-	for _, s := range b.chain {
-		if d, ok := s.(DropObserver); ok {
-			d.OnDrop(b, id, reason)
-		}
+	for _, d := range b.dropObservers {
+		d.OnDrop(b, id, reason)
 	}
 }
 
@@ -118,10 +119,8 @@ func (b *Broker) NotifyLinkChange(ev overlay.Event) {
 	if b.mesh != nil {
 		b.meshLinkChange(ev)
 	}
-	for _, s := range b.chain {
-		if lo, ok := s.(LinkObserver); ok {
-			lo.OnLinkChange(b, ev)
-		}
+	for _, lo := range b.linkObservers {
+		lo.OnLinkChange(b, ev)
 	}
 }
 
@@ -168,70 +167,110 @@ func (s pluginStage) OnDeliver(b *Broker, port message.NodeID, n *message.Notifi
 
 func (s pluginStage) OnFlushDone(_ *Broker, id uint64) { s.p.OnFlushDone(id) }
 
-// nextOnce caps a continuation at one invocation.
-func nextOnce(fn func()) func() {
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		fn()
+// hookKind names the hook a cursor is walking the chain for.
+type hookKind uint8
+
+const (
+	hookMessage hookKind = iota
+	hookPublish
+	hookDeliver
+	hookSubscribe
+)
+
+// cursor walks one event through the stages of one hook and then into the
+// broker's default processing. It carries the hook's arguments itself, and
+// the next it hands every stage is its own step method, bound once when the
+// cursor is made — so an event costs no closure, whatever the chain's
+// length. Cursors are recycled through the broker's free list: a stage that
+// publishes from inside a hook re-enters the broker, and that event takes a
+// cursor of its own.
+//
+// next is a once-only capability of the hook it was handed to. armed is set
+// exactly while a stage's hook is running and has not called next yet, and
+// Broker.hook names the cursor whose hook is the innermost one running. So
+// a second call, a call by an outer stage after an inner one declined, a
+// call after the event is over, and a call of a retained next from inside
+// some other event's hook all do nothing; a retained next called from a
+// later hook on the same cursor is that hook's own next, the same func.
+type cursor struct {
+	b     *Broker
+	next  func() // c.step
+	kind  hookKind
+	i     int // the stage step runs next; len(stages) = default processing
+	armed bool
+
+	from      message.NodeID // the sender; the port, for hookDeliver
+	m         proto.Message  // hookMessage, hookPublish, hookSubscribe
+	note      *message.Notification
+	subs      []message.SubID
+	sub       *proto.Subscription
+	delivered bool // hookDeliver: the default processing sent the KDeliver
+}
+
+// acquire takes a cursor off the free list for one event of the given kind;
+// the caller fills in the hook's arguments, calls run and releases it.
+func (b *Broker) acquire(kind hookKind) *cursor {
+	var c *cursor
+	if n := len(b.free); n > 0 {
+		c, b.free = b.free[n-1], b.free[:n-1]
+	} else {
+		c = &cursor{b: b}
+		c.next = c.step
+	}
+	c.kind = kind
+	return c
+}
+
+// release clears the cursor — it must not pin the event's message — and
+// returns it to the free list.
+func (b *Broker) release(c *cursor) {
+	*c = cursor{b: b, next: c.next}
+	b.free = append(b.free, c)
+}
+
+// step is the next every stage is handed.
+func (c *cursor) step() {
+	if c.armed && c.b.hook == c {
+		c.run()
 	}
 }
 
-// runMessage threads an incoming message through the chain's interceptors;
-// final is the broker's kind dispatch.
-func (b *Broker) runMessage(from message.NodeID, m proto.Message, final func()) {
-	var run func(i int)
-	run = func(i int) {
-		for ; i < len(b.chain); i++ {
-			if mi, ok := b.chain[i].(MessageInterceptor); ok {
-				idx := i
-				mi.OnMessage(b, from, m, nextOnce(func() { run(idx + 1) }))
-				return
-			}
-		}
-		final()
+// run takes the event one step on: into the next stage's hook, or into the
+// broker's default processing once every stage has passed it on.
+func (c *cursor) run() {
+	b, i := c.b, c.i
+	c.i++
+	c.armed = false
+	stages := len(b.chain)
+	if c.kind == hookMessage {
+		stages = len(b.interceptors)
 	}
-	run(0)
-}
-
-// runPublish threads a publish through every stage's OnPublish hook.
-func (b *Broker) runPublish(from message.NodeID, n *message.Notification, final func()) {
-	var run func(i int)
-	run = func(i int) {
-		if i >= len(b.chain) {
-			final()
-			return
+	if i < stages {
+		outer := b.hook
+		b.hook, c.armed = c, true
+		switch c.kind {
+		case hookMessage:
+			b.interceptors[i].OnMessage(b, c.from, c.m, c.next)
+		case hookPublish:
+			b.chain[i].OnPublish(b, c.from, c.note, c.next)
+		case hookDeliver:
+			b.chain[i].OnDeliver(b, c.from, c.note, c.subs, c.next)
+		case hookSubscribe:
+			b.chain[i].OnSubscribe(b, c.from, c.sub, c.next)
 		}
-		b.chain[i].OnPublish(b, from, n, nextOnce(func() { run(i + 1) }))
+		b.hook, c.armed = outer, false
+		return
 	}
-	run(0)
-}
-
-// runDeliver threads a local delivery through every stage's OnDeliver hook.
-func (b *Broker) runDeliver(port message.NodeID, n *message.Notification, subs []message.SubID, final func()) {
-	var run func(i int)
-	run = func(i int) {
-		if i >= len(b.chain) {
-			final()
-			return
-		}
-		b.chain[i].OnDeliver(b, port, n, subs, nextOnce(func() { run(i + 1) }))
+	switch c.kind {
+	case hookMessage:
+		b.dispatch(c.from, c.m)
+	case hookPublish:
+		b.routePublish(c.from, c.m, *c.note)
+	case hookDeliver:
+		c.delivered = true
+		b.stats.Delivered++
+		b.Send(c.from, proto.Message{Kind: proto.KDeliver, Client: c.from, Note: c.note, SubIDs: c.subs})
+	case hookSubscribe:
+		b.installSubscribe(c.from, c.sub, c.m)
 	}
-	run(0)
-}
-
-// runSubscribe threads a subscription through every stage's OnSubscribe hook.
-func (b *Broker) runSubscribe(from message.NodeID, sub *proto.Subscription, final func()) {
-	var run func(i int)
-	run = func(i int) {
-		if i >= len(b.chain) {
-			final()
-			return
-		}
-		b.chain[i].OnSubscribe(b, from, sub, nextOnce(func() { run(i + 1) }))
-	}
-	run(0)
 }

@@ -1,6 +1,9 @@
 package broker
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"rebeca/internal/filter"
@@ -289,4 +292,424 @@ func TestMiddlewareMutatesNotification(t *testing.T) {
 		return
 	}
 	t.Fatal("no delivery recorded")
+}
+
+// tableStage is a stage on all four hooks whose behaviour is set by the
+// test: pass the event on, call next twice, decline it, or keep next for a
+// late call.
+type tableStage struct {
+	name string
+	log  *[]string
+	mode stageMode
+	only string // the hook mode applies to; empty = every hook
+	kept []func()
+}
+
+type stageMode int
+
+const (
+	modePass stageMode = iota
+	modeDouble
+	modeDecline
+	modeKeepAndPass
+	modeKeepAndDecline
+)
+
+func (s *tableStage) hook(hook string, next func()) {
+	*s.log = append(*s.log, s.name+":"+hook)
+	mode := s.mode
+	if s.only != "" && s.only != hook {
+		mode = modePass
+	}
+	switch mode {
+	case modePass:
+		next()
+	case modeDouble:
+		next()
+		next()
+	case modeKeepAndPass:
+		s.kept = append(s.kept, next)
+		next()
+	case modeKeepAndDecline:
+		s.kept = append(s.kept, next)
+	}
+}
+
+func (s *tableStage) OnMessage(_ *Broker, _ message.NodeID, _ proto.Message, next func()) {
+	s.hook("message", next)
+}
+
+func (s *tableStage) OnPublish(_ *Broker, _ message.NodeID, _ *message.Notification, next func()) {
+	s.hook("publish", next)
+}
+
+func (s *tableStage) OnDeliver(_ *Broker, _ message.NodeID, _ *message.Notification, _ []message.SubID, next func()) {
+	s.hook("deliver", next)
+}
+
+func (s *tableStage) OnSubscribe(_ *Broker, _ message.NodeID, _ *proto.Subscription, next func()) {
+	s.hook("subscribe", next)
+}
+
+// hookCase is one hook kind of the chain table: an event that crosses the
+// hook exactly once, and how often the broker's default processing behind
+// the hook has run so far.
+type hookCase struct {
+	hook  string
+	setup func(b *Broker)
+	fire  func(b *Broker, seq uint64)
+	ran   func(b *Broker, sent []proto.Message) int
+}
+
+var hookCases = []hookCase{
+	{
+		hook: "message",
+		fire: func(b *Broker, seq uint64) {
+			b.HandleMessage("x", proto.Message{Kind: proto.KConnect, Client: message.NodeID(fmt.Sprint("x", seq))})
+		},
+		ran: func(b *Broker, _ []proto.Message) int { return len(b.Ports()) - 2 },
+	},
+	{
+		hook: "publish",
+		fire: func(b *Broker, seq uint64) { b.HandleMessage("p", pubMsg(seq)) },
+		ran:  func(b *Broker, _ []proto.Message) int { return b.Stats().PublishesRouted },
+	},
+	{
+		hook:  "deliver",
+		setup: func(b *Broker) { b.InstallSub(*subMsg("s/s1").Sub, "s") },
+		fire:  func(b *Broker, seq uint64) { b.HandleMessage("p", pubMsg(seq)) },
+		ran: func(b *Broker, sent []proto.Message) int {
+			if got := countKind(sent, proto.KDeliver); got != b.Stats().Delivered {
+				return -1 // the counter and the wire disagree
+			}
+			return b.Stats().Delivered
+		},
+	},
+	{
+		hook: "subscribe",
+		fire: func(b *Broker, seq uint64) {
+			b.HandleMessage("s", subMsg(message.SubID(fmt.Sprint("s/t", seq))))
+		},
+		ran: func(b *Broker, _ []proto.Message) int { return b.Router().Table().Len() },
+	},
+}
+
+// TestChainTable walks every hook kind through chains of depth 0, 1 and 4
+// and checks the chain's contract at every position: attachment order,
+// next at most once, declining stops the event, an outer stage cannot
+// revive what an inner one declined, and a next kept past its hook is dead.
+func TestChainTable(t *testing.T) {
+	for _, hc := range hookCases {
+		for _, depth := range []int{0, 1, 4} {
+			// build makes a fresh broker whose chain is depth stages, each
+			// in the given mode (modePass unless named) on hc's hook.
+			type result struct {
+				b      *Broker
+				sent   *[]proto.Message
+				stages []*tableStage
+				log    *[]string
+			}
+			build := func(modes map[int]stageMode) result {
+				b, sent := newChainBroker(t)
+				if hc.setup != nil {
+					hc.setup(b)
+				}
+				var log []string
+				r := result{b: b, sent: sent, log: &log}
+				for i := 0; i < depth; i++ {
+					s := &tableStage{name: fmt.Sprint("s", i), log: &log, mode: modes[i], only: hc.hook}
+					r.stages = append(r.stages, s)
+					b.UseMiddleware(s)
+				}
+				return r
+			}
+			crossed := func(r result) []string {
+				var out []string
+				for _, e := range *r.log {
+					if strings.HasSuffix(e, ":"+hc.hook) {
+						out = append(out, strings.TrimSuffix(e, ":"+hc.hook))
+					}
+				}
+				return out
+			}
+			wantStages := func(n int) []string {
+				var out []string
+				for i := 0; i < n; i++ {
+					out = append(out, fmt.Sprint("s", i))
+				}
+				return out
+			}
+			check := func(name string, r result, wantCrossed int, wantRan int) {
+				t.Helper()
+				if got, want := crossed(r), wantStages(wantCrossed); !slices.Equal(got, want) {
+					t.Errorf("%s depth %d, %s: stages crossed = %v, want %v", hc.hook, depth, name, got, want)
+				}
+				if got := hc.ran(r.b, *r.sent); got != wantRan {
+					t.Errorf("%s depth %d, %s: default processing ran %d times, want %d", hc.hook, depth, name, got, wantRan)
+				}
+			}
+
+			r := build(nil)
+			hc.fire(r.b, 1)
+			check("all pass", r, depth, 1)
+
+			all := func(m stageMode) map[int]stageMode {
+				modes := map[int]stageMode{}
+				for i := 0; i < depth; i++ {
+					modes[i] = m
+				}
+				return modes
+			}
+			r = build(all(modeDouble))
+			hc.fire(r.b, 1)
+			check("every stage calls next twice", r, depth, 1)
+
+			for p := 0; p < depth; p++ {
+				r = build(map[int]stageMode{p: modeDecline})
+				hc.fire(r.b, 1)
+				check(fmt.Sprint("stage ", p, " declines"), r, p+1, 0)
+
+				if p > 0 {
+					modes := all(modeDouble)
+					modes[p] = modeDecline
+					r = build(modes)
+					hc.fire(r.b, 1)
+					check(fmt.Sprint("stage ", p, " declines, outer stages call next twice"), r, p+1, 0)
+				}
+
+				// A next kept past its hook does nothing once the event is
+				// over, and the chain handles the next event as ever.
+				for _, mode := range []stageMode{modeKeepAndPass, modeKeepAndDecline} {
+					r = build(map[int]stageMode{p: mode})
+					hc.fire(r.b, 1)
+					reach, ran := depth, 1
+					if mode == modeKeepAndDecline {
+						reach, ran = p+1, 0
+					}
+					for _, next := range r.stages[p].kept {
+						next()
+					}
+					check(fmt.Sprint("stage ", p, " keeps next (mode ", mode, "), late call"), r, reach, ran)
+					r.stages[p].mode = modePass
+					*r.log = nil
+					hc.fire(r.b, 2)
+					check(fmt.Sprint("stage ", p, " kept next, following event"), r, depth, ran+1)
+				}
+			}
+		}
+	}
+}
+
+// recPlugin is a legacy Plugin that logs its two hooks and claims what the
+// test tells it to.
+type recPlugin struct {
+	name          string
+	log           *[]string
+	claimMessages bool
+	claimDelivery bool
+}
+
+func (p *recPlugin) Handle(_ message.NodeID, _ proto.Message) bool {
+	*p.log = append(*p.log, p.name+":message")
+	return p.claimMessages
+}
+
+func (p *recPlugin) OnDeliver(_ message.NodeID, _ message.Notification) bool {
+	*p.log = append(*p.log, p.name+":deliver")
+	return p.claimDelivery
+}
+
+func (p *recPlugin) OnFlushDone(uint64) { *p.log = append(*p.log, p.name+":flush") }
+
+// TestChainMixesPluginsAndMiddleware attaches plugins (Use) and stages
+// (UseMiddleware) alternately: each hook crosses them in attachment order,
+// a plugin is a pass-through on the hooks it does not have, and what one
+// claims the stages behind it never see.
+func TestChainMixesPluginsAndMiddleware(t *testing.T) {
+	var log []string
+	b, sent := newChainBroker(t)
+	p1 := &recPlugin{name: "P1", log: &log}
+	p2 := &recPlugin{name: "P2", log: &log}
+	b.UseMiddleware(&tableStage{name: "a", log: &log})
+	b.Use(p1)
+	b.UseMiddleware(&tableStage{name: "b", log: &log})
+	b.Use(p2)
+
+	b.HandleMessage("s", subMsg("s/s1"))
+	b.HandleMessage("p", pubMsg(1))
+	b.StartFlush() // no peers: completes at once
+	want := []string{
+		"a:message", "P1:message", "b:message", "P2:message", "a:subscribe", "b:subscribe",
+		"a:message", "P1:message", "b:message", "P2:message", "a:publish", "b:publish",
+		"a:deliver", "P1:deliver", "b:deliver", "P2:deliver",
+		"P1:flush", "P2:flush",
+	}
+	if !slices.Equal(log, want) {
+		t.Errorf("log = %v\nwant %v", log, want)
+	}
+	if got := countKind(*sent, proto.KDeliver); got != 1 {
+		t.Errorf("deliveries sent = %d, want 1", got)
+	}
+
+	log = nil
+	p1.claimDelivery = true
+	b.HandleMessage("p", pubMsg(2))
+	p1.claimDelivery, p2.claimMessages = false, true
+	b.HandleMessage("p", pubMsg(3))
+	want = []string{
+		"a:message", "P1:message", "b:message", "P2:message", "a:publish", "b:publish",
+		"a:deliver", "P1:deliver",
+		"a:message", "P1:message", "b:message", "P2:message",
+	}
+	if !slices.Equal(log, want) {
+		t.Errorf("log with claims = %v\nwant %v", log, want)
+	}
+	if got := countKind(*sent, proto.KDeliver); got != 1 {
+		t.Errorf("deliveries sent = %d, want still 1", got)
+	}
+}
+
+// republishMidChain publishes a derived notification from inside OnDeliver
+// before it passes the delivery on: the outer event waits in the middle of
+// the chain while the nested one crosses all of it.
+type republishMidChain struct {
+	tableStage
+}
+
+func (s *republishMidChain) OnDeliver(b *Broker, port message.NodeID, n *message.Notification, subs []message.SubID, next func()) {
+	if n.ID.Publisher == "p" {
+		d := n.Clone()
+		d.ID = message.NotificationID{Publisher: "derived", Seq: n.ID.Seq}
+		b.HandleMessage(b.ID(), proto.Message{Kind: proto.KPublish, Note: &d})
+	}
+	s.tableStage.OnDeliver(b, port, n, subs, next)
+}
+
+func TestChainReentrantPublishMidChain(t *testing.T) {
+	var log []string
+	b, sent := newChainBroker(t)
+	b.UseMiddleware(
+		&tableStage{name: "a", log: &log, mode: modeDouble},
+		&republishMidChain{tableStage{name: "b", log: &log}},
+		&tableStage{name: "c", log: &log, mode: modeDouble},
+	)
+	b.InstallSub(*subMsg("s/s1").Sub, "s")
+	b.HandleMessage("p", pubMsg(1))
+	want := []string{
+		"a:message", "b:message", "c:message", "a:publish", "b:publish", "c:publish",
+		"a:deliver",
+		// the nested event, start to finish, on a cursor of its own
+		"a:message", "b:message", "c:message", "a:publish", "b:publish", "c:publish",
+		"a:deliver", "b:deliver", "c:deliver",
+		// the outer one resumes where it waited
+		"b:deliver", "c:deliver",
+	}
+	if !slices.Equal(log, want) {
+		t.Errorf("log = %v\nwant %v", log, want)
+	}
+	var order []message.NodeID
+	for _, m := range *sent {
+		if m.Kind == proto.KDeliver {
+			order = append(order, m.Note.ID.Publisher)
+		}
+	}
+	if !slices.Equal(order, []message.NodeID{"derived", "p"}) {
+		t.Errorf("deliveries by publisher = %v, want [derived p]", order)
+	}
+}
+
+// lateCaller keeps every OnDeliver next it is handed, and from inside the
+// hook of a derived notification calls all it has kept so far.
+type lateCaller struct {
+	PassMiddleware
+	kept []func()
+}
+
+func (s *lateCaller) OnDeliver(_ *Broker, _ message.NodeID, n *message.Notification, _ []message.SubID, next func()) {
+	if n.ID.Publisher == "derived" {
+		for _, late := range s.kept {
+			late()
+		}
+	}
+	s.kept = append(s.kept, next)
+	next()
+}
+
+// TestChainRetainedNextCannotResumeAnotherEvent has a delivery wait in the
+// middle of the chain, its next not called yet, while a nested event's hook
+// calls every next kept so far — the waiting delivery's cursor among them.
+// The waiting delivery must resume only when its own stage says so.
+func TestChainRetainedNextCannotResumeAnotherEvent(t *testing.T) {
+	var log []string
+	b, sent := newChainBroker(t)
+	b.UseMiddleware(&lateCaller{}, &republishMidChain{tableStage{name: "r", log: &log}})
+	b.InstallSub(*subMsg("s/s1").Sub, "s")
+	b.HandleMessage("p", pubMsg(1))
+	b.HandleMessage("p", pubMsg(2))
+	var order []message.NotificationID
+	for _, m := range *sent {
+		if m.Kind == proto.KDeliver {
+			order = append(order, m.Note.ID)
+		}
+	}
+	want := []message.NotificationID{
+		{Publisher: "derived", Seq: 1}, {Publisher: "p", Seq: 1},
+		{Publisher: "derived", Seq: 2}, {Publisher: "p", Seq: 2},
+	}
+	if !slices.Equal(order, want) {
+		t.Errorf("deliveries = %v, want %v", order, want)
+	}
+	if got := b.Stats().Delivered; got != 4 {
+		t.Errorf("Delivered = %d, want 4", got)
+	}
+}
+
+// publishBench is HandleMessage(KPublish) as the benchmark's
+// broker.handle_publish_allocs probe sets it up: a broker on its own with
+// one matching local port, a Send that goes nowhere, a fresh copy of the
+// notification with a fresh sequence number on every call.
+func publishBench(stages int) func() {
+	b := New(Config{ID: "X", Peers: []message.NodeID{"P"}, Send: func(message.NodeID, proto.Message) {}})
+	for i := 0; i < stages; i++ {
+		b.UseMiddleware(PassMiddleware{})
+	}
+	b.AttachPort("s")
+	b.HandleMessage("s", subMsg("s/s1"))
+	m := pubMsg(0)
+	seq := uint64(0)
+	return func() {
+		seq++
+		n := *m.Note
+		n.ID.Seq = seq
+		m.Note = &n
+		b.HandleMessage("P", m)
+	}
+}
+
+// TestHandlePublishAllocs holds the chain to its allocation budget: no
+// stages, no more than the probe's 6 per publish; pass-through stages,
+// not one more.
+func TestHandlePublishAllocs(t *testing.T) {
+	empty := testing.AllocsPerRun(200, publishBench(0))
+	if empty > 6 {
+		t.Errorf("HandleMessage(KPublish), empty chain: %v allocs, want <= 6", empty)
+	}
+	for _, stages := range []int{1, 4} {
+		if got := testing.AllocsPerRun(200, publishBench(stages)); got != empty {
+			t.Errorf("HandleMessage(KPublish), %d pass-through stages: %v allocs, want the empty chain's %v", stages, got, empty)
+		}
+	}
+}
+
+func BenchmarkHandlePublish(b *testing.B) {
+	for _, stages := range []int{0, 4} {
+		b.Run(fmt.Sprint("chain", stages), func(b *testing.B) {
+			publish := publishBench(stages)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				publish()
+			}
+		})
+	}
 }

@@ -76,77 +76,6 @@ func (l *DeliveryLog) Snapshot() []Delivery {
 // Total counts every recorded delivery, independent of retention.
 func (l *DeliveryLog) Total() uint64 { return l.total }
 
-// DefaultDedupWindow is the per-publisher sliding window of sequence
-// numbers a DedupSet retains once a publisher outgrows exact tracking.
-const DefaultDedupWindow = 65536
-
-// DedupSet tracks seen notification IDs in bounded memory. Per publisher
-// it is exact — identical to an unbounded seen-map — until that publisher
-// has delivered more than `window` distinct notifications; only then are
-// the oldest entries pruned, and anything at or below the pruned floor is
-// conservatively reported as already seen. The suppression error is thus
-// confined to redeliveries lagging more than `window` behind a publisher
-// that already overflowed the window — with the default of 64k per-pub
-// entries, far beyond what the mobility layers' replay buffers hold in
-// any configured deployment. Not safe for concurrent use.
-type DedupSet struct {
-	window uint64
-	byPub  map[message.NodeID]*pubSeen
-}
-
-type pubSeen struct {
-	max   uint64
-	floor uint64 // highest pruned seq; 0 = nothing pruned yet (exact)
-	seqs  map[uint64]bool
-}
-
-// NewDedupSet builds a set retaining `window` recent sequence numbers per
-// publisher (0 = DefaultDedupWindow).
-func NewDedupSet(window uint64) *DedupSet {
-	if window == 0 {
-		window = DefaultDedupWindow
-	}
-	return &DedupSet{window: window, byPub: make(map[message.NodeID]*pubSeen)}
-}
-
-// Seen records the ID and reports whether it was already seen (or has
-// been pruned, which counts as seen).
-func (s *DedupSet) Seen(id message.NotificationID) bool {
-	w := s.byPub[id.Publisher]
-	if w == nil {
-		w = &pubSeen{seqs: make(map[uint64]bool)}
-		s.byPub[id.Publisher] = w
-	}
-	if id.Seq <= w.floor {
-		return true // at or below the pruned floor: treat as duplicate
-	}
-	if w.seqs[id.Seq] {
-		return true
-	}
-	w.seqs[id.Seq] = true
-	if id.Seq > w.max {
-		w.max = id.Seq
-	}
-	// Prune only on overflow, so tracking stays exact for any publisher
-	// within the window. The scan is amortized: it runs at most once per
-	// window's worth of fresh records.
-	if uint64(len(w.seqs)) > s.window {
-		floor := uint64(0)
-		if w.max > s.window {
-			floor = w.max - s.window
-		}
-		if floor > w.floor {
-			w.floor = floor
-		}
-		for seq := range w.seqs {
-			if seq <= w.floor {
-				delete(w.seqs, seq)
-			}
-		}
-	}
-	return false
-}
-
 // Tally is the per-port delivery accounting shared by the in-process
 // client and the TCP port: dedup by notification ID, incremental
 // per-publisher FIFO-violation counting, and the bounded delivery log.

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -323,4 +324,210 @@ func TestDedupSetWindow(t *testing.T) {
 	if s.Seen(message.NotificationID{Publisher: "q", Seq: 1}) {
 		t.Error("publisher windows must be independent")
 	}
+}
+
+// TestDedupSetFloorFollowsMax pins the one line of the contract the model
+// check's sequences cannot reach: once a publisher has overflowed the
+// window the floor is max − window at every record, also on a stream with
+// gaps, where the map this replaced moved its floor only when it held
+// more than a window of IDs again.
+func TestDedupSetFloorFollowsMax(t *testing.T) {
+	s := NewDedupSet(4)
+	id := func(seq uint64) message.NotificationID {
+		return message.NotificationID{Publisher: "p", Seq: seq}
+	}
+	for _, seq := range []uint64{1, 2, 3, 4, 10, 20} {
+		if s.Seen(id(seq)) {
+			t.Fatalf("fresh seq %d reported seen", seq)
+		}
+	}
+	if !s.Seen(id(16)) || !s.Seen(id(12)) {
+		t.Error("seq at or below max − window must count as seen")
+	}
+	if s.Seen(id(17)) || !s.Seen(id(17)) || !s.Seen(id(20)) {
+		t.Error("seqs above the floor must stay exact")
+	}
+}
+
+// mapDedup is the map-per-publisher DedupSet this package shipped before
+// the bit ring, kept as the oracle of the model check: exact until a
+// publisher holds more than window IDs, then everything at or below
+// max − window is pruned by a scan of the map and counts as seen.
+type mapDedup struct {
+	window uint64
+	byPub  map[message.NodeID]*mapSeen
+}
+
+type mapSeen struct {
+	max, floor uint64
+	seqs       map[uint64]bool
+}
+
+func (s *mapDedup) Seen(id message.NotificationID) bool {
+	w := s.byPub[id.Publisher]
+	if w == nil {
+		w = &mapSeen{seqs: make(map[uint64]bool)}
+		s.byPub[id.Publisher] = w
+	}
+	if id.Seq <= w.floor || w.seqs[id.Seq] {
+		return true
+	}
+	w.seqs[id.Seq] = true
+	w.max = max(w.max, id.Seq)
+	if uint64(len(w.seqs)) > s.window {
+		if w.max > s.window {
+			w.floor = max(w.floor, w.max-s.window)
+		}
+		for seq := range w.seqs {
+			if seq <= w.floor {
+				delete(w.seqs, seq)
+			}
+		}
+	}
+	return false
+}
+
+// TestDedupSetMatchesMapModel drives the ring and the map oracle with the
+// same seeded sequences, each running well past the window, and wants the
+// same answer from both on every call.
+func TestDedupSetMatchesMapModel(t *testing.T) {
+	type call = message.NotificationID
+	strided := func(pub message.NodeID, stride, n uint64) []call {
+		out := make([]call, n)
+		for i := range out {
+			out[i] = call{Publisher: pub, Seq: uint64(i+1) * stride}
+		}
+		return out
+	}
+	// lagging replays, after every third fresh ID of a dense stream, the
+	// ID lag behind it (once there is one).
+	lagging := func(lag, n uint64) []call {
+		var out []call
+		for seq := uint64(1); seq <= n; seq++ {
+			out = append(out, call{Publisher: "p", Seq: seq})
+			if seq%3 == 0 && seq > lag {
+				out = append(out, call{Publisher: "p", Seq: seq - lag})
+			}
+		}
+		return out
+	}
+	for _, window := range []uint64{4, 64, 65536} {
+		// Past the window the oracle scans its whole map on every fresh ID.
+		n := window + min(3*window+5, 300)
+		rng := rand.New(rand.NewSource(int64(window)))
+		shuffled := strided("p", 1, n)
+		for lo, block := 0, int(window/2+1); lo < len(shuffled); lo += block {
+			part := shuffled[lo:min(lo+block, len(shuffled))]
+			rng.Shuffle(len(part), func(i, j int) { part[i], part[j] = part[j], part[i] })
+		}
+		var interleaved []call
+		for i, q := range strided("q", 7, n) {
+			interleaved = append(interleaved, call{Publisher: "p", Seq: uint64(i + 1)}, q)
+		}
+		sequences := map[string][]call{
+			"dense":           strided("p", 1, n),
+			"stride2":         strided("p", 2, n),
+			"stride7":         strided("p", 7, n),
+			"strideWindow":    strided("p", window, n),
+			"shuffled":        shuffled,
+			"replayInWindow":  lagging(window/2, n),
+			"replayAtWindow":  lagging(window, n),
+			"replayPastFloor": lagging(window+3, n),
+			"twoPublishers":   interleaved,
+		}
+		for name, calls := range sequences {
+			ring := NewDedupSet(window)
+			model := &mapDedup{window: window, byPub: make(map[message.NodeID]*mapSeen)}
+			for i, id := range calls {
+				if got, want := ring.Seen(id), model.Seen(id); got != want {
+					t.Fatalf("window %d, %s: call %d, Seen(%v) = %v, map model says %v",
+						window, name, i, id, got, want)
+				}
+			}
+			// Every recorded ID is seen now, in the window or under the floor.
+			for i, id := range calls {
+				if !ring.Seen(id) {
+					t.Fatalf("window %d, %s: ID %v of call %d not seen on a second pass", window, name, id, i)
+				}
+			}
+		}
+	}
+}
+
+// TestTallyAcrossDedupWindow counts duplicates and FIFO violations on one
+// publisher's even sequence numbers, from below DefaultDedupWindow to
+// beyond it.
+func TestTallyAcrossDedupWindow(t *testing.T) {
+	tally := NewTally()
+	tally.Log.SetCap(-1)
+	rec := func(seq uint64) bool {
+		return tally.Record(Delivery{Note: message.Notification{
+			ID: message.NotificationID{Publisher: "p", Seq: seq},
+		}})
+	}
+	const records = DefaultDedupWindow + 50
+	for i := uint64(1); i <= records; i++ {
+		if !rec(2 * i) {
+			t.Fatalf("fresh seq %d suppressed", 2*i)
+		}
+		if i%1000 == 0 && rec(2*i-200) {
+			t.Fatalf("replay of seq %d delivered", 2*i-200)
+		}
+	}
+	const top = 2 * records
+	if rec(top) || rec(top-DefaultDedupWindow+2) || rec(2) {
+		t.Error("replayed seqs delivered: newest, oldest in the window, below the floor")
+	}
+	if !rec(top - 1) {
+		t.Error("fresh seq inside the window suppressed")
+	}
+	if rec(top - DefaultDedupWindow - 1) {
+		t.Error("seq below the floor delivered")
+	}
+	if got, want := tally.Duplicates(), records/1000+4; got != want {
+		t.Errorf("duplicates = %d, want %d", got, want)
+	}
+	if got := tally.FIFOViolations(); got != 1 {
+		t.Errorf("FIFO violations = %d, want 1 (the late odd seq)", got)
+	}
+	if got, want := tally.Log.Total(), uint64(records+1); got != want {
+		t.Errorf("deliveries counted = %d, want %d", got, want)
+	}
+}
+
+// BenchmarkTallyRecord times the port's delivery accounting on one
+// publisher's in-order stream with the delivery log off: first64k from an
+// empty Tally up to DefaultDedupWindow IDs, past64k beyond that. CI holds
+// past64k to 0 allocs/op and to 4x first64k's time.
+func BenchmarkTallyRecord(b *testing.B) {
+	newTally := func() *Tally {
+		t := NewTally()
+		t.Log.SetCap(-1)
+		return t
+	}
+	d := Delivery{Note: message.Notification{ID: message.NotificationID{Publisher: "pub0"}}}
+	b.Run("first64k", func(b *testing.B) {
+		b.ReportAllocs()
+		var t *Tally
+		for i := 0; i < b.N; i++ {
+			if i%DefaultDedupWindow == 0 {
+				t = newTally()
+			}
+			d.Note.ID.Seq = uint64(i%DefaultDedupWindow) + 1
+			t.Record(d)
+		}
+	})
+	b.Run("past64k", func(b *testing.B) {
+		t := newTally()
+		for seq := uint64(1); seq <= DefaultDedupWindow+1; seq++ {
+			d.Note.ID.Seq = seq
+			t.Record(d)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.Note.ID.Seq++
+			t.Record(d)
+		}
+	})
 }

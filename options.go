@@ -240,17 +240,6 @@ func WithAdvertisements() Option {
 	return func(c *config) { c.advertisements = true }
 }
 
-// WithIndexedMatching backs routing tables with the counting matching
-// index.
-//
-// Deprecated: indexed matching is the default since PR 5; this option is a
-// true no-op kept for compatibility (in particular it does not override a
-// WithLinearMatching elsewhere in the option list). Use WithLinearMatching
-// to revert to linear scans (the E3 ablation baseline).
-func WithIndexedMatching() Option {
-	return func(*config) {}
-}
-
 // WithLinearMatching reverts every broker's routing table to linear scans
 // instead of the counting matching index — same semantics, O(table) per
 // publish. Only useful as the ablation baseline for the E3 matching

@@ -75,8 +75,6 @@ func TestOptionApplication(t *testing.T) {
 			func(c *config) bool { return c.strategy == routing.StrategyCovering }},
 		{"WithAdvertisements", WithAdvertisements(),
 			func(c *config) bool { return c.advertisements }},
-		{"WithIndexedMatching", WithIndexedMatching(),
-			func(c *config) bool { return !c.linear }},
 		{"WithLinearMatching", WithLinearMatching(),
 			func(c *config) bool { return c.linear }},
 		{"WithMiddleware", WithMiddleware(metrics, tracer),
