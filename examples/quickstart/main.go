@@ -19,7 +19,7 @@
 // never matters.
 //
 // Since PR 5 live links speak a length-prefixed binary wire protocol and
-// every broker matches through the counting index by default — nothing to
+// every broker matches through the matching index by default — nothing to
 // configure here. (The transitional gob fallback is gone; a legacy peer
 // dialing in is refused with a clear error.)
 //

@@ -49,7 +49,7 @@ type Config struct {
 	// advertisements (advertisement-based routing, REBECA [3]).
 	Advertisements bool
 	// LinearMatching reverts the routing table to linear scans. The
-	// counting matching index is the default (same semantics, faster on
+	// access-predicate matching index is the default (same semantics, faster on
 	// large tables); linear matching remains as the E3 ablation baseline.
 	LinearMatching bool
 	// Send transmits a message to a directly linked node: an overlay peer

@@ -300,43 +300,86 @@ const seenCap = 8192
 
 // seenEntry remembers one recent notification: the links it was already
 // forwarded on (so flood copies never retrace a link) and that its local
-// delivery decision was made (so no copy delivers twice).
+// delivery decision was made (so no copy delivers twice). The links are a
+// set of the owning seenSet's link numbers: a bitmask for numbers below
+// 64, a lazily allocated map for the rest. The zero entry is an empty
+// memory — what an unidentified (zero-ID) note gets, off the ring.
 type seenEntry struct {
 	id   message.NotificationID
-	sent map[message.NodeID]bool
+	sent uint64
+	over map[int]bool
 }
 
 // seenSet is a bounded insertion-order ring of seenEntries with O(1)
-// lookup.
+// lookup. The ring holds the entries by value and is never reallocated, so
+// recording a notification allocates nothing and a *seenEntry stays valid
+// until the ring wraps around to its slot.
 type seenSet struct {
-	byID map[message.NotificationID]*seenEntry
-	ring []message.NotificationID
+	byID map[message.NotificationID]int32
+	ring []seenEntry
 	next int
+	// links numbers every link a notification was ever sent on. Numbers
+	// only grow and are never reassigned, so a bit in an entry the ring
+	// still holds can never come to mean a different link.
+	links map[message.NodeID]int
 }
 
 func newSeenSet() *seenSet {
 	return &seenSet{
-		byID: make(map[message.NotificationID]*seenEntry, seenCap),
-		ring: make([]message.NotificationID, seenCap),
+		byID:  make(map[message.NotificationID]int32, seenCap),
+		ring:  make([]seenEntry, seenCap),
+		links: make(map[message.NodeID]int),
 	}
 }
 
 // lookup returns the entry for id, or nil when unseen.
 func (s *seenSet) lookup(id message.NotificationID) *seenEntry {
-	return s.byID[id]
+	if i, ok := s.byID[id]; ok {
+		return &s.ring[i]
+	}
+	return nil
 }
 
 // record inserts a fresh entry (evicting the oldest beyond the cap) and
 // returns it.
 func (s *seenSet) record(id message.NotificationID) *seenEntry {
-	if old := s.ring[s.next]; old != (message.NotificationID{}) {
-		delete(s.byID, old)
+	e := &s.ring[s.next]
+	if e.id != (message.NotificationID{}) {
+		delete(s.byID, e.id)
 	}
-	s.ring[s.next] = id
+	*e = seenEntry{id: id}
+	s.byID[id] = int32(s.next)
 	s.next = (s.next + 1) % len(s.ring)
-	e := &seenEntry{id: id, sent: make(map[message.NodeID]bool, 4)}
-	s.byID[id] = e
 	return e
+}
+
+// sentOn reports whether e's notification already traveled the link to p.
+func (s *seenSet) sentOn(e *seenEntry, p message.NodeID) bool {
+	n, ok := s.links[p]
+	if !ok {
+		return false
+	}
+	if n < 64 {
+		return e.sent&(1<<n) != 0
+	}
+	return e.over[n]
+}
+
+// markSent notes that e's notification travels the link to p.
+func (s *seenSet) markSent(e *seenEntry, p message.NodeID) {
+	n, ok := s.links[p]
+	if !ok {
+		n = len(s.links)
+		s.links[p] = n
+	}
+	if n < 64 {
+		e.sent |= 1 << n
+		return
+	}
+	if e.over == nil {
+		e.over = make(map[int]bool)
+	}
+	e.over[n] = true
 }
 
 // --- broker integration -------------------------------------------------
@@ -535,10 +578,10 @@ func (b *Broker) forwardFlood(e *seenEntry, from message.NodeID, m proto.Message
 	fw.Stale = true
 	fw.Hops++
 	for p := range b.peers {
-		if p == from || e.sent[p] {
+		if p == from || b.seen.sentOn(e, p) {
 			continue
 		}
-		e.sent[p] = true
+		b.seen.markSent(e, p)
 		b.stats.Forwarded++
 		b.Send(p, fw)
 	}
@@ -565,8 +608,12 @@ func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message, n messag
 	e := b.seen.lookup(n.ID)
 	if e == nil {
 		// Unidentified note (zero ID): no cross-copy memory possible;
-		// a throwaway entry still gives arrival-link exclusion.
-		e = &seenEntry{sent: map[message.NodeID]bool{from: true}}
+		// a throwaway entry still gives arrival-link exclusion (only a
+		// peer link can be retraced; a port is not worth a link number).
+		e = &seenEntry{}
+		if b.peers[from] {
+			b.seen.markSent(e, from)
+		}
 	}
 	var deliver []routing.LinkMatch
 	if m.Stale {
@@ -606,10 +653,10 @@ func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message, n messag
 			b.forwardFlood(e, "", m)
 		} else {
 			for _, p := range fwds {
-				if e.sent[p] {
+				if b.seen.sentOn(e, p) {
 					continue
 				}
-				e.sent[p] = true
+				b.seen.markSent(e, p)
 				fw := m
 				fw.Hops++
 				b.stats.Forwarded++
@@ -641,13 +688,13 @@ func (b *Broker) ReforwardPending(removed message.NodeID, msgs []proto.Message) 
 		fw.Hops++
 		var e *seenEntry
 		if m.Note.ID.IsZero() {
-			e = &seenEntry{sent: make(map[message.NodeID]bool)}
+			e = &seenEntry{}
 		} else if e = b.seen.lookup(m.Note.ID); e == nil {
 			e = b.seen.record(m.Note.ID)
 		}
 		for p := range b.peers {
-			if p != removed && !e.sent[p] {
-				e.sent[p] = true
+			if p != removed && !b.seen.sentOn(e, p) {
+				b.seen.markSent(e, p)
 				b.stats.Forwarded++
 				b.Send(p, fw)
 			}

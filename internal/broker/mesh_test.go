@@ -196,9 +196,55 @@ func TestSeenSetEviction(t *testing.T) {
 	}
 	// The per-entry forwarding memory persists across lookups.
 	e := s.lookup(mkID(5))
-	e.sent["b2"] = true
-	if !s.lookup(mkID(5)).sent["b2"] {
+	s.markSent(e, "b2")
+	if !s.sentOn(s.lookup(mkID(5)), "b2") {
 		t.Error("sent-link memory not shared")
+	}
+	if s.sentOn(s.lookup(mkID(6)), "b2") || s.sentOn(e, "b3") {
+		t.Error("sent-link memory leaks across entries or links")
+	}
+	// Wrap-around hands mkID(5)'s ring slot to a new notification: the new
+	// tenant must not inherit the old one's links.
+	for i := seenCap + 1; s.lookup(mkID(5)) != nil; i++ {
+		s.record(mkID(i))
+	}
+	if e.id == mkID(5) || e.sent != 0 || e.over != nil {
+		t.Errorf("reused ring slot kept its previous tenant's memory: %+v", *e)
+	}
+}
+
+// TestSeenSetManyLinks: link numbers past the 64-bit mask land in the
+// overflow set and behave the same — per entry, per link, cleared on reuse.
+func TestSeenSetManyLinks(t *testing.T) {
+	s := newSeenSet()
+	peer := func(i int) message.NodeID { return message.NodeID(fmt.Sprintf("b%02d", i)) }
+	odd := s.record(message.NotificationID{Publisher: "p", Seq: 1})
+	all := s.record(message.NotificationID{Publisher: "p", Seq: 2})
+	for i := 0; i < 70; i++ {
+		if i%2 == 1 {
+			s.markSent(odd, peer(i))
+		}
+		s.markSent(all, peer(i))
+	}
+	for i := 0; i < 70; i++ {
+		if got := s.sentOn(odd, peer(i)); got != (i%2 == 1) {
+			t.Errorf("odd entry, link %d: sentOn = %v", i, got)
+		}
+		if !s.sentOn(all, peer(i)) {
+			t.Errorf("full entry, link %d: not remembered", i)
+		}
+	}
+	if s.sentOn(all, "stranger") {
+		t.Error("a link never sent on reads as sent")
+	}
+	if len(all.over) != 6 {
+		t.Errorf("overflow set holds %d links, want the 6 numbered 64..69", len(all.over))
+	}
+	for i := 0; i < seenCap; i++ {
+		s.record(message.NotificationID{Publisher: "q", Seq: uint64(i + 1)})
+	}
+	if all.over != nil || s.sentOn(all, peer(69)) || s.sentOn(all, peer(0)) {
+		t.Errorf("reused ring slot kept its overflow set: %+v", *all)
 	}
 }
 

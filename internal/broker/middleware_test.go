@@ -668,8 +668,11 @@ func TestChainRetainedNextCannotResumeAnotherEvent(t *testing.T) {
 // broker.handle_publish_allocs probe sets it up: a broker on its own with
 // one matching local port, a Send that goes nowhere, a fresh copy of the
 // notification with a fresh sequence number on every call.
-func publishBench(stages int) func() {
+func publishBench(stages int, setup ...func(*Broker)) func() {
 	b := New(Config{ID: "X", Peers: []message.NodeID{"P"}, Send: func(message.NodeID, proto.Message) {}})
+	for _, fn := range setup {
+		fn(b)
+	}
 	for i := 0; i < stages; i++ {
 		b.UseMiddleware(PassMiddleware{})
 	}
@@ -698,6 +701,15 @@ func TestHandlePublishAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, publishBench(stages)); got != empty {
 			t.Errorf("HandleMessage(KPublish), %d pass-through stages: %v allocs, want the empty chain's %v", stages, got, empty)
 		}
+	}
+	// Mesh mode adds the forwarding memory to every publish; recording a
+	// notification in it must cost no allocation.
+	mesh := func(b *Broker) {
+		b.EnableMesh()
+		b.SetMeshTopology([]message.NodeID{"X", "P"}, [][2]message.NodeID{{"X", "P"}})
+	}
+	if got := testing.AllocsPerRun(200, publishBench(0, mesh)); got != empty {
+		t.Errorf("HandleMessage(KPublish), mesh mode: %v allocs, want tree mode's %v", got, empty)
 	}
 }
 

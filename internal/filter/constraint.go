@@ -135,9 +135,14 @@ func In(attr string, vs ...message.Value) Constraint {
 // Matches evaluates the constraint against a notification.
 func (c Constraint) Matches(n message.Notification) bool {
 	v, ok := n.Get(c.Attr)
-	if !ok {
-		return false
-	}
+	return ok && c.matchesValue(v)
+}
+
+// matchesValue evaluates the constraint against a single value, as if a
+// notification carried exactly that value for the attribute. The pointer
+// receiver is for the matching index, which calls this once per candidate
+// and must not copy the constraint each time.
+func (c *Constraint) matchesValue(v message.Value) bool {
 	switch c.Op {
 	case OpExists:
 		return true
@@ -217,8 +222,7 @@ func (c Constraint) Covers(d Constraint) bool {
 			return len(d.Set) > 0
 		case OpLt, OpLe, OpGt, OpGe:
 			// e.g. c: x != 5 covered by d: x < 3.
-			return !Constraint{Attr: c.Attr, Op: d.Op, Val: d.Val}.
-				matchesValue(c.Val)
+			return !d.matchesValue(c.Val)
 		}
 	case OpLt, OpLe, OpGt, OpGe:
 		switch d.Op {
@@ -275,13 +279,6 @@ func (c Constraint) Covers(d Constraint) bool {
 		}
 	}
 	return false
-}
-
-// matchesValue evaluates the constraint against a single value, as if a
-// notification carried exactly that value for the attribute.
-func (c Constraint) matchesValue(v message.Value) bool {
-	n := message.Notification{Attrs: map[string]message.Value{c.Attr: v}}
-	return c.Matches(n)
 }
 
 // rangeCovers decides implication between two ordering constraints on the

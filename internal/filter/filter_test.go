@@ -133,6 +133,11 @@ func TestCoversBasics(t *testing.T) {
 			if got := tt.f.Covers(tt.g); got != tt.want {
 				t.Errorf("(%s).Covers(%s) = %v, want %v", tt.f, tt.g, got, tt.want)
 			}
+			// Table.CoveredBy runs this per entry per subscribe under
+			// StrategyCovering: Constraint.Covers must not allocate.
+			if allocs := testing.AllocsPerRun(10, func() { tt.f.Covers(tt.g) }); allocs != 0 {
+				t.Errorf("(%s).Covers(%s) allocates %v times, want 0", tt.f, tt.g, allocs)
+			}
 		})
 	}
 }

@@ -6,44 +6,73 @@ import (
 	"rebeca/internal/message"
 )
 
-// Index is a predicate-counting matching index over many filters, the
-// standard acceleration for content-based brokers (cf. the matching
-// algorithms evaluated in [16]): equality and membership constraints are
-// hash-indexed per attribute, remaining predicates are grouped per
-// attribute, and a filter matches when its per-notification satisfied-
-// constraint count reaches its constraint total.
+// Index is an access-predicate matching index over many filters: the cost
+// of Match follows the number of filters a notification selects, not the
+// number of filters indexed.
 //
-// Filters occupy integer slots so the hot counting path touches only flat
-// slices; the counter buffer is reused across Match calls via a dirty
-// list. Hash lookups key on a comparable value struct — no per-attribute
-// string building — and each filter's constraint list is cached at Add
-// time, so the steady-state Match path performs zero allocations.
-// Zero-constraint filters (All) are tracked separately and match every
-// notification. The index is not safe for concurrent use.
+// Every filter is filed under exactly one of its constraints — its access
+// predicate. A notification reaches a filter only through that constraint,
+// and the filter's remaining constraints are then verified directly on the
+// candidate:
+//
+//   - A filter with a hashable constraint (Eq, or In with a member a value
+//     can equal) is filed in that constraint's value bucket(s), eq[attr][v].
+//     Among several hashable constraints Add picks the one whose bucket is
+//     currently smallest (an In is judged by its largest bucket), so a
+//     predicate every subscriber shares (service = menu) is not the access
+//     path while a selective one (location = region-7) exists.
+//   - A filter with none is filed in scan[attr] under the constraint whose
+//     list is currently shortest; Match evaluates that constraint on the
+//     attribute value it already holds.
+//   - A zero-constraint filter (All) matches everything and lives in all; a
+//     filter with a constraint no value satisfies (Eq(NaN), an In without
+//     a usable member) matches nothing and is filed nowhere.
+//
+// The choice of access predicate affects speed only, never the result: a
+// filter matches iff all its constraints hold, and whichever one is the way
+// in, the others are checked. Because a slot is filed once and a
+// notification carries one value per attribute, no slot can be reached
+// twice in one Match — there is no per-notification state to count,
+// reset or deduplicate.
+//
+// Match costs O(selected buckets + scan lists of the attributes carried),
+// each candidate paying one verification. What stays linear is a scan
+// list: range and string predicates are not hashable, so a table of
+// range-only filters on one attribute is still walked whole for every
+// notification carrying it (sorted bound arrays would fix that; no
+// subscription in the tree is shaped that way). Choosing by bucket size at
+// Add time is a heuristic, not an optimum: buckets that grow later are not
+// rebalanced.
+//
+// Filters occupy integer slots so the hot path touches only flat slices;
+// hash lookups key on a comparable value struct and each filter's
+// constraint list is cached at Add time, so Match allocates nothing. The
+// index is not safe for concurrent use.
 type Index struct {
 	// slotOf maps a filter key to its slot.
 	slotOf map[string]int
-	// keys, filters, cons and sizes are slot-indexed; sizes[i] == 0 marks
-	// a free or match-all slot. cons caches Filter.Constraints() from Add
-	// so Remove (and re-indexing) never re-copies the constraint list.
-	keys    []string
-	filters []Filter
-	cons    [][]Constraint
-	sizes   []int
-	free    []int
+	// keys, cons and access are slot-indexed. cons caches
+	// Filter.Constraints() from Add: Match verifies against it and Remove
+	// never re-copies the list. access[slot] is the position in cons[slot]
+	// of the constraint the slot is filed under, or notFiled.
+	keys   []string
+	cons   [][]Constraint
+	access []int
+	free   []int
 	// all lists slots of match-everything filters, kept sorted ascending
 	// so Match visits them deterministically.
 	all []int
-	// eq[attr][valueKey] lists slots with an Eq/In constraint satisfied by
-	// exactly that value.
+	// eq[attr][valueKey] lists the slots whose access predicate is an
+	// Eq/In on attr satisfied by exactly that value.
 	eq map[string]map[valueKey][]int
-	// scan[attr] lists non-hashable constraints on attr with their slot.
+	// scan[attr] lists the slots whose access predicate is a non-hashable
+	// constraint on attr, with that constraint.
 	scan map[string][]scanEntry
-
-	// counts and dirty form the reusable counting buffer.
-	counts []int
-	dirty  []int
 }
+
+// notFiled marks a slot without an access predicate: free, match-all, or
+// unsatisfiable.
+const notFiled = -1
 
 type scanEntry struct {
 	slot int
@@ -69,68 +98,86 @@ func (ix *Index) Add(key string, f Filter) {
 		ix.Remove(key)
 	}
 	cs := f.Constraints()
-	slot := ix.alloc(key, f, cs)
+	slot := ix.alloc(key, cs)
 	if len(cs) == 0 {
 		ix.insertAll(slot)
 		return
 	}
-	ix.sizes[slot] = len(cs)
-	for _, c := range cs {
-		switch {
-		case c.Op == OpEq && !isNaN(c.Val):
-			ix.addEq(c.Attr, keyOf(c.Val), slot)
-		case c.Op == OpEq:
-			// Eq(NaN) can never be satisfied (NaN equals nothing, itself
-			// included). It must not enter the hash buckets: a NaN map key
-			// is unreachable — un-removable, a leak — and would wrongly
-			// count as satisfied for a NaN notification value. The scan
-			// path evaluates Matches, which is correctly always false.
-			ix.scan[c.Attr] = append(ix.scan[c.Attr], scanEntry{slot: slot, c: c})
-		case c.Op == OpIn:
-			eachHashableSetKey(c, func(vk valueKey) { ix.addEq(c.Attr, vk, slot) })
-		default:
-			ix.scan[c.Attr] = append(ix.scan[c.Attr], scanEntry{slot: slot, c: c})
-		}
+	a := ix.chooseAccess(cs)
+	ix.access[slot] = a
+	if a == notFiled {
+		return
+	}
+	switch c := &cs[a]; c.Op {
+	case OpEq, OpIn:
+		ix.eachBucket(c, slot, (*Index).addEq)
+	default:
+		ix.scan[c.Attr] = append(ix.scan[c.Attr], scanEntry{slot: slot, c: *c})
 	}
 }
 
-// eachHashableSetKey visits the distinct bucket keys of an In constraint:
-// duplicates are skipped (a notification carries one value per attribute,
-// so at most one bucket may fire per constraint) and NaN members entirely
-// (they can never equal an attribute value, and a NaN map key would be
-// unreachable). Add and Remove share this walk so the buckets they touch
-// are always symmetric.
-func eachHashableSetKey(c Constraint, fn func(valueKey)) {
-	seen := make(map[valueKey]bool, len(c.Set))
+// eachBucket applies op — addEq or removeEq — to every value bucket a
+// hashable access predicate selects. Add and Remove share this walk so the
+// buckets they touch are always the same.
+func (ix *Index) eachBucket(c *Constraint, slot int, op func(*Index, string, valueKey, int)) {
+	if c.Op == OpEq {
+		op(ix, c.Attr, keyOf(c.Val), slot)
+		return
+	}
 	for _, v := range c.Set {
-		if isNaN(v) {
-			continue
+		if hashable(v) {
+			op(ix, c.Attr, keyOf(v), slot)
 		}
-		vk := keyOf(v)
-		if seen[vk] {
-			continue
-		}
-		seen[vk] = true
-		fn(vk)
 	}
 }
 
-func (ix *Index) alloc(key string, f Filter, cs []Constraint) int {
+// chooseAccess picks the constraint to file a filter under: the hashable
+// one with the smallest bucket, else the scan one with the shortest list
+// (ties go to the earlier constraint). It returns notFiled when some
+// constraint can never be satisfied — the filter matches nothing.
+func (ix *Index) chooseAccess(cs []Constraint) int {
+	best, bestSize, bestHashed := notFiled, 0, false
+	for i := range cs {
+		c, size, hashed := &cs[i], 0, false
+		switch c.Op {
+		case OpEq:
+			if !hashable(c.Val) {
+				return notFiled
+			}
+			size, hashed = len(ix.eq[c.Attr][keyOf(c.Val)]), true
+		case OpIn:
+			// An In is reached through any of its buckets; the largest one
+			// bounds what a notification through it costs.
+			for _, v := range c.Set {
+				if hashable(v) {
+					size, hashed = max(size, len(ix.eq[c.Attr][keyOf(v)])), true
+				}
+			}
+			if !hashed {
+				return notFiled
+			}
+		default:
+			size = len(ix.scan[c.Attr])
+		}
+		if best == notFiled || (hashed && !bestHashed) || (hashed == bestHashed && size < bestSize) {
+			best, bestSize, bestHashed = i, size, hashed
+		}
+	}
+	return best
+}
+
+func (ix *Index) alloc(key string, cs []Constraint) int {
 	var slot int
 	if n := len(ix.free); n > 0 {
 		slot = ix.free[n-1]
 		ix.free = ix.free[:n-1]
 		ix.keys[slot] = key
-		ix.filters[slot] = f
 		ix.cons[slot] = cs
-		ix.sizes[slot] = 0
 	} else {
 		slot = len(ix.keys)
 		ix.keys = append(ix.keys, key)
-		ix.filters = append(ix.filters, f)
 		ix.cons = append(ix.cons, cs)
-		ix.sizes = append(ix.sizes, 0)
-		ix.counts = append(ix.counts, 0)
+		ix.access = append(ix.access, notFiled)
 	}
 	ix.slotOf[key] = slot
 	return slot
@@ -149,36 +196,40 @@ func (ix *Index) removeAll(slot int) {
 	}
 }
 
+// addEq files slot in one value bucket. A slot is filed by a single Add
+// call, so a repeated In member (In(1, 1.0)) shows up as the bucket's
+// last element and is skipped: one bucket never lists a slot twice.
 func (ix *Index) addEq(attr string, vk valueKey, slot int) {
 	m, ok := ix.eq[attr]
 	if !ok {
 		m = make(map[valueKey][]int)
 		ix.eq[attr] = m
 	}
-	m[vk] = append(m[vk], slot)
-}
-
-func (ix *Index) removeEq(attr string, vk valueKey, slot int) {
-	m, ok := ix.eq[attr]
-	if !ok {
+	b := m[vk]
+	if n := len(b); n > 0 && b[n-1] == slot {
 		return
 	}
-	ks := m[vk]
-	for i := 0; i < len(ks); {
-		if ks[i] == slot {
-			ks = append(ks[:i], ks[i+1:]...)
-		} else {
-			i++
-		}
+	m[vk] = append(b, slot)
+}
+
+// removeEq un-files slot from one value bucket; a bucket that no longer
+// lists it (the second of two repeated In members) is left alone.
+func (ix *Index) removeEq(attr string, vk valueKey, slot int) {
+	m := ix.eq[attr]
+	b := m[vk]
+	i := slices.Index(b, slot)
+	if i < 0 {
+		return
 	}
-	if len(ks) == 0 {
+	if len(b) == 1 {
 		delete(m, vk)
 		if len(m) == 0 {
 			delete(ix.eq, attr)
 		}
-	} else {
-		m[vk] = ks
+		return
 	}
+	b[i] = b[len(b)-1]
+	m[vk] = b[:len(b)-1]
 }
 
 // Remove drops the filter registered under key.
@@ -187,98 +238,97 @@ func (ix *Index) Remove(key string) {
 	if !ok {
 		return
 	}
-	cs := ix.cons[slot]
 	delete(ix.slotOf, key)
-	if len(cs) == 0 {
+	cs := ix.cons[slot]
+	switch a := ix.access[slot]; {
+	case len(cs) == 0:
 		ix.removeAll(slot)
-	}
-	for _, c := range cs {
-		switch {
-		case c.Op == OpEq && !isNaN(c.Val):
-			ix.removeEq(c.Attr, keyOf(c.Val), slot)
-		case c.Op == OpIn:
-			eachHashableSetKey(c, func(vk valueKey) { ix.removeEq(c.Attr, vk, slot) })
-		default:
-			es := ix.scan[c.Attr]
-			for i := 0; i < len(es); {
-				if es[i].slot == slot {
-					es = append(es[:i], es[i+1:]...)
-				} else {
-					i++
-				}
-			}
-			if len(es) == 0 {
-				delete(ix.scan, c.Attr)
-			} else {
-				ix.scan[c.Attr] = es
-			}
+	case a == notFiled:
+	case cs[a].Op == OpEq || cs[a].Op == OpIn:
+		ix.eachBucket(&cs[a], slot, (*Index).removeEq)
+	default:
+		attr := cs[a].Attr
+		es := ix.scan[attr]
+		i := slices.IndexFunc(es, func(e scanEntry) bool { return e.slot == slot })
+		if len(es) == 1 {
+			delete(ix.scan, attr)
+		} else {
+			es[i] = es[len(es)-1]
+			es[len(es)-1] = scanEntry{}
+			ix.scan[attr] = es[:len(es)-1]
 		}
 	}
 	ix.keys[slot] = ""
-	ix.filters[slot] = Filter{}
 	ix.cons[slot] = nil
-	ix.sizes[slot] = 0
+	ix.access[slot] = notFiled
 	ix.free = append(ix.free, slot)
 }
 
-// Match calls visit for every indexed filter matching the notification.
+// Match calls visit for every indexed filter matching the notification,
+// each exactly once.
 //
 // Visit-order contract: the zero-constraint (match-all) filters are
 // visited first, in ascending slot order — deterministic across calls for
 // an unchanged index. The constrained matches follow in an unspecified
-// order (the counting pass walks the notification's attribute map), so
-// callers needing a total order re-sort the visited keys themselves, as
-// routing.Table does with its insertion positions.
+// order (the walk follows the notification's attribute map, and buckets
+// are reordered by removals), so callers needing a total order re-sort the
+// visited keys themselves, as routing.Table does with its insertion
+// positions.
 //
-// The steady-state path allocates nothing: the counter buffer, dirty list
-// and hash keys are all reused or stack-allocated.
+// The path allocates nothing: there is no per-call state, and hash keys
+// are stack values.
 func (ix *Index) Match(n message.Notification, visit func(key string)) {
 	for _, slot := range ix.all {
 		visit(ix.keys[slot])
 	}
-	bump := func(slot int) {
-		if ix.counts[slot] == 0 {
-			ix.dirty = append(ix.dirty, slot)
-		}
-		ix.counts[slot]++
-	}
 	for attr, v := range n.Attrs {
 		if buckets, ok := ix.eq[attr]; ok {
 			for _, slot := range buckets[keyOf(v)] {
-				bump(slot)
+				if ix.restHolds(slot, n) {
+					visit(ix.keys[slot])
+				}
 			}
 		}
-		for _, e := range ix.scan[attr] {
-			if e.c.Matches(n) {
-				bump(e.slot)
+		es := ix.scan[attr]
+		for i := range es {
+			if e := &es[i]; e.c.matchesValue(v) && ix.restHolds(e.slot, n) {
+				visit(ix.keys[e.slot])
 			}
 		}
 	}
-	for _, slot := range ix.dirty {
-		if ix.counts[slot] == ix.sizes[slot] {
-			visit(ix.keys[slot])
+}
+
+// restHolds verifies every constraint of the slot's filter except its
+// access predicate, which the caller established on the way in.
+func (ix *Index) restHolds(slot int, n message.Notification) bool {
+	a, cs := ix.access[slot], ix.cons[slot]
+	for i := range cs {
+		if i == a {
+			continue
 		}
-		ix.counts[slot] = 0
+		if v, ok := n.Attrs[cs[i].Attr]; !ok || !cs[i].matchesValue(v) {
+			return false
+		}
 	}
-	ix.dirty = ix.dirty[:0]
+	return true
 }
 
 // valueKey canonicalizes a value for hash lookup as a comparable struct —
 // no string building on the Match hot path. Numeric values share the
 // float key space so Int(3) and Float(3) collide, matching Value.Equal
-// semantics; NaN never equals itself, which likewise matches (an Eq(NaN)
-// constraint can never be satisfied).
+// semantics.
 type valueKey struct {
-	kind byte // 'n' numeric, 's' string, 'b' bool, '?' invalid
+	kind byte // 'n' numeric, 's' string, 'b' bool, 'N' NaN, '?' invalid
 	num  float64
 	str  string
 }
 
-// isNaN reports whether v is a float NaN — the one value Eq/In hashing
-// must special-case: it equals nothing, and as a raw map key it would be
-// unreachable (and therefore un-removable).
-func isNaN(v message.Value) bool {
-	return v.Kind() == message.KindFloat && v.FloatVal() != v.FloatVal()
+// hashable reports whether some attribute value can equal v, i.e. whether
+// v may serve as a bucket key. NaN and the invalid Value equal nothing
+// (Value.Equal), so an Eq on them is unsatisfiable and an In ignores them
+// — and a raw NaN map key would be unreachable, hence un-removable.
+func hashable(v message.Value) bool {
+	return v.IsValid() && !(v.Kind() == message.KindFloat && v.FloatVal() != v.FloatVal())
 }
 
 func keyOf(v message.Value) valueKey {
@@ -287,9 +337,9 @@ func keyOf(v message.Value) valueKey {
 		return valueKey{kind: 'n', num: float64(v.IntVal())}
 	case message.KindFloat:
 		if f := v.FloatVal(); f != f {
-			// Canonicalize NaN: never used as a bucket key (Add/Remove
-			// filter NaN out), and as a lookup key it must not panic or
-			// behave platform-dependently.
+			// Canonicalize NaN: never a bucket key (see hashable), and as
+			// a lookup key it must not panic or behave
+			// platform-dependently.
 			return valueKey{kind: 'N'}
 		}
 		return valueKey{kind: 'n', num: v.FloatVal()}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -100,70 +101,304 @@ func TestIndexEqPlusInSameAttr(t *testing.T) {
 	}
 }
 
-// Property: the index agrees with linear evaluation on random filters and
-// notifications.
+// wideValues is the operand/attribute-value domain of the property test:
+// every kind, Int(3) beside Float(3), NaN, and strings that are prefixes,
+// suffixes and substrings of one another.
+var wideValues = []message.Value{
+	message.Int(0), message.Int(1), message.Int(3),
+	message.Float(1), message.Float(1.5), message.Float(3), message.Float(math.NaN()),
+	message.String(""), message.String("x"), message.String("xy"), message.String("yx"),
+	message.Bool(false), message.Bool(true),
+}
+
+func randomWideConstraint(r *rand.Rand, attr string) Constraint {
+	v := wideValues[r.Intn(len(wideValues))]
+	switch r.Intn(13) {
+	case 0:
+		return Exists(attr)
+	case 1:
+		return Eq(attr, v)
+	case 2:
+		return Ne(attr, v)
+	case 3:
+		return Lt(attr, v)
+	case 4:
+		return Le(attr, v)
+	case 5:
+		return Gt(attr, v)
+	case 6:
+		return Ge(attr, v)
+	case 7:
+		return Prefix(attr, []string{"", "x", "xy"}[r.Intn(3)])
+	case 8:
+		return Suffix(attr, []string{"", "x", "yx"}[r.Intn(3)])
+	case 9:
+		return Contains(attr, []string{"", "y", "xy"}[r.Intn(3)])
+	case 10:
+		// 0–3 members from a 13-value domain: empty, duplicate
+		// (In(1, 1.0)) and NaN-only sets all occur.
+		set := make([]message.Value, r.Intn(4))
+		for i := range set {
+			set[i] = wideValues[r.Intn(len(wideValues))]
+		}
+		return In(attr, set...)
+	case 11:
+		return Constraint{Attr: attr, Op: OpMyloc}
+	default:
+		return Context(attr, "ctx")
+	}
+}
+
+// randomWideFilter draws 1–4 constraints (now and then none: All) over
+// three attributes, so two constraints on one attribute are common.
+func randomWideFilter(r *rand.Rand) Filter {
+	if r.Intn(12) == 0 {
+		return All()
+	}
+	cs := make([]Constraint, 1+r.Intn(4))
+	for i := range cs {
+		cs[i] = randomWideConstraint(r, []string{"a", "b", "c"}[r.Intn(3)])
+	}
+	return New(cs...)
+}
+
+func randomWideNote(r *rand.Rand) message.Notification {
+	attrs := map[string]message.Value{}
+	for _, a := range []string{"a", "b", "c"} {
+		if r.Intn(5) > 0 {
+			attrs[a] = wideValues[r.Intn(len(wideValues))]
+		}
+	}
+	return note(attrs)
+}
+
+// checkIndexAgainst holds one Match call to the whole contract: exactly
+// the keys whose filters match (Filter.Matches is the oracle), none
+// visited twice, match-all keys first in ascending slot order.
+func checkIndexAgainst(t *testing.T, ix *Index, live map[string]Filter, n message.Notification) {
+	t.Helper()
+	got := map[string]bool{}
+	lastAll, pastAll := -1, false
+	ix.Match(n, func(key string) {
+		if got[key] {
+			t.Fatalf("key %s visited twice for %s", key, n)
+		}
+		got[key] = true
+		f, ok := live[key]
+		if !ok {
+			t.Fatalf("visited %s, which is not indexed", key)
+		}
+		if !f.IsAll() {
+			pastAll = true
+			return
+		}
+		if slot := ix.slotOf[key]; pastAll || slot <= lastAll {
+			t.Fatalf("match-all %s (slot %d) visited out of order for %s", key, slot, n)
+		} else {
+			lastAll = slot
+		}
+	})
+	for key, f := range live {
+		if f.Matches(n) != got[key] {
+			t.Fatalf("filter %s = %s on %s: index %v, linear %v", key, f, n, got[key], !got[key])
+		}
+	}
+	if ix.Len() != len(live) {
+		t.Fatalf("Len = %d, want %d", ix.Len(), len(live))
+	}
+}
+
+// Property: through any interleaving of Add, Remove, replace-under-the-
+// same-key and re-Add after Remove (slot reuse), the index agrees with
+// linear evaluation over the live set — for every operator, value kind and
+// degenerate operand the filter language admits — and an emptied index
+// retains nothing.
 func TestIndexAgreesWithLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		ix := NewIndex()
-		filters := make(map[string]Filter)
-		for i := 0; i < 40; i++ {
-			key := fmt.Sprintf("f%d", i)
-			f := randomSimpleFilter(r)
-			filters[key] = f
-			ix.Add(key, f)
+		live := map[string]Filter{}
+		var keys, gone []string // live keys; removed keys awaiting a re-Add
+		drop := func(i int) string {
+			key := keys[i]
+			keys[i] = keys[len(keys)-1]
+			keys = keys[:len(keys)-1]
+			delete(live, key)
+			return key
 		}
-		// Random removals keep the bookkeeping honest.
-		for i := 0; i < 10; i++ {
-			key := fmt.Sprintf("f%d", r.Intn(40))
-			delete(filters, key)
-			ix.Remove(key)
+		for step := 0; step < 150; step++ {
+			switch op := r.Intn(10); {
+			case op < 5 || len(keys) == 0:
+				key := fmt.Sprintf("f%d", step)
+				if len(gone) > 0 && r.Intn(3) == 0 {
+					key, gone = gone[len(gone)-1], gone[:len(gone)-1]
+				}
+				live[key] = randomWideFilter(r)
+				keys = append(keys, key)
+				ix.Add(key, live[key])
+			case op < 8:
+				key := drop(r.Intn(len(keys)))
+				gone = append(gone, key)
+				ix.Remove(key)
+			default:
+				key := keys[r.Intn(len(keys))]
+				live[key] = randomWideFilter(r)
+				ix.Add(key, live[key])
+			}
+			for j := 0; j < 4; j++ {
+				checkIndexAgainst(t, ix, live, randomWideNote(r))
+			}
 		}
-		for j := 0; j < 50; j++ {
-			n := randomSmallNote(r)
-			want := map[string]bool{}
-			for key, f := range filters {
-				if f.Matches(n) {
-					want[key] = true
-				}
-			}
-			got := map[string]bool{}
-			ix.Match(n, func(key string) {
-				if got[key] {
-					t.Fatalf("key %s visited twice", key)
-				}
-				got[key] = true
-			})
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: index %v, linear %v, note %s", trial, got, want, n)
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("trial %d: missing %s for %s (filter %s)", trial, k, n, filters[k])
-				}
-			}
+		for len(keys) > 0 {
+			ix.Remove(drop(r.Intn(len(keys))))
+			checkIndexAgainst(t, ix, live, randomWideNote(r))
+		}
+		if len(ix.eq) != 0 || len(ix.scan) != 0 || len(ix.all) != 0 {
+			t.Fatalf("trial %d: emptied index retains eq=%v scan=%v all=%v", trial, ix.eq, ix.scan, ix.all)
 		}
 	}
 }
 
-func BenchmarkIndexMatch1000(b *testing.B) {
-	ix := NewIndex()
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		f := New(
-			Eq("service", message.String("temperature")),
-			Eq("location", message.String(fmt.Sprintf("room-%d", r.Intn(200)))),
-		)
-		ix.Add(fmt.Sprintf("f%d", i), f)
+// TestIndexAccessPathIsASpeedChoiceOnly: which constraint a filter is
+// filed under depends on the order filters arrive in, and must show in
+// nothing but the bucket sizes.
+func TestIndexAccessPathIsASpeedChoiceOnly(t *testing.T) {
+	const subs, regions = 1000, 100
+	menu := Eq("service", message.String("menu"))
+	region := func(i int) message.Value { return message.String(fmt.Sprintf("region-%d", i%regions)) }
+	natural := make([]int, subs)
+	for i := range natural {
+		natural[i] = i
 	}
-	n := note(map[string]message.Value{
-		"service":  message.String("temperature"),
-		"location": message.String("room-7"),
-		"value":    message.Float(20),
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Match(n, func(string) {})
+	shuffled := slices.Clone(natural)
+	rand.New(rand.NewSource(3)).Shuffle(subs, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	// Every filter of one location first: their location bucket fills up
+	// while the shared service bucket is still short.
+	grouped := slices.Clone(natural)
+	slices.SortStableFunc(grouped, func(a, b int) int { return a%regions - b%regions })
+
+	var want [][]string
+	for name, order := range map[string][]int{"natural": natural, "shuffled": shuffled, "grouped": grouped} {
+		ix := NewIndex()
+		for _, i := range order {
+			ix.Add(fmt.Sprintf("f%d", i), New(menu, Eq(AttrLocation, region(i))))
+		}
+		shared := len(ix.eq["service"][keyOf(menu.Val)])
+		longest := 0
+		for _, b := range ix.eq[AttrLocation] {
+			longest = max(longest, len(b))
+		}
+		// Smallest-bucket-at-Add: a filter goes to the shared bucket only
+		// while that is no longer than its own location bucket, so a note
+		// verifies at most about twice as many candidates as it has
+		// matches — never the whole table.
+		if shared > longest {
+			t.Errorf("%s order: shared service bucket holds %d slots, longest location bucket %d", name, shared, longest)
+		}
+		var got [][]string
+		for loc := 0; loc < regions; loc++ {
+			keys := indexMatchKeys(ix, note(map[string]message.Value{
+				"service": menu.Val, AttrLocation: region(loc),
+			}))
+			if len(keys) != subs/regions {
+				t.Fatalf("%s order: region-%d matched %d filters, want %d", name, loc, len(keys), subs/regions)
+			}
+			got = append(got, keys)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s order: match sets differ from another insertion order's", name)
+		}
+	}
+
+	// An In no value can satisfy has no bucket to be filed in: the filter
+	// is held (Len, Remove) but reachable by no notification.
+	nan := message.Float(math.NaN())
+	ix := NewIndex()
+	ix.Add("never", New(In("x", nan, nan), Exists("y")))
+	if len(ix.eq) != 0 || len(ix.scan) != 0 || ix.Len() != 1 {
+		t.Fatalf("NaN-only In filed somewhere: eq=%v scan=%v Len=%d", ix.eq, ix.scan, ix.Len())
+	}
+	for _, x := range []message.Value{nan, message.Int(1)} {
+		if got := indexMatchKeys(ix, note(map[string]message.Value{"x": x, "y": message.Int(1)})); len(got) != 0 {
+			t.Errorf("NaN-only In matched x=%s: %v", x, got)
+		}
+	}
+	ix.Remove("never")
+	if ix.Len() != 0 {
+		t.Fatalf("Len = %d after removing the unfiled filter", ix.Len())
+	}
+}
+
+// indexBenchShapes are the subscription shapes BenchmarkIndexMatch sweeps.
+// Each builds filter i of a table and the notifications to match; groups
+// grow with the table (subs/5), so a notification is expected to match
+// five filters at every size and ns/op shows the cost per subscription
+// held, not per match.
+var indexBenchShapes = []struct {
+	name   string
+	filter func(r *rand.Rand, groups int) Filter
+	note   func(r *rand.Rand, groups int) message.Notification
+}{
+	// type = X ∧ reading > t: the sensor shape, and mesh-fanout-paced's.
+	// Ten filters share a service, the threshold passes half of them.
+	{"eq-gt",
+		func(r *rand.Rand, groups int) Filter {
+			return New(Eq("service", benchGroup("svc", r.Intn(groups/2))), Gt("value", message.Float(r.Float64()*100)))
+		},
+		func(r *rand.Rand, groups int) message.Notification {
+			return note(map[string]message.Value{
+				"service": benchGroup("svc", r.Intn(groups/2)), "value": message.Float(r.Float64() * 100),
+				"host": benchGroup("host", r.Intn(64)), "ok": message.Bool(r.Intn(2) == 0),
+			})
+		}},
+	// service = shared ∧ location = selective: the paper's own shape.
+	{"shared-eq",
+		func(r *rand.Rand, groups int) Filter {
+			return New(Eq("service", message.String("temperature")), Eq(AttrLocation, benchGroup("room", r.Intn(groups))))
+		},
+		func(r *rand.Rand, groups int) message.Notification {
+			return note(map[string]message.Value{
+				"service": message.String("temperature"), AttrLocation: benchGroup("room", r.Intn(groups)),
+				"value": message.Float(r.Float64() * 40),
+			})
+		}},
+	// Nothing hashable: every filter sits in one scan list and half of
+	// them match. This one is linear in the table by design (see Index).
+	{"range-only",
+		func(r *rand.Rand, _ int) Filter { return New(Gt("value", message.Float(r.Float64()*100))) },
+		func(r *rand.Rand, _ int) message.Notification {
+			return note(map[string]message.Value{"value": message.Float(r.Float64() * 100), "k": message.Int(0)})
+		}},
+}
+
+func benchGroup(prefix string, i int) message.Value {
+	return message.String(fmt.Sprintf("%s-%d", prefix, i))
+}
+
+// BenchmarkIndexMatch is what the CI bench gate reads: 0 allocs/op on
+// every shape, and eq-gt/subs=10000 within 3x of eq-gt/subs=100.
+func BenchmarkIndexMatch(b *testing.B) {
+	for _, shape := range indexBenchShapes {
+		for _, subs := range []int{100, 1000, 10000} {
+			b.Run(fmt.Sprintf("%s/subs=%d", shape.name, subs), func(b *testing.B) {
+				r := rand.New(rand.NewSource(5))
+				ix := NewIndex()
+				for i := 0; i < subs; i++ {
+					ix.Add(fmt.Sprintf("f%d", i), shape.filter(r, subs/5))
+				}
+				notes := make([]message.Notification, 256)
+				for i := range notes {
+					notes[i] = shape.note(r, subs/5)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ix.Match(notes[i%len(notes)], func(string) {})
+				}
+			})
+		}
 	}
 }
 
@@ -192,8 +427,8 @@ func BenchmarkLinearMatch1000(b *testing.B) {
 // TestIndexMatchAllOrderDeterministic pins the visit-order contract of
 // Match: zero-constraint (match-all) filters are visited first, in
 // ascending slot order, identically on every call — the all-set is a
-// sorted slice, not a map. (Counted matches follow in unspecified order;
-// routing tables re-sort those by insertion position.)
+// sorted slice, not a map. (Constrained matches follow in unspecified
+// order; routing tables re-sort those by insertion position.)
 func TestIndexMatchAllOrderDeterministic(t *testing.T) {
 	ix := NewIndex()
 	// Interleave adds and removes so the slot free list is exercised and

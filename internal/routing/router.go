@@ -45,8 +45,9 @@ func NewRouter(s Strategy) *Router {
 	}
 }
 
-// NewIndexedRouter returns a router whose table uses the counting matching
-// index — same semantics, faster matching on large tables.
+// NewIndexedRouter returns a router whose table uses the access-predicate
+// matching index — same semantics, matching cost that follows the matches,
+// not the table.
 func NewIndexedRouter(s Strategy) *Router {
 	return &Router{
 		table:     NewIndexedTable(),

@@ -72,9 +72,11 @@ type Table struct {
 	pos map[message.SubID]int
 	// dead counts tombstones in order; compact() runs when they dominate.
 	dead int
-	// index, when non-nil, accelerates Match/MatchEntries with the
-	// predicate-counting matching index (the default; linear scanning
-	// remains as the E3 ablation).
+	// index, when non-nil, answers Match/MatchEntries from the
+	// access-predicate matching index: each entry's filter is filed under
+	// one of its constraints and only the entries a notification selects
+	// are evaluated (the default; linear scanning remains as the E3
+	// ablation and the tests' reference).
 	index *filter.Index
 
 	// Reusable match scratch. seenLinks doubles as the per-call dedup set
@@ -99,8 +101,9 @@ func NewTable() *Table {
 	}
 }
 
-// NewIndexedTable returns an empty table backed by the counting index —
-// same semantics as NewTable, faster matching on large tables.
+// NewIndexedTable returns an empty table backed by the access-predicate
+// index (filter.Index) — same semantics as NewTable, matching cost that
+// follows the number of matching entries instead of the table size.
 func NewIndexedTable() *Table {
 	t := NewTable()
 	t.index = filter.NewIndex()
@@ -313,9 +316,9 @@ func (t *Table) matchEntriesScratch(n message.Notification) []Entry {
 		t.index.Match(n, func(key string) {
 			out = append(out, t.entries[message.SubID(key)])
 		})
-		// The index visits counted matches in attribute-map order; restore
-		// the table's insertion order (documented contract, and what the
-		// per-subscription stream tests pin down).
+		// The index visits constrained matches in no particular order;
+		// restore the table's insertion order (documented contract, and
+		// what the per-subscription stream tests pin down).
 		slices.SortFunc(out, func(a, b Entry) int {
 			return t.pos[a.Sub.ID] - t.pos[b.Sub.ID]
 		})

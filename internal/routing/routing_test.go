@@ -2,6 +2,8 @@ package routing
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"rebeca/internal/filter"
@@ -338,8 +340,7 @@ func TestIndexedTableEquivalence(t *testing.T) {
 	if linear.Indexed() || !indexed.Indexed() {
 		t.Fatal("Indexed() misreports")
 	}
-	type variant struct{ t *Table }
-	both := []variant{{linear}, {indexed}}
+	both := []*Table{linear, indexed}
 
 	subs := []proto.Subscription{
 		sub("s1", eqF("a", 1)),
@@ -348,47 +349,76 @@ func TestIndexedTableEquivalence(t *testing.T) {
 		sub("s4", filter.New(filter.Exists("b"))),
 		sub("s5", filter.New(filter.Eq("a", message.Int(1)), filter.Eq("b", message.Int(2)))),
 		sub("s6", filter.All()),
+		sub("s7", filter.New(filter.Eq("a", message.Int(1)), filter.Gt("b", message.Int(1)))),
+		sub("s8", filter.New(filter.Eq("a", message.Int(4)), filter.Gt("b", message.Int(5)))),
 	}
 	links := []message.NodeID{"L1", "L2", "L3"}
 	for i, s := range subs {
-		for _, v := range both {
-			v.t.Add(s, links[i%len(links)])
+		for _, tb := range both {
+			tb.Add(s, links[i%len(links)])
 		}
 	}
 	// Remove one and relocate another.
-	for _, v := range both {
-		v.t.Remove("s2")
-		v.t.Add(subs[0], "L3")
+	for _, tb := range both {
+		tb.Remove("s2")
+		tb.Add(subs[0], "L3")
 	}
 	notes := []message.Notification{
 		note("a", 1), note("a", 2), note("a", 4),
 		message.NewNotification(map[string]message.Value{"b": message.Int(2)}),
 		message.NewNotification(map[string]message.Value{"a": message.Int(1), "b": message.Int(2)}),
+		message.NewNotification(map[string]message.Value{"a": message.Int(4), "b": message.Int(9)}),
 		message.NewNotification(map[string]message.Value{"c": message.Int(9)}),
 	}
-	for _, n := range notes {
-		for _, from := range append(links, "none") {
-			lm := linear.Match(n, from)
-			im := indexed.Match(n, from)
-			if len(lm) != len(im) {
-				t.Fatalf("Match diverges for %s from %s: %v vs %v", n, from, lm, im)
-			}
-			for i := range lm {
-				if lm[i] != im[i] {
-					t.Fatalf("Match order diverges for %s: %v vs %v", n, lm, im)
+	agree := func() {
+		t.Helper()
+		for _, n := range notes {
+			for _, from := range append(links, "none") {
+				if lm, im := linear.Match(n, from), indexed.Match(n, from); !reflect.DeepEqual(lm, im) {
+					t.Fatalf("Match diverges for %s from %s: %v vs %v", n, from, lm, im)
+				}
+				ll := linear.MatchByLink(n, from, nil)
+				il := indexed.MatchByLink(n, from, nil)
+				if !reflect.DeepEqual(ll, il) {
+					t.Fatalf("MatchByLink diverges for %s from %s: %v vs %v", n, from, ll, il)
 				}
 			}
-		}
-		le := linear.MatchEntries(n)
-		ie := indexed.MatchEntries(n)
-		if len(le) != len(ie) {
-			t.Fatalf("MatchEntries diverges for %s: %d vs %d", n, len(le), len(ie))
-		}
-		for i := range le {
-			if le[i].Sub.ID != ie[i].Sub.ID {
-				t.Fatalf("MatchEntries order diverges for %s: %v vs %v", n, le, ie)
+			if le, ie := linear.MatchEntries(n), indexed.MatchEntries(n); !reflect.DeepEqual(le, ie) {
+				t.Fatalf("MatchEntries diverges for %s: %v vs %v", n, le, ie)
 			}
 		}
+	}
+	agree()
+
+	// The same through churn: adds, removals, replacement under a live ID
+	// (new filter, new link) and re-adds of removed IDs, which reuse index
+	// slots and reorder its buckets but must not show in any result.
+	r := rand.New(rand.NewSource(16))
+	shapes := []func() filter.Filter{
+		func() filter.Filter { return eqF("a", r.Int63n(5)) },
+		func() filter.Filter {
+			return filter.New(filter.Eq("a", message.Int(r.Int63n(5))), filter.Gt("b", message.Int(r.Int63n(10))))
+		},
+		func() filter.Filter {
+			return filter.New(filter.Eq("a", message.Int(r.Int63n(5))), filter.Eq("b", message.Int(r.Int63n(10))))
+		},
+		func() filter.Filter { return filter.New(filter.Lt("a", message.Int(r.Int63n(5)))) },
+		func() filter.Filter { return filter.New(filter.Exists("b")) },
+		filter.All,
+	}
+	for step := 0; step < 300; step++ {
+		id := fmt.Sprintf("r%d", r.Intn(40))
+		if r.Intn(3) == 0 {
+			for _, tb := range both {
+				tb.Remove(message.SubID(id))
+			}
+		} else {
+			s, link := sub(id, shapes[r.Intn(len(shapes))]()), links[r.Intn(len(links))]
+			for _, tb := range both {
+				tb.Add(s, link)
+			}
+		}
+		agree()
 	}
 }
 

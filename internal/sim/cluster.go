@@ -42,7 +42,7 @@ type ClusterConfig struct {
 	Strategy routing.Strategy
 	// Advertisements enables advertisement-based subscription forwarding.
 	Advertisements bool
-	// LinearMatching reverts routing tables to linear scans (the counting
+	// LinearMatching reverts routing tables to linear scans (the matching
 	// index is the default; this is the E3 ablation knob).
 	LinearMatching bool
 	// Locations maps brokers to logical scopes. Optional.

@@ -241,9 +241,10 @@ func WithAdvertisements() Option {
 }
 
 // WithLinearMatching reverts every broker's routing table to linear scans
-// instead of the counting matching index — same semantics, O(table) per
-// publish. Only useful as the ablation baseline for the E3 matching
-// experiments.
+// instead of the access-predicate matching index (filter.Index) — same
+// semantics, O(table) per publish where the index pays only for the
+// entries a notification selects. Only useful as the ablation baseline
+// for the E3 matching experiments.
 func WithLinearMatching() Option {
 	return func(c *config) { c.linear = true }
 }
