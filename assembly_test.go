@@ -1,0 +1,637 @@
+package rebeca
+
+import (
+	"fmt"
+	"go/parser"
+	"go/token"
+	"io"
+	"io/fs"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"rebeca/internal/broker"
+	"rebeca/internal/message"
+	"rebeca/internal/proto"
+	"rebeca/internal/wire"
+)
+
+// eventually polls cond until it holds or the deadline passes.
+func eventually(t *testing.T, within time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %s waiting for %s", within, what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func httpGet(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s\n%s", url, resp.Status, body)
+	}
+	return string(body)
+}
+
+// metricFamilies returns the "# TYPE" family names of one /metrics scrape.
+func metricFamilies(t *testing.T, opsAddr string) map[string]bool {
+	t.Helper()
+	out := make(map[string]bool)
+	for _, line := range strings.Split(httpGet(t, "http://"+opsAddr+"/metrics"), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" && f[1] == "TYPE" {
+			out[f[2]] = true
+		}
+	}
+	return out
+}
+
+// freeAddrs reserves n distinct loopback addresses by binding and releasing
+// ephemeral ports — for fleets whose brokers must know each other's address
+// before any of them has started.
+func freeAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	out := make([]string, n)
+	for i := range out {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		out[i] = ln.Addr().String()
+	}
+	return out
+}
+
+func waitReady(t *testing.T, nodes ...*BrokerNode) {
+	t.Helper()
+	for _, n := range nodes {
+		n := n
+		eventually(t, 3*time.Second, fmt.Sprintf("%s ready", n.id), func() bool {
+			ok, _ := n.Ready()
+			return ok
+		})
+	}
+}
+
+var lineABC = [][2]NodeID{{"A", "B"}, {"B", "C"}}
+
+// goldenFamilies is the list CI's ops-scrape job requires of every broker.
+var goldenFamilies = []string{
+	"rebeca_publishes_total", "rebeca_deliveries_total",
+	"rebeca_subscribes_total", "rebeca_match_seconds",
+	"rebeca_e2e_latency_seconds", "rebeca_link_state",
+	"rebeca_codec_frame_bytes", "rebeca_trace_spans_retained",
+	"rebeca_discovery_peers", "rebeca_discovery_events_total",
+	"rebeca_spanning_tree_recomputations_total",
+	"rebeca_trace_sampled_total", "rebeca_trace_retro_total",
+	"rebeca_trace_pending",
+}
+
+// TestStartBrokerAssembly drives the assembly rebeca-broker uses: a static
+// line A-B-C brought up out of order, end-to-end delivery through raw wire
+// clients, the ops surface CI's shell jobs check, and the durable restart
+// path (Close with a drain, then Recover on the same WAL directory).
+func TestStartBrokerAssembly(t *testing.T) {
+	addrs := freeAddrs(t, 3)
+	addrA, addrB, addrC := addrs[0], addrs[1], addrs[2]
+	walDir := t.TempDir()
+	wal, err := OpenWAL(walDir, WALNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func(spec BrokerSpec, opts ...Option) *BrokerNode {
+		t.Helper()
+		spec.Edges = lineABC
+		n, err := StartBroker(spec, append(opts, WithHeartbeat(100*time.Millisecond, 0))...)
+		if err != nil {
+			t.Fatalf("start %s: %v", spec.ID, err)
+		}
+		return n
+	}
+	// The dial map of the binary's doc comment; C, A, B is no valid
+	// "dependencies first" order — both of C's and A's links come up late.
+	nC := start(BrokerSpec{ID: "C", Listen: addrC, Dial: map[NodeID]string{"B": addrB}})
+	defer nC.Close(0)
+	tracer, limiter := NewTracer(nil), NewRateLimiter(1e6, 1000)
+	nA := start(BrokerSpec{ID: "A", Listen: addrA},
+		WithOps("127.0.0.1:0"), WithTraceSampling(4, time.Second), WithMiddleware(tracer, limiter))
+	defer nA.Close(0)
+	startB := func(w *WALStore) *BrokerNode {
+		return start(BrokerSpec{ID: "B", Listen: addrB, Dial: map[NodeID]string{"A": addrA}}, WithDurable(w))
+	}
+	nB := startB(wal)
+	defer func() { nB.Close(0) }()
+	waitReady(t, nA, nB, nC)
+	if nA.Addr() != addrA || nA.OpsAddr() == "" || nC.OpsAddr() != "" {
+		t.Fatalf("addresses: A %s (ops %q), C ops %q", nA.Addr(), nA.OpsAddr(), nC.OpsAddr())
+	}
+
+	// End to end: subscriber at C, publisher at A.
+	filter := NewFilter(Eq("k", String("v")))
+	var gotC atomic.Int64
+	subC := wire.NewRemoteClient("sub", func(Notification, []SubID) { gotC.Add(1) })
+	if err := subC.Connect(addrC, "", nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	defer subC.Disconnect()
+	if err := subC.Send(proto.Message{Kind: proto.KSubscribe, Client: "sub",
+		Sub: &proto.Subscription{ID: "sub/s1", Filter: filter}}); err != nil {
+		t.Fatal(err)
+	}
+	pub := wire.NewRemoteClient("pub", nil)
+	if err := pub.Connect(addrA, "", nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Disconnect()
+	var seq uint64
+	publish := func() {
+		seq++
+		n := message.NewNotification(map[string]Value{"k": String("v")})
+		n.ID = NotificationID{Publisher: "pub", Seq: seq}
+		n.Published = time.Now()
+		if err := pub.Send(proto.Message{Kind: proto.KPublish, Client: "pub", Note: &n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The subscription is still travelling C → B → A: publish until one
+	// notification makes it all the way.
+	eventually(t, 3*time.Second, "delivery A → C", func() bool {
+		publish()
+		return gotC.Load() > 0
+	})
+
+	// The ops surface of A: CI's golden families, and every knob once.
+	fams := metricFamilies(t, nA.OpsAddr())
+	for _, name := range goldenFamilies {
+		if !fams[name] {
+			t.Errorf("A's /metrics lacks family %s", name)
+		}
+	}
+	cfgBody := httpGet(t, "http://"+nA.OpsAddr()+"/config")
+	for _, knob := range []string{"heartbeat", "trace", "sample", "slow", "trace.pending", "tracer", "rate_limit"} {
+		if got := strings.Count(cfgBody, strconv.Quote(knob)+":"); got != 1 {
+			t.Errorf("/config lists knob %q %d times, want 1", knob, got)
+		}
+	}
+	if line := nA.StatsLine(); !strings.Contains(line, "link[B]=established") || strings.Contains(line, "publishes=0 ") {
+		t.Errorf("stats digest = %q", line)
+	}
+
+	// Durable restart of B: a durable subscriber goes ghost, notifications
+	// pile up behind it in the WAL, B shuts down and comes back on the same
+	// directory — the session is there again and the backlog replays.
+	var mu sync.Mutex
+	gotD := make(map[uint64]bool)
+	dur := wire.NewRemoteClient("dur", func(n Notification, _ []SubID) {
+		mu.Lock()
+		gotD[n.ID.Seq] = true
+		mu.Unlock()
+	})
+	countD := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(gotD)
+	}
+	profile := []proto.Subscription{{ID: durableSubID("dur", "inbox"), Filter: filter}}
+	if err := dur.Connect(addrB, "", profile, 1); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, 3*time.Second, "durable subscription live at B", func() bool {
+		publish()
+		return countD() > 0
+	})
+	if err := dur.Disconnect(); err != nil {
+		t.Fatal(err)
+	}
+	managerOfB := func(fn func(state string, buffered, recovered int)) {
+		nB.node.Inspect(func(*broker.Broker) {
+			st := nB.layers.Manager.Stats()
+			fn(nB.layers.Manager.SessionState("dur"), st.Buffered, st.RecoveredSessions)
+		})
+	}
+	eventually(t, 3*time.Second, "dur's session ghosted at B", func() (ghost bool) {
+		managerOfB(func(state string, _, _ int) { ghost = state == "ghost" })
+		return ghost
+	})
+	before := seq
+	const backlog = 5
+	for i := 0; i < backlog; i++ {
+		publish()
+	}
+	eventually(t, 3*time.Second, "backlog buffered at B", func() (done bool) {
+		managerOfB(func(_ string, buffered, _ int) { done = buffered >= backlog })
+		return done
+	})
+	if err := nB.Close(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal2, err := OpenWAL(walDir, WALNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	nB = startB(wal2)
+	managerOfB(func(state string, _, recovered int) {
+		if state != "ghost" || recovered != 1 {
+			t.Errorf("after restart: session state %q, %d recovered; want ghost, 1", state, recovered)
+		}
+	})
+	if err := dur.Connect(addrB, "B", profile, 2); err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Disconnect()
+	eventually(t, 3*time.Second, "backlog replayed after restart", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for s := before + 1; s <= before+backlog; s++ {
+			if !gotD[s] {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// orderProbe is a user middleware stage that records what the session
+// layers in front of it let through. Shared by every broker of a host.
+type orderProbe struct {
+	PassMiddleware
+	mu       sync.Mutex
+	kinds    map[proto.Kind]int
+	dynamic  int            // KSubscribe/KUnsubscribe carrying a location-dependent filter
+	subs     map[SubID]bool // KSubscribe seen from a client port, by ID
+	delivers map[NodeID][]uint64
+}
+
+func newOrderProbe() *orderProbe {
+	return &orderProbe{kinds: make(map[proto.Kind]int), subs: make(map[SubID]bool), delivers: make(map[NodeID][]uint64)}
+}
+
+func (p *orderProbe) OnMessage(_ *Broker, _ NodeID, m proto.Message, next func()) {
+	p.mu.Lock()
+	p.kinds[m.Kind]++
+	if m.Sub != nil && (m.Kind == proto.KSubscribe || m.Kind == proto.KUnsubscribe) {
+		if m.Sub.Filter.Dynamic() {
+			p.dynamic++
+		}
+		p.subs[m.Sub.ID] = true
+	}
+	p.mu.Unlock()
+	next()
+}
+
+func (p *orderProbe) OnDeliver(_ *Broker, port NodeID, n *Notification, _ []SubID, next func()) {
+	p.mu.Lock()
+	p.delivers[port] = append(p.delivers[port], n.ID.Seq)
+	p.mu.Unlock()
+	next()
+}
+
+func (p *orderProbe) delivered(port NodeID) []uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]uint64(nil), p.delivers[port]...)
+}
+
+// TestSessionLayersPrecedeMiddleware pins the one attach order on every
+// host of a broker: a stage passed as user middleware sits behind the
+// replicator and the mobility manager, so it never sees what they consume
+// and does see what they pass.
+func TestSessionLayersPrecedeMiddleware(t *testing.T) {
+	graph := func() *Graph {
+		g := NewGraph()
+		g.AddEdge("A", "B")
+		return g
+	}
+	hosts := []struct {
+		name  string
+		build func(t *testing.T, probe Middleware) Deployment
+	}{
+		{"sim.NewCluster", func(t *testing.T, probe Middleware) Deployment {
+			sys, err := New(WithMovement(graph()), WithMiddleware(probe))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}},
+		{"NewLive", func(t *testing.T, probe Middleware) Deployment {
+			l, err := NewLive(WithMovement(graph()), WithMiddleware(probe))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}},
+		{"StartBroker", func(t *testing.T, probe Middleware) Deployment {
+			// Two separately started brokers, driven through Live's client
+			// ports: a Live is nothing but the BrokerNodes it holds.
+			cfg, err := applyOptions(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := &Live{cfg: cfg, nodes: make(map[NodeID]*BrokerNode)}
+			edges := [][2]NodeID{{"A", "B"}}
+			for _, id := range []NodeID{"A", "B"} {
+				spec := BrokerSpec{ID: id, Edges: edges}
+				if id == "B" {
+					spec.Dial = map[NodeID]string{"A": l.nodes["A"].Addr()}
+				}
+				n, err := StartBroker(spec, WithMiddleware(probe))
+				if err != nil {
+					t.Fatal(err)
+				}
+				l.ids = append(l.ids, id)
+				l.nodes[id] = n
+			}
+			waitReady(t, l.nodes["A"], l.nodes["B"])
+			return l
+		}},
+	}
+	for _, h := range hosts {
+		h := h
+		t.Run(h.name, func(t *testing.T) {
+			probe := newOrderProbe()
+			d := h.build(t, probe)
+			defer d.Close()
+			var got atomic.Int64
+			c, p := d.NewClient("c"), d.NewClient("p")
+			c.OnNotify(func(Notification) { got.Add(1) })
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			settleUntil := func(what string, cond func() bool) {
+				t.Helper()
+				eventually(t, 3*time.Second, what, func() bool {
+					d.Settle()
+					return cond()
+				})
+			}
+			publish := func() uint64 {
+				t.Helper()
+				id, err := p.Publish(map[string]Value{"k": String("v")})
+				must(err)
+				return id.Seq
+			}
+			must(c.Connect("A"))
+			must(p.Connect("B"))
+			static := c.Subscribe(NewFilter(Eq("k", String("v"))))
+			local := c.SubscribeAt(Eq("k", String("elsewhere")))
+			d.Settle()
+
+			// (iii) A connected client: the stage sees its subscription
+			// pass and its delivery happen.
+			first := publish()
+			settleUntil("delivery to the connected client", func() bool { return got.Load() == 1 })
+			if seen := probe.delivered("c"); len(seen) != 1 || seen[0] != first {
+				t.Errorf("OnDeliver for connected c = %v, want [%d]", seen, first)
+			}
+			probe.mu.Lock()
+			if !probe.subs[static.ID()] {
+				t.Errorf("the stage never saw c's static subscription %s", static.ID())
+			}
+			// (i) …but not the location-dependent one the replicator claimed.
+			if probe.subs[local.ID()] || probe.dynamic != 0 {
+				t.Errorf("the stage saw a location-dependent subscription (%d) the replicator claims", probe.dynamic)
+			}
+			probe.mu.Unlock()
+
+			// (ii) A ghost: the manager buffers, the stage sees no delivery.
+			must(c.Disconnect())
+			d.Settle()
+			publish()
+			d.Settle()
+			if seen := probe.delivered("c"); len(seen) != 1 {
+				t.Errorf("OnDeliver for ghost c = %v, want only the first", seen)
+			}
+			if got.Load() != 1 {
+				t.Errorf("ghost c received %d notifications, want 1", got.Load())
+			}
+
+			// Relocation A → B: the buffered notification is replayed, and
+			// the whole protocol stays in front of the stage.
+			must(c.Connect("B"))
+			settleUntil("replay after relocation", func() bool { return got.Load() == 2 })
+			probe.mu.Lock()
+			defer probe.mu.Unlock()
+			for _, k := range []proto.Kind{proto.KConnect, proto.KRelocReq, proto.KRelocProfile, proto.KReplicaSub} {
+				if n := probe.kinds[k]; n != 0 {
+					t.Errorf("the stage saw %d %v messages a session layer consumes", n, k)
+				}
+			}
+			if probe.kinds[proto.KPublish] == 0 {
+				t.Error("the stage saw no KPublish at all: is it on the chain?")
+			}
+		})
+	}
+}
+
+// TestMetricFamiliesSameOnEveryEntryPoint: what a scrape exposes depends on
+// the options, not on whether NewLive or StartBroker assembled the broker.
+// Only the client-side stream families differ — a Live has in-process
+// client ports, a lone broker has none.
+func TestMetricFamiliesSameOnEveryEntryPoint(t *testing.T) {
+	g := NewGraph()
+	g.AddEdge("A", "B")
+	l, err := NewLive(WithMovement(g), WithOps("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	n, err := StartBroker(BrokerSpec{ID: "A", Edges: [][2]NodeID{{"A", "B"}}}, WithOps("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close(0)
+	live, lone := metricFamilies(t, l.OpsAddr()), metricFamilies(t, n.OpsAddr())
+	for name := range live {
+		if strings.HasPrefix(name, "rebeca_stream_") {
+			delete(live, name)
+		}
+	}
+	var diff []string
+	for name := range live {
+		if !lone[name] {
+			diff = append(diff, "only NewLive: "+name)
+		}
+	}
+	for name := range lone {
+		if !live[name] {
+			diff = append(diff, "only StartBroker: "+name)
+		}
+	}
+	sort.Strings(diff)
+	if len(diff) > 0 {
+		t.Errorf("family sets differ:\n%s", strings.Join(diff, "\n"))
+	}
+	for _, name := range []string{"rebeca_discovery_peers", "rebeca_discovery_events_total", "rebeca_spanning_tree_recomputations_total"} {
+		if !live[name] {
+			t.Errorf("NewLive on a plain tree lacks family %s", name)
+		}
+	}
+}
+
+// TestHopTraceNeedsSomewhereToShowIt: stamping every hop of every publish is
+// on only with an endpoint (/trace) or a push target to show the trace;
+// logging alone leaves the publish path unstamped.
+func TestHopTraceNeedsSomewhereToShowIt(t *testing.T) {
+	builders := map[string]func(opts ...Option) (Deployment, *opsStack, error){
+		"New": func(opts ...Option) (Deployment, *opsStack, error) {
+			s, err := New(opts...)
+			if err != nil {
+				return nil, nil, err
+			}
+			return s, s.ops, nil
+		},
+		"NewLive": func(opts ...Option) (Deployment, *opsStack, error) {
+			l, err := NewLive(opts...)
+			if err != nil {
+				return nil, nil, err
+			}
+			return l, l.ops, nil
+		},
+	}
+	cases := []struct {
+		name  string
+		opt   Option
+		trace bool
+	}{
+		{"logging only", WithLogging(io.Discard, "info"), false},
+		{"ops", WithOps("127.0.0.1:0"), true},
+		{"push", WithOpsPush("http://127.0.0.1:1/ingest", time.Hour), true},
+	}
+	for host, build := range builders {
+		for _, tc := range cases {
+			build, tc := build, tc
+			t.Run(host+"/"+tc.name, func(t *testing.T) {
+				d, ops, err := build(WithMovement(Line(2)), tc.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				if got := ops.mw.HopTraceEnabled(); got != tc.trace {
+					t.Errorf("HopTraceEnabled() = %v, want %v", got, tc.trace)
+				}
+				var mu sync.Mutex
+				var paths [][]message.HopStamp
+				sub, pub := d.NewClient("sub"), d.NewClient("pub")
+				sub.OnNotify(func(n Notification) {
+					mu.Lock()
+					paths = append(paths, n.Path)
+					mu.Unlock()
+				})
+				if err := sub.Connect("B1"); err != nil {
+					t.Fatal(err)
+				}
+				if err := pub.Connect("B0"); err != nil {
+					t.Fatal(err)
+				}
+				sub.Subscribe(AllFilter())
+				d.Settle()
+				if _, err := pub.Publish(map[string]Value{"k": Int(1)}); err != nil {
+					t.Fatal(err)
+				}
+				eventually(t, 3*time.Second, "the delivery", func() bool {
+					d.Settle()
+					mu.Lock()
+					defer mu.Unlock()
+					return len(paths) == 1
+				})
+				if stamped := len(paths[0]) > 0; stamped != tc.trace {
+					t.Errorf("delivered hop path %v: stamped = %v, want %v", paths[0], stamped, tc.trace)
+				}
+			})
+		}
+	}
+}
+
+// TestOneAssembly keeps the copies from growing back: the binary may not
+// reach past the facade into the packages the node builder wires, and the
+// session layers are constructed in exactly one file.
+func TestOneAssembly(t *testing.T) {
+	banned := map[string]bool{}
+	for _, pkg := range []string{"telemetry", "mobility", "core", "discovery", "overlay", "wire"} {
+		banned[`"rebeca/internal/`+pkg+`"`] = true
+	}
+	mains, err := filepath.Glob("cmd/rebeca-broker/*.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("cmd/rebeca-broker/*.go: %v (%d files)", err, len(mains))
+	}
+	for _, path := range mains {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if banned[imp.Path.Value] {
+				t.Errorf("%s imports %s: assemble through rebeca.StartBroker instead", path, imp.Path.Value)
+			}
+		}
+	}
+
+	callers := map[string][]string{"core.New(": nil, "mobility.New(": nil}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, line := range strings.Split(string(src), "\n") {
+			if i := strings.Index(line, "//"); i >= 0 {
+				line = line[:i]
+			}
+			for call := range callers {
+				if strings.Contains(line, call) {
+					callers[call] = append(callers[call], filepath.ToSlash(path))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call, files := range callers {
+		if len(files) != 1 || files[0] != "internal/session/session.go" {
+			t.Errorf("%s is called in %v; want only internal/session/session.go", call, files)
+		}
+	}
+}

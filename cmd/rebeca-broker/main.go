@@ -47,28 +47,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"rebeca"
-	"rebeca/internal/broker"
-	"rebeca/internal/core"
-	"rebeca/internal/discovery"
-	"rebeca/internal/location"
-	"rebeca/internal/message"
-	"rebeca/internal/mobility"
-	"rebeca/internal/movement"
-	"rebeca/internal/overlay"
-	"rebeca/internal/routing"
-	"rebeca/internal/store"
-	"rebeca/internal/telemetry"
-	"rebeca/internal/wire"
 )
 
 func main() {
@@ -110,491 +95,122 @@ func main() {
 	if *id == "" {
 		*id = *name
 	}
-	discovered := *registry != ""
-	if *id == "" || (*edges == "" && !discovered) {
+	if *id == "" || (*edges == "" && *registry == "") {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if discovered && (*edges != "" || *dial != "") {
-		fatal(fmt.Errorf("-registry replaces -edges/-dial; drop the static wiring flags"))
-	}
-	self := message.NodeID(*id)
 
-	// Structured logging: one slog root on stderr, every subsystem gated
-	// at -log-level, retunable at runtime via the /config log.* knobs.
-	logger := telemetry.NewLogger(os.Stderr, telemetry.ParseLevelDefault(*logLevel))
-	if !*linkLog {
-		// -link-log=false demotes routine overlay chatter; link loss still
-		// warns.
-		_ = logger.SetLevel("overlay", slog.LevelWarn)
+	// The spec is what only this process knows about itself; everything
+	// else is the same options a library deployment takes. StartBroker
+	// validates the combination (static wiring xor registry, tree edges,
+	// known mobility mode).
+	spec := rebeca.BrokerSpec{
+		ID:           rebeca.NodeID(*id),
+		Listen:       *listen,
+		Advertise:    *advertise,
+		Mobility:     *mobilityM,
+		NoReplicator: !*replicate,
+		RegistryTTL:  *regTTL,
+		QuietLinks:   !*linkLog,
 	}
-
-	// Static mode derives peers and next hops from the edge list up
-	// front; discovery mode starts empty and lets the membership
-	// supervisor drive links (and the mesh election drive next hops).
-	var (
-		topo  broker.Topology
-		hops  map[message.NodeID]message.NodeID
-		peers map[message.NodeID]string
-		err   error
-	)
-	if !discovered {
-		topo, err = parseEdges(*edges)
-		if err != nil {
-			fatal(err)
-		}
-		if err := topo.Validate(); err != nil {
-			fatal(err)
-		}
-		var ok bool
-		hops, ok = topo.NextHops()[self]
-		if !ok {
-			fatal(fmt.Errorf("broker %s does not appear in -edges", self))
-		}
-		dials, err := parseDials(*dial)
-		if err != nil {
-			fatal(err)
-		}
-		peers = make(map[message.NodeID]string)
-		for _, n := range topo.Adjacency()[self] {
-			peers[n] = dials[n] // empty = passive side
-		}
+	var err error
+	if spec.Edges, err = parseEdges(*edges); err != nil {
+		fatal(err)
+	}
+	if spec.Dial, err = parseDials(*dial); err != nil {
+		fatal(err)
+	}
+	if *replicate && *registry != "" {
+		fmt.Println("note: replicator layer disabled under -registry (needs a static -edges movement graph)")
 	}
 
-	var strat routing.Strategy
+	// One slog root on stderr, every subsystem gated at -log-level and
+	// retunable at runtime via the /config log.* knobs. -stats, -ops and
+	// -push are all fed by the registry that comes with it.
+	opts := []rebeca.Option{
+		rebeca.WithLogging(os.Stderr, *logLevel),
+		rebeca.WithHeartbeat(*hbEvery, *hbTimeout),
+	}
 	switch *strategy {
 	case "simple":
-		strat = routing.StrategySimple
+		opts = append(opts, rebeca.WithRoutingStrategy(rebeca.StrategySimple))
 	case "covering":
-		strat = routing.StrategyCovering
+		opts = append(opts, rebeca.WithRoutingStrategy(rebeca.StrategyCovering))
 	case "flooding":
-		strat = routing.StrategyFlooding
+		opts = append(opts, rebeca.WithRoutingStrategy(rebeca.StrategyFlooding))
 	default:
 		fatal(fmt.Errorf("unknown -strategy %q", *strategy))
 	}
-
-	// Middleware (the same exported chain the simulator installs):
-	// telemetry, tracing and rate limiting are appended at Start, after
-	// the session-layer plugins attached below. -stats, -ops and -push are
-	// all fed by one telemetry registry; -ops and -push additionally turn
-	// on hop-trace stamping so /trace can reconstruct multi-hop paths,
-	// with -trace-sample/-trace-slow bounding the stamping cost.
-	var (
-		mws     []rebeca.Middleware
-		reg     *telemetry.Registry
-		spans   *telemetry.SpanStore
-		tmw     *telemetry.Middleware
-		sampler *telemetry.Sampler
-	)
-	if *stats > 0 || *opsAddr != "" || *push != "" {
-		reg = telemetry.NewRegistry()
-		spans = telemetry.NewSpanStore(0)
-		tmw = telemetry.NewMiddleware(reg, spans)
-		tmw.EnableHopTrace(*opsAddr != "" || *push != "")
-		telemetry.RegisterSpanMetrics(reg, spans)
-		telemetry.RegisterGoRuntime(reg)
-		if *sampleN > 0 || *slowThr > 0 || *pendCap > 0 {
-			sampler = telemetry.NewSampler(spans, *sampleN, *slowThr)
-			if *pendCap > 0 {
-				sampler.SetPendingCap(*pendCap)
-			}
-			tmw.SetSampler(sampler)
-			telemetry.RegisterSamplerMetrics(reg, sampler)
-		}
-		mws = append(mws, tmw)
+	if *linearM {
+		opts = append(opts, rebeca.WithLinearMatching())
 	}
-	var tracer *rebeca.Tracer
+	if *registry != "" {
+		opts = append(opts, rebeca.WithRegistry(*registry))
+	}
+	if *linkPend > 0 {
+		opts = append(opts, rebeca.WithLinkPendingCap(*linkPend))
+	}
+	if *opsAddr != "" {
+		opts = append(opts, rebeca.WithOps(*opsAddr))
+	}
+	if *push != "" {
+		opts = append(opts, rebeca.WithOpsPush(*push, *pushEvery), rebeca.WithOpsPushFormat(*pushForm))
+	}
+	if *sampleN != 0 || *slowThr != 0 {
+		opts = append(opts, rebeca.WithTraceSampling(*sampleN, *slowThr))
+	}
+	if *pendCap > 0 {
+		opts = append(opts, rebeca.WithTracePendingCap(*pendCap))
+	}
 	if *trace {
-		tracer = rebeca.NewTracer(func(e rebeca.TraceEvent) {
+		opts = append(opts, rebeca.WithMiddleware(rebeca.NewTracer(func(e rebeca.TraceEvent) {
 			fmt.Printf("%s %-9s broker=%s node=%s note=%v sub=%s\n",
 				e.At.Format("15:04:05.000"), e.Hook, e.Broker, e.Node, e.Note, e.Sub)
-		})
-		mws = append(mws, tracer)
+		})))
 	}
-	var limiter *rebeca.RateLimiter
 	if *rate > 0 {
-		limiter = rebeca.NewRateLimiter(*rate, *burst)
-		mws = append(mws, limiter)
-	}
-	if reg != nil {
-		if limiter != nil {
-			// Rate-limited publishes always matter: retro-capture their
-			// parked trace with the reason.
-			limiter.SetDropHook(func(_ rebeca.NodeID, nid rebeca.NotificationID) {
-				if tmw == nil || !tmw.HopTraceEnabled() {
-					return
-				}
-				if sampler != nil {
-					sampler.MarkDropped(nid, "rate-limited")
-				} else {
-					spans.RecordReason(nid, nil, 0, "rate-limited")
-				}
-			})
-			reg.CounterFunc(telemetry.MetricRateLimited,
-				"Client publishes rejected by the rate-limiter middleware.",
-				func(emit func(telemetry.Labels, float64)) {
-					for b, n := range limiter.DroppedPerBroker() {
-						emit(telemetry.Labels{"broker": string(b)}, float64(n))
-					}
-				})
-		}
-		if tracer != nil {
-			reg.CounterFunc(telemetry.MetricTracerDropped,
-				"Trace events evicted by the Tracer's newest-retaining ring bound.",
-				func(emit func(telemetry.Labels, float64)) {
-					emit(nil, float64(tracer.Dropped()))
-				})
-		}
-	}
-
-	if *hbEvery <= 0 {
-		fatal(fmt.Errorf("-heartbeat %s: want a positive interval", *hbEvery))
-	}
-	if *hbTimeout != 0 && *hbTimeout < *hbEvery {
-		fatal(fmt.Errorf("-heartbeat-timeout %s: want >= -heartbeat %s (or 0 for 3x interval)", *hbTimeout, *hbEvery))
+		opts = append(opts, rebeca.WithMiddleware(rebeca.NewRateLimiter(*rate, *burst)))
 	}
 
 	// Durable subscriptions: a WAL on -store survives restarts — reopening
 	// the same directory recovers ghost sessions and their pending
-	// notifications below. Opened before the node so -link-spill can share
-	// the same WAL instance (queue namespaces never collide).
-	var st store.Store
-	var wal *store.WAL
+	// notifications. -link-spill parks overlay pending-queue overflow in a
+	// WAL too, and may share -store's (queue namespaces never collide).
+	var wals []*rebeca.WALStore
+	openWAL := func(dir string) *rebeca.WALStore {
+		w, err := rebeca.OpenWAL(dir)
+		if err != nil {
+			fatal(err)
+		}
+		wals = append(wals, w)
+		return w
+	}
+	var durable *rebeca.WALStore
 	if *storeDir != "" {
-		wal, err = store.OpenWAL(*storeDir)
-		if err != nil {
-			fatal(err)
-		}
-		wal.SetLogger(logger.For("store"))
-		st = wal
+		durable = openWAL(*storeDir)
+		opts = append(opts, rebeca.WithDurable(durable))
 	}
-	// Link spill: overlay pending-queue overflow spills to this store and
-	// replays on re-establishment, so partitions longer than the in-memory
-	// cap's worth of traffic lose nothing (up to the byte budget).
-	var spillStore store.Store
-	var spillWAL *store.WAL
 	if *linkSpill != "" {
-		if *linkSpill == *storeDir && wal != nil {
-			spillStore = wal
-		} else {
-			spillWAL, err = store.OpenWAL(*linkSpill)
-			if err != nil {
-				fatal(err)
-			}
-			spillWAL.SetLogger(logger.For("store"))
-			spillStore = spillWAL
+		spill := durable
+		if *linkSpill != *storeDir {
+			spill = openWAL(*linkSpill)
 		}
+		opts = append(opts, rebeca.WithLinkSpill(spill, *spillMax))
 	}
 
-	node := wire.NewNode(wire.NodeConfig{
-		ID:             self,
-		Listen:         *listen,
-		Peers:          peers,
-		Strategy:       strat,
-		LinearMatching: *linearM,
-		NextHop:        hops,
-		Middleware:     mws,
-		Overlay: overlay.Settings{
-			HeartbeatInterval: *hbEvery,
-			HeartbeatTimeout:  *hbTimeout,
-			PendingCap:        *linkPend,
-		},
-		Spill:         spillStore,
-		SpillBudget:   *spillMax,
-		Telemetry:     reg,
-		Logger:        logger.For("wire"),
-		OverlayLogger: logger.For("overlay"),
-		BrokerLogger:  logger.For("broker"),
-	})
-
-	// Discovery mode: enable mesh routing (the registry may describe a
-	// cyclic graph) and open the membership registry; the supervisor
-	// starts after the node serves, so link commands land on a live
-	// overlay manager.
-	var (
-		memReg discovery.Registry
-		member *discovery.Membership
-	)
-	if discovered {
-		node.EnableMesh()
-		memReg, err = discovery.Open(*registry)
-		if err != nil {
-			fatal(err)
-		}
-		if *regTTL > 0 {
-			fr, ok := memReg.(*discovery.FileRegistry)
-			if !ok {
-				fatal(fmt.Errorf("-registry-ttl needs a file: registry (the gossip backend detects failures on its own)"))
-			}
-			fr.SetTTL(*regTTL)
-		}
-	}
-
-	if reg != nil && wal != nil {
-		reg.GaugeFunc(telemetry.MetricWALSegments,
-			"Write-ahead-log segment files on disk.",
-			func(emit func(telemetry.Labels, float64)) {
-				if s, err := wal.Stats(); err == nil {
-					emit(nil, float64(s.Segments))
-				}
-			})
-		reg.GaugeFunc(telemetry.MetricWALBytes,
-			"Total write-ahead-log bytes on disk (compaction shrinks it).",
-			func(emit func(telemetry.Labels, float64)) {
-				if s, err := wal.Stats(); err == nil {
-					emit(nil, float64(s.Bytes))
-				}
-			})
-	}
-
-	// Plugin order matters: replicator first, then the mobility manager.
-	// The replicator's movement graph mirrors the static overlay; under a
-	// discovery registry the graph is dynamic, so the layer stays off.
-	if *replicate && discovered {
-		fmt.Println("note: replicator layer disabled under -registry (needs a static -edges movement graph)")
-	}
-	if *replicate && !discovered {
-		g := movement.NewGraph()
-		for _, e := range topo.Edges {
-			g.AddEdge(e[0], e[1])
-		}
-		core.New(core.Config{
-			Broker:       node.Broker(),
-			NLB:          g.NLB(),
-			Locations:    location.Regions(topo.Nodes()),
-			PreSubscribe: true,
-			Store:        st,
-		})
-	}
-	var mgr *mobility.Manager
-	mobOpts := []mobility.Option{}
-	if st != nil {
-		mobOpts = append(mobOpts, mobility.WithStore(st))
-	}
-	switch *mobilityM {
-	case "transparent":
-		mgr = mobility.New(node.Broker(), mobility.ModeTransparent, mobOpts...)
-	case "jedi":
-		mgr = mobility.New(node.Broker(), mobility.ModeJEDI, mobOpts...)
-	case "naive":
-		mgr = mobility.New(node.Broker(), mobility.ModeNaive, mobOpts...)
-	case "none":
-	default:
-		fatal(fmt.Errorf("unknown -mobility %q", *mobilityM))
-	}
-
-	if err := node.Start(); err != nil {
+	node, err := rebeca.StartBroker(spec, opts...)
+	if err != nil {
 		fatal(err)
 	}
-	if discovered {
-		addr := *advertise
-		if addr == "" {
-			addr = advertiseAddr(node.Addr())
-		}
-		member = discovery.NewMembership(discovery.MembershipConfig{
-			Self:     self,
-			Addr:     addr,
-			Registry: memReg,
-			Host:     wire.NodeHost{Node: node},
-			Logger:   logger.For("discovery"),
-		})
-		if err := member.Start(); err != nil {
-			fatal(err)
-		}
-		logger.For("discovery").Info("registered with registry",
-			"self", string(self), "addr", addr, "registry", *registry)
-	}
-	if reg != nil {
-		// The discovery families register unconditionally so every broker's
-		// scrape exposes the same golden set; in static (-edges/-dial) mode
-		// they render as empty families.
-		reg.GaugeFunc(telemetry.MetricDiscoveryPeers,
-			"Overlay peers currently linked by the discovery membership supervisor.",
-			func(emit func(telemetry.Labels, float64)) {
-				if member != nil {
-					emit(telemetry.Labels{"broker": string(self)}, float64(member.Peers()))
-				}
-			})
-		reg.CounterFunc(telemetry.MetricDiscoveryEvents,
-			"Membership events applied, by type (join, leave, update).",
-			func(emit func(telemetry.Labels, float64)) {
-				if member != nil {
-					for typ, n := range member.Events() {
-						emit(telemetry.Labels{"broker": string(self), "type": typ}, float64(n))
-					}
-				}
-			})
-		reg.CounterFunc(telemetry.MetricTreeRecomputations,
-			"Spanning-tree elections run by the mesh routing layer.",
-			func(emit func(telemetry.Labels, float64)) {
-				if m := node.Broker().Mesh(); m != nil {
-					emit(telemetry.Labels{"broker": string(self)}, float64(m.Recomputations()))
-				}
-			})
-	}
-	if st != nil && mgr != nil {
-		// Resume the sessions a previous process persisted on this store.
-		// Start order no longer matters: re-installed subscriptions reach
-		// neighbors whose links are already up immediately, and every
-		// link that establishes later replays them in its sync handshake.
-		// The node is already serving, so the recovery mutation runs on
-		// its event loop like any other.
-		recovered := 0
-		node.Inspect(func(*broker.Broker) { recovered = mgr.Recover() })
-		if recovered > 0 {
-			logger.For("store").Info("recovered durable sessions",
-				"sessions", recovered, "dir", *storeDir)
-		}
-	}
-	if discovered {
-		fmt.Printf("rebeca-broker %s listening on %s (registry-driven mesh, strategy %s, %d middleware)\n",
-			self, node.Addr(), strat, len(mws))
+	if *registry != "" {
+		fmt.Printf("rebeca-broker %s listening on %s (registry-driven mesh, strategy %s)\n", spec.ID, node.Addr(), *strategy)
 	} else {
-		fmt.Printf("rebeca-broker %s listening on %s (%d neighbors, strategy %s, %d middleware)\n",
-			self, node.Addr(), len(peers), strat, len(mws))
+		fmt.Printf("rebeca-broker %s listening on %s (%d edges, strategy %s)\n", spec.ID, node.Addr(), len(spec.Edges), *strategy)
 	}
-
-	// The ops endpoint: Prometheus /metrics over the registry, readiness
-	// gated on this node's overlay links, hop-trace reconstruction, and
-	// the runtime knobs.
-	var ops *telemetry.Ops
-	if *opsAddr != "" {
-		ops = telemetry.NewOps(reg, spans)
-		ops.AddReadyCheck("links:"+string(self), node.Ready)
-		if member != nil {
-			ops.AddReadyCheck("membership", member.Ready)
-		}
-		ops.AddKnob("heartbeat", telemetry.Knob{
-			Help: "overlay heartbeat as interval[,timeout]; timeout 0 defaults to 3x interval",
-			Get: func() string {
-				interval, timeout := node.Heartbeat()
-				return fmt.Sprintf("%s,%s", interval, timeout)
-			},
-			Set: func(v string) error {
-				interval, timeout, err := parseHeartbeatKnob(v)
-				if err != nil {
-					return err
-				}
-				node.SetHeartbeat(interval, timeout)
-				return nil
-			},
-		})
-		ops.AddKnob("trace", telemetry.Knob{
-			Help: "hop-trace stamping and span recording: on/off",
-			Get:  func() string { return onOff(tmw.HopTraceEnabled()) },
-			Set: func(v string) error {
-				on, err := parseOnOff(v)
-				if err != nil {
-					return err
-				}
-				tmw.EnableHopTrace(on)
-				return nil
-			},
-		})
-		if sampler != nil {
-			ops.AddKnob("sample", telemetry.Knob{
-				Help: "hop-trace sampling rate as 1-in-N (1 traces everything)",
-				Get:  func() string { return strconv.FormatInt(sampler.Rate(), 10) },
-				Set: func(v string) error {
-					n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-					if err != nil {
-						return fmt.Errorf("bad rate %q: %v", v, err)
-					}
-					if n < 1 {
-						return fmt.Errorf("bad rate %d: want >= 1", n)
-					}
-					sampler.SetRate(n)
-					return nil
-				},
-			})
-			ops.AddKnob("slow", telemetry.Knob{
-				Help: "retro-capture threshold: deliveries slower than this are always traced (0 disables)",
-				Get:  func() string { return sampler.SlowThreshold().String() },
-				Set: func(v string) error {
-					d, err := time.ParseDuration(strings.TrimSpace(v))
-					if err != nil {
-						return fmt.Errorf("bad threshold %q: %v", v, err)
-					}
-					if d < 0 {
-						return fmt.Errorf("bad threshold %s: want >= 0", d)
-					}
-					sampler.SetSlowThreshold(d)
-					return nil
-				},
-			})
-			ops.AddKnob("trace.pending", telemetry.Knob{
-				Help: "pending-decision ring capacity: hop paths parked awaiting a retro-capture verdict (shrinking evicts oldest)",
-				Get:  func() string { return strconv.Itoa(sampler.PendingCap()) },
-				Set: func(v string) error {
-					n, err := strconv.Atoi(strings.TrimSpace(v))
-					if err != nil {
-						return fmt.Errorf("bad capacity %q: %v", v, err)
-					}
-					if n < 1 {
-						return fmt.Errorf("bad capacity %d: want >= 1", n)
-					}
-					sampler.SetPendingCap(n)
-					return nil
-				},
-			})
-		}
-		logger.RegisterKnobs(ops)
-		if tracer != nil {
-			ops.AddKnob("tracer", telemetry.Knob{
-				Help: "event-log Tracer recording: on/off",
-				Get:  func() string { return onOff(tracer.Enabled()) },
-				Set: func(v string) error {
-					on, err := parseOnOff(v)
-					if err != nil {
-						return err
-					}
-					tracer.SetEnabled(on)
-					return nil
-				},
-			})
-		}
-		if limiter != nil {
-			ops.AddKnob("rate_limit", telemetry.Knob{
-				Help: "client publish admission as perSecond[,burst]; perSecond <= 0 disables",
-				Get: func() string {
-					r, b := limiter.Limit()
-					return fmt.Sprintf("%g,%d", r, b)
-				},
-				Set: func(v string) error {
-					return setRateLimit(limiter, v)
-				},
-			})
-		}
-		if err := ops.Start(*opsAddr); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("ops endpoint on http://%s (/metrics /healthz /readyz /trace /config /debug/pprof)\n", ops.Addr())
+	if addr := node.OpsAddr(); addr != "" {
+		fmt.Printf("ops endpoint on http://%s (/metrics /healthz /readyz /trace /config /debug/pprof)\n", addr)
 	}
-
-	// -push: report metrics outbound on an interval — the NAT'd-broker
-	// mode, where nothing can scrape us. Coexists with -ops (push and
-	// scrape share the registry).
-	var pusher *telemetry.Pusher
 	if *push != "" {
-		pcfg := telemetry.PusherConfig{
-			URL:      *push,
-			Interval: *pushEvery,
-			Format:   *pushForm,
-			Instance: string(self),
-			Logger:   logger.For("wire"),
-		}
-		// Spans ship outbound with the metric snapshots — except in
-		// remote-write format, where the receiver is a real Prometheus
-		// backend that would reject span bodies and wedge the spool.
-		if *pushForm != telemetry.PushFormatRemoteWrite {
-			pcfg.Spans = spans
-		}
-		pusher, err = telemetry.NewPusher(reg, pcfg)
-		if err != nil {
-			fatal(err)
-		}
-		telemetry.RegisterPusherMetrics(reg, pusher)
-		pusher.Start()
 		fmt.Printf("pushing metrics to %s every %s (%s)\n", *push, *pushEvery, *pushForm)
 	}
 
@@ -609,7 +225,7 @@ func main() {
 			for {
 				select {
 				case <-ticker.C:
-					fmt.Println(statsLine(reg, node))
+					fmt.Println(node.StatsLine())
 				case <-statsDone:
 					return
 				}
@@ -620,162 +236,34 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	// Graceful shutdown: let in-flight deliveries and buffer appends run
-	// to completion, make the store durable, then drop the links. A
-	// second signal skips the drain.
+	// Graceful shutdown: deregister, let in-flight deliveries and buffer
+	// appends run to completion, drop the links, then make the stores
+	// durable. A second signal stops waiting for the drain.
 	fmt.Println("shutting down: draining in-flight deliveries")
 	close(statsDone)
-	// Deregister first: the fleet converges on our departure without
-	// waiting for heartbeat failure detection.
-	if member != nil {
-		member.Stop(true)
-	}
-	if memReg != nil {
-		_ = memReg.Close()
-	}
-	if ops != nil {
-		_ = ops.Close()
-	}
-	if pusher != nil {
-		// Final flush rides Close, so the receiver sees the shutdown state.
-		pusher.Close()
-	}
-	drained := make(chan bool, 1)
-	go func() { drained <- node.Drain(*drain) }()
+	closed := make(chan error, 1)
+	go func() { closed <- node.Close(*drain) }()
 	select {
-	case ok := <-drained:
-		if !ok {
-			fmt.Fprintln(os.Stderr, "rebeca-broker: drain timed out; closing anyway")
-		}
+	case <-closed:
 	case <-sig:
 		fmt.Fprintln(os.Stderr, "rebeca-broker: second signal; skipping drain")
 	}
-	// Stop the node before the store: once the links and event loop are
+	// The node stops before the stores: once the links and event loop are
 	// down nothing can append anymore, so the final sync-close captures
-	// every delivery the broker ever accepted.
-	_ = node.Close()
-	if st != nil {
-		if err := st.Sync(); err != nil {
+	// every delivery the broker ever accepted. An unflushed spill backlog
+	// stays on disk for the next incarnation to replay.
+	for _, w := range wals {
+		if err := w.Sync(); err != nil {
 			fmt.Fprintln(os.Stderr, "rebeca-broker: store sync:", err)
 		}
-		if err := st.Close(); err != nil {
+		if err := w.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "rebeca-broker: store close:", err)
 		}
 	}
-	if spillWAL != nil {
-		// Only when -link-spill has its own WAL; a shared -store WAL was
-		// closed above. The unflushed backlog stays on disk for the next
-		// incarnation to replay.
-		if err := spillWAL.Sync(); err != nil {
-			fmt.Fprintln(os.Stderr, "rebeca-broker: spill sync:", err)
-		}
-		if err := spillWAL.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "rebeca-broker: spill close:", err)
-		}
-	}
 }
 
-// statsLine renders the -stats digest from the telemetry registry.
-func statsLine(reg *telemetry.Registry, node *wire.Node) string {
-	sum, count := reg.HistogramStats(telemetry.MetricE2ESeconds)
-	avg := time.Duration(0)
-	if count > 0 {
-		avg = time.Duration(sum / float64(count) * float64(time.Second))
-	}
-	line := fmt.Sprintf("stats: publishes=%d deliveries=%d subscribes=%d avg-latency=%s rate-limited=%d link-establishments=%d link-failures=%d",
-		int(reg.Total(telemetry.MetricPublishes)),
-		int(reg.Total(telemetry.MetricDeliveries)),
-		int(reg.Total(telemetry.MetricSubscribes)),
-		avg,
-		int(reg.Total(telemetry.MetricRateLimited)),
-		int(reg.Total(telemetry.MetricLinkUps)),
-		int(reg.Total(telemetry.MetricLinkDowns)))
-	for _, li := range node.LinkInfo() {
-		line += fmt.Sprintf(" link[%s]=%s", li.Peer, li.State)
-		if li.Pending > 0 {
-			line += fmt.Sprintf("(+%d queued)", li.Pending)
-		}
-		if li.SpillDepth > 0 {
-			line += fmt.Sprintf("(spill=%d/%dB)", li.SpillDepth, li.SpillBytes)
-		}
-	}
-	return line
-}
-
-// advertiseAddr turns the node's bound listen address into one peers can
-// dial: an unspecified host (":7471", "[::]:7471", "0.0.0.0:7471")
-// becomes 127.0.0.1 — right for single-machine fleets; multi-host
-// deployments pass -advertise explicitly.
-func advertiseAddr(bound string) string {
-	host, port, err := net.SplitHostPort(bound)
-	if err != nil {
-		return bound
-	}
-	if host == "" || host == "::" || host == "0.0.0.0" {
-		host = "127.0.0.1"
-	}
-	return net.JoinHostPort(host, port)
-}
-
-func onOff(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
-}
-
-func parseOnOff(v string) (bool, error) {
-	switch strings.ToLower(strings.TrimSpace(v)) {
-	case "on", "true", "1":
-		return true, nil
-	case "off", "false", "0":
-		return false, nil
-	}
-	return false, fmt.Errorf("bad toggle %q (want on/off)", v)
-}
-
-// parseHeartbeatKnob parses the heartbeat knob's "interval[,timeout]".
-func parseHeartbeatKnob(v string) (interval, timeout time.Duration, err error) {
-	parts := strings.SplitN(v, ",", 2)
-	interval, err = time.ParseDuration(strings.TrimSpace(parts[0]))
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad interval %q: %v", parts[0], err)
-	}
-	if interval <= 0 {
-		return 0, 0, fmt.Errorf("bad interval %s: want > 0", interval)
-	}
-	if len(parts) == 2 {
-		timeout, err = time.ParseDuration(strings.TrimSpace(parts[1]))
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad timeout %q: %v", parts[1], err)
-		}
-		if timeout != 0 && timeout < interval {
-			return 0, 0, fmt.Errorf("bad timeout %s: want >= interval (or 0 for the default)", timeout)
-		}
-	}
-	return interval, timeout, nil
-}
-
-// setRateLimit parses the rate_limit knob's "perSecond[,burst]".
-func setRateLimit(limiter *rebeca.RateLimiter, v string) error {
-	parts := strings.SplitN(v, ",", 2)
-	r, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-	if err != nil {
-		return fmt.Errorf("bad rate %q: %v", parts[0], err)
-	}
-	_, burst := limiter.Limit()
-	if len(parts) == 2 {
-		burst, err = strconv.Atoi(strings.TrimSpace(parts[1]))
-		if err != nil {
-			return fmt.Errorf("bad burst %q: %v", parts[1], err)
-		}
-	}
-	limiter.SetLimit(r, burst)
-	return nil
-}
-
-func parseEdges(s string) (broker.Topology, error) {
-	var topo broker.Topology
+func parseEdges(s string) ([][2]rebeca.NodeID, error) {
+	var out [][2]rebeca.NodeID
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -783,16 +271,15 @@ func parseEdges(s string) (broker.Topology, error) {
 		}
 		ab := strings.SplitN(part, "-", 2)
 		if len(ab) != 2 || ab[0] == "" || ab[1] == "" {
-			return topo, fmt.Errorf("bad edge %q (want A-B)", part)
+			return nil, fmt.Errorf("bad edge %q (want A-B)", part)
 		}
-		topo.Edges = append(topo.Edges,
-			[2]message.NodeID{message.NodeID(ab[0]), message.NodeID(ab[1])})
+		out = append(out, [2]rebeca.NodeID{rebeca.NodeID(ab[0]), rebeca.NodeID(ab[1])})
 	}
-	return topo, nil
+	return out, nil
 }
 
-func parseDials(s string) (map[message.NodeID]string, error) {
-	out := make(map[message.NodeID]string)
+func parseDials(s string) (map[rebeca.NodeID]string, error) {
+	out := make(map[rebeca.NodeID]string)
 	if s == "" {
 		return out, nil
 	}
@@ -801,7 +288,7 @@ func parseDials(s string) (map[message.NodeID]string, error) {
 		if len(kv) != 2 || kv[0] == "" || kv[1] == "" {
 			return nil, fmt.Errorf("bad -dial entry %q (want NAME=host:port)", part)
 		}
-		out[message.NodeID(kv[0])] = kv[1]
+		out[rebeca.NodeID(kv[0])] = kv[1]
 	}
 	return out, nil
 }

@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"rebeca/internal/broker"
 	"rebeca/internal/client"
 	"rebeca/internal/sim"
-	"rebeca/internal/telemetry"
 )
 
 // MaxBatchFrame is the largest number of notifications PublishBatch packs
@@ -127,13 +125,9 @@ func New(opts ...Option) (*System, error) {
 	if cfg.reactive {
 		repl = sim.ReplicationReactive
 	}
-	var ops *opsStack
-	if cfg.opsAddr != "" || cfg.pushURL != "" || cfg.logging {
-		// Before cluster construction: the telemetry stage joins the chain
-		// every broker installs. Push-only and logging-only deployments
-		// build the stack too, but never open the HTTP listener.
-		ops = newOpsStack(cfg)
-	}
+	// Before cluster construction: the telemetry stage joins the chain
+	// every broker installs.
+	ops := newOpsStack(cfg)
 	scfg := sim.ClusterConfig{
 		Movement:       cfg.movement,
 		Locations:      cfg.locations,
@@ -177,61 +171,19 @@ func New(opts ...Option) (*System, error) {
 		return nil, err
 	}
 	s := &System{cluster: cl, logCap: cfg.logCap(), ops: ops}
-	if ops != nil {
-		if err := s.startOps(cfg); err != nil {
-			return nil, err
+	if ops == nil {
+		return s, nil
+	}
+	// The virtual-clock flavor hosts the same endpoint the live deployment
+	// does — useful for watching a long-running experiment — with readiness
+	// derived from the simulated overlay managers (a System built without
+	// WithHeartbeat deploys no overlay and is trivially ready).
+	for _, id := range s.Brokers() {
+		if mgr := cl.Overlays[id]; mgr != nil {
+			ops.supervise(id, mgr)
 		}
 	}
-	return s, nil
-}
-
-// startOps wires the System-specific probes, knobs and collectors into
-// the ops stack and starts its HTTP listener. The virtual-clock flavor
-// hosts the same endpoint the live deployment does — useful for watching
-// a long-running experiment — with readiness derived from the simulated
-// overlay managers (a System built without WithHeartbeat deploys no
-// overlay and is trivially ready).
-func (s *System) startOps(cfg *config) error {
-	st := s.ops
-	st.ops.AddReadyCheck("overlay", func() (bool, string) {
-		if s.cluster.Overlays == nil {
-			return true, "overlay not deployed"
-		}
-		var waiting []string
-		for _, id := range s.Brokers() {
-			if mgr := s.cluster.Overlays[id]; mgr != nil {
-				waiting = append(waiting, waitingLinks(id, mgr)...)
-			}
-		}
-		if len(waiting) > 0 {
-			return false, "links not established: " + strings.Join(waiting, ", ")
-		}
-		return true, "all links established"
-	})
-	if s.cluster.Overlays != nil {
-		st.ops.AddKnob("heartbeat", telemetry.Knob{
-			Help: "overlay heartbeat as interval[,timeout] (virtual clock), applied to every broker; timeout 0 defaults to 3x interval",
-			Get: func() string {
-				for _, id := range s.Brokers() {
-					if mgr := s.cluster.Overlays[id]; mgr != nil {
-						return renderHeartbeat(mgr.Heartbeat())
-					}
-				}
-				return ""
-			},
-			Set: func(v string) error {
-				interval, timeout, err := parseHeartbeat(v)
-				if err != nil {
-					return err
-				}
-				for _, mgr := range s.cluster.Overlays {
-					mgr.SetHeartbeat(interval, timeout)
-				}
-				return nil
-			},
-		})
-	}
-	st.registerStreams(func(emit func(NodeID, streamStat)) {
+	ops.registerStreams(func(emit func(NodeID, streamStat)) {
 		s.mu.Lock()
 		ports := append([]*simPort(nil), s.ports...)
 		s.mu.Unlock()
@@ -241,24 +193,15 @@ func (s *System) startOps(cfg *config) error {
 			}
 		}
 	})
-	st.registerCommon(cfg)
-	if cfg.opsAddr != "" {
-		if err := st.ops.Start(cfg.opsAddr); err != nil {
-			return err
-		}
+	if err := ops.start(cfg, joinIDs(s.Brokers())); err != nil {
+		return nil, err
 	}
-	ids := s.Brokers()
-	return st.startPush(cfg, strings.Join(nodeIDStrings(ids), ","))
+	return s, nil
 }
 
 // OpsAddr returns the bound address of the telemetry subsystem's HTTP
 // endpoint ("" without WithOps).
-func (s *System) OpsAddr() string {
-	if s.ops == nil {
-		return ""
-	}
-	return s.ops.ops.Addr()
-}
+func (s *System) OpsAddr() string { return s.ops.addr() }
 
 // NewClient creates a client endpoint.
 func (s *System) NewClient(id NodeID) Port {
@@ -287,9 +230,7 @@ func (s *System) Close() error {
 	for _, p := range ports {
 		p.streams.closeAll()
 	}
-	if s.ops != nil {
-		s.ops.close()
-	}
+	s.ops.close()
 	return nil
 }
 

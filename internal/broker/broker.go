@@ -3,8 +3,9 @@
 // configured routing strategy, unicast control-message routing via next-hop
 // tables, and the flush/convergecast barrier the mobility protocol builds
 // on. Border and inner brokers run the same state machine; border brokers
-// additionally host plugins (the physical-mobility manager and the
-// replicator layer) and local client ports.
+// additionally host the session layers (the replicator and the
+// physical-mobility manager, ordinary stages of the middleware chain) and
+// local client ports.
 //
 // A Broker is a synchronous state machine: HandleMessage runs to completion
 // and emits outgoing messages through the injected senders. The simulator
@@ -20,22 +21,6 @@ import (
 	"rebeca/internal/proto"
 	"rebeca/internal/routing"
 )
-
-// Plugin extends a border broker with session-layer behaviour. Plugins run
-// inside the broker's event loop; they must not block.
-type Plugin interface {
-	// Handle offers the plugin an incoming message addressed to this
-	// broker. Returning true consumes the message (default processing is
-	// skipped).
-	Handle(from message.NodeID, m proto.Message) bool
-	// OnDeliver intercepts a local delivery to a client port. Returning
-	// true suppresses the default KDeliver send (e.g. to buffer for a
-	// disconnected client).
-	OnDeliver(port message.NodeID, n message.Notification) bool
-	// OnFlushDone signals completion of a flush wave started by this
-	// broker via StartFlush.
-	OnFlushDone(id uint64)
-}
 
 // Config assembles a broker.
 type Config struct {
@@ -74,7 +59,7 @@ type Stats struct {
 	Forwarded int
 	// Delivered counts local client deliveries (post-interception).
 	Delivered int
-	// Intercepted counts deliveries consumed by plugins.
+	// Intercepted counts deliveries consumed by a chain stage.
 	Intercepted int
 	// SubsProcessed counts subscription/unsubscription messages.
 	SubsProcessed int
@@ -90,18 +75,15 @@ type Broker struct {
 	peers  map[message.NodeID]bool
 	ports  map[message.NodeID]bool
 
-	// chain is the ordered middleware chain; legacy plugins are adapted
-	// onto it. The slices after it are the stages implementing each
-	// optional interface, in chain order, resolved once in UseMiddleware.
-	// sessionPlugins counts the adapted Plugin stages (border
-	// classification). free holds the idle chain cursors, hook the cursor
-	// whose stage hook is the innermost one running (middleware.go).
+	// chain is the ordered middleware chain. The slices after it are the
+	// stages implementing each optional interface, in chain order, resolved
+	// once in UseMiddleware. free holds the idle chain cursors, hook the
+	// cursor whose stage hook is the innermost one running (middleware.go).
 	chain          []Middleware
 	interceptors   []MessageInterceptor
 	flushObservers []FlushObserver
 	linkObservers  []LinkObserver
 	dropObservers  []DropObserver
-	sessionPlugins int
 	free           []*cursor
 	hook           *cursor
 
@@ -184,17 +166,10 @@ func (b *Broker) Stats() Stats { return b.stats }
 // Router exposes the routing state (tests and experiments inspect it).
 func (b *Broker) Router() *routing.Router { return b.router }
 
-// Use attaches a session-layer plugin by adapting it onto the middleware
-// chain. Stages run in attachment order.
-func (b *Broker) Use(p Plugin) {
-	b.UseMiddleware(pluginStage{p: p})
-	b.sessionPlugins++
-}
-
 // UseMiddleware appends stages to the broker's middleware chain. Stages run
 // in attachment order (first attached = outermost); stages attached after
-// the session-layer plugins run inside them, i.e. they see only the traffic
-// the session layers pass through.
+// the session layers run inside them, i.e. they see only the traffic the
+// session layers pass through.
 func (b *Broker) UseMiddleware(ms ...Middleware) {
 	for _, m := range ms {
 		b.chain = append(b.chain, m)
@@ -213,8 +188,8 @@ func (b *Broker) UseMiddleware(ms ...Middleware) {
 	}
 }
 
-// Middlewares returns the chain length (plugins included) — introspection
-// for tests and stats.
+// Middlewares returns the chain length (session layers included) —
+// introspection for tests and stats.
 func (b *Broker) Middlewares() int { return len(b.chain) }
 
 // Peers returns the broker's overlay neighbors.
@@ -226,10 +201,6 @@ func (b *Broker) Peers() []message.NodeID {
 	sortNodeIDs(out)
 	return out
 }
-
-// IsBorder reports whether the broker hosts client ports or session-layer
-// plugins (pure observer middleware does not make a broker a border).
-func (b *Broker) IsBorder() bool { return b.sessionPlugins > 0 || len(b.ports) > 0 }
 
 // AttachPort registers a local client port.
 func (b *Broker) AttachPort(id message.NodeID) { b.ports[id] = true }
@@ -371,13 +342,13 @@ func (b *Broker) dispatch(from message.NodeID, m proto.Message) {
 		b.handleFlushAck(m)
 	case proto.KDeliver:
 		// A delivery unicast to this broker for a local client (e.g. a
-		// relocation tap forward) without a plugin claiming it: deliver
+		// relocation tap forward) that no session layer claimed: deliver
 		// if the client is here.
 		if m.Note != nil && b.ports[m.Client] {
 			b.DeliverMatched(m.Client, *m.Note, m.SubIDs)
 		}
 	default:
-		// Unknown control kinds without a plugin are dropped.
+		// Control kinds no stage claimed are dropped.
 	}
 }
 
@@ -473,7 +444,7 @@ func (b *Broker) routePublish(from message.NodeID, m proto.Message, n message.No
 }
 
 // DeliverLocal hands a notification to a local port through the middleware
-// chain's OnDeliver hooks; any stage — the session-layer plugins' ghost
+// chain's OnDeliver hooks; any stage — the session layers' ghost
 // buffering, or user middleware — may consume it. The delivery carries no
 // subscription identity; the client resolves target streams by filter.
 func (b *Broker) DeliverLocal(port message.NodeID, n message.Notification) {

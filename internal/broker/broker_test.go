@@ -303,7 +303,7 @@ func TestCoveringReducesTableSize(t *testing.T) {
 func TestUnicastRouting(t *testing.T) {
 	h := newHarness(t, lineTopo(5), routing.StrategySimple)
 	var got []proto.Message
-	h.brokers["E"].Use(&capturePlugin{onHandle: func(from message.NodeID, m proto.Message) bool {
+	h.brokers["E"].UseMiddleware(&capturePlugin{onHandle: func(from message.NodeID, m proto.Message) bool {
 		if m.Kind == proto.KRelocReq {
 			got = append(got, m)
 			return true
@@ -323,7 +323,7 @@ func TestUnicastRouting(t *testing.T) {
 func TestUnicastToSelf(t *testing.T) {
 	h := newHarness(t, lineTopo(2), routing.StrategySimple)
 	var got int
-	h.brokers["A"].Use(&capturePlugin{onHandle: func(_ message.NodeID, m proto.Message) bool {
+	h.brokers["A"].UseMiddleware(&capturePlugin{onHandle: func(_ message.NodeID, m proto.Message) bool {
 		if m.Kind == proto.KRelocReq {
 			got++
 			return true
@@ -336,28 +336,28 @@ func TestUnicastToSelf(t *testing.T) {
 	}
 }
 
-// capturePlugin adapts closures to the Plugin interface.
+// capturePlugin adapts closures to a chain stage: a true from onHandle or
+// onDeliver consumes the event (the stage does not call next).
 type capturePlugin struct {
+	PassMiddleware
 	onHandle    func(message.NodeID, proto.Message) bool
 	onDeliver   func(message.NodeID, message.Notification) bool
 	onFlushDone func(uint64)
 }
 
-func (c *capturePlugin) Handle(from message.NodeID, m proto.Message) bool {
-	if c.onHandle == nil {
-		return false
+func (c *capturePlugin) OnMessage(_ *Broker, from message.NodeID, m proto.Message, next func()) {
+	if c.onHandle == nil || !c.onHandle(from, m) {
+		next()
 	}
-	return c.onHandle(from, m)
 }
 
-func (c *capturePlugin) OnDeliver(port message.NodeID, n message.Notification) bool {
-	if c.onDeliver == nil {
-		return false
+func (c *capturePlugin) OnDeliver(_ *Broker, port message.NodeID, n *message.Notification, _ []message.SubID, next func()) {
+	if c.onDeliver == nil || !c.onDeliver(port, *n) {
+		next()
 	}
-	return c.onDeliver(port, n)
 }
 
-func (c *capturePlugin) OnFlushDone(id uint64) {
+func (c *capturePlugin) OnFlushDone(_ *Broker, id uint64) {
 	if c.onFlushDone != nil {
 		c.onFlushDone(id)
 	}
@@ -366,7 +366,7 @@ func (c *capturePlugin) OnFlushDone(id uint64) {
 func TestFlushCompletesOnTree(t *testing.T) {
 	h := newHarness(t, lineTopo(6), routing.StrategySimple)
 	done := map[uint64]bool{}
-	h.brokers["A"].Use(&capturePlugin{onFlushDone: func(id uint64) { done[id] = true }})
+	h.brokers["A"].UseMiddleware(&capturePlugin{onFlushDone: func(id uint64) { done[id] = true }})
 	id := h.brokers["A"].StartFlush()
 	if done[id] {
 		t.Error("flush must not complete before acks return")
@@ -383,7 +383,7 @@ func TestFlushSingletonBroker(t *testing.T) {
 	// Detach B from A to simulate a leafless origin: use a 2-node tree and
 	// flush from the leaf; the wave is one hop out, one ack back.
 	done := false
-	h.brokers["B"].Use(&capturePlugin{onFlushDone: func(uint64) { done = true }})
+	h.brokers["B"].UseMiddleware(&capturePlugin{onFlushDone: func(uint64) { done = true }})
 	h.brokers["B"].StartFlush()
 	h.pump()
 	if !done {
@@ -406,7 +406,7 @@ func TestFlushBarriersInFlightPublishes(t *testing.T) {
 	h.brokers["D"].HandleMessage("p", proto.Message{Kind: proto.KPublish, Note: &n})
 
 	deliveredBeforeFlush := false
-	h.brokers["A"].Use(&capturePlugin{onFlushDone: func(uint64) {
+	h.brokers["A"].UseMiddleware(&capturePlugin{onFlushDone: func(uint64) {
 		deliveredBeforeFlush = len(h.delivered("c")) == 1
 	}})
 	h.brokers["A"].StartFlush()
@@ -450,7 +450,7 @@ func TestStatsCounters(t *testing.T) {
 func TestPluginInterceptsDeliver(t *testing.T) {
 	h := newHarness(t, lineTopo(2), routing.StrategySimple)
 	var intercepted []message.Notification
-	h.brokers["B"].Use(&capturePlugin{onDeliver: func(port message.NodeID, n message.Notification) bool {
+	h.brokers["B"].UseMiddleware(&capturePlugin{onDeliver: func(port message.NodeID, n message.Notification) bool {
 		intercepted = append(intercepted, n)
 		return true
 	}})

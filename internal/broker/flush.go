@@ -9,7 +9,8 @@ import (
 // wave propagates to every broker; each subtree acknowledges only after all
 // of its children have, so — links being FIFO — every message routed by a
 // table entry that existed when the wave passed has arrived before the
-// final ack. Plugins receive OnFlushDone(id) when the wave completes.
+// final ack. FlushObserver stages receive OnFlushDone(id) when the wave
+// completes.
 //
 // The mobility protocol uses two waves per relocation: one to barrier the
 // new border's subscription propagation, one to chase stragglers behind the

@@ -413,6 +413,24 @@ func (b *Broker) OnTreeChange(fn func(added, removed []message.NodeID)) {
 	b.onTreeChange = fn
 }
 
+// RepairTreeThrough makes tree transitions repair through the overlay
+// manager that owns this broker's links — the glue every mesh host needs:
+// links promoted into the tree resync their routing state, and traffic
+// queued on demoted links re-floods on the new tree so nothing waits out a
+// dead link's pending queue.
+func (b *Broker) RepairTreeThrough(ov *overlay.Manager) {
+	b.OnTreeChange(func(added, removed []message.NodeID) {
+		for _, p := range added {
+			ov.Resync(p)
+		}
+		for _, p := range removed {
+			if msgs := ov.TakePending(p); len(msgs) > 0 {
+				b.ReforwardPending(p, msgs)
+			}
+		}
+	})
+}
+
 // SetMeshTopology feeds a discovery membership snapshot into the mesh
 // and recomputes the tree if it moved.
 func (b *Broker) SetMeshTopology(members []message.NodeID, edges [][2]message.NodeID) {

@@ -6,9 +6,8 @@ import (
 	"rebeca/internal/proto"
 )
 
-// Middleware is one stage in a broker's ordered extension chain — the
-// exported successor of the internal Plugin hook points. A broker runs one
-// chain; every stage sees the hook points below in attachment order
+// Middleware is one stage in a broker's ordered extension chain. A broker
+// runs one chain; every stage sees the hook points below in attachment order
 // (first attached = outermost). Each hook receives a next func that invokes
 // the rest of the chain and, ultimately, the broker's default processing.
 // Calling next at most once is enforced (extra calls are no-ops); not
@@ -45,9 +44,10 @@ import (
 //
 // Two optional extension interfaces widen a stage's view: MessageInterceptor
 // (raw messages before kind dispatch) and FlushObserver (flush-wave
-// completion). The legacy session-layer plugins are adapted onto the same
-// chain via Use, so simulated and live brokers share a single extension
-// path.
+// completion). The session layers (core.Replicator, mobility.Manager) are
+// stages like any other — they implement these interfaces and are attached
+// with UseMiddleware, first, by session.Attach — so there is one extension
+// path, on simulated and live brokers alike.
 type Middleware interface {
 	// OnPublish wraps routing of an incoming publish at this broker.
 	OnPublish(b *Broker, from message.NodeID, n *message.Notification, next func())
@@ -60,7 +60,7 @@ type Middleware interface {
 
 // MessageInterceptor is an optional Middleware extension: stages that
 // implement it are offered every incoming message before kind dispatch —
-// the hook the session-layer plugins (mobility manager, replicator) use to
+// the hook the session layers (mobility manager, replicator) use to
 // consume their control protocols. Short-circuiting consumes the message.
 type MessageInterceptor interface {
 	Middleware
@@ -142,30 +142,6 @@ func (PassMiddleware) OnDeliver(_ *Broker, _ message.NodeID, _ *message.Notifica
 func (PassMiddleware) OnSubscribe(_ *Broker, _ message.NodeID, _ *proto.Subscription, next func()) {
 	next()
 }
-
-// pluginStage adapts a legacy Plugin onto the middleware chain: Handle maps
-// to OnMessage (returning true = short-circuit), OnDeliver to OnDeliver
-// (returning true = short-circuit), OnFlushDone to FlushObserver.
-type pluginStage struct {
-	PassMiddleware
-	p Plugin
-}
-
-func (s pluginStage) OnMessage(b *Broker, from message.NodeID, m proto.Message, next func()) {
-	if s.p.Handle(from, m) {
-		return
-	}
-	next()
-}
-
-func (s pluginStage) OnDeliver(b *Broker, port message.NodeID, n *message.Notification, _ []message.SubID, next func()) {
-	if s.p.OnDeliver(port, *n) {
-		return
-	}
-	next()
-}
-
-func (s pluginStage) OnFlushDone(_ *Broker, id uint64) { s.p.OnFlushDone(id) }
 
 // hookKind names the hook a cursor is walking the chain for.
 type hookKind uint8

@@ -187,44 +187,47 @@ func TestMiddlewareNextIdempotent(t *testing.T) {
 	}
 }
 
-// consumingPlugin is a legacy Plugin that consumes KConnect messages and
-// intercepts deliveries to a chosen port.
+// consumingPlugin is a session-layer-shaped stage: it consumes KConnect
+// messages (declining to call next) and claims deliveries to a chosen port.
 type consumingPlugin struct {
+	PassMiddleware
 	intercept  message.NodeID
 	handled    int
 	flushDones int
 }
 
-func (p *consumingPlugin) Handle(_ message.NodeID, m proto.Message) bool {
+func (p *consumingPlugin) OnMessage(_ *Broker, _ message.NodeID, m proto.Message, next func()) {
 	if m.Kind == proto.KConnect {
 		p.handled++
-		return true
+		return
 	}
-	return false
+	next()
 }
 
-func (p *consumingPlugin) OnDeliver(port message.NodeID, _ message.Notification) bool {
-	return port == p.intercept
+func (p *consumingPlugin) OnDeliver(_ *Broker, port message.NodeID, _ *message.Notification, _ []message.SubID, next func()) {
+	if port != p.intercept {
+		next()
+	}
 }
 
-func (p *consumingPlugin) OnFlushDone(uint64) { p.flushDones++ }
+func (p *consumingPlugin) OnFlushDone(*Broker, uint64) { p.flushDones++ }
 
 func TestPluginAdaptedOntoChain(t *testing.T) {
 	b, sent := newChainBroker(t)
 	pl := &consumingPlugin{intercept: "s"}
-	b.Use(pl)
+	b.UseMiddleware(pl)
 	var log []string
 	inner := &recStage{name: "in", log: &log}
 	b.UseMiddleware(inner)
 
-	// The plugin consumes KConnect before default processing attaches a
+	// The stage consumes KConnect before default processing attaches a
 	// port; an inner MessageInterceptor would not see it either.
 	b.HandleMessage("x", proto.Message{Kind: proto.KConnect, Client: "x"})
 	if pl.handled != 1 {
-		t.Fatalf("plugin handled %d messages, want 1", pl.handled)
+		t.Fatalf("stage handled %d messages, want 1", pl.handled)
 	}
 	if b.HasPort("x") {
-		t.Error("default KConnect processing ran despite plugin consumption")
+		t.Error("default KConnect processing ran despite the stage consuming it")
 	}
 
 	// Deliveries to the intercepted port are claimed by the plugin stage
@@ -243,29 +246,13 @@ func TestPluginAdaptedOntoChain(t *testing.T) {
 		t.Errorf("Intercepted = %d, want 1", b.Stats().Intercepted)
 	}
 
-	// Flush completion reaches the adapted plugin.
+	// Flush completion reaches the stage.
 	b.StartFlush() // no peers: completes synchronously
 	if pl.flushDones != 1 {
 		t.Errorf("flush dones = %d, want 1", pl.flushDones)
 	}
-
-	// Border classification: plugins count, observer middleware alone
-	// would not.
-	if !b.IsBorder() {
-		t.Error("broker with plugin should be border")
-	}
-}
-
-func TestObserverMiddlewareNotBorder(t *testing.T) {
-	var sent []proto.Message
-	b := New(Config{ID: "B", Send: func(_ message.NodeID, m proto.Message) { sent = append(sent, m) }})
-	var log []string
-	b.UseMiddleware(&recStage{name: "a", log: &log})
-	if b.IsBorder() {
-		t.Error("observer middleware must not make a broker a border")
-	}
-	if b.Middlewares() != 1 {
-		t.Errorf("Middlewares() = %d, want 1", b.Middlewares())
+	if b.Middlewares() != 2 {
+		t.Errorf("Middlewares() = %d, want 2", b.Middlewares())
 	}
 }
 
@@ -500,40 +487,47 @@ func TestChainTable(t *testing.T) {
 	}
 }
 
-// recPlugin is a legacy Plugin that logs its two hooks and claims what the
-// test tells it to.
+// recPlugin is a session-layer-shaped stage — it has the message and
+// delivery hooks and the flush observer, and passes publish and subscribe
+// through unseen: it logs its hooks and claims what the test tells it to.
 type recPlugin struct {
+	PassMiddleware
 	name          string
 	log           *[]string
 	claimMessages bool
 	claimDelivery bool
 }
 
-func (p *recPlugin) Handle(_ message.NodeID, _ proto.Message) bool {
+func (p *recPlugin) OnMessage(_ *Broker, _ message.NodeID, _ proto.Message, next func()) {
 	*p.log = append(*p.log, p.name+":message")
-	return p.claimMessages
+	if !p.claimMessages {
+		next()
+	}
 }
 
-func (p *recPlugin) OnDeliver(_ message.NodeID, _ message.Notification) bool {
+func (p *recPlugin) OnDeliver(_ *Broker, _ message.NodeID, _ *message.Notification, _ []message.SubID, next func()) {
 	*p.log = append(*p.log, p.name+":deliver")
-	return p.claimDelivery
+	if !p.claimDelivery {
+		next()
+	}
 }
 
-func (p *recPlugin) OnFlushDone(uint64) { *p.log = append(*p.log, p.name+":flush") }
+func (p *recPlugin) OnFlushDone(*Broker, uint64) { *p.log = append(*p.log, p.name+":flush") }
 
-// TestChainMixesPluginsAndMiddleware attaches plugins (Use) and stages
-// (UseMiddleware) alternately: each hook crosses them in attachment order,
-// a plugin is a pass-through on the hooks it does not have, and what one
-// claims the stages behind it never see.
+// TestChainMixesPluginsAndMiddleware attaches session-layer-shaped stages
+// and full stages alternately: each hook crosses them in attachment order,
+// a stage is a pass-through on the hooks it does not override, flush
+// observers are told in attachment order, and what one stage claims (by
+// declining next) the stages behind it never see.
 func TestChainMixesPluginsAndMiddleware(t *testing.T) {
 	var log []string
 	b, sent := newChainBroker(t)
 	p1 := &recPlugin{name: "P1", log: &log}
 	p2 := &recPlugin{name: "P2", log: &log}
 	b.UseMiddleware(&tableStage{name: "a", log: &log})
-	b.Use(p1)
+	b.UseMiddleware(p1)
 	b.UseMiddleware(&tableStage{name: "b", log: &log})
-	b.Use(p2)
+	b.UseMiddleware(p2)
 
 	b.HandleMessage("s", subMsg("s/s1"))
 	b.HandleMessage("p", pubMsg(1))

@@ -4,9 +4,9 @@
 // shadows") — at every broker in the client's movement-graph neighborhood
 // nlb(b).
 //
-// The Replicator is a border-broker plugin, layered transparently between
-// virtual clients and the broker (Fig. 4) without changes to the routing
-// framework:
+// The Replicator is a border-broker middleware stage, layered transparently
+// between virtual clients and the broker (Fig. 4) without changes to the
+// routing framework:
 //
 //   - Client setup (§3.2.1): when a client with location-dependent
 //     subscriptions appears at broker b, identical buffering virtual
@@ -150,17 +150,22 @@ type Config struct {
 	PreSubscribe bool
 }
 
-// Replicator is the per-border-broker replicator process of Fig. 4.
+// Replicator is the per-border-broker replicator process of Fig. 4: a
+// stage of the broker's middleware chain that claims location-dependent
+// subscriptions and the replica protocol (MessageInterceptor) and the
+// deliveries to its virtual clients' ports (OnDeliver).
 type Replicator struct {
+	broker.PassMiddleware
 	b     *broker.Broker
 	cfg   Config
 	vcs   map[message.NodeID]*virtualClient
 	stats Stats
 }
 
-// New attaches a replicator to its border broker and returns it. Attach the
-// replicator before the physical-mobility manager so it claims
-// location-dependent subscriptions first.
+// New attaches a replicator to its border broker's middleware chain and
+// returns it. It must precede the physical-mobility manager on the chain so
+// that it claims location-dependent subscriptions first; session.Attach
+// owns that order.
 func New(cfg Config) *Replicator {
 	if cfg.Broker == nil {
 		panic("core: Config.Broker is required")
@@ -179,7 +184,7 @@ func New(cfg Config) *Replicator {
 		cfg: cfg,
 		vcs: make(map[message.NodeID]*virtualClient),
 	}
-	cfg.Broker.Use(r)
+	cfg.Broker.UseMiddleware(r)
 	return r
 }
 
@@ -244,57 +249,59 @@ func (r *Replicator) newBuffer(c message.NodeID) buffer.Policy {
 	return r.cfg.BufferFactory()
 }
 
-// Handle implements broker.Plugin.
-func (r *Replicator) Handle(from message.NodeID, m proto.Message) bool {
+// OnMessage implements broker.MessageInterceptor: location-dependent
+// (un)subscriptions and the replicator-to-replicator protocol are consumed
+// here; connects and disconnects are observed and passed on — the
+// physical-mobility manager also processes them.
+func (r *Replicator) OnMessage(_ *broker.Broker, from message.NodeID, m proto.Message, next func()) {
+	var consumed bool
 	switch m.Kind {
 	case proto.KSubscribe:
-		return r.onSubscribe(from, m)
+		consumed = r.onSubscribe(from, m)
 	case proto.KUnsubscribe:
-		return r.onUnsubscribe(from, m)
+		consumed = r.onUnsubscribe(from, m)
 	case proto.KConnect:
 		r.onConnect(m)
-		return false // the physical-mobility manager also processes it
 	case proto.KDisconnect:
 		r.onDisconnect(m)
-		return false
 	case proto.KReplicaCreate:
-		return r.onReplicaCreate(m)
+		consumed = r.onReplicaCreate(m)
 	case proto.KReplicaDelete:
-		return r.onReplicaDelete(m)
+		consumed = r.onReplicaDelete(m)
 	case proto.KReplicaSub:
-		return r.onReplicaSub(m)
+		consumed = r.onReplicaSub(m)
 	case proto.KReplicaUnsub:
-		return r.onReplicaUnsub(m)
+		consumed = r.onReplicaUnsub(m)
 	case proto.KBufferFetch:
-		return r.onBufferFetch(m)
+		consumed = r.onBufferFetch(m)
 	case proto.KBufferFetchReply:
-		return r.onBufferFetchReply(m)
-	default:
-		return false
+		consumed = r.onBufferFetchReply(m)
+	}
+	if !consumed {
+		next()
 	}
 }
 
-// OnDeliver implements broker.Plugin: deliveries to virtual-client ports
-// are forwarded to the live client or buffered.
-func (r *Replicator) OnDeliver(port message.NodeID, n message.Notification) bool {
+// OnDeliver implements broker.Middleware: deliveries to virtual-client
+// ports are forwarded to the live client or buffered. n is the broker's
+// copy for the duration of the hook only; what is kept or forwarded is a
+// copy of the value.
+func (r *Replicator) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.Notification, _ []message.SubID, next func()) {
 	for c, vc := range r.vcs {
 		if r.vcPort(c) != port {
 			continue
 		}
 		if vc.active {
-			note := n
+			note := *n
 			r.b.Send(c, proto.Message{Kind: proto.KDeliver, Client: c, Note: &note})
 		} else {
-			vc.buf.Add(n, r.b.Now())
+			vc.buf.Add(*n, r.b.Now())
 			r.stats.Buffered++
 		}
-		return true
+		return
 	}
-	return false
+	next()
 }
-
-// OnFlushDone implements broker.Plugin (unused).
-func (r *Replicator) OnFlushDone(uint64) {}
 
 // --- client-facing operations -------------------------------------------
 
@@ -602,5 +609,4 @@ func sortedKeys(m map[message.NodeID]bool) []message.NodeID {
 	return out
 }
 
-// Compile-time interface check.
-var _ broker.Plugin = (*Replicator)(nil)
+var _ broker.MessageInterceptor = (*Replicator)(nil)

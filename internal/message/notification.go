@@ -57,8 +57,8 @@ type Notification struct {
 	Attrs map[string]Value
 	// Path is the notification's broker hop trail, appended by the
 	// telemetry middleware at every transit broker and propagated across
-	// links by the binary codec's traced flags bit (protocol version 2;
-	// gob carries the field natively). Empty unless hop tracing is on.
+	// links by the binary codec's traced flags bit (protocol version 2).
+	// Empty unless hop tracing is on.
 	Path []HopStamp
 }
 

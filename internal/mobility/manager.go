@@ -3,7 +3,7 @@
 // client receives a transparent, uninterrupted flow of notifications
 // matching his subscriptions".
 //
-// The Manager is a border-broker plugin owning client sessions. The
+// The Manager is a border-broker middleware stage owning client sessions. The
 // transparent protocol relocates a client c from old border b1 to new
 // border b2 in these steps:
 //
@@ -237,8 +237,13 @@ type Stats struct {
 	RecoveryErrors int
 }
 
-// Manager is the physical-mobility plugin of one border broker.
+// Manager is the physical-mobility layer of one border broker: a stage of
+// the broker's middleware chain that consumes the session and relocation
+// protocols (MessageInterceptor), claims deliveries for clients that are
+// not there to take them (OnDeliver) and continues relocations when a
+// flush wave completes (FlushObserver).
 type Manager struct {
+	broker.PassMiddleware
 	b        *broker.Broker
 	mode     Mode
 	factory  buffer.Factory
@@ -268,7 +273,8 @@ func WithStore(s store.Store) Option {
 	return func(m *Manager) { m.store = s }
 }
 
-// New attaches a mobility manager to a border broker and returns it.
+// New attaches a mobility manager to a border broker's middleware chain and
+// returns it.
 func New(b *broker.Broker, mode Mode, opts ...Option) *Manager {
 	m := &Manager{
 		b:         b,
@@ -280,7 +286,7 @@ func New(b *broker.Broker, mode Mode, opts ...Option) *Manager {
 	for _, o := range opts {
 		o(m)
 	}
-	b.Use(m)
+	b.UseMiddleware(m)
 	return m
 }
 
@@ -393,62 +399,66 @@ func (m *Manager) SessionState(c message.NodeID) string {
 	return s.state.String()
 }
 
-// Handle implements broker.Plugin.
-func (m *Manager) Handle(from message.NodeID, msg proto.Message) bool {
+// OnMessage implements broker.MessageInterceptor: the session events and
+// the relocation protocol. A handler that declines passes the message on.
+func (m *Manager) OnMessage(_ *broker.Broker, from message.NodeID, msg proto.Message, next func()) {
+	var consumed bool
 	switch msg.Kind {
 	case proto.KConnect:
-		return m.onConnect(msg)
+		consumed = m.onConnect(msg)
 	case proto.KDisconnect:
-		return m.onDisconnect(msg)
+		consumed = m.onDisconnect(msg)
 	case proto.KSubscribe:
-		return m.onSubscribe(from, msg)
+		consumed = m.onSubscribe(from, msg)
 	case proto.KUnsubscribe:
-		return m.onUnsubscribe(from, msg)
+		consumed = m.onUnsubscribe(from, msg)
 	case proto.KRelocReq:
-		return m.onRelocReq(msg)
+		consumed = m.onRelocReq(msg)
 	case proto.KRelocProfile:
-		return m.onRelocProfile(msg)
+		consumed = m.onRelocProfile(msg)
 	case proto.KRelocActivate:
-		return m.onRelocActivate(msg)
+		consumed = m.onRelocActivate(msg)
 	case proto.KRelocTail:
-		return m.onRelocTail(msg)
+		consumed = m.onRelocTail(msg)
 	case proto.KDeliver:
-		return m.onTapDeliver(msg)
-	default:
-		return false
+		consumed = m.onTapDeliver(msg)
+	}
+	if !consumed {
+		next()
 	}
 }
 
-// OnDeliver implements broker.Plugin: buffering and tap interception.
-func (m *Manager) OnDeliver(port message.NodeID, n message.Notification) bool {
+// OnDeliver implements broker.Middleware: buffering and tap interception.
+// n is the broker's copy for the duration of the hook only; what is kept
+// or forwarded is a copy of the value.
+func (m *Manager) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.Notification, _ []message.SubID, next func()) {
 	s, ok := m.sessions[port]
 	if !ok {
-		return false
+		next()
+		return
 	}
 	switch s.state {
 	case stateGhost:
-		s.buf.Add(n, m.b.Now())
+		s.buf.Add(*n, m.b.Now())
 		m.stats.Buffered++
-		return true
 	case stateRelocatingIn:
-		m.bufferDedup(s, n)
-		return true
+		m.bufferDedup(s, *n)
 	case stateRelocatingOut:
 		m.stats.TapForwarded++
+		note := *n
 		m.b.Unicast(s.tapTo, proto.Message{
 			Kind:   proto.KDeliver,
 			Client: port,
 			Origin: m.b.ID(),
-			Note:   &n,
+			Note:   &note,
 		})
-		return true
 	default:
-		return false
+		next()
 	}
 }
 
-// OnFlushDone implements broker.Plugin.
-func (m *Manager) OnFlushDone(id uint64) {
+// OnFlushDone implements broker.FlushObserver.
+func (m *Manager) OnFlushDone(_ *broker.Broker, id uint64) {
 	if cont, ok := m.flushCont[id]; ok {
 		delete(m.flushCont, id)
 		cont()
@@ -1029,4 +1039,7 @@ func (m *Manager) onTapDeliver(msg proto.Message) bool {
 	return true
 }
 
-var _ broker.Plugin = (*Manager)(nil)
+var (
+	_ broker.MessageInterceptor = (*Manager)(nil)
+	_ broker.FlushObserver      = (*Manager)(nil)
+)

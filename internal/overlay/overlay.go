@@ -48,6 +48,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -386,6 +387,32 @@ func (m *Manager) Resync(peer message.NodeID) {
 	gen := l.gen
 	m.mu.Unlock()
 	m.transmit(peer, gen, proto.Message{Kind: proto.KHello, Origin: m.cfg.Self, Epoch: gen})
+}
+
+// Ready reports convergence — a broker's /readyz gate, on whichever host
+// runs the manager: every configured link is established (each
+// establishment completes the sync handshake, so routing installs are
+// applied before the link counts) and has replayed its store-backed spill
+// backlog. A manager with no peers is trivially ready. detail names the
+// links still converging.
+func (m *Manager) Ready() (ok bool, detail string) {
+	links := m.Info()
+	var waiting []string
+	for _, li := range links {
+		switch {
+		case li.State != StateEstablished:
+			waiting = append(waiting, fmt.Sprintf("%s:%s", li.Peer, li.State))
+		case li.SpillDepth > 0:
+			// The handshake completed but the link is still replaying its
+			// partition backlog: fresh traffic is ordered behind it, so
+			// the broker is not yet serving at full fidelity.
+			waiting = append(waiting, fmt.Sprintf("%s:established,flushing(%d)", li.Peer, li.SpillDepth))
+		}
+	}
+	if len(waiting) > 0 {
+		return false, "links not established: " + strings.Join(waiting, ", ")
+	}
+	return true, fmt.Sprintf("%d link(s) established", len(links))
 }
 
 // TakePending removes and returns the peer's queued backlog. The mesh

@@ -18,6 +18,7 @@ import (
 	"rebeca/internal/overlay"
 	"rebeca/internal/proto"
 	"rebeca/internal/routing"
+	"rebeca/internal/session"
 	"rebeca/internal/store"
 )
 
@@ -64,8 +65,8 @@ type ClusterConfig struct {
 	// broker-restart scenario).
 	Store store.Store
 	// Middleware is appended to every broker's extension chain, after the
-	// session-layer plugins — stages see the traffic the session layers
-	// pass through. Instances are shared across brokers (the sim runs one
+	// session layers — stages see the traffic the session layers pass
+	// through. Instances are shared across brokers (the sim runs one
 	// event loop, so unsynchronized stages are fine here).
 	Middleware []broker.Middleware
 	// Overlay, when non-nil, deploys a per-broker overlay manager over the
@@ -108,16 +109,16 @@ type ClusterConfig struct {
 	BrokerLogger *slog.Logger
 }
 
-// MobilityMode mirrors mobility.Mode plus "none". Using a separate type
-// keeps the zero value meaningful in scenario specs.
-type MobilityMode int
+// MobilityMode is the physical-mobility protocol a cluster deploys on every
+// broker; the zero value deploys no manager.
+type MobilityMode = mobility.Mode
 
 // Mobility deployment modes.
 const (
-	MobilityNone MobilityMode = iota
-	MobilityTransparent
-	MobilityJEDI
-	MobilityNaive
+	MobilityNone        = mobility.ModeInvalid
+	MobilityTransparent = mobility.ModeTransparent
+	MobilityJEDI        = mobility.ModeJEDI
+	MobilityNaive       = mobility.ModeNaive
 )
 
 // ReplicationMode selects the logical-mobility deployment.
@@ -135,7 +136,8 @@ const (
 	ReplicationReactive
 )
 
-// Cluster is an assembled deployment: network, brokers, plugins, clients.
+// Cluster is an assembled deployment: network, brokers, session layers,
+// clients.
 type Cluster struct {
 	Net         *Network
 	Topology    broker.Topology
@@ -148,20 +150,6 @@ type Cluster struct {
 	// ClusterConfig.Overlay).
 	Overlays map[message.NodeID]*overlay.Manager
 	cfg      ClusterConfig
-}
-
-// mobilityMode translates the cluster-level mode to the manager's.
-func (m MobilityMode) protocol() mobility.Mode {
-	switch m {
-	case MobilityTransparent:
-		return mobility.ModeTransparent
-	case MobilityJEDI:
-		return mobility.ModeJEDI
-	case MobilityNaive:
-		return mobility.ModeNaive
-	default:
-		return mobility.ModeInvalid
-	}
 }
 
 // NewCluster builds a deployment.
@@ -188,9 +176,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.DirectLatency == 0 {
 		cfg.DirectLatency = 2 * cfg.LinkLatency
-	}
-	if cfg.BufferFactory == nil {
-		cfg.BufferFactory = func() buffer.Policy { return buffer.NewUnbounded() }
 	}
 
 	net := NewNetwork()
@@ -221,10 +206,22 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Movement != nil {
 		nlb = cfg.Movement.NLB()
 	}
-	locs := cfg.Locations
-	if locs == nil {
-		locs = location.NewModel()
+	sessions := session.Config{
+		SharedBuffers: cfg.SharedBuffers,
+		Mobility:      cfg.Mobility,
+		BufferFactory: cfg.BufferFactory,
+		Store:         cfg.Store,
+		Middleware:    cfg.Middleware,
 	}
+	if cfg.Replication != ReplicationNone {
+		sessions.Replication = &core.Config{
+			NLB:          nlb,
+			Locations:    cfg.Locations,
+			Context:      cfg.Context,
+			PreSubscribe: cfg.Replication == ReplicationPreSubscribe,
+		}
+	}
+	var layers []session.Layers
 
 	for _, id := range topo.Nodes() {
 		id := id
@@ -274,33 +271,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			b.HandleMessage(from, m)
 		}))
 
-		// Plugin order matters: the replicator claims location-dependent
-		// subscriptions before the mobility manager records profiles.
-		if cfg.Replication != ReplicationNone {
-			rcfg := core.Config{
-				Broker:        b,
-				NLB:           nlb,
-				Locations:     locs,
-				Context:       cfg.Context,
-				BufferFactory: cfg.BufferFactory,
-				PreSubscribe:  cfg.Replication == ReplicationPreSubscribe,
-				Store:         cfg.Store,
-			}
-			if cfg.SharedBuffers {
-				shared := buffer.NewShared()
-				c.Shared[id] = shared
-				rcfg.Shared = shared
-			}
-			c.Replicators[id] = core.New(rcfg)
+		l := session.Attach(b, sessions)
+		layers = append(layers, l)
+		if l.Replicator != nil {
+			c.Replicators[id] = l.Replicator
 		}
-		if cfg.Mobility != MobilityNone {
-			opts := []mobility.Option{mobility.WithBufferFactory(cfg.BufferFactory)}
-			if cfg.Store != nil {
-				opts = append(opts, mobility.WithStore(cfg.Store))
-			}
-			c.Managers[id] = mobility.New(b, cfg.Mobility.protocol(), opts...)
+		if l.Manager != nil {
+			c.Managers[id] = l.Manager
 		}
-		b.UseMiddleware(cfg.Middleware...)
+		if l.Shared != nil {
+			c.Shared[id] = l.Shared
+		}
 	}
 	// Overlay pass: deploy the same link state machine the live TCP
 	// runner hosts, driven by the virtual clock. Managers are built
@@ -342,21 +323,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				Logger: cfg.OverlayLogger,
 			})
 			if cfg.Mesh {
-				// Tree transitions repair through the overlay: links
-				// promoted into the tree resync their routing state, and
-				// traffic queued on demoted links re-floods so nothing
-				// waits out a dead link's pending queue.
-				mgr := c.Overlays[id]
-				b.OnTreeChange(func(added, removed []message.NodeID) {
-					for _, p := range added {
-						mgr.Resync(p)
-					}
-					for _, p := range removed {
-						if msgs := mgr.TakePending(p); len(msgs) > 0 {
-							b.ReforwardPending(p, msgs)
-						}
-					}
-				})
+				b.RepairTreeThrough(c.Overlays[id])
 			}
 		}
 		// Passive sides first: the dialer's AddPeer dials synchronously,
@@ -382,8 +349,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// forwarded as ordinary KSubscribe traffic, queued on the virtual
 	// network and drained by the first Run/Settle.
 	if cfg.Store != nil {
-		for _, m := range c.Managers {
-			m.Recover()
+		for _, l := range layers {
+			l.Recover()
 		}
 	}
 	return c, nil

@@ -147,8 +147,8 @@ func (t *Middleware) at(b message.NodeID) *instruments {
 // chain (matching + routing), and — with hop tracing on — stamp this
 // broker onto the notification's path. The stamp mutates the broker-local
 // copy, which the broker forwards to its peers, so the path accumulates
-// across hops; the codec propagates it on version-2 binary links and gob
-// links, and strips it for version-1 peers.
+// across hops; the codec propagates it on version-2 binary links and
+// strips it for version-1 peers.
 func (t *Middleware) OnPublish(b *broker.Broker, _ message.NodeID, n *message.Notification, next func()) {
 	ins := t.at(b.ID())
 	ins.publishes.Inc()

@@ -17,7 +17,7 @@
 // error naming the mismatch instead of silently hanging.
 //
 // Peer links can be declared statically (NodeConfig.Peers) or managed at
-// runtime (AddPeer/RemovePeer) — the discovery subsystem's membership
+// runtime (AddLink/RemoveLink) — the discovery subsystem's membership
 // supervisor drives the latter, and EnableMesh lets the hosted broker
 // route over arbitrary (cyclic) overlay graphs.
 //
@@ -39,7 +39,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -245,7 +244,7 @@ type NodeConfig struct {
 	// Peers maps neighbor broker IDs to their dial addresses. Only one
 	// side of each overlay edge needs to dial; the other accepts. Static
 	// configuration — nodes driven by a discovery registry leave it empty
-	// and manage peers at runtime via AddPeer/RemovePeer.
+	// and manage peers at runtime via AddLink/RemoveLink.
 	Peers map[message.NodeID]string
 	// Strategy selects the routing algorithm.
 	Strategy routing.Strategy
@@ -255,9 +254,9 @@ type NodeConfig struct {
 	// NextHop is the unicast routing table (destination -> neighbor).
 	NextHop map[message.NodeID]message.NodeID
 	// Middleware is appended to the broker's extension chain at Start,
-	// after any session-layer plugins attached via Broker() — the same
-	// chain position the simulator gives it. Stages shared between several
-	// live nodes must be safe for concurrent use (one event loop each).
+	// after any stages attached via Broker() before it. Stages shared
+	// between several live nodes must be safe for concurrent use (one event
+	// loop each).
 	Middleware []broker.Middleware
 	// Overlay tunes the broker-link supervision (heartbeat interval and
 	// timeout, redial backoff, pending-queue bound); zero fields take the
@@ -305,7 +304,7 @@ type Node struct {
 	blocked map[message.NodeID]bool // link-chaos hook: refuse these peers
 	// peers maps current overlay neighbors to their dial addresses (""
 	// for purely passive links). Seeded from cfg.Peers, mutated at
-	// runtime by AddPeer/RemovePeer; guarded by mu.
+	// runtime by AddLink/RemoveLink; guarded by mu.
 	peers map[message.NodeID]string
 
 	inbox      chan inboxMsg
@@ -440,8 +439,8 @@ func (n *Node) observeLink(ev overlay.Event) {
 	}
 }
 
-// Broker exposes the hosted broker so callers can attach plugins (mobility
-// manager, replicator) before Start.
+// Broker exposes the hosted broker so callers can attach the session
+// layers and middleware (session.Attach) before Start.
 func (n *Node) Broker() *broker.Broker { return n.b }
 
 // isPeer reports whether id is a current overlay neighbor.
@@ -452,11 +451,12 @@ func (n *Node) isPeer(id message.NodeID) bool {
 	return ok
 }
 
-// AddPeer adds an overlay neighbor at runtime: the link is handed to the
+// AddLink adds an overlay neighbor at runtime: the link is handed to the
 // overlay manager, which dials (dial true; addr is the peer's listen
 // address) or awaits the peer's dial. Safe from any goroutine — the
-// discovery membership supervisor calls this from its watch path.
-func (n *Node) AddPeer(peer message.NodeID, addr string, dial bool) {
+// discovery membership supervisor, whose Host a Node is, calls this from
+// its watch path.
+func (n *Node) AddLink(peer message.NodeID, addr string, dial bool) {
 	if peer == "" || peer == n.cfg.ID {
 		return
 	}
@@ -466,10 +466,10 @@ func (n *Node) AddPeer(peer message.NodeID, addr string, dial bool) {
 	n.ov.AddPeer(peer, dial && addr != "")
 }
 
-// RemovePeer drops an overlay neighbor at runtime: supervision stops, the
+// RemoveLink drops an overlay neighbor at runtime: supervision stops, the
 // link closes, pending traffic for it is discarded (a departed broker's
 // backlog has nowhere to go — mesh re-election re-routes what matters).
-func (n *Node) RemovePeer(peer message.NodeID) {
+func (n *Node) RemoveLink(peer message.NodeID) {
 	n.ov.RemovePeer(peer)
 	n.mu.Lock()
 	delete(n.peers, peer)
@@ -488,16 +488,7 @@ func (n *Node) RemovePeer(peer message.NodeID) {
 // on the new tree. Call before Start.
 func (n *Node) EnableMesh() {
 	n.b.EnableMesh()
-	n.b.OnTreeChange(func(added, removed []message.NodeID) {
-		for _, p := range added {
-			n.ov.Resync(p)
-		}
-		for _, p := range removed {
-			if msgs := n.ov.TakePending(p); len(msgs) > 0 {
-				n.b.ReforwardPending(p, msgs)
-			}
-		}
-	})
+	n.b.RepairTreeThrough(n.ov)
 }
 
 // SetMeshTopology feeds a discovery membership snapshot (brokers and
@@ -507,24 +498,13 @@ func (n *Node) SetMeshTopology(members []message.NodeID, edges [][2]message.Node
 	n.Inspect(func(b *broker.Broker) { b.SetMeshTopology(members, edges) })
 }
 
-// NodeHost adapts a Node to the discovery membership supervisor's Host
-// interface: registry-driven link commands become AddPeer/RemovePeer and
-// every membership snapshot feeds the mesh's spanning-tree election.
-type NodeHost struct{ Node *Node }
-
-// AddLink implements discovery.Host.
-func (h NodeHost) AddLink(peer message.NodeID, addr string, dial bool) {
-	h.Node.AddPeer(peer, addr, dial)
+// MembersChanged feeds a discovery membership snapshot to the mesh's
+// spanning-tree election.
+func (n *Node) MembersChanged(entries []discovery.Entry) {
+	n.SetMeshTopology(discovery.Graph(entries))
 }
 
-// RemoveLink implements discovery.Host.
-func (h NodeHost) RemoveLink(peer message.NodeID) { h.Node.RemovePeer(peer) }
-
-// MembersChanged implements discovery.Host.
-func (h NodeHost) MembersChanged(entries []discovery.Entry) {
-	members, edges := discovery.Graph(entries)
-	h.Node.SetMeshTopology(members, edges)
-}
+var _ discovery.Host = (*Node)(nil)
 
 // Start listens, runs the event loop, and hands every overlay link to the
 // node's overlay manager: active sides begin dialing (failed dials retry
@@ -735,29 +715,9 @@ func (n *Node) LinkStates() map[message.NodeID]overlay.State { return n.ov.State
 // LinkInfo snapshots the overlay links (state, pending backlog, drops).
 func (n *Node) LinkInfo() []overlay.LinkInfo { return n.ov.Info() }
 
-// Ready reports overlay convergence — the node's /readyz gate: every
-// configured overlay link is established (each establishment completes the
-// sync handshake, so routing installs are applied before the link counts).
-// A node with no peers is trivially ready. detail names the links still
-// converging.
-func (n *Node) Ready() (ok bool, detail string) {
-	var waiting []string
-	for _, li := range n.ov.Info() {
-		switch {
-		case li.State != overlay.StateEstablished:
-			waiting = append(waiting, fmt.Sprintf("%s:%s", li.Peer, li.State))
-		case li.SpillDepth > 0:
-			// The handshake completed but the link is still replaying its
-			// store-backed partition backlog: fresh traffic is ordered
-			// behind it, so the node is not yet serving at full fidelity.
-			waiting = append(waiting, fmt.Sprintf("%s:established,flushing(%d)", li.Peer, li.SpillDepth))
-		}
-	}
-	if len(waiting) > 0 {
-		return false, "links not established: " + strings.Join(waiting, ", ")
-	}
-	return true, fmt.Sprintf("%d link(s) established", len(n.ov.Info()))
-}
+// Ready reports overlay convergence — the node's /readyz gate (see
+// overlay.Manager.Ready).
+func (n *Node) Ready() (ok bool, detail string) { return n.ov.Ready() }
 
 // SetHeartbeat retunes the overlay supervision's heartbeat at runtime
 // (the ops /config knob); see overlay.Manager.SetHeartbeat for the

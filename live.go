@@ -8,38 +8,29 @@ import (
 	"time"
 
 	"rebeca/internal/broker"
-	"rebeca/internal/buffer"
 	"rebeca/internal/client"
-	"rebeca/internal/core"
-	"rebeca/internal/discovery"
 	"rebeca/internal/message"
 	"rebeca/internal/mobility"
 	"rebeca/internal/proto"
-	"rebeca/internal/telemetry"
 	"rebeca/internal/wire"
 )
 
 // Live is a middleware deployment over real TCP on the loopback interface:
-// one wire.Node per broker, point-to-point links between overlay neighbors,
-// the same session layers (transparent mobility manager, replicator) and
+// one BrokerNode per broker, point-to-point links between overlay neighbors,
+// the same session layers (replicator, transparent mobility manager) and
 // the same middleware chain the virtual-clock System installs. It
 // implements Deployment, so client code and tests written against the
 // facade run unchanged on real sockets.
 //
 // For a distributed deployment (one process per broker across machines),
-// use cmd/rebeca-broker and cmd/rebeca-client, which build on the same
-// internal node.
+// use cmd/rebeca-broker and cmd/rebeca-client: rebeca-broker is StartBroker
+// behind a flag parser, and StartBroker runs the very assembly NewLive
+// runs once per broker.
 type Live struct {
 	cfg   *config
 	ids   []NodeID
-	nodes map[NodeID]*wire.Node
-	addrs map[NodeID]string
-	mgrs  map[NodeID]*mobility.Manager
+	nodes map[NodeID]*BrokerNode
 	ops   *opsStack
-	// Registry-driven deployments (WithRegistry) run one membership
-	// supervisor and one registry handle per broker.
-	members map[NodeID]*discovery.Membership
-	regs    map[NodeID]discovery.Registry
 
 	mu     sync.Mutex
 	ports  []*livePort
@@ -86,137 +77,43 @@ func NewLive(opts ...Option) (*Live, error) {
 			return nil, err
 		}
 	}
-	adj := topo.Adjacency()
-	hops := topo.NextHops()
-	nlb := cfg.movement.NLB()
-	factory := cfg.bufferFactory()
-	if factory == nil {
-		factory = func() buffer.Policy { return buffer.NewUnbounded() }
-	}
-
 	l := &Live{
-		cfg:     cfg,
-		ids:     topo.Nodes(),
-		nodes:   make(map[NodeID]*wire.Node),
-		addrs:   make(map[NodeID]string),
-		mgrs:    make(map[NodeID]*mobility.Manager),
-		members: make(map[NodeID]*discovery.Membership),
-		regs:    make(map[NodeID]discovery.Registry),
-	}
-	if cfg.opsAddr != "" || cfg.pushURL != "" || cfg.logging {
+		cfg:   cfg,
+		ids:   topo.Nodes(),
+		nodes: make(map[NodeID]*BrokerNode),
 		// Before broker construction: the telemetry stage joins the chain
-		// every broker installs. Push-only and logging-only deployments
-		// build the stack too — they feed the same registry and spans —
-		// but never open the HTTP listener.
-		l.ops = newOpsStack(cfg)
+		// every broker installs.
+		ops: newOpsStack(cfg),
 	}
+	adj := topo.Adjacency()
+	sessions := cfg.sessions(mobility.ModeTransparent, true)
 	for _, id := range l.ids {
-		peers := make(map[message.NodeID]string)
-		if cfg.registry == "" {
-			for _, p := range adj[id] {
-				peers[p] = l.addrs[p] // dial already-started neighbors; "" = they dial us
+		// Dial the neighbors already started; the others dial us.
+		spec := BrokerSpec{ID: id, Listen: "127.0.0.1:0", Dial: make(map[NodeID]string)}
+		for _, p := range adj[id] {
+			if n := l.nodes[p]; n != nil {
+				spec.Dial[p] = n.Addr()
 			}
 		}
-		// Under WithRegistry links are not configured statically at all —
-		// the membership supervisor adds them as peers register.
-		ncfg := wire.NodeConfig{
-			ID:             id,
-			Listen:         "127.0.0.1:0",
-			Peers:          peers,
-			Strategy:       cfg.strategy,
-			LinearMatching: cfg.linear,
-			NextHop:        hops[id],
-			Middleware:     cfg.middleware,
-			// Live brokers always run the overlay manager (WithHeartbeat
-			// only tunes it): links queue-then-flush across flaps and
-			// restarted neighbors are redialed with backoff.
-			Overlay:      cfg.overlaySettings(),
-			Spill:        cfg.spillStore,
-			SpillBudget:  cfg.spillMax,
-			LinkObserver: cfg.linkObserver,
-		}
-		if l.ops != nil {
-			ncfg.Telemetry = l.ops.reg
-			ncfg.Logger = l.ops.logFor("wire")
-			ncfg.OverlayLogger = l.ops.logFor("overlay")
-			ncfg.BrokerLogger = l.ops.logFor("broker")
-		}
-		node := wire.NewNode(ncfg)
-		if cfg.mesh {
-			node.EnableMesh()
-		}
-		rcfg := core.Config{
-			Broker:        node.Broker(),
-			NLB:           nlb,
-			Locations:     cfg.locations,
-			Context:       cfg.context,
-			BufferFactory: factory,
-			PreSubscribe:  !cfg.reactive,
-			Store:         cfg.store,
-		}
-		if cfg.shared {
-			rcfg.Shared = buffer.NewShared()
-		}
-		core.New(rcfg)
-		mopts := []mobility.Option{mobility.WithBufferFactory(factory)}
-		if cfg.store != nil {
-			mopts = append(mopts, mobility.WithStore(cfg.store))
-		}
-		mgr := mobility.New(node.Broker(), mobility.ModeTransparent, mopts...)
-		if err := node.Start(); err != nil {
+		n, err := startNode(cfg, l.ops, spec, topo, sessions)
+		if err != nil {
 			_ = l.Close()
 			return nil, err
 		}
-		l.nodes[id] = node
-		l.addrs[id] = node.Addr()
-		l.mgrs[id] = mgr
-		if cfg.mesh && cfg.registry == "" {
-			// Static mesh: seed the full declared graph so the election
-			// replaces the raw adjacency before traffic flows. Registry
-			// deployments get their graph from membership snapshots.
-			node.SetMeshTopology(topo.Nodes(), topo.Edges)
-		}
-	}
-	// Registry pass, after every node listens: each broker registers
-	// itself (adjacency restricted to its movement neighbors) and starts
-	// the supervisor that dials discovered peers — link bring-up is driven
-	// entirely by registry snapshots, no static dial list.
-	if cfg.registry != "" {
-		for _, id := range l.ids {
-			reg, err := discovery.Open(cfg.registry)
-			if err != nil {
-				_ = l.Close()
-				return nil, err
-			}
-			l.regs[id] = reg
-			member := discovery.NewMembership(discovery.MembershipConfig{
-				Self:     id,
-				Addr:     l.addrs[id],
-				Peers:    adj[id],
-				Registry: reg,
-				Host:     wire.NodeHost{Node: l.nodes[id]},
-				Logger:   l.ops.logFor("discovery"),
-			})
-			if err := member.Start(); err != nil {
-				_ = l.Close()
-				return nil, err
-			}
-			l.members[id] = member
-		}
-	}
-	// Recovery pass, after every node is serving and the overlay links are
-	// dialed: each broker resumes the ghost sessions persisted by a
-	// previous process on this store, re-installing their subscriptions —
-	// the forwards propagate over the freshly established links. Run on
-	// the node's event loop like any other broker mutation.
-	if cfg.store != nil {
-		for _, id := range l.ids {
-			mgr := l.mgrs[id]
-			l.nodes[id].Inspect(func(*broker.Broker) { mgr.Recover() })
-		}
+		l.nodes[id] = n
 	}
 	if l.ops != nil {
-		if err := l.startOps(); err != nil {
+		l.ops.registerStreams(func(emit func(NodeID, streamStat)) {
+			l.mu.Lock()
+			ports := append([]*livePort(nil), l.ports...)
+			l.mu.Unlock()
+			for _, p := range ports {
+				for _, s := range p.streams.stats() {
+					emit(p.id, s)
+				}
+			}
+		})
+		if err := l.ops.start(cfg, joinIDs(l.ids)); err != nil {
 			_ = l.Close()
 			return nil, err
 		}
@@ -224,110 +121,10 @@ func NewLive(opts ...Option) (*Live, error) {
 	return l, nil
 }
 
-// startOps wires the Live-specific probes, knobs and collectors into the
-// ops stack and starts its HTTP listener.
-func (l *Live) startOps() error {
-	st := l.ops
-	// Readiness: every broker's overlay links established (and their
-	// initial routing sync applied — establishment is entered on
-	// KSyncInstall receipt).
-	for _, id := range l.ids {
-		node := l.nodes[id]
-		st.ops.AddReadyCheck("links:"+string(id), node.Ready)
-	}
-	// Registry deployments are ready only once every broker has observed a
-	// registry snapshot that includes itself.
-	for _, id := range l.ids {
-		if m := l.members[id]; m != nil {
-			st.ops.AddReadyCheck("membership:"+string(id), m.Ready)
-		}
-	}
-	if len(l.members) > 0 {
-		st.reg.GaugeFunc(telemetry.MetricDiscoveryPeers,
-			"Overlay peers currently linked via the discovery registry.",
-			func(emit func(telemetry.Labels, float64)) {
-				for _, id := range l.ids {
-					if m := l.members[id]; m != nil {
-						emit(telemetry.Labels{"broker": string(id)}, float64(m.Peers()))
-					}
-				}
-			})
-		st.reg.CounterFunc(telemetry.MetricDiscoveryEvents,
-			"Membership changes applied from registry snapshots, by type.",
-			func(emit func(telemetry.Labels, float64)) {
-				for _, id := range l.ids {
-					if m := l.members[id]; m != nil {
-						for typ, n := range m.Events() {
-							emit(telemetry.Labels{"broker": string(id), "type": typ}, float64(n))
-						}
-					}
-				}
-			})
-	}
-	if l.cfg.mesh {
-		st.reg.CounterFunc(telemetry.MetricTreeRecomputations,
-			"Spanning-tree elections run by the mesh routing layer.",
-			func(emit func(telemetry.Labels, float64)) {
-				for _, id := range l.ids {
-					if m := l.nodes[id].Broker().Mesh(); m != nil {
-						emit(telemetry.Labels{"broker": string(id)}, float64(m.Recomputations()))
-					}
-				}
-			})
-	}
-	st.ops.AddKnob("heartbeat", telemetry.Knob{
-		Help: "overlay heartbeat as interval[,timeout] (e.g. 500ms,2s), applied to every broker; timeout 0 defaults to 3x interval",
-		Get: func() string {
-			return renderHeartbeat(l.nodes[l.ids[0]].Heartbeat())
-		},
-		Set: func(v string) error {
-			interval, timeout, err := parseHeartbeat(v)
-			if err != nil {
-				return err
-			}
-			for _, id := range l.ids {
-				l.nodes[id].SetHeartbeat(interval, timeout)
-			}
-			return nil
-		},
-	})
-	st.registerStreams(func(emit func(NodeID, streamStat)) {
-		l.mu.Lock()
-		ports := append([]*livePort(nil), l.ports...)
-		l.mu.Unlock()
-		for _, p := range ports {
-			for _, s := range p.streams.stats() {
-				emit(p.id, s)
-			}
-		}
-	})
-	st.registerCommon(l.cfg)
-	if l.cfg.opsAddr != "" {
-		if err := st.ops.Start(l.cfg.opsAddr); err != nil {
-			return err
-		}
-	}
-	return st.startPush(l.cfg, strings.Join(nodeIDStrings(l.ids), ","))
-}
-
-// nodeIDStrings renders broker IDs for the push exporter's instance tag.
-func nodeIDStrings(ids []NodeID) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = string(id)
-	}
-	return out
-}
-
 // OpsAddr returns the bound address of the telemetry subsystem's HTTP
 // endpoint ("" without WithOps) — e.g. to scrape /metrics or query
 // /trace on a WithOps("127.0.0.1:0") deployment.
-func (l *Live) OpsAddr() string {
-	if l.ops == nil {
-		return ""
-	}
-	return l.ops.ops.Addr()
-}
+func (l *Live) OpsAddr() string { return l.ops.addr() }
 
 // NewClient creates a client endpoint, not yet connected. On a durable
 // deployment the port's publisher identity persists in the store
@@ -359,7 +156,12 @@ func (l *Live) Brokers() []NodeID { return append([]NodeID(nil), l.ids...) }
 // Addr returns the TCP address a broker listens on ("" for unknown IDs) —
 // for connecting external clients (cmd/rebeca-client) to an in-process
 // deployment.
-func (l *Live) Addr(b NodeID) string { return l.addrs[b] }
+func (l *Live) Addr(b NodeID) string {
+	if n := l.nodes[b]; n != nil {
+		return n.Addr()
+	}
+	return ""
+}
 
 // Settle waits until the deployment looks quiescent: no broker stats,
 // routing-table sizes or client delivery counts have changed for the
@@ -389,7 +191,7 @@ func (l *Live) Settle() {
 func (l *Live) fingerprint() string {
 	var sb strings.Builder
 	for _, id := range l.ids {
-		l.nodes[id].Inspect(func(b *broker.Broker) {
+		l.nodes[id].node.Inspect(func(b *broker.Broker) {
 			fmt.Fprintf(&sb, "%s:%+v:%d;", id, b.Stats(), b.Router().Table().Len())
 		})
 	}
@@ -411,8 +213,8 @@ func (l *Live) CutLink(a, b NodeID) error {
 	if na == nil || nb == nil {
 		return fmt.Errorf("%w: %s-%s", ErrUnknownBroker, a, b)
 	}
-	na.BlockPeer(b)
-	nb.BlockPeer(a)
+	na.node.BlockPeer(b)
+	nb.node.BlockPeer(a)
 	return nil
 }
 
@@ -424,8 +226,8 @@ func (l *Live) HealLink(a, b NodeID) error {
 	if na == nil || nb == nil {
 		return fmt.Errorf("%w: %s-%s", ErrUnknownBroker, a, b)
 	}
-	na.UnblockPeer(b)
-	nb.UnblockPeer(a)
+	na.node.UnblockPeer(b)
+	nb.node.UnblockPeer(a)
 	return nil
 }
 
@@ -436,7 +238,7 @@ func (l *Live) LinkStates(b NodeID) map[NodeID]LinkState {
 	if n == nil {
 		return nil
 	}
-	return n.LinkStates()
+	return n.node.LinkStates()
 }
 
 // LinkInfos snapshots a broker's overlay links in full — state, pending
@@ -446,10 +248,14 @@ func (l *Live) LinkInfos(b NodeID) []LinkInfo {
 	if n == nil {
 		return nil
 	}
-	return n.LinkInfo()
+	return n.node.LinkInfo()
 }
 
-// Close disconnects all clients and stops all broker nodes.
+// Close disconnects all clients and stops all broker nodes, in the order
+// BrokerNode.Close stops one: every broker leaves the registry first (any
+// observer of the shared registry converges without failure detection),
+// then the ops endpoint and pusher close, then the nodes stop — without a
+// drain wait: the deployment's own clients are disconnected by then.
 func (l *Live) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -459,17 +265,10 @@ func (l *Live) Close() error {
 	l.closed = true
 	ports := append([]*livePort(nil), l.ports...)
 	l.mu.Unlock()
-	if l.ops != nil {
-		l.ops.close()
+	for _, n := range l.nodes {
+		n.leave()
 	}
-	// Membership first: deregistering before the nodes stop lets any
-	// observer of the shared registry converge without failure detection.
-	for _, m := range l.members {
-		m.Stop(true)
-	}
-	for _, r := range l.regs {
-		_ = r.Close()
-	}
+	l.ops.close()
 	for _, p := range ports {
 		_ = p.Disconnect()
 		// Close every stream so range loops over Events() terminate.
@@ -478,7 +277,7 @@ func (l *Live) Close() error {
 	var first error
 	for i := len(l.ids) - 1; i >= 0; i-- {
 		if n := l.nodes[l.ids[i]]; n != nil {
-			if err := n.Close(); err != nil && first == nil {
+			if err := n.stop(0); err != nil && first == nil {
 				first = err
 			}
 		}

@@ -1,0 +1,382 @@
+package rebeca
+
+import (
+	"errors"
+	"fmt"
+	"log/slog"
+	"net"
+	"time"
+
+	"rebeca/internal/broker"
+	"rebeca/internal/core"
+	"rebeca/internal/discovery"
+	"rebeca/internal/location"
+	"rebeca/internal/mobility"
+	"rebeca/internal/movement"
+	"rebeca/internal/session"
+	"rebeca/internal/telemetry"
+	"rebeca/internal/wire"
+)
+
+// BrokerSpec is what only a one-broker process knows about itself — the
+// part of a deployment that NewLive derives from the movement graph and a
+// distributed fleet has to be told per process. Everything else (routing
+// strategy, durability, heartbeat, link spill, registry, ops endpoint, push,
+// sampling, logging, middleware) is configured with the same Options New and
+// NewLive take. The zero value of every field but ID is rebeca-broker's
+// default.
+type BrokerSpec struct {
+	// ID names this broker.
+	ID NodeID
+	// Listen is the TCP address to accept links and clients on ("" binds an
+	// ephemeral loopback port).
+	Listen string
+	// Advertise is the address registered for peers to dial under
+	// WithRegistry ("" = the bound listen address, an unspecified host
+	// rewritten to 127.0.0.1).
+	Advertise string
+	// Edges is the full static overlay, the same list on every broker of
+	// the fleet; this broker's neighbors and its unicast next hops derive
+	// from it, and it doubles as the replicator's movement graph. It must
+	// be a tree unless WithMeshRouting is given. Leave empty under
+	// WithRegistry, which links whatever brokers the registry names.
+	Edges [][2]NodeID
+	// Dial maps the neighbors this broker actively connects to onto their
+	// addresses; exactly one side of each edge dials, the other accepts.
+	Dial map[NodeID]string
+	// Mobility selects the physical-mobility protocol: "transparent" (also
+	// ""), "jedi", "naive", or "none" for no manager.
+	Mobility string
+	// NoReplicator leaves the replicator layer off. Under WithRegistry it
+	// is off regardless: the layer needs a static movement graph.
+	NoReplicator bool
+	// RegistryTTL stamps this broker's file-registry entry with a lease and
+	// keeps refreshing it, so a killed broker's registration ages out (0 =
+	// entries never expire; file: registries only).
+	RegistryTTL time.Duration
+	// QuietLinks demotes routine overlay link-transition logging to
+	// warnings (link loss still logs).
+	QuietLinks bool
+}
+
+// BrokerNode is one running live broker: the handle StartBroker returns,
+// and the unit NewLive assembles a loopback deployment from.
+type BrokerNode struct {
+	id     NodeID
+	node   *wire.Node
+	layers session.Layers
+	member *discovery.Membership // nil without WithRegistry
+	reg    discovery.Registry
+	ops    *opsStack // shared by every node of a Live
+}
+
+// startNode is the one assembly of a live broker: the wire node and its
+// overlay manager, mesh routing, the session layers and middleware chain,
+// the listener, registry membership, recovery of persisted sessions, and
+// the node's probes on the ops stack — in that order. topo is the static
+// overlay (a lone broker under a registry has none): the broker's
+// neighbors — the links it configures or, under a registry, the adjacency
+// it registers — and its unicast next hops derive from it. A failure
+// closes what was started.
+func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology, sessions session.Config) (*BrokerNode, error) {
+	neighbors := topo.Adjacency()[spec.ID]
+	ncfg := wire.NodeConfig{
+		ID:             spec.ID,
+		Listen:         spec.Listen,
+		Strategy:       cfg.strategy,
+		LinearMatching: cfg.linear,
+		NextHop:        topo.NextHops()[spec.ID],
+		// Live brokers always run the overlay manager (WithHeartbeat only
+		// tunes it): links queue-then-flush across flaps and restarted
+		// neighbors are redialed with backoff.
+		Overlay:       cfg.overlaySettings(),
+		Spill:         cfg.spillStore,
+		SpillBudget:   cfg.spillMax,
+		LinkObserver:  cfg.linkObserver,
+		Logger:        ops.logFor("wire"),
+		OverlayLogger: ops.logFor("overlay"),
+		BrokerLogger:  ops.logFor("broker"),
+	}
+	if cfg.registry == "" {
+		// Static links; under a registry the membership supervisor adds
+		// them as peers register.
+		ncfg.Peers = make(map[NodeID]string, len(neighbors))
+		for _, p := range neighbors {
+			ncfg.Peers[p] = spec.Dial[p] // "" = the neighbor dials us
+		}
+	}
+	if ops != nil {
+		ncfg.Telemetry = ops.reg
+	}
+	n := &BrokerNode{id: spec.ID, node: wire.NewNode(ncfg), ops: ops}
+	if cfg.mesh {
+		n.node.EnableMesh()
+	}
+	n.layers = session.Attach(n.node.Broker(), sessions)
+	if cfg.registry != "" {
+		reg, err := discovery.Open(cfg.registry)
+		if err != nil {
+			return nil, err
+		}
+		n.reg = reg
+		if spec.RegistryTTL > 0 {
+			fr, ok := reg.(*discovery.FileRegistry)
+			if !ok {
+				n.abort()
+				return nil, errors.New("rebeca: a registry TTL needs a file: registry (the gossip backend detects failures on its own)")
+			}
+			fr.SetTTL(spec.RegistryTTL)
+		}
+	}
+	if err := n.node.Start(); err != nil {
+		n.abort()
+		return nil, err
+	}
+	if cfg.mesh && cfg.registry == "" {
+		// Static mesh: seed the full declared graph so the election
+		// replaces the raw adjacency before traffic flows. Registry
+		// deployments get their graph from membership snapshots.
+		n.node.SetMeshTopology(topo.Nodes(), topo.Edges)
+	}
+	if n.reg != nil {
+		// After the node serves, so link commands land on a live overlay
+		// manager: link bring-up is driven entirely by registry snapshots.
+		addr := spec.Advertise
+		if addr == "" {
+			addr = advertiseAddr(n.node.Addr())
+		}
+		n.member = discovery.NewMembership(discovery.MembershipConfig{
+			Self:     spec.ID,
+			Addr:     addr,
+			Peers:    neighbors,
+			Registry: n.reg,
+			Host:     n.node,
+			Logger:   ops.logFor("discovery"),
+		})
+		if err := n.member.Start(); err != nil {
+			n.abort()
+			return nil, err
+		}
+		if l := ops.logFor("discovery"); l != nil {
+			l.Info("registered with registry", "self", string(spec.ID), "addr", addr, "registry", cfg.registry)
+		}
+	}
+	if cfg.store != nil {
+		// Resume the sessions a previous process persisted on this store.
+		// Start order does not matter: re-installed subscriptions reach
+		// neighbors whose links are already up at once, and every link that
+		// establishes later replays them in its sync handshake. The node is
+		// serving, so the mutation runs on its event loop like any other.
+		recovered := 0
+		n.node.Inspect(func(*broker.Broker) { recovered = n.layers.Recover() })
+		if l := ops.logFor("store"); l != nil && recovered > 0 {
+			l.Info("recovered durable sessions", "broker", string(spec.ID), "sessions", recovered)
+		}
+	}
+	if ops != nil {
+		ops.watchNode(spec.ID, n.node, n.member)
+	}
+	return n, nil
+}
+
+// leave takes the broker out of its registry: deregistering before the node
+// stops lets the fleet converge on the departure without waiting for
+// failure detection.
+func (n *BrokerNode) leave() {
+	if n.member != nil {
+		n.member.Stop(true)
+	}
+	if n.reg != nil {
+		_ = n.reg.Close()
+	}
+}
+
+// stop lets in-flight deliveries and buffer appends run to completion for
+// at most drain, then stops the node and drops its links.
+func (n *BrokerNode) stop(drain time.Duration) error {
+	if drain > 0 && !n.node.Drain(drain) {
+		if l := n.ops.logFor("wire"); l != nil {
+			l.Warn("drain timed out; closing anyway", "broker", string(n.id))
+		}
+	}
+	return n.node.Close()
+}
+
+// abort closes what a failed startNode had started.
+func (n *BrokerNode) abort() {
+	n.leave()
+	_ = n.stop(0)
+}
+
+// StartBroker starts one live broker — what rebeca-broker runs, and the
+// same assembly NewLive runs once per broker of a loopback deployment. The
+// options are the ones New and NewLive take, less those that describe a
+// whole deployment's movement graph (WithMovement, WithLocations): the
+// graph is spec.Edges. The caller owns the stores it passes (WithDurable,
+// WithLinkSpill) and closes them after the node.
+func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
+	cfg, err := applyOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	if spec.ID == "" {
+		return nil, errors.New("rebeca: BrokerSpec.ID is required")
+	}
+	if (cfg.registry == "") == (len(spec.Edges) == 0) {
+		return nil, errors.New("rebeca: a broker needs either static BrokerSpec.Edges or WithRegistry, not both")
+	}
+	if cfg.registry != "" && len(spec.Dial) > 0 {
+		return nil, errors.New("rebeca: WithRegistry replaces BrokerSpec.Dial; drop the static wiring")
+	}
+	if spec.Listen == "" {
+		spec.Listen = "127.0.0.1:0"
+	}
+	var mode mobility.Mode
+	switch spec.Mobility {
+	case "", "transparent":
+		mode = mobility.ModeTransparent
+	case "jedi":
+		mode = mobility.ModeJEDI
+	case "naive":
+		mode = mobility.ModeNaive
+	case "none":
+	default:
+		return nil, fmt.Errorf("rebeca: unknown BrokerSpec.Mobility %q", spec.Mobility)
+	}
+	topo := broker.Topology{Edges: spec.Edges}
+	if cfg.registry == "" {
+		if cfg.mesh {
+			err = topo.ValidateConnected()
+		} else {
+			err = topo.Validate()
+		}
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := topo.Adjacency()[spec.ID]; !ok {
+			return nil, fmt.Errorf("rebeca: broker %s does not appear in BrokerSpec.Edges", spec.ID)
+		}
+		// The replicator's movement graph mirrors the static overlay.
+		cfg.movement = movement.NewGraph()
+		for _, e := range spec.Edges {
+			cfg.movement.AddEdge(e[0], e[1])
+		}
+		if cfg.locations == nil {
+			cfg.locations = location.Regions(topo.Nodes())
+		}
+	}
+	ops := newOpsStack(cfg)
+	if spec.QuietLinks && ops != nil && ops.logger != nil {
+		_ = ops.logger.SetLevel("overlay", slog.LevelWarn)
+	}
+	// Under a registry the graph is dynamic, so the replicator stays off.
+	sessions := cfg.sessions(mode, !spec.NoReplicator && cfg.registry == "")
+	n, err := startNode(cfg, ops, spec, topo, sessions)
+	if err != nil {
+		return nil, err
+	}
+	if ops != nil {
+		if err := ops.start(cfg, string(spec.ID)); err != nil {
+			_ = n.Close(0)
+			return nil, err
+		}
+	}
+	return n, nil
+}
+
+// sessions resolves the options into the session layers every broker of the
+// deployment carries. replicate needs the movement graph.
+func (c *config) sessions(mode mobility.Mode, replicate bool) session.Config {
+	s := session.Config{
+		SharedBuffers: c.shared,
+		Mobility:      mode,
+		BufferFactory: c.bufferFactory(),
+		Store:         c.store,
+		Middleware:    c.middleware,
+	}
+	if replicate {
+		s.Replication = &core.Config{
+			NLB:          c.movement.NLB(),
+			Locations:    c.locations,
+			Context:      c.context,
+			PreSubscribe: !c.reactive,
+		}
+	}
+	return s
+}
+
+// Addr returns the bound TCP address links and clients connect to.
+func (n *BrokerNode) Addr() string { return n.node.Addr() }
+
+// OpsAddr returns the bound address of the HTTP operations endpoint (""
+// without WithOps).
+func (n *BrokerNode) OpsAddr() string { return n.ops.addr() }
+
+// Ready reports overlay convergence as /readyz does: every link established
+// and routing-synced and, under a registry, a membership snapshot observed
+// that includes this broker. detail names what is still waited on.
+func (n *BrokerNode) Ready() (ok bool, detail string) {
+	if ok, detail = n.node.Ready(); ok && n.member != nil {
+		return n.member.Ready()
+	}
+	return ok, detail
+}
+
+// StatsLine renders a one-line digest of the registry /metrics serves (when
+// WithOps, WithOpsPush or WithLogging put a telemetry stage on the chain)
+// and of every overlay link.
+func (n *BrokerNode) StatsLine() string {
+	line := "stats:"
+	if n.ops != nil {
+		reg := n.ops.reg
+		avg := time.Duration(0)
+		if sum, count := reg.HistogramStats(telemetry.MetricE2ESeconds); count > 0 {
+			avg = time.Duration(sum / float64(count) * float64(time.Second))
+		}
+		line += fmt.Sprintf(" publishes=%d deliveries=%d subscribes=%d avg-latency=%s rate-limited=%d link-establishments=%d link-failures=%d",
+			int(reg.Total(telemetry.MetricPublishes)),
+			int(reg.Total(telemetry.MetricDeliveries)),
+			int(reg.Total(telemetry.MetricSubscribes)),
+			avg,
+			int(reg.Total(telemetry.MetricRateLimited)),
+			int(reg.Total(telemetry.MetricLinkUps)),
+			int(reg.Total(telemetry.MetricLinkDowns)))
+	}
+	for _, li := range n.node.LinkInfo() {
+		line += fmt.Sprintf(" link[%s]=%s", li.Peer, li.State)
+		if li.Pending > 0 {
+			line += fmt.Sprintf("(+%d queued)", li.Pending)
+		}
+		if li.SpillDepth > 0 {
+			line += fmt.Sprintf("(spill=%d/%dB)", li.SpillDepth, li.SpillBytes)
+		}
+	}
+	return line
+}
+
+// Close shuts the broker down in order: deregister from the registry (the
+// fleet converges on the departure without failure detection), close the
+// ops endpoint and flush the pusher, drain in-flight deliveries for at most
+// drain (0 skips the wait), then stop the node and drop its links. Stores
+// passed in through options stay open: sync and close them afterwards, once
+// nothing can append anymore.
+func (n *BrokerNode) Close(drain time.Duration) error {
+	n.leave()
+	n.ops.close()
+	return n.stop(drain)
+}
+
+// advertiseAddr turns a bound listen address into one peers can dial: an
+// unspecified host (":7471", "[::]:7471", "0.0.0.0:7471") becomes
+// 127.0.0.1 — right for single-machine fleets; multi-host deployments set
+// BrokerSpec.Advertise.
+func advertiseAddr(bound string) string {
+	host, port, err := net.SplitHostPort(bound)
+	if err != nil {
+		return bound
+	}
+	if host == "" || host == "::" || host == "0.0.0.0" {
+		host = "127.0.0.1"
+	}
+	return net.JoinHostPort(host, port)
+}

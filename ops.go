@@ -8,17 +8,20 @@ import (
 	"strings"
 	"time"
 
-	"rebeca/internal/overlay"
+	"rebeca/internal/discovery"
 	"rebeca/internal/store"
 	"rebeca/internal/telemetry"
+	"rebeca/internal/wire"
 )
 
 // opsStack bundles one deployment's telemetry objects: the metric
 // registry, the hop-trace span store, the broker-chain middleware stage
 // feeding both, the HTTP endpoint serving them, and — when configured —
-// the trace sampler, the push exporter and the structured log root.
-// Built by New/NewLive when WithOps or WithOpsPush is configured; without
-// either none of it exists and the hot paths carry no instrumentation.
+// the trace sampler, the push exporter and the structured log root. It is
+// the only place any of them is built: New, NewLive and StartBroker (and so
+// rebeca-broker) all get theirs from newOpsStack. Without WithOps,
+// WithOpsPush or WithLogging none of it exists and the hot paths carry no
+// instrumentation.
 type opsStack struct {
 	reg     *telemetry.Registry
 	spans   *telemetry.SpanStore
@@ -27,16 +30,43 @@ type opsStack struct {
 	sampler *telemetry.Sampler
 	push    *telemetry.Pusher
 	logger  *telemetry.Logger
+	// supervisors are the brokers' overlay link supervisors (see supervise).
+	supervisors []supervisor
 }
 
-// newOpsStack builds the registry/span-store/middleware triple and
-// appends the telemetry stage to the config's broker chain. Must run
-// before broker construction so every broker installs the stage.
+// supervisor is one broker's overlay link supervision, as a live wire.Node
+// or a simulated overlay.Manager exposes it.
+type supervisor interface {
+	Ready() (ok bool, detail string)
+	Heartbeat() (interval, timeout time.Duration)
+	SetHeartbeat(interval, timeout time.Duration)
+}
+
+// supervise puts one broker's link supervision behind the endpoint:
+// /readyz waits for its links to be established (and their initial routing
+// sync applied — establishment is entered on KSyncInstall receipt), and
+// the "heartbeat" knob retunes it.
+func (st *opsStack) supervise(id NodeID, s supervisor) {
+	st.supervisors = append(st.supervisors, s)
+	st.ops.AddReadyCheck("links:"+string(id), s.Ready)
+}
+
+// newOpsStack builds the registry/span-store/middleware triple and appends
+// the telemetry stage to the config's broker chain; nil when the options
+// ask for no endpoint, no push target and no log stream. Must run before
+// broker construction so every broker installs the stage. Push-only and
+// logging-only deployments get the stack too — they feed the same registry
+// — but never open the HTTP listener.
 func newOpsStack(cfg *config) *opsStack {
+	if cfg.opsAddr == "" && cfg.pushURL == "" && !cfg.logging {
+		return nil
+	}
 	reg := telemetry.NewRegistry()
 	spans := telemetry.NewSpanStore(0)
 	mw := telemetry.NewMiddleware(reg, spans)
-	mw.EnableHopTrace(true)
+	// Stamping costs every hop of every publish: it is on only where
+	// something can show a trace (/trace, or a push target spans ship to).
+	mw.EnableHopTrace(cfg.opsAddr != "" || cfg.pushURL != "")
 	cfg.middleware = append(cfg.middleware, mw)
 	telemetry.RegisterSpanMetrics(reg, spans)
 	st := &opsStack{reg: reg, spans: spans, mw: mw, ops: telemetry.NewOps(reg, spans)}
@@ -56,26 +86,36 @@ func newOpsStack(cfg *config) *opsStack {
 			w = os.Stderr
 		}
 		st.logger = telemetry.NewLogger(w, level)
+		// Both WALs a deployment can hold log rotation and compaction.
+		for _, s := range []store.Store{cfg.store, cfg.spillStore} {
+			if wal, ok := s.(*store.WAL); ok {
+				wal.SetLogger(st.logger.For("store"))
+			}
+		}
 	}
 	return st
 }
 
-// startPush launches the push exporter when WithOpsPush is configured.
-// instance tags JSON payloads with the deployment's identity.
-func (st *opsStack) startPush(cfg *config, instance string) error {
+// start registers the knobs and collectors every deployment flavor shares,
+// opens the HTTP endpoint under WithOps and launches the push exporter
+// under WithOpsPush. instance tags pushed payloads with the deployment's
+// identity. Call it once the host has registered its own probes.
+func (st *opsStack) start(cfg *config, instance string) error {
+	st.registerCommon(cfg)
+	if cfg.opsAddr != "" {
+		if err := st.ops.Start(cfg.opsAddr); err != nil {
+			return err
+		}
+	}
 	if cfg.pushURL == "" {
 		return nil
-	}
-	var plog *slog.Logger
-	if st.logger != nil {
-		plog = st.logger.For("wire")
 	}
 	pcfg := telemetry.PusherConfig{
 		URL:      cfg.pushURL,
 		Interval: cfg.pushInterval,
 		Format:   cfg.pushFormat,
 		Instance: instance,
-		Logger:   plog,
+		Logger:   st.logFor("wire"),
 	}
 	// Completed and retro-captured spans ship outbound alongside the
 	// metric snapshots — except to remote-write receivers, where a real
@@ -94,14 +134,25 @@ func (st *opsStack) startPush(cfg *config, instance string) error {
 	return nil
 }
 
-// close tears the stack's background pieces down (endpoint + pusher).
+// close tears the stack's background pieces down: the endpoint, then the
+// pusher (whose final flush rides its Close, so the receiver sees the
+// shutdown state). No-op on a nil stack.
 func (st *opsStack) close() {
-	if st.ops != nil {
-		_ = st.ops.Close()
+	if st == nil {
+		return
 	}
+	_ = st.ops.Close()
 	if st.push != nil {
 		st.push.Close()
 	}
+}
+
+// addr is the bound address of the HTTP endpoint ("" without WithOps).
+func (st *opsStack) addr() string {
+	if st == nil {
+		return ""
+	}
+	return st.ops.Addr()
 }
 
 // logFor returns the subsystem logger when logging is configured (nil
@@ -113,10 +164,66 @@ func (st *opsStack) logFor(subsystem string) *slog.Logger {
 	return st.logger.For(subsystem)
 }
 
-// registerCommon wires the knobs and collectors both deployment flavors
-// share: the hop-trace toggle, rate-limiter retuning and drop counts,
-// Tracer toggling and eviction counts, and the WAL's on-disk footprint.
+// watchNode registers one live broker's probes and collectors. Under a
+// registry, readiness additionally waits for a snapshot that includes the
+// broker itself. The discovery and tree-election families register
+// whatever the mode, so every scrape exposes the same set; a static tree
+// renders them empty.
+func (st *opsStack) watchNode(id NodeID, node *wire.Node, member *discovery.Membership) {
+	st.supervise(id, node)
+	if member != nil {
+		st.ops.AddReadyCheck("membership:"+string(id), member.Ready)
+	}
+	st.reg.GaugeFunc(telemetry.MetricDiscoveryPeers,
+		"Overlay peers currently linked via the discovery registry.",
+		func(emit func(telemetry.Labels, float64)) {
+			if member != nil {
+				emit(telemetry.Labels{"broker": string(id)}, float64(member.Peers()))
+			}
+		})
+	st.reg.CounterFunc(telemetry.MetricDiscoveryEvents,
+		"Membership changes applied from registry snapshots, by type.",
+		func(emit func(telemetry.Labels, float64)) {
+			if member != nil {
+				for typ, n := range member.Events() {
+					emit(telemetry.Labels{"broker": string(id), "type": typ}, float64(n))
+				}
+			}
+		})
+	st.reg.CounterFunc(telemetry.MetricTreeRecomputations,
+		"Spanning-tree elections run by the mesh routing layer.",
+		func(emit func(telemetry.Labels, float64)) {
+			if m := node.Broker().Mesh(); m != nil {
+				emit(telemetry.Labels{"broker": string(id)}, float64(m.Recomputations()))
+			}
+		})
+}
+
+// registerCommon wires the knobs and collectors every deployment flavor
+// shares: the heartbeat of the supervisors the host registered, the
+// hop-trace toggle and sampler tuning, rate-limiter retuning and drop
+// counts, Tracer toggling and eviction counts, and the WAL's on-disk
+// footprint.
 func (st *opsStack) registerCommon(cfg *config) {
+	if sup := st.supervisors; len(sup) > 0 {
+		st.ops.AddKnob("heartbeat", telemetry.Knob{
+			Help: "overlay heartbeat as interval[,timeout] (e.g. 500ms,2s), applied to every broker; timeout 0 defaults to 3x interval",
+			Get: func() string {
+				interval, timeout := sup[0].Heartbeat()
+				return fmt.Sprintf("%s,%s", interval, timeout)
+			},
+			Set: func(v string) error {
+				interval, timeout, err := parseHeartbeat(v)
+				if err != nil {
+					return err
+				}
+				for _, s := range sup {
+					s.SetHeartbeat(interval, timeout)
+				}
+				return nil
+			},
+		})
+	}
 	st.ops.AddKnob("trace", telemetry.Knob{
 		Help: "hop-trace stamping and span recording: on/off",
 		Get:  func() string { return onOff(st.mw.HopTraceEnabled()) },
@@ -247,9 +354,6 @@ func (st *opsStack) registerCommon(cfg *config) {
 		}
 	}
 	if w, ok := cfg.store.(*store.WAL); ok {
-		if l := st.logFor("store"); l != nil {
-			w.SetLogger(l)
-		}
 		st.reg.GaugeFunc(telemetry.MetricWALSegments,
 			"Write-ahead-log segment files on disk.",
 			func(emit func(telemetry.Labels, float64)) {
@@ -286,6 +390,15 @@ func (st *opsStack) registerStreams(snap func(emit func(client NodeID, s streamS
 					float64(s.stats.Dropped))
 			})
 		})
+}
+
+// joinIDs renders broker IDs as the push exporter's instance tag.
+func joinIDs(ids []NodeID) string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = string(id)
+	}
+	return strings.Join(out, ",")
 }
 
 // subLabel renders a stream's metric label ("" is the port's catch-all).
@@ -334,27 +447,4 @@ func parseHeartbeat(v string) (interval, timeout time.Duration, err error) {
 		}
 	}
 	return interval, timeout, nil
-}
-
-// renderHeartbeat is the heartbeat knob's Get rendering.
-func renderHeartbeat(interval, timeout time.Duration) string {
-	return fmt.Sprintf("%s,%s", interval, timeout)
-}
-
-// waitingLinks summarizes a manager's non-established links for a
-// readiness detail line ("" when all links are up). An established link
-// still replaying its store-backed spill backlog counts as waiting —
-// "established, flushing" — since fresh traffic is ordered behind the
-// backlog.
-func waitingLinks(self NodeID, mgr *overlay.Manager) []string {
-	var out []string
-	for _, li := range mgr.Info() {
-		switch {
-		case li.State != overlay.StateEstablished:
-			out = append(out, fmt.Sprintf("%s-%s:%s", self, li.Peer, li.State))
-		case li.SpillDepth > 0:
-			out = append(out, fmt.Sprintf("%s-%s:established,flushing(%d)", self, li.Peer, li.SpillDepth))
-		}
-	}
-	return out
 }

@@ -29,8 +29,8 @@ const (
 	StrategyFlooding = routing.StrategyFlooding
 )
 
-// config is the resolved deployment description both New (virtual clock)
-// and NewLive (TCP) build from.
+// config is the resolved deployment description New (virtual clock),
+// NewLive (TCP) and StartBroker (one TCP broker) build from.
 type config struct {
 	movement       *movement.Graph
 	locations      *location.Model
@@ -97,10 +97,11 @@ func (c *config) logCap() int {
 // Option configures a deployment built by New or NewLive.
 type Option func(*config)
 
-// newConfig applies the options over the defaults and validates what can be
-// validated locally. Deployment-specific validation (e.g. NewLive's
-// tree-topology requirement) happens in the constructors.
-func newConfig(opts []Option) (*config, error) {
+// applyOptions applies the options over the defaults and reports what they
+// rejected. Deployment-specific validation (the movement graph New and
+// NewLive need, NewLive's tree-topology requirement) happens in the
+// constructors.
+func applyOptions(opts []Option) (*config, error) {
 	c := &config{
 		strategy:    routing.StrategySimple,
 		settleQuiet: 50 * time.Millisecond,
@@ -109,11 +110,21 @@ func newConfig(opts []Option) (*config, error) {
 	for _, opt := range opts {
 		opt(c)
 	}
-	if c.movement == nil {
-		c.errs = append(c.errs, errors.New("rebeca: a movement graph is required (WithMovement)"))
-	}
 	if len(c.errs) > 0 {
 		return nil, errors.Join(c.errs...)
+	}
+	return c, nil
+}
+
+// newConfig is applyOptions for a whole deployment: the movement graph is
+// required, and locations default to one region per broker.
+func newConfig(opts []Option) (*config, error) {
+	c, err := applyOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	if c.movement == nil {
+		return nil, errors.New("rebeca: a movement graph is required (WithMovement)")
 	}
 	if c.locations == nil {
 		c.locations = location.Regions(c.movement.Nodes())

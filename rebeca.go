@@ -25,8 +25,11 @@
 //     deterministic virtual clock (a discrete-event simulator) — instant,
 //     reproducible, ideal for experiments and tests.
 //   - NewLive builds a Live: the same brokers as real TCP nodes on
-//     loopback, binary-codec framed links, one event loop per broker. The
-//     distributed equivalent (one process per broker) is cmd/rebeca-broker.
+//     loopback, binary-codec framed links, one event loop per broker.
+//
+// StartBroker starts a single such broker — the distributed equivalent, one
+// process per broker, which is what cmd/rebeca-broker runs; NewLive runs
+// the same assembly once per broker.
 //
 // The broker overlay is the movement graph's spanning tree by default.
 // WithMeshRouting accepts arbitrary connected graphs instead: brokers run
@@ -86,10 +89,10 @@
 //
 // Every broker runs an ordered extension chain (Middleware): hooks on
 // publish, deliver and subscribe, each receiving a next func in the style
-// of HTTP/ASGI middleware. Stages run in attachment order — the built-in
-// session layers (physical-mobility manager, replicator) first, then
-// everything installed via WithMiddleware — and a stage that does not call
-// next consumes the event. Built-ins: Metrics (per-broker counters and
+// of HTTP/ASGI middleware. Stages run in attachment order — the session
+// layers (replicator, then physical-mobility manager; stages like any
+// other) first, then everything installed via WithMiddleware — and a stage
+// that does not call next consumes the event. Built-ins: Metrics (per-broker counters and
 // delivery latency), Tracer (event log), RateLimiter (token-bucket publish
 // ingress control). Custom stages embed PassMiddleware and override the
 // hooks they care about.
