@@ -8,6 +8,7 @@ import (
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
+	"rebeca/internal/store"
 )
 
 type sent struct {
@@ -530,4 +531,34 @@ func BenchmarkTallyRecord(b *testing.B) {
 			t.Record(d)
 		}
 	})
+}
+
+// A publisher identity persisted on a WAL survives the process being
+// killed: the next incarnation starts one epoch later and strictly above
+// everything the previous one had reserved.
+func TestPubSequencerResumesAcrossWALReopen(t *testing.T) {
+	dir := t.TempDir()
+	w, err := store.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s := NewPubSequencer(w, "pub")
+	for i := 0; i < PubSeqQuantum+10; i++ {
+		s.Next()
+	}
+	const ceiling = 2 * PubSeqQuantum // the second quantum was reserved at seq 257
+
+	w2, err := store.OpenWAL(dir) // no Close before: recover from the raw files
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	s2 := NewPubSequencer(w2, "pub")
+	if s2.Epoch() != s.Epoch()+1 {
+		t.Errorf("epoch %d after %d, want +1", s2.Epoch(), s.Epoch())
+	}
+	if next := s2.Next(); next != ceiling+1 {
+		t.Errorf("resumed at %d, want %d (last assigned %d, reserved ceiling %d)", next, ceiling+1, s.Last(), ceiling)
+	}
 }

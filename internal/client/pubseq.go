@@ -1,8 +1,7 @@
 package client
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 
 	"rebeca/internal/message"
 	"rebeca/internal/store"
@@ -13,15 +12,11 @@ import (
 // per publish, and a restart skips at most one quantum of unused numbers.
 const PubSeqQuantum = 256
 
-// pubIdentity is the persisted publisher identity under "pub/<client>".
-type pubIdentity struct {
-	// Epoch counts the publisher's incarnations (diagnostics: how often
-	// this identity was resumed).
-	Epoch uint64
-	// Reserved is the highest sequence number this incarnation may have
-	// assigned; the next incarnation resumes strictly above it.
-	Reserved uint64
-}
+// The persisted publisher identity under "pub/<client>" is two uvarints:
+// the epoch, which counts the publisher's incarnations (diagnostics: how
+// often this identity was resumed), and the reserved ceiling, the highest
+// sequence number this incarnation may have assigned — the next
+// incarnation resumes strictly above it.
 
 // PubSequencer allocates a publisher's notification sequence numbers
 // against a persisted identity, so a restarted publisher continues its
@@ -50,11 +45,12 @@ type PubSequencer struct {
 func NewPubSequencer(st store.Store, client message.NodeID) *PubSequencer {
 	s := &PubSequencer{st: st, key: "pub/" + string(client)}
 	if blob, ok := st.LoadSnapshot(s.key); ok {
-		var id pubIdentity
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&id); err == nil {
-			s.epoch = id.Epoch
-			s.seq = id.Reserved
-			s.reserved = id.Reserved
+		epoch, n := binary.Uvarint(blob)
+		reserved, k := binary.Uvarint(blob[max(n, 0):])
+		if n > 0 && k > 0 && n+k == len(blob) {
+			s.epoch = epoch
+			s.seq = reserved
+			s.reserved = reserved
 		}
 	}
 	s.epoch++
@@ -80,9 +76,6 @@ func (s *PubSequencer) Next() uint64 {
 }
 
 func (s *PubSequencer) persist() {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pubIdentity{Epoch: s.epoch, Reserved: s.reserved}); err != nil {
-		return
-	}
-	_ = s.st.Snapshot(s.key, buf.Bytes())
+	blob := binary.AppendUvarint(nil, s.epoch)
+	_ = s.st.Snapshot(s.key, binary.AppendUvarint(blob, s.reserved))
 }

@@ -2,19 +2,12 @@ package codec_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"testing"
 
 	"rebeca/internal/codec"
 	"rebeca/internal/proto"
 )
-
-// envelope mirrors the wire transport's gob framing so the gob numbers
-// measure exactly what the pre-binary hot path paid per message.
-type envelope struct {
-	M proto.Message
-}
 
 // benchMessage is a representative KPublish: a 5-attribute notification,
 // the shape the publish hot path carries on every broker hop.
@@ -23,10 +16,8 @@ func benchMessage() proto.Message {
 	return proto.Message{Kind: proto.KPublish, Client: "pub", Note: &n}
 }
 
-// BenchmarkWireCodec is the headline tentpole benchmark: per-message
-// encode and decode throughput of the binary codec against the gob
-// envelope it replaces (both on reused streams, so gob's one-time type
-// descriptors are amortized — the comparison is steady-state cost).
+// BenchmarkWireCodec measures per-message encode and decode throughput of
+// the binary codec on reused streams (steady-state cost).
 func BenchmarkWireCodec(b *testing.B) {
 	m := benchMessage()
 
@@ -36,16 +27,6 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := enc.Encode(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("encode/gob", func(b *testing.B) {
-		enc := gob.NewEncoder(io.Discard)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(envelope{M: m}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -78,28 +59,6 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("decode/gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		for i := 0; i < streamLen; i++ {
-			if err := enc.Encode(envelope{M: m}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		stream := buf.Bytes()
-		dec := gob.NewDecoder(bytes.NewReader(stream))
-		b.ReportAllocs()
-		b.ResetTimer()
-		var out envelope
-		for i := 0; i < b.N; i++ {
-			if err := dec.Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-			if i%streamLen == streamLen-1 {
-				dec = gob.NewDecoder(bytes.NewReader(stream))
-			}
-		}
-	})
 }
 
 // BenchmarkWireCodecSubscribe measures the control-plane shape: a
@@ -114,16 +73,6 @@ func BenchmarkWireCodecSubscribe(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := enc.Encode(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("encode/gob", func(b *testing.B) {
-		enc := gob.NewEncoder(io.Discard)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(envelope{M: m}); err != nil {
 				b.Fatal(err)
 			}
 		}

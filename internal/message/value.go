@@ -7,10 +7,7 @@
 // any other rebeca package.
 package message
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Kind enumerates the attribute value types supported by the content-based
 // filter language. The zero Kind is invalid so that a zero Value is
@@ -163,56 +160,4 @@ func (v Value) String() string {
 	default:
 		return "<invalid>"
 	}
-}
-
-// GobEncode implements gob.GobEncoder so values survive the wire transport
-// despite having unexported fields.
-func (v Value) GobEncode() ([]byte, error) {
-	switch v.kind {
-	case KindString:
-		return append([]byte{'s'}, v.str...), nil
-	case KindInt:
-		return []byte("i" + strconv.FormatInt(v.num, 10)), nil
-	case KindFloat:
-		return []byte("f" + strconv.FormatFloat(v.flt, 'g', -1, 64)), nil
-	case KindBool:
-		return []byte("b" + strconv.FormatBool(v.b)), nil
-	default:
-		return []byte{'0'}, nil
-	}
-}
-
-// GobDecode implements gob.GobDecoder.
-func (v *Value) GobDecode(data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("message: empty value encoding")
-	}
-	body := string(data[1:])
-	switch data[0] {
-	case 's':
-		*v = String(body)
-	case 'i':
-		n, err := strconv.ParseInt(body, 10, 64)
-		if err != nil {
-			return fmt.Errorf("message: bad int value %q: %w", body, err)
-		}
-		*v = Int(n)
-	case 'f':
-		f, err := strconv.ParseFloat(body, 64)
-		if err != nil {
-			return fmt.Errorf("message: bad float value %q: %w", body, err)
-		}
-		*v = Float(f)
-	case 'b':
-		b, err := strconv.ParseBool(body)
-		if err != nil {
-			return fmt.Errorf("message: bad bool value %q: %w", body, err)
-		}
-		*v = Bool(b)
-	case '0':
-		*v = Value{}
-	default:
-		return fmt.Errorf("message: unknown value tag %q", data[0])
-	}
-	return nil
 }

@@ -1,10 +1,6 @@
 package message
 
 import (
-	"bytes"
-	"encoding/gob"
-	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -96,70 +92,5 @@ func TestValueCompareAntisymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func randomValue(r *rand.Rand) Value {
-	switch r.Intn(4) {
-	case 0:
-		return Int(r.Int63n(1000) - 500)
-	case 1:
-		return Float(r.Float64()*100 - 50)
-	case 2:
-		return Bool(r.Intn(2) == 0)
-	default:
-		letters := []byte("abcdefg")
-		n := r.Intn(6)
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = letters[r.Intn(len(letters))]
-		}
-		return String(string(b))
-	}
-}
-
-func TestValueGobRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 200; i++ {
-		v := randomValue(r)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatalf("encode %v: %v", v, err)
-		}
-		var got Value
-		if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-			t.Fatalf("decode %v: %v", v, err)
-		}
-		if !reflect.DeepEqual(v, got) {
-			t.Fatalf("round trip: got %#v, want %#v", got, v)
-		}
-	}
-}
-
-func TestValueGobZero(t *testing.T) {
-	var v Value
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("encode zero: %v", err)
-	}
-	var got Value
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("decode zero: %v", err)
-	}
-	if got.IsValid() {
-		t.Error("zero value should decode as invalid")
-	}
-}
-
-func TestValueGobDecodeErrors(t *testing.T) {
-	var v Value
-	if err := v.GobDecode(nil); err == nil {
-		t.Error("GobDecode(nil) should fail")
-	}
-	if err := v.GobDecode([]byte("inotanumber")); err == nil {
-		t.Error("GobDecode bad int should fail")
-	}
-	if err := v.GobDecode([]byte("x?")); err == nil {
-		t.Error("GobDecode unknown tag should fail")
 	}
 }

@@ -71,12 +71,11 @@
 package mobility
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"rebeca/internal/broker"
 	"rebeca/internal/buffer"
+	"rebeca/internal/codec"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
 	"rebeca/internal/store"
@@ -295,13 +294,11 @@ func (m *Manager) Stats() Stats { return m.stats }
 
 // --- persistence -------------------------------------------------------
 
-// sessionSnap is the durable image of one session: its subscription
-// profile in issue order. Everything else (state, taps, epochs) is
-// protocol-transient — after a crash every client is disconnected, so
-// recovered sessions restart as ghosts.
-type sessionSnap struct {
-	Subs []proto.Subscription
-}
+// The durable image of one session is its subscription profile in issue
+// order, stored as the message that already means exactly that: a
+// KRelocProfile carrying Subs, in the codec's encoding. Everything else
+// (state, taps, epochs) is protocol-transient — after a crash every client
+// is disconnected, so recovered sessions restart as ghosts.
 
 // sessionKey names a session's snapshot and buffer queue in the store.
 // The broker ID is part of the key: in-process deployments share one
@@ -324,11 +321,8 @@ func (m *Manager) persist(s *session) {
 	if m.store == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sessionSnap{Subs: s.profile()}); err != nil {
-		return
-	}
-	_ = m.store.Snapshot(m.sessionKey(s.client), buf.Bytes())
+	snap := proto.Message{Kind: proto.KRelocProfile, Subs: s.profile()}
+	_ = m.store.Snapshot(m.sessionKey(s.client), codec.AppendMessage(nil, &snap))
 }
 
 // forget deletes a session's snapshot (no-op without a store). The
@@ -372,8 +366,8 @@ func (m *Manager) Recover() int {
 		if _, ok := m.sessions[c]; ok || c == "" {
 			continue
 		}
-		var snap sessionSnap
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
+		snap, err := codec.DecodeMessage(blob)
+		if err != nil || snap.Kind != proto.KRelocProfile {
 			m.stats.RecoveryErrors++
 			continue
 		}

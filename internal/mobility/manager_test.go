@@ -14,6 +14,7 @@ import (
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/sim"
+	"rebeca/internal/store"
 )
 
 // world is a 3-broker line A-B-C with a publisher attached at A publishing
@@ -336,5 +337,111 @@ func TestRelocationStatsProgress(t *testing.T) {
 	cst := w.cluster.Managers["C"].Stats()
 	if cst.Buffered == 0 {
 		t.Error("old border should have buffered during the gap")
+	}
+}
+
+// A session profile is stored as a codec message on the WAL. After a
+// restart on the same directory the recovered ghost must filter exactly as
+// the live session did: for each of the eleven operators, the probe that
+// satisfies the subscription is buffered and the one that breaks only that
+// operator is not.
+func TestRecoveredProfileKeepsFilterSemantics(t *testing.T) {
+	dir := t.TempDir()
+	build := func() (*sim.Cluster, *store.WAL) {
+		wal, err := store.OpenWAL(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = wal.Close() })
+		cl, err := sim.NewCluster(sim.ClusterConfig{
+			Topology:    broker.LineTopology([]message.NodeID{"A", "B", "C"}),
+			Mobility:    sim.MobilityTransparent,
+			LinkLatency: tick,
+			Store:       wal,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl, wal
+	}
+	sub := func(k int64, cs ...filter.Constraint) filter.Filter {
+		return filter.New(append(cs, filter.Eq("sub", message.Int(k)))...)
+	}
+
+	cl, wal := build()
+	mob := cl.AddClient("mob")
+	mob.ConnectTo("C")
+	mob.Subscribe(sub(1,
+		filter.Eq("service", message.String("temperature")), filter.Ne("unit", message.String("F")),
+		filter.Lt("value", message.Float(25)), filter.Ge("value", message.Float(20))))
+	mob.Subscribe(sub(2,
+		filter.In("floor", message.Int(1), message.Int(2)), filter.Prefix("room", "r-"),
+		filter.Suffix("wing", "-east"), filter.Contains("tag", "lab")))
+	mob.Subscribe(sub(3,
+		filter.Exists("indoor"), filter.Le("floor", message.Int(2)), filter.Gt("floor", message.Int(1))))
+	cl.Net.Run()
+	mob.Disconnect()
+	cl.Net.Run()
+	_ = wal.Close()
+
+	cl2, _ := build() // NewCluster runs Recover on the reopened WAL
+	cl2.Net.Run()
+	mgr := cl2.Managers["C"]
+	if st := mgr.Stats(); st.RecoveredSessions != 1 || st.RecoveryErrors != 0 || mgr.SessionState("mob") != "ghost" {
+		t.Fatalf("recovery: %+v, session %q", st, mgr.SessionState("mob"))
+	}
+
+	// probe i = the note every subscription accepts, with one attribute
+	// changed (nil removes it) and addressed to one subscription.
+	type probe struct {
+		sub  int64
+		attr string
+		val  any
+		want bool
+	}
+	probes := []probe{
+		{1, "", nil, true}, {2, "", nil, true}, {3, "", nil, true},
+		{1, "service", message.String("humidity"), false}, // Eq
+		{1, "unit", message.String("F"), false},           // Ne
+		{1, "value", message.Float(25), false},            // Lt
+		{1, "value", message.Float(19.5), false},          // Ge
+		{2, "floor", message.Int(3), false},               // In
+		{2, "room", message.String("x-7"), false},         // Prefix
+		{2, "wing", message.String("north-west"), false},  // Suffix
+		{2, "tag", message.String("office"), false},       // Contains
+		{3, "indoor", nil, false},                         // Exists
+		{3, "floor", message.Int(3), false},               // Le
+		{3, "floor", message.Int(1), false},               // Gt
+	}
+	pub := cl2.AddClient("pub")
+	pub.ConnectTo("A")
+	for i, p := range probes {
+		attrs := map[string]message.Value{
+			"service": message.String("temperature"), "value": message.Float(20),
+			"floor": message.Int(2), "room": message.String("r-7"), "indoor": message.Bool(true),
+			"unit": message.String("C"), "wing": message.String("north-east"), "tag": message.String("biolab2"),
+			"sub": message.Int(p.sub), "i": message.Int(int64(i)),
+		}
+		if v, ok := p.val.(message.Value); ok {
+			attrs[p.attr] = v
+		} else {
+			delete(attrs, p.attr)
+		}
+		pub.Publish(attrs)
+	}
+	cl2.Net.Run()
+
+	back := cl2.AddClient("mob") // a fresh process: it holds no profile of its own
+	back.ConnectTo("C")
+	cl2.Net.Run()
+	got := make(map[int64]bool)
+	for _, n := range back.ReceivedNotes() {
+		v, _ := n.Get("i")
+		got[v.IntVal()] = true
+	}
+	for i, p := range probes {
+		if got[int64(i)] != p.want {
+			t.Errorf("probe %d (sub %d, %s=%v): delivered %v, want %v", i, p.sub, p.attr, p.val, got[int64(i)], p.want)
+		}
 	}
 }

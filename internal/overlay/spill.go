@@ -31,8 +31,10 @@ import (
 const DefaultSpillBudget = 256 << 20 // 256 MiB
 
 // spillAttr carries one encoded proto.Message frame inside the
-// store-facing Notification wrapper. Value's gob round-trip is
-// binary-safe, so the frame survives WAL persistence byte-exact.
+// store-facing Notification wrapper. The store persists notifications in
+// the same codec, whose strings are length-prefixed bytes, so the frame
+// survives WAL persistence byte-exact. The wrapper exists because
+// Store.Append takes a Notification, not bytes.
 const spillAttr = "ovl-frame"
 
 // spillDrainBatch bounds how many drained records are acked at once: a

@@ -1,59 +1,22 @@
 package store
 
 import (
-	"sync"
 	"time"
 
 	"rebeca/internal/message"
 )
 
-// opKind discriminates logged mutations.
-type opKind int
-
-const (
-	opAppend opKind = iota + 1
-	opAck
-	opSnapshot
-	// opQueueMeta re-establishes a queue's sequence floor and ack
-	// watermark in a compacted log.
-	opQueueMeta
-)
-
-// op is one logged mutation. The Memory store models durability the way a
-// WAL does: mutations are staged in an ordered log and become durable when
-// a Sync succeeds; Crash discards everything staged after the last
-// successful Sync.
-type op struct {
-	kind  opKind
-	queue string
-	seq   uint64
-	at    time.Time
-	note  message.Notification
-	upTo  uint64
-	next  uint64
-	key   string
-	data  []byte
-}
-
-// memQueue is the live (replayed) state of one queue.
-type memQueue struct {
-	next    uint64 // next sequence to assign
-	acked   uint64
-	records []Record // pending records, sequence order
-}
-
 // Memory is the in-process Store: the zero-cost default, and — through its
 // fault hook and Crash — the harness for recovery tests on the virtual
-// clock. Safe for concurrent use.
+// clock. It models durability the way a WAL does: mutations are staged in
+// an ordered op log and become durable when a Sync succeeds; Crash discards
+// everything staged after the last successful Sync. Safe for concurrent
+// use.
 type Memory struct {
-	mu     sync.Mutex
+	index
 	ops    []op
 	synced int // ops[:synced] are durable
 	faults func() error
-
-	queues map[string]*memQueue
-	snaps  map[string][]byte
-	closed bool
 }
 
 var _ Store = (*Memory)(nil)
@@ -63,11 +26,6 @@ func NewMemory() *Memory {
 	m := &Memory{}
 	m.reset()
 	return m
-}
-
-func (m *Memory) reset() {
-	m.queues = make(map[string]*memQueue)
-	m.snaps = make(map[string][]byte)
 }
 
 // SetSyncFault installs a hook consulted on every Sync; a non-nil return
@@ -100,63 +58,15 @@ func (m *Memory) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.ops = m.ops[:m.synced]
+	m.refold()
+}
+
+// refold rebuilds the live state from the op log.
+func (m *Memory) refold() {
 	m.reset()
-	for _, o := range m.ops {
-		m.apply(o)
+	for i := range m.ops {
+		m.fold(&m.ops[i])
 	}
-}
-
-// apply folds one op into the live state. Callers hold m.mu.
-func (m *Memory) apply(o op) {
-	switch o.kind {
-	case opAppend:
-		q := m.queue(o.queue)
-		if o.seq+1 > q.next {
-			q.next = o.seq + 1
-		}
-		if o.seq > q.acked {
-			q.records = append(q.records, Record{Queue: o.queue, Seq: o.seq, At: o.at, Note: o.note})
-		}
-	case opAck:
-		q := m.queue(o.queue)
-		upTo := o.upTo
-		if upTo >= q.next {
-			upTo = q.next - 1
-		}
-		if upTo > q.acked {
-			q.acked = upTo
-		}
-		i := 0
-		for i < len(q.records) && q.records[i].Seq <= q.acked {
-			i++
-		}
-		if i > 0 {
-			q.records = append(q.records[:0], q.records[i:]...)
-		}
-	case opSnapshot:
-		if o.data == nil {
-			delete(m.snaps, o.key)
-		} else {
-			m.snaps[o.key] = append([]byte(nil), o.data...)
-		}
-	case opQueueMeta:
-		q := m.queue(o.queue)
-		if o.next > q.next {
-			q.next = o.next
-		}
-		if o.upTo > q.acked {
-			q.acked = o.upTo
-		}
-	}
-}
-
-func (m *Memory) queue(name string) *memQueue {
-	q, ok := m.queues[name]
-	if !ok {
-		q = &memQueue{next: 1}
-		m.queues[name] = q
-	}
-	return q
 }
 
 // stage logs a mutation, applies it to the live state, and attempts to
@@ -165,7 +75,7 @@ func (m *Memory) queue(name string) *memQueue {
 // successful Sync discards it — exactly a WAL's window.
 func (m *Memory) stage(o op) error {
 	m.ops = append(m.ops, o)
-	m.apply(o)
+	m.fold(&o)
 	return m.syncLocked()
 }
 
@@ -185,27 +95,9 @@ func (m *Memory) syncLocked() error {
 func (m *Memory) Append(queue string, n message.Notification, at time.Time) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	q := m.queue(queue)
-	seq := q.next
-	_ = m.stage(op{kind: opAppend, queue: queue, seq: seq, at: at, note: n})
+	seq := m.queue(queue).next
+	_ = m.stage(op{kind: opAppend, name: queue, seq: seq, at: at, note: n})
 	return seq, nil
-}
-
-// ReplayFrom implements Store.
-func (m *Memory) ReplayFrom(queue string, after uint64) ([]Record, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	q, ok := m.queues[queue]
-	if !ok {
-		return nil, nil
-	}
-	var out []Record
-	for _, r := range q.records {
-		if r.Seq > after {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // Ack implements Store.
@@ -215,7 +107,7 @@ func (m *Memory) Ack(queue string, upTo uint64) error {
 	if _, ok := m.queues[queue]; !ok {
 		return nil
 	}
-	_ = m.stage(op{kind: opAck, queue: queue, upTo: upTo})
+	_ = m.stage(op{kind: opAck, name: queue, upTo: upTo})
 	return nil
 }
 
@@ -223,36 +115,11 @@ func (m *Memory) Ack(queue string, upTo uint64) error {
 func (m *Memory) Snapshot(key string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var cp []byte
 	if data != nil {
-		cp = append([]byte(nil), data...)
+		data = append([]byte{}, data...) // the log's own copy; stays non-nil when empty
 	}
-	_ = m.stage(op{kind: opSnapshot, key: key, data: cp})
+	_ = m.stage(op{kind: opSnapshot, name: key, data: data})
 	return nil
-}
-
-// LoadSnapshot implements Store.
-func (m *Memory) LoadSnapshot(key string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.snaps[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), b...), true
-}
-
-// Snapshots implements Store.
-func (m *Memory) Snapshots(prefix string) map[string][]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string][]byte)
-	for k, v := range m.snaps {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			out[k] = append([]byte(nil), v...)
-		}
-	}
-	return out
 }
 
 // Compact implements Store: the op log is rewritten to the minimal set
@@ -261,26 +128,11 @@ func (m *Memory) Snapshots(prefix string) map[string][]byte {
 func (m *Memory) Compact() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var ops []op
-	for name, q := range m.queues {
-		if q.next > 1 {
-			ops = append(ops, op{kind: opQueueMeta, queue: name, next: q.next, upTo: q.acked})
-		}
-		for _, r := range q.records {
-			ops = append(ops, op{kind: opAppend, queue: name, seq: r.Seq, at: r.At, note: r.Note})
-		}
-	}
-	for k, v := range m.snaps {
-		ops = append(ops, op{kind: opSnapshot, key: k, data: v})
-	}
-	// The compacted log is self-contained: rebuild the live state from it
-	// so compaction bugs surface immediately, not at the next Crash.
-	m.ops = ops
-	m.synced = len(ops)
-	m.reset()
-	for _, o := range m.ops {
-		m.apply(o)
-	}
+	// Rebuild the live state from the rewritten log, so a compaction bug
+	// surfaces immediately, not at the next Crash.
+	m.ops = m.live()
+	m.synced = len(m.ops)
+	m.refold()
 	return nil
 }
 
@@ -295,17 +147,5 @@ func (m *Memory) Sync() error {
 func (m *Memory) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.closed = true
 	return m.syncLocked()
-}
-
-// State reports a queue's bookkeeping (tests, stats).
-func (m *Memory) State(queue string) QueueState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	q, ok := m.queues[queue]
-	if !ok {
-		return QueueState{Next: 1}
-	}
-	return QueueState{Next: q.next, Acked: q.acked, Pending: len(q.records)}
 }

@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -211,5 +215,159 @@ func TestMemoryCrashAfterCompact(t *testing.T) {
 	}
 	if st := m.State("q"); st.Next != 7 || st.Acked != 4 {
 		t.Fatalf("queue meta lost: %+v", st)
+	}
+}
+
+// --- conformance: one op sequence, two stores ------------------------------
+
+// randNote draws from every shape the codec must carry: all value kinds
+// (NaN, empty string and the invalid zero Value included), nil and empty
+// attribute maps, zero and set publication times, with and without a hop
+// trail.
+func randNote(r *rand.Rand) message.Notification {
+	values := []message.Value{
+		message.String(""), message.String("x\x00\xff"), message.Int(0), message.Int(-1 << 62),
+		message.Float(math.NaN()), message.Float(math.Inf(-1)), message.Float(0.5),
+		message.Bool(true), message.Bool(false), {},
+	}
+	var n message.Notification
+	switch r.Intn(4) {
+	case 0: // nil Attrs
+	case 1:
+		n.Attrs = map[string]message.Value{}
+	default:
+		n.Attrs = make(map[string]message.Value)
+		for i := r.Intn(5) + 1; i > 0; i-- {
+			n.Attrs[fmt.Sprintf("a%d", r.Intn(8))] = values[r.Intn(len(values))]
+		}
+	}
+	n.ID = message.NotificationID{Publisher: message.NodeID(fmt.Sprintf("p%d", r.Intn(3))), Seq: r.Uint64() >> uint(r.Intn(64))}
+	if r.Intn(2) == 0 {
+		n.Published = t0.Add(time.Duration(r.Int63n(int64(time.Hour))))
+	}
+	for i := r.Intn(3); i > 0; i-- {
+		n.Path = append(n.Path, message.HopStamp{Broker: message.NodeID(fmt.Sprintf("B%d", i)), At: t0.Add(time.Duration(i))})
+	}
+	return n
+}
+
+func sameNote(a, b message.Notification) bool {
+	if a.ID != b.ID || !a.Published.Equal(b.Published) || len(a.Attrs) != len(b.Attrs) || len(a.Path) != len(b.Path) {
+		return false
+	}
+	for k, v := range a.Attrs {
+		// Kind plus rendering is exact for every kind and, unlike
+		// Value.Equal, holds NaN equal to itself.
+		if o, ok := b.Attrs[k]; !ok || v.Kind() != o.Kind() || v.String() != o.String() {
+			return false
+		}
+	}
+	for i, h := range a.Path {
+		if h.Broker != b.Path[i].Broker || !h.At.Equal(b.Path[i].At) {
+			return false
+		}
+	}
+	return true
+}
+
+// introspect is Store plus the bookkeeping reader both stores have.
+type introspect interface {
+	Store
+	State(queue string) QueueState
+}
+
+// agree fails the test unless every reader returns the same from a and b.
+func agree(t *testing.T, a, b introspect, queues, keys []string, after uint64) {
+	t.Helper()
+	for _, q := range queues {
+		if sa, sb := a.State(q), b.State(q); sa != sb {
+			t.Fatalf("State(%q): %+v vs %+v", q, sa, sb)
+		}
+		for _, from := range []uint64{0, after} {
+			ra, _ := a.ReplayFrom(q, from)
+			rb, _ := b.ReplayFrom(q, from)
+			if len(ra) != len(rb) {
+				t.Fatalf("ReplayFrom(%q, %d): %v vs %v", q, from, seqs(ra), seqs(rb))
+			}
+			for i := range ra {
+				if ra[i].Queue != rb[i].Queue || ra[i].Seq != rb[i].Seq || !ra[i].At.Equal(rb[i].At) || !sameNote(ra[i].Note, rb[i].Note) {
+					t.Fatalf("ReplayFrom(%q, %d)[%d]:\n%+v\nvs\n%+v", q, from, i, ra[i], rb[i])
+				}
+			}
+		}
+	}
+	for _, k := range keys {
+		ba, oka := a.LoadSnapshot(k)
+		bb, okb := b.LoadSnapshot(k)
+		if oka != okb || !bytes.Equal(ba, bb) {
+			t.Fatalf("LoadSnapshot(%q): %q %v vs %q %v", k, ba, oka, bb, okb)
+		}
+	}
+	for _, prefix := range []string{"", "mob/", "mob/B1/"} {
+		sa, sb := a.Snapshots(prefix), b.Snapshots(prefix)
+		if len(sa) != len(sb) {
+			t.Fatalf("Snapshots(%q): %v vs %v", prefix, sa, sb)
+		}
+		for k, v := range sa {
+			if o, ok := sb[k]; !ok || !bytes.Equal(v, o) {
+				t.Fatalf("Snapshots(%q)[%q]: %q vs %q %v", prefix, k, v, o, ok)
+			}
+		}
+	}
+}
+
+// TestStoresConform drives Memory and WAL with one random op sequence —
+// restarting both at random points, the WAL from its files and Memory from
+// its op log — and requires every reader to agree after every step.
+func TestStoresConform(t *testing.T) {
+	queues := []string{"mob/B1/alice", "ovl/A/B", "", "never-used"}
+	keys := []string{"mob/B1/alice", "mob/B2/bob", "pub/carol", ""}
+	blobs := [][]byte{nil, {}, []byte("profile"), {0, 0xff, 0}}
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			mem, wal := NewMemory(), reopen(t, dir, WALSegmentSize(1024))
+			for step := 0; step < 300; step++ {
+				q := queues[r.Intn(3)]
+				switch r.Intn(12) {
+				default:
+					at := time.Time{}
+					if r.Intn(4) > 0 {
+						at = t0.Add(time.Duration(step) * time.Millisecond)
+					}
+					n := randNote(r)
+					sm, _ := mem.Append(q, n, at)
+					sw, err := wal.Append(q, n, at)
+					if err != nil || sm != sw {
+						t.Fatalf("step %d: Append seq %d vs %d, %v", step, sm, sw, err)
+					}
+				case 0, 1:
+					upTo := uint64(r.Intn(int(mem.State(q).Next) + 2))
+					_ = mem.Ack(q, upTo)
+					if err := wal.Ack(q, upTo); err != nil {
+						t.Fatal(err)
+					}
+				case 2, 3:
+					k, blob := keys[r.Intn(len(keys))], blobs[r.Intn(len(blobs))]
+					_ = mem.Snapshot(k, blob)
+					if err := wal.Snapshot(k, blob); err != nil {
+						t.Fatal(err)
+					}
+				case 4:
+					_ = mem.Compact()
+					if err := wal.Compact(); err != nil {
+						t.Fatal(err)
+					}
+				case 5:
+					if r.Intn(2) == 0 {
+						_ = wal.Close() // else a kill: recover from the raw files
+					}
+					mem.Crash()
+					wal = reopen(t, dir, WALSegmentSize(1024))
+				}
+				agree(t, mem, wal, queues, keys, uint64(r.Intn(8)))
+			}
+		})
 	}
 }

@@ -3,58 +3,56 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 
+	"rebeca/internal/codec"
 	"rebeca/internal/message"
 )
 
 // DefaultSegmentSize is the rotation threshold for WAL segment files.
 const DefaultSegmentSize = 4 << 20 // 4 MiB
 
-// walRecord is the gob-encoded payload of one framed WAL entry. Kind reuses
-// the Memory store's op vocabulary: append, ack, snapshot, queue-meta.
-type walRecord struct {
-	Kind  int
-	Queue string
-	Seq   uint64
-	At    time.Time
-	Note  message.Notification
-	UpTo  uint64
-	Next  uint64
-	Key   string
-	Data  []byte
-}
+// segHeader opens every segment: a magic and a format byte. The format
+// byte versions the record encoding (record.go); a file that does not
+// start with the magic was not written by this code and is refused.
+var segHeader = []byte{'R', 'B', 'W', 'L', 1}
 
-// WAL is the file-backed Store: an append-only log of CRC-framed,
-// gob-encoded records split into rotating segment files
-// (wal-<n>.seg). Every record is fsynced before Append returns (unless
-// WALNoSync), so a killed process loses nothing it acknowledged. Compact
-// rewrites the live state (pending records, watermarks, snapshots) into a
-// fresh segment and deletes the older ones — the ack-driven garbage
+// frameHeader is the length + CRC in front of every record.
+const frameHeader = 8
+
+// WAL is the file-backed Store: an append-only log of CRC-framed records
+// in the binary codec's encoding (record.go), split into rotating segment
+// files (wal-<n>.seg). Every record is fsynced before Append returns
+// (unless WALNoSync), so a killed process loses nothing it acknowledged.
+// Compact rewrites the live state (pending records, watermarks, snapshots)
+// into a fresh segment and deletes the older ones — the ack-driven garbage
 // collection that keeps cancelled durable subscriptions from pinning
 // segments forever.
 //
-// Frame format, little-endian:
+// Segment format, little-endian:
 //
-//	[4B payload length][4B IEEE CRC-32 of payload][payload]
+//	"RBWL" format:byte
+//	{ [4B payload length][4B IEEE CRC-32 of payload][payload] }
 //
-// Recovery reads segments in order, verifying each frame's CRC. A short or
-// corrupt frame in the newest segment marks the torn tail of an interrupted
-// write: recovery stops there and the file is truncated to the last good
-// frame. Corruption in an older segment is reported as an error — that is
-// data loss, not a torn tail.
+// Recovery reads segments in order and tells three failures apart. Torn: a
+// frame cut short, longer than what is left of the file, or failing its
+// CRC is an interrupted write — in the newest segment recovery stops there
+// and truncates the file to the last good frame (a newest segment shorter
+// than its header is a torn create and is rewritten); in an older segment
+// it is data loss and an error. Corrupt: a payload that passes its CRC but
+// does not decode was written wrong, not torn, and is an error in any
+// segment. Foreign: a segment without the header — the gob segments of
+// earlier builds — is an error naming the file. No error path modifies a
+// file.
 type WAL struct {
-	mu     sync.Mutex
+	index
 	dir    string
 	maxSeg int64
 	sync   bool
@@ -62,10 +60,8 @@ type WAL struct {
 	seg     *os.File // active segment, opened for append
 	segID   int
 	segSize int64
-
-	queues map[string]*memQueue
-	snaps  map[string][]byte
-	closed bool
+	buf     []byte // frame scratch, reused under mu
+	closed  bool
 
 	// log receives structured segment lifecycle events (rotation,
 	// compaction); nil stays silent.
@@ -106,13 +102,8 @@ func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open wal: %w", err)
 	}
-	w := &WAL{
-		dir:    dir,
-		maxSeg: DefaultSegmentSize,
-		sync:   true,
-		queues: make(map[string]*memQueue),
-		snaps:  make(map[string][]byte),
-	}
+	w := &WAL{dir: dir, maxSeg: DefaultSegmentSize, sync: true}
+	w.reset()
 	for _, o := range opts {
 		o(w)
 	}
@@ -175,144 +166,98 @@ func (w *WAL) recover() error {
 	return nil
 }
 
-// replaySegment folds one segment into the index. In the last segment a
-// torn tail (short frame or CRC mismatch) truncates the file; anywhere
-// else it is corruption.
+// replaySegment folds one segment into the index; the WAL type comment
+// says what it treats as torn, corrupt and foreign.
 func (w *WAL) replaySegment(id int, last bool) error {
-	path := filepath.Join(w.dir, segName(id))
-	f, err := os.Open(path)
+	name := segName(id)
+	path := filepath.Join(w.dir, name)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	var offset int64
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) && last {
-				return os.Truncate(path, offset)
-			}
-			return fmt.Errorf("store: %s: torn frame header at %d", segName(id), offset)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if last {
-				return os.Truncate(path, offset)
-			}
-			return fmt.Errorf("store: %s: torn frame body at %d", segName(id), offset)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			if last {
-				return os.Truncate(path, offset)
-			}
-			return fmt.Errorf("store: %s: CRC mismatch at %d", segName(id), offset)
-		}
-		var rec walRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			if last {
-				return os.Truncate(path, offset)
-			}
-			return fmt.Errorf("store: %s: undecodable record at %d: %w", segName(id), offset, err)
-		}
-		w.fold(rec)
-		offset += int64(8 + len(payload))
+	switch {
+	case len(data) < len(segHeader) && last:
+		return os.WriteFile(path, segHeader, 0o644)
+	case len(data) < len(segHeader):
+		return fmt.Errorf("store: %s: segment shorter than its header", name)
+	case !bytes.HasPrefix(data, segHeader[:4]):
+		return fmt.Errorf("store: %s: no segment header: written by a pre-codec build, whose gob records this build does not read", name)
+	case data[4] != segHeader[4]:
+		return fmt.Errorf("store: %s: unknown segment format %d", name, data[4])
 	}
+	for off := len(segHeader); off < len(data); {
+		payload, torn := splitFrame(data[off:])
+		if torn != "" {
+			if last {
+				return os.Truncate(path, int64(off))
+			}
+			return fmt.Errorf("store: %s: %s at %d", name, torn, off)
+		}
+		o, err := decodeOp(payload)
+		if err != nil {
+			return fmt.Errorf("store: %s: undecodable record at %d: %w", name, off, err)
+		}
+		w.fold(&o)
+		off += frameHeader + len(payload)
+	}
+	return nil
 }
 
-// fold applies one recovered/written record to the in-memory index.
-func (w *WAL) fold(rec walRecord) {
-	switch opKind(rec.Kind) {
-	case opAppend:
-		q := w.queue(rec.Queue)
-		if rec.Seq+1 > q.next {
-			q.next = rec.Seq + 1
-		}
-		// Idempotence guard: a crash between Compact's segment rewrite and
-		// its old-segment deletion leaves the same append in two segments.
-		// Live appends are strictly increasing per queue, so a sequence at
-		// or below the current tail is a replayed duplicate, not data.
-		dup := len(q.records) > 0 && rec.Seq <= q.records[len(q.records)-1].Seq
-		if rec.Seq > q.acked && !dup {
-			q.records = append(q.records, Record{Queue: rec.Queue, Seq: rec.Seq, At: rec.At, Note: rec.Note})
-		}
-	case opAck:
-		q := w.queue(rec.Queue)
-		upTo := rec.UpTo
-		if upTo >= q.next {
-			upTo = q.next - 1
-		}
-		if upTo > q.acked {
-			q.acked = upTo
-		}
-		i := 0
-		for i < len(q.records) && q.records[i].Seq <= q.acked {
-			i++
-		}
-		if i > 0 {
-			q.records = append(q.records[:0], q.records[i:]...)
-		}
-	case opSnapshot:
-		if rec.Data == nil {
-			delete(w.snaps, rec.Key)
-		} else {
-			w.snaps[rec.Key] = append([]byte(nil), rec.Data...)
-		}
-	case opQueueMeta:
-		q := w.queue(rec.Queue)
-		if rec.Next > q.next {
-			q.next = rec.Next
-		}
-		if rec.UpTo > q.acked {
-			q.acked = rec.UpTo
-		}
+// splitFrame returns the payload of the frame rest starts with, or, as
+// torn, what an interrupted write left wrong with it.
+func splitFrame(rest []byte) (payload []byte, torn string) {
+	if len(rest) < frameHeader {
+		return nil, "torn frame header"
 	}
+	// The length is whatever the disk holds: bound it before using it.
+	length := binary.LittleEndian.Uint32(rest)
+	if length > codec.MaxFrame || int(length) > len(rest)-frameHeader {
+		return nil, "torn frame body"
+	}
+	payload = rest[frameHeader : frameHeader+length]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:]) {
+		return nil, "CRC mismatch"
+	}
+	return payload, ""
 }
 
-func (w *WAL) queue(name string) *memQueue {
-	q, ok := w.queues[name]
-	if !ok {
-		q = &memQueue{next: 1}
-		w.queues[name] = q
-	}
-	return q
-}
-
+// openSegment creates segment id, header first, and makes it current.
 func (w *WAL) openSegment(id int) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segName(id)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open segment: %w", err)
 	}
+	if _, err := f.Write(segHeader); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("store: open segment: %w", err)
+	}
 	w.seg = f
 	w.segID = id
-	w.segSize = 0
+	w.segSize = int64(len(segHeader))
 	return nil
 }
 
-// write frames, writes and (optionally) fsyncs one record, rotating the
-// segment when it outgrows the threshold. Callers hold w.mu.
-func (w *WAL) write(rec walRecord) error {
+// write frames one record into the scratch buffer, hands it to the segment
+// in one Write and (optionally) fsyncs, rotating the segment when it
+// outgrows the threshold. Callers hold w.mu.
+func (w *WAL) write(o *op) error {
 	if w.closed {
 		return errors.New("store: wal is closed")
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
+	var hdr [frameHeader]byte
+	b := appendOp(append(w.buf[:0], hdr[:]...), o)
+	w.buf = b
+	payload := b[frameHeader:]
+	if len(payload) > codec.MaxFrame {
+		// Recovery reads a longer length as a torn frame; never write one.
+		return fmt.Errorf("store: record of %d bytes exceeds the %d-byte frame limit", len(payload), codec.MaxFrame)
+	}
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := w.seg.Write(b); err != nil {
 		return err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := w.seg.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.seg.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	w.segSize += int64(8 + payload.Len())
+	w.segSize += int64(len(b))
 	if w.sync {
 		if err := w.seg.Sync(); err != nil {
 			return err
@@ -338,31 +283,12 @@ func (w *WAL) write(rec walRecord) error {
 func (w *WAL) Append(queue string, n message.Notification, at time.Time) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	q := w.queue(queue)
-	seq := q.next
-	rec := walRecord{Kind: int(opAppend), Queue: queue, Seq: seq, At: at, Note: n}
-	if err := w.write(rec); err != nil {
+	o := op{kind: opAppend, name: queue, seq: w.queue(queue).next, at: at, note: n}
+	if err := w.write(&o); err != nil {
 		return 0, err
 	}
-	w.fold(rec)
-	return seq, nil
-}
-
-// ReplayFrom implements Store.
-func (w *WAL) ReplayFrom(queue string, after uint64) ([]Record, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	q, ok := w.queues[queue]
-	if !ok {
-		return nil, nil
-	}
-	var out []Record
-	for _, r := range q.records {
-		if r.Seq > after {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	w.fold(&o)
+	return o.seq, nil
 }
 
 // Ack implements Store.
@@ -372,11 +298,11 @@ func (w *WAL) Ack(queue string, upTo uint64) error {
 	if _, ok := w.queues[queue]; !ok {
 		return nil
 	}
-	rec := walRecord{Kind: int(opAck), Queue: queue, UpTo: upTo}
-	if err := w.write(rec); err != nil {
+	o := op{kind: opAck, name: queue, upTo: upTo}
+	if err := w.write(&o); err != nil {
 		return err
 	}
-	w.fold(rec)
+	w.fold(&o)
 	return nil
 }
 
@@ -384,36 +310,12 @@ func (w *WAL) Ack(queue string, upTo uint64) error {
 func (w *WAL) Snapshot(key string, data []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	rec := walRecord{Kind: int(opSnapshot), Key: key, Data: data}
-	if err := w.write(rec); err != nil {
+	o := op{kind: opSnapshot, name: key, data: data}
+	if err := w.write(&o); err != nil {
 		return err
 	}
-	w.fold(rec)
+	w.fold(&o)
 	return nil
-}
-
-// LoadSnapshot implements Store.
-func (w *WAL) LoadSnapshot(key string) ([]byte, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	b, ok := w.snaps[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), b...), true
-}
-
-// Snapshots implements Store.
-func (w *WAL) Snapshots(prefix string) map[string][]byte {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[string][]byte)
-	for k, v := range w.snaps {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			out[k] = append([]byte(nil), v...)
-		}
-	}
-	return out
 }
 
 // Compact implements Store: the live state is rewritten into a fresh
@@ -432,31 +334,9 @@ func (w *WAL) Compact() error {
 	if err := w.openSegment(oldID + 1); err != nil {
 		return err
 	}
-	names := make([]string, 0, len(w.queues))
-	for name := range w.queues {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		q := w.queues[name]
-		if q.next > 1 {
-			if err := w.write(walRecord{Kind: int(opQueueMeta), Queue: name, Next: q.next, UpTo: q.acked}); err != nil {
-				return err
-			}
-		}
-		for _, r := range q.records {
-			if err := w.write(walRecord{Kind: int(opAppend), Queue: name, Seq: r.Seq, At: r.At, Note: r.Note}); err != nil {
-				return err
-			}
-		}
-	}
-	keys := make([]string, 0, len(w.snaps))
-	for k := range w.snaps {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := w.write(walRecord{Kind: int(opSnapshot), Key: k, Data: w.snaps[k]}); err != nil {
+	live := w.live()
+	for i := range live {
+		if err := w.write(&live[i]); err != nil {
 			return err
 		}
 	}
@@ -510,17 +390,6 @@ func (w *WAL) Close() error {
 		return err
 	}
 	return w.seg.Close()
-}
-
-// State reports a queue's bookkeeping (tests, stats).
-func (w *WAL) State(queue string) QueueState {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	q, ok := w.queues[queue]
-	if !ok {
-		return QueueState{Next: 1}
-	}
-	return QueueState{Next: q.next, Acked: q.acked, Pending: len(q.records)}
 }
 
 // SegmentCount reports how many segment files exist (compaction tests).

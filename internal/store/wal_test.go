@@ -1,8 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -84,19 +89,9 @@ func TestWALTornTailTruncated(t *testing.T) {
 	for i := uint64(1); i <= 3; i++ {
 		_, _ = w.Append("q", note("p", i), t0)
 	}
-	_ = w.Close()
 	// Simulate a crash mid-write: append half a frame to the newest
 	// segment.
-	ids, _ := w.segments()
-	path := filepath.Join(dir, segName(ids[len(ids)-1]))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0xFF, 0x00, 0x00, 0x00, 0xAB}); err != nil {
-		t.Fatal(err)
-	}
-	_ = f.Close()
+	appendToFile(t, newestSegment(t, w), []byte{0xFF, 0x00, 0x00, 0x00, 0xAB})
 
 	w2 := reopen(t, dir)
 	rs, _ := w2.ReplayFrom("q", 0)
@@ -121,9 +116,7 @@ func TestWALCorruptBodyDetected(t *testing.T) {
 	for i := uint64(1); i <= 3; i++ {
 		_, _ = w.Append("q", note("p", i), t0)
 	}
-	_ = w.Close()
-	ids, _ := w.segments()
-	path := filepath.Join(dir, segName(ids[len(ids)-1]))
+	path := newestSegment(t, w)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -215,5 +208,133 @@ func TestWALConcurrentAppends(t *testing.T) {
 				t.Fatalf("queue %s: gap at %d (seq %d)", q, i, r.Seq)
 			}
 		}
+	}
+}
+
+// newestSegment closes w and returns the path of its newest segment.
+func newestSegment(t testing.TB, w *WAL) string {
+	t.Helper()
+	_ = w.Close()
+	ids, err := w.segments()
+	if err != nil || len(ids) == 0 {
+		t.Fatalf("segments: %v %v", ids, err)
+	}
+	return filepath.Join(w.Dir(), segName(ids[len(ids)-1]))
+}
+
+func appendToFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frame wraps a payload the way the WAL does: length, CRC-32, payload.
+func frame(payload []byte) []byte {
+	b := make([]byte, 8, 8+len(payload))
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// A frame header is bytes from disk: a torn one claiming a 2 GiB payload
+// must be recognised as a torn tail before anything is allocated for it.
+func TestWALOversizedLengthIsTornNotAllocated(t *testing.T) {
+	dir := t.TempDir()
+	w := reopen(t, dir)
+	for i := uint64(1); i <= 3; i++ {
+		_, _ = w.Append("q", note("p", i), t0)
+	}
+	path := newestSegment(t, w)
+	good, _ := os.Stat(path)
+	appendToFile(t, path, []byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w2, err := OpenWAL(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("recovery allocated %d bytes for a torn 8-byte tail", grew)
+	}
+	if rs, _ := w2.ReplayFrom("q", 0); len(rs) != 3 {
+		t.Fatalf("good prefix not recovered: %v", seqs(rs))
+	}
+	if st, _ := os.Stat(path); st.Size() != good.Size() {
+		t.Fatalf("torn tail not truncated: %d bytes, want %d", st.Size(), good.Size())
+	}
+}
+
+// A payload that passes its CRC was written whole: if it does not decode
+// it is corruption (or another format), never a torn tail — truncating
+// would silently delete it.
+func TestWALUndecodablePayloadIsNotTruncated(t *testing.T) {
+	dir := t.TempDir()
+	w := reopen(t, dir)
+	_, _ = w.Append("q", note("p", 1), t0)
+	path := newestSegment(t, w)
+	appendToFile(t, path, frame([]byte("not a record, but intact")))
+	want, _ := os.ReadFile(path)
+
+	if w2, err := OpenWAL(dir); err == nil {
+		_ = w2.Close()
+		t.Error("OpenWAL accepted a CRC-valid frame it cannot decode")
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Fatalf("segment modified: %d bytes, was %d", len(got), len(want))
+	}
+}
+
+// gobSegment is a segment exactly as the last gob build wrote it: one
+// Append("q", note("p", 1), t0), CRC-framed, no segment header.
+const gobSegment = "\xa1\x01\x00\x00\x86\xf8\x94\xe8f\x7f\x03\x01\x01\twalRecord\x01\xff\x80\x00\x01\t\x01\x04Kind\x01\x04\x00\x01\x05Queue\x01\f\x00\x01\x03Seq\x01\x06\x00\x01\x02At\x01\xff\x82\x00\x01\x04Note\x01\xff\x84\x00\x01\x04UpTo\x01\x06\x00\x01\x04Next\x01\x06\x00\x01\x03Key\x01\f\x00\x01\x04Data\x01\n\x00\x00\x00\x10\xff\x81\x05\x01\x01\x04Time\x01\xff\x82\x00\x00\x00F\xff\x83\x03\x01\x01\fNotification\x01\xff\x84\x00\x01\x04\x01\x02ID\x01\xff\x86\x00\x01\tPublished\x01\xff\x82\x00\x01\x05Attrs\x01\xff\x8a\x00\x01\x04Path\x01\xff\x8e\x00\x00\x002\xff\x85\x03\x01\x01\x0eNotificationID\x01\xff\x86\x00\x01\x02\x01\tPublisher\x01\f\x00\x01\x03Seq\x01\x06\x00\x00\x00)\xff\x89\x04\x01\x01\x18map[string]message.Value\x01\xff\x8a\x00\x01\f\x01\xff\x88\x00\x00\n\xff\x87\x05\x01\x02\xff\x88\x00\x00\x00!\xff\x8d\x02\x01\x01\x12[]message.HopStamp\x01\xff\x8e\x00\x01\xff\x8c\x00\x00)\xff\x8b\x03\x01\x01\bHopStamp\x01\xff\x8c\x00\x01\x02\x01\x06Broker\x01\f\x00\x01\x02At\x01\xff\x82\x00\x00\x00-\xff\x80\x01\x02\x01\x01q\x01\x01\x01\x0f\x01\x00\x00\x00\x0e\xb6\x7f\xa8@\x00\x00\x00\x00\xff\xff\x01\x01\x01\x01p\x01\x01\x00\x02\x01\x03seq\x02i1\x00\x00"
+
+// A directory written by a gob build is refused by name and left alone.
+func TestWALGobSegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(path, []byte(gobSegment), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWAL(dir)
+	if err == nil {
+		_ = w.Close()
+		t.Fatal("OpenWAL read a gob segment")
+	}
+	if !strings.Contains(err.Error(), segName(1)) {
+		t.Errorf("error does not name the segment: %v", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != gobSegment {
+		t.Fatalf("gob segment modified: %d bytes, was %d", len(got), len(gobSegment))
+	}
+}
+
+// A crash between creating a segment and its header reaching the disk
+// leaves a short newest file; it holds no record and is started over.
+func TestWALTornCreateRewritten(t *testing.T) {
+	dir := t.TempDir()
+	w := reopen(t, dir)
+	_, _ = w.Append("q", note("p", 1), t0)
+	_ = w.Close()
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), segHeader[:3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w2 := reopen(t, dir)
+	if seq, err := w2.Append("q", note("p", 2), t0); err != nil || seq != 2 {
+		t.Fatalf("append after torn create: seq %d, %v", seq, err)
+	}
+	w3 := reopen(t, dir)
+	if rs, _ := w3.ReplayFrom("q", 0); len(rs) != 2 {
+		t.Fatalf("after torn create: %v", seqs(rs))
 	}
 }
