@@ -188,7 +188,7 @@ func TestStartBrokerAssembly(t *testing.T) {
 		}
 	}
 	cfgBody := httpGet(t, "http://"+nA.OpsAddr()+"/config")
-	for _, knob := range []string{"heartbeat", "trace", "sample", "slow", "trace.pending", "tracer", "rate_limit"} {
+	for _, knob := range []string{"heartbeat", "trace", "sample", "slow", "trace.pending", "rate_limit"} {
 		if got := strings.Count(cfgBody, strconv.Quote(knob)+":"); got != 1 {
 			t.Errorf("/config lists knob %q %d times, want 1", knob, got)
 		}
@@ -572,6 +572,16 @@ func TestHopTraceNeedsSomewhereToShowIt(t *testing.T) {
 	}
 }
 
+// TestRegistrySchemeRejected: the registry backends are file: and seed:;
+// anything else — dns: was one once — is Open's unknown-scheme error,
+// surfaced by the constructor.
+func TestRegistrySchemeRejected(t *testing.T) {
+	_, err := NewLive(WithMovement(Line(2)), WithRegistry("dns:_rebeca._tcp.example.com"))
+	if want := `unknown registry scheme "dns" (want file or seed)`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewLive under a dns: registry = %v, want an error containing %q", err, want)
+	}
+}
+
 // TestOneAssembly keeps the copies from growing back: the binary may not
 // reach past the facade into the packages the node builder wires, and the
 // session layers are constructed in exactly one file.
@@ -597,6 +607,10 @@ func TestOneAssembly(t *testing.T) {
 	}
 
 	callers := map[string][]string{"core.New(": nil, "mobility.New(": nil}
+	// The second push encodings, the second fold, the event-log ring and the
+	// DNS backend went in PR 22; one telemetry pipeline stays one.
+	gone := []string{"RemoteWrite", "PushFormat", "pushFormat", "snapshotJSON", "ingestJSON", "foldCounterDel",
+		"ParseLabelKey", "NewDNSRegistry", "SRVLookup", "tracerCap", "MetricTracerDropped"}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -621,6 +635,11 @@ func TestOneAssembly(t *testing.T) {
 			for call := range callers {
 				if strings.Contains(line, call) {
 					callers[call] = append(callers[call], filepath.ToSlash(path))
+				}
+			}
+			for _, name := range gone {
+				if strings.Contains(line, name) {
+					t.Errorf("%s mentions %s, which was deleted for good", path, name)
 				}
 			}
 		}

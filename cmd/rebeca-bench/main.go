@@ -8,7 +8,7 @@
 //
 //	go test -bench . -benchtime 1x ./... | rebeca-bench -smoke
 //	                             # render bench output as the CI smoke
-//	                             # artifact (BENCH_<pr>.json) on stdout
+//	                             # artifact (bench-smoke.json) on stdout
 //
 //	go test -bench MatchIndexed -benchmem ./internal/routing |
 //	    rebeca-bench -check-allocs 'BenchmarkMatchIndexed'

@@ -10,7 +10,7 @@
 //     edge should dial). The graph must be a tree.
 //
 //   - Discovery (-registry/-name): the node registers itself with a
-//     membership registry (file:, dns: or seed: — see internal/discovery)
+//     membership registry (file: or seed: — see internal/discovery)
 //     and links to whichever brokers the registry names, no -edges or
 //     -dial flags. Dial direction is derived (the smaller ID dials),
 //     departed brokers are unlinked, and mesh routing is enabled: the
@@ -63,7 +63,7 @@ func main() {
 		listen    = flag.String("listen", ":7471", "TCP listen address")
 		edges     = flag.String("edges", "", "full overlay edge list, e.g. A-B,B-C (static mode)")
 		dial      = flag.String("dial", "", "neighbors to dial, e.g. A=host:port,B=host:port (static mode)")
-		registry  = flag.String("registry", "", "membership registry URI (file:<path>, dns:<srv-name>, seed:<listen>[,<seed>...]); replaces -edges/-dial and enables mesh routing")
+		registry  = flag.String("registry", "", "membership registry URI (file:<path> or seed:<listen>[,<seed>...]); replaces -edges/-dial and enables mesh routing")
 		advertise = flag.String("advertise", "", "overlay address to register for peers to dial (default: the bound listen address with unspecified hosts rewritten to 127.0.0.1)")
 		strategy  = flag.String("strategy", "simple", "routing strategy: simple, covering, flooding")
 		linearM   = flag.Bool("linear-match", false, "revert routing tables to linear scans (matching-index ablation)")
@@ -83,9 +83,8 @@ func main() {
 		linkPend  = flag.Int("link-pending", 0, "in-memory pending-queue cap per overlay link (0 = default 4096)")
 		regTTL    = flag.Duration("registry-ttl", 0, "file-registry lease: stamp our entry with this TTL and refresh it, so a killed broker's registration ages out (file: registries only; 0 = entries never expire)")
 		linkLog   = flag.Bool("link-log", true, "log overlay link state transitions")
-		push      = flag.String("push", "", "push metrics to this URL instead of (or besides) being scraped, e.g. http://gateway:9091/ingest")
+		push      = flag.String("push", "", "push metrics (Prometheus text) and trace spans to this URL instead of (or besides) being scraped, e.g. http://collector:9091/ingest")
 		pushEvery = flag.Duration("push-interval", 15*time.Second, "metric push interval for -push")
-		pushForm  = flag.String("push-format", "prom", "push body format: prom (Prometheus text), json (compact deltas) or remote-write (Prometheus remote-write 1.0 protobuf; disables span export)")
 		logLevel  = flag.String("log-level", "info", "structured log verbosity for every subsystem: debug|info|warn|error (retune per subsystem via /config log.<subsystem>)")
 		sampleN   = flag.Int64("trace-sample", 0, "hop-trace sampling as 1-in-N notifications (0 or 1 = trace everything)")
 		slowThr   = flag.Duration("trace-slow", 0, "always trace deliveries slower than this, even unsampled (0 = off)")
@@ -154,7 +153,7 @@ func main() {
 		opts = append(opts, rebeca.WithOps(*opsAddr))
 	}
 	if *push != "" {
-		opts = append(opts, rebeca.WithOpsPush(*push, *pushEvery), rebeca.WithOpsPushFormat(*pushForm))
+		opts = append(opts, rebeca.WithOpsPush(*push, *pushEvery))
 	}
 	if *sampleN != 0 || *slowThr != 0 {
 		opts = append(opts, rebeca.WithTraceSampling(*sampleN, *slowThr))
@@ -211,7 +210,7 @@ func main() {
 		fmt.Printf("ops endpoint on http://%s (/metrics /healthz /readyz /trace /config /debug/pprof)\n", addr)
 	}
 	if *push != "" {
-		fmt.Printf("pushing metrics to %s every %s (%s)\n", *push, *pushEvery, *pushForm)
+		fmt.Printf("pushing metrics to %s every %s\n", *push, *pushEvery)
 	}
 
 	// -stats: a periodic one-line digest of the same registry /metrics

@@ -1,7 +1,7 @@
 // rebeca-collector is the fleet-side receiver for push-model telemetry:
 // point N brokers' -push flags at it and it becomes the one place to
 // watch the whole deployment. It ingests metric snapshots (Prometheus
-// text, JSON deltas, or remote-write protobuf) and span batches,
+// text exposition 0.0.4 — any other body is a 400) and span batches,
 // assembles the per-process hop traces into cross-broker end-to-end
 // traces, folds counter movement into rebeca_fleet_* totals, and
 // re-exports everything as a single Prometheus /metrics endpoint with

@@ -2,7 +2,8 @@
 // Demonstrates the streaming subscription surface: Subscribe returns a
 // *Subscription handle whose Events channel carries the deliveries, the
 // publisher frames its notifications as one batch, and the Metrics
-// middleware observes the brokers.
+// middleware reads the brokers' counters back — the same counters /metrics
+// serves under WithOps, since Metrics is a view over the telemetry stage.
 //
 // The same code drives both deployment flavors behind the Deployment
 // interface: the virtual-clock simulator (default) and real TCP nodes on
@@ -12,11 +13,11 @@
 // broker-link supervision (KPing/KPong probe interval and failure
 // timeout), and WithLinkObserver — like any middleware implementing the
 // LinkObserver extension — watches links walk connecting → handshaking →
-// established (and degraded → established again after a failure; the
-// built-in Metrics tracks the same transitions per broker). Under -live
-// the links are real TCP connections that redial with backoff and replay
-// routing installs on every (re-)establishment, so broker start order
-// never matters.
+// established (and degraded → established again after a failure;
+// the deployment's LinkStates(broker) reports where each link stands now).
+// Under -live the links are real TCP connections that redial with backoff
+// and replay routing installs on every (re-)establishment, so broker start
+// order never matters.
 //
 // Since PR 5 live links speak a length-prefixed binary wire protocol and
 // every broker matches through the matching index by default — nothing to
@@ -27,8 +28,8 @@
 // cyclic movement graph — the brokers elect a spanning tree over it,
 // redundant edges become failover paths, and dedup keeps delivery
 // exactly-once while floods repair around a cut link. And instead of
-// wiring a fleet by hand, WithRegistry("file:peers.json") (or dns:/seed:)
-// has every broker register itself and discover its peers; mesh routing
+// wiring a fleet by hand, WithRegistry("file:peers.json") (or seed:, a
+// gossip mesh with no shared file) has every broker register itself and discover its peers; mesh routing
 // comes along automatically since a registry may describe any graph. The
 // distributed equivalent replaces all the static -edges/-dial flags:
 //
@@ -45,8 +46,8 @@
 //
 //	rebeca-broker -name b1 ... -push http://gateway:9091/ingest -push-interval 15s
 //
-// (-push-format json ships compact counter deltas instead of Prometheus
-// text; facades use WithOpsPush(url, interval).) Hop tracing scales to
+// (The body is the Prometheus text exposition /metrics serves; facades use
+// WithOpsPush(url, interval).) Hop tracing scales to
 // production rates via sampling — `-trace-sample 64` stamps 1-in-64
 // notifications, deterministically by ID so every broker agrees, while
 // `-trace-slow 250ms` retro-captures any delivery that crosses the
@@ -80,9 +81,9 @@
 // /fleet lists each broker with its observed push cadence, flagging any
 // that miss 2x their interval as stale — a SIGKILLed broker shows up
 // there within two push intervals, no scrape target churn involved.
-// `-push-format remote-write` instead speaks Prometheus remote-write
-// 1.0 straight to a real TSDB (spans stay local: a TSDB would reject
-// them); `-trace-pending 4096` (WithTracePendingCap) bounds the
+// A Prometheus/Mimir/Thanos TSDB joins by scraping that one endpoint (or
+// any broker's -ops /metrics); `-trace-pending 4096` (WithTracePendingCap)
+// bounds the
 // sampler's in-flight window, and the "trace.pending" /config knob
 // resizes it live. Registry gauges for the Go runtime (goroutines, GC
 // pause, heap) ride along on every broker and on the collector itself.

@@ -11,8 +11,10 @@ import (
 )
 
 // SmokeResult is one parsed `go test -bench` result line, the unit of the
-// CI benchmark-smoke artifact (BENCH_<pr>.json): a perf trajectory point
-// cheap enough to record on every PR.
+// CI bench-smoke job's artifact (bench-smoke.json): proof that every
+// benchmark still runs, one iteration each. It is not a measurement — the
+// performance trajectory is BENCHMARK.json's metrics, recorded in
+// CHANGES.md's "Measurements" sections.
 type SmokeResult struct {
 	// Name is the benchmark name including the GOMAXPROCS suffix
 	// (e.g. "BenchmarkPublishFanout/brokers=4-8").
@@ -37,7 +39,7 @@ type SmokeReport struct {
 // ParseBenchOutput extracts benchmark result lines from `go test -bench`
 // output. Non-benchmark lines (ok/PASS/pkg headers) are skipped; malformed
 // benchmark lines are an error so CI fails loudly rather than uploading an
-// empty trajectory point.
+// empty artifact.
 func ParseBenchOutput(r io.Reader) ([]SmokeResult, error) {
 	var out []SmokeResult
 	sc := bufio.NewScanner(r)

@@ -2,10 +2,10 @@ package discovery
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -62,64 +62,207 @@ func TestGraphDerivation(t *testing.T) {
 }
 
 func TestOpenURIs(t *testing.T) {
-	if _, err := Open("bogus"); err == nil {
-		t.Error("schemeless URI accepted")
+	file := "file:" + filepath.Join(t.TempDir(), "peers.json")
+	for _, tc := range []struct {
+		uri     string
+		want    any    // a value of the backend's type; nil = rejected
+		wantErr string // substring of the rejection
+	}{
+		{uri: "bogus", wantErr: "want scheme:value"},
+		{uri: "file:", wantErr: "want scheme:value"},
+		{uri: "carrier:pigeon", wantErr: `unknown registry scheme "carrier" (want file or seed)`},
+		{uri: "dns:_rebeca._tcp.example.com", wantErr: `unknown registry scheme "dns" (want file or seed)`},
+		{uri: file, want: &FileRegistry{}},
+		{uri: "seed:127.0.0.1:0", want: &GossipRegistry{}},
+	} {
+		r, err := Open(tc.uri)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("Open(%q) = %v, want an error containing %q", tc.uri, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Open(%q): %v", tc.uri, err)
+			continue
+		}
+		_ = r.Close()
+		if reflect.TypeOf(r) != reflect.TypeOf(tc.want) {
+			t.Errorf("Open(%q) opened %T, want %T", tc.uri, r, tc.want)
+		}
 	}
-	if _, err := Open("carrier:pigeon"); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	r, err := Open("file:" + filepath.Join(t.TempDir(), "peers.json"))
-	if err != nil {
-		t.Fatalf("file URI: %v", err)
-	}
-	_ = r.Close()
-	if _, ok := r.(*FileRegistry); !ok {
-		t.Errorf("file: opened %T", r)
-	}
-	d, err := Open("dns:_rebeca._tcp.example.com")
-	if err != nil {
-		t.Fatalf("dns URI: %v", err)
-	}
-	_ = d.Close()
 }
 
-func TestFileRegistryRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "peers.json")
-	r := NewFileRegistry(path)
-	defer func() { _ = r.Close() }()
+// watchLog records every snapshot a Watch callback receives.
+type watchLog struct {
+	mu    sync.Mutex
+	snaps [][]Entry
+}
 
-	// Missing file reads as empty membership.
-	es, err := r.Discover()
-	if err != nil || len(es) != 0 {
-		t.Fatalf("empty discover = %v, %v", es, err)
+func (w *watchLog) record(es []Entry) {
+	w.mu.Lock()
+	w.snaps = append(w.snaps, es)
+	w.mu.Unlock()
+}
+
+func (w *watchLog) count() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.snaps)
+}
+
+func (w *watchLog) last() []Entry {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.snaps) == 0 {
+		return nil
 	}
-	if err := r.Register(Entry{ID: "b2", Addr: "127.0.0.1:2"}); err != nil {
-		t.Fatal(err)
+	return w.snaps[len(w.snaps)-1]
+}
+
+// repeats reports whether some snapshot equals the one delivered before it
+// — a watcher fired without a change to show.
+func (w *watchLog) repeats() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for i := 1; i < len(w.snaps); i++ {
+		if fingerprint(w.snaps[i]) == fingerprint(w.snaps[i-1]) {
+			return true
+		}
 	}
-	if err := r.Register(Entry{ID: "b1", Addr: "127.0.0.1:1", Peers: []message.NodeID{"b2"}}); err != nil {
-		t.Fatal(err)
+	return false
+}
+
+// TestRegistriesConform holds every Registry backend to the contract the
+// interface states, with one script over two views of one membership — two
+// FileRegistry values on one file (two processes), two gossip agents on
+// loopback — each registering its own broker, as brokers do. Whatever one
+// view writes the other must come to see; behaviour only one backend has
+// (file leases and lock staleness, gossip suspicion and refutation) is
+// tested where it lives.
+func TestRegistriesConform(t *testing.T) {
+	backends := map[string]func(t *testing.T) (a, b Registry){
+		"file": func(t *testing.T) (Registry, Registry) {
+			path := filepath.Join(t.TempDir(), "peers.json")
+			a, b := NewFileRegistry(path), NewFileRegistry(path)
+			a.SetPollInterval(10 * time.Millisecond)
+			b.SetPollInterval(10 * time.Millisecond)
+			return a, b
+		},
+		"gossip": func(t *testing.T) (Registry, Registry) {
+			a, err := NewGossipRegistry("127.0.0.1:0", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewGossipRegistry("127.0.0.1:0", []string{a.Addr()})
+			if err != nil {
+				_ = a.Close()
+				t.Fatal(err)
+			}
+			a.SetInterval(10 * time.Millisecond)
+			b.SetInterval(10 * time.Millisecond)
+			return a, b
+		},
 	}
-	es, err = r.Discover()
-	if err != nil || len(es) != 2 || es[0].ID != "b1" || es[1].ID != "b2" {
-		t.Fatalf("discover = %v, %v", es, err)
-	}
-	if got := es[0].Peers; len(got) != 1 || got[0] != "b2" {
-		t.Errorf("adjacency restriction lost: %v", got)
-	}
-	// Upsert replaces in place.
-	if err := r.Register(Entry{ID: "b1", Addr: "127.0.0.1:9"}); err != nil {
-		t.Fatal(err)
-	}
-	es, _ = r.Discover()
-	if len(es) != 2 || es[0].Addr != "127.0.0.1:9" {
-		t.Fatalf("upsert: %v", es)
-	}
-	if err := r.Deregister("b1"); err != nil {
-		t.Fatal(err)
-	}
-	es, _ = r.Discover()
-	if len(es) != 1 || es[0].ID != "b2" {
-		t.Fatalf("deregister: %v", es)
+	for name, open := range backends {
+		t.Run(name, func(t *testing.T) {
+			a, b := open(t)
+			defer func() { _ = a.Close() }()
+			defer func() { _ = b.Close() }()
+			// Both views converge on want, and so does every live watcher.
+			var live []*watchLog
+			converge := func(what string, want []Entry) {
+				t.Helper()
+				sees := func(r Registry) bool {
+					es, err := r.Discover()
+					return err == nil && reflect.DeepEqual(es, want)
+				}
+				waitFor(t, func() bool { return sees(a) && sees(b) }, what+" on both views")
+				for i, w := range live {
+					waitFor(t, func() bool { return reflect.DeepEqual(w.last(), want) }, fmt.Sprintf("%s at watcher %d", what, i))
+				}
+			}
+
+			// A fresh registry is an empty membership, and a watcher learns
+			// that at once, on the caller's goroutine.
+			for _, r := range []Registry{a, b} {
+				if es, err := r.Discover(); err != nil || len(es) != 0 {
+					t.Fatalf("fresh Discover = %v, %v", es, err)
+				}
+			}
+			onA, onB, onB2 := &watchLog{}, &watchLog{}, &watchLog{}
+			defer a.Watch(onA.record)()
+			defer b.Watch(onB.record)()
+			stopB2 := b.Watch(onB2.record)
+			for i, w := range []*watchLog{onA, onB, onB2} {
+				if w.count() != 1 || len(w.last()) != 0 {
+					t.Fatalf("watcher %d: %d snapshots (last %v) after Watch returned, want one empty", i, w.count(), w.last())
+				}
+			}
+			live = []*watchLog{onA, onB, onB2}
+
+			// Register: each view its own broker, the later ID first —
+			// snapshots are sorted by ID, and Peers round-trips.
+			b1 := Entry{ID: "b1", Addr: "127.0.0.1:1", Peers: []message.NodeID{"b2"}}
+			b2 := Entry{ID: "b2", Addr: "127.0.0.1:2"}
+			if err := b.Register(b2); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Register(b1); err != nil {
+				t.Fatal(err)
+			}
+			converge("registration", []Entry{b1, b2})
+
+			// Re-Register upserts Addr and Peers in place.
+			b1 = Entry{ID: "b1", Addr: "127.0.0.1:9", Peers: []message.NodeID{"b2", "b3"}}
+			if err := a.Register(b1); err != nil {
+				t.Fatal(err)
+			}
+			converge("upsert", []Entry{b1, b2})
+
+			// A stopped watcher never fires again; its sibling still does.
+			stopB2()
+			live = live[:2]
+			stopped := onB2.count()
+			if err := a.Deregister("b1"); err != nil {
+				t.Fatal(err)
+			}
+			converge("deregistration", []Entry{b2})
+			// Deregistering what is not there is not an error.
+			if err := a.Deregister("b1"); err != nil {
+				t.Fatal(err)
+			}
+
+			// Close stops the view's watchers and is idempotent; the other
+			// view carries on, and a returning broker is a member again.
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+			closed := onB.count()
+			late := &watchLog{}
+			b.Watch(late.record)()
+			if err := a.Register(b1); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return reflect.DeepEqual(onA.last(), []Entry{b1, b2}) }, "re-registration at the open view's watcher")
+			time.Sleep(50 * time.Millisecond) // five poll/gossip intervals
+			if onB.count() != closed || late.count() != 0 {
+				t.Errorf("closed view's watchers fired: %d -> %d snapshots, %d on a Watch after Close", closed, onB.count(), late.count())
+			}
+			if onB2.count() != stopped {
+				t.Errorf("stopped watcher fired: %d -> %d snapshots", stopped, onB2.count())
+			}
+			// One snapshot per observed change: no watcher was handed the
+			// same membership twice in a row.
+			for i, w := range []*watchLog{onA, onB, onB2} {
+				if w.repeats() {
+					t.Errorf("watcher %d received a snapshot equal to its previous one: %v", i, w.snaps)
+				}
+			}
+		})
 	}
 }
 
@@ -208,52 +351,6 @@ func TestFileRegistryStaleLockBroken(t *testing.T) {
 	if err := r.Register(Entry{ID: "b1", Addr: "x"}); err != nil {
 		t.Fatalf("register under stale lock: %v", err)
 	}
-}
-
-func TestDNSRegistry(t *testing.T) {
-	r := NewDNSRegistry("_rebeca._tcp.example.com")
-	r.SetPollInterval(10 * time.Millisecond)
-	defer func() { _ = r.Close() }()
-
-	var mu sync.Mutex
-	records := []*net.SRV{
-		{Target: "b1.brokers.example.com.", Port: 7001},
-		{Target: "b2.brokers.example.com.", Port: 7002},
-	}
-	r.SetLookup(func(string) ([]*net.SRV, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]*net.SRV(nil), records...), nil
-	})
-
-	es, err := r.Discover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(es) != 2 || es[0].ID != "b1" || es[0].Addr != "b1.brokers.example.com:7001" {
-		t.Fatalf("discover = %v", es)
-	}
-	// Registration is out of band for DNS: no-ops, no error.
-	if err := r.Register(Entry{ID: "bX"}); err != nil {
-		t.Fatal(err)
-	}
-
-	var got []Entry
-	var gmu sync.Mutex
-	stop := r.Watch(func(es []Entry) {
-		gmu.Lock()
-		got = es
-		gmu.Unlock()
-	})
-	defer stop()
-	mu.Lock()
-	records = records[:1] // b2's SRV record withdrawn
-	mu.Unlock()
-	waitFor(t, func() bool {
-		gmu.Lock()
-		defer gmu.Unlock()
-		return len(got) == 1 && got[0].ID == "b1"
-	}, "watch to observe the SRV change")
 }
 
 func TestGossipConvergenceAndTombstone(t *testing.T) {

@@ -182,6 +182,11 @@ func (g *GossipRegistry) Deregister(id message.NodeID) error {
 	cur.Dead = true
 	cur.Version++
 	g.records[id] = cur
+	if id == g.self {
+		// We gave the identity up: stop refuting tombstones about it, or
+		// the first peer to echo ours back would resurrect the entry.
+		g.self = ""
+	}
 	g.mu.Unlock()
 	g.broadcast()
 	g.round()

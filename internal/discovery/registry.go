@@ -1,10 +1,11 @@
 // Package discovery is the broker membership subsystem: a pluggable
 // Registry interface (modeled on the go-micro registry family —
-// Register/Deregister/Discover/Watch behind one contract, with file, DNS
-// and gossip backends) plus a Membership supervisor that watches the
-// registry and drives a deployment's overlay links. Brokers join a mesh
-// by name (`rebeca-broker -registry file:peers.json -name b2`) instead of
-// static -dial flags: discovered peers get links dialed under a
+// Register/Deregister/Discover/Watch behind one contract, with file and
+// gossip backends, both held to it by TestRegistriesConform) plus a
+// Membership supervisor that watches the registry and drives a
+// deployment's overlay links. Brokers join a mesh by name
+// (`rebeca-broker -registry file:peers.json -name b2`) instead of static
+// -dial flags: discovered peers get links dialed under a
 // deterministic dial-direction rule, departed peers get links closed, and
 // membership changes feed the mesh layer's spanning-tree election.
 package discovery
@@ -59,8 +60,7 @@ func Linked(a, b Entry) bool {
 // Registry is the pluggable membership store. Implementations are safe
 // for concurrent use.
 type Registry interface {
-	// Register upserts an entry (the caller's own, usually). Read-only
-	// backends (DNS) treat it as a no-op.
+	// Register upserts an entry (the caller's own, usually).
 	Register(e Entry) error
 	// Deregister removes an entry. A broker deregisters on graceful
 	// shutdown so the fleet converges without waiting for failure
@@ -90,24 +90,21 @@ type FailureDetector interface {
 // Open builds a registry from a URI:
 //
 //	file:<path>                    hot-reloaded JSON file (array of entries)
-//	dns:<srv-name>                 DNS SRV lookup, read-only
 //	seed:<listen>[,<seed-addr>…]   gossip mesh; listen is this node's
 //	                               gossip address, seeds bootstrap it
 func Open(uri string) (Registry, error) {
 	scheme, rest, ok := strings.Cut(uri, ":")
 	if !ok || rest == "" {
-		return nil, fmt.Errorf("discovery: registry %q: want scheme:value (file:, dns:, seed:)", uri)
+		return nil, fmt.Errorf("discovery: registry %q: want scheme:value (file:, seed:)", uri)
 	}
 	switch scheme {
 	case "file":
 		return NewFileRegistry(rest), nil
-	case "dns":
-		return NewDNSRegistry(rest), nil
 	case "seed":
 		parts := strings.Split(rest, ",")
 		return NewGossipRegistry(parts[0], parts[1:])
 	}
-	return nil, fmt.Errorf("discovery: unknown registry scheme %q (want file, dns or seed)", scheme)
+	return nil, fmt.Errorf("discovery: unknown registry scheme %q (want file or seed)", scheme)
 }
 
 // Graph derives the overlay graph a membership snapshot describes: all

@@ -1,7 +1,7 @@
 // Package collector implements the fleet-side receiver for rebeca's
 // push-model telemetry: the component a broker's -push flag points at.
-// It ingests metric snapshots (Prometheus text, compact JSON deltas, or
-// remote-write protobuf) and span batches from N brokers, assembles the
+// It ingests metric snapshots (Prometheus text exposition 0.0.4, the body
+// /metrics serves) and span batches from N brokers, assembles the
 // partial per-process hop traces into cross-broker end-to-end traces,
 // folds counter movement into fleet-wide totals, and re-exports the
 // whole fleet as one Prometheus /metrics endpoint with per-broker
@@ -111,13 +111,6 @@ type traceState struct {
 	reason    string
 	updated   time.Time
 }
-
-// counter-fold semantics of an ingested sample.
-const (
-	foldGauge      = iota // absolute, never folded
-	foldCounterAbs        // absolute cumulative (prom text, remote-write)
-	foldCounterDel        // pre-computed delta (JSON push bodies)
-)
 
 // Collector ingests broker pushes and serves the assembled fleet view.
 // Safe for concurrent use.
@@ -255,15 +248,16 @@ func (c *Collector) brokerCounts() (ok, stale int) {
 	return ok, stale
 }
 
-// ingestSample is one normalized metric sample headed for the fleet
-// state, whatever wire format it arrived in.
+// ingestSample is one parsed metric sample headed for the fleet state.
+// counter marks an absolute cumulative reading (a counter, or a histogram's
+// bucket/sum/count series); everything else is a gauge and never folds.
 type ingestSample struct {
 	family   string
 	typ      string
 	fullName string
 	labelKey string // without instance; merged on apply
 	value    float64
-	fold     int
+	counter  bool
 }
 
 // applySamples merges one push body's samples into the per-instance
@@ -286,24 +280,13 @@ func (c *Collector) applySamples(instance string, samples []ingestSample) {
 			row = fam.rows[i]
 		}
 		var delta float64
-		switch s.fold {
-		case foldCounterAbs:
-			// Absolute cumulative reading: fold the movement since the
-			// last push; a value going backwards means the broker
-			// restarted, so the whole reading is new movement.
+		if s.counter {
+			// Fold the movement since the last push; a value going
+			// backwards means the broker restarted, so the whole reading
+			// is new movement.
 			delta = s.value
 			if row != nil && s.value >= row.value {
 				delta = s.value - row.value
-			}
-		case foldCounterDel:
-			// Pre-computed delta (JSON bodies): the absolute re-export
-			// value accumulates. A pusher restart re-ships its absolute
-			// count as a first-sighting "delta"; the fold over-counts
-			// that one body and the re-export drifts high — the price of
-			// a stateless delta wire format, and bounded by one restart.
-			delta = s.value
-			if row != nil {
-				s.value += row.value
 			}
 		}
 		if row == nil {
@@ -312,7 +295,7 @@ func (c *Collector) applySamples(instance string, samples []ingestSample) {
 			fam.rows = append(fam.rows, row)
 		}
 		row.value = s.value
-		if s.fold != foldGauge && delta != 0 && strings.HasSuffix(s.fullName, "_total") {
+		if delta != 0 && strings.HasSuffix(s.fullName, "_total") {
 			c.fleetAddLocked(s.fullName, delta)
 		}
 	}

@@ -2,8 +2,10 @@ package collector
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"regexp"
 	"strings"
@@ -240,62 +242,207 @@ func TestMetricFoldingProm(t *testing.T) {
 	}
 }
 
-func TestMetricFoldingJSONAndRemoteWrite(t *testing.T) {
+// foldSample is one series of a generated push body, as the fold model
+// sees it.
+type foldSample struct {
+	family, typ, fullName, labels string
+	value                         float64
+}
+
+// foldModel is the specification the collector's one fold is checked
+// against: the last absolute value per (instance, series), and per _total
+// counter family the sum of positive movement, a backwards step (a broker
+// restart) counting whole. The two flags are seeded mutations of that
+// specification; TestFoldAgainstModel requires the check to tell each from
+// the collector.
+type foldModel struct {
+	resetNegative bool // mutation: a reset subtracts instead of counting whole
+	foldGauges    bool // mutation: gauges fold like counters
+
+	rows  map[string]float64 // fullName+labels (instance merged) -> last value
+	fleet map[string]float64 // rebeca_fleet_* -> folded total
+	types map[string]string  // family -> TYPE
+}
+
+func (m *foldModel) push(instance string, samples []foldSample) {
+	for _, s := range samples {
+		m.types[s.family] = s.typ
+		key := s.fullName + mergeInstanceKey(s.labels, instance)
+		old, seen := m.rows[key]
+		m.rows[key] = s.value
+		if !strings.HasSuffix(s.fullName, "_total") || (s.typ != "counter" && !m.foldGauges) {
+			continue
+		}
+		delta := s.value
+		if seen && (s.value >= old || m.resetNegative) {
+			delta = s.value - old
+		}
+		if delta != 0 {
+			name := FleetPrefix + strings.TrimPrefix(s.fullName, "rebeca_")
+			m.fleet[name] += delta
+			m.types[name] = "counter"
+		}
+	}
+}
+
+// check compares one merged render with the model: every line strict
+// 0.0.4, the broker rows and fleet totals exactly the model's, one TYPE
+// block of the right type per family. The collector's self-telemetry
+// (instance="collector") is outside the model.
+func (m *foldModel) check(render []byte) error {
+	want := make(map[string]float64, len(m.rows)+len(m.fleet))
+	for k, v := range m.rows {
+		want[k] = v
+	}
+	for k, v := range m.fleet {
+		want[k] = v
+	}
+	types := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimRight(string(render), "\n"), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			if _, dup := types[f[2]]; dup {
+				return fmt.Errorf("family %s has two TYPE blocks", f[2])
+			}
+			types[f[2]] = f[3]
+			continue
+		}
+		if !expositionLine.MatchString(line) {
+			return fmt.Errorf("bad exposition line %q", line)
+		}
+		if strings.Contains(line, `instance="collector"`) {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := parsePromValue(line[sp+1:])
+		if err != nil {
+			return fmt.Errorf("line %q: %v", line, err)
+		}
+		w, ok := want[line[:sp]]
+		if !ok || w != v {
+			return fmt.Errorf("render has %q; model has %v (present %v)", line, w, ok)
+		}
+		delete(want, line[:sp])
+	}
+	for k, v := range want {
+		return fmt.Errorf("render lacks %s %v", k, v)
+	}
+	for fam, typ := range m.types {
+		if types[fam] != typ {
+			return fmt.Errorf("family %s rendered as %q, model says %q", fam, types[fam], typ)
+		}
+	}
+	for fam := range types {
+		if _, ok := m.types[fam]; !ok && strings.HasPrefix(fam, FleetPrefix) {
+			return fmt.Errorf("fleet family %s is not in the model", fam)
+		}
+	}
+	return nil
+}
+
+// foldBroker is one simulated broker process: two counters, a counter
+// whose name lacks _total (re-exported, never folded), a gauge that moves
+// both ways and — so that the TYPE line and not the name decides — is
+// named like a total, and one histogram.
+type foldBroker struct {
+	name                       string
+	publishes, deliveries, odd float64
+	sessions                   float64
+	buckets                    [3]float64 // le=0.1, le=1, +Inf (cumulative)
+	sum                        float64
+}
+
+func (b *foldBroker) step(rng *rand.Rand) {
+	if rng.Intn(8) == 0 {
+		// Restart: every cumulative series starts over at a small value.
+		*b = foldBroker{name: b.name, sessions: b.sessions}
+	}
+	b.publishes += float64(rng.Intn(5))
+	b.deliveries += float64(rng.Intn(3))
+	b.odd += float64(rng.Intn(2))
+	b.sessions = float64(rng.Intn(10))
+	for n := rng.Intn(3); n > 0; n-- {
+		i := rng.Intn(3)
+		for ; i < 3; i++ {
+			b.buckets[i]++
+		}
+		b.sum += 0.25
+	}
+}
+
+func (b *foldBroker) samples() []foldSample {
+	l := fmt.Sprintf("{broker=%q}", b.name)
+	le := func(bound string) string { return fmt.Sprintf("{broker=%q,le=%q}", b.name, bound) }
+	const h = "rebeca_e2e_latency_seconds"
+	return []foldSample{
+		{"rebeca_publishes_total", "counter", "rebeca_publishes_total", l, b.publishes},
+		{"rebeca_deliveries_total", "counter", "rebeca_deliveries_total", l, b.deliveries},
+		{"rebeca_odd_events", "counter", "rebeca_odd_events", l, b.odd},
+		{"rebeca_open_sessions_total", "gauge", "rebeca_open_sessions_total", l, b.sessions},
+		{h, "histogram", h + "_bucket", le("0.1"), b.buckets[0]},
+		{h, "histogram", h + "_bucket", le("1"), b.buckets[1]},
+		{h, "histogram", h + "_bucket", le("+Inf"), b.buckets[2]},
+		{h, "histogram", h + "_sum", l, b.sum},
+		{h, "histogram", h + "_count", l, b.buckets[2]},
+	}
+}
+
+// foldBody renders samples as a Prometheus text push body.
+func foldBody(samples []foldSample) []byte {
+	var b bytes.Buffer
+	typed := make(map[string]bool)
+	for _, s := range samples {
+		if !typed[s.family] {
+			typed[s.family] = true
+			fmt.Fprintf(&b, "# TYPE %s %s\n", s.family, s.typ)
+		}
+		b.WriteString(sampleLine(s.fullName, s.labels, s.value))
+	}
+	return b.Bytes()
+}
+
+// runFold pushes a seeded random interleaving of broker snapshots —
+// counters advancing, restarting brokers, a gauge moving both ways, one
+// histogram each — and checks the merged render against m after every
+// push; the first disagreement is returned.
+func runFold(t *testing.T, seed int64, m *foldModel) error {
+	t.Helper()
+	m.rows, m.fleet, m.types = map[string]float64{}, map[string]float64{}, map[string]string{}
+	rng := rand.New(rand.NewSource(seed))
 	c := New(Config{})
-	// JSON bodies carry deltas for counters; the in-band instance wins.
-	body, _ := json.Marshal(map[string]any{
-		"instance": "J",
-		"points": []telemetry.MetricPoint{
-			{Name: "rebeca_deliveries_total", Labels: `{broker="J"}`, Type: "counter", Value: 4},
-			{Name: "rebeca_trace_pending", Type: "gauge", Value: 7},
-		},
-	})
-	if w := postBody(t, c, "application/json", "", body); w.Code != 204 {
-		t.Fatalf("json push: %d %s", w.Code, w.Body)
+	brokers := make([]*foldBroker, 4)
+	for i := range brokers {
+		brokers[i] = &foldBroker{name: fmt.Sprintf("B%d", i)}
 	}
-	body2, _ := json.Marshal(map[string]any{
-		"instance": "J",
-		"points": []telemetry.MetricPoint{
-			{Name: "rebeca_deliveries_total", Labels: `{broker="J"}`, Type: "counter", Value: 3},
-		},
-	})
-	postBody(t, c, "application/json", "", body2)
-
-	out := string(c.renderMetrics())
-	for _, want := range []string{
-		`rebeca_deliveries_total{broker="J",instance="J"} 7`, // deltas accumulate
-		`rebeca_trace_pending{instance="J"} 7`,
-		`rebeca_fleet_deliveries_total 7`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("merged render missing %q:\n%s", want, out)
+	for push := 0; push < 150; push++ {
+		b := brokers[rng.Intn(len(brokers))]
+		b.step(rng)
+		samples := b.samples()
+		if w := postBody(t, c, "text/plain; version=0.0.4", b.name, foldBody(samples)); w.Code != 204 {
+			t.Fatalf("push %d: %d %s", push, w.Code, w.Body)
+		}
+		m.push(b.name, samples)
+		if err := m.check(c.renderMetrics()); err != nil {
+			return fmt.Errorf("seed %d push %d (%s): %w", seed, push, b.name, err)
 		}
 	}
+	return nil
+}
 
-	// Remote-write bodies: absolute samples, _total names fold.
-	rw, err := telemetry.EncodeRemoteWrite([]telemetry.MetricPoint{
-		{Name: "rebeca_publishes_total", Labels: `{broker="R"}`, Type: "counter", Value: 10},
-	}, "R", time.UnixMilli(1700000000000))
-	if err != nil {
-		t.Fatalf("EncodeRemoteWrite: %v", err)
-	}
-	if w := postBody(t, c, telemetry.ContentTypeRemoteWrite, "", rw); w.Code != 204 {
-		t.Fatalf("remote-write push: %d %s", w.Code, w.Body)
-	}
-	out = string(c.renderMetrics())
-	for _, want := range []string{
-		`rebeca_publishes_total{broker="R",instance="R"} 10`,
-		`rebeca_fleet_publishes_total 10`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("merged render missing %q:\n%s", want, out)
+// TestFoldAgainstModel is the specification of the collector's one fold
+// (Prometheus text in, absolute re-export plus rebeca_fleet_*_total out),
+// as a seeded property: see foldModel. It also shows the check has teeth —
+// each mutated model must be told apart from the collector.
+func TestFoldAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		if err := runFold(t, seed, &foldModel{}); err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	var fleet FleetStatus
-	getJSON(t, c, "/fleet", &fleet)
-	if len(fleet.Brokers) != 2 {
-		t.Fatalf("fleet brokers = %+v, want J and R", fleet.Brokers)
+		if err := runFold(t, seed, &foldModel{resetNegative: true}); err == nil {
+			t.Fatalf("seed %d: a model taking resets as negative movement passed", seed)
+		}
+		if err := runFold(t, seed, &foldModel{foldGauges: true}); err == nil {
+			t.Fatalf("seed %d: a model folding gauges passed", seed)
+		}
 	}
 }
 
@@ -429,14 +576,30 @@ func TestIngestRejectsGarbage(t *testing.T) {
 	if w := postBody(t, c, telemetry.ContentTypeSpans, "A", []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2}); w.Code != 400 {
 		t.Fatalf("bad span frame: %d", w.Code)
 	}
-	if w := postBody(t, c, telemetry.ContentTypeRemoteWrite, "A", []byte{0x99, 0x01}); w.Code != 400 {
+	if w := postBody(t, c, "application/x-protobuf", "A", []byte{0x99, 0x01}); w.Code != 400 {
 		t.Fatalf("bad protobuf: %d", w.Code)
+	}
+	// Well-formed bodies of the two push encodings this collector no longer
+	// speaks — a JSON delta payload and a remote-write WriteRequest, as the
+	// pusher used to emit them — are garbage to the one parser too.
+	oldJSON := []byte(`{"instance":"A","points":[{"name":"rebeca_publishes_total","labels":"{broker=\"A\"}","type":"counter","value":3}]}`)
+	if w := postBody(t, c, "application/json", "A", oldJSON); w.Code != 400 {
+		t.Fatalf("json delta body: %d", w.Code)
+	}
+	oldRemoteWrite, _ := hex.DecodeString("0a520a220a085f5f6e616d655f5f12167265626563615f7075626c69736865735f746f74616c" +
+		"0a0b0a0662726f6b65721201410a0d0a08696e7374616e636512014112100900000000000008401080d095ffbc31")
+	if w := postBody(t, c, "application/x-protobuf", "A", oldRemoteWrite); w.Code != 400 {
+		t.Fatalf("remote-write body: %d", w.Code)
+	}
+	// A sample without a metric name would re-export as an unparseable line.
+	if w := postBody(t, c, "text/plain; version=0.0.4", "A", []byte("{broker=\"A\"} 1\n")); w.Code != 400 {
+		t.Fatalf("nameless sample: %d", w.Code)
 	}
 	if c.Accepted() != 0 {
 		t.Fatalf("Accepted = %d after rejects, want 0", c.Accepted())
 	}
-	if got := c.self.Total(MetricPushErrors); got != 3 {
-		t.Fatalf("push errors = %v, want 3", got)
+	if got := c.self.Total(MetricPushErrors); got != 6 {
+		t.Fatalf("push errors = %v, want 6", got)
 	}
 	// GET on the ingest path is a 405, like the pushsink before it.
 	req := httptest.NewRequest("GET", "/somewhere", nil)

@@ -37,9 +37,9 @@ func (c *Collector) Handler() http.Handler {
 	return mux
 }
 
-// handleIngest accepts one push body, dispatching on Content-Type:
-// span batches, JSON deltas, remote-write protobuf, or (the default)
-// Prometheus text exposition.
+// handleIngest accepts one push body: a span batch by its Content-Type,
+// anything else as Prometheus text exposition — the one metrics encoding,
+// so a body in any other format fails its parse and is a 400.
 func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "push bodies arrive by POST", http.StatusMethodNotAllowed)
@@ -62,8 +62,7 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 		kind    *telemetry.Counter
 		details string
 	)
-	switch {
-	case strings.Contains(ctype, "x-rebeca-spans"):
+	if strings.Contains(ctype, "x-rebeca-spans") {
 		recs, derr := telemetry.DecodeSpanBatch(bytes.NewReader(body))
 		applied, aerr := c.ingestSpans(instance, recs)
 		c.spanRecords.Add(uint64(applied))
@@ -77,33 +76,7 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		kind = c.pushSpans
 		details = fmt.Sprintf("%d span records", applied)
-	case strings.Contains(ctype, "json"):
-		inBand, samples, err := ingestJSON(body)
-		if err != nil {
-			c.pushErrors.Inc()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if inBand != "" {
-			instance = inBand
-		}
-		c.applySamples(orUnknown(instance), samples)
-		kind = c.pushMetrics
-		details = fmt.Sprintf("%d points", len(samples))
-	case strings.Contains(ctype, "x-protobuf"):
-		inBand, samples, err := ingestRemoteWrite(body)
-		if err != nil {
-			c.pushErrors.Inc()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if instance == "" {
-			instance = inBand
-		}
-		c.applySamples(orUnknown(instance), samples)
-		kind = c.pushMetrics
-		details = fmt.Sprintf("%d series", len(samples))
-	default:
+	} else {
 		samples, err := ingestProm(body)
 		if err != nil {
 			c.pushErrors.Inc()
@@ -169,9 +142,12 @@ type renderBlock struct {
 }
 
 func (c *Collector) renderMetrics() []byte {
-	// Self-telemetry gathers before c.mu: the gauge collectors registered
-	// in New lock c.mu themselves.
-	selfPoints := c.self.Gather()
+	// Self-telemetry takes the path every broker's does — rendered, then
+	// parsed by the one decoder — and before c.mu: the gauge collectors
+	// registered in New lock c.mu themselves.
+	var self bytes.Buffer
+	_ = c.self.WritePrometheus(&self)
+	selfSamples, _ := ingestProm(self.Bytes())
 
 	blocks := make(map[string]*renderBlock)
 	var order []string
@@ -184,8 +160,8 @@ func (c *Collector) renderMetrics() []byte {
 		}
 		blk.lines = append(blk.lines, line)
 	}
-	for _, pt := range selfPoints {
-		add(pt.Name, pt.Type, sampleLine(pt.Name, mergeInstanceKey(pt.Labels, c.cfg.Instance), pt.Value))
+	for _, s := range selfSamples {
+		add(s.family, s.typ, sampleLine(s.fullName, mergeInstanceKey(s.labelKey, c.cfg.Instance), s.value))
 	}
 
 	c.mu.Lock()

@@ -3,13 +3,9 @@ package collector
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-
-	"rebeca/internal/telemetry"
 )
 
 // ingestProm parses a Prometheus text exposition 0.0.4 push body into
@@ -37,10 +33,13 @@ func ingestProm(body []byte) ([]ingestSample, error) {
 		if err != nil {
 			return out, err
 		}
+		if s.fullName == "" {
+			return out, fmt.Errorf("sample without a metric name: %s", line)
+		}
 		s.family, s.typ = promFamily(s.fullName, typeOf)
 		if s.typ == "counter" || strings.HasSuffix(s.fullName, "_bucket") ||
 			strings.HasSuffix(s.fullName, "_sum") || strings.HasSuffix(s.fullName, "_count") {
-			s.fold = foldCounterAbs
+			s.counter = true
 		}
 		out = append(out, s)
 	}
@@ -131,101 +130,4 @@ func parsePromValue(s string) (float64, error) {
 		return strconv.ParseFloat("-Inf", 64)
 	}
 	return strconv.ParseFloat(s, 64)
-}
-
-// pushPayload mirrors the JSON push body (telemetry.Pusher's
-// PushFormatJSON): counter points carry movement since the previous
-// snapshot, gauges absolute readings.
-type pushPayload struct {
-	Instance string                  `json:"instance,omitempty"`
-	Points   []telemetry.MetricPoint `json:"points"`
-}
-
-// ingestJSON parses a JSON delta push body. The in-band instance (when
-// present) overrides the header attribution.
-func ingestJSON(body []byte) (instance string, samples []ingestSample, err error) {
-	var p pushPayload
-	if err := json.Unmarshal(body, &p); err != nil {
-		return "", nil, fmt.Errorf("decode json push: %w", err)
-	}
-	samples = make([]ingestSample, 0, len(p.Points))
-	for _, pt := range p.Points {
-		s := ingestSample{
-			family:   pt.Name,
-			typ:      pt.Type,
-			fullName: pt.Name,
-			labelKey: pt.Labels,
-			value:    pt.Value,
-		}
-		if pt.Type == "counter" {
-			s.fold = foldCounterDel
-		}
-		if s.typ == "" {
-			s.typ = "untyped"
-		}
-		samples = append(samples, s)
-	}
-	return p.Instance, samples, nil
-}
-
-// ingestRemoteWrite parses a remote-write WriteRequest body. The wire
-// format carries no metric types, so monotone semantics are inferred
-// from the _total naming convention; everything else re-exports as a
-// gauge.
-func ingestRemoteWrite(body []byte) (instance string, samples []ingestSample, err error) {
-	series, err := telemetry.DecodeRemoteWrite(body)
-	if err != nil {
-		return "", nil, err
-	}
-	samples = make([]ingestSample, 0, len(series))
-	for _, ts := range series {
-		name := ts.Name()
-		if name == "" {
-			continue
-		}
-		var pairs []telemetry.RemoteWriteLabel
-		for _, l := range ts.Labels {
-			switch l.Name {
-			case "__name__":
-			case "instance":
-				if instance == "" {
-					instance = l.Value
-				}
-			default:
-				pairs = append(pairs, l)
-			}
-		}
-		s := ingestSample{
-			family:   name,
-			typ:      "gauge",
-			fullName: name,
-			labelKey: renderLabelPairs(pairs),
-			value:    ts.Value,
-		}
-		if strings.HasSuffix(name, "_total") {
-			s.typ = "counter"
-			s.fold = foldCounterAbs
-		}
-		samples = append(samples, s)
-	}
-	return instance, samples, nil
-}
-
-// renderLabelPairs renders label pairs as the registry's stable
-// `{k="v",...}` key format (sorted, %q-escaped; "" for none).
-func renderLabelPairs(pairs []telemetry.RemoteWriteLabel) string {
-	if len(pairs) == 0 {
-		return ""
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Name < pairs[j].Name })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", p.Name, p.Value)
-	}
-	b.WriteByte('}')
-	return b.String()
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/hex"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -101,73 +100,6 @@ func TestSpanBatchRoundTrip(t *testing.T) {
 	got, err = DecodeSpanBatch(bytes.NewReader(bad))
 	if err == nil || len(got) != 2 {
 		t.Fatalf("oversized frame: got %d records, err %v", len(got), err)
-	}
-}
-
-// TestRemoteWriteGoldenBody pins the encoder's exact wire bytes: two
-// points, one labeled counter and one bare gauge, instance merged, fixed
-// timestamp. Any byte of drift fails, and the independent hand-rolled
-// decoder must read the same body back — so encoder and decoder cannot
-// drift together unnoticed either.
-func TestRemoteWriteGoldenBody(t *testing.T) {
-	points := []MetricPoint{
-		{Name: "rebeca_publishes_total", Labels: `{broker="A"}`, Type: "counter", Value: 3},
-		{Name: "rebeca_link_state", Labels: "", Type: "gauge", Value: 1},
-	}
-	body, err := EncodeRemoteWrite(points, "A", time.UnixMilli(1700000000000).UTC())
-	if err != nil {
-		t.Fatalf("EncodeRemoteWrite: %v", err)
-	}
-	const golden = "0a520a220a085f5f6e616d655f5f12167265626563615f7075626c69736865735f746f74616c" +
-		"0a0b0a0662726f6b65721201410a0d0a08696e7374616e636512014112100900000000000008401080d095ffbc31" +
-		"0a400a1d0a085f5f6e616d655f5f12117265626563615f6c696e6b5f73746174650a0d0a08696e7374616e6365120141" +
-		"121009000000000000f03f1080d095ffbc31"
-	if got := hex.EncodeToString(body); got != golden {
-		t.Fatalf("remote-write body drifted:\n got %s\nwant %s", got, golden)
-	}
-
-	series, err := DecodeRemoteWrite(body)
-	if err != nil {
-		t.Fatalf("DecodeRemoteWrite: %v", err)
-	}
-	if len(series) != 2 {
-		t.Fatalf("decoded %d series, want 2", len(series))
-	}
-	if series[0].Name() != "rebeca_publishes_total" || series[0].Value != 3 || series[0].Timestamp != 1700000000000 {
-		t.Fatalf("series 0 mangled: %+v", series[0])
-	}
-	wantLabels := []RemoteWriteLabel{
-		{Name: "__name__", Value: "rebeca_publishes_total"},
-		{Name: "broker", Value: "A"},
-		{Name: "instance", Value: "A"},
-	}
-	if len(series[0].Labels) != len(wantLabels) {
-		t.Fatalf("series 0 labels: %+v", series[0].Labels)
-	}
-	for i, l := range wantLabels {
-		if series[0].Labels[i] != l {
-			t.Fatalf("series 0 label %d = %+v, want %+v", i, series[0].Labels[i], l)
-		}
-	}
-	if series[1].Name() != "rebeca_link_state" || series[1].Value != 1 || len(series[1].Labels) != 2 {
-		t.Fatalf("series 1 mangled: %+v", series[1])
-	}
-
-	// An in-band instance label wins over the config instance.
-	body2, err := EncodeRemoteWrite([]MetricPoint{
-		{Name: "x_total", Labels: `{instance="other"}`, Type: "counter", Value: 1},
-	}, "A", time.UnixMilli(1))
-	if err != nil {
-		t.Fatalf("EncodeRemoteWrite: %v", err)
-	}
-	s2, err := DecodeRemoteWrite(body2)
-	if err != nil || len(s2) != 1 {
-		t.Fatalf("decode: %v (%d series)", err, len(s2))
-	}
-	for _, l := range s2[0].Labels {
-		if l.Name == "instance" && l.Value != "other" {
-			t.Fatalf("config instance overrode the in-band label: %+v", s2[0].Labels)
-		}
 	}
 }
 

@@ -33,7 +33,6 @@ const (
 	MetricStreamBuffered = "rebeca_stream_buffered"
 	MetricStreamDropped  = "rebeca_stream_dropped_total"
 	MetricRateLimited    = "rebeca_rate_limited_total"
-	MetricTracerDropped  = "rebeca_tracer_dropped_total"
 
 	// Discovery subsystem (registry-driven membership + mesh routing).
 	MetricDiscoveryPeers     = "rebeca_discovery_peers"
@@ -99,6 +98,10 @@ func (t *Middleware) Registry() *Registry { return t.reg }
 // Spans returns the attached span store (nil when none).
 func (t *Middleware) Spans() *SpanStore { return t.spans }
 
+// AttachSpans gives a stage built without a span store one, making hop
+// tracing possible. Call it before the stage is installed on a broker.
+func (t *Middleware) AttachSpans(spans *SpanStore) { t.spans = spans }
+
 // EnableHopTrace toggles hop stamping at runtime (the /config trace knob).
 // While on, every broker appends its HopStamp to publishes crossing the
 // chain and records the accumulated path into the span store.
@@ -141,6 +144,31 @@ func (t *Middleware) at(b message.NodeID) *instruments {
 	}
 	t.ins.Store(b, ins)
 	return ins
+}
+
+// BrokerStats is one broker's event counts, read back from the instruments
+// the hooks feed.
+type BrokerStats struct {
+	Publishes, Deliveries, Subscribes uint64
+	// E2ESeconds is the sum of the end-to-end latency histogram.
+	E2ESeconds float64
+}
+
+// Stats reads every broker's counters out of the handles /metrics renders
+// — the programmatic twin of a scrape.
+func (t *Middleware) Stats() map[message.NodeID]BrokerStats {
+	out := make(map[message.NodeID]BrokerStats)
+	t.ins.Range(func(b, v any) bool {
+		ins := v.(*instruments)
+		out[b.(message.NodeID)] = BrokerStats{
+			Publishes:  ins.publishes.Value(),
+			Deliveries: ins.deliveries.Value(),
+			Subscribes: ins.subscribes.Value(),
+			E2ESeconds: ins.e2eSeconds.Sum(),
+		}
+		return true
+	})
+	return out
 }
 
 // OnPublish implements broker.Middleware: count, time the rest of the

@@ -2,7 +2,6 @@ package telemetry_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -186,77 +185,6 @@ func TestPusherSpoolBound(t *testing.T) {
 	}
 	if p.SpoolDropped() == 0 {
 		t.Fatal("expected drop-oldest evictions under a dead receiver")
-	}
-}
-
-func TestPusherJSONDeltas(t *testing.T) {
-	type payload struct {
-		Instance string `json:"instance"`
-		Points   []struct {
-			Name  string  `json:"name"`
-			Type  string  `json:"type"`
-			Value float64 `json:"value"`
-		} `json:"points"`
-	}
-	var got atomic.Value
-	var pushes atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if ct := r.Header.Get("Content-Type"); ct != "application/json" {
-			t.Errorf("content type = %q, want application/json", ct)
-		}
-		var pl payload
-		if err := json.NewDecoder(r.Body).Decode(&pl); err != nil {
-			t.Errorf("bad push body: %v", err)
-		}
-		got.Store(pl)
-		pushes.Add(1)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-
-	reg := telemetry.NewRegistry()
-	c := reg.Counter("rebeca_publishes_total", "Publishes.", nil)
-	c.Add(3)
-	p, err := telemetry.NewPusher(reg, telemetry.PusherConfig{
-		URL: srv.URL, Interval: time.Millisecond,
-		Format: telemetry.PushFormatJSON, Instance: "A",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	find := func(pl payload, name string) (float64, bool) {
-		for _, pt := range pl.Points {
-			if pt.Name == name {
-				return pt.Value, true
-			}
-		}
-		return 0, false
-	}
-
-	// First cycle ships the absolute value.
-	p.Flush()
-	pl, _ := got.Load().(payload)
-	if pl.Instance != "A" {
-		t.Fatalf("instance = %q, want A", pl.Instance)
-	}
-	if v, ok := find(pl, "rebeca_publishes_total"); !ok || v != 3 {
-		t.Fatalf("first push publishes = %v/%v, want absolute 3", v, ok)
-	}
-
-	// Movement ships as a delta.
-	c.Add(2)
-	p.Flush()
-	pl, _ = got.Load().(payload)
-	if v, ok := find(pl, "rebeca_publishes_total"); !ok || v != 2 {
-		t.Fatalf("second push publishes = %v/%v, want delta 2", v, ok)
-	}
-
-	// No movement: the cycle pushes nothing at all.
-	before := pushes.Load()
-	p.Flush()
-	if pushes.Load() != before {
-		t.Fatal("unchanged registry still pushed a body")
 	}
 }
 

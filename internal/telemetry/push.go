@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -12,13 +11,6 @@ import (
 	"time"
 )
 
-// Push body formats.
-const (
-	PushFormatProm        = "prom"         // Prometheus text exposition 0.0.4
-	PushFormatJSON        = "json"         // compact delta JSON (pushPayload)
-	PushFormatRemoteWrite = "remote-write" // Prometheus remote-write 1.0 protobuf
-)
-
 // DefaultPushSpool bounds the in-memory spool of undelivered push bodies.
 const DefaultPushSpool = 64
 
@@ -26,8 +18,8 @@ const DefaultPushSpool = 64
 const DefaultSpanBatch = 256
 
 // InstanceHeader carries the reporting process's identity on every push
-// POST, so a collector can attribute bodies that have no in-band instance
-// (Prometheus text, span batches).
+// POST: Prometheus text has no in-band instance, so this is how a
+// collector attributes a metrics body.
 const InstanceHeader = "X-Rebeca-Instance"
 
 // PusherConfig configures a metrics push exporter.
@@ -36,9 +28,6 @@ type PusherConfig struct {
 	URL string
 	// Interval between snapshots (default 15s).
 	Interval time.Duration
-	// Format is PushFormatProm (default), PushFormatJSON or
-	// PushFormatRemoteWrite.
-	Format string
 	// SpoolCap bounds bodies retained across receiver outages
 	// (drop-oldest; default DefaultPushSpool).
 	SpoolCap int
@@ -47,9 +36,7 @@ type PusherConfig struct {
 	Instance string
 	// Spans, when non-nil, ships completed and retro-captured spans
 	// outbound alongside metric snapshots as length-framed JSON batches
-	// (ContentTypeSpans), through the same spool/retry machinery. Skip it
-	// for remote-write pushes aimed at a real Prometheus backend — only a
-	// rebeca collector understands span bodies.
+	// (ContentTypeSpans), through the same spool/retry machinery.
 	Spans *SpanStore
 	// SpanBatch bounds spans per exported batch (default DefaultSpanBatch).
 	SpanBatch int
@@ -81,8 +68,7 @@ type Pusher struct {
 
 	mu           sync.Mutex
 	spool        []pushBody
-	prev         map[string]float64 // last-pushed counter values, JSON deltas
-	spanCursor   uint64             // SpanStore export cursor
+	spanCursor   uint64 // SpanStore export cursor
 	backoff      time.Duration
 	blockedUntil time.Time
 
@@ -105,14 +91,6 @@ func NewPusher(reg *Registry, cfg PusherConfig) (*Pusher, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 15 * time.Second
 	}
-	switch cfg.Format {
-	case "":
-		cfg.Format = PushFormatProm
-	case PushFormatProm, PushFormatJSON, PushFormatRemoteWrite:
-	default:
-		return nil, fmt.Errorf("telemetry: bad push format %q (want %s|%s|%s)",
-			cfg.Format, PushFormatProm, PushFormatJSON, PushFormatRemoteWrite)
-	}
 	if cfg.SpoolCap <= 0 {
 		cfg.SpoolCap = DefaultPushSpool
 	}
@@ -128,7 +106,6 @@ func NewPusher(reg *Registry, cfg PusherConfig) (*Pusher, error) {
 	return &Pusher{
 		reg:  reg,
 		cfg:  cfg,
-		prev: make(map[string]float64),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}, nil
@@ -210,20 +187,10 @@ func (p *Pusher) spoolLocked(b pushBody) {
 	p.spool = append(p.spool, b)
 }
 
-// snapshot renders the current registry state as one push body (zero body
-// when there is nothing to report, e.g. a JSON delta cycle with no
-// movement).
+// snapshot renders the current registry state as one push body — the
+// Prometheus text exposition /metrics serves (zero body for an empty
+// registry).
 func (p *Pusher) snapshot() pushBody {
-	switch p.cfg.Format {
-	case PushFormatJSON:
-		return pushBody{data: p.snapshotJSON(), ctype: "application/json"}
-	case PushFormatRemoteWrite:
-		body, err := EncodeRemoteWrite(p.reg.Gather(), p.cfg.Instance, time.Now())
-		if err != nil || len(body) == 0 {
-			return pushBody{}
-		}
-		return pushBody{data: body, ctype: ContentTypeRemoteWrite}
-	}
 	var b bytes.Buffer
 	if err := p.reg.WritePrometheus(&b); err != nil || b.Len() == 0 {
 		return pushBody{}
@@ -258,44 +225,6 @@ func (p *Pusher) snapshotSpans() pushBody {
 	p.spanCursor = next
 	p.mu.Unlock()
 	return pushBody{data: body, ctype: ContentTypeSpans, spans: len(recs)}
-}
-
-// pushPayload is the JSON push body: counter movement since the last
-// successful snapshot plus absolute gauge readings.
-type pushPayload struct {
-	Instance string        `json:"instance,omitempty"`
-	Points   []MetricPoint `json:"points"`
-}
-
-func (p *Pusher) snapshotJSON() []byte {
-	points := p.reg.Gather()
-	p.mu.Lock()
-	out := make([]MetricPoint, 0, len(points))
-	for _, pt := range points {
-		if pt.Type == typeCounter {
-			key := pt.Name + pt.Labels
-			prev, seen := p.prev[key]
-			p.prev[key] = pt.Value
-			delta := pt.Value - prev
-			if seen && delta == 0 {
-				continue // compact: unchanged counters stay home
-			}
-			if seen && delta > 0 {
-				pt.Value = delta
-			}
-			// First sighting (or a reset going backwards) ships absolute.
-		}
-		out = append(out, pt)
-	}
-	p.mu.Unlock()
-	if len(out) == 0 {
-		return nil
-	}
-	body, err := json.Marshal(pushPayload{Instance: p.cfg.Instance, Points: out})
-	if err != nil {
-		return nil
-	}
-	return body
 }
 
 // drain POSTs spooled bodies in order until empty or a delivery fails
@@ -359,10 +288,6 @@ func (p *Pusher) post(body pushBody) error {
 	req.Header.Set("Content-Type", body.ctype)
 	if p.cfg.Instance != "" {
 		req.Header.Set(InstanceHeader, p.cfg.Instance)
-	}
-	if body.ctype == ContentTypeRemoteWrite {
-		req.Header.Set("Content-Encoding", "identity")
-		req.Header.Set("X-Prometheus-Remote-Write-Version", RemoteWriteVersion)
 	}
 	resp, err := p.cfg.Client.Do(req)
 	if err != nil {

@@ -410,61 +410,6 @@ func writeBucket(b *bytes.Buffer, f *family, s *sample, labelKey string, v float
 	b.WriteByte('\n')
 }
 
-// MetricPoint is one flattened sample in a Gather snapshot: histograms
-// expand into their cumulative bucket/sum/count series, so a snapshot is
-// a flat list the push exporter can diff and ship as compact JSON.
-type MetricPoint struct {
-	Name   string  `json:"name"`
-	Labels string  `json:"labels,omitempty"` // pre-rendered {k="v",...}
-	Type   string  `json:"type"`
-	Value  float64 `json:"value"`
-}
-
-// Gather snapshots every family — hot-path samples and pull collectors —
-// into a flat, deterministically ordered point list. This is the push
-// exporter's source: same data as WritePrometheus, structured instead of
-// rendered.
-func (r *Registry) Gather() []MetricPoint {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []MetricPoint
-	for _, name := range r.order {
-		f := r.families[name]
-		for _, key := range f.order {
-			s := f.samples[key]
-			switch {
-			case s.counter != nil:
-				out = append(out, MetricPoint{Name: f.name, Labels: s.labelKey, Type: f.typ, Value: float64(s.counter.Value())})
-			case s.hist != nil:
-				var cum uint64
-				for i, bound := range f.bounds {
-					cum += s.hist.counts[i].Load()
-					out = append(out, MetricPoint{
-						Name: f.name + "_bucket", Labels: mergeLabelKey(s.labelKey, "le", formatValue(bound)),
-						Type: typeCounter, Value: float64(cum),
-					})
-				}
-				count := s.hist.Count()
-				if count < cum {
-					count = cum
-				}
-				out = append(out, MetricPoint{
-					Name: f.name + "_bucket", Labels: mergeLabelKey(s.labelKey, "le", "+Inf"),
-					Type: typeCounter, Value: float64(count),
-				})
-				out = append(out, MetricPoint{Name: f.name + "_sum", Labels: s.labelKey, Type: typeCounter, Value: s.hist.Sum()})
-				out = append(out, MetricPoint{Name: f.name + "_count", Labels: s.labelKey, Type: typeCounter, Value: float64(count)})
-			}
-		}
-		for _, fn := range f.collect {
-			fn(func(labels Labels, v float64) {
-				out = append(out, MetricPoint{Name: f.name, Labels: renderLabels(labels), Type: f.typ, Value: v})
-			})
-		}
-	}
-	return out
-}
-
 // renderLabels renders a label set as a stable `{k="v",…}` key (empty
 // string for no labels); keys sort lexically so equal sets always collide.
 func renderLabels(labels Labels) string {

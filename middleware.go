@@ -1,12 +1,14 @@
 package rebeca
 
 import (
+	"math"
 	"sync"
 	"time"
 
 	"rebeca/internal/broker"
 	"rebeca/internal/overlay"
 	"rebeca/internal/proto"
+	"rebeca/internal/telemetry"
 )
 
 // Middleware chain types, re-exported from the broker so downstream code
@@ -53,7 +55,7 @@ const (
 
 // --- Metrics -------------------------------------------------------------
 
-// BrokerMetrics aggregates one broker's middleware-observed activity.
+// BrokerMetrics is one broker's activity as the telemetry stage counted it.
 type BrokerMetrics struct {
 	// Publishes counts notifications routed through the broker (every
 	// overlay hop counts at the broker it transits).
@@ -63,16 +65,10 @@ type BrokerMetrics struct {
 	// Subscribes counts subscription installations.
 	Subscribes int
 	// DeliveryLatency sums publish-to-delivery latency over Deliveries
-	// (virtual time under System, wall time under Live).
+	// (virtual time under System, wall time under Live). It is read back
+	// from a histogram that sums float seconds, so it is exact to rounding,
+	// not to the nanosecond.
 	DeliveryLatency time.Duration
-	// MaxDeliveryLatency is the worst single delivery.
-	MaxDeliveryLatency time.Duration
-	// LinkEstablishments counts overlay links reaching established
-	// (initial handshakes and re-establishments after failures).
-	LinkEstablishments int
-	// LinkFailures counts established overlay links lost (read/send
-	// errors, missed heartbeats).
-	LinkFailures int
 }
 
 // AvgDeliveryLatency returns the mean publish-to-delivery latency.
@@ -83,139 +79,75 @@ func (m BrokerMetrics) AvgDeliveryLatency() time.Duration {
 	return m.DeliveryLatency / time.Duration(m.Deliveries)
 }
 
-func (m *BrokerMetrics) add(o BrokerMetrics) {
-	m.Publishes += o.Publishes
-	m.Deliveries += o.Deliveries
-	m.Subscribes += o.Subscribes
-	m.DeliveryLatency += o.DeliveryLatency
-	if o.MaxDeliveryLatency > m.MaxDeliveryLatency {
-		m.MaxDeliveryLatency = o.MaxDeliveryLatency
-	}
-	m.LinkEstablishments += o.LinkEstablishments
-	m.LinkFailures += o.LinkFailures
-}
-
-// Metrics is a built-in middleware collecting per-broker publish, delivery
-// and subscription counters plus delivery-latency statistics. One instance
-// is shared by every broker of a deployment and is safe for concurrent use,
-// so the same instance works under both System and Live.
+// Metrics is a built-in middleware giving programmatic access to the
+// per-broker publish, delivery and subscription counts and delivery
+// latency. It counts nothing itself: it is a read-only view over the
+// telemetry stage (internal/telemetry) — the one implementation that counts
+// these events — so Snapshot and a /metrics scrape cannot disagree. In a
+// deployment that also has WithOps, WithOpsPush or WithLogging, the stage
+// behind the view is the deployment's only telemetry stage and its registry
+// the one /metrics serves. Use one instance per deployment; it is shared by
+// every broker of it and safe for concurrent use, under both System and
+// Live.
 //
 // Counts reflect the stage's chain position: installed via WithMiddleware
 // it runs inside the session layers and therefore observes exactly the
 // events they pass through (virtual-client buffering and ghost interception
-// are not counted as deliveries).
+// are not counted as deliveries). Overlay link states are the deployment's
+// to report (LinkStates, LinkInfo).
 type Metrics struct {
-	PassMiddleware
-	mu        sync.Mutex
-	perBroker map[NodeID]*BrokerMetrics
-	links     map[NodeID]map[NodeID]LinkState
+	stage *telemetry.Middleware
 }
 
-// NewMetrics returns an empty metrics stage.
+// NewMetrics returns a metrics view over a telemetry stage of its own.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		perBroker: make(map[NodeID]*BrokerMetrics),
-		links:     make(map[NodeID]map[NodeID]LinkState),
-	}
-}
-
-func (m *Metrics) at(b NodeID) *BrokerMetrics {
-	bm, ok := m.perBroker[b]
-	if !ok {
-		bm = &BrokerMetrics{}
-		m.perBroker[b] = bm
-	}
-	return bm
+	return &Metrics{stage: telemetry.NewMiddleware(telemetry.NewRegistry(), nil)}
 }
 
 // OnPublish implements Middleware.
-func (m *Metrics) OnPublish(b *Broker, _ NodeID, _ *Notification, next func()) {
-	m.mu.Lock()
-	m.at(b.ID()).Publishes++
-	m.mu.Unlock()
-	next()
+func (m *Metrics) OnPublish(b *Broker, from NodeID, n *Notification, next func()) {
+	m.stage.OnPublish(b, from, n, next)
 }
 
 // OnDeliver implements Middleware.
-func (m *Metrics) OnDeliver(b *Broker, _ NodeID, n *Notification, _ []SubID, next func()) {
-	m.mu.Lock()
-	bm := m.at(b.ID())
-	bm.Deliveries++
-	if !n.Published.IsZero() {
-		lat := b.Now().Sub(n.Published)
-		if lat > 0 {
-			bm.DeliveryLatency += lat
-			if lat > bm.MaxDeliveryLatency {
-				bm.MaxDeliveryLatency = lat
-			}
-		}
-	}
-	m.mu.Unlock()
-	next()
+func (m *Metrics) OnDeliver(b *Broker, port NodeID, n *Notification, subs []SubID, next func()) {
+	m.stage.OnDeliver(b, port, n, subs, next)
 }
 
 // OnSubscribe implements Middleware.
-func (m *Metrics) OnSubscribe(b *Broker, _ NodeID, _ *SubscriptionInfo, next func()) {
-	m.mu.Lock()
-	m.at(b.ID()).Subscribes++
-	m.mu.Unlock()
-	next()
+func (m *Metrics) OnSubscribe(b *Broker, from NodeID, sub *SubscriptionInfo, next func()) {
+	m.stage.OnSubscribe(b, from, sub, next)
 }
 
-// OnLinkChange implements the LinkObserver extension: overlay health
-// rolls up into the per-broker counters and the LinkStates snapshot.
-func (m *Metrics) OnLinkChange(b *Broker, ev LinkEvent) {
-	m.mu.Lock()
-	bm := m.at(b.ID())
-	switch {
-	case ev.To == LinkEstablished:
-		bm.LinkEstablishments++
-	case ev.From == LinkEstablished:
-		bm.LinkFailures++
-	}
-	ls, ok := m.links[b.ID()]
-	if !ok {
-		ls = make(map[NodeID]LinkState)
-		m.links[b.ID()] = ls
-	}
-	ls[ev.Peer] = ev.To
-	m.mu.Unlock()
-}
+// OnLinkChange implements the LinkObserver extension.
+func (m *Metrics) OnLinkChange(b *Broker, ev LinkEvent) { m.stage.OnLinkChange(b, ev) }
 
-// LinkStates snapshots the last observed overlay link state per broker
-// and peer — the overlay-health view behind rebeca-broker's -stats.
-func (m *Metrics) LinkStates() map[NodeID]map[NodeID]LinkState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[NodeID]map[NodeID]LinkState, len(m.links))
-	for b, ls := range m.links {
-		cp := make(map[NodeID]LinkState, len(ls))
-		for p, s := range ls {
-			cp[p] = s
-		}
-		out[b] = cp
-	}
-	return out
-}
+// OnDrop implements the broker's DropObserver extension.
+func (m *Metrics) OnDrop(b *Broker, id NotificationID, reason string) { m.stage.OnDrop(b, id, reason) }
 
-// Snapshot returns a copy of the per-broker counters.
+// Snapshot returns the per-broker counters.
 func (m *Metrics) Snapshot() map[NodeID]BrokerMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[NodeID]BrokerMetrics, len(m.perBroker))
-	for id, bm := range m.perBroker {
-		out[id] = *bm
+	stats := m.stage.Stats()
+	out := make(map[NodeID]BrokerMetrics, len(stats))
+	for id, s := range stats {
+		out[id] = BrokerMetrics{
+			Publishes:       int(s.Publishes),
+			Deliveries:      int(s.Deliveries),
+			Subscribes:      int(s.Subscribes),
+			DeliveryLatency: time.Duration(math.Round(s.E2ESeconds * float64(time.Second))),
+		}
 	}
 	return out
 }
 
 // Totals aggregates the counters across brokers.
 func (m *Metrics) Totals() BrokerMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var t BrokerMetrics
-	for _, bm := range m.perBroker {
-		t.add(*bm)
+	for _, bm := range m.Snapshot() {
+		t.Publishes += bm.Publishes
+		t.Deliveries += bm.Deliveries
+		t.Subscribes += bm.Subscribes
+		t.DeliveryLatency += bm.DeliveryLatency
 	}
 	return t
 }
@@ -243,122 +175,62 @@ type TraceEvent struct {
 	Info string
 }
 
-// tracerCap bounds the retained event log; the log is a ring, so once it
-// fills the oldest events are evicted (and counted) — a long-running
-// deployment always traces its most recent activity.
-const tracerCap = 16384
-
-// Tracer is a built-in middleware recording every publish, delivery and
-// subscription crossing the chain. Events are appended to an internal
-// bounded ring — the newest tracerCap events are retained, older ones are
-// evicted and counted by Dropped — and, when a callback is configured,
-// forwarded to it synchronously. Safe for concurrent use; observe-only
-// (always passes through). SetEnabled pauses and resumes recording at
-// runtime (the ops /config trace knob).
+// Tracer is a built-in middleware handing every publish, delivery,
+// subscription and overlay link transition crossing the chain to a
+// callback, synchronously — what rebeca-broker -trace prints and what a test
+// harness collects. It retains nothing: bounded, eviction-counted retention
+// of notification paths is the telemetry span store's job (WithOps' /trace),
+// and link transitions are retained as the overlay subsystem's log lines
+// (WithLogging). Observe-only (always passes through).
 type Tracer struct {
 	PassMiddleware
-	fn       func(TraceEvent)
-	mu       sync.Mutex
-	disabled bool
-	events   []TraceEvent // ring once len == tracerCap
-	head     int          // index of the oldest event while the ring is full
-	dropped  int
+	fn func(TraceEvent)
 }
 
-// NewTracer returns a tracing stage, enabled. fn, when non-nil, observes
-// every event as it happens (it runs inside the broker's event loop — keep
-// it cheap).
-func NewTracer(fn func(TraceEvent)) *Tracer { return &Tracer{fn: fn} }
-
-func (t *Tracer) record(e TraceEvent) {
-	t.mu.Lock()
-	if t.disabled {
-		t.mu.Unlock()
-		return
+// NewTracer returns a tracing stage calling fn for every event as it
+// happens. fn runs inside the broker's event loop — keep it cheap — and,
+// under Live, concurrently from several brokers. A nil fn observes nothing.
+func NewTracer(fn func(TraceEvent)) *Tracer {
+	if fn == nil {
+		fn = func(TraceEvent) {}
 	}
-	if len(t.events) < tracerCap {
-		t.events = append(t.events, e)
-	} else {
-		// Ring is full: overwrite the oldest event so the log keeps the
-		// newest activity.
-		t.events[t.head] = e
-		t.head = (t.head + 1) % tracerCap
-		t.dropped++
-	}
-	fn := t.fn
-	t.mu.Unlock()
-	if fn != nil {
-		fn(e)
-	}
-}
-
-// SetEnabled pauses (false) or resumes (true) event recording and the
-// callback. The retained log is kept either way.
-func (t *Tracer) SetEnabled(on bool) {
-	t.mu.Lock()
-	t.disabled = !on
-	t.mu.Unlock()
-}
-
-// Enabled reports whether the tracer is recording.
-func (t *Tracer) Enabled() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return !t.disabled
+	return &Tracer{fn: fn}
 }
 
 // OnPublish implements Middleware.
 func (t *Tracer) OnPublish(b *Broker, from NodeID, n *Notification, next func()) {
-	t.record(TraceEvent{At: b.Now(), Broker: b.ID(), Hook: "publish", Node: from, Note: n.ID})
+	t.fn(TraceEvent{At: b.Now(), Broker: b.ID(), Hook: "publish", Node: from, Note: n.ID})
 	next()
 }
 
 // OnDeliver implements Middleware. A delivery matching several
-// subscriptions records one event per subscription identity, so per-sub
+// subscriptions reports one event per subscription identity, so per-sub
 // delivery audits see every match.
 func (t *Tracer) OnDeliver(b *Broker, port NodeID, n *Notification, subs []SubID, next func()) {
 	e := TraceEvent{At: b.Now(), Broker: b.ID(), Hook: "deliver", Node: port, Note: n.ID}
 	if len(subs) == 0 {
-		t.record(e)
+		t.fn(e)
 	}
 	for _, sub := range subs {
 		e.Sub = sub
-		t.record(e)
+		t.fn(e)
 	}
 	next()
 }
 
 // OnSubscribe implements Middleware.
 func (t *Tracer) OnSubscribe(b *Broker, from NodeID, sub *SubscriptionInfo, next func()) {
-	t.record(TraceEvent{At: b.Now(), Broker: b.ID(), Hook: "subscribe", Node: from, Sub: sub.ID})
+	t.fn(TraceEvent{At: b.Now(), Broker: b.ID(), Hook: "subscribe", Node: from, Sub: sub.ID})
 	next()
 }
 
 // OnLinkChange implements the LinkObserver extension: overlay link
 // transitions join the trace as "link" events.
 func (t *Tracer) OnLinkChange(b *Broker, ev LinkEvent) {
-	t.record(TraceEvent{
+	t.fn(TraceEvent{
 		At: ev.At, Broker: b.ID(), Hook: "link", Node: ev.Peer,
 		Info: ev.To.String() + " <- " + ev.From.String() + ": " + ev.Reason,
 	})
-}
-
-// Events returns a copy of the retained event log, in observation order
-// (oldest retained event first).
-func (t *Tracer) Events() []TraceEvent {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceEvent, 0, len(t.events))
-	out = append(out, t.events[t.head:]...)
-	return append(out, t.events[:t.head]...)
-}
-
-// Dropped reports old events evicted to keep the log within its bound
-// (the ring retains the newest tracerCap events).
-func (t *Tracer) Dropped() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // --- RateLimiter ---------------------------------------------------------
@@ -500,9 +372,10 @@ func (r *RateLimiter) DroppedPerBroker() map[NodeID]int {
 
 // compile-time interface checks
 var (
-	_ Middleware   = (*Metrics)(nil)
-	_ Middleware   = (*Tracer)(nil)
-	_ Middleware   = (*RateLimiter)(nil)
-	_ LinkObserver = (*Metrics)(nil)
-	_ LinkObserver = (*Tracer)(nil)
+	_ Middleware          = (*Metrics)(nil)
+	_ Middleware          = (*Tracer)(nil)
+	_ Middleware          = (*RateLimiter)(nil)
+	_ LinkObserver        = (*Metrics)(nil)
+	_ LinkObserver        = (*Tracer)(nil)
+	_ broker.DropObserver = (*Metrics)(nil)
 )

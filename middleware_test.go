@@ -51,7 +51,9 @@ func TestMetricsMiddleware(t *testing.T) {
 		t.Errorf("subscribes = %d, want 3", totals.Subscribes)
 	}
 	// Three 1ms hops upstream of the delivering broker: client to B2,
-	// B2 to B1, B1 to B0.
+	// B2 to B1, B1 to B0. The view reads the latency histogram, which sums
+	// float seconds; Snapshot rounds the sum to the nanosecond, so four
+	// deliveries of 3ms still average to exactly 3ms.
 	snap := metrics.Snapshot()
 	if got := snap["B0"].AvgDeliveryLatency(); got != 3*time.Millisecond {
 		t.Errorf("avg latency at B0 = %s, want 3ms", got)
@@ -62,8 +64,10 @@ func TestMetricsMiddleware(t *testing.T) {
 }
 
 func TestTracerMiddleware(t *testing.T) {
-	var live int
-	tracer := rebeca.NewTracer(func(rebeca.TraceEvent) { live++ })
+	// The callback is the Tracer's whole output: the virtual-clock System
+	// runs every broker on one goroutine, so collecting needs no lock.
+	var events []rebeca.TraceEvent
+	tracer := rebeca.NewTracer(func(e rebeca.TraceEvent) { events = append(events, e) })
 	sys, sub, pub := pubSubSystem(t, tracer)
 	if _, err := pub.Publish(map[string]rebeca.Value{"n": rebeca.Int(1)}); err != nil {
 		t.Fatal(err)
@@ -73,10 +77,6 @@ func TestTracerMiddleware(t *testing.T) {
 		t.Fatalf("received %d, want 1", got)
 	}
 
-	events := tracer.Events()
-	if live != len(events) {
-		t.Errorf("callback saw %d events, log has %d", live, len(events))
-	}
 	byHook := map[string]int{}
 	for _, e := range events {
 		byHook[e.Hook]++
@@ -87,9 +87,6 @@ func TestTracerMiddleware(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Hook != "deliver" || last.Broker != "B0" || last.Node != "sub" {
 		t.Errorf("last event = %+v, want delivery of sub at B0", last)
-	}
-	if tracer.Dropped() != 0 {
-		t.Errorf("dropped = %d, want 0", tracer.Dropped())
 	}
 }
 

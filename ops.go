@@ -51,8 +51,8 @@ func (st *opsStack) supervise(id NodeID, s supervisor) {
 	st.ops.AddReadyCheck("links:"+string(id), s.Ready)
 }
 
-// newOpsStack builds the registry/span-store/middleware triple and appends
-// the telemetry stage to the config's broker chain; nil when the options
+// newOpsStack builds the registry/span-store/middleware triple and puts
+// the telemetry stage on the config's broker chain; nil when the options
 // ask for no endpoint, no push target and no log stream. Must run before
 // broker construction so every broker installs the stage. Push-only and
 // logging-only deployments get the stack too — they feed the same registry
@@ -61,13 +61,26 @@ func newOpsStack(cfg *config) *opsStack {
 	if cfg.opsAddr == "" && cfg.pushURL == "" && !cfg.logging {
 		return nil
 	}
-	reg := telemetry.NewRegistry()
 	spans := telemetry.NewSpanStore(0)
-	mw := telemetry.NewMiddleware(reg, spans)
+	// A deployment has one telemetry stage and one registry: a Metrics view
+	// on the chain already carries both, so they are adopted where the
+	// caller put them; only otherwise is a stage built and appended.
+	var mw *telemetry.Middleware
+	for _, m := range cfg.middleware {
+		if view, ok := m.(*Metrics); ok {
+			mw = view.stage
+			mw.AttachSpans(spans)
+			break
+		}
+	}
+	if mw == nil {
+		mw = telemetry.NewMiddleware(telemetry.NewRegistry(), spans)
+		cfg.middleware = append(cfg.middleware, mw)
+	}
+	reg := mw.Registry()
 	// Stamping costs every hop of every publish: it is on only where
 	// something can show a trace (/trace, or a push target spans ship to).
 	mw.EnableHopTrace(cfg.opsAddr != "" || cfg.pushURL != "")
-	cfg.middleware = append(cfg.middleware, mw)
 	telemetry.RegisterSpanMetrics(reg, spans)
 	st := &opsStack{reg: reg, spans: spans, mw: mw, ops: telemetry.NewOps(reg, spans)}
 	if cfg.sampleN > 0 || cfg.slowThresh > 0 || cfg.pendingCap > 0 {
@@ -110,21 +123,15 @@ func (st *opsStack) start(cfg *config, instance string) error {
 	if cfg.pushURL == "" {
 		return nil
 	}
-	pcfg := telemetry.PusherConfig{
+	// Completed and retro-captured spans ship outbound alongside the
+	// metric snapshots.
+	p, err := telemetry.NewPusher(st.reg, telemetry.PusherConfig{
 		URL:      cfg.pushURL,
 		Interval: cfg.pushInterval,
-		Format:   cfg.pushFormat,
 		Instance: instance,
+		Spans:    st.spans,
 		Logger:   st.logFor("wire"),
-	}
-	// Completed and retro-captured spans ship outbound alongside the
-	// metric snapshots — except to remote-write receivers, where a real
-	// Prometheus backend would reject (and wedge the spool behind) the
-	// span bodies only a rebeca collector understands.
-	if cfg.pushFormat != telemetry.PushFormatRemoteWrite {
-		pcfg.Spans = st.spans
-	}
-	p, err := telemetry.NewPusher(st.reg, pcfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -202,8 +209,7 @@ func (st *opsStack) watchNode(id NodeID, node *wire.Node, member *discovery.Memb
 // registerCommon wires the knobs and collectors every deployment flavor
 // shares: the heartbeat of the supervisors the host registered, the
 // hop-trace toggle and sampler tuning, rate-limiter retuning and drop
-// counts, Tracer toggling and eviction counts, and the WAL's on-disk
-// footprint.
+// counts, and the WAL's on-disk footprint.
 func (st *opsStack) registerCommon(cfg *config) {
 	if sup := st.supervisors; len(sup) > 0 {
 		st.ops.AddKnob("heartbeat", telemetry.Knob{
@@ -287,71 +293,52 @@ func (st *opsStack) registerCommon(cfg *config) {
 		st.logger.RegisterKnobs(st.ops)
 	}
 	for _, m := range cfg.middleware {
-		switch m := m.(type) {
-		case *RateLimiter:
-			rl := m
-			// Rate-limited publishes are paths that always matter:
-			// retro-capture their parked trace with the reason.
-			rl.SetDropHook(func(_ NodeID, id NotificationID) {
-				if !st.mw.HopTraceEnabled() {
-					return
-				}
-				if st.sampler != nil {
-					st.sampler.MarkDropped(id, "rate-limited")
-				} else {
-					st.spans.RecordReason(id, nil, 0, "rate-limited")
-				}
-			})
-			st.ops.AddKnob("rate_limit", telemetry.Knob{
-				Help: "client publish admission as perSecond[,burst]; perSecond <= 0 disables",
-				Get: func() string {
-					r, b := rl.Limit()
-					return fmt.Sprintf("%g,%d", r, b)
-				},
-				Set: func(v string) error {
-					parts := strings.SplitN(v, ",", 2)
-					r, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-					if err != nil {
-						return fmt.Errorf("bad rate %q: %v", parts[0], err)
-					}
-					_, burst := rl.Limit()
-					if len(parts) == 2 {
-						burst, err = strconv.Atoi(strings.TrimSpace(parts[1]))
-						if err != nil {
-							return fmt.Errorf("bad burst %q: %v", parts[1], err)
-						}
-					}
-					rl.SetLimit(r, burst)
-					return nil
-				},
-			})
-			st.reg.CounterFunc(telemetry.MetricRateLimited,
-				"Client publishes rejected by the rate-limiter middleware.",
-				func(emit func(telemetry.Labels, float64)) {
-					for id, n := range rl.DroppedPerBroker() {
-						emit(telemetry.Labels{"broker": string(id)}, float64(n))
-					}
-				})
-		case *Tracer:
-			tr := m
-			st.ops.AddKnob("tracer", telemetry.Knob{
-				Help: "event-log Tracer recording: on/off",
-				Get:  func() string { return onOff(tr.Enabled()) },
-				Set: func(v string) error {
-					on, err := parseOnOff(v)
-					if err != nil {
-						return err
-					}
-					tr.SetEnabled(on)
-					return nil
-				},
-			})
-			st.reg.CounterFunc(telemetry.MetricTracerDropped,
-				"Trace events evicted by the Tracer's newest-retaining ring bound.",
-				func(emit func(telemetry.Labels, float64)) {
-					emit(nil, float64(tr.Dropped()))
-				})
+		rl, ok := m.(*RateLimiter)
+		if !ok {
+			continue
 		}
+		// Rate-limited publishes are paths that always matter:
+		// retro-capture their parked trace with the reason.
+		rl.SetDropHook(func(_ NodeID, id NotificationID) {
+			if !st.mw.HopTraceEnabled() {
+				return
+			}
+			if st.sampler != nil {
+				st.sampler.MarkDropped(id, "rate-limited")
+			} else {
+				st.spans.RecordReason(id, nil, 0, "rate-limited")
+			}
+		})
+		st.ops.AddKnob("rate_limit", telemetry.Knob{
+			Help: "client publish admission as perSecond[,burst]; perSecond <= 0 disables",
+			Get: func() string {
+				r, b := rl.Limit()
+				return fmt.Sprintf("%g,%d", r, b)
+			},
+			Set: func(v string) error {
+				parts := strings.SplitN(v, ",", 2)
+				r, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+				if err != nil {
+					return fmt.Errorf("bad rate %q: %v", parts[0], err)
+				}
+				_, burst := rl.Limit()
+				if len(parts) == 2 {
+					burst, err = strconv.Atoi(strings.TrimSpace(parts[1]))
+					if err != nil {
+						return fmt.Errorf("bad burst %q: %v", parts[1], err)
+					}
+				}
+				rl.SetLimit(r, burst)
+				return nil
+			},
+		})
+		st.reg.CounterFunc(telemetry.MetricRateLimited,
+			"Client publishes rejected by the rate-limiter middleware.",
+			func(emit func(telemetry.Labels, float64)) {
+				for id, n := range rl.DroppedPerBroker() {
+					emit(telemetry.Labels{"broker": string(id)}, float64(n))
+				}
+			})
 	}
 	if w, ok := cfg.store.(*store.WAL); ok {
 		st.reg.GaugeFunc(telemetry.MetricWALSegments,

@@ -238,6 +238,56 @@ func TestSystemOpsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsViewAgreesWithScrape: a deployment with both a Metrics view
+// and an ops endpoint has one telemetry stage and one registry, so what
+// Snapshot reports is what one /metrics scrape reports, broker by broker,
+// and no counter family is rendered twice.
+func TestMetricsViewAgreesWithScrape(t *testing.T) {
+	metrics := rebeca.NewMetrics()
+	sys, err := rebeca.New(
+		rebeca.WithMovement(rebeca.Line(3)),
+		rebeca.WithMiddleware(metrics),
+		rebeca.WithOps("127.0.0.1:0"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if res := runHandoverScenario(t, sys, metrics); len(res.received) != 10 {
+		t.Fatalf("scenario delivered %v, want 10 notifications", res.received)
+	}
+
+	_, scrape := opsGet(t, sys.OpsAddr(), "/metrics")
+	snap := metrics.Snapshot()
+	if len(snap) != 3 {
+		t.Fatalf("snapshot covers %d brokers, want 3: %v", len(snap), snap)
+	}
+	for b, bm := range snap {
+		for family, want := range map[string]int{
+			"rebeca_publishes_total":  bm.Publishes,
+			"rebeca_deliveries_total": bm.Deliveries,
+			"rebeca_subscribes_total": bm.Subscribes,
+		} {
+			line := fmt.Sprintf("%s{broker=%q} %d\n", family, b, want)
+			if !strings.Contains(scrape, line) {
+				t.Errorf("Snapshot()[%s] disagrees with the scrape: want line %q, scrape has\n%s",
+					b, line, grepLines(scrape, family+"{"))
+			}
+		}
+	}
+	if snap["B0"].Deliveries+snap["B1"].Deliveries != 10 || snap["B2"].Publishes != 10 {
+		t.Errorf("snapshot does not describe the scenario: %v", snap)
+	}
+	for _, family := range []string{"rebeca_publishes_total", "rebeca_deliveries_total", "rebeca_subscribes_total"} {
+		if got := strings.Count(scrape, "# TYPE "+family+" "); got != 1 {
+			t.Errorf("/metrics has %d TYPE blocks for %s, want 1", got, family)
+		}
+		if got := strings.Count(scrape, family+"{"); got != 3 {
+			t.Errorf("/metrics has %d %s samples, want one per broker", got, family)
+		}
+	}
+}
+
 // TestOpsWithoutOptionAbsent: without WithOps nothing listens and the
 // accessors report empty.
 func TestOpsWithoutOptionAbsent(t *testing.T) {

@@ -63,7 +63,6 @@ type config struct {
 	registry       string
 	pushURL        string
 	pushInterval   time.Duration
-	pushFormat     string
 	sampleN        int64
 	slowThresh     time.Duration
 	pendingCap     int
@@ -425,7 +424,7 @@ func WithMeshRouting() Option {
 // WithRegistry switches a live deployment to registry-driven membership:
 // instead of dialing a static neighbor list, every broker registers with
 // the named registry (same URIs as rebeca-broker's -registry flag —
-// file:<path>, dns:<name>, seed:<listen>[,<seed>…]) and a membership
+// file:<path> or seed:<listen>[,<seed>…]) and a membership
 // supervisor per node watches it, dialing discovered peers under the
 // deterministic smaller-ID-dials rule and closing links to departed
 // ones. Each broker restricts its adjacency to its movement-graph
@@ -435,7 +434,7 @@ func WithMeshRouting() Option {
 func WithRegistry(uri string) Option {
 	return func(c *config) {
 		if uri == "" {
-			c.errs = append(c.errs, errors.New("rebeca: WithRegistry(\"\"): want a registry URI (file:, dns: or seed:)"))
+			c.errs = append(c.errs, errors.New("rebeca: WithRegistry(\"\"): want a registry URI (file: or seed:)"))
 			return
 		}
 		c.registry = uri
@@ -445,7 +444,7 @@ func WithRegistry(uri string) Option {
 
 // WithOps hosts the telemetry subsystem's HTTP operations endpoint on addr
 // (e.g. ":9090", or "127.0.0.1:0" to bind an ephemeral port — read it back
-// with Ops().Addr()). The endpoint serves Prometheus-exposition /metrics,
+// with OpsAddr()). The endpoint serves Prometheus-exposition /metrics,
 // /healthz, /readyz (gated on overlay convergence: every broker link
 // established and its initial routing sync applied), /trace?note=<id>
 // (multi-hop path reconstruction from hop-propagated trace spans),
@@ -467,13 +466,14 @@ func WithOps(addr string) Option {
 }
 
 // WithOpsPush adds a push-model metric export path: a pusher goroutine
-// snapshots the telemetry registry every interval and POSTs it to url —
-// Prometheus text exposition by default (see WithOpsPushFormat) — with
-// retry/backoff and a bounded in-memory spool across receiver outages.
-// This is how a broker behind NAT reports without being scraped; it
-// builds the same telemetry stack as WithOps and composes with it, but
-// does not require it — push-only deployments never open a listen port.
-// interval 0 defaults to 15s.
+// renders the telemetry registry every interval as the Prometheus text
+// exposition /metrics serves and POSTs it to url (rebeca-collector, or
+// anything that accepts the text format), followed by the hop-trace spans
+// that changed since the last cycle, with retry/backoff and a bounded
+// in-memory spool across receiver outages. This is how a broker behind NAT
+// reports without being scraped; it builds the same telemetry stack as
+// WithOps and composes with it, but does not require it — push-only
+// deployments never open a listen port. interval 0 defaults to 15s.
 func WithOpsPush(url string, interval time.Duration) Option {
 	return func(c *config) {
 		if url == "" {
@@ -486,24 +486,6 @@ func WithOpsPush(url string, interval time.Duration) Option {
 		}
 		c.pushURL = url
 		c.pushInterval = interval
-	}
-}
-
-// WithOpsPushFormat selects the push body format: "prom" (Prometheus
-// text exposition, the default), "json" (compact delta JSON — counters
-// ship movement since the last snapshot, gauges ship absolute) or
-// "remote-write" (Prometheus remote-write 1.0 protobuf, uncompressed —
-// for pushing straight into a Prometheus/Mimir/Thanos receiver; span
-// export is disabled in this format, since only a rebeca collector
-// understands span bodies).
-func WithOpsPushFormat(format string) Option {
-	return func(c *config) {
-		switch format {
-		case "prom", "json", "remote-write":
-			c.pushFormat = format
-		default:
-			c.errs = append(c.errs, fmt.Errorf("rebeca: WithOpsPushFormat(%q): want prom, json or remote-write", format))
-		}
 	}
 }
 
