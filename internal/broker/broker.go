@@ -74,6 +74,9 @@ type Broker struct {
 	router *routing.Router
 	peers  map[message.NodeID]bool
 	ports  map[message.NodeID]bool
+	// peerList is peers in ID order, built by Peers and dropped (set to
+	// nil) wherever peers is replaced.
+	peerList []message.NodeID
 
 	// chain is the ordered middleware chain. The slices after it are the
 	// stages implementing each optional interface, in chain order, resolved
@@ -192,14 +195,19 @@ func (b *Broker) UseMiddleware(ms ...Middleware) {
 // introspection for tests and stats.
 func (b *Broker) Middlewares() int { return len(b.chain) }
 
-// Peers returns the broker's overlay neighbors.
+// Peers returns the broker's overlay neighbors in ID order. The slice is
+// shared and read-only: callers must not modify it, nor keep it past a
+// peer change (a mesh re-election), which builds a new one.
 func (b *Broker) Peers() []message.NodeID {
-	out := make([]message.NodeID, 0, len(b.peers))
-	for p := range b.peers {
-		out = append(out, p)
+	if b.peerList == nil {
+		out := make([]message.NodeID, 0, len(b.peers))
+		for p := range b.peers {
+			out = append(out, p)
+		}
+		sortNodeIDs(out)
+		b.peerList = out
 	}
-	sortNodeIDs(out)
-	return out
+	return b.peerList
 }
 
 // AttachPort registers a local client port.

@@ -512,7 +512,7 @@ func (b *Broker) recomputeTree() {
 			added = append(added, p)
 		}
 	}
-	b.peers = active
+	b.peers, b.peerList = active, nil
 	b.cfg.NextHop = hops
 	if len(added)+len(removed) > 0 {
 		sortNodeIDs(added)

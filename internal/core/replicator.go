@@ -72,6 +72,8 @@ type Stats struct {
 // clients is active system-wide.
 type virtualClient struct {
 	client message.NodeID
+	// port names the broker port this virtual client owns.
+	port   message.NodeID
 	active bool
 	// subs holds the client's location-dependent subscriptions in their
 	// original (unresolved myloc) form, keyed by the client-issued SubID.
@@ -156,10 +158,13 @@ type Config struct {
 // deliveries to its virtual clients' ports (OnDeliver).
 type Replicator struct {
 	broker.PassMiddleware
-	b     *broker.Broker
-	cfg   Config
-	vcs   map[message.NodeID]*virtualClient
-	stats Stats
+	b   *broker.Broker
+	cfg Config
+	vcs map[message.NodeID]*virtualClient
+	// byPort indexes vcs by the port each virtual client owns; ensureVC
+	// and dropVC maintain both maps together.
+	byPort map[message.NodeID]*virtualClient
+	stats  Stats
 }
 
 // New attaches a replicator to its border broker's middleware chain and
@@ -180,9 +185,10 @@ func New(cfg Config) *Replicator {
 		cfg.BufferFactory = func() buffer.Policy { return buffer.NewUnbounded() }
 	}
 	r := &Replicator{
-		b:   cfg.Broker,
-		cfg: cfg,
-		vcs: make(map[message.NodeID]*virtualClient),
+		b:      cfg.Broker,
+		cfg:    cfg,
+		vcs:    make(map[message.NodeID]*virtualClient),
+		byPort: make(map[message.NodeID]*virtualClient),
 	}
 	cfg.Broker.UseMiddleware(r)
 	return r
@@ -221,12 +227,12 @@ func (r *Replicator) ReplicaActive(c message.NodeID) bool {
 
 // vcPort names the local broker port owned by c's virtual client.
 func (r *Replicator) vcPort(c message.NodeID) message.NodeID {
-	return message.NodeID(fmt.Sprintf("vc:%s@%s", c, r.b.ID()))
+	return "vc:" + c + "@" + r.b.ID()
 }
 
 // vcSubID derives the broker-unique routing SubID for a client sub.
 func (r *Replicator) vcSubID(id message.SubID) message.SubID {
-	return message.SubID(fmt.Sprintf("%s@%s", id, r.b.ID()))
+	return id + "@" + message.SubID(r.b.ID())
 }
 
 // resolve resolves myloc and context markers against this broker.
@@ -287,20 +293,18 @@ func (r *Replicator) OnMessage(_ *broker.Broker, from message.NodeID, m proto.Me
 // copy for the duration of the hook only; what is kept or forwarded is a
 // copy of the value.
 func (r *Replicator) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.Notification, _ []message.SubID, next func()) {
-	for c, vc := range r.vcs {
-		if r.vcPort(c) != port {
-			continue
-		}
-		if vc.active {
-			note := *n
-			r.b.Send(c, proto.Message{Kind: proto.KDeliver, Client: c, Note: &note})
-		} else {
-			vc.buf.Add(*n, r.b.Now())
-			r.stats.Buffered++
-		}
+	vc, ok := r.byPort[port]
+	if !ok {
+		next()
 		return
 	}
-	next()
+	if vc.active {
+		note := *n
+		r.b.Send(vc.client, proto.Message{Kind: proto.KDeliver, Client: vc.client, Note: &note})
+	} else {
+		vc.buf.Add(*n, r.b.Now())
+		r.stats.Buffered++
+	}
 }
 
 // --- client-facing operations -------------------------------------------
@@ -347,11 +351,11 @@ func (r *Replicator) onUnsubscribe(from message.NodeID, m proto.Message) bool {
 // resolved form into the routing layer.
 func (r *Replicator) installVCSub(vc *virtualClient, id message.SubID, f filter.Filter) {
 	vc.addSub(id, f)
-	r.b.AttachPort(r.vcPort(vc.client))
+	r.b.AttachPort(vc.port)
 	r.b.InstallSub(proto.Subscription{
 		ID:     r.vcSubID(id),
 		Filter: r.resolve(f),
-	}, r.vcPort(vc.client))
+	}, vc.port)
 }
 
 func (r *Replicator) removeVCSub(vc *virtualClient, id message.SubID) {
@@ -367,10 +371,12 @@ func (r *Replicator) ensureVC(c message.NodeID, active bool) *virtualClient {
 	if !ok {
 		vc = &virtualClient{
 			client: c,
+			port:   r.vcPort(c),
 			subs:   make(map[message.SubID]filter.Filter),
 			buf:    r.newBuffer(c),
 		}
 		r.vcs[c] = vc
+		r.byPort[vc.port] = vc
 		r.stats.ReplicasCreated++
 	}
 	vc.active = vc.active || active
@@ -495,8 +501,9 @@ func (r *Replicator) dropVC(c message.NodeID) {
 	for _, id := range append([]message.SubID(nil), vc.subOrder...) {
 		r.b.RemoveSub(r.vcSubID(id))
 	}
-	r.b.DetachPort(r.vcPort(c))
+	r.b.DetachPort(vc.port)
 	delete(r.vcs, c)
+	delete(r.byPort, vc.port)
 	r.stats.ReplicasDeleted++
 }
 

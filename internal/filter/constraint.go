@@ -6,7 +6,7 @@
 package filter
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"rebeca/internal/message"
@@ -44,7 +44,7 @@ const (
 	OpContext
 )
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	OpExists:   "exists",
 	OpEq:       "=",
 	OpNe:       "!=",
@@ -62,10 +62,21 @@ var opNames = map[Op]string{
 
 // String returns the operator's symbol.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o > OpInvalid && int(o) < len(opNames) {
+		return opNames[o]
 	}
-	return fmt.Sprintf("op(%d)", int(o))
+	return string(o.appendTo(nil))
+}
+
+// appendTo appends the operator's symbol to dst; an undefined operator
+// renders as op(<n>).
+func (o Op) appendTo(dst []byte) []byte {
+	if o > OpInvalid && int(o) < len(opNames) {
+		return append(dst, opNames[o]...)
+	}
+	dst = append(dst, "op("...)
+	dst = strconv.AppendInt(dst, int64(o), 10)
+	return append(dst, ')')
 }
 
 // Constraint is a predicate on one attribute. A filter is a conjunction of
@@ -378,21 +389,42 @@ func rangesDisjoint(lo, hi Constraint) bool {
 
 // String renders the constraint, e.g. `temp <= 21`.
 func (c Constraint) String() string {
+	var scratch [64]byte
+	return string(c.appendTo(scratch[:0]))
+}
+
+// appendTo appends the constraint's rendering to dst: `exists(attr)`,
+// `attr in myloc`, `attr in ctx:<name>`, `attr in {v1,v2}` or
+// `attr <op> <value>`.
+func (c *Constraint) appendTo(dst []byte) []byte {
 	switch c.Op {
 	case OpExists:
-		return fmt.Sprintf("exists(%s)", c.Attr)
+		dst = append(dst, "exists("...)
+		dst = append(dst, c.Attr...)
+		return append(dst, ')')
 	case OpMyloc:
-		return fmt.Sprintf("%s in myloc", c.Attr)
+		dst = append(dst, c.Attr...)
+		return append(dst, " in myloc"...)
 	case OpContext:
-		return contextString(c)
+		dst = append(dst, c.Attr...)
+		dst = append(dst, " in ctx:"...)
+		return append(dst, c.Val.Str()...)
 	case OpIn:
-		parts := make([]string, len(c.Set))
+		dst = append(dst, c.Attr...)
+		dst = append(dst, " in {"...)
 		for i, v := range c.Set {
-			parts[i] = v.String()
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = v.Append(dst)
 		}
-		return fmt.Sprintf("%s in {%s}", c.Attr, strings.Join(parts, ","))
+		return append(dst, '}')
 	default:
-		return fmt.Sprintf("%s %s %s", c.Attr, c.Op, c.Val)
+		dst = append(dst, c.Attr...)
+		dst = append(dst, ' ')
+		dst = c.Op.appendTo(dst)
+		dst = append(dst, ' ')
+		return c.Val.Append(dst)
 	}
 }
 

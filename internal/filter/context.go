@@ -1,10 +1,6 @@
 package filter
 
-import (
-	"fmt"
-
-	"rebeca/internal/message"
-)
+import "rebeca/internal/message"
 
 // Context-dependent subscriptions generalize the myloc marker to arbitrary
 // client state, the final research-agenda item of §4 ("from location-
@@ -55,9 +51,4 @@ func (f Filter) ResolveContext(resolve ContextResolver) Filter {
 		cs = append(cs, Constraint{Attr: c.Attr, Op: OpIn, Set: set})
 	}
 	return New(cs...)
-}
-
-// contextString renders a context marker (used by Constraint.String).
-func contextString(c Constraint) string {
-	return fmt.Sprintf("%s in ctx:%s", c.Attr, c.Val.Str())
 }

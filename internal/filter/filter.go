@@ -2,7 +2,6 @@ package filter
 
 import (
 	"sort"
-	"strings"
 
 	"rebeca/internal/message"
 )
@@ -109,14 +108,24 @@ func (f Filter) And(g Filter) Filter {
 // Key returns a canonical string for the filter, usable as a map key and
 // stable across equivalent constructions. The empty filter's key is "*".
 func (f Filter) Key() string {
+	var scratch [128]byte
+	return string(f.AppendKey(scratch[:0]))
+}
+
+// AppendKey appends the filter's Key to dst: its constraints joined by
+// " & ", or "*" for the empty filter. It allocates only when dst's capacity
+// runs out, so a key can be measured in a stack buffer for free.
+func (f Filter) AppendKey(dst []byte) []byte {
 	if len(f.cs) == 0 {
-		return "*"
+		return append(dst, '*')
 	}
-	parts := make([]string, len(f.cs))
-	for i, c := range f.cs {
-		parts[i] = c.String()
+	for i := range f.cs {
+		if i > 0 {
+			dst = append(dst, " & "...)
+		}
+		dst = f.cs[i].appendTo(dst)
 	}
-	return strings.Join(parts, " & ")
+	return dst
 }
 
 // String renders the filter like its Key.

@@ -148,16 +148,23 @@ func (v Value) Compare(o Value) (cmp int, ok bool) {
 
 // String renders the value for logs and canonical filter keys.
 func (v Value) String() string {
+	var scratch [32]byte
+	return string(v.Append(scratch[:0]))
+}
+
+// Append appends the value's String rendering to dst: strings quoted
+// Go-style, floats in the shortest 'g' form.
+func (v Value) Append(dst []byte) []byte {
 	switch v.kind {
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.AppendQuote(dst, v.str)
 	case KindInt:
-		return strconv.FormatInt(v.num, 10)
+		return strconv.AppendInt(dst, v.num, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.flt, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.flt, 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.AppendBool(dst, v.b)
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 }

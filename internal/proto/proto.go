@@ -289,6 +289,8 @@ func (m Message) String() string {
 }
 
 // WireSize approximates the on-wire size in bytes for bandwidth accounting.
+// Filter keys are measured in a stack scratch buffer, so it allocates
+// nothing unless a key is longer than that buffer.
 func (m Message) WireSize() int {
 	size := 16 + len(m.From) + len(m.Origin) + len(m.Dest) + len(m.Client)
 	if m.Note != nil {
@@ -297,24 +299,26 @@ func (m Message) WireSize() int {
 	for _, n := range m.Notes {
 		size += n.WireSize()
 	}
+	var scratch [256]byte
+	key := scratch[:0]
+	subSize := func(s *Subscription) int {
+		key = s.Filter.AppendKey(key[:0])
+		return len(s.ID) + len(key)
+	}
 	if m.Sub != nil {
-		size += subSize(*m.Sub)
+		size += subSize(m.Sub)
 	}
-	for _, s := range m.Subs {
-		size += subSize(s)
+	for i := range m.Subs {
+		size += subSize(&m.Subs[i])
 	}
-	for _, s := range m.Advs {
-		size += subSize(s)
+	for i := range m.Advs {
+		size += subSize(&m.Advs[i])
 	}
 	size += len(m.Watermarks) * 16
 	for _, id := range m.SubIDs {
 		size += len(id)
 	}
 	return size
-}
-
-func subSize(s Subscription) int {
-	return len(s.ID) + len(s.Filter.Key())
 }
 
 // CloneNotes returns a deep-enough copy of a notification batch (the

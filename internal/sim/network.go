@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"container/heap"
 	"time"
 
 	"rebeca/internal/message"
@@ -24,36 +23,74 @@ type EndpointFunc func(from message.NodeID, m proto.Message)
 // Receive implements Endpoint.
 func (f EndpointFunc) Receive(from message.NodeID, m proto.Message) { f(from, m) }
 
-// event is a scheduled action in virtual time. seq breaks timestamp ties in
-// schedule order, which keeps runs deterministic. Background events
-// (overlay heartbeats, redial timers) do not keep Run alive and may be
-// cancelled.
+// event is a scheduled action in virtual time, held in the network's slot
+// slice. A message event names its link and carries the message by value
+// (fn is nil); any other event runs fn. Background events (overlay
+// heartbeats, redial timers) do not keep Run alive and may be cancelled.
+// A slot is zeroed when its event fires, so it retains nothing, and is
+// then reused.
 type event struct {
-	at        time.Time
-	seq       uint64
 	fn        func()
+	from, to  message.NodeID
+	m         proto.Message
+	seq       uint64 // the owning entry's seq: a cancel for a reused slot is stale
 	bg        bool
-	cancelled *bool
+	cancelled bool
 }
 
-type eventQueue []*event
+// entry orders one slot in the event heap: by virtual time (nanoseconds
+// since the network's epoch), then by seq — schedule order, which breaks
+// timestamp ties and keeps runs deterministic. seq is unique, so (at, seq)
+// is a total order and the pop sequence does not depend on heap layout.
+type entry struct {
+	at   int64
+	seq  uint64
+	slot int32
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+func (e entry) before(o entry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// eventHeap is a binary min-heap of entries.
+type eventHeap []entry
+
+func (h *eventHeap) push(e entry) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() entry {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= len(q) {
+			break
+		}
+		m := l
+		if r := l + 1; r < len(q) && q[r].before(q[l]) {
+			m = r
+		}
+		if !q[m].before(q[i]) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }
 
 // TrafficStats accounts every message the network carried.
@@ -97,10 +134,17 @@ type linkKey struct{ from, to message.NodeID }
 
 // Network is the discrete-event message fabric. All methods must be called
 // from a single goroutine (the simulation driver).
+//
+// The event loop is a binary heap of small (time, seq, slot) entries over a
+// slot slice recycled through a free list: a message in flight is a slot
+// holding its link and the message, not a closure, so sending and
+// delivering allocate nothing once the slices have grown.
 type Network struct {
-	now       time.Time
+	clock     int64 // the virtual time, in nanoseconds since epoch
 	seq       uint64
-	queue     eventQueue
+	queue     eventHeap
+	slots     []event
+	free      []int32
 	fgPending int // non-background events in the queue
 
 	nodes map[message.NodeID]Endpoint
@@ -114,7 +158,7 @@ type Network struct {
 	// Drop, when set, discards matching messages (fault injection).
 	Drop func(from, to message.NodeID, m proto.Message) bool
 
-	lastDelivery map[linkKey]time.Time
+	lastDelivery map[linkKey]int64
 	stats        *TrafficStats
 
 	// Trace, when set, observes every delivery (debugging).
@@ -124,13 +168,15 @@ type Network struct {
 // DefaultLatency is used when no latency function is configured.
 const DefaultLatency = time.Millisecond
 
+// epoch is every network's virtual time zero.
+var epoch = time.Date(2003, 6, 16, 12, 0, 0, 0, time.UTC)
+
 // NewNetwork returns an empty network starting at a fixed epoch.
 func NewNetwork() *Network {
 	return &Network{
-		now:          time.Date(2003, 6, 16, 12, 0, 0, 0, time.UTC),
 		nodes:        make(map[message.NodeID]Endpoint),
 		cuts:         make(map[linkKey]bool),
-		lastDelivery: make(map[linkKey]time.Time),
+		lastDelivery: make(map[linkKey]int64),
 		stats:        newTrafficStats(),
 	}
 }
@@ -156,7 +202,7 @@ func (n *Network) Linked(a, b message.NodeID) bool {
 }
 
 // Now returns the current virtual time.
-func (n *Network) Now() time.Time { return n.now }
+func (n *Network) Now() time.Time { return epoch.Add(time.Duration(n.clock)) }
 
 // Stats returns the network's traffic counters.
 func (n *Network) Stats() *TrafficStats { return n.stats }
@@ -211,36 +257,41 @@ func (n *Network) transmit(from, to message.NodeID, m proto.Message, direct bool
 	if direct {
 		lat = n.directLatency(from, to)
 	}
-	at := n.now.Add(lat)
+	at := n.clock + int64(lat)
 	key := linkKey{from: from, to: to}
-	if last, ok := n.lastDelivery[key]; ok && at.Before(last) {
+	if last, ok := n.lastDelivery[key]; ok && at < last {
 		at = last // FIFO clamp
 	}
 	n.lastDelivery[key] = at
-	n.schedule(at, func() {
-		e, ok := n.nodes[to]
-		if !ok {
-			return
-		}
-		if n.Trace != nil {
-			n.Trace(n.now, from, to, m)
-		}
-		msg := m
-		msg.From = from
-		e.Receive(from, msg)
-	})
+	e := &n.slots[n.schedule(at, false)]
+	e.from, e.to, e.m = from, to, m
+}
+
+// deliver hands a message event to its destination endpoint, if any.
+func (n *Network) deliver(from, to message.NodeID, m proto.Message) {
+	e, ok := n.nodes[to]
+	if !ok {
+		return
+	}
+	if n.Trace != nil {
+		n.Trace(n.Now(), from, to, m)
+	}
+	m.From = from
+	e.Receive(from, m)
 }
 
 // At schedules fn at the given virtual time (or now, if in the past).
 func (n *Network) At(t time.Time, fn func()) {
-	if t.Before(n.now) {
-		t = n.now
-	}
-	n.schedule(t, fn)
+	n.slots[n.schedule(max(sinceEpoch(t), n.clock), false)].fn = fn
 }
 
 // After schedules fn after a virtual delay.
-func (n *Network) After(d time.Duration, fn func()) { n.schedule(n.now.Add(d), fn) }
+func (n *Network) After(d time.Duration, fn func()) {
+	n.slots[n.schedule(n.clock+int64(d), false)].fn = fn
+}
+
+// sinceEpoch converts a virtual time to the event heap's clock.
+func sinceEpoch(t time.Time) int64 { return int64(t.Sub(epoch)) }
 
 // Background schedules fn after a virtual delay as a background event:
 // it fires during RunUntil/RunFor windows that reach it, but does not
@@ -250,18 +301,34 @@ func (n *Network) After(d time.Duration, fn func()) { n.schedule(n.now.Add(d), f
 // settled deployment whose next heartbeat has not come due yet. The
 // returned cancel func unarms the timer.
 func (n *Network) Background(d time.Duration, fn func()) (cancel func()) {
-	n.seq++
-	cancelled := false
-	heap.Push(&n.queue, &event{
-		at: n.now.Add(d), seq: n.seq, fn: fn, bg: true, cancelled: &cancelled,
-	})
-	return func() { cancelled = true }
+	slot := n.schedule(n.clock+int64(d), true)
+	n.slots[slot].fn = fn
+	seq := n.seq
+	return func() {
+		if e := &n.slots[slot]; e.seq == seq {
+			e.cancelled = true
+		}
+	}
 }
 
-func (n *Network) schedule(at time.Time, fn func()) {
+// schedule queues an event at virtual time at (nanoseconds since epoch)
+// and returns its slot for the caller to fill in.
+func (n *Network) schedule(at int64, bg bool) int32 {
 	n.seq++
-	n.fgPending++
-	heap.Push(&n.queue, &event{at: at, seq: n.seq, fn: fn})
+	if !bg {
+		n.fgPending++
+	}
+	var slot int32
+	if k := len(n.free); k > 0 {
+		slot = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		slot = int32(len(n.slots))
+		n.slots = append(n.slots, event{})
+	}
+	n.slots[slot].seq, n.slots[slot].bg = n.seq, bg
+	n.queue.push(entry{at: at, seq: n.seq, slot: slot})
+	return slot
 }
 
 // Run drains the event queue to foreground quiescence and returns the
@@ -271,37 +338,43 @@ func (n *Network) Run() time.Time {
 	for n.fgPending > 0 {
 		n.step()
 	}
-	return n.now
+	return n.Now()
 }
 
 // RunUntil processes events (foreground and background) up to and
 // including t, then sets the clock to t. Events scheduled later stay
 // queued.
 func (n *Network) RunUntil(t time.Time) {
-	for n.queue.Len() > 0 && !n.queue[0].at.After(t) {
+	until := sinceEpoch(t)
+	for len(n.queue) > 0 && n.queue[0].at <= until {
 		n.step()
 	}
-	if n.now.Before(t) {
-		n.now = t
-	}
+	n.clock = max(n.clock, until)
 }
 
 // RunFor advances the clock by d, processing due events.
-func (n *Network) RunFor(d time.Duration) { n.RunUntil(n.now.Add(d)) }
+func (n *Network) RunFor(d time.Duration) { n.RunUntil(n.Now().Add(d)) }
 
 // Pending returns the number of queued foreground events.
 func (n *Network) Pending() int { return n.fgPending }
 
+// step fires the earliest event. Its slot is copied out and freed first,
+// so the event may schedule others (and reuse the slot) while it runs.
 func (n *Network) step() {
-	e := heap.Pop(&n.queue).(*event)
+	top := n.queue.pop()
+	e := n.slots[top.slot]
+	n.slots[top.slot] = event{}
+	n.free = append(n.free, top.slot)
 	if !e.bg {
 		n.fgPending--
 	}
-	if e.cancelled != nil && *e.cancelled {
+	if e.cancelled {
 		return // unarmed timer: don't advance the clock for it
 	}
-	if e.at.After(n.now) {
-		n.now = e.at
+	n.clock = max(n.clock, top.at)
+	if e.fn != nil {
+		e.fn()
+		return
 	}
-	e.fn()
+	n.deliver(e.from, e.to, e.m)
 }

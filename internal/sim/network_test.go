@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -185,5 +188,188 @@ func TestNetworkDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic order at %d: %v vs %v", i, a, b)
 		}
+	}
+}
+
+// heapOracle is the event loop the typed heap replaced, kept as the
+// differential test's oracle: container/heap over heap-allocated events
+// ordered by (time, seq), background events that do not keep Run alive,
+// and cancellation through a shared flag.
+type heapOracle struct {
+	now       time.Time
+	seq       uint64
+	queue     oracleQueue
+	fgPending int
+}
+
+type oracleEvent struct {
+	at        time.Time
+	seq       uint64
+	fn        func()
+	bg        bool
+	cancelled *bool
+}
+
+type oracleQueue []*oracleEvent
+
+func (q oracleQueue) Len() int { return len(q) }
+func (q oracleQueue) Less(i, j int) bool {
+	if !q[i].at.Equal(q[j].at) {
+		return q[i].at.Before(q[j].at)
+	}
+	return q[i].seq < q[j].seq
+}
+func (q oracleQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *oracleQueue) Push(x any)   { *q = append(*q, x.(*oracleEvent)) }
+func (q *oracleQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return e
+}
+
+func (o *heapOracle) Now() time.Time { return o.now }
+func (o *heapOracle) Pending() int   { return o.fgPending }
+func (o *heapOracle) After(d time.Duration, fn func()) {
+	o.seq++
+	o.fgPending++
+	heap.Push(&o.queue, &oracleEvent{at: o.now.Add(d), seq: o.seq, fn: fn})
+}
+func (o *heapOracle) Background(d time.Duration, fn func()) func() {
+	o.seq++
+	cancelled := false
+	heap.Push(&o.queue, &oracleEvent{at: o.now.Add(d), seq: o.seq, fn: fn, bg: true, cancelled: &cancelled})
+	return func() { cancelled = true }
+}
+func (o *heapOracle) step() {
+	e := heap.Pop(&o.queue).(*oracleEvent)
+	if !e.bg {
+		o.fgPending--
+	}
+	if e.cancelled != nil && *e.cancelled {
+		return
+	}
+	if e.at.After(o.now) {
+		o.now = e.at
+	}
+	e.fn()
+}
+func (o *heapOracle) Run() time.Time {
+	for o.fgPending > 0 {
+		o.step()
+	}
+	return o.now
+}
+func (o *heapOracle) RunUntil(t time.Time) {
+	for o.queue.Len() > 0 && !o.queue[0].at.After(t) {
+		o.step()
+	}
+	if o.now.Before(t) {
+		o.now = t
+	}
+}
+
+// eventLoop is the scheduling surface the oracle and Network share.
+type eventLoop interface {
+	Now() time.Time
+	Pending() int
+	After(d time.Duration, fn func())
+	Background(d time.Duration, fn func()) func()
+	Run() time.Time
+	RunUntil(t time.Time)
+}
+
+// driveLoop runs one seeded schedule against a loop and returns what fired,
+// when, in order. Delays come from a handful of values so that timestamps
+// tie constantly; fired events schedule more events, background timers are
+// armed and cancelled — some before they fire, some after, when their slot
+// may already serve another timer — and the clock is advanced by both
+// RunUntil windows and Run.
+func driveLoop(seed int64, l eventLoop) []string {
+	rng := rand.New(rand.NewSource(seed))
+	var log []string
+	var cancels []func()
+	label := 0
+	delay := func() time.Duration { return time.Duration(rng.Intn(4)) * time.Millisecond }
+	var arm func(depth int)
+	arm = func(depth int) {
+		label++
+		id := label
+		fire := func() {
+			log = append(log, fmt.Sprintf("%d@%d", id, l.Now().UnixNano()))
+			if depth < 3 && rng.Intn(3) == 0 {
+				arm(depth + 1)
+			}
+		}
+		switch rng.Intn(3) {
+		case 0, 1:
+			l.After(delay(), fire)
+		default:
+			cancels = append(cancels, l.Background(delay(), fire))
+		}
+	}
+	for op := 0; op < 3000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 5:
+			arm(0)
+		case r < 7 && len(cancels) > 0:
+			cancels[rng.Intn(len(cancels))]()
+		case r < 9:
+			l.RunUntil(l.Now().Add(delay()))
+		default:
+			l.Run()
+		}
+		log = append(log, fmt.Sprintf("pending=%d now=%d", l.Pending(), l.Now().UnixNano()))
+	}
+	l.Run()
+	return log
+}
+
+func TestEventLoopMatchesContainerHeap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		net := NewNetwork()
+		oracle := &heapOracle{now: net.Now()}
+		got, want := driveLoop(seed, net), driveLoop(seed, oracle)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d log lines, oracle %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: line %d is %q, oracle %q", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestNetworkSendDeliverAllocs: once its slices have grown, the event loop
+// carries a message from Send to Receive without allocating.
+func TestNetworkSendDeliverAllocs(t *testing.T) {
+	net := NewNetwork()
+	got := 0
+	net.AddNode("b", EndpointFunc(func(message.NodeID, proto.Message) { got++ }))
+	m := mkPub("a", 1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		net.Send("a", "b", m)
+		net.step()
+	}); allocs != 0 {
+		t.Errorf("Send → step → Receive allocates %.1f times, want 0", allocs)
+	}
+	if got == 0 {
+		t.Error("nothing was delivered")
+	}
+}
+
+func BenchmarkNetworkSendDeliver(b *testing.B) {
+	net := NewNetwork()
+	got := 0
+	net.AddNode("b", EndpointFunc(func(message.NodeID, proto.Message) { got++ }))
+	m := mkPub("a", 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		net.Send("a", "b", m)
+		net.step()
+	}
+	if got != b.N {
+		b.Fatalf("delivered %d of %d", got, b.N)
 	}
 }

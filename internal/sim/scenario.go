@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"rebeca/internal/buffer"
@@ -94,12 +95,21 @@ func (s *Scenario) defaults() {
 	}
 }
 
-// pubRecord logs one published notification for the oracle.
+// pubRecord logs one published notification for the oracle. Each stream's
+// records are appended at publish time, so they are in time order.
 type pubRecord struct {
-	id  message.NotificationID
-	loc location.Location
-	at  time.Time
-	svc string
+	id message.NotificationID
+	at time.Time
+}
+
+// window returns the records published strictly between from and to.
+func window(recs []pubRecord, from, to time.Time) []pubRecord {
+	lo := sort.Search(len(recs), func(i int) bool { return recs[i].at.After(from) })
+	hi := sort.Search(len(recs), func(i int) bool { return !recs[i].at.Before(to) })
+	if hi < lo {
+		return nil
+	}
+	return recs[lo:hi]
 }
 
 // stay logs one dwell interval of a mobile.
@@ -219,7 +229,8 @@ func (s Scenario) Run() (Outcome, error) {
 	start := net.Now()
 
 	// --- publishers: one per broker, staggered, location-stamped menus.
-	var pubLog []pubRecord
+	menus := make(map[location.Location][]pubRecord) // by region
+	var stocks []pubRecord
 	if !s.StaticOnly {
 		for i, b := range brokers {
 			b := b
@@ -237,7 +248,7 @@ func (s Scenario) Run() (Outcome, error) {
 				})
 				n = location.Stamp(n, region)
 				if id, ok := p.Publish(n.Attrs); ok {
-					pubLog = append(pubLog, pubRecord{id: id, loc: region, at: net.Now(), svc: "menu"})
+					menus[region] = append(menus[region], pubRecord{id: id, at: net.Now()})
 				}
 				if net.Now().Sub(start) < s.Duration {
 					net.After(s.PublishInterval, tickFn)
@@ -257,7 +268,7 @@ func (s Scenario) Run() (Outcome, error) {
 				"service": message.String("stock"),
 				"quote":   message.Int(int64(seq)),
 			}); ok {
-				pubLog = append(pubLog, pubRecord{id: id, at: net.Now(), svc: "stock"})
+				stocks = append(stocks, pubRecord{id: id, at: net.Now()})
 			}
 			if net.Now().Sub(start) < s.Duration {
 				net.After(s.PublishInterval, tickFn)
@@ -334,9 +345,16 @@ func (s Scenario) Run() (Outcome, error) {
 	}
 
 	for _, mr := range mobiles {
-		got := make(map[message.NotificationID]bool)
-		for _, n := range mr.c.ReceivedNotes() {
-			got[n.ID] = true
+		received := mr.c.Received()
+		got := make(map[message.NotificationID]bool, len(received))
+		for _, d := range received {
+			got[d.Note.ID] = true
+		}
+		tally := func(pr pubRecord, expected, delivered *int) {
+			*expected++
+			if got[pr.id] {
+				*delivered++
+			}
 		}
 		out.Duplicates += mr.c.Duplicates()
 		out.FIFOViolations += mr.c.FIFOViolations()
@@ -344,17 +362,13 @@ func (s Scenario) Run() (Outcome, error) {
 
 		// Location-stream coverage per stay.
 		if !s.StaticOnly {
-			firstRelevant := make(map[int]time.Time)
-			for _, d := range mr.c.Received() {
+			// Arrival times of location-stamped deliveries per location,
+			// in arrival order — which is time order.
+			arrivals := make(map[location.Location][]time.Time)
+			for _, d := range received {
 				if v, ok := d.Note.Get(filter.AttrLocation); ok {
-					for si, st := range mr.stays {
-						if _, done := firstRelevant[si]; done {
-							continue
-						}
-						if !d.At.Before(st.from) && location.Location(v.Str()) == scopeOf(st.broker) {
-							firstRelevant[si] = d.At
-						}
-					}
+					loc := location.Location(v.Str())
+					arrivals[loc] = append(arrivals[loc], d.At)
 				}
 			}
 			for si, st := range mr.stays {
@@ -362,25 +376,20 @@ func (s Scenario) Run() (Outcome, error) {
 					continue // initial stay has no handover to measure
 				}
 				region := scopeOf(st.broker)
-				for _, pr := range pubLog {
-					if pr.svc != "menu" || pr.loc != region {
-						continue
-					}
-					switch {
-					case pr.at.After(st.from.Add(eps)) && pr.at.Before(st.to.Add(-eps)):
-						out.LiveExpected++
-						if got[pr.id] {
-							out.LiveGot++
-						}
-					case pr.at.After(st.from.Add(-s.PreArrivalWindow)) && pr.at.Before(st.from):
-						out.PreArrivalExpected++
-						if got[pr.id] {
-							out.PreArrivalGot++
-						}
-					}
+				liveFrom, liveTo := st.from.Add(eps), st.to.Add(-eps)
+				for _, pr := range window(menus[region], liveFrom, liveTo) {
+					tally(pr, &out.LiveExpected, &out.LiveGot)
 				}
-				if t, ok := firstRelevant[si]; ok && t.After(st.from) {
-					out.FirstDeliveryLatency += t.Sub(st.from)
+				for _, pr := range window(menus[region], st.from.Add(-s.PreArrivalWindow), st.from) {
+					if pr.at.After(liveFrom) && pr.at.Before(liveTo) {
+						continue // live takes precedence: already counted
+					}
+					tally(pr, &out.PreArrivalExpected, &out.PreArrivalGot)
+				}
+				// The first delivery from this region at or after arrival.
+				ts := arrivals[region]
+				if i := sort.Search(len(ts), func(i int) bool { return !ts[i].Before(st.from) }); i < len(ts) && ts[i].After(st.from) {
+					out.FirstDeliveryLatency += ts[i].Sub(st.from)
 					out.FirstDeliverySamples++
 				}
 			}
@@ -389,16 +398,8 @@ func (s Scenario) Run() (Outcome, error) {
 		// Static-stream integrity.
 		if s.StaticStream {
 			end := mr.stays[len(mr.stays)-1].to
-			for _, pr := range pubLog {
-				if pr.svc != "stock" {
-					continue
-				}
-				if pr.at.After(start.Add(eps)) && pr.at.Before(end.Add(-eps)) {
-					out.StaticExpected++
-					if got[pr.id] {
-						out.StaticGot++
-					}
-				}
+			for _, pr := range window(stocks, start.Add(eps), end.Add(-eps)) {
+				tally(pr, &out.StaticExpected, &out.StaticGot)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rebeca/internal/message"
 	"rebeca/internal/movement"
 )
 
@@ -119,6 +120,78 @@ func TestScenarioDeterminism(t *testing.T) {
 	b := runScenario(t, s)
 	if a != b {
 		t.Errorf("same seed produced different outcomes:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestScenarioOutcomeGolden pins sim-logical's shape — a 4×4 grid, the
+// replicator pre-subscribing, the static stock stream, 30 roaming
+// subscribers — to outcomes recorded before the simulator's event loop,
+// the replicator's port lookup, filter-key rendering and the scenario
+// oracle were rewritten for speed. Unlike TestScenarioDeterminism, which
+// compares a build with itself, it catches drift against that recording:
+// every counter, including TotalBytes, must match exactly.
+func TestScenarioOutcomeGolden(t *testing.T) {
+	golden := map[int64]Outcome{
+		2003: {PreArrivalExpected: 5349, PreArrivalGot: 5257, LiveExpected: 1256, LiveGot: 1256,
+			FirstDeliveryLatency: 2 * time.Millisecond, FirstDeliverySamples: 536,
+			StaticExpected: 5910, StaticGot: 5910, Handovers: 536,
+			ControlMsgs: 40719, DataMsgs: 65827, DirectMsgs: 2448, TotalBytes: 6561377,
+			Buffered: 19684, Replayed: 5880, Wasted: 13291, PeakResidentVC: 135,
+			TableEntries: 2432, BufferedBytes: 35098},
+		7: {PreArrivalExpected: 5338, PreArrivalGot: 5251, LiveExpected: 1254, LiveGot: 1254,
+			FirstDeliveryLatency: 2 * time.Millisecond, FirstDeliverySamples: 535,
+			StaticExpected: 5910, StaticGot: 5910, Handovers: 535,
+			ControlMsgs: 41048, DataMsgs: 65303, DirectMsgs: 2387, TotalBytes: 6505588,
+			Buffered: 19419, Replayed: 5874, Wasted: 13034, PeakResidentVC: 132,
+			TableEntries: 2480, BufferedBytes: 34998},
+		11: {PreArrivalExpected: 5316, PreArrivalGot: 5257, LiveExpected: 1276, LiveGot: 1276,
+			FirstDeliveryLatency: 2 * time.Millisecond, FirstDeliverySamples: 533,
+			StaticExpected: 5910, StaticGot: 5910, Handovers: 533,
+			ControlMsgs: 40762, DataMsgs: 64474, DirectMsgs: 2329, TotalBytes: 6909419,
+			Buffered: 19097, Replayed: 5892, Wasted: 12697, PeakResidentVC: 129,
+			TableEntries: 2512, BufferedBytes: 34854},
+	}
+	for _, seed := range []int64{2003, 7, 11} {
+		got := runScenario(t, Scenario{
+			Graph:        movement.Grid(4, 4),
+			Replication:  ReplicationPreSubscribe,
+			StaticStream: true,
+			NumMobiles:   30,
+			Duration:     time.Second,
+			Seed:         seed,
+		})
+		if want := golden[seed]; got != want {
+			t.Errorf("seed %d:\n got %+v\nwant %+v", seed, got, want)
+		}
+	}
+}
+
+// TestOracleWindowBounds: the oracle's windows exclude both ends, as the
+// scan they replaced did.
+func TestOracleWindowBounds(t *testing.T) {
+	t0 := time.Date(2003, 6, 16, 12, 0, 0, 0, time.UTC)
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	var recs []pubRecord
+	for _, ms := range []int{1, 2, 2, 3, 4, 4, 5} {
+		recs = append(recs, pubRecord{id: message.NotificationID{Seq: uint64(len(recs))}, at: at(ms)})
+	}
+	for _, c := range []struct{ from, to, want int }{
+		{2, 4, 1}, // just the 3
+		{1, 5, 5},
+		{0, 6, 7},
+		{2, 2, 0},
+		{4, 2, 0}, // empty when to precedes from
+		{5, 9, 0},
+	} {
+		got := window(recs, at(c.from), at(c.to))
+		if len(got) != c.want {
+			t.Errorf("window(%d, %d) holds %d records, want %d", c.from, c.to, len(got), c.want)
+		}
+		for _, r := range got {
+			if !r.at.After(at(c.from)) || !r.at.Before(at(c.to)) {
+				t.Errorf("window(%d, %d) holds a record at %v", c.from, c.to, r.at.Sub(t0))
+			}
+		}
 	}
 }
 
