@@ -2,6 +2,7 @@ package rebeca
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io"
@@ -212,7 +213,7 @@ func TestStartBrokerAssembly(t *testing.T) {
 		defer mu.Unlock()
 		return len(gotD)
 	}
-	profile := []proto.Subscription{{ID: durableSubID("dur", "inbox"), Filter: filter}}
+	profile := []proto.Subscription{{ID: "dur/d:inbox", Filter: filter}}
 	if err := dur.Connect(addrB, "", profile, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -582,9 +583,37 @@ func TestRegistrySchemeRejected(t *testing.T) {
 	}
 }
 
+// clientOriginated reports whether a composite literal is a message only a
+// client session sends: one with a Client field and one of the
+// subscription or publish kinds.
+func clientOriginated(lit *ast.CompositeLit) bool {
+	var client, kind bool
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		switch key, _ := kv.Key.(*ast.Ident); {
+		case key == nil:
+		case key.Name == "Client":
+			client = true
+		case key.Name == "Kind":
+			if sel, ok := kv.Value.(*ast.SelectorExpr); ok {
+				switch sel.Sel.Name {
+				case "KSubscribe", "KUnsubscribe", "KPublish", "KPublishBatch":
+					kind = true
+				}
+			}
+		}
+	}
+	return client && kind
+}
+
 // TestOneAssembly keeps the copies from growing back: the binary may not
-// reach past the facade into the packages the node builder wires, and the
-// session layers are constructed in exactly one file.
+// reach past the facade into the packages the node builder wires, the
+// session layers are constructed in exactly one file, and the client
+// session exists once — no file outside internal/client builds a
+// client-originated message or mints a "/s%d" subscription ID.
 func TestOneAssembly(t *testing.T) {
 	banned := map[string]bool{}
 	for _, pkg := range []string{"telemetry", "mobility", "core", "discovery", "overlay", "wire"} {
@@ -627,6 +656,25 @@ func TestOneAssembly(t *testing.T) {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
+		}
+		if filepath.Dir(path) != filepath.Join("internal", "client") {
+			f, err := parser.ParseFile(token.NewFileSet(), path, src, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if clientOriginated(n) {
+						t.Errorf("%s builds a client-originated message: send it through a client.Client", path)
+					}
+				case *ast.BasicLit:
+					if n.Kind == token.STRING && strings.Contains(n.Value, "/s%d") {
+						t.Errorf("%s mints a subscription ID: client.Client.NewSubID is the one place", path)
+					}
+				}
+				return true
+			})
 		}
 		for _, line := range strings.Split(string(src), "\n") {
 			if i := strings.Index(line, "//"); i >= 0 {

@@ -1,7 +1,9 @@
 // rebeca-client is an interactive client for live rebeca-broker nodes: it
 // connects to a border broker over TCP, lets you subscribe and publish from
-// stdin, and prints deliveries as they arrive. Roaming between brokers is a
-// `connect` away — the middleware relocates the session transparently.
+// stdin, and prints each delivery once as it arrives. Roaming between
+// brokers is a `connect` away: the session names the broker it left, and
+// the middleware relocates it transparently, replaying what arrived for it
+// in between.
 //
 // Usage:
 //
@@ -15,131 +17,140 @@
 //	pubn <count> <attr>=<val> ...  publish count copies as ONE batch frame
 //	                            (an `i` attribute carries the index)
 //	connect <host:port>         roam to another border broker
-//	disconnect                  drop the link
+//	disconnect                  drop the link (subscriptions made meanwhile
+//	                            travel with the next connect)
 //	quit
+//
+// Publishes are numbered from 1 in every run: a restarted client under the
+// same ID sends the same notification IDs again.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
+	"time"
 
+	"rebeca/internal/client"
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
-	"rebeca/internal/proto"
 	"rebeca/internal/wire"
 )
-
-type session struct {
-	id      message.NodeID
-	client  *wire.RemoteClient
-	epoch   uint64
-	prev    message.NodeID
-	profile []proto.Subscription
-	nextSub int
-	pubSeq  uint64
-}
 
 func main() {
 	id := flag.String("id", "client", "client node ID")
 	addr := flag.String("broker", "localhost:7471", "border broker address")
 	flag.Parse()
-
-	s := &session{id: message.NodeID(*id)}
-	s.client = wire.NewRemoteClient(s.id, func(n message.Notification, subs []message.SubID) {
-		if len(subs) > 0 {
-			fmt.Printf("<- %s (sub %s)\n", n, subs[0])
-		} else {
-			fmt.Printf("<- %s\n", n)
-		}
-	})
-	if err := s.connect(*addr); err != nil {
+	if err := run(message.NodeID(*id), *addr, os.Stdin, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "connect:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("connected to %s as %s\n", *addr, s.id)
-
-	sc := bufio.NewScanner(os.Stdin)
-	for {
-		fmt.Print("> ")
-		if !sc.Scan() {
-			break
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		if err := s.run(fields); err != nil {
-			if err == errQuit {
-				break
-			}
-			fmt.Fprintln(os.Stderr, "error:", err)
-		}
-	}
-	_ = s.client.Disconnect()
 }
 
-var errQuit = fmt.Errorf("quit")
+var errQuit = errors.New("quit")
 
-func (s *session) connect(addr string) error {
-	s.epoch++
-	if err := s.client.Connect(addr, s.prev, s.profile, s.epoch); err != nil {
+// run connects client id to the border broker at addr and executes the
+// commands read from in until EOF or quit. Prompts, acknowledgements and
+// deliveries go to out, command errors to errOut. Only a failed first
+// connect is returned.
+func run(id message.NodeID, addr string, in io.Reader, out, errOut io.Writer) error {
+	var mu sync.Mutex // deliveries print from the transport's pump
+	printf := func(format string, args ...any) {
+		mu.Lock()
+		fmt.Fprintf(out, format, args...)
+		mu.Unlock()
+	}
+	var c *client.Client
+	rc := wire.NewRemoteClient(id, func(n message.Notification, subs []message.SubID) { c.Deliver(n, subs) })
+	c = client.New(id, rc, time.Now)
+	c.SetDeliveryLog(-1)
+	c.OnDeliver = func(d client.Delivery, _ <-chan struct{}) {
+		if len(d.Subs) > 0 {
+			printf("<- %s (sub %s)\n", d.Note, d.Subs[0])
+		} else {
+			printf("<- %s\n", d.Note)
+		}
+	}
+	if err := connect(c, addr, printf); err != nil {
 		return err
 	}
+	defer c.Disconnect()
+
+	sc := bufio.NewScanner(in)
+	for {
+		printf("> ")
+		if !sc.Scan() {
+			return nil
+		}
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 {
+			continue
+		}
+		switch err := command(c, fields, printf); err {
+		case nil:
+		case errQuit:
+			return nil
+		default:
+			fmt.Fprintln(errOut, "error:", err)
+		}
+	}
+}
+
+func connect(c *client.Client, addr string, printf func(string, ...any)) error {
+	if err := c.Connect(addr); err != nil {
+		return err
+	}
+	printf("connected to %s (broker %s) as %s\n", addr, c.Border(), c.ID())
 	return nil
 }
 
-func (s *session) run(fields []string) error {
+func command(c *client.Client, fields []string, printf func(string, ...any)) error {
 	switch fields[0] {
 	case "quit", "exit":
 		return errQuit
 	case "disconnect":
-		return s.client.Disconnect()
+		if err := c.Disconnect(); err != nil {
+			return err
+		}
+		printf("disconnected\n")
+		return nil
 	case "connect":
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: connect <host:port>")
 		}
-		_ = s.client.Disconnect()
-		return s.connect(fields[1])
+		return connect(c, fields[1], printf)
 	case "sub", "subloc":
 		if len(fields) != 3 {
 			return fmt.Errorf("usage: %s <attr> <value>", fields[0])
 		}
-		cs := []filter.Constraint{filter.Eq(fields[1], parseValue(fields[2]))}
-		var f filter.Filter
+		eq := filter.Eq(fields[1], parseValue(fields[2]))
+		f := filter.New(eq)
 		if fields[0] == "subloc" {
-			f = filter.AtLocation(cs...)
-		} else {
-			f = filter.New(cs...)
+			f = filter.AtLocation(eq)
 		}
-		s.nextSub++
-		sub := proto.Subscription{
-			ID:     message.SubID(fmt.Sprintf("%s/s%d", s.id, s.nextSub)),
-			Filter: f,
-		}
-		s.profile = append(s.profile, sub)
-		fmt.Printf("subscribed %s: %s\n", sub.ID, f)
-		return s.client.Send(proto.Message{Kind: proto.KSubscribe, Client: s.id, Sub: &sub})
+		printf("subscribed %s: %s\n", c.Subscribe(f), f)
+		return nil
 	case "pub":
 		if len(fields) < 2 {
 			return fmt.Errorf("usage: pub k=v [k=v ...]")
 		}
-		attrs := make(map[string]message.Value, len(fields)-1)
-		for _, kv := range fields[1:] {
-			parts := strings.SplitN(kv, "=", 2)
-			if len(parts) != 2 {
-				return fmt.Errorf("bad attribute %q (want k=v)", kv)
-			}
-			attrs[parts[0]] = parseValue(parts[1])
+		attrs, err := parseAttrs(fields[1:])
+		if err != nil {
+			return err
 		}
-		s.pubSeq++
-		n := message.NewNotification(attrs)
-		n.ID = message.NotificationID{Publisher: s.id, Seq: s.pubSeq}
-		return s.client.Send(proto.Message{Kind: proto.KPublish, Client: s.id, Note: &n})
+		id, err := c.Publish(attrs)
+		if err != nil {
+			return err
+		}
+		printf("published %s\n", id)
+		return nil
 	case "pubn":
 		if len(fields) < 3 {
 			return fmt.Errorf("usage: pubn <count> k=v [k=v ...]")
@@ -148,31 +159,34 @@ func (s *session) run(fields []string) error {
 		if err != nil || count < 1 {
 			return fmt.Errorf("bad count %q", fields[1])
 		}
-		base := make(map[string]message.Value, len(fields)-1)
-		for _, kv := range fields[2:] {
-			parts := strings.SplitN(kv, "=", 2)
-			if len(parts) != 2 {
-				return fmt.Errorf("bad attribute %q (want k=v)", kv)
-			}
-			base[parts[0]] = parseValue(parts[1])
+		base, err := parseAttrs(fields[2:])
+		if err != nil {
+			return err
 		}
-		notes := make([]message.Notification, count)
-		for i := range notes {
-			attrs := make(map[string]message.Value, len(base)+1)
-			for k, v := range base {
-				attrs[k] = v
-			}
-			attrs["i"] = message.Int(int64(i))
-			s.pubSeq++
-			n := message.NewNotification(attrs)
-			n.ID = message.NotificationID{Publisher: s.id, Seq: s.pubSeq}
-			notes[i] = n
+		batch := make([]map[string]message.Value, count)
+		for i := range batch {
+			batch[i] = maps.Clone(base)
+			batch[i]["i"] = message.Int(int64(i))
 		}
-		fmt.Printf("publishing %d notifications in one batch frame\n", count)
-		return s.client.Send(proto.Message{Kind: proto.KPublishBatch, Client: s.id, Notes: notes})
+		printf("publishing %d notifications in one batch frame\n", count)
+		_, err = c.PublishBatch(batch)
+		return err
 	default:
 		return fmt.Errorf("unknown command %q (sub, subloc, pub, pubn, connect, disconnect, quit)", fields[0])
 	}
+}
+
+// parseAttrs reads k=v pairs.
+func parseAttrs(kvs []string) (map[string]message.Value, error) {
+	attrs := make(map[string]message.Value, len(kvs)+1)
+	for _, kv := range kvs {
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok {
+			return nil, fmt.Errorf("bad attribute %q (want k=v)", kv)
+		}
+		attrs[k] = parseValue(v)
+	}
+	return attrs, nil
 }
 
 // parseValue guesses the value type: int, float, bool, else string.

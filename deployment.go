@@ -19,7 +19,7 @@ const MaxBatchFrame = 256
 
 // ErrNotConnected is returned by Port operations that need a live link to a
 // border broker.
-var ErrNotConnected = errors.New("rebeca: client not connected")
+var ErrNotConnected = client.ErrNotConnected
 
 // ErrUnknownBroker is returned by Port.Connect for a broker ID outside the
 // deployment.
@@ -103,9 +103,7 @@ type System struct {
 	cluster *sim.Cluster
 	logCap  int
 	ops     *opsStack
-
-	mu    sync.Mutex
-	ports []*simPort
+	ports   portSet
 }
 
 var _ Deployment = (*System)(nil)
@@ -183,16 +181,7 @@ func New(opts ...Option) (*System, error) {
 			ops.supervise(id, mgr)
 		}
 	}
-	ops.registerStreams(func(emit func(NodeID, streamStat)) {
-		s.mu.Lock()
-		ports := append([]*simPort(nil), s.ports...)
-		s.mu.Unlock()
-		for _, p := range ports {
-			for _, stat := range p.streams.stats() {
-				emit(p.ID(), stat)
-			}
-		}
-	})
+	ops.registerStreams(s.ports.emitStreams)
 	if err := ops.start(cfg, joinIDs(s.Brokers())); err != nil {
 		return nil, err
 	}
@@ -203,15 +192,10 @@ func New(opts ...Option) (*System, error) {
 // endpoint ("" without WithOps).
 func (s *System) OpsAddr() string { return s.ops.addr() }
 
-// NewClient creates a client endpoint.
+// NewClient creates a client endpoint: a session on the simulated network,
+// addressed by broker ID.
 func (s *System) NewClient(id NodeID) Port {
-	p := &simPort{sys: s, c: s.cluster.AddClient(id), streams: newStreamSet()}
-	p.c.SetDeliveryLog(s.logCap)
-	p.c.OnDeliver = func(d client.Delivery) { p.streams.dispatch(d, nil) }
-	s.mu.Lock()
-	s.ports = append(s.ports, p)
-	s.mu.Unlock()
-	return p
+	return s.ports.add(newPort(s.cluster.AddClient(id), s.brokerAddr, s.logCap))
 }
 
 // Brokers lists the deployment's broker IDs.
@@ -224,10 +208,7 @@ func (s *System) Settle() { s.cluster.Net.Run() }
 // tear down, but every port's streams are cancelled so range loops over
 // their Events channels terminate.
 func (s *System) Close() error {
-	s.mu.Lock()
-	ports := append([]*simPort(nil), s.ports...)
-	s.mu.Unlock()
-	for _, p := range ports {
+	for _, p := range s.ports.all() {
 		p.streams.closeAll()
 	}
 	s.ops.close()
@@ -296,100 +277,86 @@ func (s *System) LinkInfos(b NodeID) []LinkInfo {
 	return mgr.Info()
 }
 
-func (s *System) hasBroker(id NodeID) bool {
-	_, ok := s.cluster.Brokers[id]
-	return ok
+// brokerAddr is the simulated network's address of broker id: the ID
+// itself ("" for brokers outside the deployment).
+func (s *System) brokerAddr(id NodeID) string {
+	if _, ok := s.cluster.Brokers[id]; !ok {
+		return ""
+	}
+	return string(id)
 }
 
-// simPort adapts the simulator's client library to the Port interface.
-type simPort struct {
-	sys     *System
+// port is the Port of both deployments: one client session
+// (internal/client) plus the per-subscription streams its deliveries are
+// dispatched to. The deployments differ only in the transport under the
+// session and in addr, which maps a broker ID onto a transport address
+// ("" for unknown brokers).
+type port struct {
 	c       *client.Client
+	addr    func(NodeID) string
 	streams *streamSet
 }
 
-var _ Port = (*simPort)(nil)
+var _ Port = (*port)(nil)
 
-func (p *simPort) ID() NodeID { return p.c.ID() }
+func newPort(c *client.Client, addr func(NodeID) string, logCap int) *port {
+	p := &port{c: c, addr: addr, streams: newStreamSet()}
+	c.SetDeliveryLog(logCap)
+	c.OnDeliver = p.streams.dispatch
+	return p
+}
 
-func (p *simPort) Connect(b NodeID) error {
-	if !p.sys.hasBroker(b) {
+func (p *port) ID() NodeID { return p.c.ID() }
+
+func (p *port) Connect(b NodeID) error {
+	addr := p.addr(b)
+	if addr == "" {
 		return fmt.Errorf("%w: %s", ErrUnknownBroker, b)
 	}
-	p.c.ConnectTo(b)
-	return nil
+	return p.c.Connect(addr)
 }
 
-func (p *simPort) Disconnect() error {
-	p.c.Disconnect()
-	return nil
-}
+func (p *port) Disconnect() error { return p.c.Disconnect() }
 
-func (p *simPort) Border() NodeID { return p.c.Border() }
+func (p *port) Border() NodeID { return p.c.Border() }
 
-func (p *simPort) Subscribe(f Filter, opts ...SubOption) *Subscription {
+func (p *port) Subscribe(f Filter, opts ...SubOption) *Subscription {
 	var cfg subConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	var id SubID
-	if cfg.durable != "" {
-		// Durable subscriptions carry a stable, name-derived ID so a
-		// client recreated after a restart reattaches to the same
-		// broker-side queue.
-		id = p.c.SubscribeAs(durableSubID(p.ID(), cfg.durable), f)
-	} else {
-		id = p.c.Subscribe(f)
-	}
-	s := newSubscription(id, f, cfg, func(s *Subscription) {
+	s := newSubscription(p.c.NewSubID(cfg.durable), f, cfg, func(s *Subscription) {
 		p.streams.remove(s.ID())
 		p.c.Unsubscribe(s.ID())
 	})
+	// The stream exists before the border hears of the subscription, so
+	// the first delivery finds it.
 	p.streams.add(s)
+	p.c.SubscribeAs(s.ID(), f)
 	return s
 }
 
-func (p *simPort) SubscribeAt(cs ...Constraint) *Subscription {
+func (p *port) SubscribeAt(cs ...Constraint) *Subscription {
 	return p.Subscribe(AtLocation(cs...))
 }
 
-func (p *simPort) Publish(attrs map[string]Value) (NotificationID, error) {
-	id, ok := p.c.Publish(attrs)
-	if !ok {
-		return NotificationID{}, ErrNotConnected
-	}
-	return id, nil
+func (p *port) Publish(attrs map[string]Value) (NotificationID, error) {
+	return p.c.Publish(attrs)
 }
 
-func (p *simPort) PublishBatch(ctx context.Context, batch []map[string]Value) ([]NotificationID, error) {
-	return publishFrames(ctx, batch, func(frame []map[string]Value) ([]NotificationID, error) {
-		ids, ok := p.c.PublishBatch(frame)
-		if !ok {
-			return nil, ErrNotConnected
-		}
-		return ids, nil
-	})
-}
-
-// publishFrames is the shared batch-framing loop behind both Port
-// implementations: it splits the batch into MaxBatchFrame-sized frames,
-// checks ctx between frames (a publisher stalled by downstream flow
-// control aborts at the next frame boundary), and accumulates the
-// assigned IDs — returning the IDs of everything already framed alongside
-// any error.
-func publishFrames(ctx context.Context, batch []map[string]Value,
-	send func(frame []map[string]Value) ([]NotificationID, error)) ([]NotificationID, error) {
+// PublishBatch splits the batch into MaxBatchFrame-sized frames, checks
+// ctx between frames (a publisher stalled by downstream flow control
+// aborts at the next frame boundary), and returns the IDs of everything
+// already framed alongside any error.
+func (p *port) PublishBatch(ctx context.Context, batch []map[string]Value) ([]NotificationID, error) {
 	var ids []NotificationID
 	for len(batch) > 0 {
 		if err := ctx.Err(); err != nil {
 			return ids, err
 		}
-		frame := batch
-		if len(frame) > MaxBatchFrame {
-			frame = frame[:MaxBatchFrame]
-		}
+		frame := batch[:min(len(batch), MaxBatchFrame)]
 		batch = batch[len(frame):]
-		frameIDs, err := send(frame)
+		frameIDs, err := p.c.PublishBatch(frame)
 		ids = append(ids, frameIDs...)
 		if err != nil {
 			return ids, err
@@ -398,12 +365,42 @@ func publishFrames(ctx context.Context, batch []map[string]Value,
 	return ids, nil
 }
 
-func (p *simPort) Events() <-chan Delivery { return p.streams.catchAll.Events() }
+func (p *port) Events() <-chan Delivery { return p.streams.catchAll.Events() }
 
-func (p *simPort) OnNotify(fn func(n Notification)) { p.streams.setNotify(fn) }
+func (p *port) OnNotify(fn func(n Notification)) { p.streams.setNotify(fn) }
 
-func (p *simPort) Received() []Delivery { return p.c.Received() }
+func (p *port) Received() []Delivery { return p.c.Received() }
 
-func (p *simPort) Duplicates() int { return p.c.Duplicates() }
+func (p *port) Duplicates() int { return p.c.Duplicates() }
 
-func (p *simPort) FIFOViolations() int { return p.c.FIFOViolations() }
+func (p *port) FIFOViolations() int { return p.c.FIFOViolations() }
+
+// portSet is a deployment's ports: what its stream gauges read and its
+// Close tears down.
+type portSet struct {
+	mu    sync.Mutex
+	ports []*port
+}
+
+func (ps *portSet) add(p *port) Port {
+	ps.mu.Lock()
+	ps.ports = append(ps.ports, p)
+	ps.mu.Unlock()
+	return p
+}
+
+func (ps *portSet) all() []*port {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return append([]*port(nil), ps.ports...)
+}
+
+// emitStreams feeds the rebeca_stream_* collectors: every stream of every
+// port, catch-all included.
+func (ps *portSet) emitStreams(emit func(NodeID, streamStat)) {
+	for _, p := range ps.all() {
+		for _, s := range p.streams.stats() {
+			emit(p.ID(), s)
+		}
+	}
+}

@@ -288,6 +288,34 @@ func TestOverflowBlockSim(t *testing.T) {
 	}
 }
 
+// TestOverflowBlockAfterDisconnect: deliveries already on their way when
+// the client disconnects end the connect epoch's Block waits, but a push
+// that fits the stream is not a wait — every one of them lands.
+func TestOverflowBlockAfterDisconnect(t *testing.T) {
+	sys, err := rebeca.New(rebeca.WithMovement(rebeca.Line(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, pub := sys.NewClient("sub"), sys.NewClient("pub")
+	connect(t, sub, "B0")
+	connect(t, pub, "B0")
+	s := sub.Subscribe(rebeca.NewFilter(rebeca.Exists("n")),
+		rebeca.WithStreamBuffer(64), rebeca.WithOverflow(rebeca.Block))
+	sys.Settle()
+	for i := 1; i <= 20; i++ {
+		if _, err := pub.Publish(map[string]rebeca.Value{"n": rebeca.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sub.Disconnect(); err != nil { // the deliveries are still in flight
+		t.Fatal(err)
+	}
+	sys.Settle()
+	if st := s.Stats(); st.Delivered != 20 || st.Dropped != 0 {
+		t.Errorf("stats = %+v, want 20 delivered / 0 dropped", st)
+	}
+}
+
 // TestOverflowBlockLiveBackpressure demonstrates the Block policy slowing
 // a Live publisher end to end: a stalled consumer exhausts the client's
 // delivery credit window, the border broker's event loop blocks, the

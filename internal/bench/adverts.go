@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"rebeca/internal/client"
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/movement"
@@ -47,10 +48,7 @@ func advertRun(n int, adv bool, seed int64) (tableEntries, subMsgs, deliveries i
 	brokers := g.Nodes()
 
 	// Two localized publishers at the first two brokers.
-	pubs := make([]interface {
-		Advertise(filter.Filter) message.SubID
-		Publish(map[string]message.Value) (message.NotificationID, bool)
-	}, 2)
+	pubs := make([]*client.Client, 2)
 	for i := 0; i < 2; i++ {
 		p := cl.AddClient(message.NodeID(fmt.Sprintf("pub%d", i)))
 		p.ConnectTo(brokers[i])

@@ -1,13 +1,21 @@
-// Package client implements the client-side library of Fig. 3: the local
-// broker embedded in the application process. It offers the pub/sub
-// interface (pub, sub, unsub, notify — §2), keeps the subscription profile
-// across roaming, tracks connection state ("connection awareness"), and
-// deduplicates deliveries by notification ID so the mobility layers may err
-// toward duplication, never loss.
+// Package client is the client half of the protocol, written once for
+// every transport: the local broker of Fig. 3, embedded in the application
+// process. A Client is one session. It offers the pub/sub interface (pub,
+// sub, unsub, notify — §2), keeps the subscription profile across roaming,
+// tracks connection state and the previous border ("connection
+// awareness"), mints subscription IDs, numbers publishes, and deduplicates
+// deliveries by notification ID so the mobility layers may err toward
+// duplication, never loss.
+//
+// The medium is the session's only seam, a Transport: the simulator's
+// virtual network (internal/sim) or a TCP link (internal/wire's
+// RemoteClient). Nothing else about a client depends on which.
 package client
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"rebeca/internal/filter"
@@ -28,8 +36,8 @@ type Delivery struct {
 // DeliveryLog is a bounded ring of deliveries — the capped backing store
 // behind Received. Capacity 0 means unbounded (plain append); capacity
 // < 0 disables recording entirely. The zero value is an unbounded log.
-// Not safe for concurrent use; callers serialize (the TCP port wraps it
-// in its own lock).
+// Not safe for concurrent use; callers serialize (a Client holds it under
+// its session lock).
 type DeliveryLog struct {
 	cap   int
 	buf   []Delivery
@@ -76,10 +84,9 @@ func (l *DeliveryLog) Snapshot() []Delivery {
 // Total counts every recorded delivery, independent of retention.
 func (l *DeliveryLog) Total() uint64 { return l.total }
 
-// Tally is the per-port delivery accounting shared by the in-process
-// client and the TCP port: dedup by notification ID, incremental
-// per-publisher FIFO-violation counting, and the bounded delivery log.
-// Not safe for concurrent use; callers serialize.
+// Tally is a session's delivery accounting: dedup by notification ID,
+// incremental per-publisher FIFO-violation counting, and the bounded
+// delivery log. Not safe for concurrent use; callers serialize.
 type Tally struct {
 	Log      DeliveryLog
 	seen     *DedupSet
@@ -122,64 +129,105 @@ func (t *Tally) Duplicates() int { return t.dups }
 // FIFOViolations returns the per-publisher sequence inversions observed.
 func (t *Tally) FIFOViolations() int { return t.fifoViol }
 
-// Client is a (possibly mobile) pub/sub client. Not safe for concurrent
-// use; drive it from the simulator loop or a single goroutine.
-type Client struct {
-	id   message.NodeID
-	send func(to message.NodeID, m proto.Message)
-	now  func() time.Time
+// ErrNotConnected is returned by the session operations that need a link
+// to a border broker.
+var ErrNotConnected = errors.New("rebeca: client not connected")
 
-	border    message.NodeID
-	prev      message.NodeID
-	connected bool
-
-	subs      []proto.Subscription
-	nextSubID int
-	pubSeq    uint64
-	pubseq    *PubSequencer
-	epoch     uint64
-
-	tally *Tally
-
-	// OnNotify, when set, observes every fresh delivery.
-	OnNotify func(n message.Notification)
-	// OnDeliver, when set, observes every fresh delivery together with the
-	// matched subscription identities — the hook the deployment facade's
-	// per-subscription streams are fed from. Runs before OnNotify.
-	OnDeliver func(d Delivery)
+// Transport is a session's link to its border broker — the one part of a
+// client the session does not own. Attach and Disconnect bracket a connect
+// epoch; Send is called between them.
+type Transport interface {
+	// Attach opens a link to the border broker at addr and sends hello, the
+	// session's KConnect (previous border, profile, epoch). It returns the
+	// border's ID as the broker identified itself: the previous border the
+	// session announces on its next connect.
+	Attach(addr string, hello proto.Message) (border message.NodeID, err error)
+	// Send transmits one message to the border. m.Note is the session's
+	// reused publish buffer, valid only until Send returns: a transport
+	// that keeps the message past the call copies the notification.
+	Send(m proto.Message) error
+	// Disconnect sends KDisconnect and closes the link. It may wait until
+	// the deliveries in flight have been handed to the session.
+	Disconnect() error
 }
 
-// New builds a client. send transmits to the named node (the border broker
-// while connected); now supplies (virtual) time.
-func New(id message.NodeID, send func(to message.NodeID, m proto.Message), now func() time.Time) *Client {
+// Client is one client session: the roaming profile, the connect epoch and
+// previous border, subscription-ID minting, publish sequencing and the
+// delivery Tally, over a Transport.
+//
+// A Client is safe for concurrent use. Commands may come from any
+// goroutine, and deliveries (Deliver, Receive) may arrive concurrently
+// with them — on a live transport, from its delivery pump. The session
+// state sits behind one lock that is never held across a transport call
+// or a hook: Disconnect may wait for the delivery pump, and OnDeliver may
+// block on a Block-policy stream. Each connect epoch has an abort channel,
+// closed when the epoch ends and handed to OnDeliver with every delivery,
+// so a blocked consumer cannot stall the teardown that ends its epoch.
+// Publishes are serialized among themselves: sequence order is send order.
+type Client struct {
+	id  message.NodeID
+	t   Transport
+	now func() time.Time
+
+	// pubMu serializes publishes and guards the sequence state and note,
+	// the publish in flight (see Transport.Send). It is held across Send,
+	// which is what makes sequence order send order; deliveries never take
+	// it. Taken before mu.
+	pubMu  sync.Mutex
+	pubSeq uint64
+	pubseq *PubSequencer // durable publisher identity (nil = in memory)
+	note   message.Notification
+
+	mu        sync.Mutex
+	connected bool
+	prev      message.NodeID // the border the last connect reached: the current one while connected
+	epoch     uint64
+	abort     chan struct{} // closed when the current epoch ends
+	subs      []proto.Subscription
+	nextSubID int
+	tally     *Tally
+
+	// OnNotify, when set, observes every fresh delivery, after OnDeliver.
+	OnNotify func(n message.Notification)
+	// OnDeliver, when set, observes every fresh delivery together with its
+	// epoch's abort channel — the hook the deployment facade's
+	// per-subscription streams are fed from. It runs without the session
+	// lock and may block until abort fires.
+	OnDeliver func(d Delivery, abort <-chan struct{})
+}
+
+// New builds a disconnected session for client id over t; now supplies
+// (virtual) time for publish and arrival stamps.
+func New(id message.NodeID, t Transport, now func() time.Time) *Client {
 	if now == nil {
 		now = time.Now
 	}
-	return &Client{
-		id:    id,
-		send:  send,
-		now:   now,
-		tally: NewTally(),
-	}
+	return &Client{id: id, t: t, now: now, tally: NewTally()}
 }
 
 // SetDeliveryLog bounds the client's delivery log: n > 0 retains the last
 // n deliveries in a ring, n == 0 retains everything (the default), n < 0
 // disables recording (Received returns nil; dedup and FIFO accounting are
 // unaffected).
-func (c *Client) SetDeliveryLog(n int) { c.tally.Log.SetCap(n) }
+func (c *Client) SetDeliveryLog(n int) {
+	c.mu.Lock()
+	c.tally.Log.SetCap(n)
+	c.mu.Unlock()
+}
 
 // UseDurablePublisher backs the client's publish sequence numbers with a
 // persisted identity in the store's "pub/<client>" snapshot namespace: a
 // client recreated after a process restart resumes its sequence space
 // monotonically, so subscribers' dedup state keeps recognizing it as the
-// same publisher instead of suppressing the fresh notifications.
+// same publisher instead of suppressing the fresh notifications. Without
+// it a recreated client starts again at sequence 1.
 func (c *Client) UseDurablePublisher(st store.Store) {
+	c.pubMu.Lock()
 	c.pubseq = NewPubSequencer(st, c.id)
+	c.pubMu.Unlock()
 }
 
-// nextPubSeq assigns the next publish sequence number, durable when
-// UseDurablePublisher configured one.
+// nextPubSeq assigns the next publish sequence number. Callers hold pubMu.
 func (c *Client) nextPubSeq() uint64 {
 	if c.pubseq != nil {
 		return c.pubseq.Next()
@@ -192,81 +240,114 @@ func (c *Client) nextPubSeq() uint64 {
 func (c *Client) ID() message.NodeID { return c.id }
 
 // Connected reports connection state.
-func (c *Client) Connected() bool { return c.connected }
+func (c *Client) Connected() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.connected
+}
 
 // Border returns the current border broker ("" while disconnected).
 func (c *Client) Border() message.NodeID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if !c.connected {
 		return ""
 	}
-	return c.border
+	return c.prev
 }
 
-// ConnectTo attaches the client to a border broker, announcing the previous
-// border and the full subscription profile (used by relocation and by the
-// replicator's exception mode).
-func (c *Client) ConnectTo(b message.NodeID) {
-	if c.connected {
-		c.Disconnect()
-	}
-	c.border = b
-	c.connected = true
+// Epoch returns the number of connects attempted so far.
+func (c *Client) Epoch() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.epoch
+}
+
+// Connect attaches the session to the border broker at addr — a broker ID
+// on the simulator's network, host:port over TCP — roaming there if it is
+// connected elsewhere. The old link is dropped first, so a failed attach
+// leaves the session disconnected rather than pointing at a stale border.
+// The hello announces the previous border and the whole profile: that is
+// what lets the new border relocate the session, and the replicator's
+// exception mode find it.
+func (c *Client) Connect(addr string) error {
+	_ = c.Disconnect() // a failed goodbye to the old border does not stop the roam
+	c.mu.Lock()
 	c.epoch++
-	c.send(b, proto.Message{
+	// Armed before the attach: the border may replay buffered
+	// notifications the instant the link is up.
+	abort := make(chan struct{})
+	c.abort = abort
+	hello := proto.Message{
 		Kind:   proto.KConnect,
 		Client: c.id,
 		Origin: c.prev,
 		Subs:   append([]proto.Subscription(nil), c.subs...),
 		Epoch:  c.epoch,
-	})
-	c.prev = b
+	}
+	c.mu.Unlock()
+	border, err := c.t.Attach(addr, hello)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		close(abort)
+		return err
+	}
+	c.connected, c.prev = true, border
+	return nil
 }
 
-// Disconnect drops the wireless link (power saving, leaving a cell).
-func (c *Client) Disconnect() {
+// ConnectTo is Connect on a transport addressed by broker ID, whose attach
+// cannot fail — the simulator's.
+func (c *Client) ConnectTo(b message.NodeID) { _ = c.Connect(string(b)) }
+
+// Disconnect drops the link to the border (power saving, leaving a cell)
+// and ends the connect epoch. A no-op while disconnected.
+func (c *Client) Disconnect() error {
+	c.mu.Lock()
 	if !c.connected {
-		return
+		c.mu.Unlock()
+		return nil
 	}
-	c.send(c.border, proto.Message{Kind: proto.KDisconnect, Client: c.id})
 	c.connected = false
+	// Abort the Block pushes in flight so the delivery pump can drain
+	// before the transport's teardown waits on it. The closed channel stays
+	// in c.abort until the next Connect: deliveries still in the pump must
+	// find it firing.
+	close(c.abort)
+	c.mu.Unlock()
+	return c.t.Disconnect()
 }
 
-// Subscribe registers interest and returns the subscription's ID. The
-// subscription joins the roaming profile; while disconnected it is merely
-// recorded and issued on the next connect.
-func (c *Client) Subscribe(f filter.Filter) message.SubID {
+// send transmits m when connected. A subscription change the link loses
+// is not lost: the profile travels with the next connect.
+func (c *Client) send(m proto.Message) {
+	c.mu.Lock()
+	connected := c.connected
+	c.mu.Unlock()
+	if connected {
+		_ = c.t.Send(m)
+	}
+}
+
+// NewSubID mints the ID of a new subscription: "<client>/d:<name>" for a
+// durable name — the same in every incarnation of the client, so a
+// restarted client reattaches to its broker-side queue — and otherwise
+// "<client>/s<n>" from the session's counter.
+func (c *Client) NewSubID(durable string) message.SubID {
+	if durable != "" {
+		return message.SubID(string(c.id) + "/d:" + durable)
+	}
+	c.mu.Lock()
 	c.nextSubID++
-	id := message.SubID(fmt.Sprintf("%s/s%d", c.id, c.nextSubID))
-	sub := proto.Subscription{ID: id, Filter: f}
-	c.subs = append(c.subs, sub)
-	if c.connected {
-		c.send(c.border, proto.Message{Kind: proto.KSubscribe, Client: c.id, Sub: &sub})
-	}
-	return id
+	n := c.nextSubID
+	c.mu.Unlock()
+	return message.SubID(fmt.Sprintf("%s/s%d", c.id, n))
 }
 
-// SubscribeAs registers a subscription under a caller-chosen stable ID —
-// the durable-subscription path, where the ID must survive process
-// restarts so a recreated client reattaches to its broker-side queue.
-// Re-registering an ID already in the profile updates its filter and,
-// while connected, re-announces it so the border's routing entry follows.
-func (c *Client) SubscribeAs(id message.SubID, f filter.Filter) message.SubID {
-	sub := proto.Subscription{ID: id, Filter: f}
-	replaced := false
-	for i, s := range c.subs {
-		if s.ID == id {
-			c.subs[i] = sub
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		c.subs = append(c.subs, sub)
-	}
-	if c.connected {
-		c.send(c.border, proto.Message{Kind: proto.KSubscribe, Client: c.id, Sub: &sub})
-	}
-	return id
+// Subscribe registers interest under a freshly minted ID and returns it.
+func (c *Client) Subscribe(f filter.Filter) message.SubID {
+	return c.SubscribeAs(c.NewSubID(""), f)
 }
 
 // SubscribeAt is a convenience for location-dependent subscriptions: it
@@ -275,97 +356,143 @@ func (c *Client) SubscribeAt(cs ...filter.Constraint) message.SubID {
 	return c.Subscribe(filter.AtLocation(cs...))
 }
 
-// Unsubscribe withdraws a subscription.
+// SubscribeAs registers f under id (minted by NewSubID). The subscription
+// joins the roaming profile — re-registering an ID already there replaces
+// its filter — and is announced at the border while connected; while
+// disconnected it travels with the next connect's profile.
+func (c *Client) SubscribeAs(id message.SubID, f filter.Filter) message.SubID {
+	sub := proto.Subscription{ID: id, Filter: f}
+	c.mu.Lock()
+	if i := c.find(id); i >= 0 {
+		c.subs[i] = sub
+	} else {
+		c.subs = append(c.subs, sub)
+	}
+	c.mu.Unlock()
+	c.send(proto.Message{Kind: proto.KSubscribe, Client: c.id, Sub: &sub})
+	return id
+}
+
+// Unsubscribe withdraws a subscription from the profile and, while
+// connected, at the border. Unknown IDs are ignored.
 func (c *Client) Unsubscribe(id message.SubID) {
-	for i, s := range c.subs {
-		if s.ID != id {
-			continue
-		}
-		sub := s
-		c.subs = append(c.subs[:i], c.subs[i+1:]...)
-		if c.connected {
-			c.send(c.border, proto.Message{Kind: proto.KUnsubscribe, Client: c.id, Sub: &sub})
-		}
+	c.mu.Lock()
+	i := c.find(id)
+	if i < 0 {
+		c.mu.Unlock()
 		return
 	}
+	sub := c.subs[i]
+	c.subs = append(c.subs[:i], c.subs[i+1:]...)
+	c.mu.Unlock()
+	c.send(proto.Message{Kind: proto.KUnsubscribe, Client: c.id, Sub: &sub})
+}
+
+// find returns the profile index of id, or -1. Callers hold mu.
+func (c *Client) find(id message.SubID) int {
+	for i, s := range c.subs {
+		if s.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Subscriptions returns a copy of the profile.
 func (c *Client) Subscriptions() []proto.Subscription {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return append([]proto.Subscription(nil), c.subs...)
 }
 
 // Advertise announces the notification space this client will publish
 // into (advertisement-based routing). Returns the advertisement's ID.
 func (c *Client) Advertise(f filter.Filter) message.SubID {
+	c.mu.Lock()
 	c.nextSubID++
 	id := message.SubID(fmt.Sprintf("%s/a%d", c.id, c.nextSubID))
-	adv := proto.Subscription{ID: id, Filter: f}
-	if c.connected {
-		c.send(c.border, proto.Message{Kind: proto.KAdvertise, Client: c.id, Sub: &adv})
-	}
+	c.mu.Unlock()
+	c.send(proto.Message{Kind: proto.KAdvertise, Client: c.id, Sub: &proto.Subscription{ID: id, Filter: f}})
 	return id
 }
 
 // Unadvertise withdraws an advertisement.
 func (c *Client) Unadvertise(id message.SubID) {
-	if c.connected {
-		adv := proto.Subscription{ID: id}
-		c.send(c.border, proto.Message{Kind: proto.KUnadvertise, Client: c.id, Sub: &adv})
-	}
+	c.send(proto.Message{Kind: proto.KUnadvertise, Client: c.id, Sub: &proto.Subscription{ID: id}})
 }
 
-// Publish emits a notification and returns its assigned ID. Publishing
-// requires a connection (the wire is the border broker).
-func (c *Client) Publish(attrs map[string]message.Value) (message.NotificationID, bool) {
-	if !c.connected {
-		return message.NotificationID{}, false
+// Publish emits a notification and returns its assigned ID: the next
+// sequence number, stamped with the publish time. It needs a connection
+// (ErrNotConnected otherwise) and fails with the transport's send error.
+func (c *Client) Publish(attrs map[string]message.Value) (message.NotificationID, error) {
+	c.pubMu.Lock()
+	defer c.pubMu.Unlock()
+	if !c.Connected() {
+		return message.NotificationID{}, ErrNotConnected
 	}
-	n := message.NewNotification(attrs)
-	n.ID = message.NotificationID{Publisher: c.id, Seq: c.nextPubSeq()}
-	n.Published = c.now()
-	c.send(c.border, proto.Message{Kind: proto.KPublish, Client: c.id, Note: &n})
-	return n.ID, true
+	c.note = message.NewNotification(attrs)
+	c.note.ID = message.NotificationID{Publisher: c.id, Seq: c.nextPubSeq()}
+	c.note.Published = c.now()
+	err := c.t.Send(proto.Message{Kind: proto.KPublish, Client: c.id, Note: &c.note})
+	id := c.note.ID
+	c.note = message.Notification{}
+	if err != nil {
+		return message.NotificationID{}, err
+	}
+	return id, nil
 }
 
 // PublishBatch emits several notifications in one wire message
 // (KPublishBatch): the border broker unpacks and routes each exactly like
 // an individual publish, so only the client->border framing is amortized.
 // Returns the assigned IDs, in order. Requires a connection.
-func (c *Client) PublishBatch(batch []map[string]message.Value) ([]message.NotificationID, bool) {
-	if !c.connected {
-		return nil, false
+func (c *Client) PublishBatch(batch []map[string]message.Value) ([]message.NotificationID, error) {
+	c.pubMu.Lock()
+	defer c.pubMu.Unlock()
+	if !c.Connected() {
+		return nil, ErrNotConnected
 	}
 	if len(batch) == 0 {
-		return nil, true
+		return nil, nil
 	}
 	notes := make([]message.Notification, len(batch))
 	ids := make([]message.NotificationID, len(batch))
 	now := c.now()
 	for i, attrs := range batch {
-		n := message.NewNotification(attrs)
-		n.ID = message.NotificationID{Publisher: c.id, Seq: c.nextPubSeq()}
-		n.Published = now
-		notes[i] = n
-		ids[i] = n.ID
+		notes[i] = message.NewNotification(attrs)
+		notes[i].ID = message.NotificationID{Publisher: c.id, Seq: c.nextPubSeq()}
+		notes[i].Published = now
+		ids[i] = notes[i].ID
 	}
-	c.send(c.border, proto.Message{Kind: proto.KPublishBatch, Client: c.id, Notes: notes})
-	return ids, true
+	if err := c.t.Send(proto.Message{Kind: proto.KPublishBatch, Client: c.id, Notes: notes}); err != nil {
+		return nil, err
+	}
+	return ids, nil
 }
 
-// Receive is the client's network endpoint: it accepts KDeliver messages,
-// deduplicates them by notification ID and records fresh ones.
+// Receive is the session's endpoint on the simulator's network: KDeliver
+// messages go to Deliver, everything else is ignored.
 func (c *Client) Receive(_ message.NodeID, m proto.Message) {
-	if m.Kind != proto.KDeliver || m.Note == nil {
-		return
+	if m.Kind == proto.KDeliver && m.Note != nil {
+		c.Deliver(*m.Note, m.SubIDs)
 	}
-	n := *m.Note
-	d := Delivery{Note: n, At: c.now(), Subs: m.SubIDs}
-	if !c.tally.Record(d) {
+}
+
+// Deliver accounts one notification from the border, with the subscription
+// identities it matched there: a duplicate is counted and dropped, a fresh
+// delivery is logged and handed to OnDeliver and OnNotify outside the
+// session lock.
+func (c *Client) Deliver(n message.Notification, subs []message.SubID) {
+	d := Delivery{Note: n, At: c.now(), Subs: subs}
+	c.mu.Lock()
+	fresh := c.tally.Record(d)
+	abort := c.abort
+	c.mu.Unlock()
+	if !fresh {
 		return
 	}
 	if c.OnDeliver != nil {
-		c.OnDeliver(d)
+		c.OnDeliver(d, abort)
 	}
 	if c.OnNotify != nil {
 		c.OnNotify(n)
@@ -376,12 +503,14 @@ func (c *Client) Receive(_ message.NodeID, m proto.Message) {
 // when the log is unbounded (the default), the last n under
 // SetDeliveryLog(n), nil when disabled.
 func (c *Client) Received() []Delivery {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.tally.Log.Snapshot()
 }
 
 // ReceivedNotes returns just the retained notifications, in arrival order.
 func (c *Client) ReceivedNotes() []message.Notification {
-	ds := c.tally.Log.Snapshot()
+	ds := c.Received()
 	out := make([]message.Notification, len(ds))
 	for i, d := range ds {
 		out[i] = d.Note
@@ -391,11 +520,23 @@ func (c *Client) ReceivedNotes() []message.Notification {
 
 // Delivered returns the total number of fresh deliveries, independent of
 // how many the bounded log retains.
-func (c *Client) Delivered() uint64 { return c.tally.Log.Total() }
+func (c *Client) Delivered() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tally.Log.Total()
+}
 
 // Duplicates returns the number of duplicate deliveries suppressed.
-func (c *Client) Duplicates() int { return c.tally.Duplicates() }
+func (c *Client) Duplicates() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tally.Duplicates()
+}
 
 // FIFOViolations counts per-publisher sequence inversions in the delivery
 // order — zero under the transparent relocation protocol.
-func (c *Client) FIFOViolations() int { return c.tally.FIFOViolations() }
+func (c *Client) FIFOViolations() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tally.FIFOViolations()
+}

@@ -1,7 +1,10 @@
 package client
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,13 +19,35 @@ type sent struct {
 	m  proto.Message
 }
 
+// logTransport records every message with the border it went to. An
+// address is the border's ID, as on the simulator's network.
+type logTransport struct {
+	border message.NodeID
+	log    []sent
+}
+
+func (t *logTransport) Attach(addr string, hello proto.Message) (message.NodeID, error) {
+	t.border = message.NodeID(addr)
+	return t.border, t.Send(hello)
+}
+
+func (t *logTransport) Send(m proto.Message) error {
+	if m.Note != nil {
+		n := *m.Note
+		m.Note = &n
+	}
+	t.log = append(t.log, sent{to: t.border, m: m})
+	return nil
+}
+
+func (t *logTransport) Disconnect() error {
+	return t.Send(proto.Message{Kind: proto.KDisconnect})
+}
+
 func newTestClient(id message.NodeID) (*Client, *[]sent) {
-	var log []sent
-	c := New(id, func(to message.NodeID, m proto.Message) {
-		log = append(log, sent{to: to, m: m})
-	}, func() time.Time { return time.Date(2003, 6, 16, 12, 0, 0, 0, time.UTC) })
-	// note: closure captures log by reference via pointer return
-	return c, &log
+	t := &logTransport{}
+	c := New(id, t, func() time.Time { return time.Date(2003, 6, 16, 12, 0, 0, 0, time.UTC) })
+	return c, &t.log
 }
 
 func TestClientConnectCarriesProfileAndPrev(t *testing.T) {
@@ -126,14 +151,14 @@ func TestClientSubscribeAtAddsMyloc(t *testing.T) {
 
 func TestClientPublishStampsIDs(t *testing.T) {
 	c, log := newTestClient("alice")
-	if _, ok := c.Publish(map[string]message.Value{"k": message.Int(1)}); ok {
-		t.Error("offline publish should fail")
+	if _, err := c.Publish(map[string]message.Value{"k": message.Int(1)}); err != ErrNotConnected {
+		t.Errorf("offline publish: %v, want ErrNotConnected", err)
 	}
 	c.ConnectTo("B1")
-	id1, ok1 := c.Publish(map[string]message.Value{"k": message.Int(1)})
-	id2, ok2 := c.Publish(map[string]message.Value{"k": message.Int(2)})
-	if !ok1 || !ok2 {
-		t.Fatal("online publish failed")
+	id1, err1 := c.Publish(map[string]message.Value{"k": message.Int(1)})
+	id2, err2 := c.Publish(map[string]message.Value{"k": message.Int(2)})
+	if err1 != nil || err2 != nil {
+		t.Fatal("online publish failed:", err1, err2)
 	}
 	if id1.Publisher != "alice" || id1.Seq != 1 || id2.Seq != 2 {
 		t.Errorf("ids = %v, %v", id1, id2)
@@ -252,18 +277,18 @@ func TestClientBoundedDeliveryLog(t *testing.T) {
 
 func TestClientPublishBatch(t *testing.T) {
 	c, log := newTestClient("alice")
-	if _, ok := c.PublishBatch([]map[string]message.Value{{"k": message.Int(1)}}); ok {
-		t.Fatal("batch while disconnected should fail")
+	if _, err := c.PublishBatch([]map[string]message.Value{{"k": message.Int(1)}}); err != ErrNotConnected {
+		t.Fatalf("batch while disconnected: %v, want ErrNotConnected", err)
 	}
 	c.ConnectTo("B1")
 	*log = nil
-	ids, ok := c.PublishBatch([]map[string]message.Value{
+	ids, err := c.PublishBatch([]map[string]message.Value{
 		{"k": message.Int(1)},
 		{"k": message.Int(2)},
 		{"k": message.Int(3)},
 	})
-	if !ok || len(ids) != 3 {
-		t.Fatalf("batch publish: ok=%v ids=%v", ok, ids)
+	if err != nil || len(ids) != 3 {
+		t.Fatalf("batch publish: err=%v ids=%v", err, ids)
 	}
 	if len(*log) != 1 {
 		t.Fatalf("batch framed %d wire messages, want 1", len(*log))
@@ -282,13 +307,100 @@ func TestClientPublishBatch(t *testing.T) {
 func TestClientOnDeliverHookSeesSubIDs(t *testing.T) {
 	c, _ := newTestClient("alice")
 	var got [][]message.SubID
-	c.OnDeliver = func(d Delivery) { got = append(got, d.Subs) }
+	c.OnDeliver = func(d Delivery, _ <-chan struct{}) { got = append(got, d.Subs) }
 	n := message.Notification{ID: message.NotificationID{Publisher: "p", Seq: 1}}
 	c.Receive("B1", proto.Message{
 		Kind: proto.KDeliver, Note: &n, SubIDs: []message.SubID{"alice/s1"},
 	})
 	if len(got) != 1 || len(got[0]) != 1 || got[0][0] != "alice/s1" {
 		t.Errorf("hook saw %v, want [[alice/s1]]", got)
+	}
+}
+
+// seqTransport records the sequence numbers of the publishes it carries, in
+// send order. Safe for concurrent use.
+type seqTransport struct {
+	mu   sync.Mutex
+	seqs []uint64
+}
+
+func (t *seqTransport) Attach(addr string, _ proto.Message) (message.NodeID, error) {
+	return message.NodeID(addr), nil
+}
+
+func (t *seqTransport) Send(m proto.Message) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if m.Note != nil {
+		t.seqs = append(t.seqs, m.Note.ID.Seq)
+	}
+	for _, n := range m.Notes {
+		t.seqs = append(t.seqs, n.ID.Seq)
+	}
+	return nil
+}
+
+func (t *seqTransport) Disconnect() error { return nil }
+
+// TestClientConcurrentUse drives one session from several goroutines at
+// once — publishers, a subscriber churning its profile, a delivery pump, a
+// roamer — and wants publishes on the wire in sequence order and every
+// delivery accounted. Run it under -race.
+func TestClientConcurrentUse(t *testing.T) {
+	tr := &seqTransport{}
+	c := New("alice", tr, nil)
+	c.SetDeliveryLog(-1)
+	var delivered atomic.Int64
+	c.OnDeliver = func(Delivery, <-chan struct{}) { delivered.Add(1) }
+	c.ConnectTo("B1")
+	const publishers, each = 4, 200
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if i%10 == 0 {
+					_, _ = c.PublishBatch([]map[string]message.Value{{"k": message.Int(1)}, {"k": message.Int(2)}})
+				} else {
+					_, _ = c.Publish(map[string]message.Value{"k": message.Int(int64(i))})
+				}
+			}
+		}()
+	}
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < each; i++ {
+			c.Unsubscribe(c.Subscribe(filter.All()))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for seq := uint64(1); seq <= each; seq++ {
+			n := message.Notification{ID: message.NotificationID{Publisher: "bob", Seq: seq}}
+			c.Deliver(n, nil)
+			c.Deliver(n, nil)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			c.ConnectTo(message.NodeID(fmt.Sprint("B", i%3)))
+		}
+	}()
+	wg.Wait()
+
+	for i := 1; i < len(tr.seqs); i++ {
+		if tr.seqs[i] <= tr.seqs[i-1] {
+			t.Fatalf("publish %d went out with seq %d after seq %d", i, tr.seqs[i], tr.seqs[i-1])
+		}
+	}
+	if delivered.Load() != each || c.Duplicates() != each || c.Delivered() != each {
+		t.Errorf("delivered %d (hook) / %d (tally), %d duplicates; want %d each", delivered.Load(), c.Delivered(), c.Duplicates(), each)
+	}
+	if len(c.Subscriptions()) != 0 {
+		t.Errorf("profile holds %d subscriptions after balanced churn", len(c.Subscriptions()))
 	}
 }
 

@@ -29,8 +29,8 @@ const PubSeqQuantum = 256
 // the unused remainder (subscriber FIFO accounting tolerates gaps —
 // sequences must only grow).
 //
-// Not safe for concurrent use; callers serialize (the TCP port holds its
-// own lock, the simulator is single-threaded).
+// Not safe for concurrent use; callers serialize (a Client calls it under
+// its publish lock).
 type PubSequencer struct {
 	st       store.Store
 	key      string

@@ -385,15 +385,43 @@ func (c *Cluster) HealLink(a, b message.NodeID) { c.Net.HealLink(a, b) }
 // restarted publisher — continues its sequence space instead of
 // restarting at 1 and confusing subscriber dedup state.
 func (c *Cluster) AddClient(id message.NodeID) *client.Client {
-	cl := client.New(id, func(to message.NodeID, m proto.Message) {
-		c.Net.Send(id, to, m)
-	}, c.Net.Now)
+	cl := client.New(id, &netTransport{net: c.Net, id: id}, c.Net.Now)
 	if c.cfg.Store != nil {
 		cl.UseDurablePublisher(c.cfg.Store)
 	}
 	c.Clients[id] = cl
 	c.Net.AddNode(id, EndpointFunc(cl.Receive))
 	return cl
+}
+
+// netTransport is a client session's transport on the simulated network:
+// the address is the border's broker ID, and every message is a
+// Network.Send over the client↔border link.
+type netTransport struct {
+	net    *Network
+	id     message.NodeID
+	border message.NodeID
+}
+
+func (t *netTransport) Attach(addr string, hello proto.Message) (message.NodeID, error) {
+	t.border = message.NodeID(addr)
+	t.net.Send(t.id, t.border, hello)
+	return t.border, nil
+}
+
+func (t *netTransport) Send(m proto.Message) error {
+	if m.Note != nil {
+		// The session reuses its publish buffer; the event queue keeps m.
+		n := *m.Note
+		m.Note = &n
+	}
+	t.net.Send(t.id, t.border, m)
+	return nil
+}
+
+func (t *netTransport) Disconnect() error {
+	t.net.Send(t.id, t.border, proto.Message{Kind: proto.KDisconnect, Client: t.id})
+	return nil
 }
 
 // Broker returns the named broker (panics on unknown ID — scenario bug).

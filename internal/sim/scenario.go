@@ -247,7 +247,7 @@ func (s Scenario) Run() (Outcome, error) {
 					"item":    message.Int(int64(seq)),
 				})
 				n = location.Stamp(n, region)
-				if id, ok := p.Publish(n.Attrs); ok {
+				if id, err := p.Publish(n.Attrs); err == nil {
 					menus[region] = append(menus[region], pubRecord{id: id, at: net.Now()})
 				}
 				if net.Now().Sub(start) < s.Duration {
@@ -264,10 +264,10 @@ func (s Scenario) Run() (Outcome, error) {
 		seq := 0
 		tickFn = func() {
 			seq++
-			if id, ok := p.Publish(map[string]message.Value{
+			if id, err := p.Publish(map[string]message.Value{
 				"service": message.String("stock"),
 				"quote":   message.Int(int64(seq)),
-			}); ok {
+			}); err == nil {
 				stocks = append(stocks, pubRecord{id: id, at: net.Now()})
 			}
 			if net.Now().Sub(start) < s.Duration {

@@ -2,7 +2,8 @@
 // state machines the simulator drives, fed from length-prefixed binary
 // frames (internal/codec). It provides the live deployment mode used by
 // cmd/rebeca-broker — one process per broker, point-to-point TCP
-// connections between neighbors (§2), and a Dialer for remote clients.
+// connections between neighbors (§2), and RemoteClient, the TCP transport
+// under a client session (internal/client).
 //
 // TCP gives the FIFO per-link guarantee the algorithms assume; a per-node
 // inbox goroutine serializes HandleMessage calls, preserving the atomic
@@ -1013,13 +1014,15 @@ func acceptLink(self message.NodeID, c net.Conn) (*Conn, error) {
 // flight ahead of the application's consumption.
 const DefaultWindow = 64
 
-// RemoteClient runs a client library over a TCP link to a border broker —
-// the "local broker … loaded into the clients" of §2, wire edition.
-// Deliveries are credit flow controlled: the Connect announces a window,
-// and the pump grants one credit back per delivery the onDeliver callback
-// has fully consumed — a callback that blocks (a full Block-policy stream)
-// therefore stalls the broker's deliveries to this client after at most
-// Window in-flight notifications.
+// RemoteClient is a client session's TCP transport (internal/client's
+// Transport): it dials the border broker, runs the binary handshake and
+// pumps deliveries to a callback — the session itself, with its profile,
+// epochs, sequencing and dedup, lives in internal/client. Deliveries are
+// credit flow controlled: the connect announces a window, and the pump
+// grants one credit back per delivery the onDeliver callback has fully
+// consumed — a callback that blocks (a full Block-policy stream) therefore
+// stalls the broker's deliveries to this client after at most Window
+// in-flight notifications.
 type RemoteClient struct {
 	ID message.NodeID
 	// Window is the delivery credit window announced on Connect
@@ -1032,10 +1035,10 @@ type RemoteClient struct {
 	wg        sync.WaitGroup
 }
 
-// NewRemoteClient creates a client host. onDeliver observes deliveries
-// together with the subscription identities matched at the border (may be
-// nil). Credit flow control grants the next delivery only after onDeliver
-// returns.
+// NewRemoteClient creates a transport for client id. onDeliver observes
+// deliveries together with the subscription identities matched at the
+// border (may be nil). Credit flow control grants the next delivery only
+// after onDeliver returns.
 func NewRemoteClient(id message.NodeID, onDeliver func(n message.Notification, subs []message.SubID)) *RemoteClient {
 	return &RemoteClient{ID: id, onDeliver: onDeliver}
 }
@@ -1051,23 +1054,29 @@ func (r *RemoteClient) window() int {
 	}
 }
 
-// Connect dials a border broker and starts the delivery pump. epoch is the
-// client's monotonic connect counter (see proto.Message.Epoch); pass an
-// incremented value on every connect.
+// Connect dials a border broker, starts the delivery pump and announces
+// the client (KConnect). epoch is the client's monotonic connect counter
+// (see proto.Message.Epoch); pass an incremented value on every connect.
 func (r *RemoteClient) Connect(addr string, prev message.NodeID, profile []proto.Subscription, epoch uint64) error {
+	_, err := r.Attach(addr, proto.Message{Kind: proto.KConnect, Client: r.ID, Origin: prev, Subs: profile, Epoch: epoch})
+	return err
+}
+
+// Attach dials the border broker at addr, starts the delivery pump and
+// sends hello with the credit window filled in. It returns the ID the
+// broker announced in the handshake.
+func (r *RemoteClient) Attach(addr string, hello proto.Message) (message.NodeID, error) {
 	conn, err := DialLink(r.ID, addr)
 	if err != nil {
-		return err
+		return "", err
 	}
 	r.mu.Lock()
 	r.conn = conn
 	r.mu.Unlock()
 	r.wg.Add(1)
 	go r.pump(conn)
-	return conn.Send(proto.Message{
-		Kind: proto.KConnect, Client: r.ID, Origin: prev, Subs: profile, Epoch: epoch,
-		Credits: r.window(),
-	})
+	hello.Credits = r.window()
+	return conn.Peer(), conn.Send(hello)
 }
 
 func (r *RemoteClient) pump(conn *Conn) {
@@ -1106,7 +1115,8 @@ func (r *RemoteClient) pump(conn *Conn) {
 	}
 }
 
-// Send transmits an arbitrary client message (publish, subscribe, …).
+// Send transmits an arbitrary client message (publish, subscribe, …). The
+// message is encoded before Send returns.
 func (r *RemoteClient) Send(m proto.Message) error {
 	r.mu.Lock()
 	conn := r.conn

@@ -1,7 +1,6 @@
 package rebeca
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,31 +8,31 @@ import (
 
 	"rebeca/internal/broker"
 	"rebeca/internal/client"
-	"rebeca/internal/message"
 	"rebeca/internal/mobility"
-	"rebeca/internal/proto"
 	"rebeca/internal/wire"
 )
 
 // Live is a middleware deployment over real TCP on the loopback interface:
 // one BrokerNode per broker, point-to-point links between overlay neighbors,
 // the same session layers (replicator, transparent mobility manager) and
-// the same middleware chain the virtual-clock System installs. It
-// implements Deployment, so client code and tests written against the
-// facade run unchanged on real sockets.
+// the same middleware chain the virtual-clock System installs. Its client
+// ports are the System's too — the one client session, over a TCP
+// transport instead of the simulated network — so client code and tests
+// written against the facade run unchanged on real sockets.
 //
 // For a distributed deployment (one process per broker across machines),
 // use cmd/rebeca-broker and cmd/rebeca-client: rebeca-broker is StartBroker
-// behind a flag parser, and StartBroker runs the very assembly NewLive
-// runs once per broker.
+// behind a flag parser, StartBroker runs the very assembly NewLive runs
+// once per broker, and rebeca-client is a command loop over the same
+// client session.
 type Live struct {
 	cfg   *config
 	ids   []NodeID
 	nodes map[NodeID]*BrokerNode
 	ops   *opsStack
+	ports portSet
 
 	mu     sync.Mutex
-	ports  []*livePort
 	closed bool
 }
 
@@ -103,16 +102,7 @@ func NewLive(opts ...Option) (*Live, error) {
 		l.nodes[id] = n
 	}
 	if l.ops != nil {
-		l.ops.registerStreams(func(emit func(NodeID, streamStat)) {
-			l.mu.Lock()
-			ports := append([]*livePort(nil), l.ports...)
-			l.mu.Unlock()
-			for _, p := range ports {
-				for _, s := range p.streams.stats() {
-					emit(p.id, s)
-				}
-			}
-		})
+		l.ops.registerStreams(l.ports.emitStreams)
 		if err := l.ops.start(cfg, joinIDs(l.ids)); err != nil {
 			_ = l.Close()
 			return nil, err
@@ -126,28 +116,21 @@ func NewLive(opts ...Option) (*Live, error) {
 // /trace on a WithOps("127.0.0.1:0") deployment.
 func (l *Live) OpsAddr() string { return l.ops.addr() }
 
-// NewClient creates a client endpoint, not yet connected. On a durable
+// NewClient creates a client endpoint, not yet connected: a session over
+// a TCP remote client, addressed by broker ID through Addr. On a durable
 // deployment the port's publisher identity persists in the store
 // ("pub/<client>"), so a port recreated under the same ID — a restarted
 // publisher — continues its sequence space and keeps its dedup identity
 // at every subscriber.
 func (l *Live) NewClient(id NodeID) Port {
-	p := &livePort{
-		l:       l,
-		id:      id,
-		tally:   client.NewTally(),
-		streams: newStreamSet(),
-	}
+	var c *client.Client
+	rc := wire.NewRemoteClient(id, func(n Notification, subs []SubID) { c.Deliver(n, subs) })
+	rc.Window = l.cfg.window
+	c = client.New(id, rc, time.Now)
 	if l.cfg.store != nil {
-		p.pubseq = client.NewPubSequencer(l.cfg.store, id)
+		c.UseDurablePublisher(l.cfg.store)
 	}
-	p.tally.Log.SetCap(l.cfg.logCap())
-	p.rc = wire.NewRemoteClient(id, p.deliver)
-	p.rc.Window = l.cfg.window
-	l.mu.Lock()
-	l.ports = append(l.ports, p)
-	l.mu.Unlock()
-	return p
+	return l.ports.add(newPort(c, l.Addr, l.cfg.logCap()))
 }
 
 // Brokers lists the deployment's broker IDs.
@@ -195,11 +178,9 @@ func (l *Live) fingerprint() string {
 			fmt.Fprintf(&sb, "%s:%+v:%d;", id, b.Stats(), b.Router().Table().Len())
 		})
 	}
-	l.mu.Lock()
-	for _, p := range l.ports {
-		fmt.Fprintf(&sb, "%s:%d;", p.id, p.activity())
+	for _, p := range l.ports.all() {
+		fmt.Fprintf(&sb, "%s:%d:%d:%d:%d;", p.ID(), p.c.Delivered(), p.c.Duplicates(), p.c.Epoch(), len(p.c.Subscriptions()))
 	}
-	l.mu.Unlock()
 	return sb.String()
 }
 
@@ -263,13 +244,12 @@ func (l *Live) Close() error {
 		return nil
 	}
 	l.closed = true
-	ports := append([]*livePort(nil), l.ports...)
 	l.mu.Unlock()
 	for _, n := range l.nodes {
 		n.leave()
 	}
 	l.ops.close()
-	for _, p := range ports {
+	for _, p := range l.ports.all() {
 		_ = p.Disconnect()
 		// Close every stream so range loops over Events() terminate.
 		p.streams.closeAll()
@@ -283,269 +263,4 @@ func (l *Live) Close() error {
 		}
 	}
 	return first
-}
-
-// livePort adapts a TCP remote client to the Port interface, adding the
-// client-library bookkeeping the simulator's client does in-process:
-// roaming profile, connect epochs, dedup by notification ID, and the
-// per-subscription stream dispatch.
-type livePort struct {
-	l  *Live
-	id NodeID
-	rc *wire.RemoteClient
-
-	mu         sync.Mutex
-	connected  bool
-	border     NodeID
-	prev       NodeID
-	epoch      uint64
-	profile    []proto.Subscription
-	nextSub    int
-	pubSeq     uint64
-	pubseq     *client.PubSequencer // durable identity (nil = in-memory)
-	tally      *client.Tally
-	stop       chan struct{} // closed on disconnect; aborts Block pushes
-	stopClosed bool
-
-	streams *streamSet
-}
-
-var _ Port = (*livePort)(nil)
-
-// deliver is the RemoteClient's delivery callback (pump goroutine). The
-// stream pushes run outside the port lock: a Block-policy stream may hold
-// the pump — and with it the broker's credit window — for as long as the
-// consumer lags, without wedging the port's accessors.
-func (p *livePort) deliver(n Notification, subs []SubID) {
-	d := Delivery{Note: n, At: time.Now(), Subs: subs}
-	p.mu.Lock()
-	if !p.tally.Record(d) {
-		p.mu.Unlock()
-		return
-	}
-	abort := p.stop
-	p.mu.Unlock()
-	p.streams.dispatch(d, abort)
-}
-
-// activity feeds Live's settle fingerprint.
-func (p *livePort) activity() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int(p.tally.Log.Total()) + p.tally.Duplicates() + int(p.epoch) + len(p.profile)
-}
-
-func (p *livePort) ID() NodeID { return p.id }
-
-func (p *livePort) Connect(b NodeID) error {
-	addr := p.l.Addr(b)
-	if addr == "" {
-		return fmt.Errorf("%w: %s", ErrUnknownBroker, b)
-	}
-	p.mu.Lock()
-	if p.connected {
-		// Drop the old link first; if the dial below fails the port is
-		// left cleanly disconnected, not pointing at a stale border. The
-		// old epoch's Block pushes are aborted so the delivery pump can
-		// drain before the link teardown waits on it.
-		p.connected = false
-		p.border = ""
-		p.closeStopLocked()
-		p.mu.Unlock()
-		_ = p.rc.Disconnect()
-		p.mu.Lock()
-	}
-	p.epoch++
-	prev := p.prev
-	profile := append([]proto.Subscription(nil), p.profile...)
-	epoch := p.epoch
-	// Arm the abort channel before dialing: the border may replay ghost
-	// buffers the instant the link is up.
-	p.stop = make(chan struct{})
-	p.stopClosed = false
-	p.mu.Unlock()
-	if err := p.rc.Connect(addr, prev, profile, epoch); err != nil {
-		p.mu.Lock()
-		p.closeStopLocked()
-		p.mu.Unlock()
-		return err
-	}
-	p.mu.Lock()
-	p.connected = true
-	p.border = b
-	p.prev = b
-	p.mu.Unlock()
-	return nil
-}
-
-// closeStopLocked aborts the current epoch's Block pushes. The closed
-// channel stays in p.stop (Connect replaces it): deliveries already in
-// the pump when the link drops must still find a firing abort channel,
-// or a Block push could wedge the pump and deadlock the link teardown.
-// Callers hold p.mu.
-func (p *livePort) closeStopLocked() {
-	if p.stop != nil && !p.stopClosed {
-		close(p.stop)
-		p.stopClosed = true
-	}
-}
-
-func (p *livePort) Disconnect() error {
-	p.mu.Lock()
-	if !p.connected {
-		p.mu.Unlock()
-		return nil
-	}
-	p.connected = false
-	p.border = ""
-	// Abort any Block push in flight so the delivery pump can drain and
-	// the link teardown below does not wait on a lagging consumer.
-	p.closeStopLocked()
-	p.mu.Unlock()
-	return p.rc.Disconnect()
-}
-
-func (p *livePort) Border() NodeID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.connected {
-		return ""
-	}
-	return p.border
-}
-
-func (p *livePort) Subscribe(f Filter, opts ...SubOption) *Subscription {
-	var cfg subConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	p.mu.Lock()
-	var id SubID
-	if cfg.durable != "" {
-		// Stable, name-derived identity: a port recreated after a restart
-		// mints the same ID and reattaches to its broker-side queue.
-		id = durableSubID(p.id, cfg.durable)
-	} else {
-		p.nextSub++
-		id = SubID(fmt.Sprintf("%s/s%d", p.id, p.nextSub))
-	}
-	sub := proto.Subscription{ID: id, Filter: f}
-	replaced := false
-	for i, ps := range p.profile {
-		if ps.ID == id {
-			p.profile[i] = sub
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		p.profile = append(p.profile, sub)
-	}
-	connected := p.connected
-	p.mu.Unlock()
-	s := newSubscription(sub.ID, f, cfg, p.unsubscribe)
-	p.streams.add(s)
-	if connected {
-		_ = p.rc.Send(proto.Message{Kind: proto.KSubscribe, Client: p.id, Sub: &sub})
-	}
-	return s
-}
-
-func (p *livePort) SubscribeAt(cs ...Constraint) *Subscription {
-	return p.Subscribe(AtLocation(cs...))
-}
-
-// unsubscribe is the Subscription.Cancel callback: drop the subscription
-// from the roaming profile and, while connected, withdraw it at the
-// border.
-func (p *livePort) unsubscribe(s *Subscription) {
-	p.streams.remove(s.ID())
-	p.mu.Lock()
-	var sub *proto.Subscription
-	for i, ps := range p.profile {
-		if ps.ID == s.ID() {
-			ps := ps
-			sub = &ps
-			p.profile = append(p.profile[:i], p.profile[i+1:]...)
-			break
-		}
-	}
-	connected := p.connected
-	p.mu.Unlock()
-	if sub != nil && connected {
-		_ = p.rc.Send(proto.Message{Kind: proto.KUnsubscribe, Client: p.id, Sub: sub})
-	}
-}
-
-// nextSeqLocked assigns the next publish sequence number (durable when
-// the deployment has a store). Callers hold p.mu.
-func (p *livePort) nextSeqLocked() uint64 {
-	if p.pubseq != nil {
-		return p.pubseq.Next()
-	}
-	p.pubSeq++
-	return p.pubSeq
-}
-
-func (p *livePort) Publish(attrs map[string]Value) (NotificationID, error) {
-	p.mu.Lock()
-	if !p.connected {
-		p.mu.Unlock()
-		return NotificationID{}, ErrNotConnected
-	}
-	n := message.NewNotification(attrs)
-	n.ID = NotificationID{Publisher: p.id, Seq: p.nextSeqLocked()}
-	n.Published = time.Now()
-	p.mu.Unlock()
-	if err := p.rc.Send(proto.Message{Kind: proto.KPublish, Client: p.id, Note: &n}); err != nil {
-		return NotificationID{}, err
-	}
-	return n.ID, nil
-}
-
-func (p *livePort) PublishBatch(ctx context.Context, batch []map[string]Value) ([]NotificationID, error) {
-	return publishFrames(ctx, batch, func(frame []map[string]Value) ([]NotificationID, error) {
-		p.mu.Lock()
-		if !p.connected {
-			p.mu.Unlock()
-			return nil, ErrNotConnected
-		}
-		notes := make([]message.Notification, len(frame))
-		frameIDs := make([]NotificationID, len(frame))
-		now := time.Now()
-		for i, attrs := range frame {
-			n := message.NewNotification(attrs)
-			n.ID = NotificationID{Publisher: p.id, Seq: p.nextSeqLocked()}
-			n.Published = now
-			notes[i] = n
-			frameIDs[i] = n.ID
-		}
-		p.mu.Unlock()
-		if err := p.rc.Send(proto.Message{Kind: proto.KPublishBatch, Client: p.id, Notes: notes}); err != nil {
-			return nil, err
-		}
-		return frameIDs, nil
-	})
-}
-
-func (p *livePort) Events() <-chan Delivery { return p.streams.catchAll.Events() }
-
-func (p *livePort) OnNotify(fn func(n Notification)) { p.streams.setNotify(fn) }
-
-func (p *livePort) Received() []Delivery {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tally.Log.Snapshot()
-}
-
-func (p *livePort) Duplicates() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tally.Duplicates()
-}
-
-func (p *livePort) FIFOViolations() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tally.FIFOViolations()
 }

@@ -88,11 +88,6 @@ func Durable(name string) SubOption {
 	return func(c *subConfig) { c.durable = name }
 }
 
-// durableSubID derives the stable SubID for a durable subscription.
-func durableSubID(client NodeID, name string) SubID {
-	return SubID(string(client) + "/d:" + name)
-}
-
 // SubscriptionStats snapshots one subscription's delivery accounting.
 type SubscriptionStats struct {
 	// Delivered counts deliveries accepted into the stream.
@@ -203,9 +198,9 @@ func (s *Subscription) orphan() {
 	})
 }
 
-// push offers one delivery to the stream under the overflow policy. abort,
-// when non-nil, aborts a Block wait (port teardown); a nil abort channel
-// never fires.
+// push offers one delivery to the stream under the overflow policy. abort
+// — the session's connect epoch ending — ends a Block wait; a nil abort
+// channel never fires.
 func (s *Subscription) push(d Delivery, abort <-chan struct{}) {
 	s.pushMu.Lock()
 	defer s.pushMu.Unlock()
@@ -214,6 +209,13 @@ func (s *Subscription) push(d Delivery, abort <-chan struct{}) {
 	}
 	switch s.policy {
 	case Block:
+		// A push that fits is never aborted: only a wait is.
+		select {
+		case s.ch <- d:
+			s.delivered.Add(1)
+			return
+		default:
+		}
 		select {
 		case s.ch <- d:
 			s.delivered.Add(1)
@@ -249,8 +251,7 @@ func (s *Subscription) push(d Delivery, abort <-chan struct{}) {
 }
 
 // streamSet is a port's subscription registry plus its catch-all stream:
-// the shared client-side delivery dispatcher behind both the virtual-clock
-// and the TCP port implementations.
+// the client-side delivery dispatcher a session's OnDeliver feeds.
 type streamSet struct {
 	mu       sync.Mutex
 	subs     map[SubID]*Subscription
