@@ -17,6 +17,8 @@ import (
 	"log/slog"
 	"time"
 
+	"rebeca/internal/codec"
+	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
 	"rebeca/internal/routing"
@@ -83,6 +85,7 @@ type Broker struct {
 	// once in UseMiddleware. free holds the idle chain cursors, hook the
 	// cursor whose stage hook is the innermost one running (middleware.go).
 	chain          []Middleware
+	publishers     []PublishInterceptor
 	interceptors   []MessageInterceptor
 	flushObservers []FlushObserver
 	linkObservers  []LinkObserver
@@ -103,6 +106,12 @@ type Broker struct {
 	// log receives structured broker-core events (spanning-tree
 	// recomputations, flood fallbacks); nil stays silent.
 	log *slog.Logger
+
+	// attrs is the publish being routed, as the attribute list matching
+	// reads: scratch, valid until the match returns. names interns the
+	// strings of the relay-form notes this broker builds Notifications from.
+	attrs filter.Attrs
+	names codec.Interner
 
 	stats Stats
 }
@@ -176,6 +185,9 @@ func (b *Broker) Router() *routing.Router { return b.router }
 func (b *Broker) UseMiddleware(ms ...Middleware) {
 	for _, m := range ms {
 		b.chain = append(b.chain, m)
+		if s, ok := m.(PublishInterceptor); ok {
+			b.publishers = append(b.publishers, s)
+		}
 		if s, ok := m.(MessageInterceptor); ok {
 			b.interceptors = append(b.interceptors, s)
 		}
@@ -360,16 +372,23 @@ func (b *Broker) dispatch(from message.NodeID, m proto.Message) {
 	}
 }
 
+// handlePublish takes one KPublish through mesh dedup and the publish
+// stages to routing. The note keeps the form it arrived in — a relay-form
+// note stays encoded — unless a publish stage needs a Notification.
 func (b *Broker) handlePublish(from message.NodeID, m proto.Message) {
-	if m.Note == nil {
+	if m.Note == nil && m.RawNote == nil {
 		return
 	}
 	// Mesh dedup: on a cyclic overlay the same notification can reach a
 	// broker more than once (flood copies during a tree transition). The
 	// forwarding memory decides before the middleware chain runs, so
 	// duplicates are invisible to stages and local ports alike.
-	if b.mesh != nil && !m.Note.ID.IsZero() {
-		if e := b.seen.lookup(m.Note.ID); e != nil {
+	var id message.NotificationID
+	if b.mesh != nil {
+		id = noteID(&m)
+	}
+	if !id.IsZero() {
+		if e := b.seen.lookup(id); e != nil {
 			// Seen before: a flood copy still spreads to tree links the
 			// notification has not traveled; anything else is a loop
 			// artifact. Never redelivered — the local delivery decision
@@ -385,19 +404,69 @@ func (b *Broker) handlePublish(from message.NodeID, m proto.Message) {
 		// travel back up the arrival path — when a stale route dead-ends
 		// at a broker whose only tree link is the one the publish came in
 		// on, the bounce is the escape (see routePublishMesh).
-		b.seen.record(m.Note.ID)
+		b.remember(id)
+	}
+	if len(b.publishers) == 0 {
+		b.routePublish(from, m)
+		return
 	}
 	// The chain sees (and may mutate) a broker-local copy; forwarded
-	// messages carry the mutated copy, queued messages elsewhere don't.
-	n := *m.Note
-	m.Note = &n
+	// messages carry the mutated copy, queued messages elsewhere don't. A
+	// relay-form note is built here and its bytes dropped, so what the
+	// stages do to it is what goes on.
+	n := b.note(&m)
+	m.Note, m.RawNote = &n, nil
 	c := b.acquire(hookPublish)
 	c.from, c.m, c.note = from, m, &n
 	c.run()
 	b.release(c)
 }
 
+// noteID returns the ID of a publish's note, in whichever form it travels;
+// a relay-form ID's Publisher aliases the note's bytes.
+func noteID(m *proto.Message) message.NotificationID {
+	if m.Note != nil {
+		return m.Note.ID
+	}
+	return codec.ViewNote(m.RawNote).ID()
+}
+
+// note returns a publish's note as a Notification: a copy of Note, or one
+// built from RawNote.
+func (b *Broker) note(m *proto.Message) message.Notification {
+	if m.Note != nil {
+		return *m.Note
+	}
+	return codec.ViewNote(m.RawNote).Notification(&b.names)
+}
+
+// matchPublish matches a publish against the routing table on the
+// attributes of its note, in whichever form it travels. The result is the
+// table's scratch (see routePublish).
+func (b *Broker) matchPublish(m *proto.Message, from message.NodeID) []routing.LinkMatch {
+	if m.Note != nil {
+		b.attrs = filter.AppendAttrs(b.attrs[:0], *m.Note)
+	} else {
+		b.attrs = codec.ViewNote(m.RawNote).AppendAttrs(b.attrs[:0])
+	}
+	return b.router.Table().MatchByLinkAttrs(b.attrs, from, b.portFilter)
+}
+
+// deliverPublish hands a routed publish to the local ports it matched,
+// building its Notification once for all of them.
+func (b *Broker) deliverPublish(m *proto.Message, deliver []routing.LinkMatch) {
+	if len(deliver) == 0 {
+		return
+	}
+	n := b.note(m)
+	for _, d := range deliver {
+		b.DeliverMatched(d.Link, n, d.Subs)
+	}
+}
+
 // routePublish is the default publish processing: match, forward, deliver.
+// Forwards carry m as it is, so a relay-form note leaves as the bytes it
+// arrived as.
 //
 // The match result is table-owned scratch, valid only while no user code
 // runs (a delivery hook may synchronously publish, re-entering this very
@@ -406,15 +475,16 @@ func (b *Broker) handlePublish(from message.NodeID, m proto.Message) {
 // deliveries out (Link and the freshly allocated Subs) before running
 // them: local deliveries, and the middleware chain they invoke, happen
 // strictly after the scratch is released.
-func (b *Broker) routePublish(from message.NodeID, m proto.Message, n message.Notification) {
+func (b *Broker) routePublish(from message.NodeID, m proto.Message) {
 	b.stats.PublishesRouted++
 
 	if b.mesh != nil {
-		b.routePublishMesh(from, m, n)
+		b.routePublishMesh(from, m)
 		return
 	}
 
-	var deliver []routing.LinkMatch // nil on inner brokers: no allocation
+	var buf [4]routing.LinkMatch
+	deliver := buf[:0] // on the stack unless more than four ports match
 	if b.router.Strategy() == routing.StrategyFlooding {
 		// Broadcast along the overlay; deliver to matching local ports.
 		for p := range b.peers {
@@ -426,13 +496,13 @@ func (b *Broker) routePublish(from message.NodeID, m proto.Message, n message.No
 			b.stats.Forwarded++
 			b.Send(p, fw)
 		}
-		for _, lm := range b.router.Table().MatchByLink(n, from, b.portFilter) {
+		for _, lm := range b.matchPublish(&m, from) {
 			if b.ports[lm.Link] {
 				deliver = append(deliver, lm)
 			}
 		}
 	} else {
-		for _, lm := range b.router.Table().MatchByLink(n, from, b.portFilter) {
+		for _, lm := range b.matchPublish(&m, from) {
 			switch {
 			case b.peers[lm.Link]:
 				fw := m
@@ -446,9 +516,7 @@ func (b *Broker) routePublish(from message.NodeID, m proto.Message, n message.No
 			}
 		}
 	}
-	for _, d := range deliver {
-		b.DeliverMatched(d.Link, n, d.Subs)
-	}
+	b.deliverPublish(&m, deliver)
 }
 
 // DeliverLocal hands a notification to a local port through the middleware

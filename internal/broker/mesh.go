@@ -353,6 +353,14 @@ func (s *seenSet) record(id message.NotificationID) *seenEntry {
 	return e
 }
 
+// remember records a first-seen notification in the broker's forwarding
+// memory. The ring keeps the ID long after the publish, so its publisher is
+// an interned copy, never a string aliasing a relay-form note's bytes.
+func (b *Broker) remember(id message.NotificationID) *seenEntry {
+	id.Publisher = message.NodeID(b.names.Intern(string(id.Publisher)))
+	return b.seen.record(id)
+}
+
 // sentOn reports whether e's notification already traveled the link to p.
 func (s *seenSet) sentOn(e *seenEntry, p message.NodeID) bool {
 	n, ok := s.links[p]
@@ -622,8 +630,9 @@ func (b *Broker) forwardFlood(e *seenEntry, from message.NodeID, m proto.Message
 //
 // Same scratch discipline as routePublish: transport sends only while
 // iterating the table-owned match result; deliveries run after.
-func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message, n message.Notification) {
-	e := b.seen.lookup(n.ID)
+func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message) {
+	id := noteID(&m)
+	e := b.seen.lookup(id)
 	if e == nil {
 		// Unidentified note (zero ID): no cross-copy memory possible;
 		// a throwaway entry still gives arrival-link exclusion (only a
@@ -633,18 +642,20 @@ func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message, n messag
 			b.seen.markSent(e, from)
 		}
 	}
-	var deliver []routing.LinkMatch
+	var buf [4]routing.LinkMatch
+	deliver := buf[:0]
 	if m.Stale {
 		b.forwardFlood(e, from, m)
-		for _, lm := range b.router.Table().MatchByLink(n, from, b.portFilter) {
+		for _, lm := range b.matchPublish(&m, from) {
 			if b.ports[lm.Link] {
 				deliver = append(deliver, lm)
 			}
 		}
 	} else {
 		promote := false
-		var fwds []message.NodeID
-		for _, lm := range b.router.Table().MatchByLink(n, from, b.portFilter) {
+		var fwdBuf [8]message.NodeID
+		fwds := fwdBuf[:0]
+		for _, lm := range b.matchPublish(&m, from) {
 			switch {
 			case b.peers[lm.Link]:
 				fwds = append(fwds, lm.Link)
@@ -664,9 +675,9 @@ func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message, n messag
 			// unicast, so their other branches were never covered. The
 			// forwarding memory keeps the bounce wave finite and the
 			// first-sight delivery decision keeps it duplicate-free.
-			b.notifyDrop(n.ID, "flood-fallback")
+			b.notifyDrop(e.id, "flood-fallback")
 			if b.log != nil {
-				b.log.Debug("flood fallback", "broker", b.cfg.ID, "note", n.ID.String())
+				b.log.Debug("flood fallback", "broker", b.cfg.ID, "note", id.String())
 			}
 			b.forwardFlood(e, "", m)
 		} else {
@@ -682,9 +693,7 @@ func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message, n messag
 			}
 		}
 	}
-	for _, d := range deliver {
-		b.DeliverMatched(d.Link, n, d.Subs)
-	}
+	b.deliverPublish(&m, deliver)
 }
 
 // ReforwardPending re-floods KPublish traffic that was queued toward a
@@ -698,17 +707,17 @@ func (b *Broker) ReforwardPending(removed message.NodeID, msgs []proto.Message) 
 		return
 	}
 	for _, m := range msgs {
-		if m.Kind != proto.KPublish || m.Note == nil {
+		if m.Kind != proto.KPublish || (m.Note == nil && m.RawNote == nil) {
 			continue
 		}
 		fw := m
 		fw.Stale = true
 		fw.Hops++
 		var e *seenEntry
-		if m.Note.ID.IsZero() {
+		if id := noteID(&m); id.IsZero() {
 			e = &seenEntry{}
-		} else if e = b.seen.lookup(m.Note.ID); e == nil {
-			e = b.seen.record(m.Note.ID)
+		} else if e = b.seen.lookup(id); e == nil {
+			e = b.remember(id)
 		}
 		for p := range b.peers {
 			if p != removed && !b.seen.sentOn(e, p) {

@@ -19,10 +19,6 @@ import (
 //
 // Hook points:
 //
-//   - OnPublish wraps the routing of a KPublish at this broker — both
-//     forwarding to peers and local deliveries. It runs at every broker the
-//     notification transits, so per-broker middleware observes hop counts.
-//     Short-circuiting drops the publish at this broker (rate limiting).
 //   - OnDeliver wraps one local delivery to a client port, after the
 //     session layers (mobility manager, replicator) have had the chance to
 //     claim it. subs names the subscriptions the notification matched at
@@ -31,26 +27,33 @@ import (
 //   - OnSubscribe wraps the routing-table installation of a KSubscribe,
 //     whether it arrived from a local port or an overlay peer.
 //     Short-circuiting rejects the subscription at this broker.
+//   - OnPublish, for stages that implement PublishInterceptor, wraps the
+//     routing of a KPublish at this broker — both forwarding to peers and
+//     local deliveries.
 //
 // The notification/subscription pointers target broker-local copies: a
 // stage may mutate them (e.g. stamp attributes) and the mutation is visible
-// to inner stages, to the default processing, and downstream on forwarded
-// copies — but never to other already-queued messages.
+// to inner stages, to the default processing, and — for OnPublish —
+// downstream on forwarded copies, but never to other already-queued
+// messages. A broker builds such a copy only where something reads it: a
+// publish arriving in the relay form (encoded, proto.Message.RawNote) is
+// matched and forwarded as its bytes, and becomes a Notification for a
+// local delivery or for a chain with a publish stage. Once built, the
+// Notification is what travels on, so a stage's change is never lost.
 //
 // Middleware runs inside the broker's event loop (the simulator loop or a
 // live node's inbox pump): stages must not block, and a stage shared by
 // several brokers must be safe for concurrent use when those brokers live
 // in different event loops (live TCP nodes).
 //
-// Two optional extension interfaces widen a stage's view: MessageInterceptor
-// (raw messages before kind dispatch) and FlushObserver (flush-wave
-// completion). The session layers (core.Replicator, mobility.Manager) are
-// stages like any other — they implement these interfaces and are attached
-// with UseMiddleware, first, by session.Attach — so there is one extension
-// path, on simulated and live brokers alike.
+// Optional extension interfaces widen a stage's view: PublishInterceptor
+// (publishes), MessageInterceptor (raw messages before kind dispatch),
+// FlushObserver (flush-wave completion), LinkObserver and DropObserver. The
+// session layers (core.Replicator, mobility.Manager) are stages like any
+// other — they implement these interfaces and are attached with
+// UseMiddleware, first, by session.Attach — so there is one extension path,
+// on simulated and live brokers alike.
 type Middleware interface {
-	// OnPublish wraps routing of an incoming publish at this broker.
-	OnPublish(b *Broker, from message.NodeID, n *message.Notification, next func())
 	// OnDeliver wraps a local delivery to a client port. subs carries the
 	// matched subscription identities (may be empty).
 	OnDeliver(b *Broker, port message.NodeID, n *message.Notification, subs []message.SubID, next func())
@@ -58,10 +61,26 @@ type Middleware interface {
 	OnSubscribe(b *Broker, from message.NodeID, sub *proto.Subscription, next func())
 }
 
+// PublishInterceptor is an optional Middleware extension: stages that
+// implement it wrap the routing of every KPublish at this broker. It runs
+// at every broker the notification transits, so per-broker middleware
+// observes hop counts; short-circuiting drops the publish at this broker
+// (rate limiting). It has a price a stage without it does not pay: every
+// publish this broker routes is built into a Notification for it, where a
+// broker whose chain has no publish stage forwards the encoded note as it
+// came.
+type PublishInterceptor interface {
+	Middleware
+	// OnPublish wraps routing of an incoming publish at this broker.
+	OnPublish(b *Broker, from message.NodeID, n *message.Notification, next func())
+}
+
 // MessageInterceptor is an optional Middleware extension: stages that
 // implement it are offered every incoming message before kind dispatch —
 // the hook the session layers (mobility manager, replicator) use to
 // consume their control protocols. Short-circuiting consumes the message.
+// A KPublish may be in the relay form here: Note nil, the note encoded in
+// RawNote (codec.ViewNote reads it).
 type MessageInterceptor interface {
 	Middleware
 	// OnMessage wraps processing of one incoming message.
@@ -125,13 +144,10 @@ func (b *Broker) NotifyLinkChange(ev overlay.Event) {
 }
 
 // PassMiddleware is a no-op Middleware: every hook just calls next. Embed
-// it to implement only the hooks a stage cares about.
+// it to implement only the hooks a stage cares about. It has no OnPublish:
+// a stage that embeds it and defines none is not a publish stage and costs
+// publishes nothing.
 type PassMiddleware struct{}
-
-// OnPublish implements Middleware as a pass-through.
-func (PassMiddleware) OnPublish(_ *Broker, _ message.NodeID, _ *message.Notification, next func()) {
-	next()
-}
 
 // OnDeliver implements Middleware as a pass-through.
 func (PassMiddleware) OnDeliver(_ *Broker, _ message.NodeID, _ *message.Notification, _ []message.SubID, next func()) {
@@ -176,7 +192,7 @@ type cursor struct {
 	armed bool
 
 	from      message.NodeID // the sender; the port, for hookDeliver
-	m         proto.Message  // hookMessage, hookPublish, hookSubscribe
+	m         proto.Message  // hookMessage, hookPublish (m.Note is note), hookSubscribe
 	note      *message.Notification
 	subs      []message.SubID
 	sub       *proto.Subscription
@@ -218,8 +234,11 @@ func (c *cursor) run() {
 	c.i++
 	c.armed = false
 	stages := len(b.chain)
-	if c.kind == hookMessage {
+	switch c.kind {
+	case hookMessage:
 		stages = len(b.interceptors)
+	case hookPublish:
+		stages = len(b.publishers)
 	}
 	if i < stages {
 		outer := b.hook
@@ -228,7 +247,7 @@ func (c *cursor) run() {
 		case hookMessage:
 			b.interceptors[i].OnMessage(b, c.from, c.m, c.next)
 		case hookPublish:
-			b.chain[i].OnPublish(b, c.from, c.note, c.next)
+			b.publishers[i].OnPublish(b, c.from, c.note, c.next)
 		case hookDeliver:
 			b.chain[i].OnDeliver(b, c.from, c.note, c.subs, c.next)
 		case hookSubscribe:
@@ -241,7 +260,7 @@ func (c *cursor) run() {
 	case hookMessage:
 		b.dispatch(c.from, c.m)
 	case hookPublish:
-		b.routePublish(c.from, c.m, *c.note)
+		b.routePublish(c.from, c.m)
 	case hookDeliver:
 		c.delivered = true
 		b.stats.Delivered++

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rebeca/internal/codec"
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
@@ -661,21 +662,34 @@ func TestChainRetainedNextCannotResumeAnotherEvent(t *testing.T) {
 // publishBench is HandleMessage(KPublish) as the benchmark's
 // broker.handle_publish_allocs probe sets it up: a broker on its own with
 // one matching local port, a Send that goes nowhere, a fresh copy of the
-// notification with a fresh sequence number on every call.
-func publishBench(stages int, setup ...func(*Broker)) func() {
-	b := New(Config{ID: "X", Peers: []message.NodeID{"P"}, Send: func(message.NodeID, proto.Message) {}})
+// notification with a fresh sequence number on every call — one allocation
+// of the probe's own. relay sends the note in the relay form instead, as a
+// broker's links decode it, its bytes in a buffer of their own (again the
+// probe's one allocation). Without the port the broker only forwards.
+func publishBench(stages int, relay, port bool, setup ...func(*Broker)) func() {
+	b := New(Config{ID: "X", Peers: []message.NodeID{"P", "R"}, Send: func(message.NodeID, proto.Message) {}})
 	for _, fn := range setup {
 		fn(b)
 	}
 	for i := 0; i < stages; i++ {
 		b.UseMiddleware(PassMiddleware{})
 	}
-	b.AttachPort("s")
-	b.HandleMessage("s", subMsg("s/s1"))
+	if port {
+		b.AttachPort("s")
+		b.HandleMessage("s", subMsg("s/s1"))
+	} else {
+		b.HandleMessage("R", subMsg("r/s1"))
+	}
 	m := pubMsg(0)
 	seq := uint64(0)
 	return func() {
 		seq++
+		if relay {
+			n := *m.Note // stays on the stack: only its encoding travels
+			n.ID.Seq = seq
+			b.HandleMessage("P", proto.Message{Kind: proto.KPublish, Client: "p", RawNote: codec.AppendNote(make([]byte, 0, 64), &n)})
+			return
+		}
 		n := *m.Note
 		n.ID.Seq = seq
 		m.Note = &n
@@ -683,39 +697,61 @@ func publishBench(stages int, setup ...func(*Broker)) func() {
 	}
 }
 
-// TestHandlePublishAllocs holds the chain to its allocation budget: no
-// stages, no more than the probe's 6 per publish; pass-through stages,
-// not one more.
+// TestHandlePublishAllocs holds the chain to its allocation budget. A
+// publish delivered to a local port costs, with no stages, the probe's own
+// allocation, the matched subscription IDs and the delivered copy — 3 —
+// and a relay-form note the map it is built into besides — 5. Pass-through
+// stages cost not one more, nor does mesh mode, and a relay-form publish
+// that is only forwarded costs nothing beyond the probe's own.
 func TestHandlePublishAllocs(t *testing.T) {
-	empty := testing.AllocsPerRun(200, publishBench(0))
-	if empty > 6 {
-		t.Errorf("HandleMessage(KPublish), empty chain: %v allocs, want <= 6", empty)
-	}
-	for _, stages := range []int{1, 4} {
-		if got := testing.AllocsPerRun(200, publishBench(stages)); got != empty {
-			t.Errorf("HandleMessage(KPublish), %d pass-through stages: %v allocs, want the empty chain's %v", stages, got, empty)
-		}
-	}
-	// Mesh mode adds the forwarding memory to every publish; recording a
-	// notification in it must cost no allocation.
 	mesh := func(b *Broker) {
 		b.EnableMesh()
-		b.SetMeshTopology([]message.NodeID{"X", "P"}, [][2]message.NodeID{{"X", "P"}})
+		b.SetMeshTopology([]message.NodeID{"X", "P", "R"}, [][2]message.NodeID{{"X", "P"}, {"X", "R"}})
 	}
-	if got := testing.AllocsPerRun(200, publishBench(0, mesh)); got != empty {
-		t.Errorf("HandleMessage(KPublish), mesh mode: %v allocs, want tree mode's %v", got, empty)
+	for _, form := range []struct {
+		name  string
+		relay bool
+		max   float64
+	}{{"notification", false, 3}, {"relay form", true, 5}} {
+		empty := testing.AllocsPerRun(200, publishBench(0, form.relay, true))
+		if empty > form.max {
+			t.Errorf("HandleMessage(KPublish, %s), empty chain: %v allocs, want <= %v", form.name, empty, form.max)
+		}
+		for _, stages := range []int{1, 4} {
+			if got := testing.AllocsPerRun(200, publishBench(stages, form.relay, true)); got != empty {
+				t.Errorf("HandleMessage(KPublish, %s), %d pass-through stages: %v allocs, want the empty chain's %v", form.name, stages, got, empty)
+			}
+		}
+		// Mesh mode adds the forwarding memory to every publish; recording a
+		// notification in it must cost no allocation.
+		if got := testing.AllocsPerRun(200, publishBench(0, form.relay, true, mesh)); got != empty {
+			t.Errorf("HandleMessage(KPublish, %s), mesh mode: %v allocs, want tree mode's %v", form.name, got, empty)
+		}
+	}
+	// A broker that only forwards a relay-form publish builds nothing: the
+	// probe's buffer is the one allocation, on every chain and in mesh mode.
+	for _, c := range []struct {
+		name   string
+		stages int
+		setup  []func(*Broker)
+	}{{"empty chain", 0, nil}, {"4 pass-through stages", 4, nil}, {"mesh mode", 0, []func(*Broker){mesh}}} {
+		if got := testing.AllocsPerRun(200, publishBench(c.stages, true, false, c.setup...)); got != 1 {
+			t.Errorf("HandleMessage(KPublish, relay form), forward only, %s: %v allocs, want the probe's 1", c.name, got)
+		}
 	}
 }
 
 func BenchmarkHandlePublish(b *testing.B) {
 	for _, stages := range []int{0, 4} {
-		b.Run(fmt.Sprint("chain", stages), func(b *testing.B) {
-			publish := publishBench(stages)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				publish()
-			}
-		})
+		for _, relay := range []bool{false, true} {
+			b.Run(fmt.Sprintf("chain%d/relay=%v", stages, relay), func(b *testing.B) {
+				publish := publishBench(stages, relay, true)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					publish()
+				}
+			})
+		}
 	}
 }

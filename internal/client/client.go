@@ -143,8 +143,11 @@ type Transport interface {
 	// session announces on its next connect.
 	Attach(addr string, hello proto.Message) (border message.NodeID, err error)
 	// Send transmits one message to the border. m.Note is the session's
-	// reused publish buffer, valid only until Send returns: a transport
-	// that keeps the message past the call copies the notification.
+	// reused publish buffer, valid only until Send returns, and the
+	// attribute maps of m.Note and m.Notes are the publishing caller's,
+	// free to change once Publish returns: a transport that keeps the
+	// message past the call copies the notifications, maps included. One
+	// that encodes before returning (wire.RemoteClient) copies nothing.
 	Send(m proto.Message) error
 	// Disconnect sends KDisconnect and closes the link. It may wait until
 	// the deliveries in flight have been handed to the session.
@@ -430,9 +433,11 @@ func (c *Client) Publish(attrs map[string]message.Value) (message.NotificationID
 	if !c.Connected() {
 		return message.NotificationID{}, ErrNotConnected
 	}
-	c.note = message.NewNotification(attrs)
-	c.note.ID = message.NotificationID{Publisher: c.id, Seq: c.nextPubSeq()}
-	c.note.Published = c.now()
+	c.note = message.Notification{
+		ID:        message.NotificationID{Publisher: c.id, Seq: c.nextPubSeq()},
+		Published: c.now(),
+		Attrs:     attrs, // the caller's map: see Transport.Send
+	}
 	err := c.t.Send(proto.Message{Kind: proto.KPublish, Client: c.id, Note: &c.note})
 	id := c.note.ID
 	c.note = message.Notification{}
@@ -459,10 +464,8 @@ func (c *Client) PublishBatch(batch []map[string]message.Value) ([]message.Notif
 	ids := make([]message.NotificationID, len(batch))
 	now := c.now()
 	for i, attrs := range batch {
-		notes[i] = message.NewNotification(attrs)
-		notes[i].ID = message.NotificationID{Publisher: c.id, Seq: c.nextPubSeq()}
-		notes[i].Published = now
-		ids[i] = notes[i].ID
+		ids[i] = message.NotificationID{Publisher: c.id, Seq: c.nextPubSeq()}
+		notes[i] = message.Notification{ID: ids[i], Published: now, Attrs: attrs}
 	}
 	if err := c.t.Send(proto.Message{Kind: proto.KPublishBatch, Client: c.id, Notes: notes}); err != nil {
 		return nil, err

@@ -36,7 +36,29 @@
 // Decoding is defensive end to end: every read is bounds-checked, list
 // counts are validated against the remaining payload before any
 // allocation, and a torn or truncated frame yields an error — never a
-// panic — so a malformed peer cannot take a broker down.
+// panic — so a malformed peer cannot take a broker down. A note that
+// repeats an attribute name is refused: an encoder writes a note from its
+// attribute map, so no legitimate frame does, and a note read in place
+// (below) can take every name it lists as unique.
+//
+// # The relay form
+//
+// Most brokers a notification crosses only match it and forward it. A
+// broker's links therefore decode a KPublish with DecodeRelay: the header
+// and trailer are decoded as usual, but the note stays encoded, in
+// proto.Message.RawNote, and AppendMessage copies those bytes verbatim into
+// the forwarded frame. RawNote is the decoder's one allocation per such
+// frame: a copy the message owns, because the decoder reuses its read
+// buffer, and which nobody modifies afterwards. NoteView reads the ID and
+// the attributes off those bytes for matching, with strings that alias
+// them instead of copies; NoteView.Notification builds the Notification a
+// local delivery or a publish stage needs. Traced notes (the flags-16 hop
+// trail) and KPublishBatch are always decoded whole.
+//
+// Decodes that build notifications intern the short strings they repeat —
+// node and publisher IDs, attribute names, matched subscription IDs — in a
+// bounded table per Decoder (Interner), so the thousandth note from a
+// publisher allocates none of them.
 //
 // The codec is versioned by the link handshake (see internal/wire): the
 // hello frame carries Magic and Version, and peers agree on the minimum.
@@ -46,6 +68,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,6 +76,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
@@ -173,11 +197,13 @@ func (e *Encoder) Encode(m proto.Message) error {
 }
 
 // Decoder reads length-prefixed binary frames from r. The payload buffer
-// is reused across Decode calls; decoded messages never alias it.
+// is reused across Decode calls; decoded messages never alias it. Not safe
+// for concurrent use.
 type Decoder struct {
-	r   io.Reader
-	hdr [4]byte
-	buf []byte
+	r     io.Reader
+	hdr   [4]byte
+	buf   []byte
+	names Interner
 	// small counts consecutive frames fitting shrinkCap; once a long run
 	// shows the conn is back to steady-state traffic, an oversized buffer
 	// (grown by one big routing replay, up to MaxFrame) is released
@@ -197,7 +223,14 @@ func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
 
 // Decode reads the next frame into m. io.EOF is returned only at a clean
 // frame boundary; a frame torn mid-payload yields io.ErrUnexpectedEOF.
-func (d *Decoder) Decode(m *proto.Message) error {
+func (d *Decoder) Decode(m *proto.Message) error { return d.decode(m, false) }
+
+// DecodeRelay is Decode for a broker's links: an untraced KPublish comes
+// back in the relay form (Note nil, the note's bytes in RawNote; see the
+// package doc), every other frame as Decode returns it.
+func (d *Decoder) DecodeRelay(m *proto.Message) error { return d.decode(m, true) }
+
+func (d *Decoder) decode(m *proto.Message, relay bool) error {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return io.ErrUnexpectedEOF
@@ -234,7 +267,7 @@ func (d *Decoder) Decode(m *proto.Message) error {
 		}
 		return err
 	}
-	msg, err := DecodeMessage(buf)
+	msg, err := decodeMessage(buf, &d.names, relay)
 	if err != nil {
 		return err
 	}
@@ -244,15 +277,20 @@ func (d *Decoder) Decode(m *proto.Message) error {
 
 // --- encoding ----------------------------------------------------------
 
-// AppendMessage appends the payload encoding of m (no length prefix).
+// AppendMessage appends the payload encoding of m (no length prefix). A
+// relay-form note (RawNote) is copied as it is; when a message carries both
+// forms, Note is the one encoded.
 func AppendMessage(b []byte, m *proto.Message) []byte {
 	b = binary.AppendUvarint(b, uint64(m.Kind))
 	var flags byte
-	if m.Note != nil {
+	switch {
+	case m.Note != nil:
 		flags |= flagNote
 		if len(m.Note.Path) > 0 {
 			flags |= flagTraced
 		}
+	case m.RawNote != nil:
+		flags |= flagNote
 	}
 	if m.Sub != nil {
 		flags |= flagSub
@@ -269,11 +307,13 @@ func AppendMessage(b []byte, m *proto.Message) []byte {
 	b = appendString(b, string(m.Dest))
 	b = appendString(b, string(m.Client))
 	if m.Note != nil {
-		b = appendNotification(b, m.Note)
+		b = AppendNote(b, m.Note)
+	} else if m.RawNote != nil {
+		b = append(b, m.RawNote...)
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.Notes)))
 	for i := range m.Notes {
-		b = appendNotification(b, &m.Notes[i])
+		b = AppendNote(b, &m.Notes[i])
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.SubIDs)))
 	for _, id := range m.SubIDs {
@@ -337,7 +377,10 @@ func appendValue(b []byte, v message.Value) []byte {
 	return b
 }
 
-func appendNotification(b []byte, n *message.Notification) []byte {
+// AppendNote appends the encoding of one notification, without its hop
+// trail (the trail travels in the message trailer): what a relay-form
+// message carries in RawNote.
+func AppendNote(b []byte, n *message.Notification) []byte {
 	b = appendString(b, string(n.ID.Publisher))
 	b = binary.AppendUvarint(b, n.ID.Seq)
 	if n.Published.IsZero() {
@@ -381,7 +424,10 @@ func appendSubscription(b []byte, s proto.Subscription) []byte {
 
 // --- decoding ----------------------------------------------------------
 
-var errTruncated = errors.New("codec: truncated frame")
+var (
+	errTruncated    = errors.New("codec: truncated frame")
+	errRepeatedAttr = errors.New("codec: note repeats an attribute name")
+)
 
 // reader tracks a decode position with sticky error state so every field
 // accessor stays a one-liner at the call site and no read can run past
@@ -390,6 +436,11 @@ type reader struct {
 	data []byte
 	off  int
 	err  error
+	// alias makes the strings read share data instead of copying it, which
+	// costs nothing: how a NoteView reads its bytes, and how the relay
+	// decode steps over the note it keeps.
+	alias bool
+	names *Interner // where copied name strings come from (nil = allocate each)
 }
 
 func (r *reader) fail(err error) {
@@ -452,19 +503,45 @@ func (r *reader) uint64() uint64 {
 	return v
 }
 
-func (r *reader) str() string {
+// bytes reads a length-prefixed byte string and returns it in place.
+func (r *reader) bytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(r.remaining()) {
 		r.fail(errTruncated)
-		return ""
+		return nil
 	}
-	s := string(r.data[r.off : r.off+int(n)])
+	b := r.data[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s
+	return b
 }
+
+// text turns bytes read off the payload into a string; name marks a string
+// worth interning.
+func (r *reader) text(b []byte, name bool) string {
+	switch {
+	case len(b) == 0:
+		return ""
+	case r.alias:
+		// Sound only because a NoteView's bytes are never modified (see
+		// NoteView), and the relay decode drops what it reads: the string
+		// shares the bytes for as long as it lives.
+		return unsafe.String(&b[0], len(b))
+	case name && r.names != nil:
+		return r.names.bytes(b)
+	default:
+		return string(b)
+	}
+}
+
+// str reads a string.
+func (r *reader) str() string { return r.text(r.bytes(), false) }
+
+// name reads a string that names something a decode meets again and again:
+// a node, a publisher, an attribute, a matched subscription.
+func (r *reader) name() string { return r.text(r.bytes(), true) }
 
 // count reads a list length and validates it against the remaining bytes
 // (each element needs at least minBytes), so a corrupt count cannot drive
@@ -501,22 +578,75 @@ func (r *reader) value() message.Value {
 	}
 }
 
-func (r *reader) notification() message.Notification {
-	var n message.Notification
-	n.ID.Publisher = message.NodeID(r.str())
-	n.ID.Seq = r.uvarint()
+// noteHead reads a note's header: its ID, its publish time and how many
+// attributes follow.
+func (r *reader) noteHead() (id message.NotificationID, published time.Time, attrs int) {
+	id.Publisher = message.NodeID(r.name())
+	id.Seq = r.uvarint()
 	if r.byte() == 1 {
-		n.Published = time.Unix(0, int64(r.uint64()))
+		published = time.Unix(0, int64(r.uint64()))
 	}
-	cnt := r.count(2)
-	if cnt > 0 {
-		n.Attrs = make(map[string]message.Value, cnt)
-		for i := 0; i < cnt && r.err == nil; i++ {
-			name := r.str()
-			n.Attrs[name] = r.value()
+	return id, published, r.count(2)
+}
+
+// note reads one encoded notification into n. It is the package's only
+// note decoder: DecodeMessage, DecodeRelay and NoteView.Notification all
+// come through it. With n nil the note is only checked and stepped over,
+// which is how the relay decode knows the bytes it keeps are well formed.
+func (r *reader) note(n *message.Notification) {
+	id, published, cnt := r.noteHead()
+	if n != nil {
+		n.ID, n.Published = id, published
+		if cnt > 0 {
+			n.Attrs = make(map[string]message.Value, cnt)
 		}
 	}
-	return n
+	var seen nameSet
+	for i := 0; i < cnt && r.err == nil; i++ {
+		name := r.bytes()
+		if seen.repeats(name) {
+			r.fail(errRepeatedAttr)
+			return
+		}
+		v := r.value()
+		if n != nil {
+			n.Attrs[r.text(name, true)] = v
+		}
+	}
+}
+
+// nameSet remembers the attribute names of the note being read, so a
+// repeated one is caught: compared in place while there are few, in a map
+// past that (a note that long is not the hot path).
+type nameSet struct {
+	few  [8][]byte
+	n    int
+	many map[string]struct{}
+}
+
+// repeats reports whether b is a name already seen, and remembers it.
+func (s *nameSet) repeats(b []byte) bool {
+	if s.many == nil {
+		for _, p := range s.few[:s.n] {
+			if string(p) == string(b) {
+				return true
+			}
+		}
+		if s.n < len(s.few) {
+			s.few[s.n] = b
+			s.n++
+			return false
+		}
+		s.many = make(map[string]struct{}, 2*len(s.few))
+		for _, p := range s.few {
+			s.many[string(p)] = struct{}{}
+		}
+	}
+	if _, ok := s.many[string(b)]; ok {
+		return true
+	}
+	s.many[string(b)] = struct{}{}
+	return false
 }
 
 func (r *reader) constraint() filter.Constraint {
@@ -559,8 +689,15 @@ func (r *reader) subscription() proto.Subscription {
 // DecodeMessage decodes one frame payload (no length prefix). Malformed
 // input — truncated fields, inflated list counts, unknown tags, trailing
 // garbage — returns an error; DecodeMessage never panics.
-func DecodeMessage(data []byte) (proto.Message, error) {
-	r := reader{data: data}
+func DecodeMessage(data []byte) (proto.Message, error) { return decodeMessage(data, nil, false) }
+
+// DecodeRelayMessage is DecodeMessage with an untraced KPublish left in the
+// relay form, as Decoder.DecodeRelay reads it. It accepts exactly what
+// DecodeMessage accepts.
+func DecodeRelayMessage(data []byte) (proto.Message, error) { return decodeMessage(data, nil, true) }
+
+func decodeMessage(data []byte, names *Interner, relay bool) (proto.Message, error) {
+	r := reader{data: data, names: names}
 	var m proto.Message
 	kind := r.uvarint()
 	if r.err == nil && (kind == uint64(proto.KInvalid) || kind >= uint64(proto.NumKinds)) {
@@ -574,24 +711,34 @@ func DecodeMessage(data []byte) (proto.Message, error) {
 	if r.err == nil && flags&flagTraced != 0 && flags&flagNote == 0 {
 		return proto.Message{}, errors.New("codec: traced flag without a note")
 	}
-	m.From = message.NodeID(r.str())
-	m.Origin = message.NodeID(r.str())
-	m.Dest = message.NodeID(r.str())
-	m.Client = message.NodeID(r.str())
+	m.From = message.NodeID(r.name())
+	m.Origin = message.NodeID(r.name())
+	m.Dest = message.NodeID(r.name())
+	m.Client = message.NodeID(r.name())
+	// The relay form's bytes: kept only once the whole frame has decoded.
+	rawFrom, rawTo := 0, 0
 	if flags&flagNote != 0 {
-		n := r.notification()
-		m.Note = &n
+		if relay && m.Kind == proto.KPublish && flags&flagTraced == 0 {
+			rawFrom = r.off
+			r.alias = true
+			r.note(nil)
+			r.alias = false
+			rawTo = r.off
+		} else {
+			m.Note = new(message.Notification)
+			r.note(m.Note)
+		}
 	}
 	if cnt := r.count(3); cnt > 0 {
-		m.Notes = make([]message.Notification, 0, cnt)
+		m.Notes = make([]message.Notification, cnt)
 		for i := 0; i < cnt && r.err == nil; i++ {
-			m.Notes = append(m.Notes, r.notification())
+			r.note(&m.Notes[i])
 		}
 	}
 	if cnt := r.count(1); cnt > 0 {
 		m.SubIDs = make([]message.SubID, 0, cnt)
 		for i := 0; i < cnt && r.err == nil; i++ {
-			m.SubIDs = append(m.SubIDs, message.SubID(r.str()))
+			m.SubIDs = append(m.SubIDs, message.SubID(r.name()))
 		}
 	}
 	m.Credits = int(r.varint())
@@ -614,7 +761,7 @@ func DecodeMessage(data []byte) (proto.Message, error) {
 	if cnt := r.count(2); cnt > 0 {
 		m.Watermarks = make(map[message.NodeID]uint64, cnt)
 		for i := 0; i < cnt && r.err == nil; i++ {
-			node := message.NodeID(r.str())
+			node := message.NodeID(r.name())
 			m.Watermarks[node] = r.uvarint()
 		}
 	}
@@ -627,7 +774,7 @@ func DecodeMessage(data []byte) (proto.Message, error) {
 		if cnt > 0 {
 			path := make([]message.HopStamp, 0, cnt)
 			for i := 0; i < cnt && r.err == nil; i++ {
-				broker := message.NodeID(r.str())
+				broker := message.NodeID(r.name())
 				path = append(path, message.HopStamp{Broker: broker, At: time.Unix(0, int64(r.uint64()))})
 			}
 			if r.err == nil {
@@ -642,6 +789,11 @@ func DecodeMessage(data []byte) (proto.Message, error) {
 	}
 	if r.off != len(r.data) {
 		return proto.Message{}, fmt.Errorf("codec: %d trailing bytes after message", len(r.data)-r.off)
+	}
+	if rawTo > rawFrom {
+		// The decoder reuses data for the next frame: the message owns a
+		// copy, and nothing writes to it again (NoteView relies on that).
+		m.RawNote = bytes.Clone(data[rawFrom:rawTo])
 	}
 	return m, nil
 }

@@ -53,7 +53,10 @@ func (f Filter) Len() int { return len(f.cs) }
 // IsAll reports whether the filter matches everything.
 func (f Filter) IsAll() bool { return len(f.cs) == 0 }
 
-// Matches evaluates the filter against a notification.
+// Matches evaluates the filter against a notification. It reads the
+// attribute map directly, so it stays independent of the attribute
+// accessor the index and the routing table use — the oracle they are
+// tested against.
 func (f Filter) Matches(n message.Notification) bool {
 	for _, c := range f.cs {
 		if !c.Matches(n) {
@@ -61,6 +64,49 @@ func (f Filter) Matches(n message.Notification) bool {
 		}
 	}
 	return true
+}
+
+// MatchesAttrs evaluates the filter against a notification's attributes
+// (the linear routing table's test).
+func (f Filter) MatchesAttrs(a Attrs) bool {
+	for i := range f.cs {
+		if v, ok := a.Get(f.cs[i].Attr); !ok || !f.cs[i].matchesValue(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// Attr is one attribute of a notification.
+type Attr struct {
+	Name string
+	Val  message.Value
+}
+
+// Attrs is the attribute accessor matching runs on: a notification's
+// attributes as a list, each name at most once. It comes from a
+// Notification's map (AppendAttrs) or straight off an encoded note
+// (codec.NoteView), so the index and the routing table match a note in
+// either form with one implementation.
+type Attrs []Attr
+
+// AppendAttrs appends n's attributes to dst.
+func AppendAttrs(dst Attrs, n message.Notification) Attrs {
+	for name, v := range n.Attrs {
+		dst = append(dst, Attr{Name: name, Val: v})
+	}
+	return dst
+}
+
+// Get returns the named attribute. Notifications carry a handful of
+// attributes, so a scan is as quick as a hash lookup.
+func (a Attrs) Get(name string) (message.Value, bool) {
+	for i := range a {
+		if a[i].Name == name {
+			return a[i].Val, true
+		}
+	}
+	return message.Value{}, false
 }
 
 // Covers reports whether f covers g: every notification matching g also

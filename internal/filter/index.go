@@ -270,28 +270,38 @@ func (ix *Index) Remove(key string) {
 // Visit-order contract: the zero-constraint (match-all) filters are
 // visited first, in ascending slot order — deterministic across calls for
 // an unchanged index. The constrained matches follow in an unspecified
-// order (the walk follows the notification's attribute map, and buckets
-// are reordered by removals), so callers needing a total order re-sort the
+// order (the walk follows the notification's attributes, and buckets are
+// reordered by removals), so callers needing a total order re-sort the
 // visited keys themselves, as routing.Table does with its insertion
 // positions.
 //
-// The path allocates nothing: there is no per-call state, and hash keys
-// are stack values.
+// Match is MatchAttrs over the notification's map; like it, it allocates
+// nothing for a notification of up to eight attributes.
 func (ix *Index) Match(n message.Notification, visit func(key string)) {
+	var buf [8]Attr
+	ix.MatchAttrs(AppendAttrs(buf[:0], n), visit)
+}
+
+// MatchAttrs is Match over an attribute accessor: the one matching
+// implementation, whichever form the notification is in. The path
+// allocates nothing: there is no per-call state, and hash keys are stack
+// values.
+func (ix *Index) MatchAttrs(a Attrs, visit func(key string)) {
 	for _, slot := range ix.all {
 		visit(ix.keys[slot])
 	}
-	for attr, v := range n.Attrs {
+	for i := range a {
+		attr, v := a[i].Name, &a[i].Val
 		if buckets, ok := ix.eq[attr]; ok {
-			for _, slot := range buckets[keyOf(v)] {
-				if ix.restHolds(slot, n) {
+			for _, slot := range buckets[keyOf(*v)] {
+				if ix.restHolds(slot, a) {
 					visit(ix.keys[slot])
 				}
 			}
 		}
 		es := ix.scan[attr]
-		for i := range es {
-			if e := &es[i]; e.c.matchesValue(v) && ix.restHolds(e.slot, n) {
+		for j := range es {
+			if e := &es[j]; e.c.matchesValue(*v) && ix.restHolds(e.slot, a) {
 				visit(ix.keys[e.slot])
 			}
 		}
@@ -300,13 +310,13 @@ func (ix *Index) Match(n message.Notification, visit func(key string)) {
 
 // restHolds verifies every constraint of the slot's filter except its
 // access predicate, which the caller established on the way in.
-func (ix *Index) restHolds(slot int, n message.Notification) bool {
-	a, cs := ix.access[slot], ix.cons[slot]
+func (ix *Index) restHolds(slot int, a Attrs) bool {
+	acc, cs := ix.access[slot], ix.cons[slot]
 	for i := range cs {
-		if i == a {
+		if i == acc {
 			continue
 		}
-		if v, ok := n.Attrs[cs[i].Attr]; !ok || !cs[i].matchesValue(v) {
+		if v, ok := a.Get(cs[i].Attr); !ok || !cs[i].matchesValue(v) {
 			return false
 		}
 	}

@@ -172,35 +172,52 @@ func randomWideNote(r *rand.Rand) message.Notification {
 	return note(attrs)
 }
 
-// checkIndexAgainst holds one Match call to the whole contract: exactly
-// the keys whose filters match (Filter.Matches is the oracle), none
-// visited twice, match-all keys first in ascending slot order.
+// viewAttrs reads a notification the way a broker reads a relay-form
+// publish: encoded, then viewed in place (codec.NoteView). codec imports
+// this package, so the external test package installs it (view_test.go).
+var viewAttrs func(message.Notification) Attrs
+
+// checkIndexAgainst holds Match to the whole contract, on the notification's
+// map and on its encoded view alike: exactly the keys whose filters match
+// (Filter.Matches is the oracle), none visited twice, match-all keys first
+// in ascending slot order.
 func checkIndexAgainst(t *testing.T, ix *Index, live map[string]Filter, n message.Notification) {
 	t.Helper()
-	got := map[string]bool{}
-	lastAll, pastAll := -1, false
-	ix.Match(n, func(key string) {
-		if got[key] {
-			t.Fatalf("key %s visited twice for %s", key, n)
-		}
-		got[key] = true
-		f, ok := live[key]
-		if !ok {
-			t.Fatalf("visited %s, which is not indexed", key)
-		}
-		if !f.IsAll() {
-			pastAll = true
-			return
-		}
-		if slot := ix.slotOf[key]; pastAll || slot <= lastAll {
-			t.Fatalf("match-all %s (slot %d) visited out of order for %s", key, slot, n)
-		} else {
-			lastAll = slot
-		}
-	})
-	for key, f := range live {
-		if f.Matches(n) != got[key] {
-			t.Fatalf("filter %s = %s on %s: index %v, linear %v", key, f, n, got[key], !got[key])
+	if viewAttrs == nil {
+		t.Fatal("the view input is not installed (view_test.go)")
+	}
+	for _, form := range []struct {
+		name  string
+		match func(visit func(string))
+	}{
+		{"map", func(visit func(string)) { ix.Match(n, visit) }},
+		{"view", func(visit func(string)) { ix.MatchAttrs(viewAttrs(n), visit) }},
+	} {
+		got := map[string]bool{}
+		lastAll, pastAll := -1, false
+		form.match(func(key string) {
+			if got[key] {
+				t.Fatalf("%s: key %s visited twice for %s", form.name, key, n)
+			}
+			got[key] = true
+			f, ok := live[key]
+			if !ok {
+				t.Fatalf("%s: visited %s, which is not indexed", form.name, key)
+			}
+			if !f.IsAll() {
+				pastAll = true
+				return
+			}
+			if slot := ix.slotOf[key]; pastAll || slot <= lastAll {
+				t.Fatalf("%s: match-all %s (slot %d) visited out of order for %s", form.name, key, slot, n)
+			} else {
+				lastAll = slot
+			}
+		})
+		for key, f := range live {
+			if f.Matches(n) != got[key] {
+				t.Fatalf("%s: filter %s = %s on %s: index %v, linear %v", form.name, key, f, n, got[key], !got[key])
+			}
 		}
 	}
 	if ix.Len() != len(live) {

@@ -224,6 +224,13 @@ type Message struct {
 
 	// Note carries a single notification (KPublish, KDeliver).
 	Note *message.Notification
+	// RawNote is a KPublish's notification still encoded: the relay form a
+	// broker's links decode a publish to (internal/codec), so a broker that
+	// only matches and forwards it never builds a Notification and sends
+	// the bytes on as they came. A publish carries its note in exactly one
+	// of Note and RawNote. The bytes belong to the message and are never
+	// modified.
+	RawNote []byte
 	// Notes carries a notification batch (KPublishBatch, KRelocProfile,
 	// KRelocTail, KBufferFetchReply).
 	Notes []message.Notification
@@ -278,6 +285,8 @@ func (m Message) String() string {
 	}
 	if m.Note != nil {
 		s += " " + m.Note.String()
+	} else if m.RawNote != nil {
+		s += " (encoded note)"
 	}
 	if m.Sub != nil {
 		s += " " + m.Sub.String()
@@ -296,6 +305,7 @@ func (m Message) WireSize() int {
 	if m.Note != nil {
 		size += m.Note.WireSize()
 	}
+	size += len(m.RawNote)
 	for _, n := range m.Notes {
 		size += n.WireSize()
 	}

@@ -208,6 +208,12 @@ func (t *Table) Entries() []Entry {
 // across goroutines. On the indexed path the whole call is allocation
 // free.
 func (t *Table) Match(n message.Notification, from message.NodeID) []message.NodeID {
+	var buf [8]filter.Attr
+	return t.match(filter.AppendAttrs(buf[:0], n), from)
+}
+
+// match is Match over an attribute accessor.
+func (t *Table) match(a filter.Attrs, from message.NodeID) []message.NodeID {
 	seen := t.seenLinks
 	clear(seen)
 	out := t.linkBuf[:0]
@@ -222,7 +228,7 @@ func (t *Table) Match(n message.Notification, from message.NodeID) []message.Nod
 		out = append(out, e.Link)
 	}
 	if t.index != nil {
-		t.index.Match(n, func(key string) {
+		t.index.MatchAttrs(a, func(key string) {
 			add(t.entries[message.SubID(key)])
 		})
 	} else {
@@ -236,7 +242,7 @@ func (t *Table) Match(n message.Notification, from message.NodeID) []message.Nod
 			if _, dup := seen[e.Link]; dup {
 				continue
 			}
-			if e.Sub.Filter.Matches(n) {
+			if e.Sub.Filter.MatchesAttrs(a) {
 				add(e)
 			}
 		}
@@ -271,7 +277,14 @@ type LinkMatch struct {
 // messages and outlive the call); only the grouping structure is
 // recycled.
 func (t *Table) MatchByLink(n message.Notification, from message.NodeID, needSubs func(message.NodeID) bool) []LinkMatch {
-	ents := t.matchEntriesScratch(n)
+	var buf [8]filter.Attr
+	return t.MatchByLinkAttrs(filter.AppendAttrs(buf[:0], n), from, needSubs)
+}
+
+// MatchByLinkAttrs is MatchByLink over an attribute accessor — what a
+// broker matches a publish on, whichever form its note travels in.
+func (t *Table) MatchByLinkAttrs(a filter.Attrs, from message.NodeID, needSubs func(message.NodeID) bool) []LinkMatch {
+	ents := t.matchEntriesScratch(a)
 	byLink := t.seenLinks
 	clear(byLink)
 	buf := &t.lmBuf[t.lmFlip]
@@ -305,15 +318,16 @@ func (t *Table) MatchByLink(n message.Notification, from message.NodeID, needSub
 // clients per subscription. The result is freshly allocated (callers may
 // retain it); the broker hot path goes through MatchByLink instead.
 func (t *Table) MatchEntries(n message.Notification) []Entry {
-	return slices.Clone(t.matchEntriesScratch(n))
+	var buf [8]filter.Attr
+	return slices.Clone(t.matchEntriesScratch(filter.AppendAttrs(buf[:0], n)))
 }
 
 // matchEntriesScratch is MatchEntries into the table's reusable entry
 // buffer: valid until the next Match/MatchByLink/MatchEntries call.
-func (t *Table) matchEntriesScratch(n message.Notification) []Entry {
+func (t *Table) matchEntriesScratch(a filter.Attrs) []Entry {
 	out := t.entryBuf[:0]
 	if t.index != nil {
-		t.index.Match(n, func(key string) {
+		t.index.MatchAttrs(a, func(key string) {
 			out = append(out, t.entries[message.SubID(key)])
 		})
 		// The index visits constrained matches in no particular order;
@@ -330,7 +344,7 @@ func (t *Table) matchEntriesScratch(n message.Notification) []Entry {
 		if !ok {
 			continue
 		}
-		if e.Sub.Filter.Matches(n) {
+		if e.Sub.Filter.MatchesAttrs(a) {
 			out = append(out, e)
 		}
 	}

@@ -409,11 +409,20 @@ func (t *netTransport) Attach(addr string, hello proto.Message) (message.NodeID,
 	return t.border, nil
 }
 
+// Send queues m on the network. The event queue keeps it past the call, so
+// the notifications go in as copies: the session reuses its publish buffer
+// and the attribute maps are the publishing caller's (client.Transport).
 func (t *netTransport) Send(m proto.Message) error {
 	if m.Note != nil {
-		// The session reuses its publish buffer; the event queue keeps m.
-		n := *m.Note
+		n := m.Note.Clone()
 		m.Note = &n
+	}
+	if m.Notes != nil {
+		notes := make([]message.Notification, len(m.Notes))
+		for i := range m.Notes {
+			notes[i] = m.Notes[i].Clone()
+		}
+		m.Notes = notes
 	}
 	t.net.Send(t.id, t.border, m)
 	return nil

@@ -171,12 +171,13 @@ func (t *Middleware) Stats() map[message.NodeID]BrokerStats {
 	return out
 }
 
-// OnPublish implements broker.Middleware: count, time the rest of the
-// chain (matching + routing), and — with hop tracing on — stamp this
+// OnPublish implements broker.PublishInterceptor: count, time the rest of
+// the chain (matching + routing), and — with hop tracing on — stamp this
 // broker onto the notification's path. The stamp mutates the broker-local
 // copy, which the broker forwards to its peers, so the path accumulates
 // across hops; the codec propagates it on version-2 binary links and
-// strips it for version-1 peers.
+// strips it for version-1 peers. Being a publish stage, it makes every
+// broker it is installed on build each publish's Notification.
 func (t *Middleware) OnPublish(b *broker.Broker, _ message.NodeID, n *message.Notification, next func()) {
 	ins := t.at(b.ID())
 	ins.publishes.Inc()
@@ -313,7 +314,7 @@ func RegisterPusherMetrics(reg *Registry, p *Pusher) {
 
 // compile-time interface checks
 var (
-	_ broker.Middleware   = (*Middleware)(nil)
-	_ broker.LinkObserver = (*Middleware)(nil)
-	_ broker.DropObserver = (*Middleware)(nil)
+	_ broker.PublishInterceptor = (*Middleware)(nil)
+	_ broker.LinkObserver       = (*Middleware)(nil)
+	_ broker.DropObserver       = (*Middleware)(nil)
 )

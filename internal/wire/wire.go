@@ -342,32 +342,7 @@ func NewNode(cfg NodeConfig) *Node {
 		Send:           n.send,
 		NextHop:        cfg.NextHop,
 	})
-	n.ov = overlay.New(overlay.Config{
-		Self:        cfg.ID,
-		Settings:    cfg.Overlay,
-		Spill:       cfg.Spill,
-		SpillBudget: cfg.SpillBudget,
-		Transmit:    n.transmitPeer,
-		Dial:        n.dialPeer,
-		CloseLink: func(peer message.NodeID) {
-			n.mu.Lock()
-			conn := n.conns[peer]
-			n.mu.Unlock()
-			if conn != nil {
-				_ = conn.Close()
-			}
-		},
-		Schedule: func(d time.Duration, fn func()) func() {
-			t := time.AfterFunc(d, fn)
-			return func() { t.Stop() }
-		},
-		// SyncState/ApplySync run inside HandleControl, which the node
-		// only invokes from its event loop — direct broker access is safe.
-		SyncState: n.b.SyncInstalls,
-		ApplySync: n.b.ApplySyncInstalls,
-		Observer:  n.observeLink,
-		Logger:    cfg.OverlayLogger,
-	})
+	n.ov = n.newOverlay(time.Now)
 	if cfg.BrokerLogger != nil {
 		n.b.SetLogger(cfg.BrokerLogger)
 	}
@@ -423,6 +398,38 @@ func NewNode(cfg NodeConfig) *Node {
 		}
 	}
 	return n
+}
+
+// newOverlay builds the manager that supervises the node's broker links,
+// on the given clock.
+func (n *Node) newOverlay(now func() time.Time) *overlay.Manager {
+	return overlay.New(overlay.Config{
+		Self:        n.cfg.ID,
+		Settings:    n.cfg.Overlay,
+		Now:         now,
+		Spill:       n.cfg.Spill,
+		SpillBudget: n.cfg.SpillBudget,
+		Transmit:    n.transmitPeer,
+		Dial:        n.dialPeer,
+		CloseLink: func(peer message.NodeID) {
+			n.mu.Lock()
+			conn := n.conns[peer]
+			n.mu.Unlock()
+			if conn != nil {
+				_ = conn.Close()
+			}
+		},
+		Schedule: func(d time.Duration, fn func()) func() {
+			t := time.AfterFunc(d, fn)
+			return func() { t.Stop() }
+		},
+		// SyncState/ApplySync run inside HandleControl, which the node
+		// only invokes from its event loop — direct broker access is safe.
+		SyncState: n.b.SyncInstalls,
+		ApplySync: n.b.ApplySyncInstalls,
+		Observer:  n.observeLink,
+		Logger:    n.cfg.OverlayLogger,
+	})
 }
 
 // observeLink fans a link transition out to the configured observer and,
@@ -733,16 +740,18 @@ func (n *Node) Heartbeat() (interval, timeout time.Duration) { return n.ov.Heart
 
 // readPeerLoop pumps a broker-peer link. Heartbeats (KPing/KPong) are
 // handled here at the transport level — a busy event loop must not turn
-// into a false link failure — while handshake messages (KHello,
+// into a false link failure, which is also why every other frame records
+// the link's liveness here, once — while handshake messages (KHello,
 // KSyncInstall) travel through the inbox so their routing-table work runs
-// serialized on the event loop. Everything else is normal broker traffic.
+// serialized on the event loop. Everything else is normal broker traffic,
+// publishes in the relay form (see codec.Decoder.DecodeRelay).
 func (n *Node) readPeerLoop(conn *Conn, gen uint64) {
 	defer n.wg.Done()
 	defer func() { _ = conn.Close() }() // release the conn's flusher goroutine
 	dec := conn.dec
 	for {
 		var m proto.Message
-		if err := dec.Decode(&m); err != nil {
+		if err := dec.DecodeRelay(&m); err != nil {
 			reason := "link closed"
 			if !errors.Is(err, io.EOF) {
 				reason = err.Error()
@@ -773,11 +782,9 @@ func (n *Node) readLoop(conn *Conn) {
 	dec := conn.dec
 	for {
 		var m proto.Message
-		if err := dec.Decode(&m); err != nil {
-			if !errors.Is(err, io.EOF) {
-				// Connection torn down; the broker's session layer deals
-				// with absence via KDisconnect from clients.
-			}
+		if err := dec.DecodeRelay(&m); err != nil {
+			// Connection torn down; the broker's session layer deals with
+			// absence via KDisconnect from clients.
 			return
 		}
 		// Flow control is transport-level: credits are consumed here, on
@@ -810,7 +817,11 @@ func (n *Node) eventLoop() {
 		case im := <-n.inbox:
 			m := im.m
 			m.From = im.from
-			if n.isPeer(im.from) && n.ov.HandleControl(im.from, im.gen, m) {
+			// Only the handshake kinds are the overlay's here: heartbeats
+			// never reach the inbox, and the read pump already recorded
+			// every other peer frame's liveness.
+			if (m.Kind == proto.KHello || m.Kind == proto.KSyncInstall) &&
+				n.isPeer(im.from) && n.ov.HandleControl(im.from, im.gen, m) {
 				continue
 			}
 			n.b.HandleMessage(im.from, m)

@@ -16,10 +16,18 @@ import (
 // Middleware's documentation for the chain's execution order and
 // short-circuit semantics.
 type (
-	// Middleware is one stage in a broker's ordered extension chain.
+	// Middleware is one stage in a broker's ordered extension chain: the
+	// delivery and subscription hooks every stage has. The publish hook
+	// and the rest are optional interfaces a stage implements as well.
 	Middleware = broker.Middleware
 	// PassMiddleware is a no-op stage to embed for partial implementations.
+	// It has no OnPublish: a stage becomes a publish stage by defining one.
 	PassMiddleware = broker.PassMiddleware
+	// PublishInterceptor is the optional publish hook (OnPublish). It is
+	// the one hook with a cost beyond the call: a broker with a publish
+	// stage builds a Notification for every publish it routes, where one
+	// without forwards the note as the encoded bytes it received.
+	PublishInterceptor = broker.PublishInterceptor
 	// MessageInterceptor is the optional raw-message hook.
 	MessageInterceptor = broker.MessageInterceptor
 	// FlushObserver is the optional flush-completion hook.
@@ -104,7 +112,7 @@ func NewMetrics() *Metrics {
 	return &Metrics{stage: telemetry.NewMiddleware(telemetry.NewRegistry(), nil)}
 }
 
-// OnPublish implements Middleware.
+// OnPublish implements PublishInterceptor.
 func (m *Metrics) OnPublish(b *Broker, from NodeID, n *Notification, next func()) {
 	m.stage.OnPublish(b, from, n, next)
 }
@@ -197,7 +205,7 @@ func NewTracer(fn func(TraceEvent)) *Tracer {
 	return &Tracer{fn: fn}
 }
 
-// OnPublish implements Middleware.
+// OnPublish implements PublishInterceptor.
 func (t *Tracer) OnPublish(b *Broker, from NodeID, n *Notification, next func()) {
 	t.fn(TraceEvent{At: b.Now(), Broker: b.ID(), Hook: "publish", Node: from, Note: n.ID})
 	next()
@@ -275,7 +283,8 @@ func NewRateLimiter(perSecond float64, burst int) *RateLimiter {
 	}
 }
 
-// OnPublish implements Middleware: take a token or drop the publish.
+// OnPublish implements PublishInterceptor: take a token or drop the
+// publish.
 func (r *RateLimiter) OnPublish(b *Broker, from NodeID, n *Notification, next func()) {
 	if !b.HasPort(from) {
 		next() // transit traffic was already admitted at its ingress broker
@@ -372,9 +381,9 @@ func (r *RateLimiter) DroppedPerBroker() map[NodeID]int {
 
 // compile-time interface checks
 var (
-	_ Middleware          = (*Metrics)(nil)
-	_ Middleware          = (*Tracer)(nil)
-	_ Middleware          = (*RateLimiter)(nil)
+	_ PublishInterceptor  = (*Metrics)(nil)
+	_ PublishInterceptor  = (*Tracer)(nil)
+	_ PublishInterceptor  = (*RateLimiter)(nil)
 	_ LinkObserver        = (*Metrics)(nil)
 	_ LinkObserver        = (*Tracer)(nil)
 	_ broker.DropObserver = (*Metrics)(nil)

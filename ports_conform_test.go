@@ -1,6 +1,7 @@
 package rebeca_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -149,6 +150,23 @@ func portScript(t *testing.T, host string, d rebeca.Deployment, durable bool) []
 	check("after restart", dur2.String, want11)
 	check("duplicates", func() string { return fmt.Sprint(mob.Duplicates()) }, wantDups)
 	check("fifo violations", func() string { return fmt.Sprint(mob.FIFOViolations()) }, "0")
+
+	// The caller's attribute maps are its own again once Publish and
+	// PublishBatch return: changing them then changes nothing published.
+	e := &streamLog{s: mob.Subscribe(fa)}
+	scribe := d.NewClient("scribe")
+	must(scribe.Connect("B2"))
+	d.Settle()
+	one := map[string]rebeca.Value{"kind": rebeca.String("a"), "n": rebeca.Int(12)}
+	_, err := scribe.Publish(one)
+	must(err)
+	batch := []map[string]rebeca.Value{{"kind": rebeca.String("a"), "n": rebeca.Int(13)}}
+	_, err = scribe.PublishBatch(context.Background(), batch)
+	must(err)
+	for _, attrs := range []map[string]rebeca.Value{one, batch[0]} {
+		attrs["kind"], attrs["n"] = rebeca.String("b"), rebeca.Int(-1)
+	}
+	check("after the publisher reuses its maps", e.String, "[12 13]")
 	return log
 }
 

@@ -95,7 +95,10 @@
 // that does not call next consumes the event. Built-ins: Metrics (per-broker counters and
 // delivery latency), Tracer (event log), RateLimiter (token-bucket publish
 // ingress control). Custom stages embed PassMiddleware and override the
-// hooks they care about.
+// hooks they care about. The publish hook is optional (PublishInterceptor)
+// because it is the one with a price: brokers match and forward a
+// notification as the encoded bytes they received, and a publish stage
+// makes every broker it runs on build the notification instead.
 //
 // # Operations
 //
