@@ -15,6 +15,7 @@ package broker
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"time"
 
 	"rebeca/internal/codec"
@@ -704,9 +705,24 @@ func (b *Broker) ApplySyncInstalls(peer message.NodeID, subs, advs []proto.Subsc
 	}
 }
 
+// emitForwards sends a router call's forwards. The messages share one heap
+// copy per subscription: one call reads one table state, so its forwards
+// for an ID (in the subscription or the advertisement table) all carry the
+// same Subscription, and a received Sub is never written through.
 func (b *Broker) emitForwards(fws []routing.Forward) {
+	type shared struct {
+		adv bool
+		sub *proto.Subscription
+	}
+	var buf [4]shared
+	copies := buf[:0]
 	for _, f := range fws {
-		sub := f.Sub
+		i := slices.IndexFunc(copies, func(c shared) bool { return c.adv == f.Advertisement && c.sub.ID == f.Sub.ID })
+		if i < 0 {
+			s := f.Sub
+			i, copies = len(copies), append(copies, shared{adv: f.Advertisement, sub: &s})
+		}
+		sub := copies[i].sub
 		var kind proto.Kind
 		switch {
 		case f.Advertisement && f.Unsub:
@@ -718,7 +734,7 @@ func (b *Broker) emitForwards(fws []routing.Forward) {
 		default:
 			kind = proto.KSubscribe
 		}
-		b.Send(f.Link, proto.Message{Kind: kind, Sub: &sub, Origin: b.cfg.ID})
+		b.Send(f.Link, proto.Message{Kind: kind, Sub: sub, Origin: b.cfg.ID})
 	}
 }
 

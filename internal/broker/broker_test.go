@@ -584,3 +584,33 @@ func TestReentrantPublishFromDeliverHook(t *testing.T) {
 		t.Errorf("p1: %d derived deliveries, want 3", derived)
 	}
 }
+
+// TestSubscribePairAllocs pins what a virtual client's subscribe and
+// unsubscribe cost a broker with three peers once the routing state is
+// warm: the broker-local copy of the arriving subscription, and one shared
+// copy per forwarded batch — not one per forward.
+func TestSubscribePairAllocs(t *testing.T) {
+	peers := []message.NodeID{"P1", "P2", "P3"}
+	var forwards []*proto.Subscription
+	b := New(Config{ID: "X", Peers: peers, Send: func(_ message.NodeID, m proto.Message) {
+		forwards = append(forwards, m.Sub)
+	}})
+	b.AttachPort("vc")
+	// One constraint, shared with the resident entry, so the index files
+	// both in one bucket and the pair costs it nothing.
+	f := filter.New(filter.Eq("service", message.String("menu")))
+	b.HandleMessage("P1", proto.Message{Kind: proto.KSubscribe, Sub: &proto.Subscription{ID: "resident", Filter: f}})
+	sub := proto.Subscription{ID: "vc/s1", Filter: f}
+	pair := func() {
+		forwards = forwards[:0]
+		b.HandleMessage("vc", proto.Message{Kind: proto.KSubscribe, Sub: &sub})
+		b.HandleMessage("vc", proto.Message{Kind: proto.KUnsubscribe, Sub: &sub})
+	}
+	pair()
+	if len(forwards) != 2*len(peers) || forwards[0] != forwards[1] || forwards[0] == forwards[len(peers)] {
+		t.Fatalf("forwards %v: want one shared copy for the subscribe batch and another for the unsubscribe batch", forwards)
+	}
+	if n := testing.AllocsPerRun(100, pair); n != 3 {
+		t.Errorf("a subscribe/unsubscribe pair allocates %v times, want 3", n)
+	}
+}

@@ -1,7 +1,11 @@
 package filter
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"rebeca/internal/message"
 )
@@ -25,16 +29,22 @@ type Filter struct {
 func New(cs ...Constraint) Filter {
 	cp := make([]Constraint, len(cs))
 	copy(cp, cs)
-	sort.SliceStable(cp, func(i, j int) bool {
-		if cp[i].Attr != cp[j].Attr {
-			return cp[i].Attr < cp[j].Attr
-		}
-		if cp[i].Op != cp[j].Op {
-			return cp[i].Op < cp[j].Op
-		}
-		return cp[i].Val.String() < cp[j].Val.String()
-	})
+	slices.SortStableFunc(cp, compareCanonical)
 	return Filter{cs: cp}
+}
+
+// compareCanonical is New's order. Operands compare by their String
+// renderings, appended into stack buffers so that sorting allocates
+// nothing for operands of up to 64 bytes.
+func compareCanonical(c, d Constraint) int {
+	if n := strings.Compare(c.Attr, d.Attr); n != 0 {
+		return n
+	}
+	if c.Op != d.Op {
+		return cmp.Compare(c.Op, d.Op)
+	}
+	var cb, db [64]byte
+	return bytes.Compare(c.Val.Append(cb[:0]), d.Val.Append(db[:0]))
 }
 
 // All returns the filter that matches every notification.

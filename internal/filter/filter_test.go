@@ -2,6 +2,8 @@ package filter
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"rebeca/internal/message"
@@ -99,6 +101,50 @@ func TestFilterKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestNewCanonicalOrder holds New's order to its definition — attribute,
+// then operator, then the operand's String rendering, stable among equals
+// — on mixed-kind operands, where renderings and values order differently
+// (Int(10) renders before Int(9), a quoted string before a number), and
+// checks that sorting allocates nothing beyond the filter's own slice.
+func TestNewCanonicalOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	mixed := []Constraint{
+		Eq("a", message.Int(10)), Eq("a", message.Int(9)), Eq("a", message.String("9")),
+		Eq("a", message.Float(9.5)), Eq("a", message.Bool(true)), Eq("a", message.Value{}),
+		Gt("a", message.Int(-1)), In("a", message.Int(1)), In("a", message.String("x")),
+	}
+	for trial := 0; trial < 500; trial++ {
+		cs := make([]Constraint, 1+r.Intn(6))
+		for i := range cs {
+			if r.Intn(2) == 0 {
+				cs[i] = mixed[r.Intn(len(mixed))]
+			} else {
+				cs[i] = randomWideConstraint(r, []string{"a", "b"}[r.Intn(2)])
+			}
+		}
+		want := slices.Clone(cs)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Attr != want[j].Attr {
+				return want[i].Attr < want[j].Attr
+			}
+			if want[i].Op != want[j].Op {
+				return want[i].Op < want[j].Op
+			}
+			return want[i].Val.String() < want[j].Val.String()
+		})
+		got := New(cs...)
+		for i := range want {
+			if g, w := got.cs[i], want[i]; g.Attr != w.Attr || g.Op != w.Op || g.String() != w.String() {
+				t.Fatalf("trial %d: New order %s, want %s", trial, got, Filter{cs: want})
+			}
+		}
+	}
+	cs := []Constraint{Eq("b", message.Int(10)), Eq("b", message.Int(9)), Eq("a", message.String("x")), In("a")}
+	if n := testing.AllocsPerRun(100, func() { New(cs...) }); n != 1 {
+		t.Errorf("New allocates %v times, want 1 (the constraint slice)", n)
+	}
+}
+
 func TestCoversBasics(t *testing.T) {
 	tests := []struct {
 		name string
@@ -133,8 +179,8 @@ func TestCoversBasics(t *testing.T) {
 			if got := tt.f.Covers(tt.g); got != tt.want {
 				t.Errorf("(%s).Covers(%s) = %v, want %v", tt.f, tt.g, got, tt.want)
 			}
-			// Table.CoveredBy runs this per entry per subscribe under
-			// StrategyCovering: Constraint.Covers must not allocate.
+			// The covering router runs this per forwarded entry per
+			// subscribe: Constraint.Covers must not allocate.
 			if allocs := testing.AllocsPerRun(10, func() { tt.f.Covers(tt.g) }); allocs != 0 {
 				t.Errorf("(%s).Covers(%s) allocates %v times, want 0", tt.f, tt.g, allocs)
 			}

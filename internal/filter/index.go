@@ -44,21 +44,24 @@ import (
 // Add time is a heuristic, not an optimum: buckets that grow later are not
 // rebalanced.
 //
-// Filters occupy integer slots so the hot path touches only flat slices;
-// hash lookups key on a comparable value struct and each filter's
-// constraint list is cached at Add time, so Match allocates nothing. The
-// index is not safe for concurrent use.
+// Filters occupy integer slots the caller chooses (AddSlot, RemoveSlot,
+// MatchSlots), so a caller that keeps per-filter state in a slot-indexed
+// array of its own — routing.Table does — needs no key lookup on the way
+// back from a match. Add, Remove, Match and MatchAttrs are the same index
+// keyed by string: they assign the slots themselves. The hot path touches
+// only flat slices; hash lookups key on a comparable value struct and each
+// slot holds its filter's own (immutable) constraint list, so neither Add
+// nor Match copies or allocates per filter. The index is not safe for
+// concurrent use.
 type Index struct {
-	// slotOf maps a filter key to its slot.
-	slotOf map[string]int
-	// keys, cons and access are slot-indexed. cons caches
-	// Filter.Constraints() from Add: Match verifies against it and Remove
-	// never re-copies the list. access[slot] is the position in cons[slot]
-	// of the constraint the slot is filed under, or notFiled.
-	keys   []string
+	// cons and access are slot-indexed. cons[slot] is the slot's filter's
+	// constraint list, shared with the Filter (which never mutates it).
+	// access[slot] is the position in cons[slot] of the constraint the slot
+	// is filed under, notFiled, or vacant.
 	cons   [][]Constraint
 	access []int
-	free   []int
+	// filed counts the occupied slots.
+	filed int
 	// all lists slots of match-everything filters, kept sorted ascending
 	// so Match visits them deterministically.
 	all []int
@@ -68,11 +71,20 @@ type Index struct {
 	// scan[attr] lists the slots whose access predicate is a non-hashable
 	// constraint on attr, with that constraint.
 	scan map[string][]scanEntry
+
+	// The string-keyed methods' slot assignment: slotOf maps a key to its
+	// slot, keys is slot-indexed, free lists the slots they released.
+	slotOf map[string]int
+	keys   []string
+	free   []int
 }
 
-// notFiled marks a slot without an access predicate: free, match-all, or
-// unsatisfiable.
-const notFiled = -1
+// notFiled marks an occupied slot without an access predicate: match-all
+// or unsatisfiable. vacant marks a slot holding no filter.
+const (
+	notFiled = -1
+	vacant   = -2
+)
 
 type scanEntry struct {
 	slot int
@@ -89,17 +101,55 @@ func NewIndex() *Index {
 }
 
 // Len returns the number of indexed filters.
-func (ix *Index) Len() int { return len(ix.slotOf) }
+func (ix *Index) Len() int { return ix.filed }
 
 // Add indexes the filter under the key, replacing any previous filter with
 // the same key.
 func (ix *Index) Add(key string, f Filter) {
-	if _, ok := ix.slotOf[key]; ok {
-		ix.Remove(key)
+	slot, ok := ix.slotOf[key]
+	if !ok {
+		if n := len(ix.free); n > 0 {
+			slot = ix.free[n-1]
+			ix.free = ix.free[:n-1]
+			ix.keys[slot] = key
+		} else {
+			slot = len(ix.keys)
+			ix.keys = append(ix.keys, key)
+		}
+		ix.slotOf[key] = slot
 	}
-	cs := f.Constraints()
-	slot := ix.alloc(key, cs)
+	ix.AddSlot(slot, f)
+}
+
+// Remove drops the filter registered under key.
+func (ix *Index) Remove(key string) {
+	slot, ok := ix.slotOf[key]
+	if !ok {
+		return
+	}
+	delete(ix.slotOf, key)
+	ix.keys[slot] = ""
+	ix.free = append(ix.free, slot)
+	ix.RemoveSlot(slot)
+}
+
+// AddSlot indexes the filter in the slot, replacing the slot's previous
+// filter if it holds one. Slots are the caller's to choose; the index
+// grows to the largest slot used, so callers should keep them dense
+// (reuse freed slots).
+func (ix *Index) AddSlot(slot int, f Filter) {
+	for len(ix.access) <= slot {
+		ix.cons = append(ix.cons, nil)
+		ix.access = append(ix.access, vacant)
+	}
+	if ix.access[slot] != vacant {
+		ix.RemoveSlot(slot)
+	}
+	cs := f.cs
+	ix.cons[slot] = cs
+	ix.filed++
 	if len(cs) == 0 {
+		ix.access[slot] = notFiled
 		ix.insertAll(slot)
 		return
 	}
@@ -166,23 +216,6 @@ func (ix *Index) chooseAccess(cs []Constraint) int {
 	return best
 }
 
-func (ix *Index) alloc(key string, cs []Constraint) int {
-	var slot int
-	if n := len(ix.free); n > 0 {
-		slot = ix.free[n-1]
-		ix.free = ix.free[:n-1]
-		ix.keys[slot] = key
-		ix.cons[slot] = cs
-	} else {
-		slot = len(ix.keys)
-		ix.keys = append(ix.keys, key)
-		ix.cons = append(ix.cons, cs)
-		ix.access = append(ix.access, notFiled)
-	}
-	ix.slotOf[key] = slot
-	return slot
-}
-
 // insertAll adds a slot to the sorted match-all list.
 func (ix *Index) insertAll(slot int) {
 	i, _ := slices.BinarySearch(ix.all, slot)
@@ -232,13 +265,11 @@ func (ix *Index) removeEq(attr string, vk valueKey, slot int) {
 	m[vk] = b[:len(b)-1]
 }
 
-// Remove drops the filter registered under key.
-func (ix *Index) Remove(key string) {
-	slot, ok := ix.slotOf[key]
-	if !ok {
+// RemoveSlot drops the slot's filter; a vacant slot is left alone.
+func (ix *Index) RemoveSlot(slot int) {
+	if slot >= len(ix.access) || ix.access[slot] == vacant {
 		return
 	}
-	delete(ix.slotOf, key)
 	cs := ix.cons[slot]
 	switch a := ix.access[slot]; {
 	case len(cs) == 0:
@@ -258,10 +289,9 @@ func (ix *Index) Remove(key string) {
 			ix.scan[attr] = es[:len(es)-1]
 		}
 	}
-	ix.keys[slot] = ""
 	ix.cons[slot] = nil
-	ix.access[slot] = notFiled
-	ix.free = append(ix.free, slot)
+	ix.access[slot] = vacant
+	ix.filed--
 }
 
 // Match calls visit for every indexed filter matching the notification,
@@ -273,7 +303,7 @@ func (ix *Index) Remove(key string) {
 // order (the walk follows the notification's attributes, and buckets are
 // reordered by removals), so callers needing a total order re-sort the
 // visited keys themselves, as routing.Table does with its insertion
-// positions.
+// stamps.
 //
 // Match is MatchAttrs over the notification's map; like it, it allocates
 // nothing for a notification of up to eight attributes.
@@ -282,27 +312,33 @@ func (ix *Index) Match(n message.Notification, visit func(key string)) {
 	ix.MatchAttrs(AppendAttrs(buf[:0], n), visit)
 }
 
-// MatchAttrs is Match over an attribute accessor: the one matching
-// implementation, whichever form the notification is in. The path
-// allocates nothing: there is no per-call state, and hash keys are stack
-// values.
+// MatchAttrs is Match over an attribute accessor, whichever form the
+// notification is in.
 func (ix *Index) MatchAttrs(a Attrs, visit func(key string)) {
+	ix.MatchSlots(a, func(slot int) { visit(ix.keys[slot]) })
+}
+
+// MatchSlots calls visit with the slot of every indexed filter matching
+// the attributes, each exactly once and in Match's visit order: the one
+// matching implementation. The path allocates nothing: there is no
+// per-call state, and hash keys are stack values.
+func (ix *Index) MatchSlots(a Attrs, visit func(slot int)) {
 	for _, slot := range ix.all {
-		visit(ix.keys[slot])
+		visit(slot)
 	}
 	for i := range a {
 		attr, v := a[i].Name, &a[i].Val
 		if buckets, ok := ix.eq[attr]; ok {
 			for _, slot := range buckets[keyOf(*v)] {
 				if ix.restHolds(slot, a) {
-					visit(ix.keys[slot])
+					visit(slot)
 				}
 			}
 		}
 		es := ix.scan[attr]
 		for j := range es {
 			if e := &es[j]; e.c.matchesValue(*v) && ix.restHolds(e.slot, a) {
-				visit(ix.keys[e.slot])
+				visit(e.slot)
 			}
 		}
 	}

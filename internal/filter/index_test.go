@@ -177,22 +177,66 @@ func randomWideNote(r *rand.Rand) message.Notification {
 // this package, so the external test package installs it (view_test.go).
 var viewAttrs func(message.Notification) Attrs
 
+// slotted is an Index driven through the slot methods alone, at slots the
+// test chooses: a random free one, so slots are sparse and reused out of
+// order, unlike the keyed methods' LIFO reuse.
+type slotted struct {
+	ix     *Index
+	slotOf map[string]int
+	keyAt  map[int]string
+}
+
+func newSlotted() *slotted {
+	return &slotted{ix: NewIndex(), slotOf: map[string]int{}, keyAt: map[int]string{}}
+}
+
+func (s *slotted) add(r *rand.Rand, key string, f Filter) {
+	slot, ok := s.slotOf[key]
+	for !ok {
+		slot = r.Intn(2*len(s.slotOf) + 4)
+		_, taken := s.keyAt[slot]
+		ok = !taken
+	}
+	s.slotOf[key], s.keyAt[slot] = slot, key
+	s.ix.AddSlot(slot, f)
+}
+
+func (s *slotted) remove(key string) {
+	slot := s.slotOf[key]
+	delete(s.slotOf, key)
+	delete(s.keyAt, slot)
+	s.ix.RemoveSlot(slot)
+}
+
+// matchForm is one way of matching a notification against an index,
+// reporting keys; slotOf gives each key's slot in the index matched.
+type matchForm struct {
+	name   string
+	match  func(visit func(string))
+	slotOf map[string]int
+}
+
 // checkIndexAgainst holds Match to the whole contract, on the notification's
-// map and on its encoded view alike: exactly the keys whose filters match
-// (Filter.Matches is the oracle), none visited twice, match-all keys first
-// in ascending slot order.
-func checkIndexAgainst(t *testing.T, ix *Index, live map[string]Filter, n message.Notification) {
+// map and on its encoded view, through the keyed methods and through
+// MatchSlots on the index built by slot: exactly the keys whose filters
+// match (Filter.Matches is the oracle), none visited twice, match-all keys
+// first in ascending slot order.
+func checkIndexAgainst(t *testing.T, ix *Index, sl *slotted, live map[string]Filter, n message.Notification) {
 	t.Helper()
 	if viewAttrs == nil {
 		t.Fatal("the view input is not installed (view_test.go)")
 	}
-	for _, form := range []struct {
-		name  string
-		match func(visit func(string))
-	}{
-		{"map", func(visit func(string)) { ix.Match(n, visit) }},
-		{"view", func(visit func(string)) { ix.MatchAttrs(viewAttrs(n), visit) }},
-	} {
+	bySlot := func(a Attrs) func(visit func(string)) {
+		return func(visit func(string)) { sl.ix.MatchSlots(a, func(slot int) { visit(sl.keyAt[slot]) }) }
+	}
+	var buf [8]Attr
+	forms := []matchForm{
+		{"map", func(visit func(string)) { ix.Match(n, visit) }, ix.slotOf},
+		{"view", func(visit func(string)) { ix.MatchAttrs(viewAttrs(n), visit) }, ix.slotOf},
+		{"slots/map", bySlot(AppendAttrs(buf[:0], n)), sl.slotOf},
+		{"slots/view", bySlot(viewAttrs(n)), sl.slotOf},
+	}
+	for _, form := range forms {
 		got := map[string]bool{}
 		lastAll, pastAll := -1, false
 		form.match(func(key string) {
@@ -208,7 +252,7 @@ func checkIndexAgainst(t *testing.T, ix *Index, live map[string]Filter, n messag
 				pastAll = true
 				return
 			}
-			if slot := ix.slotOf[key]; pastAll || slot <= lastAll {
+			if slot := form.slotOf[key]; pastAll || slot <= lastAll {
 				t.Fatalf("%s: match-all %s (slot %d) visited out of order for %s", form.name, key, slot, n)
 			} else {
 				lastAll = slot
@@ -220,20 +264,20 @@ func checkIndexAgainst(t *testing.T, ix *Index, live map[string]Filter, n messag
 			}
 		}
 	}
-	if ix.Len() != len(live) {
-		t.Fatalf("Len = %d, want %d", ix.Len(), len(live))
+	if ix.Len() != len(live) || sl.ix.Len() != len(live) {
+		t.Fatalf("Len = %d keyed, %d slotted, want %d", ix.Len(), sl.ix.Len(), len(live))
 	}
 }
 
 // Property: through any interleaving of Add, Remove, replace-under-the-
 // same-key and re-Add after Remove (slot reuse), the index agrees with
 // linear evaluation over the live set — for every operator, value kind and
-// degenerate operand the filter language admits — and an emptied index
-// retains nothing.
+// degenerate operand the filter language admits — whether it is driven by
+// key or by caller-chosen slots, and an emptied index retains nothing.
 func TestIndexAgreesWithLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 40; trial++ {
-		ix := NewIndex()
+		ix, sl := NewIndex(), newSlotted()
 		live := map[string]Filter{}
 		var keys, gone []string // live keys; removed keys awaiting a re-Add
 		drop := func(i int) string {
@@ -241,6 +285,8 @@ func TestIndexAgreesWithLinearScan(t *testing.T) {
 			keys[i] = keys[len(keys)-1]
 			keys = keys[:len(keys)-1]
 			delete(live, key)
+			ix.Remove(key)
+			sl.remove(key)
 			return key
 		}
 		for step := 0; step < 150; step++ {
@@ -253,25 +299,27 @@ func TestIndexAgreesWithLinearScan(t *testing.T) {
 				live[key] = randomWideFilter(r)
 				keys = append(keys, key)
 				ix.Add(key, live[key])
+				sl.add(r, key, live[key])
 			case op < 8:
-				key := drop(r.Intn(len(keys)))
-				gone = append(gone, key)
-				ix.Remove(key)
+				gone = append(gone, drop(r.Intn(len(keys))))
 			default:
 				key := keys[r.Intn(len(keys))]
 				live[key] = randomWideFilter(r)
 				ix.Add(key, live[key])
+				sl.add(r, key, live[key])
 			}
 			for j := 0; j < 4; j++ {
-				checkIndexAgainst(t, ix, live, randomWideNote(r))
+				checkIndexAgainst(t, ix, sl, live, randomWideNote(r))
 			}
 		}
 		for len(keys) > 0 {
-			ix.Remove(drop(r.Intn(len(keys))))
-			checkIndexAgainst(t, ix, live, randomWideNote(r))
+			drop(r.Intn(len(keys)))
+			checkIndexAgainst(t, ix, sl, live, randomWideNote(r))
 		}
-		if len(ix.eq) != 0 || len(ix.scan) != 0 || len(ix.all) != 0 {
-			t.Fatalf("trial %d: emptied index retains eq=%v scan=%v all=%v", trial, ix.eq, ix.scan, ix.all)
+		for _, x := range []*Index{ix, sl.ix} {
+			if len(x.eq) != 0 || len(x.scan) != 0 || len(x.all) != 0 || x.Len() != 0 {
+				t.Fatalf("trial %d: emptied index retains eq=%v scan=%v all=%v Len=%d", trial, x.eq, x.scan, x.all, x.Len())
+			}
 		}
 	}
 }

@@ -132,8 +132,6 @@ const (
 	// record look like a unicast in transit. Brokers keep the highest
 	// Epoch per (reporter, edge), re-flood only fresh records, and never
 	// flood back onto the arrival link.
-	// (reporter, edge), re-flood only fresh records, and never flood back
-	// onto the arrival link.
 	KLinkState
 
 	// numKinds marks the end of the enum; keep it last.

@@ -56,16 +56,17 @@ func (r *Router) Advertise(adv proto.Subscription, fromLink message.NodeID, brok
 		return out
 	}
 	// Unlock subscriptions toward the advertiser's direction.
-	for _, e := range r.table.Entries() {
-		if e.Link == fromLink || r.wasForwarded(fromLink, e.Sub.ID) {
-			continue
+	r.table.each(func(slot int) {
+		e := &r.table.rows[slot].entry
+		if e.Link == fromLink || r.table.marked(slot, fromLink) {
+			return
 		}
 		if !adv.Filter.Overlaps(e.Sub.Filter) {
-			continue
+			return
 		}
-		r.markForwarded(fromLink, e.Sub.ID)
+		r.table.mark(slot, fromLink)
 		out = append(out, Forward{Link: fromLink, Sub: e.Sub})
-	}
+	})
 	return out
 }
 
@@ -88,16 +89,17 @@ func (r *Router) Unadvertise(id message.SubID, brokerLinks []message.NodeID) []F
 	if !r.advBased {
 		return out
 	}
-	for _, se := range r.table.Entries() {
-		if !r.wasForwarded(e.Link, se.Sub.ID) {
-			continue
+	r.table.each(func(slot int) {
+		if !r.table.marked(slot, e.Link) {
+			return
 		}
+		se := &r.table.rows[slot].entry
 		if r.advOverlapsOnLink(e.Link, se.Sub.Filter) {
-			continue // still justified by another advertisement
+			return // still justified by another advertisement
 		}
-		delete(r.forwarded[e.Link], se.Sub.ID)
+		r.table.unmark(slot, e.Link)
 		out = append(out, Forward{Link: e.Link, Sub: se.Sub, Unsub: true})
-	}
+	})
 	return out
 }
 
@@ -119,8 +121,8 @@ func (r *Router) advOverlapsOnLink(link message.NodeID, f filter.Filter) bool {
 func (r *Router) subscribeAdvGated(sub proto.Subscription, fromLink message.NodeID, brokerLinks []message.NodeID) []Forward {
 	prev, existed := r.table.Get(sub.ID)
 	relocated := existed && prev.Link != fromLink
-	r.table.Add(sub, fromLink)
-	var out []Forward
+	slot, _ := r.table.add(sub, fromLink)
+	out := r.fwd[:0]
 	for _, link := range brokerLinks {
 		if link == fromLink {
 			continue
@@ -131,11 +133,12 @@ func (r *Router) subscribeAdvGated(sub proto.Subscription, fromLink message.Node
 		if !relocated && r.strategy == StrategyCovering && r.coveredOnLink(sub, link) {
 			continue
 		}
-		if !relocated && r.wasForwarded(link, sub.ID) {
+		if !relocated && r.table.marked(slot, link) {
 			continue
 		}
-		r.markForwarded(link, sub.ID)
+		r.table.mark(slot, link)
 		out = append(out, Forward{Link: link, Sub: sub})
 	}
+	r.fwd = out
 	return out
 }

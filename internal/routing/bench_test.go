@@ -85,11 +85,10 @@ func BenchmarkMatchByLink(b *testing.B) {
 	}
 }
 
-// BenchmarkTableChurn exercises the removal path the O(n²) fix targets:
-// a table holding 10k subscriptions replaces its oldest entry every
-// iteration (Remove + Add). Before tombstoned removal each Remove on an
-// indexed table rebuilt the whole position map — O(n) per op, O(k·n) for
-// a k-entry RemoveLink.
+// BenchmarkTableChurn exercises the removal path: a table holding 10k
+// subscriptions replaces its oldest entry every iteration (Remove + Add).
+// Removal tombstones the entry's order element, so it stays O(1) however
+// large the table.
 func BenchmarkTableChurn(b *testing.B) {
 	for _, variant := range []struct {
 		name string
@@ -124,19 +123,36 @@ func BenchmarkTableChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkRemoveLink churns whole links: 10k subscriptions across 8
-// links, dropping and re-adding one link's ~1250 entries per iteration.
-func BenchmarkRemoveLink(b *testing.B) {
-	const n = 10000
+// BenchmarkRouterChurn is a virtual client's life at a broker under
+// logical mobility: a subscription from a local port is subscribed and
+// unsubscribed again, forwarded to and withdrawn from four broker links,
+// on an indexed simple-strategy router holding 1000 other entries. The CI
+// bench job gates it at 0 allocs/op: the router's forwards, the table's
+// slot, order element and link number, the forward marks and the index's
+// bucket all reuse what the previous pair released.
+func BenchmarkRouterChurn(b *testing.B) {
+	peers := []message.NodeID{"B1", "B2", "B3", "B4"}
+	r := routing.NewIndexedRouter(routing.StrategySimple)
 	rng := rand.New(rand.NewSource(7))
-	tb := routing.NewIndexedTable()
-	fillTable(tb, n, rng)
+	fillTable(r.Table(), 1000, rng)
+	s := proto.Subscription{ID: "vc/s1", Filter: filter.New(
+		filter.Eq("service", message.String("temperature")),
+		filter.Eq("location", message.String("room-7")),
+	)}
+	pair := func() {
+		if fw := r.Subscribe(s, "vc", peers); len(fw) != len(peers) {
+			b.Fatalf("subscribe forwarded on %d links, want %d", len(fw), len(peers))
+		}
+		if fw := r.Unsubscribe(s.ID, peers); len(fw) != len(peers) {
+			b.Fatalf("unsubscribe forwarded on %d links, want %d", len(fw), len(peers))
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		pair()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		removed := tb.RemoveLink(message.NodeID(fmt.Sprintf("L%d", i%8)))
-		for _, e := range removed {
-			tb.Add(e.Sub, e.Link)
-		}
+		pair()
 	}
 }

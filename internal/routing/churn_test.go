@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rebeca/internal/filter"
@@ -62,18 +63,37 @@ func TestTableChurnKeepsOrderAndMatches(t *testing.T) {
 					removeAt(rng.Intn(len(model)))
 				}
 			}
-			if tb.Len() != len(model) {
-				t.Fatalf("Len = %d, want %d", tb.Len(), len(model))
-			}
-			got := tb.Entries()
-			if len(got) != len(model) {
-				t.Fatalf("Entries len = %d, want %d", len(got), len(model))
-			}
-			for i := range model {
-				if got[i].Sub.ID != model[i].ID {
-					t.Fatalf("insertion order drifted at %d: %s vs %s", i, got[i].Sub.ID, model[i].ID)
+			checkOrder := func() {
+				t.Helper()
+				if tb.Len() != len(model) {
+					t.Fatalf("Len = %d, want %d", tb.Len(), len(model))
+				}
+				got := tb.Entries()
+				if len(got) != len(model) {
+					t.Fatalf("Entries len = %d, want %d", len(got), len(model))
+				}
+				for i := range model {
+					if got[i].Sub.ID != model[i].ID {
+						t.Fatalf("insertion order drifted at %d: %s vs %s", i, got[i].Sub.ID, model[i].ID)
+					}
 				}
 			}
+			checkOrder()
+			// Dropping one link's entries with tombstones outstanding
+			// removes exactly those and keeps the others' order.
+			if tb.dead == 0 {
+				t.Fatal("no tombstones outstanding; the link drop below would not cross any")
+			}
+			for _, e := range tb.ByLink("L1") {
+				if e.Link != "L1" {
+					t.Fatalf("ByLink(L1) returned %+v", e)
+				}
+				removeAt(slices.IndexFunc(model, func(s proto.Subscription) bool { return s.ID == e.Sub.ID }))
+			}
+			if got := tb.ByLink("L1"); len(got) != 0 {
+				t.Fatalf("L1 still has %d entries", len(got))
+			}
+			checkOrder()
 			// Match agreement with a naive scan over the model.
 			for k := int64(0); k < 5; k++ {
 				n := message.NewNotification(map[string]message.Value{"k": message.Int(k)})
@@ -98,38 +118,58 @@ func TestTableChurnKeepsOrderAndMatches(t *testing.T) {
 	}
 }
 
-// TestTableRemoveLinkChurn pins the RemoveLink complexity fix's
-// semantics: dropping a link removes exactly its entries and preserves
-// the others' order, even mid-tombstone.
-func TestTableRemoveLinkChurn(t *testing.T) {
-	tb := NewIndexedTable()
-	for i := 0; i < 300; i++ {
-		tb.Add(churnSub(i), message.NodeID(fmt.Sprintf("L%d", i%3)))
-	}
-	// Punch holes so tombstones are outstanding during RemoveLink.
-	for i := 0; i < 300; i += 7 {
-		tb.Remove(message.SubID(fmt.Sprintf("s%d", i)))
-	}
-	removed := tb.RemoveLink("L1")
-	for _, e := range removed {
-		if e.Link != "L1" {
-			t.Fatalf("removed foreign entry %+v", e)
+// TestTableForgetsChurnedPorts is the bound on churn: clients come, move
+// and go on ports never seen again, as virtual clients do under logical
+// mobility, and their subscriptions are forwarded on and marked for the
+// broker links. A table emptied afterwards holds no ID, no link number and no
+// indexed filter, and its slots and link numbers stayed within the peak
+// population instead of the number of ports ever seen.
+func TestTableForgetsChurnedPorts(t *testing.T) {
+	r := NewIndexedRouter(StrategySimple)
+	peers := []message.NodeID{"B1", "B2", "B3", "B4"}
+	rng := rand.New(rand.NewSource(29))
+	var live []message.SubID
+	for i := 0; i < 5000; i++ {
+		if len(live) > 0 && rng.Intn(8) == 0 {
+			// A relocation flip: the entry moves to another link.
+			id := live[rng.Intn(len(live))]
+			e, _ := r.Table().Get(id)
+			r.Subscribe(e.Sub, message.NodeID(fmt.Sprintf("port%d-moved", i)), peers)
+			continue
 		}
-		if _, ok := tb.Get(e.Sub.ID); ok {
-			t.Fatalf("%s still present", e.Sub.ID)
+		if len(live) < 40 && rng.Intn(2) == 0 || len(live) == 0 {
+			s := churnSub(i)
+			from := message.NodeID(fmt.Sprintf("port%d", i))
+			if rng.Intn(4) == 0 {
+				from = peers[rng.Intn(len(peers))]
+			}
+			r.Subscribe(s, from, peers)
+			live = append(live, s.ID)
+			continue
+		}
+		j := rng.Intn(len(live))
+		r.Unsubscribe(live[j], peers[:1+rng.Intn(len(peers))])
+		live = append(live[:j], live[j+1:]...)
+	}
+	tb := r.Table()
+	if len(tb.rows) > 40 || len(tb.links) > 40+len(peers) {
+		t.Errorf("%d slots and %d link numbers after a peak of 40 subscriptions on %d peers", len(tb.rows), len(tb.links), len(peers))
+	}
+	for _, id := range live {
+		r.Unsubscribe(id, peers)
+	}
+	if tb.Len() != 0 || len(tb.slotOf) != 0 || len(tb.linkNum) != 0 || tb.index.Len() != 0 {
+		t.Fatalf("emptied table holds %d IDs, links %v and %d indexed filters", len(tb.slotOf), tb.linkNum, tb.index.Len())
+	}
+	for n, l := range tb.links {
+		if l.refs != 0 {
+			t.Fatalf("link number %d (%s) still has %d references", n, l.name, l.refs)
 		}
 	}
-	if got := tb.ByLink("L1"); len(got) != 0 {
-		t.Fatalf("L1 still has %d entries", len(got))
-	}
-	prev := -1
-	for _, e := range tb.Entries() {
-		var i int
-		fmt.Sscanf(string(e.Sub.ID), "s%d", &i)
-		if i <= prev {
-			t.Fatalf("order drifted: s%d after s%d", i, prev)
+	for slot := range tb.rows {
+		if r := &tb.rows[slot]; r.stamp != 0 || r.marks != 0 || len(r.over) != 0 {
+			t.Fatalf("vacant slot %d keeps %+v", slot, *r)
 		}
-		prev = i
 	}
 }
 

@@ -1,8 +1,11 @@
 package routing
 
 import (
-	"sort"
+	"bytes"
+	"slices"
+	"strings"
 
+	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
 )
@@ -21,39 +24,35 @@ type Forward struct {
 // Router augments a Table with the subscription-forwarding algorithm of the
 // configured strategy. It tracks, per outgoing link, which subscriptions
 // have been forwarded so that the covering optimization can suppress and
-// later un-suppress propagation correctly.
+// later un-suppress propagation correctly. Those forward marks live on the
+// subscription's table row, so removing the row removes its marks, on
+// every link.
 //
 // A Router belongs to one broker and is driven from its event loop; it is
 // not safe for concurrent use.
 type Router struct {
 	table    *Table
 	strategy Strategy
-	// forwarded[link][subID] records subscriptions propagated on link.
-	forwarded map[message.NodeID]map[message.SubID]bool
 	// advBased gates subscription forwarding on advertisement overlap.
 	advBased bool
 	// advs is the advertisement table (lazily created).
 	advs *Table
+	// fwd and sent are Subscribe's and Unsubscribe's scratch (see their
+	// aliasing contract).
+	fwd  []Forward
+	sent []message.NodeID
 }
 
 // NewRouter returns a router with an empty, linear-matching table.
 func NewRouter(s Strategy) *Router {
-	return &Router{
-		table:     NewTable(),
-		strategy:  s,
-		forwarded: make(map[message.NodeID]map[message.SubID]bool),
-	}
+	return &Router{table: NewTable(), strategy: s}
 }
 
 // NewIndexedRouter returns a router whose table uses the access-predicate
 // matching index — same semantics, matching cost that follows the matches,
 // not the table.
 func NewIndexedRouter(s Strategy) *Router {
-	return &Router{
-		table:     NewIndexedTable(),
-		strategy:  s,
-		forwarded: make(map[message.NodeID]map[message.SubID]bool),
-	}
+	return &Router{table: NewIndexedTable(), strategy: s}
 }
 
 // Table exposes the underlying routing table (read-mostly access for the
@@ -78,105 +77,103 @@ func (r *Router) Strategy() Strategy { return r.strategy }
 // on every link (re-)establishment — and is *not* re-forwarded on links it
 // already went out on: downstream state is intact, and each downstream link
 // runs its own replay when it flaps.
+//
+// The returned slice is router-owned scratch, valid until the next
+// Subscribe or Unsubscribe: callers must finish with it before either can
+// run again, and must not retain it. The broker only hands each forward to
+// its transport, which never re-enters the router.
 func (r *Router) Subscribe(sub proto.Subscription, fromLink message.NodeID, brokerLinks []message.NodeID) []Forward {
 	if r.advBased {
 		return r.subscribeAdvGated(sub, fromLink, brokerLinks)
 	}
 	prev, existed := r.table.Get(sub.ID)
 	relocated := existed && prev.Link != fromLink
-	unchanged := existed && !relocated && prev.Sub.Filter.Key() == sub.Filter.Key()
-	r.table.Add(sub, fromLink)
+	unchanged := existed && !relocated && sameFilter(prev.Sub.Filter, sub.Filter)
+	slot, _ := r.table.add(sub, fromLink)
 	if r.strategy == StrategyFlooding {
 		return nil
 	}
-	var out []Forward
+	out := r.fwd[:0]
 	for _, link := range brokerLinks {
 		if link == fromLink {
 			continue
 		}
-		if unchanged && r.wasForwarded(link, sub.ID) {
+		if unchanged && r.table.marked(slot, link) {
 			continue
 		}
 		if !relocated && r.strategy == StrategyCovering && r.coveredOnLink(sub, link) {
 			continue
 		}
-		r.markForwarded(link, sub.ID)
+		r.table.mark(slot, link)
 		out = append(out, Forward{Link: link, Sub: sub})
 	}
+	r.fwd = out
 	return out
+}
+
+// sameFilter reports whether two filters have the same canonical key,
+// rendering both into stack buffers.
+func sameFilter(f, g filter.Filter) bool {
+	var fb, gb [128]byte
+	return bytes.Equal(f.AppendKey(fb[:0]), g.AppendKey(gb[:0]))
 }
 
 // Unsubscribe removes the subscription and returns the forwards to emit:
-// the unsubscription itself on every link it was forwarded on and, under
-// covering, any previously suppressed subscriptions that are now uncovered.
+// the unsubscription itself on every link of brokerLinks it was forwarded
+// on and, under covering, any previously suppressed subscriptions that are
+// now uncovered. The subscription's marks on links outside brokerLinks (a
+// link a mesh re-election took away) go with it.
+//
+// The returned slice is router-owned scratch, under Subscribe's contract.
 func (r *Router) Unsubscribe(id message.SubID, brokerLinks []message.NodeID) []Forward {
-	e, ok := r.table.Remove(id)
+	slot, ok := r.table.slotOf[id]
 	if !ok {
 		return nil
 	}
-	var out []Forward
+	sent := r.sent[:0]
 	for _, link := range brokerLinks {
-		if !r.wasForwarded(link, id) {
-			continue
-		}
-		delete(r.forwarded[link], id)
-		out = append(out, Forward{Link: link, Sub: e.Sub, Unsub: true})
-		if r.strategy == StrategyCovering {
-			out = append(out, r.unsuppress(e, link)...)
+		if r.table.marked(slot, link) {
+			sent = append(sent, link)
 		}
 	}
+	r.sent = sent
+	e, _ := r.table.Remove(id)
+	out := r.fwd[:0]
+	for _, link := range sent {
+		out = append(out, Forward{Link: link, Sub: e.Sub, Unsub: true})
+		if r.strategy == StrategyCovering {
+			out = r.unsuppress(out, e, link)
+		}
+	}
+	r.fwd = out
 	return out
 }
 
-// unsuppress re-forwards subscriptions on link that were covered by the
-// removed entry and are not covered by any other forwarded entry.
-func (r *Router) unsuppress(removed Entry, link message.NodeID) []Forward {
-	var out []Forward
-	for _, cand := range r.table.Entries() {
-		if cand.Link == link || r.wasForwarded(link, cand.Sub.ID) {
-			continue
+// unsuppress appends to out the re-forwards on link of subscriptions that
+// were covered by the removed entry and are not covered by any other
+// forwarded entry, in ID order.
+func (r *Router) unsuppress(out []Forward, removed Entry, link message.NodeID) []Forward {
+	start := len(out)
+	r.table.each(func(slot int) {
+		cand := &r.table.rows[slot].entry
+		if cand.Link == link || r.table.marked(slot, link) {
+			return
 		}
 		if !removed.Sub.Filter.Covers(cand.Sub.Filter) {
-			continue
+			return
 		}
 		if r.coveredOnLink(cand.Sub, link) {
-			continue
+			return
 		}
-		r.markForwarded(link, cand.Sub.ID)
+		r.table.mark(slot, link)
 		out = append(out, Forward{Link: link, Sub: cand.Sub})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Sub.ID < out[j].Sub.ID })
+	})
+	slices.SortFunc(out[start:], func(a, b Forward) int { return strings.Compare(string(a.Sub.ID), string(b.Sub.ID)) })
 	return out
 }
 
 // coveredOnLink reports whether some other subscription already forwarded
 // on link covers sub.
 func (r *Router) coveredOnLink(sub proto.Subscription, link message.NodeID) bool {
-	for id := range r.forwarded[link] {
-		e, ok := r.table.Get(id)
-		if !ok || e.Sub.ID == sub.ID {
-			continue
-		}
-		if e.Sub.Filter.Covers(sub.Filter) {
-			return true
-		}
-	}
-	return false
+	return r.table.anyMarked(link, sub.ID, func(e *Entry) bool { return e.Sub.Filter.Covers(sub.Filter) })
 }
-
-func (r *Router) markForwarded(link message.NodeID, id message.SubID) {
-	m, ok := r.forwarded[link]
-	if !ok {
-		m = make(map[message.SubID]bool)
-		r.forwarded[link] = m
-	}
-	m[id] = true
-}
-
-func (r *Router) wasForwarded(link message.NodeID, id message.SubID) bool {
-	return r.forwarded[link][id]
-}
-
-// ForwardedOn returns how many subscriptions are currently forwarded on the
-// link — the downstream table pressure this broker causes (E3 metric).
-func (r *Router) ForwardedOn(link message.NodeID) int { return len(r.forwarded[link]) }

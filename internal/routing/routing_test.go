@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rebeca/internal/filter"
@@ -80,17 +81,17 @@ func TestTableMatchEntries(t *testing.T) {
 	}
 }
 
-func TestTableByLinkAndRemoveLink(t *testing.T) {
+func TestTableByLink(t *testing.T) {
 	tb := NewTable()
 	tb.Add(sub("s1", eqF("a", 1)), "L1")
-	tb.Add(sub("s2", eqF("a", 2)), "L1")
-	tb.Add(sub("s3", eqF("a", 3)), "L2")
-	if got := tb.ByLink("L1"); len(got) != 2 {
-		t.Errorf("ByLink(L1) = %d entries", len(got))
+	tb.Add(sub("s2", eqF("a", 2)), "L2")
+	tb.Add(sub("s3", eqF("a", 3)), "L1")
+	got := tb.ByLink("L1")
+	if len(got) != 2 || got[0].Sub.ID != "s1" || got[1].Sub.ID != "s3" {
+		t.Errorf("ByLink(L1) = %v, want s1, s3 in insertion order", got)
 	}
-	removed := tb.RemoveLink("L1")
-	if len(removed) != 2 || tb.Len() != 1 {
-		t.Errorf("RemoveLink removed %d, table %d", len(removed), tb.Len())
+	if got := tb.ByLink("L9"); got != nil {
+		t.Errorf("ByLink of an unknown link = %v", got)
 	}
 }
 
@@ -214,6 +215,19 @@ func TestRouterCoveringEquivalentFilters(t *testing.T) {
 	}
 }
 
+// TestRouterCoveringForwardsChangedFilter: a subscription re-issued on the
+// same link with a new filter is not covered by its own earlier forward —
+// downstream must learn the new filter.
+func TestRouterCoveringForwardsChangedFilter(t *testing.T) {
+	r := NewRouter(StrategyCovering)
+	links := []message.NodeID{"L1", "L2", "L3"}
+	r.Subscribe(sub("s", filter.New(filter.Lt("a", message.Int(100)))), "L1", links)
+	fw := r.Subscribe(sub("s", filter.New(filter.Lt("a", message.Int(10)))), "L1", links)
+	if len(fw) != 2 || fw[0].Link != "L2" || fw[1].Link != "L3" {
+		t.Errorf("changed filter forwards = %v, want L2 and L3", fw)
+	}
+}
+
 func TestRouterResubscribeFromNewLinkFlips(t *testing.T) {
 	// Relocation: same SubID arrives from a different link; the entry
 	// migrates and the flip is forwarded everywhere else — with no
@@ -268,17 +282,29 @@ func TestRouterFlipBypassesCoveringSuppression(t *testing.T) {
 	}
 }
 
-func TestRouterForwardedOn(t *testing.T) {
-	r := NewRouter(StrategySimple)
-	links := []message.NodeID{"L1", "L2"}
-	for i := 0; i < 5; i++ {
-		r.Subscribe(sub(fmt.Sprintf("s%d", i), eqF("a", int64(i))), "L1", links)
+// TestRouterDropsMarksOfRemovedSubscriptions: an unsubscription must take
+// the subscription's forward marks with it on every link, not only on the
+// links still in brokerLinks. After a tree change took L2 away, a mark
+// left there made an advertisement-gated re-subscription skip L2 when it
+// came back: the unsubscribed entry still counted as forwarded.
+func TestRouterDropsMarksOfRemovedSubscriptions(t *testing.T) {
+	r := NewIndexedRouter(StrategySimple)
+	r.EnableAdvertisements()
+	both, left := []message.NodeID{"L1", "L2"}, []message.NodeID{"L1"}
+	r.Advertise(sub("adv", filter.New(filter.Exists("a"))), "L2", both)
+	s := sub("s", eqF("a", 1))
+	if fw := r.Subscribe(s, "port", both); len(fw) != 1 || fw[0].Link != "L2" {
+		t.Fatalf("first subscribe forwards %v, want one on L2", fw)
 	}
-	if got := r.ForwardedOn("L2"); got != 5 {
-		t.Errorf("ForwardedOn(L2) = %d, want 5", got)
+	if fw := r.Unsubscribe(s.ID, left); len(fw) != 0 {
+		t.Fatalf("unsubscribe over [L1] forwards %v, want none", fw)
 	}
-	if got := r.ForwardedOn("L1"); got != 0 {
-		t.Errorf("ForwardedOn(L1) = %d, want 0", got)
+	// No row and no mark is left to hold a link number.
+	if len(r.table.linkNum) != 0 {
+		t.Errorf("the emptied table still numbers links %v", r.table.linkNum)
+	}
+	if fw := r.Subscribe(s, "port", both); len(fw) != 1 || fw[0].Link != "L2" {
+		t.Fatalf("re-subscribe after L2 returned forwards %v, want one on L2", fw)
 	}
 }
 
@@ -313,16 +339,6 @@ func TestCoveringNeverLosesDeliveries(t *testing.T) {
 	}
 }
 
-func TestTableCoveredBy(t *testing.T) {
-	tb := NewTable()
-	tb.Add(sub("w", filter.New(filter.Lt("a", message.Int(100)))), "L1")
-	tb.Add(sub("n", filter.New(filter.Lt("a", message.Int(10)))), "L1")
-	ids := tb.CoveredBy(filter.New(filter.Lt("a", message.Int(5))), "L1", "n")
-	if len(ids) != 1 || ids[0] != "w" {
-		t.Errorf("CoveredBy = %v, want [w]", ids)
-	}
-}
-
 func TestStrategyString(t *testing.T) {
 	if StrategySimple.String() != "simple" || StrategyCovering.String() != "covering" ||
 		StrategyFlooding.String() != "flooding" {
@@ -334,13 +350,29 @@ func TestStrategyString(t *testing.T) {
 }
 
 // TestIndexedTableEquivalence randomizes operations against both table
-// variants and asserts identical Match/MatchEntries results.
+// variants and asserts identical Match/MatchByLink/MatchEntries results,
+// with Entries, MatchByLink's link order and each link's Subs held to a
+// model of insertion order.
 func TestIndexedTableEquivalence(t *testing.T) {
 	linear, indexed := NewTable(), NewIndexedTable()
-	if linear.Indexed() || !indexed.Indexed() {
-		t.Fatal("Indexed() misreports")
-	}
 	both := []*Table{linear, indexed}
+	var model []message.SubID // live IDs in insertion order
+	add := func(s proto.Subscription, link message.NodeID) {
+		if _, ok := indexed.Get(s.ID); !ok {
+			model = append(model, s.ID)
+		}
+		for _, tb := range both {
+			tb.Add(s, link)
+		}
+	}
+	remove := func(id message.SubID) {
+		if i := slices.Index(model, id); i >= 0 {
+			model = slices.Delete(model, i, i+1)
+		}
+		for _, tb := range both {
+			tb.Remove(id)
+		}
+	}
 
 	subs := []proto.Subscription{
 		sub("s1", eqF("a", 1)),
@@ -354,15 +386,11 @@ func TestIndexedTableEquivalence(t *testing.T) {
 	}
 	links := []message.NodeID{"L1", "L2", "L3"}
 	for i, s := range subs {
-		for _, tb := range both {
-			tb.Add(s, links[i%len(links)])
-		}
+		add(s, links[i%len(links)])
 	}
 	// Remove one and relocate another.
-	for _, tb := range both {
-		tb.Remove("s2")
-		tb.Add(subs[0], "L3")
-	}
+	remove("s2")
+	add(subs[0], "L3")
 	notes := []message.Notification{
 		note("a", 1), note("a", 2), note("a", 4),
 		message.NewNotification(map[string]message.Value{"b": message.Int(2)}),
@@ -370,10 +398,27 @@ func TestIndexedTableEquivalence(t *testing.T) {
 		message.NewNotification(map[string]message.Value{"a": message.Int(4), "b": message.Int(9)}),
 		message.NewNotification(map[string]message.Value{"c": message.Int(9)}),
 	}
+	// Ports come and go (their link numbers are recycled); "none" is a
+	// link no entry has.
+	froms := append(slices.Clone(links), "p0", "p1", "p2", "none")
 	agree := func() {
 		t.Helper()
+		le, ie := linear.Entries(), indexed.Entries()
+		if !reflect.DeepEqual(le, ie) {
+			t.Fatalf("Entries diverge: %v vs %v", le, ie)
+		}
+		rank := make(map[message.SubID]int, len(model))
+		for i, e := range ie {
+			if i >= len(model) || e.Sub.ID != model[i] {
+				t.Fatalf("Entries = %v, want insertion order %v", ie, model)
+			}
+			rank[e.Sub.ID] = i
+		}
+		if len(ie) != len(model) {
+			t.Fatalf("Entries = %v, want insertion order %v", ie, model)
+		}
 		for _, n := range notes {
-			for _, from := range append(links, "none") {
+			for _, from := range froms {
 				if lm, im := linear.Match(n, from), indexed.Match(n, from); !reflect.DeepEqual(lm, im) {
 					t.Fatalf("Match diverges for %s from %s: %v vs %v", n, from, lm, im)
 				}
@@ -381,6 +426,16 @@ func TestIndexedTableEquivalence(t *testing.T) {
 				il := indexed.MatchByLink(n, from, nil)
 				if !reflect.DeepEqual(ll, il) {
 					t.Fatalf("MatchByLink diverges for %s from %s: %v vs %v", n, from, ll, il)
+				}
+				for i, lm := range il {
+					if lm.Link == from || (i > 0 && lm.Link <= il[i-1].Link) {
+						t.Fatalf("MatchByLink links for %s from %s out of order: %v", n, from, il)
+					}
+					for j, id := range lm.Subs {
+						if e, _ := indexed.Get(id); e.Link != lm.Link || (j > 0 && rank[id] <= rank[lm.Subs[j-1]]) {
+							t.Fatalf("MatchByLink %s Subs %v for %s: wrong link or not in insertion order %v", lm.Link, lm.Subs, n, model)
+						}
+					}
 				}
 			}
 			if le, ie := linear.MatchEntries(n), indexed.MatchEntries(n); !reflect.DeepEqual(le, ie) {
@@ -391,8 +446,9 @@ func TestIndexedTableEquivalence(t *testing.T) {
 	agree()
 
 	// The same through churn: adds, removals, replacement under a live ID
-	// (new filter, new link) and re-adds of removed IDs, which reuse index
-	// slots and reorder its buckets but must not show in any result.
+	// (new filter, new link) and removed IDs coming back on another link,
+	// which reuse slots and link numbers and reorder the index's buckets but
+	// must not show in any result.
 	r := rand.New(rand.NewSource(16))
 	shapes := []func() filter.Filter{
 		func() filter.Filter { return eqF("a", r.Int63n(5)) },
@@ -406,17 +462,32 @@ func TestIndexedTableEquivalence(t *testing.T) {
 		func() filter.Filter { return filter.New(filter.Exists("b")) },
 		filter.All,
 	}
-	for step := 0; step < 300; step++ {
-		id := fmt.Sprintf("r%d", r.Intn(40))
-		if r.Intn(3) == 0 {
-			for _, tb := range both {
-				tb.Remove(message.SubID(id))
+	gone := map[message.SubID]message.NodeID{} // removed IDs and their last link
+	linkOf := froms[:len(froms)-1]
+	for step := 0; step < 600; step++ {
+		switch op := r.Intn(6); {
+		case op < 2 && len(model) > 0:
+			id := model[r.Intn(len(model))]
+			e, _ := indexed.Get(id)
+			gone[id] = e.Link
+			remove(id)
+		case op == 2 && len(gone) > 0:
+			var id message.SubID
+			for g := range gone {
+				if id == "" || g < id {
+					id = g
+				}
 			}
-		} else {
-			s, link := sub(id, shapes[r.Intn(len(shapes))]()), links[r.Intn(len(links))]
-			for _, tb := range both {
-				tb.Add(s, link)
+			link := linkOf[r.Intn(len(linkOf))]
+			for link == gone[id] {
+				link = linkOf[r.Intn(len(linkOf))]
 			}
+			delete(gone, id)
+			add(sub(string(id), shapes[r.Intn(len(shapes))]()), link)
+		default:
+			id := message.SubID(fmt.Sprintf("r%d", r.Intn(40)))
+			delete(gone, id)
+			add(sub(string(id), shapes[r.Intn(len(shapes))]()), linkOf[r.Intn(len(linkOf))])
 		}
 		agree()
 	}
@@ -443,6 +514,11 @@ func TestTableMatchByLink(t *testing.T) {
 		}
 		if lms[1].Link != "L2" || len(lms[1].Subs) != 1 || lms[1].Subs[0] != "s3" {
 			t.Errorf("indexed=%v: L2 match = %v, want [s3]", indexed, lms[1])
+		}
+		// needSubs limits ID collection to the links it selects.
+		lms = tb.MatchByLink(note("a", 1), "origin", func(l message.NodeID) bool { return l == "L2" })
+		if len(lms) != 2 || lms[0].Subs != nil || len(lms[1].Subs) != 1 {
+			t.Errorf("indexed=%v: with IDs for L2 only, match = %v", indexed, lms)
 		}
 	}
 }
