@@ -108,6 +108,35 @@ var goldenFamilies = []string{
 	"rebeca_trace_pending",
 }
 
+// TestStartBrokerRejectsSpec: StartBroker refuses a contradictory or unknown
+// spec before it starts anything.
+func TestStartBrokerRejectsSpec(t *testing.T) {
+	registry := WithRegistry("file:" + filepath.Join(t.TempDir(), "peers.json"))
+	for _, tc := range []struct {
+		name string
+		spec BrokerSpec
+		opts []Option
+		want string
+	}{
+		{"edges and registry", BrokerSpec{ID: "A", Edges: lineABC}, []Option{registry}, "not both"},
+		{"dial under registry", BrokerSpec{ID: "A", Dial: map[NodeID]string{"B": "127.0.0.1:1"}}, []Option{registry}, "replaces BrokerSpec.Dial"},
+		{"mobility jedi", BrokerSpec{ID: "A", Edges: lineABC, Mobility: "jedi"}, nil, `unknown BrokerSpec.Mobility "jedi"`},
+		{"mobility naive", BrokerSpec{ID: "A", Edges: lineABC, Mobility: "naive"}, nil, `unknown BrokerSpec.Mobility "naive"`},
+		{"mobility bogus", BrokerSpec{ID: "A", Edges: lineABC, Mobility: "bogus"}, nil, `unknown BrokerSpec.Mobility "bogus"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := StartBroker(tc.spec, tc.opts...)
+			if err == nil {
+				_ = n.Close(0)
+				t.Fatalf("StartBroker accepted the spec, want an error containing %q", tc.want)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q, want it to contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestStartBrokerAssembly drives the assembly rebeca-broker uses: a static
 // line A-B-C brought up out of order, end-to-end delivery through raw wire
 // clients, the ops surface CI's shell jobs check, and the durable restart

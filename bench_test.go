@@ -1,14 +1,15 @@
-// Benchmarks regenerating every experiment in DESIGN.md's per-experiment
-// index (E1–E9) plus micro-benchmarks of what BENCHMARK.json has no metric
-// for (filter covering and merging, the facade's delivery and publish
-// paths, the ops-on live pipeline, overlay reconvergence). The hot paths it
-// does measure — matching, buffering, publish handling, handover, live
+// Benchmarks timing the runs behind the paper's tables E1–E9
+// (internal/bench generates the tables; E10's cut-and-heal cycle is
+// BenchmarkOverlayReconverge) plus micro-benchmarks of what BENCHMARK.json
+// has no metric for (filter covering and merging, the facade's delivery
+// and publish paths, the ops-on live pipeline). The hot paths it does
+// measure — matching, buffering, publish handling, handover, live
 // throughput — are benchmarked there and nowhere else.
 //
 // Experiment benchmarks report domain metrics via b.ReportMetric —
-// coverage (cov%), message counts (msgs/op) — alongside the usual ns/op;
-// EXPERIMENTS.md records the shapes. cmd/rebeca-bench prints the full
-// paper-style tables.
+// coverage (cov%), message counts (msgs/op) — alongside the usual ns/op.
+// cmd/rebeca-bench prints the full paper-style tables, and
+// internal/bench/testdata holds them as tier-1 compares them.
 package rebeca_test
 
 import (
@@ -406,7 +407,7 @@ func BenchmarkLivePublishThroughputSampled(b *testing.B) {
 
 // BenchmarkOverlayReconverge measures one cut → detect → heal →
 // re-establish → flush cycle of the overlay subsystem on a 3-broker line
-// (virtual clock): the smoke artifact's reconnect-convergence signal.
+// (virtual clock).
 func BenchmarkOverlayReconverge(b *testing.B) {
 	g := rebeca.NewGraph().AddEdge("A", "B").AddEdge("B", "C")
 	sys, err := rebeca.New(

@@ -43,7 +43,7 @@ func rowsByFirst(tb Table) map[string][]string {
 }
 
 func TestE1Shape(t *testing.T) {
-	tb := E1PhysicalHandover(Seed)
+	tb := table("E1")
 	rows := rowsByFirst(tb)
 	if got := parseInt(t, rows["transparent"][3]); got != 0 {
 		t.Errorf("transparent lost %d", got)
@@ -62,7 +62,7 @@ func TestE1Shape(t *testing.T) {
 }
 
 func TestE2Shape(t *testing.T) {
-	tb := E2LogicalAdaptation(Seed)
+	tb := table("E2")
 	rows := rowsByFirst(tb)
 	// Intra-broker moves are free in both deployments.
 	if v := parseF(t, rows["replicated"][1]); v != 0 {
@@ -79,7 +79,7 @@ func TestE2Shape(t *testing.T) {
 }
 
 func TestE3Shape(t *testing.T) {
-	tb := E3Routing(Seed)
+	tb := table("E3")
 	// Group rows in pairs: simple then covering for each size.
 	for i := 0; i+1 < len(tb.Rows); i += 2 {
 		simple, covering := tb.Rows[i], tb.Rows[i+1]
@@ -98,7 +98,7 @@ func TestE3Shape(t *testing.T) {
 }
 
 func TestE3MergingShape(t *testing.T) {
-	tb := E3Merging(Seed)
+	tb := table("E3b")
 	for _, r := range tb.Rows {
 		n, after := parseInt(t, r[0]), parseInt(t, r[2])
 		if after >= n {
@@ -111,7 +111,7 @@ func TestE3MergingShape(t *testing.T) {
 }
 
 func TestE4Shape(t *testing.T) {
-	tb := E4VirtualClientOverhead(Seed)
+	tb := table("E4")
 	rows := rowsByFirst(tb)
 	plainPub := parseF(t, rows["plain"][1])
 	replPub := parseF(t, rows["replicated"][1])
@@ -128,7 +128,7 @@ func TestE4Shape(t *testing.T) {
 }
 
 func TestE5Shape(t *testing.T) {
-	tb := E5PreSubscription(Seed)
+	tb := table("E5")
 	rows := rowsByFirst(tb)
 	rep := parsePct(t, rows["replicated"][1])
 	rea := parsePct(t, rows["reactive"][1])
@@ -151,7 +151,7 @@ func TestE5Shape(t *testing.T) {
 }
 
 func TestE6Shape(t *testing.T) {
-	tb := E6NlbDegree(Seed)
+	tb := table("E6")
 	rows := rowsByFirst(tb)
 	lineVC := parseInt(t, rows["line"][5])
 	completeVC := parseInt(t, rows["complete"][5])
@@ -171,7 +171,7 @@ func TestE6Shape(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	tb := E7BufferPolicies(Seed)
+	tb := table("E7")
 	rows := rowsByFirst(tb)
 	ub := parseInt(t, rows["unbounded"][3])
 	comb := parseInt(t, rows["combined(100ms,5)"][3])
@@ -186,7 +186,7 @@ func TestE7Shape(t *testing.T) {
 }
 
 func TestE8Shape(t *testing.T) {
-	tb := E8SharedBuffer(Seed)
+	tb := table("E8")
 	// Rows come in (private, shared) pairs per k.
 	for i := 0; i+1 < len(tb.Rows); i += 2 {
 		private, shared := tb.Rows[i], tb.Rows[i+1]
@@ -202,7 +202,7 @@ func TestE8Shape(t *testing.T) {
 }
 
 func TestE9Shape(t *testing.T) {
-	tb := E9ExceptionMode(Seed)
+	tb := table("E9")
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -234,7 +234,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestE3AdvertisementsShape(t *testing.T) {
-	tb := E3Advertisements(Seed)
+	tb := table("E3c")
 	for i := 0; i+1 < len(tb.Rows); i += 2 {
 		flood, adv := tb.Rows[i], tb.Rows[i+1]
 		fe, ae := parseInt(t, flood[3]), parseInt(t, adv[3])

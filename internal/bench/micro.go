@@ -18,8 +18,9 @@ import (
 // floor. Room changes inside one border broker's scope need no adaptation
 // traffic at all (the broker-scope myloc already covers them); only
 // broker-crossing moves cost anything — and under pre-subscription the
-// subscriptions are already in place.
-func E2LogicalAdaptation(seed int64) Table {
+// subscriptions are already in place. The walk is scripted: the seed is
+// unused.
+func E2LogicalAdaptation(int64) Table {
 	t := Table{
 		ID:      "E2",
 		Caption: "Logical mobility: adaptation cost per move (Fig. 1 right, §1)",
@@ -34,7 +35,7 @@ func E2LogicalAdaptation(seed int64) Table {
 		{"replicated", sim.ReplicationPreSubscribe},
 		{"reactive", sim.ReplicationReactive},
 	} {
-		intra, inter, cov := officeFloorRun(mode.m, seed)
+		intra, inter, cov := officeFloorRun(mode.m)
 		t.AddRow(mode.name, f2(intra), f2(inter), pct(cov))
 	}
 	return t
@@ -42,7 +43,7 @@ func E2LogicalAdaptation(seed int64) Table {
 
 // officeFloorRun walks a client room-by-room along an office floor of 4
 // broker segments × 3 rooms and counts adaptation traffic per move type.
-func officeFloorRun(mode sim.ReplicationMode, seed int64) (intraPerMove, interPerMove, interCoverage float64) {
+func officeFloorRun(mode sim.ReplicationMode) (intraPerMove, interPerMove, interCoverage float64) {
 	g := movement.Line(4)
 	brokers := g.Nodes()
 	locs := location.OfficeFloor(brokers, 3)
@@ -75,8 +76,6 @@ func officeFloorRun(mode sim.ReplicationMode, seed int64) (intraPerMove, interPe
 	intraPerMove = float64(msgsAt()-before) / float64(intraMoves)
 
 	// Inter-broker moves: walk the corridor end to end and back.
-	rng := rand.New(rand.NewSource(seed))
-	_ = rng
 	interMoves := 0
 	before = msgsAt()
 	covered, expected := 0, 0
@@ -372,22 +371,4 @@ func sharedBufferRun(k int, shared bool, seed int64) (bufBytes, distinct int, co
 	}
 	coverage = float64(got) / nPubs
 	return bufBytes, distinct, coverage
-}
-
-// All runs every experiment generator with the default seed.
-func All() []Table {
-	return []Table{
-		E1PhysicalHandover(Seed),
-		E2LogicalAdaptation(Seed),
-		E3Routing(Seed),
-		E3Merging(Seed),
-		E3Advertisements(Seed),
-		E4VirtualClientOverhead(Seed),
-		E5PreSubscription(Seed),
-		E6NlbDegree(Seed),
-		E7BufferPolicies(Seed),
-		E8SharedBuffer(Seed),
-		E9ExceptionMode(Seed),
-		E10OverlayReconvergence(Seed),
-	}
 }

@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 func TestE10Shape(t *testing.T) {
-	tb := E10OverlayReconvergence(Seed)
+	tb := table("E10")
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(tb.Rows))
 	}

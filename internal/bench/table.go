@@ -1,14 +1,38 @@
-// Package bench implements the experiment harness: one generator per
-// experiment in DESIGN.md's per-experiment index (E1–E9), each producing a
-// formatted result table in the style of a paper's evaluation section.
-// cmd/rebeca-bench prints them; bench_test.go wraps them in testing.B
-// benchmarks; EXPERIMENTS.md records the measured shapes.
+// Package bench implements the experiment harness: one generator per table
+// of the paper's evaluation, E1–E10 with E3b and E3c (Experiments lists
+// them), each producing a formatted result table in the style of a paper's
+// results section. cmd/rebeca-bench prints them and the root bench_test.go
+// wraps them in testing.B benchmarks. testdata/<ID>.txt holds each table as
+// rendered at Seed, and TestGolden compares it; go test ./internal/bench
+// -run TestGolden -update re-records a table that moves on purpose.
 package bench
 
 import (
 	"fmt"
 	"strings"
 )
+
+// Experiment is one of the paper's tables and its generator.
+type Experiment struct {
+	ID  string
+	Run func(seed int64) Table
+}
+
+// Experiments lists every table in the order rebeca-bench prints them.
+var Experiments = []Experiment{
+	{"E1", E1PhysicalHandover},
+	{"E2", E2LogicalAdaptation},
+	{"E3", E3Routing},
+	{"E3b", E3Merging},
+	{"E3c", E3Advertisements},
+	{"E4", E4VirtualClientOverhead},
+	{"E5", E5PreSubscription},
+	{"E6", E6NlbDegree},
+	{"E7", E7BufferPolicies},
+	{"E8", E8SharedBuffer},
+	{"E9", E9ExceptionMode},
+	{"E10", E10OverlayReconvergence},
+}
 
 // Table is one experiment's result: a caption, column headers, and rows.
 type Table struct {

@@ -608,41 +608,63 @@ func TestTallyAcrossDedupWindow(t *testing.T) {
 	}
 }
 
+// newBenchTally is a Tally with its delivery log off.
+func newBenchTally() *Tally {
+	t := NewTally()
+	t.Log.SetCap(-1)
+	return t
+}
+
+// tallyPastWindowProbe returns Tally.Record on one publisher's in-order
+// stream that is already past DefaultDedupWindow IDs, each call the next
+// sequence number.
+func tallyPastWindowProbe() func() {
+	t := newBenchTally()
+	d := Delivery{Note: message.Notification{ID: message.NotificationID{Publisher: "pub0"}}}
+	for seq := uint64(1); seq <= DefaultDedupWindow+1; seq++ {
+		d.Note.ID.Seq = seq
+		t.Record(d)
+	}
+	return func() {
+		d.Note.ID.Seq++
+		t.Record(d)
+	}
+}
+
 // BenchmarkTallyRecord times the port's delivery accounting on one
 // publisher's in-order stream with the delivery log off: first64k from an
-// empty Tally up to DefaultDedupWindow IDs, past64k beyond that. CI holds
-// past64k to 0 allocs/op and to 4x first64k's time.
+// empty Tally up to DefaultDedupWindow IDs, past64k beyond that.
+// TestTallyRecordAllocs holds past64k to 0 allocs; CI holds it to 4x
+// first64k's time.
 func BenchmarkTallyRecord(b *testing.B) {
-	newTally := func() *Tally {
-		t := NewTally()
-		t.Log.SetCap(-1)
-		return t
-	}
-	d := Delivery{Note: message.Notification{ID: message.NotificationID{Publisher: "pub0"}}}
 	b.Run("first64k", func(b *testing.B) {
+		d := Delivery{Note: message.Notification{ID: message.NotificationID{Publisher: "pub0"}}}
 		b.ReportAllocs()
 		var t *Tally
 		for i := 0; i < b.N; i++ {
 			if i%DefaultDedupWindow == 0 {
-				t = newTally()
+				t = newBenchTally()
 			}
 			d.Note.ID.Seq = uint64(i%DefaultDedupWindow) + 1
 			t.Record(d)
 		}
 	})
 	b.Run("past64k", func(b *testing.B) {
-		t := newTally()
-		for seq := uint64(1); seq <= DefaultDedupWindow+1; seq++ {
-			d.Note.ID.Seq = seq
-			t.Record(d)
-		}
+		record := tallyPastWindowProbe()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			d.Note.ID.Seq++
-			t.Record(d)
+			record()
 		}
 	})
+}
+
+// TestTallyRecordAllocs: past the dedup window, recording an in-order
+// delivery allocates nothing (BenchmarkTallyRecord/past64k).
+func TestTallyRecordAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(1000, tallyPastWindowProbe()); got != 0 {
+		t.Errorf("Tally.Record past the dedup window: %v allocs, want 0", got)
+	}
 }
 
 // A publisher identity persisted on a WAL survives the process being

@@ -401,11 +401,7 @@ func TestIndexAccessPathIsASpeedChoiceOnly(t *testing.T) {
 // grow with the table (subs/5), so a notification is expected to match
 // five filters at every size and ns/op shows the cost per subscription
 // held, not per match.
-var indexBenchShapes = []struct {
-	name   string
-	filter func(r *rand.Rand, groups int) Filter
-	note   func(r *rand.Rand, groups int) message.Notification
-}{
+var indexBenchShapes = []indexBenchShape{
 	// type = X ∧ reading > t: the sensor shape, and mesh-fanout-paced's.
 	// Ten filters share a service, the threshold passes half of them.
 	{"eq-gt",
@@ -442,27 +438,60 @@ func benchGroup(prefix string, i int) message.Value {
 	return message.String(fmt.Sprintf("%s-%d", prefix, i))
 }
 
-// BenchmarkIndexMatch is what the CI bench gate reads: 0 allocs/op on
-// every shape, and eq-gt/subs=10000 within 3x of eq-gt/subs=100.
+// indexBenchShape builds filter i of a table and the notifications to
+// match.
+type indexBenchShape struct {
+	name   string
+	filter func(r *rand.Rand, groups int) Filter
+	note   func(r *rand.Rand, groups int) message.Notification
+}
+
+// indexMatchProbe returns Index.Match on an index of subs filters of one
+// shape, cycling through 256 notes.
+func indexMatchProbe(shape indexBenchShape, subs int) func() {
+	r := rand.New(rand.NewSource(5))
+	ix := NewIndex()
+	for i := 0; i < subs; i++ {
+		ix.Add(fmt.Sprintf("f%d", i), shape.filter(r, subs/5))
+	}
+	notes := make([]message.Notification, 256)
+	for i := range notes {
+		notes[i] = shape.note(r, subs/5)
+	}
+	i := 0
+	return func() {
+		ix.Match(notes[i%len(notes)], func(string) {})
+		i++
+	}
+}
+
+var indexBenchSizes = []int{100, 1000, 10000}
+
+// BenchmarkIndexMatch: TestIndexMatchAllocs holds every row to 0 allocs,
+// and CI holds eq-gt/subs=10000 within 3x of eq-gt/subs=100.
 func BenchmarkIndexMatch(b *testing.B) {
 	for _, shape := range indexBenchShapes {
-		for _, subs := range []int{100, 1000, 10000} {
+		for _, subs := range indexBenchSizes {
 			b.Run(fmt.Sprintf("%s/subs=%d", shape.name, subs), func(b *testing.B) {
-				r := rand.New(rand.NewSource(5))
-				ix := NewIndex()
-				for i := 0; i < subs; i++ {
-					ix.Add(fmt.Sprintf("f%d", i), shape.filter(r, subs/5))
-				}
-				notes := make([]message.Notification, 256)
-				for i := range notes {
-					notes[i] = shape.note(r, subs/5)
-				}
+				match := indexMatchProbe(shape, subs)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ix.Match(notes[i%len(notes)], func(string) {})
+					match()
 				}
 			})
+		}
+	}
+}
+
+// TestIndexMatchAllocs: matching allocates nothing on any shape and size
+// BenchmarkIndexMatch sweeps.
+func TestIndexMatchAllocs(t *testing.T) {
+	for _, shape := range indexBenchShapes {
+		for _, subs := range indexBenchSizes {
+			if got := testing.AllocsPerRun(300, indexMatchProbe(shape, subs)); got != 0 {
+				t.Errorf("%s/subs=%d: Index.Match %v allocs, want 0", shape.name, subs, got)
+			}
 		}
 	}
 }

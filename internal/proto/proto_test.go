@@ -276,6 +276,7 @@ func TestWireSizeAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkWireSize: TestWireSizeAllocs holds every case to 0 allocs.
 func BenchmarkWireSize(b *testing.B) {
 	for _, c := range wireSizeCases() {
 		b.Run(c.name, func(b *testing.B) {

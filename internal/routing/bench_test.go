@@ -36,52 +36,78 @@ func benchNotes(rng *rand.Rand) []message.Notification {
 	return notes
 }
 
-// benchMatch drives Table.Match over a subscription-count sweep. The
-// warmup pass grows the table's scratch buffers to their steady-state
-// size, so the timed loop measures the allocation-free hot path — the CI
-// bench job gates on the indexed variant reporting 0 allocs/op.
+// matchProbe returns match on a table newTable made and filled with subs
+// subscriptions, cycling through 256 notes. The warmup pass grows the
+// table's scratch buffers to their steady-state size, so the probe is the
+// allocation-free hot path TestMatchAllocs holds to 0 allocs.
+func matchProbe(newTable func() *routing.Table, subs int, match func(*routing.Table, message.Notification)) func() {
+	rng := rand.New(rand.NewSource(7))
+	tb := newTable()
+	fillTable(tb, subs, rng)
+	notes := benchNotes(rng)
+	for i := range notes {
+		match(tb, notes[i])
+	}
+	i := 0
+	return func() {
+		match(tb, notes[i%len(notes)])
+		i++
+	}
+}
+
+func match(tb *routing.Table, n message.Notification) { _ = tb.Match(n, "none") }
+
+// matchByLink is the broker's actual publish hot path: grouped link
+// matching with port-only ID collection.
+func matchByLink(tb *routing.Table, n message.Notification) {
+	_ = tb.MatchByLink(n, "none", func(message.NodeID) bool { return false })
+}
+
+var (
+	matchSizes       = []int{10, 100, 1000, 10000}
+	matchByLinkSizes = []int{100, 10000}
+)
+
+// benchOp times op, one call per iteration.
+func benchOp(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// benchMatch drives Table.Match over a subscription-count sweep.
 func benchMatch(b *testing.B, newTable func() *routing.Table) {
-	for _, subs := range []int{10, 100, 1000, 10000} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			tb := newTable()
-			fillTable(tb, subs, rng)
-			notes := benchNotes(rng)
-			for i := range notes {
-				_ = tb.Match(notes[i], "none")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = tb.Match(notes[i%len(notes)], "none")
-			}
-		})
+	for _, subs := range matchSizes {
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) { benchOp(b, matchProbe(newTable, subs, match)) })
 	}
 }
 
 func BenchmarkMatchIndexed(b *testing.B) { benchMatch(b, routing.NewIndexedTable) }
 func BenchmarkMatchLinear(b *testing.B)  { benchMatch(b, routing.NewTable) }
 
-// BenchmarkMatchByLink measures the broker's actual publish hot path —
-// grouped link matching with port-only ID collection — on the default
-// (indexed) table.
+// BenchmarkMatchByLink measures matchByLink on the default (indexed) table.
 func BenchmarkMatchByLink(b *testing.B) {
-	for _, subs := range []int{100, 10000} {
+	for _, subs := range matchByLinkSizes {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			tb := routing.NewIndexedTable()
-			fillTable(tb, subs, rng)
-			notes := benchNotes(rng)
-			noPorts := func(message.NodeID) bool { return false }
-			for i := range notes {
-				_ = tb.MatchByLink(notes[i], "none", noPorts)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = tb.MatchByLink(notes[i%len(notes)], "none", noPorts)
-			}
+			benchOp(b, matchProbe(routing.NewIndexedTable, subs, matchByLink))
 		})
+	}
+}
+
+// TestMatchAllocs: indexed Match and MatchByLink allocate nothing at every
+// size BenchmarkMatchIndexed and BenchmarkMatchByLink sweep.
+func TestMatchAllocs(t *testing.T) {
+	for _, subs := range matchSizes {
+		if got := testing.AllocsPerRun(300, matchProbe(routing.NewIndexedTable, subs, match)); got != 0 {
+			t.Errorf("indexed Match, %d subs: %v allocs, want 0", subs, got)
+		}
+	}
+	for _, subs := range matchByLinkSizes {
+		if got := testing.AllocsPerRun(300, matchProbe(routing.NewIndexedTable, subs, matchByLink)); got != 0 {
+			t.Errorf("MatchByLink, %d subs: %v allocs, want 0", subs, got)
+		}
 	}
 }
 
@@ -123,14 +149,14 @@ func BenchmarkTableChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterChurn is a virtual client's life at a broker under
-// logical mobility: a subscription from a local port is subscribed and
-// unsubscribed again, forwarded to and withdrawn from four broker links,
-// on an indexed simple-strategy router holding 1000 other entries. The CI
-// bench job gates it at 0 allocs/op: the router's forwards, the table's
-// slot, order element and link number, the forward marks and the index's
-// bucket all reuse what the previous pair released.
-func BenchmarkRouterChurn(b *testing.B) {
+// routerChurnProbe is a virtual client's life at a broker under logical
+// mobility: a subscription from a local port is subscribed and unsubscribed
+// again, forwarded to and withdrawn from four broker links, on an indexed
+// simple-strategy router holding 1000 other entries. After the warmup the
+// router's forwards, the table's slot, order element and link number, the
+// forward marks and the index's bucket all reuse what the previous pair
+// released.
+func routerChurnProbe(tb testing.TB) func() {
 	peers := []message.NodeID{"B1", "B2", "B3", "B4"}
 	r := routing.NewIndexedRouter(routing.StrategySimple)
 	rng := rand.New(rand.NewSource(7))
@@ -141,18 +167,24 @@ func BenchmarkRouterChurn(b *testing.B) {
 	)}
 	pair := func() {
 		if fw := r.Subscribe(s, "vc", peers); len(fw) != len(peers) {
-			b.Fatalf("subscribe forwarded on %d links, want %d", len(fw), len(peers))
+			tb.Fatalf("subscribe forwarded on %d links, want %d", len(fw), len(peers))
 		}
 		if fw := r.Unsubscribe(s.ID, peers); len(fw) != len(peers) {
-			b.Fatalf("unsubscribe forwarded on %d links, want %d", len(fw), len(peers))
+			tb.Fatalf("unsubscribe forwarded on %d links, want %d", len(fw), len(peers))
 		}
 	}
 	for i := 0; i < 4096; i++ {
 		pair()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pair()
+	return pair
+}
+
+func BenchmarkRouterChurn(b *testing.B) { benchOp(b, routerChurnProbe(b)) }
+
+// TestRouterChurnAllocs holds BenchmarkRouterChurn's subscribe/unsubscribe
+// pair to 0 allocs.
+func TestRouterChurnAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(300, routerChurnProbe(t)); got != 0 {
+		t.Errorf("router subscribe/unsubscribe pair: %v allocs, want 0", got)
 	}
 }

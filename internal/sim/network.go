@@ -2,7 +2,7 @@
 // discrete-event simulator for broker overlays, mobile clients and
 // publishers, with per-link FIFO delivery, configurable latency and fault
 // injection, traffic accounting, and the scenario driver + delivery oracle
-// behind experiments E1–E9.
+// behind the experiment tables E1–E10.
 package sim
 
 import (

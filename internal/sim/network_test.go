@@ -341,35 +341,39 @@ func TestEventLoopMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// TestNetworkSendDeliverAllocs: once its slices have grown, the event loop
-// carries a message from Send to Receive without allocating.
-func TestNetworkSendDeliverAllocs(t *testing.T) {
+// sendDeliverProbe returns one message carried from Send through the event
+// loop to its endpoint, and the count of deliveries made.
+func sendDeliverProbe() (func(), *int) {
 	net := NewNetwork()
-	got := 0
-	net.AddNode("b", EndpointFunc(func(message.NodeID, proto.Message) { got++ }))
+	got := new(int)
+	net.AddNode("b", EndpointFunc(func(message.NodeID, proto.Message) { *got++ }))
 	m := mkPub("a", 1)
-	if allocs := testing.AllocsPerRun(100, func() {
+	return func() {
 		net.Send("a", "b", m)
 		net.step()
-	}); allocs != 0 {
+	}, got
+}
+
+// TestNetworkSendDeliverAllocs: once its slices have grown, the event loop
+// carries a message from Send to Receive without allocating
+// (BenchmarkNetworkSendDeliver).
+func TestNetworkSendDeliverAllocs(t *testing.T) {
+	sendDeliver, got := sendDeliverProbe()
+	if allocs := testing.AllocsPerRun(100, sendDeliver); allocs != 0 {
 		t.Errorf("Send → step → Receive allocates %.1f times, want 0", allocs)
 	}
-	if got == 0 {
+	if *got == 0 {
 		t.Error("nothing was delivered")
 	}
 }
 
 func BenchmarkNetworkSendDeliver(b *testing.B) {
-	net := NewNetwork()
-	got := 0
-	net.AddNode("b", EndpointFunc(func(message.NodeID, proto.Message) { got++ }))
-	m := mkPub("a", 1)
+	sendDeliver, got := sendDeliverProbe()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		net.Send("a", "b", m)
-		net.step()
+		sendDeliver()
 	}
-	if got != b.N {
-		b.Fatalf("delivered %d of %d", got, b.N)
+	if *got != b.N {
+		b.Fatalf("delivered %d of %d", *got, b.N)
 	}
 }

@@ -5,15 +5,23 @@ import (
 	"time"
 )
 
-func benchAppends(b *testing.B, s Store) {
-	b.Helper()
+// appendProbe returns Append of one notification to queue "q" of s.
+func appendProbe(tb testing.TB, s Store) func() {
 	n := note("pub", 1)
 	now := time.Now()
+	return func() {
+		if _, err := s.Append("q", n, now); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func benchAppends(b *testing.B, s Store) {
+	b.Helper()
+	appendOne := appendProbe(b, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Append("q", n, now); err != nil {
-			b.Fatal(err)
-		}
+		appendOne()
 	}
 }
 
@@ -37,6 +45,19 @@ func BenchmarkWALAppendNoSync(b *testing.B) {
 	}
 	defer w.Close()
 	benchAppends(b, w)
+}
+
+// TestWALAppendNoSyncAllocs: an unsynced WAL append allocates nothing
+// (BenchmarkWALAppendNoSync).
+func TestWALAppendNoSyncAllocs(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), WALNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := testing.AllocsPerRun(1000, appendProbe(t, w)); got != 0 {
+		t.Errorf("WAL append without sync: %v allocs, want 0", got)
+	}
 }
 
 func BenchmarkWALRecovery(b *testing.B) {

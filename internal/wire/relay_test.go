@@ -23,16 +23,15 @@ func (discardConn) Write(b []byte) (int, error)      { return len(b), nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 func (discardConn) Close() error                     { return nil }
 
-// BenchmarkRelayForward is a transit broker's whole share of a publish: a
+// relayForwardProbe is a transit broker's whole share of a publish: a
 // relay-form KPublish, as a broker link decodes it, through HandleMessage on
 // a broker holding one remote subscription, encoded into the next link's
-// Conn. CI gates it at 0 allocs/op: a broker that only forwards builds no
-// Notification, no map and no string.
-func BenchmarkRelayForward(b *testing.B) {
+// Conn. It returns the operation and the broker, to count what it forwarded.
+func relayForwardProbe(tb testing.TB) (func(), *broker.Broker) {
 	sock := discardConn{}
 	bw := bufio.NewWriter(sock)
 	conn := newConn("R", sock, codec.Version, bw, codec.NewEncoder(bw), nil)
-	defer func() { _ = conn.Close() }()
+	tb.Cleanup(func() { _ = conn.Close() })
 	br := broker.New(broker.Config{
 		ID: "X", Peers: []message.NodeID{"P", "R"},
 		Send: func(_ message.NodeID, m proto.Message) { _ = conn.Send(m) },
@@ -44,16 +43,33 @@ func BenchmarkRelayForward(b *testing.B) {
 	n.Published = time.Now()
 	m, err := codec.DecodeRelayMessage(codec.AppendMessage(nil, &proto.Message{Kind: proto.KPublish, Client: "pub", Note: &n}))
 	if err != nil || m.RawNote == nil {
-		b.Fatalf("relay form: %v (RawNote %d bytes)", err, len(m.RawNote))
+		tb.Fatalf("relay form: %v (RawNote %d bytes)", err, len(m.RawNote))
 	}
+	return func() { br.HandleMessage("P", m) }, br
+}
+
+func BenchmarkRelayForward(b *testing.B) {
+	forward, br := relayForwardProbe(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		br.HandleMessage("P", m)
+		forward()
 	}
 	b.StopTimer()
 	if got := br.Stats().Forwarded; got < b.N {
 		b.Fatalf("forwarded %d of %d", got, b.N)
+	}
+}
+
+// TestRelayForwardAllocs: a broker that only forwards builds no
+// Notification, no map and no string — 0 allocs (BenchmarkRelayForward).
+func TestRelayForwardAllocs(t *testing.T) {
+	forward, br := relayForwardProbe(t)
+	if got := testing.AllocsPerRun(1000, forward); got != 0 {
+		t.Errorf("relay forward: %v allocs, want 0", got)
+	}
+	if got := br.Stats().Forwarded; got < 1000 {
+		t.Errorf("forwarded %d of 1001", got)
 	}
 }
 

@@ -45,7 +45,7 @@ type BrokerSpec struct {
 	// addresses; exactly one side of each edge dials, the other accepts.
 	Dial map[NodeID]string
 	// Mobility selects the physical-mobility protocol: "transparent" (also
-	// ""), "jedi", "naive", or "none" for no manager.
+	// "") or "none" for no manager.
 	Mobility string
 	// NoReplicator leaves the replicator layer off. Under WithRegistry it
 	// is off regardless: the layer needs a static movement graph.
@@ -235,10 +235,6 @@ func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 	switch spec.Mobility {
 	case "", "transparent":
 		mode = mobility.ModeTransparent
-	case "jedi":
-		mode = mobility.ModeJEDI
-	case "naive":
-		mode = mobility.ModeNaive
 	case "none":
 	default:
 		return nil, fmt.Errorf("rebeca: unknown BrokerSpec.Mobility %q", spec.Mobility)
