@@ -68,7 +68,7 @@ func main() {
 		strategy  = flag.String("strategy", "simple", "routing strategy: simple, covering, flooding")
 		linearM   = flag.Bool("linear-match", false, "revert routing tables to linear scans (matching-index ablation)")
 		replicate = flag.Bool("replicate", true, "attach the replicator layer (movement graph = overlay)")
-		mobilityM = flag.String("mobility", "transparent", "physical mobility: transparent, none")
+		mobilityM = flag.String("mobility", "transparent", "physical mobility: transparent, or none (the naive baseline: resubscribe on reconnect, lose the gap)")
 		stats     = flag.Duration("stats", 0, "print telemetry-registry metrics at this interval (0 = off)")
 		opsAddr   = flag.String("ops", "", "HTTP operations endpoint address, e.g. :9090 (/metrics, /healthz, /readyz, /trace, /config, /debug/pprof)")
 		trace     = flag.Bool("trace", false, "log every publish, delivery and subscription")

@@ -226,7 +226,8 @@ func (b *Broker) Peers() []message.NodeID {
 // AttachPort registers a local client port.
 func (b *Broker) AttachPort(id message.NodeID) { b.ports[id] = true }
 
-// DetachPort removes a local client port and drops its table entries.
+// DetachPort removes a local client port; its table entries are the
+// caller's to withdraw or keep.
 func (b *Broker) DetachPort(id message.NodeID) {
 	delete(b.ports, id)
 }
@@ -352,8 +353,21 @@ func (b *Broker) dispatch(from message.NodeID, m proto.Message) {
 			b.emitForwards(b.router.Unadvertise(m.Sub.ID, b.Peers()))
 		}
 	case proto.KConnect:
+		// No session layer claimed the client — the naive baseline of
+		// reconnect-and-resubscribe: its static profile is installed
+		// afresh (dynamic subscriptions belong to the replicator).
 		b.AttachPort(m.Client)
+		for _, sub := range m.Subs {
+			if !sub.Filter.Dynamic() {
+				b.InstallSub(sub, m.Client)
+			}
+		}
 	case proto.KDisconnect:
+		// ... and withdrawn on disconnect: what is published meanwhile is
+		// lost to the client.
+		for _, e := range b.router.Table().ByLink(m.Client) {
+			b.RemoveSub(e.Sub.ID)
+		}
 		b.DetachPort(m.Client)
 	case proto.KLinkState:
 		b.handleLinkState(from, m)
@@ -520,17 +534,12 @@ func (b *Broker) routePublish(from message.NodeID, m proto.Message) {
 	b.deliverPublish(&m, deliver)
 }
 
-// DeliverLocal hands a notification to a local port through the middleware
-// chain's OnDeliver hooks; any stage — the session layers' ghost
-// buffering, or user middleware — may consume it. The delivery carries no
-// subscription identity; the client resolves target streams by filter.
-func (b *Broker) DeliverLocal(port message.NodeID, n message.Notification) {
-	b.DeliverMatched(port, n, nil)
-}
-
-// DeliverMatched is DeliverLocal with the matched subscription identities:
-// the IDs travel on the KDeliver so the client routes the notification to
-// its per-subscription streams without re-matching.
+// DeliverMatched hands a notification to a local port through the
+// middleware chain's OnDeliver hooks; any stage — the session layers' ghost
+// buffering, or user middleware — may consume it. subs are the matched
+// subscription identities: they travel on the KDeliver so the client routes
+// the notification to its per-subscription streams without re-matching
+// (nil leaves the client to resolve target streams by filter).
 func (b *Broker) DeliverMatched(port message.NodeID, n message.Notification, subs []message.SubID) {
 	c := b.acquire(hookDeliver)
 	c.from, c.note, c.subs = port, &n, subs

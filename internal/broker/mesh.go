@@ -405,9 +405,6 @@ func (b *Broker) EnableMesh() {
 	b.waves = make(map[string]uint64)
 }
 
-// MeshEnabled reports whether mesh routing is active.
-func (b *Broker) MeshEnabled() bool { return b.mesh != nil }
-
 // Mesh exposes the mesh replica (telemetry, tests); nil without
 // EnableMesh.
 func (b *Broker) Mesh() *Mesh { return b.mesh }

@@ -148,12 +148,3 @@ func LineTopology(nodes []message.NodeID) Topology {
 	}
 	return t
 }
-
-// StarTopology builds a hub-and-spoke overlay with the first node as hub.
-func StarTopology(nodes []message.NodeID) Topology {
-	var t Topology
-	for i := 1; i < len(nodes); i++ {
-		t.Edges = append(t.Edges, [2]message.NodeID{nodes[0], nodes[i]})
-	}
-	return t
-}

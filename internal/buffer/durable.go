@@ -9,8 +9,8 @@ import (
 
 // Durable is the store-backed Policy: it mirrors every Add into a named
 // store queue *before* the notification is considered buffered, applies the
-// wrapped in-memory policy for GC/snapshot semantics (TTL, last-n,
-// semantic, …), and acks the queue when the buffer is cleared — which the
+// wrapped in-memory policy — a Window's bounds — for GC/snapshot semantics,
+// and acks the queue when the buffer is cleared — which the
 // session layers do only after a delivery or handover is confirmed. A
 // process that dies between Add and Clear therefore redelivers on
 // recovery; it never loses.
@@ -35,8 +35,8 @@ type Durable struct {
 }
 
 // NewDurable wraps inner with persistence in the store queue named q,
-// recovering any pending records into inner. A nil inner defaults to
-// Unbounded.
+// recovering any pending records into inner. A nil inner defaults to an
+// unbounded Window.
 func NewDurable(s store.Store, q string, inner Policy) *Durable {
 	if inner == nil {
 		inner = NewUnbounded()

@@ -48,13 +48,13 @@ func TestDurableRecoversPendingIntoInner(t *testing.T) {
 
 func TestDurableTTLAcrossRecovery(t *testing.T) {
 	st := store.NewMemory()
-	d := NewDurable(st, "q", NewTimeBased(10*time.Second))
+	d := NewDurable(st, "q", NewWindow(10*time.Second, 0))
 	d.Add(mkNote("p", 1, "old"), t0)
 	d.Add(mkNote("p", 2, "new"), t0.Add(8*time.Second))
 	// Recover 5 virtual seconds later: arrival times persisted with the
 	// records keep the TTL bound exact — "old" (13s) expired, "new" (5s)
 	// live.
-	d2 := NewDurable(st, "q", NewTimeBased(10*time.Second))
+	d2 := NewDurable(st, "q", NewWindow(10*time.Second, 0))
 	if got := bodies(d2.Snapshot(t0.Add(13 * time.Second))); !eqStrings(got, []string{"new"}) {
 		t.Fatalf("TTL across recovery = %v", got)
 	}
@@ -62,7 +62,7 @@ func TestDurableTTLAcrossRecovery(t *testing.T) {
 
 func TestDurableEvictionDoesNotAck(t *testing.T) {
 	st := store.NewMemory()
-	d := NewDurable(st, "q", NewLastN(2))
+	d := NewDurable(st, "q", NewWindow(0, 2))
 	for i := uint64(1); i <= 5; i++ {
 		d.Add(mkNote("p", i, "x"), t0)
 	}

@@ -1,8 +1,10 @@
-// Package buffer implements the notification buffering schemes of §4
-// ("Embedding event histories"): time-based, history-based (last-n), their
-// combination, and semantic-based nullification, plus the shared per-broker
-// buffer with digest-holding virtual clients that the research agenda
-// proposes to reduce redundant memory.
+// Package buffer implements the notification buffering of §4 ("Embedding
+// event histories") as one Window with up to three bounds — time-based
+// (drop what was published more than t ago), history-based (keep the last
+// n) and semantic-based (drop what a newer notification nullifies), in any
+// combination — plus the shared per-broker store with digest-holding
+// virtual clients that the research agenda proposes to reduce redundant
+// memory, and the store-backed Durable wrapper.
 //
 // Buffering virtual clients use a Policy to record location-relevant
 // notifications while no real client is attached; on handover the buffer is
@@ -44,181 +46,10 @@ type entry struct {
 	at time.Time
 }
 
-// --- Unbounded ---------------------------------------------------------
-
-// Unbounded buffers everything forever. It is the reference policy for
-// correctness tests and the degenerate upper bound in E7.
-type Unbounded struct {
-	entries []entry
-}
-
-// NewUnbounded returns an empty unbounded buffer.
-func NewUnbounded() *Unbounded { return &Unbounded{} }
-
-// Add implements Policy.
-func (u *Unbounded) Add(n message.Notification, now time.Time) {
-	u.entries = append(u.entries, entry{n: n, at: now})
-}
-
-// Snapshot implements Policy.
-func (u *Unbounded) Snapshot(time.Time) []message.Notification { return collect(u.entries) }
-
-// Len implements Policy.
-func (u *Unbounded) Len() int { return len(u.entries) }
-
-// Bytes implements Policy.
-func (u *Unbounded) Bytes() int { return bytesOf(u.entries) }
-
-// Clear implements Policy.
-func (u *Unbounded) Clear() { u.entries = nil }
-
-// --- Time-based --------------------------------------------------------
-
-// TimeBased keeps notifications published within the last TTL: "all
-// notifications published more than t seconds ago are deleted" (§4).
-type TimeBased struct {
-	ttl     time.Duration
-	entries []entry
-}
-
-// NewTimeBased returns a time-based buffer with the given TTL.
-func NewTimeBased(ttl time.Duration) *TimeBased { return &TimeBased{ttl: ttl} }
-
-// Add implements Policy. Adding also garbage-collects, keeping resident
-// memory proportional to the live window.
-func (t *TimeBased) Add(n message.Notification, now time.Time) {
-	t.gc(now)
-	t.entries = append(t.entries, entry{n: n, at: now})
-}
-
-// Snapshot implements Policy.
-func (t *TimeBased) Snapshot(now time.Time) []message.Notification {
-	t.gc(now)
-	return collect(t.entries)
-}
-
-// Len implements Policy.
-func (t *TimeBased) Len() int { return len(t.entries) }
-
-// Bytes implements Policy.
-func (t *TimeBased) Bytes() int { return bytesOf(t.entries) }
-
-// Clear implements Policy.
-func (t *TimeBased) Clear() { t.entries = nil }
-
-func (t *TimeBased) gc(now time.Time) {
-	cut := now.Add(-t.ttl)
-	i := 0
-	for i < len(t.entries) && t.entries[i].at.Before(cut) {
-		i++
-	}
-	if i > 0 {
-		t.entries = append(t.entries[:0], t.entries[i:]...)
-	}
-}
-
-// --- History-based (last n) ---------------------------------------------
-
-// LastN keeps the most recent n notifications (§4 "history-based").
-type LastN struct {
-	n       int
-	entries []entry
-}
-
-// NewLastN returns a history-based buffer of capacity n.
-func NewLastN(n int) *LastN { return &LastN{n: n} }
-
-// Add implements Policy.
-func (l *LastN) Add(n message.Notification, now time.Time) {
-	l.entries = append(l.entries, entry{n: n, at: now})
-	if len(l.entries) > l.n {
-		drop := len(l.entries) - l.n
-		l.entries = append(l.entries[:0], l.entries[drop:]...)
-	}
-}
-
-// Snapshot implements Policy.
-func (l *LastN) Snapshot(time.Time) []message.Notification { return collect(l.entries) }
-
-// Len implements Policy.
-func (l *LastN) Len() int { return len(l.entries) }
-
-// Bytes implements Policy.
-func (l *LastN) Bytes() int { return bytesOf(l.entries) }
-
-// Clear implements Policy.
-func (l *LastN) Clear() { l.entries = nil }
-
-// --- Combined ------------------------------------------------------------
-
-// Combined applies both a TTL and a count bound ("Both schemes can be
-// combined", §4).
-type Combined struct {
-	ttl     time.Duration
-	n       int
-	entries []entry
-}
-
-// NewCombined returns a buffer bounded by both ttl and n.
-func NewCombined(ttl time.Duration, n int) *Combined {
-	return &Combined{ttl: ttl, n: n}
-}
-
-// Add implements Policy.
-func (c *Combined) Add(n message.Notification, now time.Time) {
-	c.gc(now)
-	c.entries = append(c.entries, entry{n: n, at: now})
-	if len(c.entries) > c.n {
-		drop := len(c.entries) - c.n
-		c.entries = append(c.entries[:0], c.entries[drop:]...)
-	}
-}
-
-// Snapshot implements Policy.
-func (c *Combined) Snapshot(now time.Time) []message.Notification {
-	c.gc(now)
-	return collect(c.entries)
-}
-
-// Len implements Policy.
-func (c *Combined) Len() int { return len(c.entries) }
-
-// Bytes implements Policy.
-func (c *Combined) Bytes() int { return bytesOf(c.entries) }
-
-// Clear implements Policy.
-func (c *Combined) Clear() { c.entries = nil }
-
-func (c *Combined) gc(now time.Time) {
-	cut := now.Add(-c.ttl)
-	i := 0
-	for i < len(c.entries) && c.entries[i].at.Before(cut) {
-		i++
-	}
-	if i > 0 {
-		c.entries = append(c.entries[:0], c.entries[i:]...)
-	}
-}
-
-// --- Semantic ------------------------------------------------------------
-
 // NullifyFunc reports whether a new notification supersedes an old one
 // (e.g. a fresh menu for the same restaurant), in the spirit of
 // semantically reliable multicast [17].
 type NullifyFunc func(newer, older message.Notification) bool
-
-// Semantic drops buffered notifications nullified by newer ones (§4
-// "semantic-based"). An optional count cap bounds the residual buffer.
-type Semantic struct {
-	nullifies NullifyFunc
-	cap       int // 0 = unbounded
-	entries   []entry
-}
-
-// NewSemantic returns a semantic buffer. cap of 0 means unbounded.
-func NewSemantic(f NullifyFunc, cap int) *Semantic {
-	return &Semantic{nullifies: f, cap: cap}
-}
 
 // NullifyByKey nullifies older notifications that share the given
 // attributes' values with the newer one — the common "latest state per key"
@@ -236,56 +67,88 @@ func NullifyByKey(attrs ...string) NullifyFunc {
 	}
 }
 
-// Add implements Policy.
-func (s *Semantic) Add(n message.Notification, now time.Time) {
-	kept := s.entries[:0]
-	for _, e := range s.entries {
-		if !s.nullifies(n, e.n) {
-			kept = append(kept, e)
+// Window is the buffer of §4: notifications in arrival order, bounded by
+// age (ttl: "all notifications published more than t seconds ago are
+// deleted"), by count (n: the last n are kept) and by supersession (a newer
+// notification deletes the older ones it nullifies). "Both schemes can be
+// combined": a zero ttl, a zero n or a nil supersedes switches that bound
+// off, so the zero Window buffers everything.
+type Window struct {
+	ttl        time.Duration
+	n          int
+	supersedes NullifyFunc
+	entries    []entry
+}
+
+// NewWindow returns a buffer bounded by age ttl and count n (0 disables
+// either bound).
+func NewWindow(ttl time.Duration, n int) *Window { return &Window{ttl: ttl, n: n} }
+
+// NewSemantic returns a buffer whose newer notifications delete the older
+// ones f says they nullify, keeping at most n (0 = no count bound).
+func NewSemantic(f NullifyFunc, n int) *Window { return &Window{n: n, supersedes: f} }
+
+// NewUnbounded returns a buffer that keeps everything: the reference policy
+// for correctness tests and the degenerate upper bound in E7.
+func NewUnbounded() *Window { return &Window{} }
+
+// Add implements Policy. Adding also expires, keeping resident memory
+// proportional to the live window.
+func (w *Window) Add(n message.Notification, now time.Time) {
+	w.expire(now)
+	if w.supersedes != nil {
+		kept := w.entries[:0]
+		for _, e := range w.entries {
+			if !w.supersedes(n, e.n) {
+				kept = append(kept, e)
+			}
 		}
+		w.entries = kept
 	}
-	s.entries = append(kept, entry{n: n, at: now})
-	if s.cap > 0 && len(s.entries) > s.cap {
-		drop := len(s.entries) - s.cap
-		s.entries = append(s.entries[:0], s.entries[drop:]...)
+	w.entries = append(w.entries, entry{n: n, at: now})
+	if w.n > 0 && len(w.entries) > w.n {
+		w.entries = append(w.entries[:0], w.entries[len(w.entries)-w.n:]...)
 	}
 }
 
 // Snapshot implements Policy.
-func (s *Semantic) Snapshot(time.Time) []message.Notification { return collect(s.entries) }
-
-// Len implements Policy.
-func (s *Semantic) Len() int { return len(s.entries) }
-
-// Bytes implements Policy.
-func (s *Semantic) Bytes() int { return bytesOf(s.entries) }
-
-// Clear implements Policy.
-func (s *Semantic) Clear() { s.entries = nil }
-
-// --- helpers ---------------------------------------------------------
-
-func collect(es []entry) []message.Notification {
-	out := make([]message.Notification, len(es))
-	for i, e := range es {
+func (w *Window) Snapshot(now time.Time) []message.Notification {
+	w.expire(now)
+	out := make([]message.Notification, len(w.entries))
+	for i, e := range w.entries {
 		out[i] = e.n
 	}
 	return out
 }
 
-func bytesOf(es []entry) int {
+// Len implements Policy.
+func (w *Window) Len() int { return len(w.entries) }
+
+// Bytes implements Policy.
+func (w *Window) Bytes() int {
 	total := 0
-	for _, e := range es {
+	for _, e := range w.entries {
 		total += e.n.WireSize()
 	}
 	return total
 }
 
-// Compile-time interface checks.
-var (
-	_ Policy = (*Unbounded)(nil)
-	_ Policy = (*TimeBased)(nil)
-	_ Policy = (*LastN)(nil)
-	_ Policy = (*Combined)(nil)
-	_ Policy = (*Semantic)(nil)
-)
+// Clear implements Policy.
+func (w *Window) Clear() { w.entries = nil }
+
+// expire drops the entries published more than ttl before now.
+func (w *Window) expire(now time.Time) {
+	if w.ttl == 0 {
+		return
+	}
+	cut := now.Add(-w.ttl)
+	i := 0
+	for i < len(w.entries) && w.entries[i].at.Before(cut) {
+		i++
+	}
+	if i > 0 {
+		w.entries = append(w.entries[:0], w.entries[i:]...)
+	}
+}
+
+var _ Policy = (*Window)(nil)

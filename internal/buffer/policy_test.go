@@ -58,7 +58,7 @@ func TestUnboundedKeepsEverything(t *testing.T) {
 }
 
 func TestTimeBasedExpiry(t *testing.T) {
-	b := NewTimeBased(10 * time.Second)
+	b := NewWindow(10*time.Second, 0)
 	b.Add(mkNote("p", 1, "old"), t0)
 	b.Add(mkNote("p", 2, "mid"), t0.Add(5*time.Second))
 	b.Add(mkNote("p", 3, "new"), t0.Add(12*time.Second))
@@ -73,7 +73,7 @@ func TestTimeBasedExpiry(t *testing.T) {
 }
 
 func TestTimeBasedBoundaryExactTTL(t *testing.T) {
-	b := NewTimeBased(10 * time.Second)
+	b := NewWindow(10*time.Second, 0)
 	b.Add(mkNote("p", 1, "edge"), t0)
 	// Exactly at TTL the entry is still live (strictly-older-than deletion,
 	// matching §4 "published more than t seconds ago").
@@ -86,7 +86,7 @@ func TestTimeBasedBoundaryExactTTL(t *testing.T) {
 }
 
 func TestLastNEviction(t *testing.T) {
-	b := NewLastN(3)
+	b := NewWindow(0, 3)
 	for i := 0; i < 5; i++ {
 		b.Add(mkNote("p", uint64(i), strconv.Itoa(i)), t0)
 	}
@@ -100,7 +100,7 @@ func TestLastNEviction(t *testing.T) {
 }
 
 func TestCombinedBounds(t *testing.T) {
-	b := NewCombined(10*time.Second, 2)
+	b := NewWindow(10*time.Second, 2)
 	b.Add(mkNote("p", 1, "a"), t0)
 	b.Add(mkNote("p", 2, "b"), t0.Add(time.Second))
 	b.Add(mkNote("p", 3, "c"), t0.Add(2*time.Second))
@@ -152,26 +152,49 @@ func TestSemanticNullifyByKeyMissingAttr(t *testing.T) {
 	}
 }
 
+// windowBounds are the bound settings the window tests cover, each with and
+// without supersession: ttl in {0, 50 ms} × n in {0, 7}.
+var windowBounds = []struct {
+	name string
+	ttl  time.Duration
+	n    int
+}{
+	{"unbounded", 0, 0},
+	{"time", 50 * time.Millisecond, 0},
+	{"lastn", 0, 7},
+	{"combined", 50 * time.Millisecond, 7},
+}
+
 func TestPoliciesPreserveArrivalOrder(t *testing.T) {
-	factories := map[string]Factory{
-		"unbounded": func() Policy { return NewUnbounded() },
-		"time":      func() Policy { return NewTimeBased(time.Hour) },
-		"lastn":     func() Policy { return NewLastN(100) },
-		"combined":  func() Policy { return NewCombined(time.Hour, 100) },
-	}
-	for name, f := range factories {
-		t.Run(name, func(t *testing.T) {
-			p := f()
-			for i := 0; i < 10; i++ {
-				p.Add(mkNote("p", uint64(i), strconv.Itoa(i)), t0.Add(time.Duration(i)))
+	for _, wb := range windowBounds {
+		for _, semantic := range []bool{false, true} {
+			name := wb.name
+			if semantic {
+				name += "+semantic"
 			}
-			got := bodies(p.Snapshot(t0.Add(time.Second)))
-			for i := 0; i < 10; i++ {
-				if got[i] != strconv.Itoa(i) {
-					t.Fatalf("order broken: %v", got)
+			t.Run(name, func(t *testing.T) {
+				p := &Window{ttl: wb.ttl, n: wb.n}
+				if semantic {
+					p.supersedes = NullifyByKey("body")
 				}
-			}
-		})
+				for i := 0; i < 10; i++ {
+					p.Add(mkNote("p", uint64(i), strconv.Itoa(i)), t0.Add(time.Duration(i)))
+				}
+				got := bodies(p.Snapshot(t0.Add(10)))
+				want := 10
+				if wb.n > 0 {
+					want = wb.n
+				}
+				if len(got) != want {
+					t.Fatalf("kept %d of 10 (%v), want %d", len(got), got, want)
+				}
+				for i, b := range got {
+					if b != strconv.Itoa(10-want+i) {
+						t.Fatalf("order broken: %v", got)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -195,8 +218,8 @@ func TestBytesAccounting(t *testing.T) {
 
 func TestSharedRefcounting(t *testing.T) {
 	s := NewShared()
-	d1 := s.NewDigest(0, 0)
-	d2 := s.NewDigest(0, 0)
+	d1 := s.NewDigest()
+	d2 := s.NewDigest()
 	n := mkNote("p", 1, "shared")
 	d1.Add(n, t0)
 	d2.Add(n, t0)
@@ -215,41 +238,13 @@ func TestSharedRefcounting(t *testing.T) {
 
 func TestSharedSnapshotContent(t *testing.T) {
 	s := NewShared()
-	d := s.NewDigest(0, 0)
+	d := s.NewDigest()
 	for i := 0; i < 5; i++ {
 		d.Add(mkNote("p", uint64(i), strconv.Itoa(i)), t0)
 	}
 	got := bodies(d.Snapshot(t0))
 	if !eqStrings(got, []string{"0", "1", "2", "3", "4"}) {
 		t.Errorf("digest snapshot = %v", got)
-	}
-}
-
-func TestSharedDigestTTL(t *testing.T) {
-	s := NewShared()
-	d := s.NewDigest(10*time.Second, 0)
-	d.Add(mkNote("p", 1, "old"), t0)
-	d.Add(mkNote("p", 2, "new"), t0.Add(9*time.Second))
-	got := bodies(d.Snapshot(t0.Add(15 * time.Second)))
-	if !eqStrings(got, []string{"new"}) {
-		t.Errorf("digest TTL snapshot = %v, want [new]", got)
-	}
-	if s.Len() != 1 {
-		t.Errorf("expired digest entries must release store refs, store len=%d", s.Len())
-	}
-}
-
-func TestSharedDigestCap(t *testing.T) {
-	s := NewShared()
-	d := s.NewDigest(0, 2)
-	for i := 0; i < 4; i++ {
-		d.Add(mkNote("p", uint64(i), strconv.Itoa(i)), t0)
-	}
-	if got := bodies(d.Snapshot(t0)); !eqStrings(got, []string{"2", "3"}) {
-		t.Errorf("capped digest = %v, want [2 3]", got)
-	}
-	if s.Len() != 2 {
-		t.Errorf("store should only hold capped entries, got %d", s.Len())
 	}
 }
 
@@ -260,7 +255,7 @@ func TestSharedMemorySavings(t *testing.T) {
 	s := NewShared()
 	digests := make([]*Digest, k)
 	for i := range digests {
-		digests[i] = s.NewDigest(0, 0)
+		digests[i] = s.NewDigest()
 	}
 	privates := make([]Policy, k)
 	for i := range privates {
@@ -296,7 +291,7 @@ func TestSharedUnrefUnknownIDHarmless(t *testing.T) {
 
 func TestDigestDoubleAddSameNotification(t *testing.T) {
 	s := NewShared()
-	d := s.NewDigest(0, 0)
+	d := s.NewDigest()
 	n := mkNote("p", 1, "dup")
 	d.Add(n, t0)
 	d.Add(n, t0)

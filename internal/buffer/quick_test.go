@@ -3,6 +3,7 @@ package buffer
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -26,16 +27,26 @@ func (op) Generate(r *rand.Rand, _ int) reflect.Value {
 	})
 }
 
-// model is the reference implementation: a plain slice with the policy's
+// model is the reference implementation: a plain slice with the window's
 // bounds applied eagerly.
 type model struct {
-	ttl     time.Duration
-	cap     int
-	entries []entry
+	ttl       time.Duration
+	cap       int
+	nullifies NullifyFunc
+	entries   []entry
 }
 
 func (m *model) add(n message.Notification, now time.Time) {
 	m.gc(now)
+	if m.nullifies != nil {
+		var kept []entry
+		for _, e := range m.entries {
+			if !m.nullifies(n, e.n) {
+				kept = append(kept, e)
+			}
+		}
+		m.entries = kept
+	}
 	m.entries = append(m.entries, entry{n: n, at: now})
 	if m.cap > 0 && len(m.entries) > m.cap {
 		m.entries = m.entries[len(m.entries)-m.cap:]
@@ -63,26 +74,19 @@ func (m *model) gc(now time.Time) {
 	m.entries = m.entries[i:]
 }
 
-// checkAgainstModel runs a random op sequence against both a policy and the
-// model and compares snapshots.
-func checkAgainstModel(t *testing.T, mk func() Policy, ttl time.Duration, cap int) {
+// checkAgainstModel runs random op sequences against a Window with the
+// given bounds and the model, with and without supersession by body (five
+// distinct bodies, so keys collide), and compares snapshots.
+func checkAgainstModel(t *testing.T, ttl time.Duration, cap int) {
 	t.Helper()
-	f := func(ops []op) bool {
-		p := mk()
-		m := &model{ttl: ttl, cap: cap}
-		now := t0
-		seq := uint64(0)
-		for _, o := range ops {
-			now = now.Add(time.Duration(o.Delta) * time.Millisecond)
-			switch o.Kind {
-			case 0, 1, 2:
-				seq++
-				n := mkNote("p", seq, "x")
-				p.Add(n, now)
-				m.add(n, now)
-			case 3:
-				got := p.Snapshot(now)
-				want := m.snapshot(now)
+	for _, nullifies := range map[string]NullifyFunc{"plain": nil, "semantic": NullifyByKey("body")} {
+		f := func(ops []op) bool {
+			p := &Window{ttl: ttl, n: cap, supersedes: nullifies}
+			m := &model{ttl: ttl, cap: cap, nullifies: nullifies}
+			now := t0
+			seq := uint64(0)
+			same := func() bool {
+				got, want := p.Snapshot(now), m.snapshot(now)
 				if len(got) != len(want) {
 					return false
 				}
@@ -91,56 +95,44 @@ func checkAgainstModel(t *testing.T, mk func() Policy, ttl time.Duration, cap in
 						return false
 					}
 				}
-			case 4:
-				p.Clear()
-				m.entries = nil
-			case 5:
-				if p.Len() < 0 {
-					return false
+				return true
+			}
+			for _, o := range ops {
+				now = now.Add(time.Duration(o.Delta) * time.Millisecond)
+				switch o.Kind {
+				case 0, 1, 2:
+					seq++
+					n := mkNote("p", seq, strconv.Itoa(int(o.Body%5)))
+					p.Add(n, now)
+					m.add(n, now)
+				case 3:
+					if !same() {
+						return false
+					}
+				case 4:
+					p.Clear()
+					m.entries = nil
+				case 5:
+					if p.Len() < 0 {
+						return false
+					}
 				}
 			}
+			return same()
 		}
-		// Final deep comparison.
-		got := p.Snapshot(now)
-		want := m.snapshot(now)
-		if len(got) != len(want) {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("supersedes=%v: %v", nullifies != nil, err)
 		}
-		for i := range got {
-			if got[i].ID != want[i].ID {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
-func TestQuickUnboundedMatchesModel(t *testing.T) {
-	checkAgainstModel(t, func() Policy { return NewUnbounded() }, 0, 0)
-}
+func TestQuickUnboundedMatchesModel(t *testing.T) { checkAgainstModel(t, 0, 0) }
 
-func TestQuickTimeBasedMatchesModel(t *testing.T) {
-	checkAgainstModel(t, func() Policy { return NewTimeBased(50 * time.Millisecond) },
-		50*time.Millisecond, 0)
-}
+func TestQuickTimeBasedMatchesModel(t *testing.T) { checkAgainstModel(t, 50*time.Millisecond, 0) }
 
-func TestQuickLastNMatchesModel(t *testing.T) {
-	checkAgainstModel(t, func() Policy { return NewLastN(7) }, 0, 7)
-}
+func TestQuickLastNMatchesModel(t *testing.T) { checkAgainstModel(t, 0, 7) }
 
-func TestQuickCombinedMatchesModel(t *testing.T) {
-	checkAgainstModel(t, func() Policy { return NewCombined(50*time.Millisecond, 7) },
-		50*time.Millisecond, 7)
-}
-
-func TestQuickDigestMatchesModel(t *testing.T) {
-	checkAgainstModel(t, func() Policy {
-		return NewShared().NewDigest(50*time.Millisecond, 7)
-	}, 50*time.Millisecond, 7)
-}
+func TestQuickCombinedMatchesModel(t *testing.T) { checkAgainstModel(t, 50*time.Millisecond, 7) }
 
 // Property: the shared store's refcounts never leak — after clearing every
 // digest, the store is empty.
@@ -150,7 +142,7 @@ func TestQuickSharedStoreNoLeak(t *testing.T) {
 		s := NewShared()
 		digests := make([]*Digest, k)
 		for i := range digests {
-			digests[i] = s.NewDigest(0, 5)
+			digests[i] = s.NewDigest()
 		}
 		now := t0
 		seq := uint64(0)
@@ -170,11 +162,11 @@ func TestQuickSharedStoreNoLeak(t *testing.T) {
 	}
 }
 
-// Property: Len always equals len(Snapshot) for count-bounded policies at
+// Property: Len always equals len(Snapshot) for a count-bounded window at
 // the same instant.
 func TestQuickLenConsistent(t *testing.T) {
 	f := func(ops []op) bool {
-		p := NewLastN(5)
+		p := NewWindow(0, 5)
 		now := t0
 		seq := uint64(0)
 		for _, o := range ops {

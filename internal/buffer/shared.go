@@ -20,7 +20,6 @@ type Shared struct {
 
 type sharedEntry struct {
 	n    message.Notification
-	at   time.Time
 	refs int
 }
 
@@ -30,12 +29,12 @@ func NewShared() *Shared {
 }
 
 // put inserts or refs a notification.
-func (s *Shared) put(n message.Notification, now time.Time) {
+func (s *Shared) put(n message.Notification) {
 	if e, ok := s.store[n.ID]; ok {
 		e.refs++
 		return
 	}
-	s.store[n.ID] = &sharedEntry{n: n, at: now, refs: 1}
+	s.store[n.ID] = &sharedEntry{n: n, refs: 1}
 }
 
 // unref decrements a notification's refcount, freeing it at zero.
@@ -72,48 +71,32 @@ func (s *Shared) Bytes() int {
 	return total
 }
 
-// NewDigest returns a digest view over the shared store whose retention
-// follows the given TTL and count bounds (0 disables either bound).
-func (s *Shared) NewDigest(ttl time.Duration, n int) *Digest {
-	return &Digest{shared: s, ttl: ttl, cap: n}
+// NewDigest returns a digest view over the shared store. Digests are
+// unbounded: an entry lives until the digest is cleared.
+func (s *Shared) NewDigest() *Digest {
+	return &Digest{shared: s}
 }
 
 // Digest is a virtual client's view onto a Shared store: it holds only
-// notification IDs plus timestamps; content lives once in the store.
-// Digest implements Policy, so virtual clients can use shared and private
-// buffering interchangeably (experiment E8 compares them).
+// notification IDs; content lives once in the store. Digest implements
+// Policy, so virtual clients can use shared and private buffering
+// interchangeably (experiment E8 compares them).
 type Digest struct {
 	shared *Shared
-	ttl    time.Duration // 0 = no TTL
-	cap    int           // 0 = no count bound
-	ids    []digestEntry
-}
-
-type digestEntry struct {
-	id message.NotificationID
-	at time.Time
+	ids    []message.NotificationID
 }
 
 // Add implements Policy.
-func (d *Digest) Add(n message.Notification, now time.Time) {
-	d.gc(now)
-	d.shared.put(n, now)
-	d.ids = append(d.ids, digestEntry{id: n.ID, at: now})
-	if d.cap > 0 && len(d.ids) > d.cap {
-		drop := len(d.ids) - d.cap
-		for _, e := range d.ids[:drop] {
-			d.shared.unref(e.id)
-		}
-		d.ids = append(d.ids[:0], d.ids[drop:]...)
-	}
+func (d *Digest) Add(n message.Notification, _ time.Time) {
+	d.shared.put(n)
+	d.ids = append(d.ids, n.ID)
 }
 
 // Snapshot implements Policy, fetching contents back from the store.
-func (d *Digest) Snapshot(now time.Time) []message.Notification {
-	d.gc(now)
+func (d *Digest) Snapshot(time.Time) []message.Notification {
 	out := make([]message.Notification, 0, len(d.ids))
-	for _, e := range d.ids {
-		if n, ok := d.shared.get(e.id); ok {
+	for _, id := range d.ids {
+		if n, ok := d.shared.get(id); ok {
 			out = append(out, n)
 		}
 	}
@@ -132,25 +115,10 @@ func (d *Digest) Bytes() int {
 
 // Clear implements Policy, releasing all references.
 func (d *Digest) Clear() {
-	for _, e := range d.ids {
-		d.shared.unref(e.id)
+	for _, id := range d.ids {
+		d.shared.unref(id)
 	}
 	d.ids = nil
-}
-
-func (d *Digest) gc(now time.Time) {
-	if d.ttl == 0 {
-		return
-	}
-	cut := now.Add(-d.ttl)
-	i := 0
-	for i < len(d.ids) && d.ids[i].at.Before(cut) {
-		d.shared.unref(d.ids[i].id)
-		i++
-	}
-	if i > 0 {
-		d.ids = append(d.ids[:0], d.ids[i:]...)
-	}
 }
 
 var _ Policy = (*Digest)(nil)

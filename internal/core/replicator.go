@@ -33,7 +33,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"rebeca/internal/broker"
 	"rebeca/internal/buffer"
@@ -131,11 +130,9 @@ type Config struct {
 	// Ignored when Shared is set.
 	BufferFactory buffer.Factory
 	// Shared, when non-nil, switches virtual clients to digest views over
-	// this per-broker shared store (§4's memory optimization, E8).
+	// this per-broker shared store (§4's memory optimization, E8). Digests
+	// are unbounded: BufferFactory's bounds do not apply to them.
 	Shared *buffer.Shared
-	// SharedTTL / SharedCap bound digest retention in shared mode (0 = unbounded).
-	SharedTTL time.Duration
-	SharedCap int
 	// Store, when non-nil, backs every virtual-client buffer with a
 	// persistence queue (repl/<broker>/<client>): appends happen when a
 	// notification is buffered, acks when its replay or fetch is served —
@@ -246,7 +243,7 @@ func (r *Replicator) resolve(f filter.Filter) filter.Filter {
 
 func (r *Replicator) newBuffer(c message.NodeID) buffer.Policy {
 	if r.cfg.Shared != nil {
-		return r.cfg.Shared.NewDigest(r.cfg.SharedTTL, r.cfg.SharedCap)
+		return r.cfg.Shared.NewDigest()
 	}
 	if r.cfg.Store != nil {
 		queue := fmt.Sprintf("repl/%s/%s", r.b.ID(), c)

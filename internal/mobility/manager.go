@@ -27,9 +27,16 @@
 //     goes live.
 //
 // The result is no loss, no duplicates and per-publisher FIFO across the
-// handover. ModeJEDI (explicit moveOut/moveIn without barriers or tap,
-// related work [2]) and ModeNaive (reconnect-and-resubscribe) are the
-// baselines experiment E1 compares against.
+// handover. Experiment E1 compares it with two baselines. The naive one
+// (reconnect-and-resubscribe) is a broker with no manager at all: its
+// default handling installs a connecting client's profile and withdraws it
+// on disconnect. ModeJEDI (explicit moveOut/moveIn, related work [2]) is
+// this manager with the barriers turned off — no relocating-out state, no
+// flush waves, no KRelocActivate or KRelocTail — the way WithLinearMatching
+// is routing's ablation. A JEDI session runs through everything else here
+// (connect, ghost buffering, the request and profile, the Stale and Fresh
+// replies, finishRelocation, replay, teardown), so a separate JEDI stage
+// would copy most of this file.
 //
 // # Staleness layer
 //
@@ -92,9 +99,6 @@ const (
 	// ModeJEDI ships profile and buffer once, without flush barriers or a
 	// tap: in-flight traffic can be lost during routing reconfiguration.
 	ModeJEDI
-	// ModeNaive drops all state on disconnect; the client re-subscribes
-	// from scratch on reconnect and misses everything in between.
-	ModeNaive
 )
 
 // String names the mode.
@@ -104,8 +108,6 @@ func (m Mode) String() string {
 		return "transparent"
 	case ModeJEDI:
 		return "jedi"
-	case ModeNaive:
-		return "naive"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -514,7 +516,7 @@ func (m *Manager) onConnect(msg proto.Message) bool {
 		}
 	}
 	switch {
-	case m.mode == ModeNaive, prev == "", prev == m.b.ID():
+	case prev == "", prev == m.b.ID():
 		// Fresh session: install the client's own profile.
 		s := m.newSession(c, stateConnected)
 		s.epoch = msg.Epoch
@@ -590,14 +592,6 @@ func (m *Manager) onDisconnect(msg proto.Message) bool {
 	}
 	switch s.state {
 	case stateConnected:
-		if m.mode == ModeNaive {
-			for _, id := range append([]message.SubID(nil), s.subOrder...) {
-				m.b.RemoveSub(id)
-			}
-			m.forget(msg.Client)
-			delete(m.sessions, msg.Client)
-			return false // default detaches the port
-		}
 		s.state = stateGhost
 		return true // keep the port attached; we intercept deliveries
 	case stateRelocatingIn:
@@ -647,8 +641,8 @@ func (m *Manager) onRelocReq(msg proto.Message) bool {
 	c, newBorder := msg.Client, msg.Origin
 	s, ok := m.sessions[c]
 	if !ok {
-		// Nothing known about the client (fresh start after teardown, or
-		// naive mode): tell the new border to proceed from the client's
+		// Nothing known about the client (fresh start after teardown, or a
+		// previous border without a manager): tell the new border to proceed from the client's
 		// announced profile, with no handover to wait for.
 		m.b.Unicast(newBorder, proto.Message{
 			Kind: proto.KRelocProfile, Client: c, Origin: m.b.ID(),

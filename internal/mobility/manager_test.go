@@ -2,7 +2,8 @@
 // through the discrete-event simulator: publishers keep publishing during
 // handovers and the tests assert the paper's "transparent, uninterrupted
 // flow" guarantee — no loss, no duplicates, per-publisher FIFO — plus the
-// deliberately weaker behaviour of the JEDI and naive baselines.
+// deliberately weaker behaviour of the JEDI baseline and of the naive one, a
+// broker without a manager.
 package mobility_test
 
 import (
@@ -156,6 +157,33 @@ func TestNaiveLosesGapTraffic(t *testing.T) {
 		if s < 18 || s > 60 {
 			t.Errorf("naive lost seq %d outside the expected window", s)
 		}
+	}
+}
+
+// A broker without a manager is the naive baseline: it withdraws a
+// client's subscriptions on disconnect and installs the profile the client's
+// hello announces — including a subscription issued while disconnected.
+func TestNoManagerWithdrawsAndReinstallsProfile(t *testing.T) {
+	w := newWorld(t, sim.MobilityNone)
+	w.start()
+	if got := w.cluster.TotalTableEntries(); got != 3 {
+		t.Fatalf("after subscribe: %d table entries, want 3", got)
+	}
+	w.mob.Disconnect()
+	w.cluster.Net.Run()
+	if got := w.cluster.TotalTableEntries(); got != 0 {
+		t.Errorf("after disconnect: %d table entries, want 0", got)
+	}
+	w.mob.Subscribe(filter.New(filter.Exists("j"))) // offline: travels in the next hello
+	w.mob.ConnectTo("B")
+	w.cluster.Net.Run()
+	if got := w.cluster.TotalTableEntries(); got != 6 {
+		t.Errorf("after reconnect: %d table entries, want 6", got)
+	}
+	w.pub.Publish(map[string]message.Value{"j": message.Int(1)})
+	w.cluster.Net.Run()
+	if got := len(w.mob.ReceivedNotes()); got != 1 {
+		t.Errorf("delivered %d of 1 matching publishes", got)
 	}
 }
 

@@ -328,11 +328,3 @@ func (m Message) WireSize() int {
 	}
 	return size
 }
-
-// CloneNotes returns a deep-enough copy of a notification batch (the
-// notifications themselves are immutable; the slice must not be shared).
-func CloneNotes(ns []message.Notification) []message.Notification {
-	out := make([]message.Notification, len(ns))
-	copy(out, ns)
-	return out
-}

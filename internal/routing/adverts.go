@@ -29,9 +29,6 @@ func (r *Router) EnableAdvertisements() {
 	}
 }
 
-// AdvertisementBased reports whether advertisement gating is on.
-func (r *Router) AdvertisementBased() bool { return r.advBased }
-
 // AdvTable exposes the advertisement table (tests, experiments).
 func (r *Router) AdvTable() *Table {
 	if r.advs == nil {

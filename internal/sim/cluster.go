@@ -111,15 +111,29 @@ type ClusterConfig struct {
 
 // MobilityMode is the physical-mobility protocol a cluster deploys on every
 // broker; the zero value deploys no manager.
-type MobilityMode = mobility.Mode
+type MobilityMode int
 
 // Mobility deployment modes.
 const (
-	MobilityNone        = mobility.ModeInvalid
-	MobilityTransparent = mobility.ModeTransparent
-	MobilityJEDI        = mobility.ModeJEDI
-	MobilityNaive       = mobility.ModeNaive
+	MobilityNone MobilityMode = iota
+	MobilityTransparent
+	MobilityJEDI
+	// MobilityNaive deploys no manager either — the broker's default
+	// session handling is the reconnect-and-resubscribe baseline — but,
+	// unlike the zero value, a Scenario does not default it to transparent.
+	MobilityNaive
 )
+
+// protocol is the manager mode session.Attach deploys (ModeInvalid = none).
+func (m MobilityMode) protocol() mobility.Mode {
+	switch m {
+	case MobilityTransparent:
+		return mobility.ModeTransparent
+	case MobilityJEDI:
+		return mobility.ModeJEDI
+	}
+	return mobility.ModeInvalid
+}
 
 // ReplicationMode selects the logical-mobility deployment.
 type ReplicationMode int
@@ -208,7 +222,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	sessions := session.Config{
 		SharedBuffers: cfg.SharedBuffers,
-		Mobility:      cfg.Mobility,
+		Mobility:      cfg.Mobility.protocol(),
 		BufferFactory: cfg.BufferFactory,
 		Store:         cfg.Store,
 		Middleware:    cfg.Middleware,

@@ -197,28 +197,13 @@ func (s Scenario) Run() (Outcome, error) {
 	brokers := s.Graph.Nodes()
 	locs := location.Regions(brokers)
 
-	var factory buffer.Factory
-	switch {
-	case s.BufferTTL > 0 && s.BufferCap > 0:
-		ttl, cap := s.BufferTTL, s.BufferCap
-		factory = func() buffer.Policy { return buffer.NewCombined(ttl, cap) }
-	case s.BufferTTL > 0:
-		ttl := s.BufferTTL
-		factory = func() buffer.Policy { return buffer.NewTimeBased(ttl) }
-	case s.BufferCap > 0:
-		cap := s.BufferCap
-		factory = func() buffer.Policy { return buffer.NewLastN(cap) }
-	default:
-		factory = func() buffer.Policy { return buffer.NewUnbounded() }
-	}
-
 	cl, err := NewCluster(ClusterConfig{
 		Movement:      s.Graph,
 		Strategy:      s.Strategy,
 		Locations:     locs,
 		Mobility:      s.Mobility,
 		Replication:   s.Replication,
-		BufferFactory: factory,
+		BufferFactory: func() buffer.Policy { return buffer.NewWindow(s.BufferTTL, s.BufferCap) },
 		SharedBuffers: s.Shared,
 		LinkLatency:   s.LinkLatency,
 	})

@@ -3,12 +3,14 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/movement"
+	"rebeca/internal/proto"
 )
 
 // TestStressTransparentInvariant drives many random interleavings of
@@ -59,6 +61,32 @@ func stressRunJitter(t *testing.T, seed int64, jitter time.Duration) {
 	}
 	net := cl.Net
 	brokers := g.Nodes()
+
+	// The relocation protocol's messages, printed only if the subtest
+	// fails: go test -run 'TestStressTransparentInvariant/seed8' -v replays
+	// the schedule with its trace.
+	var trace []string
+	began := net.Now()
+	net.Trace = func(at time.Time, from, to message.NodeID, m proto.Message) {
+		switch m.Kind {
+		case proto.KConnect, proto.KDisconnect, proto.KRelocReq, proto.KRelocProfile,
+			proto.KRelocActivate, proto.KRelocTail:
+			if m.Dest != "" && to != m.Dest {
+				return // transit hop
+			}
+			who := m.Client
+			if who == "" {
+				who = from
+			}
+			trace = append(trace, fmt.Sprintf("%6.1fms  %-5s %-14s %s->%s epoch=%d stale=%v",
+				float64(at.Sub(began).Microseconds())/1000, who, m.Kind, from, to, m.Epoch, m.Stale))
+		}
+	}
+	defer func() {
+		if t.Failed() {
+			t.Logf("relocation trace:\n%s", strings.Join(trace, "\n"))
+		}
+	}()
 
 	// Mobiles connect and subscribe first; the network settles so that the
 	// oracle "every publication is deliverable" holds from the first

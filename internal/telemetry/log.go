@@ -92,16 +92,6 @@ func (l *Logger) Level(subsystem string) slog.Level {
 	return l.levelVar(subsystem).Level()
 }
 
-// SetAllLevels retunes every subsystem's gate at once (the -log-level
-// flag's semantics).
-func (l *Logger) SetAllLevels(level slog.Level) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, lv := range l.levels {
-		lv.Set(level)
-	}
-}
-
 // RegisterKnobs exposes one log.<subsystem> knob per subsystem on the ops
 // endpoint, so POST /config log.overlay=debug raises verbosity without a
 // restart.

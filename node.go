@@ -45,7 +45,9 @@ type BrokerSpec struct {
 	// addresses; exactly one side of each edge dials, the other accepts.
 	Dial map[NodeID]string
 	// Mobility selects the physical-mobility protocol: "transparent" (also
-	// "") or "none" for no manager.
+	// "") or "none" for no manager — the naive baseline, which withdraws a
+	// client's subscriptions on disconnect and reinstalls the profile its
+	// next hello announces, losing whatever was published in between.
 	Mobility string
 	// NoReplicator leaves the replicator layer off. Under WithRegistry it
 	// is off regardless: the layer needs a static movement graph.

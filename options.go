@@ -134,15 +134,10 @@ func newConfig(opts []Option) (*config, error) {
 // bufferFactory resolves the TTL/cap bounds into a buffer policy factory
 // (nil = deployment default, an unbounded buffer).
 func (c *config) bufferFactory() buffer.Factory {
-	switch {
-	case c.bufferTTL > 0 && c.bufferCap > 0:
-		return func() buffer.Policy { return buffer.NewCombined(c.bufferTTL, c.bufferCap) }
-	case c.bufferTTL > 0:
-		return func() buffer.Policy { return buffer.NewTimeBased(c.bufferTTL) }
-	case c.bufferCap > 0:
-		return func() buffer.Policy { return buffer.NewLastN(c.bufferCap) }
+	if c.bufferTTL == 0 && c.bufferCap == 0 {
+		return nil
 	}
-	return nil
+	return func() buffer.Policy { return buffer.NewWindow(c.bufferTTL, c.bufferCap) }
 }
 
 // WithMovement sets the movement graph. The broker overlay is its spanning
@@ -172,7 +167,9 @@ func WithReactiveBaseline() Option {
 }
 
 // WithSharedBuffers switches replicators to one refcounted notification
-// store per broker instead of one buffer per virtual client.
+// store per broker instead of one buffer per virtual client. The shared
+// digests are unbounded: WithBufferTTL and WithBufferCap then bound only
+// ghost buffers.
 func WithSharedBuffers() Option {
 	return func(c *config) { c.shared = true }
 }
@@ -182,8 +179,8 @@ func WithContextResolver(fn func(b NodeID) ContextResolverFunc) Option {
 	return func(c *config) { c.context = fn }
 }
 
-// WithBufferTTL bounds virtual-client and ghost buffers by age
-// (0 = unbounded).
+// WithBufferTTL bounds private virtual-client buffers and ghost buffers by
+// age (0 = unbounded); shared digests (WithSharedBuffers) stay unbounded.
 func WithBufferTTL(d time.Duration) Option {
 	return func(c *config) {
 		if d < 0 {
@@ -194,8 +191,8 @@ func WithBufferTTL(d time.Duration) Option {
 	}
 }
 
-// WithBufferCap bounds virtual-client and ghost buffers by count
-// (0 = unbounded).
+// WithBufferCap bounds private virtual-client buffers and ghost buffers by
+// count (0 = unbounded); shared digests (WithSharedBuffers) stay unbounded.
 func WithBufferCap(n int) Option {
 	return func(c *config) {
 		if n < 0 {

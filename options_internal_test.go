@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rebeca/internal/buffer"
+	"rebeca/internal/message"
 	"rebeca/internal/routing"
 )
 
@@ -146,14 +147,27 @@ func TestBufferFactoryResolution(t *testing.T) {
 	if p := mk(); p != nil {
 		t.Errorf("no bounds: policy = %T, want nil factory", p)
 	}
-	if _, ok := mk(WithBufferTTL(time.Second)).(*buffer.TimeBased); !ok {
-		t.Error("ttl only should yield a time-based policy")
+	for name, opts := range map[string][]Option{
+		"ttl":     {WithBufferTTL(time.Second)},
+		"cap":     {WithBufferCap(5)},
+		"ttl+cap": {WithBufferTTL(time.Second), WithBufferCap(5)},
+	} {
+		if p, ok := mk(opts...).(*buffer.Window); !ok {
+			t.Errorf("%s: policy = %T, want *buffer.Window", name, p)
+		}
 	}
-	if _, ok := mk(WithBufferCap(5)).(*buffer.LastN); !ok {
-		t.Error("cap only should yield a last-N policy")
+	// The bounds reach the window: three notes a second apart under a cap of
+	// 2 and a TTL of 1.5 s leave one at the last add plus a second.
+	p := mk(WithBufferTTL(1500*time.Millisecond), WithBufferCap(2))
+	t0 := time.Unix(0, 0)
+	for i := 0; i < 3; i++ {
+		p.Add(message.Notification{ID: message.NotificationID{Publisher: "p", Seq: uint64(i + 1)}}, t0.Add(time.Duration(i)*time.Second))
 	}
-	if _, ok := mk(WithBufferTTL(time.Second), WithBufferCap(5)).(*buffer.Combined); !ok {
-		t.Error("ttl+cap should yield a combined policy")
+	if got := p.Len(); got != 2 {
+		t.Errorf("cap 2 after 3 adds: Len = %d", got)
+	}
+	if got := p.Snapshot(t0.Add(3 * time.Second)); len(got) != 1 || got[0].ID.Seq != 3 {
+		t.Errorf("ttl 1.5s at t=3s: snapshot = %v, want only seq 3", got)
 	}
 }
 
