@@ -528,6 +528,43 @@ func TestMetricFamiliesSameOnEveryEntryPoint(t *testing.T) {
 	}
 }
 
+// TestSystemServesLinkFamilies: the rebeca_link_* collectors are registered
+// over every supervised overlay by the ops stack, so a virtual-clock System
+// with a deployed overlay serves the families a live broker does — the
+// spill ones too under WithLinkSpill.
+func TestSystemServesLinkFamilies(t *testing.T) {
+	link := []string{"rebeca_link_state", "rebeca_link_pending", "rebeca_link_dropped_total"}
+	spill := []string{"rebeca_link_spill_depth", "rebeca_link_spill_bytes", "rebeca_link_spill_dropped_total"}
+	for _, tc := range []struct {
+		name         string
+		opts         []Option
+		want, absent []string
+	}{
+		{"heartbeat", nil, link, spill},
+		{"spill", []Option{WithLinkSpill(NewMemoryStore(), 0)}, append(link, spill...), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(append(tc.opts, WithMovement(Line(2)), WithHeartbeat(100*time.Millisecond, 0), WithOps("127.0.0.1:0"))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.Settle()
+			fams := metricFamilies(t, s.OpsAddr())
+			for _, name := range tc.want {
+				if !fams[name] {
+					t.Errorf("/metrics lacks family %s", name)
+				}
+			}
+			for _, name := range tc.absent {
+				if fams[name] {
+					t.Errorf("/metrics serves %s without WithLinkSpill", name)
+				}
+			}
+		})
+	}
+}
+
 // TestHopTraceNeedsSomewhereToShowIt: stamping every hop of every publish is
 // on only with an endpoint (/trace) or a push target to show the trace;
 // logging alone leaves the publish path unstamped.
@@ -667,8 +704,11 @@ func TestOneAssembly(t *testing.T) {
 	callers := map[string][]string{"core.New(": nil, "mobility.New(": nil}
 	// The second push encodings, the second fold, the event-log ring and the
 	// DNS backend went in PR 22; one telemetry pipeline stays one.
+	// So did the side channels around the broker chain: link transitions,
+	// drops and spans each have one way into telemetry.
 	gone := []string{"RemoteWrite", "PushFormat", "pushFormat", "snapshotJSON", "ingestJSON", "foldCounterDel",
-		"ParseLabelKey", "NewDNSRegistry", "SRVLookup", "tracerCap", "MetricTracerDropped"}
+		"ParseLabelKey", "NewDNSRegistry", "SRVLookup", "tracerCap", "MetricTracerDropped",
+		"WithLinkObserver", "SetDropHook", "dropHook"}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -690,6 +730,11 @@ func TestOneAssembly(t *testing.T) {
 			f, err := parser.ParseFile(token.NewFileSet(), path, src, 0)
 			if err != nil {
 				return err
+			}
+			for _, imp := range f.Imports {
+				if filepath.Dir(path) == filepath.Join("internal", "wire") && imp.Path.Value == `"rebeca/internal/telemetry"` {
+					t.Errorf("%s imports internal/telemetry: instruments are built by opsStack (ops.go)", path)
+				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {

@@ -142,7 +142,6 @@ func New(opts ...Option) (*System, error) {
 		LatencyJitter:  cfg.latencyJitter,
 		JitterSeed:     cfg.jitterSeed,
 		Store:          cfg.store,
-		LinkObserver:   cfg.linkObserver,
 		OverlayLogger:  ops.logFor("overlay"),
 		BrokerLogger:   ops.logFor("broker"),
 	}

@@ -11,8 +11,9 @@
 //
 // It also shows the overlay subsystem's surface: WithHeartbeat tunes the
 // broker-link supervision (KPing/KPong probe interval and failure
-// timeout), and WithLinkObserver — like any middleware implementing the
-// LinkObserver extension — watches links walk connecting → handshaking →
+// timeout), and a Tracer — like any middleware implementing the
+// LinkObserver extension, the one way link transitions reach an observer —
+// prints its "link" events as links walk connecting → handshaking →
 // established (and degraded → established again after a failure;
 // the deployment's LinkStates(broker) reports where each link stands now).
 // Under -live the links are real TCP connections that redial with backoff
@@ -110,17 +111,19 @@ func main() {
 	g.AddEdge("home", "office")
 
 	metrics := rebeca.NewMetrics()
+	links := rebeca.NewTracer(func(ev rebeca.TraceEvent) {
+		if ev.Hook == "link" {
+			fmt.Printf("overlay: %s's link to %s: %s\n", ev.Broker, ev.Node, ev.Info)
+		}
+	})
 	opts := []rebeca.Option{
 		rebeca.WithMovement(g),
-		rebeca.WithMiddleware(metrics),
+		rebeca.WithMiddleware(metrics, links),
 		// Overlay link supervision: probe established broker links every
 		// 200ms, declare them failed after 600ms of silence. (Under the
 		// virtual clock this also deploys the overlay managers; Live
 		// always runs them.)
 		rebeca.WithHeartbeat(200*time.Millisecond, 600*time.Millisecond),
-		rebeca.WithLinkObserver(func(ev rebeca.LinkEvent) {
-			fmt.Printf("overlay: link to %s %s -> %s (%s)\n", ev.Peer, ev.From, ev.To, ev.Reason)
-		}),
 	}
 	var (
 		d   rebeca.Deployment

@@ -35,7 +35,8 @@ func newFleetBroker(t *testing.T, id message.NodeID, peers map[message.NodeID]st
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	spans := telemetry.NewSpanStore(0)
-	mw := telemetry.NewMiddleware(reg, spans)
+	mw := telemetry.NewMiddleware(reg)
+	mw.SetSampler(telemetry.NewSampler(spans, 1, 0))
 	mw.EnableHopTrace(true)
 	telemetry.RegisterSpanMetrics(reg, spans)
 	node := wire.NewNode(wire.NodeConfig{
@@ -45,7 +46,6 @@ func newFleetBroker(t *testing.T, id message.NodeID, peers map[message.NodeID]st
 		Strategy:   routing.StrategySimple,
 		NextHop:    next,
 		Middleware: []broker.Middleware{mw},
-		Telemetry:  reg,
 	})
 	if err := node.Start(); err != nil {
 		t.Fatalf("start %s: %v", id, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rebeca/internal/broker"
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/movement"
@@ -70,11 +71,11 @@ func overlayReconvergeRun(brokers, subs int, seed int64) overlayRunResult {
 		BackoffMax:        100 * time.Millisecond,
 		BackoffSeed:       seed,
 	}
-	var events []overlay.Event
+	rec := &linkLog{}
 	c, err := sim.NewCluster(sim.ClusterConfig{
-		Movement:     g,
-		Overlay:      &set,
-		LinkObserver: func(ev overlay.Event) { events = append(events, ev) },
+		Movement:   g,
+		Overlay:    &set,
+		Middleware: []broker.Middleware{rec},
 	})
 	if err != nil {
 		panic(err)
@@ -95,7 +96,7 @@ func overlayReconvergeRun(brokers, subs int, seed int64) overlayRunResult {
 	c.CutLink(left, right)
 	c.Net.RunFor(5 * set.HeartbeatTimeout)
 	var detectedAt time.Time
-	for _, ev := range events {
+	for _, ev := range rec.events {
 		if ev.To == overlay.StateDegraded && detectedAt.IsZero() {
 			detectedAt = ev.At
 		}
@@ -117,7 +118,7 @@ func overlayReconvergeRun(brokers, subs int, seed int64) overlayRunResult {
 	c.Net.RunFor(2 * time.Second)
 	c.Net.Run()
 	var reconvergedAt time.Time
-	for _, ev := range events {
+	for _, ev := range rec.events {
 		if ev.To == overlay.StateEstablished && ev.At.After(healAt) {
 			reconvergedAt = ev.At
 		}
@@ -138,4 +139,15 @@ func overlayReconvergeRun(brokers, subs int, seed int64) overlayRunResult {
 		backlog:    backlog,
 		delivered:  int(sub.Delivered()),
 	}
+}
+
+// linkLog is a chain stage collecting every broker's link transitions, in
+// the order the overlay reports them.
+type linkLog struct {
+	broker.PassMiddleware
+	events []overlay.Event
+}
+
+func (l *linkLog) OnLinkChange(_ *broker.Broker, ev overlay.Event) {
+	l.events = append(l.events, ev)
 }

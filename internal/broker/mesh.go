@@ -672,7 +672,7 @@ func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message) {
 			// unicast, so their other branches were never covered. The
 			// forwarding memory keeps the bounce wave finite and the
 			// first-sight delivery decision keeps it duplicate-free.
-			b.notifyDrop(e.id, "flood-fallback")
+			b.NotifyDrop(e.id, "flood-fallback")
 			if b.log != nil {
 				b.log.Debug("flood fallback", "broker", b.cfg.ID, "note", id.String())
 			}

@@ -109,20 +109,22 @@ type LinkObserver interface {
 }
 
 // DropObserver is an optional Middleware extension: stages that implement
-// it are told when the broker's routing abandons a notification's normal
-// path — today the mesh router's flood fallback (no tree route survived a
-// topology change, so the note was flooded instead of forwarded). Reason
-// is a short stable tag ("flood-fallback", ...). Observe-only; stages
-// must not block (the hook runs on the broker's event loop).
+// it are told when a notification's normal path is abandoned — the mesh
+// router's flood fallback (no tree route survived a topology change, so
+// the note was flooded instead of forwarded) and a rate limiter's
+// rejection of a client publish. Reason is a short stable tag
+// ("flood-fallback", "rate-limited"). Observe-only; stages must not block
+// (the hook runs on the broker's event loop).
 type DropObserver interface {
 	Middleware
 	// OnDrop observes one abandoned-path event.
 	OnDrop(b *Broker, id message.NotificationID, reason string)
 }
 
-// notifyDrop hands an abandoned-path event to every DropObserver stage on
-// the chain, in attachment order.
-func (b *Broker) notifyDrop(id message.NotificationID, reason string) {
+// NotifyDrop hands an abandoned-path event to every DropObserver stage on
+// the chain, in attachment order. The routing layer and chain stages that
+// drop a publish (a rate limiter) call it on the broker's event loop.
+func (b *Broker) NotifyDrop(id message.NotificationID, reason string) {
 	for _, d := range b.dropObservers {
 		d.OnDrop(b, id, reason)
 	}

@@ -190,8 +190,6 @@ type Client struct {
 	nextSubID int
 	tally     *Tally
 
-	// OnNotify, when set, observes every fresh delivery, after OnDeliver.
-	OnNotify func(n message.Notification)
 	// OnDeliver, when set, observes every fresh delivery together with its
 	// epoch's abort channel — the hook the deployment facade's
 	// per-subscription streams are fed from. It runs without the session
@@ -483,8 +481,7 @@ func (c *Client) Receive(_ message.NodeID, m proto.Message) {
 
 // Deliver accounts one notification from the border, with the subscription
 // identities it matched there: a duplicate is counted and dropped, a fresh
-// delivery is logged and handed to OnDeliver and OnNotify outside the
-// session lock.
+// delivery is logged and handed to OnDeliver outside the session lock.
 func (c *Client) Deliver(n message.Notification, subs []message.SubID) {
 	d := Delivery{Note: n, At: c.now(), Subs: subs}
 	c.mu.Lock()
@@ -496,9 +493,6 @@ func (c *Client) Deliver(n message.Notification, subs []message.SubID) {
 	}
 	if c.OnDeliver != nil {
 		c.OnDeliver(d, abort)
-	}
-	if c.OnNotify != nil {
-		c.OnNotify(n)
 	}
 }
 

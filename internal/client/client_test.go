@@ -202,14 +202,14 @@ func TestClientFIFOViolations(t *testing.T) {
 	}
 }
 
-func TestClientOnNotifyCallback(t *testing.T) {
+func TestClientOnDeliverCallback(t *testing.T) {
 	c, _ := newTestClient("alice")
 	var seen []uint64
-	c.OnNotify = func(n message.Notification) { seen = append(seen, n.ID.Seq) }
+	c.OnDeliver = func(d Delivery, _ <-chan struct{}) { seen = append(seen, d.Note.ID.Seq) }
 	deliver(c, "p", 1)
 	deliver(c, "p", 1) // dup: no callback
 	if len(seen) != 1 || seen[0] != 1 {
-		t.Errorf("OnNotify saw %v", seen)
+		t.Errorf("OnDeliver saw %v", seen)
 	}
 }
 

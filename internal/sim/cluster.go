@@ -88,9 +88,6 @@ type ClusterConfig struct {
 	// LinkSpillBudget bounds each link's spilled bytes (default
 	// overlay.DefaultSpillBudget). Only meaningful with LinkSpill.
 	LinkSpillBudget int64
-	// LinkObserver, when non-nil, observes every overlay link transition
-	// (the broker chain's LinkObserver stages are notified regardless).
-	LinkObserver overlay.Observer
 	// LinkLatency is the per-hop overlay delay (default 1ms).
 	LinkLatency time.Duration
 	// LatencyJitter adds a uniform random delay in [0, LatencyJitter) to
@@ -328,13 +325,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				Schedule:  net.Background,
 				SyncState: b.SyncInstalls,
 				ApplySync: b.ApplySyncInstalls,
-				Observer: func(ev overlay.Event) {
-					b.NotifyLinkChange(ev)
-					if cfg.LinkObserver != nil {
-						cfg.LinkObserver(ev)
-					}
-				},
-				Logger: cfg.OverlayLogger,
+				Observer:  b.NotifyLinkChange,
+				Logger:    cfg.OverlayLogger,
 			})
 			if cfg.Mesh {
 				b.RepairTreeThrough(c.Overlays[id])

@@ -161,7 +161,6 @@ func TestOverlaySyncReconcilesStaleEntries(t *testing.T) {
 
 func TestOverlayLinkObserverReachesBrokerChain(t *testing.T) {
 	g := movement.NewGraph().AddEdge("A", "B")
-	var events []overlay.Event
 	rec := &linkRecorder{seen: make(map[message.NodeID]int)}
 	c, err := NewCluster(ClusterConfig{
 		Movement: g,
@@ -169,18 +168,17 @@ func TestOverlayLinkObserverReachesBrokerChain(t *testing.T) {
 			HeartbeatInterval: 100 * time.Millisecond,
 			HeartbeatTimeout:  300 * time.Millisecond,
 		},
-		LinkObserver: func(ev overlay.Event) { events = append(events, ev) },
-		Middleware:   []broker.Middleware{rec},
+		Middleware: []broker.Middleware{rec},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Net.Run()
-	if len(events) == 0 {
-		t.Fatal("config LinkObserver saw no events")
+	if len(rec.events) == 0 {
+		t.Fatal("the chain's LinkObserver stage saw no events")
 	}
 	established := false
-	for _, ev := range events {
+	for _, ev := range rec.events {
 		if ev.To == overlay.StateEstablished {
 			established = true
 		}
@@ -200,9 +198,11 @@ func TestOverlayLinkObserverReachesBrokerChain(t *testing.T) {
 // linkRecorder is a chain stage implementing broker.LinkObserver.
 type linkRecorder struct {
 	broker.PassMiddleware
-	seen map[message.NodeID]int
+	seen   map[message.NodeID]int
+	events []overlay.Event
 }
 
-func (r *linkRecorder) OnLinkChange(b *broker.Broker, _ overlay.Event) {
+func (r *linkRecorder) OnLinkChange(b *broker.Broker, ev overlay.Event) {
 	r.seen[b.ID()]++
+	r.events = append(r.events, ev)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -188,18 +187,7 @@ func (c *Collector) renderMetrics() []byte {
 }
 
 func sampleLine(name, labelKey string, v float64) string {
-	return name + labelKey + " " + formatValue(v) + "\n"
-}
-
-// formatValue matches the registry's exposition value rendering.
-func formatValue(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return name + labelKey + " " + telemetry.FormatValue(v) + "\n"
 }
 
 func (c *Collector) handleFleet(w http.ResponseWriter, _ *http.Request) {

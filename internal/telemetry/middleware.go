@@ -68,57 +68,46 @@ type instruments struct {
 }
 
 // Middleware is the broker-chain stage feeding the registry (and, when
-// hop tracing is on, the span store): publish/deliver/subscribe counters,
-// match- and end-to-end-latency histograms, link transition counters, and
-// the per-broker hop stamp every transit broker appends to a traced
-// notification's Path. One instance is shared by every broker of a
+// hop tracing is on, the sampler's span store): publish/deliver/subscribe
+// counters, match- and end-to-end-latency histograms, link transition
+// counters, and the per-broker hop stamp every transit broker appends to a
+// traced notification's Path. One instance is shared by every broker of a
 // deployment; handles resolve once per broker, after which the hooks cost
 // a few atomic adds. Safe for concurrent use.
 type Middleware struct {
 	broker.PassMiddleware
 	reg   *Registry
-	spans *SpanStore
+	smp   *Sampler
 	trace atomic.Bool
-	smp   atomic.Pointer[Sampler]
 
 	mu  sync.Mutex
 	ins sync.Map // message.NodeID -> *instruments
 }
 
-// NewMiddleware returns a telemetry stage recording into reg. spans may be
-// nil; with a span store attached, EnableHopTrace(true) turns on hop
-// stamping and span recording.
-func NewMiddleware(reg *Registry, spans *SpanStore) *Middleware {
-	return &Middleware{reg: reg, spans: spans}
+// NewMiddleware returns a telemetry stage recording into reg. Hop tracing
+// needs a sampler (SetSampler) before EnableHopTrace can turn it on.
+func NewMiddleware(reg *Registry) *Middleware {
+	return &Middleware{reg: reg}
 }
 
 // Registry returns the registry this stage records into.
 func (t *Middleware) Registry() *Registry { return t.reg }
 
-// Spans returns the attached span store (nil when none).
-func (t *Middleware) Spans() *SpanStore { return t.spans }
-
-// AttachSpans gives a stage built without a span store one, making hop
-// tracing possible. Call it before the stage is installed on a broker.
-func (t *Middleware) AttachSpans(spans *SpanStore) { t.spans = spans }
+// SetSampler attaches the trace sampler, the one path into the span store:
+// the 1-in-N sample (rate 1 traces everything) is stamped and recorded up
+// front, while unsampled paths park in its pending ring for retro-capture
+// on slow or dropped verdicts. Call it before the stage is installed on a
+// broker.
+func (t *Middleware) SetSampler(s *Sampler) { t.smp = s }
 
 // EnableHopTrace toggles hop stamping at runtime (the /config trace knob).
-// While on, every broker appends its HopStamp to publishes crossing the
-// chain and records the accumulated path into the span store.
-func (t *Middleware) EnableHopTrace(on bool) { t.trace.Store(on && t.spans != nil) }
+// While on, every broker appends its HopStamp to sampled publishes crossing
+// the chain and records the accumulated path into the span store. It stays
+// off until a sampler is attached.
+func (t *Middleware) EnableHopTrace(on bool) { t.trace.Store(on && t.smp != nil) }
 
 // HopTraceEnabled reports whether hop stamping is on.
 func (t *Middleware) HopTraceEnabled() bool { return t.trace.Load() }
-
-// SetSampler attaches (or, with nil, detaches) a trace sampler. Without
-// one, hop tracing keeps its original stamp-everything behavior; with
-// one, only the 1-in-N sample is stamped and recorded up front, while
-// unsampled paths park in the sampler's pending ring for retro-capture
-// on slow or dropped verdicts.
-func (t *Middleware) SetSampler(s *Sampler) { t.smp.Store(s) }
-
-// Sampler returns the attached trace sampler (nil when none).
-func (t *Middleware) Sampler() *Sampler { return t.smp.Load() }
 
 // at resolves a broker's instruments, registering them on first use.
 func (t *Middleware) at(b message.NodeID) *instruments {
@@ -184,19 +173,16 @@ func (t *Middleware) OnPublish(b *broker.Broker, _ message.NodeID, n *message.No
 	if t.trace.Load() && n != nil {
 		self := b.ID()
 		first := len(n.Path) == 0 || n.Path[len(n.Path)-1].Broker != self
-		s := t.smp.Load()
-		switch {
-		case s == nil || s.Sampled(n.ID):
-			// In the sample (or no sampler): stamp and retain up front.
-			// Every broker on the path reaches the same verdict from the
-			// ID alone, so the trail accumulates with no wire bits.
+		switch s := t.smp; {
+		case s.Sampled(n.ID):
+			// In the sample: stamp and retain up front. Every broker on
+			// the path reaches the same verdict from the ID alone, so the
+			// trail accumulates with no wire bits.
 			if first {
 				n.Path = append(n.Path, message.HopStamp{Broker: self, At: b.Now()})
-				if s != nil {
-					s.sampled.Add(1)
-				}
+				s.sampled.Add(1)
 			}
-			t.spans.Record(n.ID, n.Path)
+			s.spans.Record(n.ID, n.Path)
 		case first:
 			// Not sampled: leave the wire untouched, park the stamp so a
 			// late slow/drop verdict can still retro-capture the path.
@@ -211,26 +197,27 @@ func (t *Middleware) OnPublish(b *broker.Broker, _ message.NodeID, n *message.No
 // OnDeliver implements broker.Middleware: count and observe end-to-end
 // latency on the broker's clock. Traced deliveries leave the notification
 // ID as the latency histogram's exemplar (the /metrics?exemplars=1 →
-// /trace cross-link), and with a sampler attached a delivery over the
-// slow threshold retro-captures its parked path regardless of the dice.
+// /trace cross-link), and a delivery over the sampler's slow threshold
+// retro-captures its parked path regardless of the dice.
 func (t *Middleware) OnDeliver(b *broker.Broker, _ message.NodeID, n *message.Notification, _ []message.SubID, next func()) {
 	ins := t.at(b.ID())
 	ins.deliveries.Inc()
 	if n != nil && !n.Published.IsZero() {
 		if lat := b.Now().Sub(n.Published); lat > 0 {
 			sec := lat.Seconds()
-			if !t.trace.Load() {
+			switch s := t.smp; {
+			case !t.trace.Load():
 				ins.e2eSeconds.Observe(sec)
-			} else if s := t.smp.Load(); s == nil || s.Sampled(n.ID) {
+			case s.Sampled(n.ID):
 				ins.e2eSeconds.ObserveExemplar(sec, n.ID.String())
-				t.spans.Observe(n.ID, lat)
-				if s != nil && s.SlowerThan(lat) {
+				s.spans.Observe(n.ID, lat)
+				if s.SlowerThan(lat) {
 					s.MarkSlow(n.ID, lat)
 				}
-			} else if s.SlowerThan(lat) {
+			case s.SlowerThan(lat):
 				s.MarkSlow(n.ID, lat)
 				ins.e2eSeconds.ObserveExemplar(sec, n.ID.String())
-			} else {
+			default:
 				ins.e2eSeconds.Observe(sec)
 			}
 		}
@@ -239,16 +226,11 @@ func (t *Middleware) OnDeliver(b *broker.Broker, _ message.NodeID, n *message.No
 }
 
 // OnDrop implements the broker.DropObserver extension: a notification
-// hitting a drop branch (flood fallback, overflow) is a path that always
-// matters — retro-capture it with its reason.
+// hitting a drop branch (flood fallback, rate limiting) is a path that
+// always matters — retro-capture it with its reason.
 func (t *Middleware) OnDrop(b *broker.Broker, id message.NotificationID, reason string) {
-	if !t.trace.Load() {
-		return
-	}
-	if s := t.smp.Load(); s != nil {
-		s.MarkDropped(id, reason)
-	} else if t.spans != nil {
-		t.spans.RecordReason(id, nil, 0, reason)
+	if t.trace.Load() {
+		t.smp.MarkDropped(id, reason)
 	}
 }
 

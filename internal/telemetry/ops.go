@@ -228,8 +228,9 @@ type traceListResponse struct {
 	Spans    []traceListEntry `json:"spans"`
 }
 
-// parseNoteID parses the "publisher#seq" rendering of a NotificationID.
-func parseNoteID(s string) (message.NotificationID, error) {
+// ParseNoteID parses the "publisher#seq" rendering of a NotificationID —
+// the /trace?note= and span-export ID format.
+func ParseNoteID(s string) (message.NotificationID, error) {
 	i := strings.LastIndexByte(s, '#')
 	if i <= 0 || i == len(s)-1 {
 		return message.NotificationID{}, fmt.Errorf("bad note id %q (want publisher#seq)", s)
@@ -274,7 +275,7 @@ func (o *Ops) handleTrace(w http.ResponseWriter, r *http.Request) {
 		_ = enc.Encode(list)
 		return
 	}
-	id, err := parseNoteID(note)
+	id, err := ParseNoteID(note)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

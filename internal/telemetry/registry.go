@@ -372,7 +372,7 @@ func writeSample(b *bytes.Buffer, name, labelKey string, v float64) {
 	b.WriteString(name)
 	b.WriteString(labelKey)
 	b.WriteByte(' ')
-	b.WriteString(formatValue(v))
+	b.WriteString(FormatValue(v))
 	b.WriteByte('\n')
 }
 
@@ -383,7 +383,7 @@ func writeHistogram(b *bytes.Buffer, f *family, s *sample, exemplars bool) {
 	var cum uint64
 	for i, bound := range f.bounds {
 		cum += s.hist.counts[i].Load()
-		writeBucket(b, f, s, mergeLabelKey(s.labelKey, "le", formatValue(bound)), float64(cum), i, exemplars)
+		writeBucket(b, f, s, mergeLabelKey(s.labelKey, "le", FormatValue(bound)), float64(cum), i, exemplars)
 	}
 	count := s.hist.Count()
 	if count < cum {
@@ -401,10 +401,10 @@ func writeBucket(b *bytes.Buffer, f *family, s *sample, labelKey string, v float
 	b.WriteString("_bucket")
 	b.WriteString(labelKey)
 	b.WriteByte(' ')
-	b.WriteString(formatValue(v))
+	b.WriteString(FormatValue(v))
 	if exemplars {
 		if note, value, ok := s.hist.takeExemplar(bucket); ok {
-			fmt.Fprintf(b, " # {note=%q} %s", note, formatValue(value))
+			fmt.Fprintf(b, " # {note=%q} %s", note, FormatValue(value))
 		}
 	}
 	b.WriteByte('\n')
@@ -445,7 +445,9 @@ func mergeLabelKey(key, name, value string) string {
 	return key[:len(key)-1] + "," + extra + "}"
 }
 
-func formatValue(v float64) string {
+// FormatValue renders a sample value as the exposition writes it: integral
+// values without a fraction, +Inf spelled out, the rest in %g.
+func FormatValue(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return fmt.Sprintf("%d", int64(v))
 	}

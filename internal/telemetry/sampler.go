@@ -29,8 +29,9 @@ const DefaultPendingCap = 1024
 //     to the dice roll.
 //
 // N and the slow threshold are runtime-tunable (the ops endpoint's
-// "sample" and "slow" knobs). N <= 1 samples everything — the pre-sampler
-// trace behavior. Safe for concurrent use.
+// "sample" and "slow" knobs). N <= 1 samples everything — what a
+// deployment traces without WithTraceSampling, since every span enters the
+// store through a sampler. Safe for concurrent use.
 type Sampler struct {
 	spans *SpanStore
 

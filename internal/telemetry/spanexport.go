@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"rebeca/internal/message"
 )
 
 // ContentTypeSpans is the Content-Type of an outbound span batch: a
@@ -102,10 +100,4 @@ func DecodeSpanBatch(r io.Reader) ([]SpanExport, error) {
 		}
 		out = append(out, rec)
 	}
-}
-
-// ParseNoteID parses the "publisher#seq" rendering of a NotificationID —
-// the /trace?note= and span-export ID format.
-func ParseNoteID(s string) (message.NotificationID, error) {
-	return parseNoteID(s)
 }

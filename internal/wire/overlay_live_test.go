@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -301,4 +302,59 @@ func TestMiddleBrokerRestartReconverges(t *testing.T) {
 		t.Errorf("seen %d distinct notifications, want 4: %v", len(seen), seen)
 	}
 	mu.Unlock()
+}
+
+// TestLinkTransitionsSurviveABusyLoop: the overlay hands link transitions
+// to the event loop without blocking and without dropping any, so a loop
+// held up for a long time (here by Inspect; in production by a
+// Block-policy client's exhausted window) still passes every transition to
+// the chain's LinkObserver stages, in order, once it runs again.
+func TestLinkTransitionsSurviveABusyLoop(t *testing.T) {
+	rec := &linkLog{}
+	n := NewNode(NodeConfig{ID: "A", Listen: "127.0.0.1:0", Middleware: []broker.Middleware{rec}})
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+
+	held, release := make(chan struct{}), make(chan struct{})
+	go n.Inspect(func(*broker.Broker) { close(held); <-release })
+	<-held
+	// Passive links and no dials: each peer is exactly two transitions,
+	// closed → connecting and connecting → closed.
+	const peers = 300
+	for i := 0; i < peers; i++ {
+		p := message.NodeID(fmt.Sprintf("p%03d", i))
+		n.AddLink(p, "", false)
+		n.RemoveLink(p)
+	}
+	close(release)
+
+	var got []overlay.Event
+	waitFor(t, func() bool {
+		n.Inspect(func(*broker.Broker) { got = append(got[:0], rec.events...) })
+		return len(got) >= 2*peers
+	}, "every link transition at the chain stage")
+	if len(got) != 2*peers {
+		t.Fatalf("the stage saw %d transitions, want %d", len(got), 2*peers)
+	}
+	for i, ev := range got {
+		peer, to := message.NodeID(fmt.Sprintf("p%03d", i/2)), overlay.StateConnecting
+		if i%2 == 1 {
+			to = overlay.StateClosed
+		}
+		if ev.Peer != peer || ev.To != to {
+			t.Fatalf("transition %d: %s -> %s on %s, want -> %s on %s", i, ev.From, ev.To, ev.Peer, to, peer)
+		}
+	}
+}
+
+// linkLog is a chain stage recording its broker's link transitions.
+type linkLog struct {
+	broker.PassMiddleware
+	events []overlay.Event
+}
+
+func (l *linkLog) OnLinkChange(_ *broker.Broker, ev overlay.Event) {
+	l.events = append(l.events, ev)
 }

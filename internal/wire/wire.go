@@ -51,7 +51,6 @@ import (
 	"rebeca/internal/proto"
 	"rebeca/internal/routing"
 	"rebeca/internal/store"
-	"rebeca/internal/telemetry"
 )
 
 // inboxMsg pairs a received message with its link. gen is the overlay
@@ -160,13 +159,6 @@ func newConn(peer message.NodeID, c net.Conn, ver byte, bw *bufio.Writer, enc *c
 	return conn
 }
 
-// observeFrames attaches a frame-size observer to the link's encoder.
-// Attach before the conn carries traffic — the registration paths do,
-// ahead of LinkUp and the read pump.
-func (c *Conn) observeFrames(fn func(bytes int)) {
-	c.enc.OnFrame(fn)
-}
-
 // Peer returns the remote node's announced ID.
 func (c *Conn) Peer() message.NodeID { return c.peer }
 
@@ -271,15 +263,9 @@ type NodeConfig struct {
 	// SpillBudget bounds each link's spilled bytes (default
 	// overlay.DefaultSpillBudget). Only meaningful with Spill.
 	SpillBudget int64
-	// LinkObserver, when non-nil, observes every overlay link transition
-	// (in addition to the broker chain's LinkObserver stages). Called from
-	// whatever goroutine drove the transition; must not block.
-	LinkObserver overlay.Observer
-	// Telemetry, when non-nil, receives the node's transport metrics:
-	// per-link overlay state, pending-queue depth and drop counts as
-	// pull-model collectors, and encoded frame sizes as a per-broker
-	// histogram every binary link's encoder observes.
-	Telemetry *telemetry.Registry
+	// FrameObserver, when non-nil, is handed the size of every frame a
+	// link's encoder writes (length prefix included).
+	FrameObserver func(bytes int)
 	// Logger, when non-nil, receives structured wire-layer events —
 	// today, inbound links refused at the handshake (a legacy peer or
 	// junk on the listen port).
@@ -308,26 +294,30 @@ type Node struct {
 	// runtime by AddLink/RemoveLink; guarded by mu.
 	peers map[message.NodeID]string
 
-	inbox      chan inboxMsg
-	tasks      chan func()
-	linkEvents chan overlay.Event
-	done       chan struct{}
-	wg         sync.WaitGroup
+	inbox chan inboxMsg
+	tasks chan func()
+	done  chan struct{}
+	wg    sync.WaitGroup
 
-	frameObs func(bytes int) // telemetry frame-size observer (nil = off)
+	// linkQ holds link transitions for the event loop, in order; linkWake
+	// (one slot) tells the loop there is something to drain. Unbounded, so
+	// no transition is lost however long the loop is busy.
+	linkMu   sync.Mutex
+	linkQ    []overlay.Event
+	linkWake chan struct{}
 }
 
 // NewNode creates a node and its broker (not yet serving).
 func NewNode(cfg NodeConfig) *Node {
 	n := &Node{
-		cfg:        cfg,
-		conns:      make(map[message.NodeID]*Conn),
-		blocked:    make(map[message.NodeID]bool),
-		peers:      make(map[message.NodeID]string, len(cfg.Peers)),
-		inbox:      make(chan inboxMsg, 1024),
-		tasks:      make(chan func()),
-		linkEvents: make(chan overlay.Event, 256),
-		done:       make(chan struct{}),
+		cfg:      cfg,
+		conns:    make(map[message.NodeID]*Conn),
+		blocked:  make(map[message.NodeID]bool),
+		peers:    make(map[message.NodeID]string, len(cfg.Peers)),
+		inbox:    make(chan inboxMsg, 1024),
+		tasks:    make(chan func()),
+		done:     make(chan struct{}),
+		linkWake: make(chan struct{}, 1),
 	}
 	peers := make([]message.NodeID, 0, len(cfg.Peers))
 	for p, addr := range cfg.Peers {
@@ -345,57 +335,6 @@ func NewNode(cfg NodeConfig) *Node {
 	n.ov = n.newOverlay(time.Now)
 	if cfg.BrokerLogger != nil {
 		n.b.SetLogger(cfg.BrokerLogger)
-	}
-	if reg := cfg.Telemetry; reg != nil {
-		bid := string(cfg.ID)
-		hist := reg.Histogram(telemetry.MetricFrameBytes,
-			"Encoded wire frame sizes in bytes (length prefix included), per sending broker.",
-			telemetry.SizeBuckets, telemetry.Labels{"broker": bid})
-		n.frameObs = func(bytes int) { hist.Observe(float64(bytes)) }
-		reg.GaugeFunc(telemetry.MetricLinkState,
-			"Overlay link state (1 = the link is in the state named by the state label).",
-			func(emit func(telemetry.Labels, float64)) {
-				for _, li := range n.ov.Info() {
-					emit(telemetry.Labels{"broker": bid, "peer": string(li.Peer), "state": li.State.String()}, 1)
-				}
-			})
-		reg.GaugeFunc(telemetry.MetricLinkPending,
-			"Messages queued for a down overlay link.",
-			func(emit func(telemetry.Labels, float64)) {
-				for _, li := range n.ov.Info() {
-					emit(telemetry.Labels{"broker": bid, "peer": string(li.Peer)}, float64(li.Pending))
-				}
-			})
-		reg.CounterFunc(telemetry.MetricLinkDropped,
-			"Messages discarded by an overlay link's bounded pending queue.",
-			func(emit func(telemetry.Labels, float64)) {
-				for _, li := range n.ov.Info() {
-					emit(telemetry.Labels{"broker": bid, "peer": string(li.Peer)}, float64(li.Dropped))
-				}
-			})
-		if cfg.Spill != nil {
-			reg.GaugeFunc(telemetry.MetricLinkSpillDepth,
-				"Messages parked in a link's store-backed spill queue.",
-				func(emit func(telemetry.Labels, float64)) {
-					for _, li := range n.ov.Info() {
-						emit(telemetry.Labels{"broker": bid, "peer": string(li.Peer)}, float64(li.SpillDepth))
-					}
-				})
-			reg.GaugeFunc(telemetry.MetricLinkSpillBytes,
-				"Bytes held by a link's store-backed spill queue.",
-				func(emit func(telemetry.Labels, float64)) {
-					for _, li := range n.ov.Info() {
-						emit(telemetry.Labels{"broker": bid, "peer": string(li.Peer)}, float64(li.SpillBytes))
-					}
-				})
-			reg.CounterFunc(telemetry.MetricLinkSpillDropped,
-				"Messages the spill discarded (append failures and byte-budget evictions).",
-				func(emit func(telemetry.Labels, float64)) {
-					for _, li := range n.ov.Info() {
-						emit(telemetry.Labels{"broker": bid, "peer": string(li.Peer)}, float64(li.SpillDropped))
-					}
-				})
-		}
 	}
 	return n
 }
@@ -432,18 +371,18 @@ func (n *Node) newOverlay(now func() time.Time) *overlay.Manager {
 	})
 }
 
-// observeLink fans a link transition out to the configured observer and,
-// asynchronously, to the broker chain's LinkObserver stages (the event
-// loop dequeues linkEvents; transitions can originate on that very loop,
-// so the hand-off must not block — overflow drops the chain notification
-// rather than deadlocking).
+// observeLink hands a link transition to the event loop, which passes it
+// to the broker chain's LinkObserver stages. Transitions can originate on
+// that very loop, so the hand-off never blocks; the queue keeps every one,
+// in order, however long the loop is busy (the mesh election's only input
+// is this stream, so a lost transition would leave its tree wrong).
 func (n *Node) observeLink(ev overlay.Event) {
-	if n.cfg.LinkObserver != nil {
-		n.cfg.LinkObserver(ev)
-	}
+	n.linkMu.Lock()
+	n.linkQ = append(n.linkQ, ev)
+	n.linkMu.Unlock()
 	select {
-	case n.linkEvents <- ev:
-	default:
+	case n.linkWake <- struct{}{}:
+	default: // a wake is pending; its drain takes this event too
 	}
 }
 
@@ -594,9 +533,7 @@ func (n *Node) acceptLoop() {
 // (client reconnecting under the same ID) is closed, not just dropped:
 // every Conn owns a flusher goroutine that only Close releases.
 func (n *Node) register(conn *Conn) {
-	if n.frameObs != nil {
-		conn.observeFrames(n.frameObs)
-	}
+	conn.enc.OnFrame(n.cfg.FrameObserver) // before the conn carries traffic
 	n.mu.Lock()
 	if old := n.conns[conn.peer]; old != nil && old != conn {
 		_ = old.Close()
@@ -612,9 +549,7 @@ func (n *Node) register(conn *Conn) {
 // overlay manager — which starts the sync handshake — and starts the
 // gen-tagged read pump. Blocked peers (link-chaos hook) are refused.
 func (n *Node) registerPeer(conn *Conn) {
-	if n.frameObs != nil {
-		conn.observeFrames(n.frameObs)
-	}
+	conn.enc.OnFrame(n.cfg.FrameObserver) // before the conn carries traffic
 	n.mu.Lock()
 	if n.blocked[conn.peer] || n.isClosed() {
 		n.mu.Unlock()
@@ -720,8 +655,9 @@ func (n *Node) UnblockPeer(peer message.NodeID) {
 // LinkStates snapshots the overlay link state per peer.
 func (n *Node) LinkStates() map[message.NodeID]overlay.State { return n.ov.States() }
 
-// LinkInfo snapshots the overlay links (state, pending backlog, drops).
-func (n *Node) LinkInfo() []overlay.LinkInfo { return n.ov.Info() }
+// Info snapshots the overlay links (state, pending backlog, drops), as
+// overlay.Manager.Info does for a simulated broker.
+func (n *Node) Info() []overlay.LinkInfo { return n.ov.Info() }
 
 // Ready reports overlay convergence — the node's /readyz gate (see
 // overlay.Manager.Ready).
@@ -825,8 +761,14 @@ func (n *Node) eventLoop() {
 				continue
 			}
 			n.b.HandleMessage(im.from, m)
-		case ev := <-n.linkEvents:
-			n.b.NotifyLinkChange(ev)
+		case <-n.linkWake:
+			n.linkMu.Lock()
+			evs := n.linkQ
+			n.linkQ = nil
+			n.linkMu.Unlock()
+			for _, ev := range evs {
+				n.b.NotifyLinkChange(ev)
+			}
 		case fn := <-n.tasks:
 			fn()
 		case <-n.done:

@@ -229,7 +229,7 @@ func (l *Live) LinkInfos(b NodeID) []LinkInfo {
 	if n == nil {
 		return nil
 	}
-	return n.node.LinkInfo()
+	return n.node.Info()
 }
 
 // Close disconnects all clients and stops all broker nodes, in the order

@@ -109,7 +109,7 @@ type Metrics struct {
 
 // NewMetrics returns a metrics view over a telemetry stage of its own.
 func NewMetrics() *Metrics {
-	return &Metrics{stage: telemetry.NewMiddleware(telemetry.NewRegistry(), nil)}
+	return &Metrics{stage: telemetry.NewMiddleware(telemetry.NewRegistry())}
 }
 
 // OnPublish implements PublishInterceptor.
@@ -259,7 +259,6 @@ type RateLimiter struct {
 	buckets   map[NodeID]*tokenBucket
 	dropped   int
 	droppedBy map[NodeID]int
-	dropHook  func(broker NodeID, id NotificationID)
 }
 
 type tokenBucket struct {
@@ -284,7 +283,8 @@ func NewRateLimiter(perSecond float64, burst int) *RateLimiter {
 }
 
 // OnPublish implements PublishInterceptor: take a token or drop the
-// publish.
+// publish, reporting the drop to the chain's DropObserver stages (the
+// telemetry stage retro-captures its trace).
 func (r *RateLimiter) OnPublish(b *Broker, from NodeID, n *Notification, next func()) {
 	if !b.HasPort(from) {
 		next() // transit traffic was already admitted at its ingress broker
@@ -316,22 +316,12 @@ func (r *RateLimiter) OnPublish(b *Broker, from NodeID, n *Notification, next fu
 		r.dropped++
 		r.droppedBy[b.ID()]++
 	}
-	hook := r.dropHook
 	r.mu.Unlock()
 	if admit {
 		next()
-	} else if hook != nil && n != nil {
-		hook(b.ID(), n.ID)
+	} else {
+		b.NotifyDrop(n.ID, "rate-limited")
 	}
-}
-
-// SetDropHook registers a callback invoked (outside the limiter's lock,
-// on the broker's event loop) for every rejected publish — the telemetry
-// sampler uses it to retro-capture rate-limited notifications' traces.
-func (r *RateLimiter) SetDropHook(fn func(broker NodeID, id NotificationID)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dropHook = fn
 }
 
 // SetLimit retunes the limiter at runtime (the ops /config knobs): the

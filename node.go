@@ -94,7 +94,6 @@ func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology
 		Overlay:       cfg.overlaySettings(),
 		Spill:         cfg.spillStore,
 		SpillBudget:   cfg.spillMax,
-		LinkObserver:  cfg.linkObserver,
 		Logger:        ops.logFor("wire"),
 		OverlayLogger: ops.logFor("overlay"),
 		BrokerLogger:  ops.logFor("broker"),
@@ -108,7 +107,7 @@ func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology
 		}
 	}
 	if ops != nil {
-		ncfg.Telemetry = ops.reg
+		ncfg.FrameObserver = ops.frameObserver(spec.ID)
 	}
 	n := &BrokerNode{id: spec.ID, node: wire.NewNode(ncfg), ops: ops}
 	if cfg.mesh {
@@ -340,7 +339,7 @@ func (n *BrokerNode) StatsLine() string {
 			int(reg.Total(telemetry.MetricLinkUps)),
 			int(reg.Total(telemetry.MetricLinkDowns)))
 	}
-	for _, li := range n.node.LinkInfo() {
+	for _, li := range n.node.Info() {
 		line += fmt.Sprintf(" link[%s]=%s", li.Peer, li.State)
 		if li.Pending > 0 {
 			line += fmt.Sprintf("(+%d queued)", li.Pending)

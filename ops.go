@@ -15,13 +15,13 @@ import (
 )
 
 // opsStack bundles one deployment's telemetry objects: the metric
-// registry, the hop-trace span store, the broker-chain middleware stage
-// feeding both, the HTTP endpoint serving them, and — when configured —
-// the trace sampler, the push exporter and the structured log root. It is
-// the only place any of them is built: New, NewLive and StartBroker (and so
-// rebeca-broker) all get theirs from newOpsStack. Without WithOps,
-// WithOpsPush or WithLogging none of it exists and the hot paths carry no
-// instrumentation.
+// registry, the hop-trace span store and the sampler that is its one way
+// in, the broker-chain middleware stage feeding both, the HTTP endpoint
+// serving them, and — when configured — the push exporter and the
+// structured log root. It is the only place any of them, or any instrument,
+// is built: New, NewLive and StartBroker (and so rebeca-broker) all get
+// theirs from newOpsStack. Without WithOps, WithOpsPush or WithLogging none
+// of it exists and the hot paths carry no instrumentation.
 type opsStack struct {
 	reg     *telemetry.Registry
 	spans   *telemetry.SpanStore
@@ -30,6 +30,8 @@ type opsStack struct {
 	sampler *telemetry.Sampler
 	push    *telemetry.Pusher
 	logger  *telemetry.Logger
+	// spill reports WithLinkSpill: the spill families join the link ones.
+	spill bool
 	// supervisors are the brokers' overlay link supervisors (see supervise).
 	supervisors []supervisor
 }
@@ -40,28 +42,71 @@ type supervisor interface {
 	Ready() (ok bool, detail string)
 	Heartbeat() (interval, timeout time.Duration)
 	SetHeartbeat(interval, timeout time.Duration)
+	Info() []LinkInfo
 }
 
 // supervise puts one broker's link supervision behind the endpoint:
 // /readyz waits for its links to be established (and their initial routing
-// sync applied — establishment is entered on KSyncInstall receipt), and
-// the "heartbeat" knob retunes it.
+// sync applied — establishment is entered on KSyncInstall receipt), the
+// "heartbeat" knob retunes it, and the rebeca_link_* families read its
+// links at scrape time.
 func (st *opsStack) supervise(id NodeID, s supervisor) {
 	st.supervisors = append(st.supervisors, s)
 	st.ops.AddReadyCheck("links:"+string(id), s.Ready)
+	bid := string(id)
+	st.reg.GaugeFunc(telemetry.MetricLinkState,
+		"Overlay link state (1 = the link is in the state named by the state label).",
+		func(emit func(telemetry.Labels, float64)) {
+			for _, li := range s.Info() {
+				emit(telemetry.Labels{"broker": bid, "peer": string(li.Peer), "state": li.State.String()}, 1)
+			}
+		})
+	perLink := func(value func(LinkInfo) float64) telemetry.CollectFunc {
+		return func(emit func(telemetry.Labels, float64)) {
+			for _, li := range s.Info() {
+				emit(telemetry.Labels{"broker": bid, "peer": string(li.Peer)}, value(li))
+			}
+		}
+	}
+	st.reg.GaugeFunc(telemetry.MetricLinkPending, "Messages queued for a down overlay link.",
+		perLink(func(li LinkInfo) float64 { return float64(li.Pending) }))
+	st.reg.CounterFunc(telemetry.MetricLinkDropped, "Messages discarded by an overlay link's bounded pending queue.",
+		perLink(func(li LinkInfo) float64 { return float64(li.Dropped) }))
+	if !st.spill {
+		return
+	}
+	st.reg.GaugeFunc(telemetry.MetricLinkSpillDepth, "Messages parked in a link's store-backed spill queue.",
+		perLink(func(li LinkInfo) float64 { return float64(li.SpillDepth) }))
+	st.reg.GaugeFunc(telemetry.MetricLinkSpillBytes, "Bytes held by a link's store-backed spill queue.",
+		perLink(func(li LinkInfo) float64 { return float64(li.SpillBytes) }))
+	st.reg.CounterFunc(telemetry.MetricLinkSpillDropped, "Messages the spill discarded (append failures and byte-budget evictions).",
+		perLink(func(li LinkInfo) float64 { return float64(li.SpillDropped) }))
 }
 
-// newOpsStack builds the registry/span-store/middleware triple and puts
-// the telemetry stage on the config's broker chain; nil when the options
-// ask for no endpoint, no push target and no log stream. Must run before
-// broker construction so every broker installs the stage. Push-only and
-// logging-only deployments get the stack too — they feed the same registry
-// — but never open the HTTP listener.
+// frameObserver is one live broker's encoded-frame-size histogram, as the
+// observer its wire node hands every link's encoder.
+func (st *opsStack) frameObserver(id NodeID) func(bytes int) {
+	hist := st.reg.Histogram(telemetry.MetricFrameBytes,
+		"Encoded wire frame sizes in bytes (length prefix included), per sending broker.",
+		telemetry.SizeBuckets, telemetry.Labels{"broker": string(id)})
+	return func(bytes int) { hist.Observe(float64(bytes)) }
+}
+
+// newOpsStack builds the registry/span-store/sampler/middleware set and
+// puts the telemetry stage on the config's broker chain; nil when the
+// options ask for no endpoint, no push target and no log stream. Must run
+// before broker construction so every broker installs the stage. Push-only
+// and logging-only deployments get the stack too — they feed the same
+// registry — but never open the HTTP listener.
 func newOpsStack(cfg *config) *opsStack {
 	if cfg.opsAddr == "" && cfg.pushURL == "" && !cfg.logging {
 		return nil
 	}
 	spans := telemetry.NewSpanStore(0)
+	sampler := telemetry.NewSampler(spans, max(cfg.sampleN, 1), cfg.slowThresh)
+	if cfg.pendingCap > 0 {
+		sampler.SetPendingCap(cfg.pendingCap)
+	}
 	// A deployment has one telemetry stage and one registry: a Metrics view
 	// on the chain already carries both, so they are adopted where the
 	// caller put them; only otherwise is a stage built and appended.
@@ -69,28 +114,22 @@ func newOpsStack(cfg *config) *opsStack {
 	for _, m := range cfg.middleware {
 		if view, ok := m.(*Metrics); ok {
 			mw = view.stage
-			mw.AttachSpans(spans)
 			break
 		}
 	}
 	if mw == nil {
-		mw = telemetry.NewMiddleware(telemetry.NewRegistry(), spans)
+		mw = telemetry.NewMiddleware(telemetry.NewRegistry())
 		cfg.middleware = append(cfg.middleware, mw)
 	}
+	mw.SetSampler(sampler)
 	reg := mw.Registry()
 	// Stamping costs every hop of every publish: it is on only where
 	// something can show a trace (/trace, or a push target spans ship to).
 	mw.EnableHopTrace(cfg.opsAddr != "" || cfg.pushURL != "")
 	telemetry.RegisterSpanMetrics(reg, spans)
-	st := &opsStack{reg: reg, spans: spans, mw: mw, ops: telemetry.NewOps(reg, spans)}
-	if cfg.sampleN > 0 || cfg.slowThresh > 0 || cfg.pendingCap > 0 {
-		st.sampler = telemetry.NewSampler(spans, cfg.sampleN, cfg.slowThresh)
-		if cfg.pendingCap > 0 {
-			st.sampler.SetPendingCap(cfg.pendingCap)
-		}
-		mw.SetSampler(st.sampler)
-		telemetry.RegisterSamplerMetrics(reg, st.sampler)
-	}
+	telemetry.RegisterSamplerMetrics(reg, sampler)
+	st := &opsStack{reg: reg, spans: spans, mw: mw, ops: telemetry.NewOps(reg, spans),
+		sampler: sampler, spill: cfg.spillStore != nil}
 	telemetry.RegisterGoRuntime(reg)
 	if cfg.logging {
 		level := telemetry.ParseLevelDefault(cfg.logLevel)
@@ -242,53 +281,52 @@ func (st *opsStack) registerCommon(cfg *config) {
 			return nil
 		},
 	})
-	if s := st.sampler; s != nil {
-		st.ops.AddKnob("sample", telemetry.Knob{
-			Help: "hop-trace sampling rate as 1-in-N (1 traces everything)",
-			Get:  func() string { return strconv.FormatInt(s.Rate(), 10) },
-			Set: func(v string) error {
-				n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-				if err != nil {
-					return fmt.Errorf("bad rate %q: %v", v, err)
-				}
-				if n < 1 {
-					return fmt.Errorf("bad rate %d: want >= 1", n)
-				}
-				s.SetRate(n)
-				return nil
-			},
-		})
-		st.ops.AddKnob("slow", telemetry.Knob{
-			Help: "retro-capture threshold: deliveries slower than this are always traced (0 disables)",
-			Get:  func() string { return s.SlowThreshold().String() },
-			Set: func(v string) error {
-				d, err := time.ParseDuration(strings.TrimSpace(v))
-				if err != nil {
-					return fmt.Errorf("bad threshold %q: %v", v, err)
-				}
-				if d < 0 {
-					return fmt.Errorf("bad threshold %s: want >= 0", d)
-				}
-				s.SetSlowThreshold(d)
-				return nil
-			},
-		})
-		st.ops.AddKnob("trace.pending", telemetry.Knob{
-			Help: "pending-decision ring capacity: hop paths parked awaiting a retro-capture verdict (shrinking evicts oldest)",
-			Get:  func() string { return strconv.Itoa(s.PendingCap()) },
-			Set: func(v string) error {
-				n, err := strconv.Atoi(strings.TrimSpace(v))
-				if err != nil {
-					return fmt.Errorf("bad capacity %q: %v", v, err)
-				}
-				if n < 1 {
-					return fmt.Errorf("bad capacity %d: want >= 1", n)
-				}
-				s.SetPendingCap(n)
-				return nil
-			},
-		})
-	}
+	s := st.sampler
+	st.ops.AddKnob("sample", telemetry.Knob{
+		Help: "hop-trace sampling rate as 1-in-N (1 traces everything)",
+		Get:  func() string { return strconv.FormatInt(s.Rate(), 10) },
+		Set: func(v string) error {
+			n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+			if err != nil {
+				return fmt.Errorf("bad rate %q: %v", v, err)
+			}
+			if n < 1 {
+				return fmt.Errorf("bad rate %d: want >= 1", n)
+			}
+			s.SetRate(n)
+			return nil
+		},
+	})
+	st.ops.AddKnob("slow", telemetry.Knob{
+		Help: "retro-capture threshold: deliveries slower than this are always traced (0 disables)",
+		Get:  func() string { return s.SlowThreshold().String() },
+		Set: func(v string) error {
+			d, err := time.ParseDuration(strings.TrimSpace(v))
+			if err != nil {
+				return fmt.Errorf("bad threshold %q: %v", v, err)
+			}
+			if d < 0 {
+				return fmt.Errorf("bad threshold %s: want >= 0", d)
+			}
+			s.SetSlowThreshold(d)
+			return nil
+		},
+	})
+	st.ops.AddKnob("trace.pending", telemetry.Knob{
+		Help: "pending-decision ring capacity: hop paths parked awaiting a retro-capture verdict (shrinking evicts oldest)",
+		Get:  func() string { return strconv.Itoa(s.PendingCap()) },
+		Set: func(v string) error {
+			n, err := strconv.Atoi(strings.TrimSpace(v))
+			if err != nil {
+				return fmt.Errorf("bad capacity %q: %v", v, err)
+			}
+			if n < 1 {
+				return fmt.Errorf("bad capacity %d: want >= 1", n)
+			}
+			s.SetPendingCap(n)
+			return nil
+		},
+	})
 	if st.logger != nil {
 		st.logger.RegisterKnobs(st.ops)
 	}
@@ -297,18 +335,6 @@ func (st *opsStack) registerCommon(cfg *config) {
 		if !ok {
 			continue
 		}
-		// Rate-limited publishes are paths that always matter:
-		// retro-capture their parked trace with the reason.
-		rl.SetDropHook(func(_ NodeID, id NotificationID) {
-			if !st.mw.HopTraceEnabled() {
-				return
-			}
-			if st.sampler != nil {
-				st.sampler.MarkDropped(id, "rate-limited")
-			} else {
-				st.spans.RecordReason(id, nil, 0, "rate-limited")
-			}
-		})
 		st.ops.AddKnob("rate_limit", telemetry.Knob{
 			Help: "client publish admission as perSecond[,burst]; perSecond <= 0 disables",
 			Get: func() string {

@@ -57,7 +57,6 @@ type config struct {
 	linkPendingCap int
 	spillStore     store.Store
 	spillMax       int64
-	linkObserver   overlay.Observer
 	opsAddr        string
 	mesh           bool
 	registry       string
@@ -518,8 +517,9 @@ func WithTraceSampling(n int64, slow time.Duration) Option {
 // evictions count in rebeca_trace_pending_evicted_total). Raise it on
 // high-fan-in brokers where verdicts lag arrivals; lower it to shrink
 // the tracing footprint. Runtime-tunable via the ops endpoint's
-// "trace.pending" knob. Implies trace sampling state exists even without
-// WithTraceSampling (at the stamp-everything default rate).
+// "trace.pending" knob. Every deployment with an ops stack has the
+// sampler, at rate 1 (trace everything) unless WithTraceSampling says
+// otherwise.
 func WithTracePendingCap(n int) Option {
 	return func(c *config) {
 		if n <= 0 {
@@ -548,20 +548,6 @@ func WithLogging(w io.Writer, level string) Option {
 		c.logging = true
 		c.logWriter = w
 		c.logLevel = level
-	}
-}
-
-// WithLinkObserver registers an observer for overlay link transitions
-// (connecting → handshaking → established → degraded), in addition to any
-// LinkObserver middleware stages on the broker chains. The callback runs
-// on whatever goroutine drove the transition and must not block.
-func WithLinkObserver(fn func(LinkEvent)) Option {
-	return func(c *config) {
-		if fn == nil {
-			c.errs = append(c.errs, errors.New("rebeca: WithLinkObserver(nil)"))
-			return
-		}
-		c.linkObserver = overlay.Observer(fn)
 	}
 }
 

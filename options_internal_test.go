@@ -117,7 +117,6 @@ func TestOptionErrors(t *testing.T) {
 		{"bad settle window", []Option{WithMovement(Line(2)), WithSettleWindow(0, 0)}, "quiet"},
 		{"zero heartbeat", []Option{WithMovement(Line(2)), WithHeartbeat(0, time.Second)}, "interval > 0"},
 		{"short heartbeat timeout", []Option{WithMovement(Line(2)), WithHeartbeat(time.Second, time.Millisecond)}, "timeout >= interval"},
-		{"nil link observer", []Option{WithMovement(Line(2)), WithLinkObserver(nil)}, "WithLinkObserver(nil)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

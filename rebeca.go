@@ -80,8 +80,8 @@
 // directory rejoins the mesh with converged routing. Established links
 // exchange heartbeats (WithHeartbeat); a failed link queues outbound
 // messages in a bounded buffer and redials with jittered backoff. Link
-// transitions surface through the LinkObserver middleware extension
-// (Metrics and Tracer implement it) and WithLinkObserver; scenarios
+// transitions surface only through the LinkObserver middleware extension
+// (Metrics and Tracer implement it), on System and Live alike; scenarios
 // script failures with CutLink/HealLink on both System (virtual clock)
 // and Live (TCP).
 //
