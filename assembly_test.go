@@ -705,10 +705,12 @@ func TestOneAssembly(t *testing.T) {
 	// The second push encodings, the second fold, the event-log ring and the
 	// DNS backend went in PR 22; one telemetry pipeline stays one.
 	// So did the side channels around the broker chain: link transitions,
-	// drops and spans each have one way into telemetry.
+	// drops and spans each have one way into telemetry. And the handover's
+	// flush waves: the activate and tail ride the relocation path's FIFO.
 	gone := []string{"RemoteWrite", "PushFormat", "pushFormat", "snapshotJSON", "ingestJSON", "foldCounterDel",
 		"ParseLabelKey", "NewDNSRegistry", "SRVLookup", "tracerCap", "MetricTracerDropped",
-		"WithLinkObserver", "SetDropHook", "dropHook"}
+		"WithLinkObserver", "SetDropHook", "dropHook",
+		"StartFlush", "FlushObserver", "OnFlushDone", "flushCont", "FlushID"}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err

@@ -1,11 +1,10 @@
 // Package broker implements the REBECA broker process (§2): routing of
 // notifications along the acyclic overlay, subscription forwarding per the
-// configured routing strategy, unicast control-message routing via next-hop
-// tables, and the flush/convergecast barrier the mobility protocol builds
-// on. Border and inner brokers run the same state machine; border brokers
-// additionally host the session layers (the replicator and the
-// physical-mobility manager, ordinary stages of the middleware chain) and
-// local client ports.
+// configured routing strategy, and unicast control-message routing via
+// next-hop tables. Border and inner brokers run the same state machine;
+// border brokers additionally host the session layers (the replicator and
+// the physical-mobility manager, ordinary stages of the middleware chain)
+// and local client ports.
 //
 // A Broker is a synchronous state machine: HandleMessage runs to completion
 // and emits outgoing messages through the injected senders. The simulator
@@ -85,17 +84,13 @@ type Broker struct {
 	// stages implementing each optional interface, in chain order, resolved
 	// once in UseMiddleware. free holds the idle chain cursors, hook the
 	// cursor whose stage hook is the innermost one running (middleware.go).
-	chain          []Middleware
-	publishers     []PublishInterceptor
-	interceptors   []MessageInterceptor
-	flushObservers []FlushObserver
-	linkObservers  []LinkObserver
-	dropObservers  []DropObserver
-	free           []*cursor
-	hook           *cursor
-
-	nextFlushID uint64
-	flushes     map[flushKey]*flushState
+	chain         []Middleware
+	publishers    []PublishInterceptor
+	interceptors  []MessageInterceptor
+	linkObservers []LinkObserver
+	dropObservers []DropObserver
+	free          []*cursor
+	hook          *cursor
 
 	// Mesh routing (see mesh.go); all nil/unused unless EnableMesh.
 	mesh         *Mesh
@@ -121,16 +116,6 @@ type Broker struct {
 // detaches). Call before the broker starts processing messages.
 func (b *Broker) SetLogger(l *slog.Logger) { b.log = l }
 
-type flushKey struct {
-	origin message.NodeID
-	id     uint64
-}
-
-type flushState struct {
-	pending int
-	replyTo message.NodeID // empty when this broker is the origin
-}
-
 // New builds a broker from the config. Under mesh routing (EnableMesh +
 // SetMeshTopology) the configured peers and next hops are replaced by the
 // elected spanning tree's.
@@ -152,11 +137,10 @@ func New(cfg Config) *Broker {
 		newRouter = routing.NewRouter
 	}
 	b := &Broker{
-		cfg:     cfg,
-		router:  newRouter(cfg.Strategy),
-		peers:   make(map[message.NodeID]bool),
-		ports:   make(map[message.NodeID]bool),
-		flushes: make(map[flushKey]*flushState),
+		cfg:    cfg,
+		router: newRouter(cfg.Strategy),
+		peers:  make(map[message.NodeID]bool),
+		ports:  make(map[message.NodeID]bool),
 	}
 	for _, p := range cfg.Peers {
 		b.peers[p] = true
@@ -191,9 +175,6 @@ func (b *Broker) UseMiddleware(ms ...Middleware) {
 		}
 		if s, ok := m.(MessageInterceptor); ok {
 			b.interceptors = append(b.interceptors, s)
-		}
-		if s, ok := m.(FlushObserver); ok {
-			b.flushObservers = append(b.flushObservers, s)
 		}
 		if s, ok := m.(LinkObserver); ok {
 			b.linkObservers = append(b.linkObservers, s)
@@ -371,10 +352,6 @@ func (b *Broker) dispatch(from message.NodeID, m proto.Message) {
 		b.DetachPort(m.Client)
 	case proto.KLinkState:
 		b.handleLinkState(from, m)
-	case proto.KFlush:
-		b.handleFlush(from, m)
-	case proto.KFlushAck:
-		b.handleFlushAck(m)
 	case proto.KDeliver:
 		// A delivery unicast to this broker for a local client (e.g. a
 		// relocation tap forward) that no session layer claimed: deliver

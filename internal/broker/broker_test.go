@@ -340,9 +340,8 @@ func TestUnicastToSelf(t *testing.T) {
 // onDeliver consumes the event (the stage does not call next).
 type capturePlugin struct {
 	PassMiddleware
-	onHandle    func(message.NodeID, proto.Message) bool
-	onDeliver   func(message.NodeID, message.Notification) bool
-	onFlushDone func(uint64)
+	onHandle  func(message.NodeID, proto.Message) bool
+	onDeliver func(message.NodeID, message.Notification) bool
 }
 
 func (c *capturePlugin) OnMessage(_ *Broker, from message.NodeID, m proto.Message, next func()) {
@@ -354,65 +353,6 @@ func (c *capturePlugin) OnMessage(_ *Broker, from message.NodeID, m proto.Messag
 func (c *capturePlugin) OnDeliver(_ *Broker, port message.NodeID, n *message.Notification, _ []message.SubID, next func()) {
 	if c.onDeliver == nil || !c.onDeliver(port, *n) {
 		next()
-	}
-}
-
-func (c *capturePlugin) OnFlushDone(_ *Broker, id uint64) {
-	if c.onFlushDone != nil {
-		c.onFlushDone(id)
-	}
-}
-
-func TestFlushCompletesOnTree(t *testing.T) {
-	h := newHarness(t, lineTopo(6), routing.StrategySimple)
-	done := map[uint64]bool{}
-	h.brokers["A"].UseMiddleware(&capturePlugin{onFlushDone: func(id uint64) { done[id] = true }})
-	id := h.brokers["A"].StartFlush()
-	if done[id] {
-		t.Error("flush must not complete before acks return")
-	}
-	h.pump()
-	if !done[id] {
-		t.Error("flush should complete after pump")
-	}
-}
-
-func TestFlushSingletonBroker(t *testing.T) {
-	topo := Topology{Edges: [][2]message.NodeID{{"A", "B"}}}
-	h := newHarness(t, topo, routing.StrategySimple)
-	// Detach B from A to simulate a leafless origin: use a 2-node tree and
-	// flush from the leaf; the wave is one hop out, one ack back.
-	done := false
-	h.brokers["B"].UseMiddleware(&capturePlugin{onFlushDone: func(uint64) { done = true }})
-	h.brokers["B"].StartFlush()
-	h.pump()
-	if !done {
-		t.Error("flush on 2-node tree should complete")
-	}
-}
-
-func TestFlushBarriersInFlightPublishes(t *testing.T) {
-	// The guarantee the mobility layer relies on: messages routed before a
-	// flush wave passed arrive at the origin before the wave completes.
-	h := newHarness(t, lineTopo(4), routing.StrategySimple)
-	h.connect("c", "A")
-	h.subscribe("c", "A", "s1", filter.New(filter.Exists("k")))
-	h.connect("p", "D")
-
-	// Enqueue a publish (not yet pumped), then start the flush, then pump
-	// everything: the delivery must precede flush completion.
-	n := message.NewNotification(attrInt("k", 1))
-	n.ID = message.NotificationID{Publisher: "p", Seq: 1}
-	h.brokers["D"].HandleMessage("p", proto.Message{Kind: proto.KPublish, Note: &n})
-
-	deliveredBeforeFlush := false
-	h.brokers["A"].UseMiddleware(&capturePlugin{onFlushDone: func(uint64) {
-		deliveredBeforeFlush = len(h.delivered("c")) == 1
-	}})
-	h.brokers["A"].StartFlush()
-	h.pump()
-	if !deliveredBeforeFlush {
-		t.Error("in-flight publish should arrive before flush completion")
 	}
 }
 

@@ -48,11 +48,11 @@ import (
 //
 // Optional extension interfaces widen a stage's view: PublishInterceptor
 // (publishes), MessageInterceptor (raw messages before kind dispatch),
-// FlushObserver (flush-wave completion), LinkObserver and DropObserver. The
-// session layers (core.Replicator, mobility.Manager) are stages like any
-// other — they implement these interfaces and are attached with
-// UseMiddleware, first, by session.Attach — so there is one extension path,
-// on simulated and live brokers alike.
+// LinkObserver (overlay link transitions) and DropObserver (abandoned
+// notes). The session layers (core.Replicator, mobility.Manager) are
+// stages like any other — they implement these interfaces and are
+// attached with UseMiddleware, first, by session.Attach — so there is one
+// extension path, on simulated and live brokers alike.
 type Middleware interface {
 	// OnDeliver wraps a local delivery to a client port. subs carries the
 	// matched subscription identities (may be empty).
@@ -85,15 +85,6 @@ type MessageInterceptor interface {
 	Middleware
 	// OnMessage wraps processing of one incoming message.
 	OnMessage(b *Broker, from message.NodeID, m proto.Message, next func())
-}
-
-// FlushObserver is an optional Middleware extension: stages that implement
-// it are told when a flush wave started by this broker (StartFlush)
-// completes.
-type FlushObserver interface {
-	Middleware
-	// OnFlushDone signals completion of flush wave id.
-	OnFlushDone(b *Broker, id uint64)
 }
 
 // LinkObserver is an optional Middleware extension: stages that implement

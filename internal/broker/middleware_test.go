@@ -192,9 +192,8 @@ func TestMiddlewareNextIdempotent(t *testing.T) {
 // messages (declining to call next) and claims deliveries to a chosen port.
 type consumingPlugin struct {
 	PassMiddleware
-	intercept  message.NodeID
-	handled    int
-	flushDones int
+	intercept message.NodeID
+	handled   int
 }
 
 func (p *consumingPlugin) OnMessage(_ *Broker, _ message.NodeID, m proto.Message, next func()) {
@@ -210,8 +209,6 @@ func (p *consumingPlugin) OnDeliver(_ *Broker, port message.NodeID, _ *message.N
 		next()
 	}
 }
-
-func (p *consumingPlugin) OnFlushDone(*Broker, uint64) { p.flushDones++ }
 
 func TestPluginAdaptedOntoChain(t *testing.T) {
 	b, sent := newChainBroker(t)
@@ -247,11 +244,6 @@ func TestPluginAdaptedOntoChain(t *testing.T) {
 		t.Errorf("Intercepted = %d, want 1", b.Stats().Intercepted)
 	}
 
-	// Flush completion reaches the stage.
-	b.StartFlush() // no peers: completes synchronously
-	if pl.flushDones != 1 {
-		t.Errorf("flush dones = %d, want 1", pl.flushDones)
-	}
 	if b.Middlewares() != 2 {
 		t.Errorf("Middlewares() = %d, want 2", b.Middlewares())
 	}
@@ -513,13 +505,10 @@ func (p *recPlugin) OnDeliver(_ *Broker, _ message.NodeID, _ *message.Notificati
 	}
 }
 
-func (p *recPlugin) OnFlushDone(*Broker, uint64) { *p.log = append(*p.log, p.name+":flush") }
-
 // TestChainMixesPluginsAndMiddleware attaches session-layer-shaped stages
 // and full stages alternately: each hook crosses them in attachment order,
-// a stage is a pass-through on the hooks it does not override, flush
-// observers are told in attachment order, and what one stage claims (by
-// declining next) the stages behind it never see.
+// a stage is a pass-through on the hooks it does not override, and what
+// one stage claims (by declining next) the stages behind it never see.
 func TestChainMixesPluginsAndMiddleware(t *testing.T) {
 	var log []string
 	b, sent := newChainBroker(t)
@@ -532,12 +521,10 @@ func TestChainMixesPluginsAndMiddleware(t *testing.T) {
 
 	b.HandleMessage("s", subMsg("s/s1"))
 	b.HandleMessage("p", pubMsg(1))
-	b.StartFlush() // no peers: completes at once
 	want := []string{
 		"a:message", "P1:message", "b:message", "P2:message", "a:subscribe", "b:subscribe",
 		"a:message", "P1:message", "b:message", "P2:message", "a:publish", "b:publish",
 		"a:deliver", "P1:deliver", "b:deliver", "P2:deliver",
-		"P1:flush", "P2:flush",
 	}
 	if !slices.Equal(log, want) {
 		t.Errorf("log = %v\nwant %v", log, want)

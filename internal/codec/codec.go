@@ -20,14 +20,15 @@
 //	           subs:list<subscription>
 //	           advs:list<subscription>
 //	           watermarks:list<string uvarint>
-//	           flushID:uvarint epoch:uvarint hops:varint
+//	           reserved:uvarint epoch:uvarint hops:varint
 //	           [path:list<string uint64le>] (flags&16, version 2)
 //
 // flags: 1 = Note present, 2 = Sub present, 4 = Stale, 8 = Fresh,
 // 16 = the note carries a telemetry hop trail (version 2). Version 1
 // decoders reject unknown flag bits, so a version-2 encoder only sets the
 // traced bit on links whose handshake negotiated version ≥ 2 — the trail
-// is stripped for older peers.
+// is stripped for older peers. reserved is written 0 and skipped on
+// decode: it held a handover flush wave's ID, a protocol since retired.
 // Strings are uvarint-length prefixed; lists are uvarint-count prefixed;
 // varint is the zig-zag signed encoding. A notification is
 // publisher+seq+timestamp+attribute list; a value is a one-byte kind tag
@@ -336,7 +337,7 @@ func AppendMessage(b []byte, m *proto.Message) []byte {
 		b = appendString(b, string(node))
 		b = binary.AppendUvarint(b, seq)
 	}
-	b = binary.AppendUvarint(b, m.FlushID)
+	b = append(b, 0) // reserved: a retired flush wave's ID
 	b = binary.AppendUvarint(b, m.Epoch)
 	b = binary.AppendVarint(b, int64(m.Hops))
 	if flags&flagTraced != 0 {
@@ -765,7 +766,7 @@ func decodeMessage(data []byte, names *Interner, relay bool) (proto.Message, err
 			m.Watermarks[node] = r.uvarint()
 		}
 	}
-	m.FlushID = r.uvarint()
+	r.uvarint() // reserved slot
 	m.Epoch = r.uvarint()
 	m.Hops = int(r.varint())
 	if flags&flagTraced != 0 {

@@ -71,9 +71,6 @@ func sampleMessages() []proto.Message {
 			m.Dest = "B9"
 			m.Epoch = 3
 			m.Fresh = true
-		case proto.KFlush, proto.KFlushAck:
-			m.FlushID = 42
-			m.Dest = "B2"
 		case proto.KReplicaCreate:
 			m.Subs = []proto.Subscription{sub}
 		case proto.KHello, proto.KSyncInstall:

@@ -13,30 +13,40 @@
 //     KRelocProfile with c's subscription profile and buffer, and from now
 //     on tap-forwards new matches to b2 (KDeliver unicast) instead of
 //     buffering.
-//  3. b2 installs the profile's subscriptions and starts flush wave F1.
-//     When F1 completes, every broker processed b2's subscriptions (FIFO
-//     links), so unsubscribing b1 can no longer lose traffic; b2 sends
-//     KRelocActivate.
-//  4. b1 unsubscribes c's filters, starts flush wave F2 and keeps the tap
-//     open: any straggler routed by a stale entry arrives at b1 before F2
-//     completes (convergecast acks chase the stragglers on FIFO links) and
-//     is tap-forwarded.
-//  5. F2 completes; b1 sends KRelocTail and forgets c. b2 merges profile
-//     buffer, tap copies and its own direct deliveries — deduplicated by
-//     notification ID, ordered by (publisher, seq) — replays them to c and
-//     goes live.
+//  3. b2 installs the profile's subscriptions and unicasts KRelocActivate
+//     to b1. Each installation is a relocation flip, which Router.Subscribe
+//     forwards on every other link, so it travels the whole b2→b1 path;
+//     the activate follows the same next-hop path after it. Links are
+//     FIFO, so on each link the activate arrives after the flip, and the
+//     flip after every note the sending broker routed toward b1 before it
+//     flipped.
+//  4. b1 receives KRelocActivate. By then b1 has flipped, and every note
+//     routed toward b1 by a pre-flip entry has reached b1 and been
+//     tap-forwarded. b1 sends KRelocTail behind the last of them and
+//     forgets c.
+//  5. b2 merges profile buffer, tap copies and its own direct deliveries —
+//     deduplicated by notification ID, ordered by (publisher, seq) —
+//     replays them to c and goes live.
+//
+// The handover thus costs messages on the b1–b2 path only, not on the
+// whole tree. Under mesh routing the flips and the unicasts both follow
+// the current elected tree; a re-election mid-handover can put them on
+// different paths, which breaks this argument as it breaks the order of
+// routed notes in general.
 //
 // The result is no loss, no duplicates and per-publisher FIFO across the
 // handover. Experiment E1 compares it with two baselines. The naive one
 // (reconnect-and-resubscribe) is a broker with no manager at all: its
 // default handling installs a connecting client's profile and withdraws it
 // on disconnect. ModeJEDI (explicit moveOut/moveIn, related work [2]) is
-// this manager with the barriers turned off — no relocating-out state, no
-// flush waves, no KRelocActivate or KRelocTail — the way WithLinearMatching
-// is routing's ablation. A JEDI session runs through everything else here
-// (connect, ghost buffering, the request and profile, the Stale and Fresh
-// replies, finishRelocation, replay, teardown), so a separate JEDI stage
-// would copy most of this file.
+// this manager with the ordering turned off, the way WithLinearMatching is
+// routing's ablation: no relocating-out state and so no tap, no
+// KRelocActivate or KRelocTail. b1 withdraws c's entries as it ships the
+// profile, so a note routed toward b1 before b2's flips is lost. A JEDI
+// session runs through everything else here (connect, ghost buffering, the
+// request and profile, the Stale and Fresh replies, finishRelocation,
+// replay, teardown), so a separate JEDI stage would copy most of this
+// file.
 //
 // # Staleness layer
 //
@@ -54,7 +64,7 @@
 //   - requests reaching a relocating-out session are redirected along the
 //     shipment chain to whatever session ends up holding the state;
 //   - a border with no session replies Fresh, letting the requester go
-//     live from the client's announced profile without a handover barrier;
+//     live from the client's announced profile, with no activate or tail;
 //   - unsubscription waves only remove routing entries still pointing at
 //     the unsubscriber (relocation flips make them stale otherwise).
 //
@@ -96,8 +106,9 @@ const (
 	ModeInvalid Mode = iota
 	// ModeTransparent runs the full relocation protocol described above.
 	ModeTransparent
-	// ModeJEDI ships profile and buffer once, without flush barriers or a
-	// tap: in-flight traffic can be lost during routing reconfiguration.
+	// ModeJEDI ships profile and buffer once, without the activate/tail
+	// handshake or a tap: in-flight traffic can be lost during routing
+	// reconfiguration.
 	ModeJEDI
 )
 
@@ -241,8 +252,7 @@ type Stats struct {
 // Manager is the physical-mobility layer of one border broker: a stage of
 // the broker's middleware chain that consumes the session and relocation
 // protocols (MessageInterceptor), claims deliveries for clients that are
-// not there to take them (OnDeliver) and continues relocations when a
-// flush wave completes (FlushObserver).
+// not there to take them (OnDeliver).
 type Manager struct {
 	broker.PassMiddleware
 	b        *broker.Broker
@@ -250,9 +260,7 @@ type Manager struct {
 	factory  buffer.Factory
 	store    store.Store
 	sessions map[message.NodeID]*session
-	// flushCont maps a flush wave ID to its continuation.
-	flushCont map[uint64]func()
-	stats     Stats
+	stats    Stats
 }
 
 // Option configures a Manager.
@@ -278,11 +286,10 @@ func WithStore(s store.Store) Option {
 // returns it.
 func New(b *broker.Broker, mode Mode, opts ...Option) *Manager {
 	m := &Manager{
-		b:         b,
-		mode:      mode,
-		factory:   func() buffer.Policy { return buffer.NewUnbounded() },
-		sessions:  make(map[message.NodeID]*session),
-		flushCont: make(map[uint64]func()),
+		b:        b,
+		mode:     mode,
+		factory:  func() buffer.Policy { return buffer.NewUnbounded() },
+		sessions: make(map[message.NodeID]*session),
 	}
 	for _, o := range opts {
 		o(m)
@@ -450,14 +457,6 @@ func (m *Manager) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.No
 		})
 	default:
 		next()
-	}
-}
-
-// OnFlushDone implements broker.FlushObserver.
-func (m *Manager) OnFlushDone(_ *broker.Broker, id uint64) {
-	if cont, ok := m.flushCont[id]; ok {
-		delete(m.flushCont, id)
-		cont()
 	}
 }
 
@@ -731,7 +730,7 @@ func (m *Manager) beginRelocOut(s *session, newBorder message.NodeID, epoch uint
 	profile := s.profile()
 	if m.mode == ModeJEDI {
 		// Ship everything at once, unsubscribe immediately, forget. No
-		// barrier, no tap: in-flight traffic may be lost.
+		// activate, no tap: in-flight traffic may be lost.
 		for _, id := range append([]message.SubID(nil), s.subOrder...) {
 			m.b.RemoveSub(id)
 		}
@@ -812,17 +811,13 @@ func (m *Manager) onRelocProfile(msg proto.Message) bool {
 		m.finishRelocation(s)
 		return true
 	}
-	// Barrier F1: ensure our subscriptions have propagated everywhere
-	// before the old border tears its entries down.
-	// The activate echoes the relocation-run epoch, not the (possibly
-	// newer) connect epoch from a same-border reconnect.
-	id := m.b.StartFlush()
-	epoch := s.reqEpoch
-	m.flushCont[id] = func() {
-		m.b.Unicast(oldBorder, proto.Message{
-			Kind: proto.KRelocActivate, Client: c, Origin: m.b.ID(), Epoch: epoch,
-		})
-	}
+	// The activate follows the flips InstallSub just sent toward the old
+	// border down the same FIFO path (step 3). It echoes the
+	// relocation-run epoch, not the (possibly newer) connect epoch from a
+	// same-border reconnect.
+	m.b.Unicast(oldBorder, proto.Message{
+		Kind: proto.KRelocActivate, Client: c, Origin: m.b.ID(), Epoch: s.reqEpoch,
+	})
 	return true
 }
 
@@ -901,35 +896,32 @@ func (m *Manager) onRelocActivate(msg proto.Message) bool {
 	// durable queue behind it can be acked (no-op without a store — the
 	// buffer was already cleared at ship time).
 	s.buf.Clear()
-	// No unsubscription here: the new border's re-subscription has already
-	// flipped every table entry toward itself (F1 barriered that wave).
-	// Barrier F2: stragglers routed by pre-flip entries arrive before the
-	// convergecast completes; the tap forwards each of them.
-	fid := m.b.StartFlush()
-	m.flushCont[fid] = func() {
+	// No unsubscription here: the new border's re-subscription has
+	// flipped every entry on the path toward itself, and the activate came
+	// behind those flips, so every straggler a pre-flip entry routed here
+	// has already been tap-forwarded (step 4). Close the tap.
+	m.b.Unicast(newBorder, proto.Message{
+		Kind: proto.KRelocTail, Client: c, Origin: m.b.ID(), Epoch: s.outEpoch,
+	})
+	if s.reconnectPending {
+		// Ping-pong: the client is physically back here. Pull the session
+		// state back with a fresh inbound relocation. The RelocReq follows
+		// the tail on the same FIFO unicast path, so the peer processes
+		// the tail (going ghost) first.
+		ns := m.newSession(c, stateRelocatingIn)
+		ns.epoch = s.epoch
+		ns.reqEpoch = s.epoch
+		ns.announced = s.announced
+		ns.ghostOnComplete = s.ghostOnComplete
+		m.sessions[c] = ns
 		m.b.Unicast(newBorder, proto.Message{
-			Kind: proto.KRelocTail, Client: c, Origin: m.b.ID(), Epoch: s.outEpoch,
+			Kind: proto.KRelocReq, Client: c, Origin: m.b.ID(), Epoch: ns.reqEpoch,
 		})
-		if s.reconnectPending {
-			// Ping-pong: the client is physically back here. Pull the
-			// session state back with a fresh inbound relocation. The
-			// RelocReq follows the tail on the same FIFO unicast path, so
-			// the peer processes the tail (going ghost) first.
-			ns := m.newSession(c, stateRelocatingIn)
-			ns.epoch = s.epoch
-			ns.reqEpoch = s.epoch
-			ns.announced = s.announced
-			ns.ghostOnComplete = s.ghostOnComplete
-			m.sessions[c] = ns
-			m.b.Unicast(newBorder, proto.Message{
-				Kind: proto.KRelocReq, Client: c, Origin: m.b.ID(), Epoch: ns.reqEpoch,
-			})
-			return
-		}
-		m.forget(c)
-		m.b.DetachPort(c)
-		delete(m.sessions, c)
+		return true
 	}
+	m.forget(c)
+	m.b.DetachPort(c)
+	delete(m.sessions, c)
 	return true
 }
 
@@ -1027,7 +1019,4 @@ func (m *Manager) onTapDeliver(msg proto.Message) bool {
 	return true
 }
 
-var (
-	_ broker.MessageInterceptor = (*Manager)(nil)
-	_ broker.FlushObserver      = (*Manager)(nil)
-)
+var _ broker.MessageInterceptor = (*Manager)(nil)

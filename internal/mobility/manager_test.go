@@ -14,6 +14,8 @@ import (
 	"rebeca/internal/client"
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
+	"rebeca/internal/movement"
+	"rebeca/internal/proto"
 	"rebeca/internal/sim"
 	"rebeca/internal/store"
 )
@@ -111,8 +113,8 @@ func TestTransparentRelocationLosesNothing(t *testing.T) {
 }
 
 func TestTransparentRelocationLongDistance(t *testing.T) {
-	// Move across the whole line (C -> A): both relocation unicasts and
-	// flush waves traverse multiple hops.
+	// Move across the whole line (C -> A): the relocation unicasts and
+	// the flips they follow traverse multiple hops.
 	w := newWorld(t, sim.MobilityTransparent)
 	w.start()
 	w.publishEvery(150)
@@ -123,6 +125,124 @@ func TestTransparentRelocationLongDistance(t *testing.T) {
 	}
 	if w.mob.Duplicates() != 0 || w.mob.FIFOViolations() != 0 {
 		t.Errorf("dups=%d fifo=%d", w.mob.Duplicates(), w.mob.FIFOViolations())
+	}
+}
+
+// handoverControlMsgs returns the control messages of one transparent
+// handover between the two brokers at one end of a line of n brokers.
+func handoverControlMsgs(t *testing.T, n int) int {
+	t.Helper()
+	cl, err := sim.NewCluster(sim.ClusterConfig{
+		Movement:    movement.Line(n),
+		Mobility:    sim.MobilityTransparent,
+		LinkLatency: tick,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mob := cl.AddClient("mob")
+	mob.ConnectTo("B0")
+	mob.Subscribe(filter.New(filter.Exists("k")))
+	mob.Disconnect()
+	cl.Net.Run()
+	before := cl.Net.Stats().ControlMsgs
+	mob.ConnectTo("B1")
+	cl.Net.Run()
+	if st := cl.Managers["B1"].Stats(); st.Relocations != 1 {
+		t.Fatalf("Line(%d): B1 completed %d relocations, want 1", n, st.Relocations)
+	}
+	return cl.Net.Stats().ControlMsgs - before
+}
+
+// The handover's control traffic runs on the path between the two borders
+// only: a longer line past them adds nothing.
+func TestHandoverCostIsPathNotTree(t *testing.T) {
+	short, long := handoverControlMsgs(t, 4), handoverControlMsgs(t, 16)
+	if short != long {
+		t.Errorf("handover control messages: %d on Line(4), %d on Line(16)", short, long)
+	}
+}
+
+// The ordering a handover relies on: a note a path broker routes toward
+// the old border before the new border's relocation flip reaches it
+// arrives at the old border ahead of KRelocActivate (the activate follows
+// the flip down the same FIFO path), is tap-forwarded, and reaches the
+// client exactly once and in order. The client moves B0 → B3 on B0-B1-B2-B3
+// while a publisher at B1, on the path, publishes every tick.
+func TestStragglersPrecedeActivate(t *testing.T) {
+	cl, err := sim.NewCluster(sim.ClusterConfig{
+		Movement:    movement.Line(4),
+		Mobility:    sim.MobilityTransparent,
+		LinkLatency: tick,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, mob := cl.AddClient("pub"), cl.AddClient("mob")
+	pub.ConnectTo("B1")
+	mob.ConnectTo("B0")
+	mob.Subscribe(filter.New(filter.Exists("k")))
+	cl.Net.Run()
+
+	// At the old border B0: which notes arrive while it relocates out
+	// (after KRelocReq, before KRelocActivate), and which it tap-forwards.
+	var relocating, activated bool
+	stragglers := map[message.NotificationID]bool{}
+	tapped := map[message.NotificationID]bool{}
+	var late []message.NotificationID
+	cl.Net.Trace = func(_ time.Time, from, to message.NodeID, m proto.Message) {
+		switch {
+		case to == "B0" && m.Kind == proto.KRelocReq:
+			relocating = true
+		case to == "B0" && m.Kind == proto.KRelocActivate:
+			activated = true
+		case to == "B0" && m.Kind == proto.KPublish && m.Note != nil:
+			if activated {
+				late = append(late, m.Note.ID)
+			} else if relocating {
+				stragglers[m.Note.ID] = true
+			}
+		case from == "B0" && m.Kind == proto.KDeliver && m.Note != nil:
+			tapped[m.Note.ID] = true
+		}
+	}
+
+	const notes = 60
+	for i := 1; i <= notes; i++ {
+		i := i
+		cl.Net.After(time.Duration(i)*tick, func() {
+			pub.Publish(map[string]message.Value{"k": message.Int(int64(i))})
+		})
+	}
+	cl.Net.After(20*tick, func() { mob.Disconnect() })
+	cl.Net.After(25*tick, func() { mob.ConnectTo("B3") })
+	cl.Net.Run()
+
+	if !activated {
+		t.Fatal("B0 never received KRelocActivate")
+	}
+	if len(stragglers) == 0 {
+		t.Fatal("no note reached B0 while it relocated out: the schedule tests nothing")
+	}
+	if len(late) != 0 {
+		t.Errorf("notes reached B0 after KRelocActivate: %v", late)
+	}
+	for id := range stragglers {
+		if !tapped[id] {
+			t.Errorf("straggler %v was not tap-forwarded", id)
+		}
+	}
+	got := map[uint64]int{}
+	for _, n := range mob.ReceivedNotes() {
+		got[n.ID.Seq]++
+	}
+	for s := uint64(1); s <= notes; s++ {
+		if got[s] != 1 {
+			t.Errorf("note %d delivered %d times, want 1", s, got[s])
+		}
+	}
+	if d, v := mob.Duplicates(), mob.FIFOViolations(); d != 0 || v != 0 {
+		t.Errorf("dups=%d fifo=%d", d, v)
 	}
 }
 
@@ -203,7 +323,7 @@ func TestJEDILosesOnlyInFlight(t *testing.T) {
 	naiveMiss := len(naive.missing())
 
 	if jediMiss == 0 {
-		t.Error("JEDI without barriers should lose some in-flight traffic")
+		t.Error("JEDI without a tap should lose some in-flight traffic")
 	}
 	if jediMiss >= naiveMiss {
 		t.Errorf("JEDI (%d lost) should beat naive (%d lost): it buffers the gap",

@@ -66,22 +66,20 @@ const (
 	// KRelocProfile: old border ships the client's subscriptions, buffered
 	// notifications and per-publisher watermarks to the new border.
 	KRelocProfile
-	// KRelocActivate: new border confirms its subscriptions are installed;
-	// the old border may now unsubscribe and flush.
+	// KRelocActivate: new border has installed the client's subscriptions.
+	// It follows their relocation flips down the same FIFO path, so when it
+	// reaches the old border every note routed toward that border before a
+	// flip has arrived there and been tap-forwarded.
 	KRelocActivate
-	// KRelocTail: old border ships notifications that straggled in during
-	// the unsubscription flush, then forgets the client.
+	// KRelocTail: old border closes the tap; the new border may replay and
+	// go live. The old border forgets the client.
 	KRelocTail
 
-	// --- unsubscription flush (aggregated convergecast ack) ---
-
-	// KFlush propagates behind an unsubscription along the same links;
-	// KFlushAck convergecasts completion back toward the origin. FIFO
-	// links guarantee every notification routed by a stale table entry
-	// arrives before the ack that chases it (see internal/mobility).
-	KFlush
-	// KFlushAck acknowledges a KFlush subtree.
-	KFlushAck
+	// Two reserved kinds: a handover flush wave and its convergecast ack
+	// held these numbers. They stay taken so every later kind keeps its
+	// wire number; a broker drops them like any kind no stage claims.
+	_
+	_
 
 	// --- replicator layer (§3.2, direct replicator-to-replicator) ---
 
@@ -157,8 +155,6 @@ var kindNames = map[Kind]string{
 	KRelocProfile:     "reloc-profile",
 	KRelocActivate:    "reloc-activate",
 	KRelocTail:        "reloc-tail",
-	KFlush:            "flush",
-	KFlushAck:         "flush-ack",
 	KReplicaCreate:    "replica-create",
 	KReplicaDelete:    "replica-delete",
 	KReplicaSub:       "replica-sub",
@@ -252,8 +248,6 @@ type Message struct {
 	// Watermarks carries per-publisher delivered sequence numbers for
 	// exactly-once replay (KRelocProfile).
 	Watermarks map[message.NodeID]uint64
-	// FlushID correlates a KFlush wave with its acks.
-	FlushID uint64
 	// Epoch is the client's monotonic connect counter. Every KConnect
 	// carries the client's current epoch; relocation messages echo the
 	// epoch of the connect that triggered them so that stale requests and
@@ -269,7 +263,7 @@ type Message struct {
 	Stale bool
 	// Fresh marks a KRelocProfile reply from a border with no session for
 	// the client: there is no state to relocate; the requester proceeds
-	// from the client's announced profile without a handover barrier.
+	// from the client's announced profile, with no activate or tail.
 	Fresh bool
 	// Hops counts overlay hops for path-length statistics.
 	Hops int

@@ -3,12 +3,16 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"rebeca/internal/message"
 )
 
 func reopen(t *testing.T, dir string, opts ...WALOption) *WAL {
@@ -336,5 +340,36 @@ func TestWALTornCreateRewritten(t *testing.T) {
 	w3 := reopen(t, dir)
 	if rs, _ := w3.ReplayFrom("q", 0); len(rs) != 2 {
 		t.Fatalf("after torn create: %v", seqs(rs))
+	}
+}
+
+// pinnedSegment is a segment holding one append record, as recorded before
+// the handover flush waves were deleted: the record's note is a KDeliver
+// encoding, whose envelope keeps the waves' ID slot (the 00 before epoch).
+const pinnedSegment = "5242574c0157000000697f72480101096d6f622f616c696365018080f2f2de8fb5d30e" +
+	"0000091100000000037075620401154db8f57dd4a60e010773657276696365010b74656d7065726174757265" +
+	"00000000000000000001024231164db8f57dd4a60e"
+
+// TestWALSegmentBytesPinned holds the segment format to bytes recorded
+// earlier, so a WAL directory written by an older build still recovers.
+func TestWALSegmentBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	w := reopen(t, dir, WALNoSync())
+	n := message.NewNotification(map[string]message.Value{"service": message.String("temperature")})
+	n.ID = message.NotificationID{Publisher: "pub", Seq: 4}
+	n.Published = time.Unix(0, 1055764800123456789)
+	n.Path = []message.HopStamp{{Broker: "B1", At: time.Unix(0, 1055764800123456790)}}
+	if _, err := w.Append("mob/alice", n, t0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != pinnedSegment {
+		t.Fatalf("segment bytes moved:\n got %s\nwant %s", got, pinnedSegment)
 	}
 }

@@ -151,8 +151,7 @@ func TestLiveRoundTripAllPayloads(t *testing.T) {
 		Watermarks: map[message.NodeID]uint64{
 			"pub": 9,
 		},
-		FlushID: 3,
-		Hops:    2,
+		Hops: 2,
 	}
 	// Round-trip through a raw link pair rather than the broker.
 	ln, err := DialLink("sender", b.Addr())

@@ -30,8 +30,6 @@ type (
 	PublishInterceptor = broker.PublishInterceptor
 	// MessageInterceptor is the optional raw-message hook.
 	MessageInterceptor = broker.MessageInterceptor
-	// FlushObserver is the optional flush-completion hook.
-	FlushObserver = broker.FlushObserver
 	// LinkObserver is the optional overlay link-transition hook.
 	LinkObserver = broker.LinkObserver
 	// LinkEvent is one overlay link state transition.

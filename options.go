@@ -229,6 +229,12 @@ func WithLatencyJitter(d time.Duration, seed int64) Option {
 
 // WithRoutingStrategy selects the subscription-forwarding algorithm
 // (default StrategySimple).
+//
+// StrategyCovering is not relocation-aware: with roaming clients it loses
+// notes. A coverer's relocation flip strands the entries it covered, an
+// un-suppressed re-forward is read as a flip and steals the true border's
+// entry, and a flip reaching a broker that never knew the subscription is
+// itself suppressed as covered. Use it only where clients do not relocate.
 func WithRoutingStrategy(s RoutingStrategy) Option {
 	return func(c *config) {
 		switch s {
