@@ -22,6 +22,7 @@ import (
 	"rebeca/internal/broker"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
+	"rebeca/internal/telemetry"
 	"rebeca/internal/wire"
 )
 
@@ -106,6 +107,7 @@ var goldenFamilies = []string{
 	"rebeca_spanning_tree_recomputations_total",
 	"rebeca_trace_sampled_total", "rebeca_trace_retro_total",
 	"rebeca_trace_pending",
+	"rebeca_mobility_relocations_total", "rebeca_core_wasted_total",
 }
 
 // TestStartBrokerRejectsSpec: StartBroker refuses a contradictory or unknown
@@ -166,8 +168,11 @@ func TestStartBrokerAssembly(t *testing.T) {
 	nA := start(BrokerSpec{ID: "A", Listen: addrA},
 		WithOps("127.0.0.1:0"), WithTraceSampling(4, time.Second), WithMiddleware(tracer, limiter))
 	defer nA.Close(0)
+	// B's session layers are read through a counting stage, as the
+	// simulator's outcome reads them.
+	tallyB := &broker.MechanismTally{}
 	startB := func(w *WALStore) *BrokerNode {
-		return start(BrokerSpec{ID: "B", Listen: addrB, Dial: map[NodeID]string{"A": addrA}}, WithDurable(w))
+		return start(BrokerSpec{ID: "B", Listen: addrB, Dial: map[NodeID]string{"A": addrA}}, WithDurable(w), WithMiddleware(tallyB), WithOps("127.0.0.1:0"))
 	}
 	nB := startB(wal)
 	defer func() { nB.Close(0) }()
@@ -223,7 +228,8 @@ func TestStartBrokerAssembly(t *testing.T) {
 			t.Errorf("/config lists knob %q %d times, want 1", knob, got)
 		}
 	}
-	if line := nA.StatsLine(); !strings.Contains(line, "link[B]=established") || strings.Contains(line, "publishes=0 ") {
+	if line := nA.StatsLine(); !strings.Contains(line, "link[B]=established") || strings.Contains(line, "publishes=0 ") ||
+		!strings.Contains(line, " relocations=0 recovered=0 recovery-errors=0") {
 		t.Errorf("stats digest = %q", line)
 	}
 
@@ -255,8 +261,7 @@ func TestStartBrokerAssembly(t *testing.T) {
 	}
 	managerOfB := func(fn func(state string, buffered, recovered int)) {
 		nB.node.Inspect(func(*broker.Broker) {
-			st := nB.layers.Manager.Stats()
-			fn(nB.layers.Manager.SessionState("dur"), st.Buffered, st.RecoveredSessions)
+			fn(nB.layers.Manager.SessionState("dur"), tallyB.At("B", broker.MobilityBuffered), tallyB.At("B", broker.MobilityRecoveredSessions))
 		})
 	}
 	eventually(t, 3*time.Second, "dur's session ghosted at B", func() (ghost bool) {
@@ -292,6 +297,9 @@ func TestStartBrokerAssembly(t *testing.T) {
 			t.Errorf("after restart: session state %q, %d recovered; want ghost, 1", state, recovered)
 		}
 	})
+	if line := nB.StatsLine(); !strings.Contains(line, " recovered=1 recovery-errors=0") {
+		t.Errorf("after restart: B's stats digest = %q, want recovered=1 recovery-errors=0", line)
+	}
 	if err := dur.Connect(addrB, "B", profile, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -565,6 +573,99 @@ func TestSystemServesLinkFamilies(t *testing.T) {
 	}
 }
 
+// mechanismSums scrapes one /metrics and sums every series of each session
+// mechanism family (rebeca_core_*, rebeca_mobility_*) over the brokers.
+func mechanismSums(t *testing.T, opsAddr string) map[string]float64 {
+	t.Helper()
+	sums := make(map[string]float64)
+	for _, line := range strings.Split(httpGet(t, "http://"+opsAddr+"/metrics"), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || !strings.HasPrefix(f[0], "rebeca_core_") && !strings.HasPrefix(f[0], "rebeca_mobility_") {
+			continue
+		}
+		v, err := strconv.ParseFloat(f[1], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		name, _, _ := strings.Cut(f[0], "{")
+		sums[name] += v
+	}
+	return sums
+}
+
+// TestMechanismFamiliesOnBothDeployments: one transparent handover with a
+// k-note ghost backlog, on a System and on a Live deployment. Both serve
+// every session-mechanism family with the same sums: one relocation that
+// replayed the k notes.
+func TestMechanismFamiliesOnBothDeployments(t *testing.T) {
+	const k = 5
+	relocations := telemetry.MechanismMetric(broker.MobilityRelocations)
+	replayed := telemetry.MechanismMetric(broker.MobilityReplayed)
+	builders := []struct {
+		name  string
+		build func(opts ...Option) (Deployment, string, error)
+	}{
+		// New's telemetry stage is a Metrics view the ops stack adopts,
+		// so the view passes mechanism events on too.
+		{"New", func(opts ...Option) (Deployment, string, error) {
+			s, err := New(append(opts, WithMiddleware(NewMetrics()))...)
+			if err != nil {
+				return nil, "", err
+			}
+			return s, s.OpsAddr(), nil
+		}},
+		{"NewLive", func(opts ...Option) (Deployment, string, error) {
+			l, err := NewLive(opts...)
+			if err != nil {
+				return nil, "", err
+			}
+			return l, l.OpsAddr(), nil
+		}},
+	}
+	got := make([]string, len(builders))
+	for i, b := range builders {
+		d, opsAddr, err := b.build(WithMovement(Line(2)), WithOps("127.0.0.1:0"))
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		defer d.Close()
+		mob, pub := d.NewClient("mob"), d.NewClient("pub")
+		mob.Subscribe(NewFilter(Eq("kind", String("a"))))
+		for _, err := range []error{mob.Connect("B0"), pub.Connect("B1")} {
+			if err != nil {
+				t.Fatalf("%s: %v", b.name, err)
+			}
+		}
+		d.Settle()
+		if err := mob.Disconnect(); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		d.Settle()
+		for n := 0; n < k; n++ {
+			if _, err := pub.Publish(map[string]Value{"kind": String("a"), "n": Int(int64(n))}); err != nil {
+				t.Fatalf("%s: %v", b.name, err)
+			}
+		}
+		d.Settle()
+		if err := mob.Connect("B1"); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		var sums map[string]float64
+		eventually(t, 3*time.Second, b.name+": the handover counted", func() bool {
+			d.Settle()
+			sums = mechanismSums(t, opsAddr)
+			return sums[relocations] == 1 && sums[replayed] == k
+		})
+		if len(sums) != int(broker.NumMechanisms) {
+			t.Errorf("%s serves %d mechanism families, want %d: %v", b.name, len(sums), broker.NumMechanisms, sums)
+		}
+		got[i] = fmt.Sprint(sums) // map keys print sorted
+	}
+	if got[0] != got[1] {
+		t.Errorf("mechanism sums differ:\nNew     %s\nNewLive %s", got[0], got[1])
+	}
+}
+
 // TestHopTraceNeedsSomewhereToShowIt: stamping every hop of every publish is
 // on only with an endpoint (/trace) or a push target to show the trace;
 // logging alone leaves the publish path unstamped.
@@ -707,10 +808,13 @@ func TestOneAssembly(t *testing.T) {
 	// So did the side channels around the broker chain: link transitions,
 	// drops and spans each have one way into telemetry. And the handover's
 	// flush waves: the activate and tail ride the relocation path's FIFO.
+	// The session layers' counter structs went too: their events reach
+	// the simulator, the tests and /metrics through the chain.
 	gone := []string{"RemoteWrite", "PushFormat", "pushFormat", "snapshotJSON", "ingestJSON", "foldCounterDel",
 		"ParseLabelKey", "NewDNSRegistry", "SRVLookup", "tracerCap", "MetricTracerDropped",
 		"WithLinkObserver", "SetDropHook", "dropHook",
-		"StartFlush", "FlushObserver", "OnFlushDone", "flushCont", "FlushID"}
+		"StartFlush", "FlushObserver", "OnFlushDone", "flushCont", "FlushID",
+		"ReplicatorStats"}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err

@@ -89,6 +89,7 @@ type Broker struct {
 	interceptors  []MessageInterceptor
 	linkObservers []LinkObserver
 	dropObservers []DropObserver
+	mechObservers []MechanismObserver
 	free          []*cursor
 	hook          *cursor
 
@@ -181,6 +182,9 @@ func (b *Broker) UseMiddleware(ms ...Middleware) {
 		}
 		if s, ok := m.(DropObserver); ok {
 			b.dropObservers = append(b.dropObservers, s)
+		}
+		if s, ok := m.(MechanismObserver); ok {
+			b.mechObservers = append(b.mechObservers, s)
 		}
 	}
 }

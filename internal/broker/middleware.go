@@ -48,8 +48,9 @@ import (
 //
 // Optional extension interfaces widen a stage's view: PublishInterceptor
 // (publishes), MessageInterceptor (raw messages before kind dispatch),
-// LinkObserver (overlay link transitions) and DropObserver (abandoned
-// notes). The session layers (core.Replicator, mobility.Manager) are
+// LinkObserver (overlay link transitions), DropObserver (abandoned notes)
+// and MechanismObserver (the session layers' mechanism events). The
+// session layers (core.Replicator, mobility.Manager) are
 // stages like any other — they implement these interfaces and are
 // attached with UseMiddleware, first, by session.Attach — so there is one
 // extension path, on simulated and live brokers alike.
@@ -118,6 +119,25 @@ type DropObserver interface {
 func (b *Broker) NotifyDrop(id message.NotificationID, reason string) {
 	for _, d := range b.dropObservers {
 		d.OnDrop(b, id, reason)
+	}
+}
+
+// MechanismObserver is an optional Middleware extension: stages that
+// implement it are told of the session layers' mechanism events (see
+// Mechanism), the one way those layers report — to telemetry and to the
+// simulator's MechanismTally alike. Observe-only; stages must not block.
+type MechanismObserver interface {
+	Middleware
+	// OnMechanism observes n occurrences of one mechanism event.
+	OnMechanism(b *Broker, ev Mechanism, n int)
+}
+
+// NotifyMechanism hands n occurrences of a mechanism event to every
+// MechanismObserver stage on the chain, in attachment order. The session
+// layers call it on the broker's event loop.
+func (b *Broker) NotifyMechanism(ev Mechanism, n int) {
+	for _, o := range b.mechObservers {
+		o.OnMechanism(b, ev, n)
 	}
 }
 

@@ -76,6 +76,8 @@ func TestReplicatorPortIndex(t *testing.T) {
 	pass := func() {}
 
 	r, out := newIndexedReplicator(t, true)
+	tally := &broker.MechanismTally{}
+	r.b.UseMiddleware(tally)
 	steps := []struct {
 		name string
 		do   func()
@@ -115,8 +117,13 @@ func TestReplicatorPortIndex(t *testing.T) {
 		t.Fatalf("left %d virtual clients, c1 active %v, c4 active %v; want c1 buffering and c4 active",
 			len(r.vcs), r.ReplicaActive("c1"), r.ReplicaActive("c4"))
 	}
-	if st := r.Stats(); st.ReplicasCreated != 4 || st.ReplicasDeleted != 2 || st.Activations != 1 || st.ExceptionActivations != 1 {
-		t.Fatalf("stats %+v: the steps did not take the paths they name", st)
+	for ev, want := range map[broker.Mechanism]int{
+		broker.CoreReplicasCreated: 4, broker.CoreReplicasDeleted: 2,
+		broker.CoreActivations: 1, broker.CoreExceptionActivations: 1,
+	} {
+		if got := tally.At("B", ev); got != want {
+			t.Fatalf("%s = %d, want %d: the steps did not take the paths they name", ev, got, want)
+		}
 	}
 
 	// The reactive baseline drops the virtual client on disconnect.

@@ -43,29 +43,6 @@ import (
 	"rebeca/internal/store"
 )
 
-// Stats counts replicator activity for the experiments.
-type Stats struct {
-	// ReplicasCreated counts virtual clients created at this broker.
-	ReplicasCreated int
-	// ReplicasDeleted counts garbage-collected virtual clients.
-	ReplicasDeleted int
-	// Buffered counts notifications buffered by inactive virtual clients.
-	Buffered int
-	// Replayed counts buffered notifications replayed on activation.
-	Replayed int
-	// Wasted counts notifications still buffered when their virtual
-	// client was garbage-collected — pre-subscription traffic the client
-	// never consumed (the bandwidth cost §4 warns about).
-	Wasted int
-	// Activations counts handovers that found a warm replica here.
-	Activations int
-	// ExceptionActivations counts handovers that needed on-the-fly
-	// creation (no replica present).
-	ExceptionActivations int
-	// FetchesServed counts remote buffer fetches answered.
-	FetchesServed int
-}
-
 // virtualClient mirrors one mobile client at this broker. Exactly one
 // virtual client per (client, broker); at most one of a client's virtual
 // clients is active system-wide.
@@ -161,7 +138,6 @@ type Replicator struct {
 	// byPort indexes vcs by the port each virtual client owns; ensureVC
 	// and dropVC maintain both maps together.
 	byPort map[message.NodeID]*virtualClient
-	stats  Stats
 }
 
 // New attaches a replicator to its border broker's middleware chain and
@@ -190,9 +166,6 @@ func New(cfg Config) *Replicator {
 	cfg.Broker.UseMiddleware(r)
 	return r
 }
-
-// Stats returns a copy of the replicator's counters.
-func (r *Replicator) Stats() Stats { return r.stats }
 
 // ResidentVirtualClients returns the number of virtual clients currently
 // hosted here (the memory/uplink footprint metric of E6).
@@ -300,7 +273,7 @@ func (r *Replicator) OnDeliver(_ *broker.Broker, port message.NodeID, n *message
 		r.b.Send(vc.client, proto.Message{Kind: proto.KDeliver, Client: vc.client, Note: &note})
 	} else {
 		vc.buf.Add(*n, r.b.Now())
-		r.stats.Buffered++
+		r.b.NotifyMechanism(broker.CoreBuffered, 1)
 	}
 }
 
@@ -374,7 +347,7 @@ func (r *Replicator) ensureVC(c message.NodeID, active bool) *virtualClient {
 		}
 		r.vcs[c] = vc
 		r.byPort[vc.port] = vc
-		r.stats.ReplicasCreated++
+		r.b.NotifyMechanism(broker.CoreReplicasCreated, 1)
 	}
 	vc.active = vc.active || active
 	return vc
@@ -386,7 +359,7 @@ func (r *Replicator) onConnect(m proto.Message) {
 	c, prev := m.Client, m.Origin
 	vc, warm := r.vcs[c]
 	if warm {
-		r.stats.Activations++
+		r.b.NotifyMechanism(broker.CoreActivations, 1)
 		vc.active = true
 		r.replay(vc)
 	} else {
@@ -397,7 +370,7 @@ func (r *Replicator) onConnect(m proto.Message) {
 		if len(locSubs) == 0 {
 			return // nothing location-dependent: not our concern
 		}
-		r.stats.ExceptionActivations++
+		r.b.NotifyMechanism(broker.CoreExceptionActivations, 1)
 		vc = r.ensureVC(c, true)
 		for _, s := range locSubs {
 			r.installVCSub(vc, s.ID, s.Filter)
@@ -465,9 +438,9 @@ func (r *Replicator) onDisconnect(m proto.Message) {
 func (r *Replicator) replay(vc *virtualClient) {
 	notes := vc.buf.Snapshot(r.b.Now())
 	message.ByID(notes)
+	r.b.NotifyMechanism(broker.CoreReplayed, len(notes))
 	for _, n := range notes {
 		note := n
-		r.stats.Replayed++
 		r.b.Send(vc.client, proto.Message{Kind: proto.KDeliver, Client: vc.client, Note: &note})
 	}
 	// For a store-backed buffer the Clear acks the queue — only after the
@@ -493,7 +466,7 @@ func (r *Replicator) dropVC(c message.NodeID) {
 	if !ok {
 		return
 	}
-	r.stats.Wasted += vc.buf.Len()
+	r.b.NotifyMechanism(broker.CoreWasted, vc.buf.Len())
 	vc.buf.Clear()
 	for _, id := range append([]message.SubID(nil), vc.subOrder...) {
 		r.b.RemoveSub(r.vcSubID(id))
@@ -501,7 +474,7 @@ func (r *Replicator) dropVC(c message.NodeID) {
 	r.b.DetachPort(vc.port)
 	delete(r.vcs, c)
 	delete(r.byPort, vc.port)
-	r.stats.ReplicasDeleted++
+	r.b.NotifyMechanism(broker.CoreReplicasDeleted, 1)
 }
 
 // --- replicator-to-replicator protocol ------------------------------------
@@ -553,7 +526,7 @@ func (r *Replicator) onBufferFetch(m proto.Message) bool {
 		return true
 	}
 	notes := vc.buf.Snapshot(r.b.Now())
-	r.stats.FetchesServed++
+	r.b.NotifyMechanism(broker.CoreFetchesServed, 1)
 	r.b.Direct(m.Origin, proto.Message{
 		Kind: proto.KBufferFetchReply, Client: m.Client, Origin: r.b.ID(),
 		Notes: notes,
@@ -569,9 +542,9 @@ func (r *Replicator) onBufferFetchReply(m proto.Message) bool {
 	}
 	if vc.active {
 		message.ByID(m.Notes)
+		r.b.NotifyMechanism(broker.CoreReplayed, len(m.Notes))
 		for _, n := range m.Notes {
 			note := n
-			r.stats.Replayed++
 			r.b.Send(m.Client, proto.Message{Kind: proto.KDeliver, Client: m.Client, Note: &note})
 		}
 		return true
@@ -579,8 +552,8 @@ func (r *Replicator) onBufferFetchReply(m proto.Message) bool {
 	now := r.b.Now()
 	for _, n := range m.Notes {
 		vc.buf.Add(n, now)
-		r.stats.Buffered++
 	}
+	r.b.NotifyMechanism(broker.CoreBuffered, len(m.Notes))
 	return true
 }
 

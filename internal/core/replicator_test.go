@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rebeca/internal/broker"
 	"rebeca/internal/client"
 	"rebeca/internal/filter"
 	"rebeca/internal/location"
@@ -24,6 +25,7 @@ const tick = time.Millisecond
 type corridor struct {
 	t       *testing.T
 	cluster *sim.Cluster
+	tally   *broker.MechanismTally
 	pubs    map[message.NodeID]*client.Client
 	mob     *client.Client
 }
@@ -32,6 +34,7 @@ func newCorridor(t *testing.T, n int, mode sim.ReplicationMode, shared bool) *co
 	t.Helper()
 	g := movement.Line(n)
 	locs := location.Regions(g.Nodes())
+	tally := &broker.MechanismTally{}
 	cl, err := sim.NewCluster(sim.ClusterConfig{
 		Movement:      g,
 		Locations:     locs,
@@ -39,11 +42,12 @@ func newCorridor(t *testing.T, n int, mode sim.ReplicationMode, shared bool) *co
 		Mobility:      sim.MobilityTransparent,
 		SharedBuffers: shared,
 		LinkLatency:   tick,
+		Middleware:    []broker.Middleware{tally},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &corridor{t: t, cluster: cl, pubs: make(map[message.NodeID]*client.Client)}
+	c := &corridor{t: t, cluster: cl, tally: tally, pubs: make(map[message.NodeID]*client.Client)}
 	for _, b := range g.Nodes() {
 		p := cl.AddClient("pub@" + b)
 		p.ConnectTo(b)
@@ -153,9 +157,8 @@ func TestReplicaBuffersOnlyOwnLocation(t *testing.T) {
 	c.publishMenu("B0", "soup") // matches B1's replica? no: location=region-B0
 	c.cluster.Net.Run()
 
-	st := c.cluster.Replicators["B1"].Stats()
-	if st.Buffered != 1 {
-		t.Errorf("B1 replica buffered %d, want exactly its own region's 1", st.Buffered)
+	if got := c.tally.At("B1", broker.CoreBuffered); got != 1 {
+		t.Errorf("B1 replica buffered %d, want exactly its own region's 1", got)
 	}
 }
 
@@ -238,9 +241,8 @@ func TestExceptionModePopUp(t *testing.T) {
 	c.mob.ConnectTo("B4")
 	c.cluster.Net.Run()
 
-	st := c.cluster.Replicators["B4"].Stats()
-	if st.ExceptionActivations != 1 {
-		t.Errorf("exception activations = %d, want 1", st.ExceptionActivations)
+	if got := c.tally.At("B4", broker.CoreExceptionActivations); got != 1 {
+		t.Errorf("exception activations = %d, want 1", got)
 	}
 	// Degraded service: the old buffer is fetched across the network.
 	if got := c.dishes(); !contains(got, "leftover") {
@@ -312,10 +314,10 @@ func TestSubscriptionChangesPropagateToReplicas(t *testing.T) {
 	// Unsubscribing the menu sub stops menu buffering at replicas.
 	c.mob.Unsubscribe(sid)
 	c.cluster.Net.Run()
-	before := c.cluster.Replicators["B1"].Stats().Buffered
+	before := c.tally.At("B1", broker.CoreBuffered)
 	c.publishMenu("B1", "late-menu")
 	c.cluster.Net.Run()
-	if after := c.cluster.Replicators["B1"].Stats().Buffered; after != before {
+	if after := c.tally.At("B1", broker.CoreBuffered); after != before {
 		t.Errorf("replica still buffers after unsubscribe: %d -> %d", before, after)
 	}
 }
@@ -414,8 +416,7 @@ func TestWastedBufferAccounting(t *testing.T) {
 	c.mob.ConnectTo("B3")
 	c.cluster.Net.Run()
 
-	agg := c.cluster.ReplicatorStats()
-	if agg.Wasted == 0 {
+	if c.tally.Total(broker.CoreWasted) == 0 {
 		t.Error("unvisited replica buffers should be accounted as wasted")
 	}
 }

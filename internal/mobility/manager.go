@@ -228,27 +228,6 @@ func (s *session) removeSub(id message.SubID) {
 	}
 }
 
-// Stats counts manager activity for experiments.
-type Stats struct {
-	// Relocations counts completed inbound relocations.
-	Relocations int
-	// Buffered counts notifications buffered for ghosts or relocations.
-	Buffered int
-	// Replayed counts notifications replayed to clients after handover.
-	Replayed int
-	// TapForwarded counts straggler notifications forwarded to the new
-	// border during relocating-out.
-	TapForwarded int
-	// DroppedDuplicates counts merge-time duplicate suppressions.
-	DroppedDuplicates int
-	// RecoveredSessions counts ghost sessions rebuilt by Recover.
-	RecoveredSessions int
-	// RecoveryErrors counts persisted sessions Recover could not decode —
-	// their queues stay pending in the store but no subscriptions were
-	// re-installed; nonzero values deserve operator attention.
-	RecoveryErrors int
-}
-
 // Manager is the physical-mobility layer of one border broker: a stage of
 // the broker's middleware chain that consumes the session and relocation
 // protocols (MessageInterceptor), claims deliveries for clients that are
@@ -260,7 +239,6 @@ type Manager struct {
 	factory  buffer.Factory
 	store    store.Store
 	sessions map[message.NodeID]*session
-	stats    Stats
 }
 
 // Option configures a Manager.
@@ -297,9 +275,6 @@ func New(b *broker.Broker, mode Mode, opts ...Option) *Manager {
 	b.UseMiddleware(m)
 	return m
 }
-
-// Stats returns a copy of the manager's counters.
-func (m *Manager) Stats() Stats { return m.stats }
 
 // --- persistence -------------------------------------------------------
 
@@ -377,7 +352,7 @@ func (m *Manager) Recover() int {
 		}
 		snap, err := codec.DecodeMessage(blob)
 		if err != nil || snap.Kind != proto.KRelocProfile {
-			m.stats.RecoveryErrors++
+			m.b.NotifyMechanism(broker.MobilityRecoveryErrors, 1)
 			continue
 		}
 		s := m.newSession(c, stateGhost)
@@ -389,7 +364,7 @@ func (m *Manager) Recover() int {
 		}
 		recovered++
 	}
-	m.stats.RecoveredSessions += recovered
+	m.b.NotifyMechanism(broker.MobilityRecoveredSessions, recovered)
 	return recovered
 }
 
@@ -443,11 +418,11 @@ func (m *Manager) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.No
 	switch s.state {
 	case stateGhost:
 		s.buf.Add(*n, m.b.Now())
-		m.stats.Buffered++
+		m.b.NotifyMechanism(broker.MobilityBuffered, 1)
 	case stateRelocatingIn:
 		m.bufferDedup(s, *n)
 	case stateRelocatingOut:
-		m.stats.TapForwarded++
+		m.b.NotifyMechanism(broker.MobilityTapForwarded, 1)
 		note := *n
 		m.b.Unicast(s.tapTo, proto.Message{
 			Kind:   proto.KDeliver,
@@ -462,14 +437,14 @@ func (m *Manager) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.No
 
 func (m *Manager) bufferDedup(s *session, n message.Notification) {
 	if !n.ID.IsZero() && s.seen[n.ID] {
-		m.stats.DroppedDuplicates++
+		m.b.NotifyMechanism(broker.MobilityDuplicatesDropped, 1)
 		return
 	}
 	if !n.ID.IsZero() {
 		s.seen[n.ID] = true
 	}
 	s.buf.Add(n, m.b.Now())
-	m.stats.Buffered++
+	m.b.NotifyMechanism(broker.MobilityBuffered, 1)
 }
 
 // --- session events ----------------------------------------------------
@@ -844,7 +819,7 @@ func (m *Manager) absorb(s *session, msg proto.Message) {
 			m.bufferDedup(s, note)
 		default:
 			s.buf.Add(note, m.b.Now())
-			m.stats.Buffered++
+			m.b.NotifyMechanism(broker.MobilityBuffered, 1)
 		}
 	}
 	m.b.Unicast(msg.Origin, proto.Message{
@@ -931,7 +906,7 @@ func (m *Manager) onRelocTail(msg proto.Message) bool {
 		return true
 	}
 	s.state = stateConnected
-	m.stats.Relocations++
+	m.b.NotifyMechanism(broker.MobilityRelocations, 1)
 	m.finishRelocation(s)
 	return true
 }
@@ -981,9 +956,9 @@ func (m *Manager) finishRelocation(s *session) {
 func (m *Manager) replay(s *session) {
 	notes := s.buf.Snapshot(m.b.Now())
 	message.ByID(notes)
+	m.b.NotifyMechanism(broker.MobilityReplayed, len(notes))
 	for _, n := range notes {
 		note := n
-		m.stats.Replayed++
 		m.b.Send(s.client, proto.Message{Kind: proto.KDeliver, Client: s.client, Note: &note})
 	}
 	s.buf.Clear()
@@ -1004,7 +979,7 @@ func (m *Manager) onTapDeliver(msg proto.Message) bool {
 		m.bufferDedup(s, *msg.Note)
 	case stateConnected:
 		if !msg.Note.ID.IsZero() && s.seen[msg.Note.ID] {
-			m.stats.DroppedDuplicates++
+			m.b.NotifyMechanism(broker.MobilityDuplicatesDropped, 1)
 			return true
 		}
 		m.b.Send(s.client, proto.Message{Kind: proto.KDeliver, Client: s.client, Note: msg.Note})

@@ -25,6 +25,7 @@ import (
 type world struct {
 	t       *testing.T
 	cluster *sim.Cluster
+	tally   *broker.MechanismTally
 	pub     *client.Client
 	mob     *client.Client
 	ticks   int
@@ -35,15 +36,17 @@ const tick = time.Millisecond
 func newWorld(t *testing.T, mode sim.MobilityMode) *world {
 	t.Helper()
 	topo := broker.LineTopology([]message.NodeID{"A", "B", "C"})
+	tally := &broker.MechanismTally{}
 	cl, err := sim.NewCluster(sim.ClusterConfig{
 		Topology:    topo,
 		Mobility:    mode,
 		LinkLatency: tick,
+		Middleware:  []broker.Middleware{tally},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &world{t: t, cluster: cl}
+	w := &world{t: t, cluster: cl, tally: tally}
 	w.pub = cl.AddClient("pub")
 	w.mob = cl.AddClient("mob")
 	return w
@@ -107,8 +110,8 @@ func TestTransparentRelocationLosesNothing(t *testing.T) {
 	if v := w.mob.FIFOViolations(); v != 0 {
 		t.Errorf("FIFO violations: %d", v)
 	}
-	if st := w.cluster.Managers["B"].Stats(); st.Relocations != 1 {
-		t.Errorf("B should have completed 1 relocation, got %d", st.Relocations)
+	if got := w.tally.At("B", broker.MobilityRelocations); got != 1 {
+		t.Errorf("B should have completed 1 relocation, got %d", got)
 	}
 }
 
@@ -132,10 +135,12 @@ func TestTransparentRelocationLongDistance(t *testing.T) {
 // handover between the two brokers at one end of a line of n brokers.
 func handoverControlMsgs(t *testing.T, n int) int {
 	t.Helper()
+	tally := &broker.MechanismTally{}
 	cl, err := sim.NewCluster(sim.ClusterConfig{
 		Movement:    movement.Line(n),
 		Mobility:    sim.MobilityTransparent,
 		LinkLatency: tick,
+		Middleware:  []broker.Middleware{tally},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +153,8 @@ func handoverControlMsgs(t *testing.T, n int) int {
 	before := cl.Net.Stats().ControlMsgs
 	mob.ConnectTo("B1")
 	cl.Net.Run()
-	if st := cl.Managers["B1"].Stats(); st.Relocations != 1 {
-		t.Fatalf("Line(%d): B1 completed %d relocations, want 1", n, st.Relocations)
+	if got := tally.At("B1", broker.MobilityRelocations); got != 1 {
+		t.Fatalf("Line(%d): B1 completed %d relocations, want 1", n, got)
 	}
 	return cl.Net.Stats().ControlMsgs - before
 }
@@ -478,12 +483,10 @@ func TestRelocationStatsProgress(t *testing.T) {
 	w.publishEvery(100)
 	w.moveAt(20*tick, 30*tick, "B")
 	w.cluster.Net.Run()
-	st := w.cluster.Managers["B"].Stats()
-	if st.Replayed == 0 {
+	if w.tally.At("B", broker.MobilityReplayed) == 0 {
 		t.Error("handover should replay buffered notifications")
 	}
-	cst := w.cluster.Managers["C"].Stats()
-	if cst.Buffered == 0 {
+	if w.tally.At("C", broker.MobilityBuffered) == 0 {
 		t.Error("old border should have buffered during the gap")
 	}
 }
@@ -495,6 +498,7 @@ func TestRelocationStatsProgress(t *testing.T) {
 // operator is not.
 func TestRecoveredProfileKeepsFilterSemantics(t *testing.T) {
 	dir := t.TempDir()
+	tally := &broker.MechanismTally{}
 	build := func() (*sim.Cluster, *store.WAL) {
 		wal, err := store.OpenWAL(dir)
 		if err != nil {
@@ -506,6 +510,7 @@ func TestRecoveredProfileKeepsFilterSemantics(t *testing.T) {
 			Mobility:    sim.MobilityTransparent,
 			LinkLatency: tick,
 			Store:       wal,
+			Middleware:  []broker.Middleware{tally},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -535,8 +540,9 @@ func TestRecoveredProfileKeepsFilterSemantics(t *testing.T) {
 	cl2, _ := build() // NewCluster runs Recover on the reopened WAL
 	cl2.Net.Run()
 	mgr := cl2.Managers["C"]
-	if st := mgr.Stats(); st.RecoveredSessions != 1 || st.RecoveryErrors != 0 || mgr.SessionState("mob") != "ghost" {
-		t.Fatalf("recovery: %+v, session %q", st, mgr.SessionState("mob"))
+	recovered, failed := tally.At("C", broker.MobilityRecoveredSessions), tally.At("C", broker.MobilityRecoveryErrors)
+	if recovered != 1 || failed != 0 || mgr.SessionState("mob") != "ghost" {
+		t.Fatalf("recovery: %d recovered, %d errors, session %q", recovered, failed, mgr.SessionState("mob"))
 	}
 
 	// probe i = the note every subscription accepts, with one attribute

@@ -465,20 +465,3 @@ func (c *Cluster) TotalResidentVCs() int {
 	}
 	return total
 }
-
-// ReplicatorStats aggregates replicator counters across brokers.
-func (c *Cluster) ReplicatorStats() core.Stats {
-	var agg core.Stats
-	for _, r := range c.Replicators {
-		s := r.Stats()
-		agg.ReplicasCreated += s.ReplicasCreated
-		agg.ReplicasDeleted += s.ReplicasDeleted
-		agg.Buffered += s.Buffered
-		agg.Replayed += s.Replayed
-		agg.Wasted += s.Wasted
-		agg.Activations += s.Activations
-		agg.ExceptionActivations += s.ExceptionActivations
-		agg.FetchesServed += s.FetchesServed
-	}
-	return agg
-}

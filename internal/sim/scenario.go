@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"rebeca/internal/broker"
 	"rebeca/internal/buffer"
 	"rebeca/internal/client"
 	"rebeca/internal/filter"
@@ -197,6 +198,9 @@ func (s Scenario) Run() (Outcome, error) {
 	brokers := s.Graph.Nodes()
 	locs := location.Regions(brokers)
 
+	// The replicator economy is read off the session layers' mechanism
+	// events, as /metrics exports them.
+	tally := &broker.MechanismTally{}
 	cl, err := NewCluster(ClusterConfig{
 		Movement:      s.Graph,
 		Strategy:      s.Strategy,
@@ -206,6 +210,7 @@ func (s Scenario) Run() (Outcome, error) {
 		BufferFactory: func() buffer.Policy { return buffer.NewWindow(s.BufferTTL, s.BufferCap) },
 		SharedBuffers: s.Shared,
 		LinkLatency:   s.LinkLatency,
+		Middleware:    []broker.Middleware{tally},
 	})
 	if err != nil {
 		return Outcome{}, err
@@ -397,12 +402,11 @@ func (s Scenario) Run() (Outcome, error) {
 	out.DataMsgs = ns.DataMsgs
 	out.DirectMsgs = ns.DirectMsgs
 	out.TotalBytes = ns.Bytes
-	rs := cl.ReplicatorStats()
-	out.Buffered = rs.Buffered
-	out.Replayed = rs.Replayed
-	out.Wasted = rs.Wasted
-	out.ExceptionActivations = rs.ExceptionActivations
-	out.FetchesServed = rs.FetchesServed
+	out.Buffered = tally.Total(broker.CoreBuffered)
+	out.Replayed = tally.Total(broker.CoreReplayed)
+	out.Wasted = tally.Total(broker.CoreWasted)
+	out.ExceptionActivations = tally.Total(broker.CoreExceptionActivations)
+	out.FetchesServed = tally.Total(broker.CoreFetchesServed)
 	out.PeakResidentVC = peakVC
 	out.TableEntries = cl.TotalTableEntries()
 	for _, r := range cl.Replicators {

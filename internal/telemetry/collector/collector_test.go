@@ -194,7 +194,8 @@ func TestTraceRetentionBound(t *testing.T) {
 
 // TestMetricFoldingProm pushes Prometheus text snapshots from two
 // brokers and checks per-instance re-export plus fleet delta folding
-// with counter-reset handling.
+// with counter-reset handling. A mechanism family (core.wasted) folds like
+// any other counter: the fleet's wasted buffers are the brokers' sum.
 func TestMetricFoldingProm(t *testing.T) {
 	c := New(Config{})
 	prom := func(v int) []byte {
@@ -202,6 +203,8 @@ func TestMetricFoldingProm(t *testing.T) {
 			"# HELP rebeca_publishes_total Client publishes accepted.\n"+
 				"# TYPE rebeca_publishes_total counter\n"+
 				"rebeca_publishes_total{broker=\"A\"} %d\n"+
+				"# TYPE rebeca_core_wasted_total counter\n"+
+				"rebeca_core_wasted_total{broker=\"A\"} 3\n"+
 				"# TYPE rebeca_link_state gauge\n"+
 				"rebeca_link_state{link=\"A-B\"} 1\n", v))
 	}
@@ -209,7 +212,8 @@ func TestMetricFoldingProm(t *testing.T) {
 		t.Fatalf("prom push: %d %s", w.Code, w.Body)
 	}
 	postBody(t, c, "text/plain; version=0.0.4", "B", []byte(
-		"# TYPE rebeca_publishes_total counter\nrebeca_publishes_total{broker=\"B\"} 2\n"))
+		"# TYPE rebeca_publishes_total counter\nrebeca_publishes_total{broker=\"B\"} 2\n"+
+			"# TYPE rebeca_core_wasted_total counter\nrebeca_core_wasted_total{broker=\"B\"} 4\n"))
 
 	out := string(c.renderMetrics())
 	for _, want := range []string{
@@ -217,6 +221,9 @@ func TestMetricFoldingProm(t *testing.T) {
 		`rebeca_publishes_total{broker="B",instance="B"} 2`,
 		`rebeca_link_state{link="A-B",instance="A"} 1`,
 		`rebeca_fleet_publishes_total 7`,
+		`rebeca_core_wasted_total{broker="A",instance="A"} 3`,
+		`rebeca_core_wasted_total{broker="B",instance="B"} 4`,
+		`rebeca_fleet_core_wasted_total 7`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("merged render missing %q:\n%s", want, out)
@@ -228,6 +235,9 @@ func TestMetricFoldingProm(t *testing.T) {
 	out = string(c.renderMetrics())
 	if !strings.Contains(out, "rebeca_fleet_publishes_total 11") {
 		t.Fatalf("delta fold wrong (want 2+9=11):\n%s", out)
+	}
+	if !strings.Contains(out, "rebeca_fleet_core_wasted_total 7\n") {
+		t.Fatalf("an unmoved counter refolded (want wasted 3+4=7):\n%s", out)
 	}
 	// A counter going backwards is a broker restart: the new reading is
 	// all new movement, not a negative delta.

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,15 +66,22 @@ type instruments struct {
 	linkDowns    *Counter
 	matchSeconds *Histogram
 	e2eSeconds   *Histogram
+	mechanisms   [broker.NumMechanisms]*Counter
+}
+
+// MechanismMetric is the counter family a mechanism event feeds, named
+// after the event (core.wasted → rebeca_core_wasted_total).
+func MechanismMetric(ev broker.Mechanism) string {
+	return "rebeca_" + strings.ReplaceAll(ev.String(), ".", "_") + "_total"
 }
 
 // Middleware is the broker-chain stage feeding the registry (and, when
 // hop tracing is on, the sampler's span store): publish/deliver/subscribe
-// counters, match- and end-to-end-latency histograms, link transition
-// counters, and the per-broker hop stamp every transit broker appends to a
-// traced notification's Path. One instance is shared by every broker of a
-// deployment; handles resolve once per broker, after which the hooks cost
-// a few atomic adds. Safe for concurrent use.
+// counters, match- and end-to-end-latency histograms, link transition and
+// session-mechanism counters, and the per-broker hop stamp every transit
+// broker appends to a traced notification's Path. One instance is shared
+// by every broker of a deployment; handles resolve once per broker, after
+// which the hooks cost a few atomic adds. Safe for concurrent use.
 type Middleware struct {
 	broker.PassMiddleware
 	reg   *Registry
@@ -130,6 +138,10 @@ func (t *Middleware) at(b message.NodeID) *instruments {
 			"Wall time one publish spends in matching and routing at this broker.", LatencyBuckets, labels),
 		e2eSeconds: t.reg.Histogram(MetricE2ESeconds,
 			"Publish-to-delivery latency observed at delivery (virtual time under the sim).", LatencyBuckets, labels),
+	}
+	for ev := range ins.mechanisms {
+		m := broker.Mechanism(ev)
+		ins.mechanisms[ev] = t.reg.Counter(MechanismMetric(m), "Session-layer mechanism events "+m.String()+" (see broker.Mechanism).", labels)
 	}
 	t.ins.Store(b, ins)
 	return ins
@@ -252,6 +264,12 @@ func (t *Middleware) OnLinkChange(b *broker.Broker, ev overlay.Event) {
 	}
 }
 
+// OnMechanism implements the broker.MechanismObserver extension: the
+// session layers' events roll into per-broker counters.
+func (t *Middleware) OnMechanism(b *broker.Broker, ev broker.Mechanism, n int) {
+	t.at(b.ID()).mechanisms[ev].Add(uint64(n))
+}
+
 // RegisterSpanMetrics exposes the span store's occupancy on the registry.
 func RegisterSpanMetrics(reg *Registry, spans *SpanStore) {
 	reg.GaugeFunc(MetricSpansRetained, "Notification hop paths currently retained by the span store.",
@@ -299,4 +317,5 @@ var (
 	_ broker.PublishInterceptor = (*Middleware)(nil)
 	_ broker.LinkObserver       = (*Middleware)(nil)
 	_ broker.DropObserver       = (*Middleware)(nil)
+	_ broker.MechanismObserver  = (*Middleware)(nil)
 )

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"rebeca/internal/broker"
 	"rebeca/internal/message"
+	"rebeca/internal/proto"
 	"rebeca/internal/telemetry"
 )
 
@@ -403,5 +405,27 @@ func TestOpsStartAndClose(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("endpoint still serving after Close")
+	}
+}
+
+// TestNotifyMechanismAllocs: a session layer's mechanism event costs no
+// allocation — with no observer it is a loop over an empty slice, and with
+// a telemetry stage whose broker instruments are resolved it is one
+// counter add.
+func TestNotifyMechanismAllocs(t *testing.T) {
+	b := broker.New(broker.Config{ID: "A", Send: func(message.NodeID, proto.Message) {}})
+	raise := func() { b.NotifyMechanism(broker.CoreWasted, 2) }
+	if n := testing.AllocsPerRun(100, raise); n != 0 {
+		t.Errorf("NotifyMechanism without an observer: %.1f allocs, want 0", n)
+	}
+	reg := telemetry.NewRegistry()
+	b.UseMiddleware(telemetry.NewMiddleware(reg))
+	raise() // resolves A's instruments
+	if n := testing.AllocsPerRun(100, raise); n != 0 {
+		t.Errorf("NotifyMechanism into a telemetry stage: %.1f allocs, want 0", n)
+	}
+	// One resolving call, plus AllocsPerRun's warm-up and 100 runs.
+	if got, want := reg.Total(telemetry.MechanismMetric(broker.CoreWasted)), 2.0*102; got != want {
+		t.Errorf("%s = %v, want %v", telemetry.MechanismMetric(broker.CoreWasted), got, want)
 	}
 }

@@ -131,6 +131,9 @@ func (m *Metrics) OnLinkChange(b *Broker, ev LinkEvent) { m.stage.OnLinkChange(b
 // OnDrop implements the broker's DropObserver extension.
 func (m *Metrics) OnDrop(b *Broker, id NotificationID, reason string) { m.stage.OnDrop(b, id, reason) }
 
+// OnMechanism implements the broker's MechanismObserver extension.
+func (m *Metrics) OnMechanism(b *Broker, ev broker.Mechanism, n int) { m.stage.OnMechanism(b, ev, n) }
+
 // Snapshot returns the per-broker counters.
 func (m *Metrics) Snapshot() map[NodeID]BrokerMetrics {
 	stats := m.stage.Stats()
@@ -369,10 +372,11 @@ func (r *RateLimiter) DroppedPerBroker() map[NodeID]int {
 
 // compile-time interface checks
 var (
-	_ PublishInterceptor  = (*Metrics)(nil)
-	_ PublishInterceptor  = (*Tracer)(nil)
-	_ PublishInterceptor  = (*RateLimiter)(nil)
-	_ LinkObserver        = (*Metrics)(nil)
-	_ LinkObserver        = (*Tracer)(nil)
-	_ broker.DropObserver = (*Metrics)(nil)
+	_ PublishInterceptor       = (*Metrics)(nil)
+	_ PublishInterceptor       = (*Tracer)(nil)
+	_ PublishInterceptor       = (*RateLimiter)(nil)
+	_ LinkObserver             = (*Metrics)(nil)
+	_ LinkObserver             = (*Tracer)(nil)
+	_ broker.DropObserver      = (*Metrics)(nil)
+	_ broker.MechanismObserver = (*Metrics)(nil)
 )

@@ -330,14 +330,17 @@ func (n *BrokerNode) StatsLine() string {
 		if sum, count := reg.HistogramStats(telemetry.MetricE2ESeconds); count > 0 {
 			avg = time.Duration(sum / float64(count) * float64(time.Second))
 		}
-		line += fmt.Sprintf(" publishes=%d deliveries=%d subscribes=%d avg-latency=%s rate-limited=%d link-establishments=%d link-failures=%d",
+		line += fmt.Sprintf(" publishes=%d deliveries=%d subscribes=%d avg-latency=%s rate-limited=%d link-establishments=%d link-failures=%d relocations=%d recovered=%d recovery-errors=%d",
 			int(reg.Total(telemetry.MetricPublishes)),
 			int(reg.Total(telemetry.MetricDeliveries)),
 			int(reg.Total(telemetry.MetricSubscribes)),
 			avg,
 			int(reg.Total(telemetry.MetricRateLimited)),
 			int(reg.Total(telemetry.MetricLinkUps)),
-			int(reg.Total(telemetry.MetricLinkDowns)))
+			int(reg.Total(telemetry.MetricLinkDowns)),
+			int(reg.Total(telemetry.MechanismMetric(broker.MobilityRelocations))),
+			int(reg.Total(telemetry.MechanismMetric(broker.MobilityRecoveredSessions))),
+			int(reg.Total(telemetry.MechanismMetric(broker.MobilityRecoveryErrors))))
 	}
 	for _, li := range n.node.Info() {
 		line += fmt.Sprintf(" link[%s]=%s", li.Peer, li.State)
