@@ -573,14 +573,16 @@ func TestSystemServesLinkFamilies(t *testing.T) {
 	}
 }
 
-// mechanismSums scrapes one /metrics and sums every series of each session
-// mechanism family (rebeca_core_*, rebeca_mobility_*) over the brokers.
+// mechanismSums scrapes one /metrics and sums every series of each
+// mechanism family (rebeca_core_*, rebeca_mobility_*, rebeca_mesh_*) over
+// the brokers.
 func mechanismSums(t *testing.T, opsAddr string) map[string]float64 {
 	t.Helper()
 	sums := make(map[string]float64)
 	for _, line := range strings.Split(httpGet(t, "http://"+opsAddr+"/metrics"), "\n") {
 		f := strings.Fields(line)
-		if len(f) != 2 || !strings.HasPrefix(f[0], "rebeca_core_") && !strings.HasPrefix(f[0], "rebeca_mobility_") {
+		if len(f) != 2 || !strings.HasPrefix(f[0], "rebeca_core_") && !strings.HasPrefix(f[0], "rebeca_mobility_") &&
+			!strings.HasPrefix(f[0], "rebeca_mesh_") {
 			continue
 		}
 		v, err := strconv.ParseFloat(f[1], 64)
@@ -809,12 +811,13 @@ func TestOneAssembly(t *testing.T) {
 	// drops and spans each have one way into telemetry. And the handover's
 	// flush waves: the activate and tail ride the relocation path's FIFO.
 	// The session layers' counter structs went too: their events reach
-	// the simulator, the tests and /metrics through the chain.
+	// the simulator, the tests and /metrics through the chain. And the
+	// second and third dedup structures: internal/dedup is the one window.
 	gone := []string{"RemoteWrite", "PushFormat", "pushFormat", "snapshotJSON", "ingestJSON", "foldCounterDel",
 		"ParseLabelKey", "NewDNSRegistry", "SRVLookup", "tracerCap", "MetricTracerDropped",
 		"WithLinkObserver", "SetDropHook", "dropHook",
 		"StartFlush", "FlushObserver", "OnFlushDone", "flushCont", "FlushID",
-		"ReplicatorStats"}
+		"ReplicatorStats", "DedupSet", "seenSet", "seenCap"}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err

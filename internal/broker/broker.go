@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"rebeca/internal/codec"
+	"rebeca/internal/dedup"
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
@@ -95,9 +96,10 @@ type Broker struct {
 
 	// Mesh routing (see mesh.go); all nil/unused unless EnableMesh.
 	mesh         *Mesh
-	seen         *seenSet
-	waveSeq      uint64            // re-anchor waves issued by this broker
-	waves        map[string]uint64 // highest wave epoch seen per (kind, anchor, id)
+	seen         *dedup.Window[seenEntry] // forwarding memory
+	seenLinks    map[message.NodeID]int   // its link numbers, never reused
+	waveSeq      uint64                   // re-anchor waves issued by this broker
+	waves        map[string]uint64        // highest wave epoch seen per (kind, anchor, id)
 	onTreeChange func(added, removed []message.NodeID)
 
 	// log receives structured broker-core events (spanning-tree
@@ -384,12 +386,16 @@ func (b *Broker) handlePublish(from message.NodeID, m proto.Message) {
 		id = noteID(&m)
 	}
 	if !id.IsZero() {
-		if e := b.seen.lookup(id); e != nil {
+		if e, seen := b.seen.Find(id); seen {
 			// Seen before: a flood copy still spreads to tree links the
 			// notification has not traveled; anything else is a loop
 			// artifact. Never redelivered — the local delivery decision
-			// was made on first sight.
-			if m.Stale {
+			// was made on first sight. Below its publisher's floor the
+			// links it traveled are forgotten, so it does not spread.
+			switch {
+			case e == nil:
+				b.NotifyMechanism(MeshBelowFloor, 1)
+			case m.Stale:
 				b.forwardFlood(e, from, m)
 			}
 			return

@@ -6,10 +6,10 @@ import (
 	"rebeca/internal/message"
 )
 
-// Mechanism names one kind of event of the session layers' mechanisms: the
+// Mechanism names one kind of event of the session layers' mechanisms — the
 // replicator's pre-subscriptions and buffers (§3.2, §4) and the mobility
-// manager's relocation protocol. The layers raise them, n occurrences at a
-// time, through Broker.NotifyMechanism.
+// manager's relocation protocol — or of a mesh broker's forwarding memory.
+// They are raised n occurrences at a time through Broker.NotifyMechanism.
 type Mechanism uint8
 
 const (
@@ -28,6 +28,8 @@ const (
 	MobilityDuplicatesDropped                  // merge-time duplicate suppressions
 	MobilityRecoveredSessions                  // ghost sessions rebuilt from the store after a restart
 	MobilityRecoveryErrors                     // persisted sessions that could not be decoded
+	MeshBelowFloor                             // publish copies older than their publisher's forwarding window, dropped
+	MeshPublishersEvicted                      // publishers the forwarding memory forgot to make room for a new one
 	NumMechanisms                              // the number of mechanism events
 )
 
@@ -50,6 +52,8 @@ var mechanismNames = [NumMechanisms]string{
 	MobilityDuplicatesDropped: "mobility.duplicates_dropped",
 	MobilityRecoveredSessions: "mobility.recovered_sessions",
 	MobilityRecoveryErrors:    "mobility.recovery_errors",
+	MeshBelowFloor:            "mesh.below_floor",
+	MeshPublishersEvicted:     "mesh.publishers_evicted",
 }
 
 // String returns the event's name ("core.wasted").

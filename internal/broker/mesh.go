@@ -19,9 +19,9 @@
 //     that spreads over every tree link — including back up the arrival
 //     link, because the upstream hops carried the note as a unicast and
 //     their side branches were never covered. Brokers remember which
-//     links each recent notification was forwarded on (the seen set), so
-//     flood copies reach uncovered subtrees but never loop and never
-//     deliver twice.
+//     links each recent notification was forwarded on (the forwarding
+//     memory, a dedup.Window per publisher), so flood copies reach
+//     uncovered subtrees but never loop and never deliver twice.
 //   - Pending re-route: traffic queued toward a link that left the tree
 //     is taken back from the overlay manager and re-flooded on the new
 //     tree, so a cut link's backlog is not stranded until heal.
@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"rebeca/internal/dedup"
 	"rebeca/internal/message"
 	"rebeca/internal/overlay"
 	"rebeca/internal/proto"
@@ -293,77 +294,42 @@ func (m *Mesh) Recomputations() uint64 { return m.recomputes.Load() }
 
 // --- cycle-safe forwarding memory --------------------------------------
 
-// seenCap bounds the per-broker forwarding memory. At steady state a
-// notification clears the overlay in well under the time 8k publishes
-// take, so the window comfortably covers re-election transients.
-const seenCap = 8192
+// meshWindow is the forwarding memory's window per publisher: a broker
+// remembers a notification until its publisher has published 8192 more.
+// At steady state a notification clears the overlay in well under the time
+// its publisher takes for 8k publishes, so the window covers re-election
+// transients whatever the other publishers send meanwhile.
+const meshWindow = 8192
 
-// seenEntry remembers one recent notification: the links it was already
-// forwarded on (so flood copies never retrace a link) and that its local
-// delivery decision was made (so no copy delivers twice). The links are a
-// set of the owning seenSet's link numbers: a bitmask for numbers below
+// seenEntry is the forwarding memory's payload for one recent
+// notification: the links it was already forwarded on (so flood copies
+// never retrace a link); that it has an entry at all records that its
+// local delivery decision was made (so no copy delivers twice). The links
+// are a set of the broker's seenLinks numbers: a bitmask for numbers below
 // 64, a lazily allocated map for the rest. The zero entry is an empty
-// memory — what an unidentified (zero-ID) note gets, off the ring.
+// memory — what an unidentified (zero-ID) note gets, off the window.
 type seenEntry struct {
-	id   message.NotificationID
 	sent uint64
 	over map[int]bool
 }
 
-// seenSet is a bounded insertion-order ring of seenEntries with O(1)
-// lookup. The ring holds the entries by value and is never reallocated, so
-// recording a notification allocates nothing and a *seenEntry stays valid
-// until the ring wraps around to its slot.
-type seenSet struct {
-	byID map[message.NotificationID]int32
-	ring []seenEntry
-	next int
-	// links numbers every link a notification was ever sent on. Numbers
-	// only grow and are never reassigned, so a bit in an entry the ring
-	// still holds can never come to mean a different link.
-	links map[message.NodeID]int
-}
-
-func newSeenSet() *seenSet {
-	return &seenSet{
-		byID:  make(map[message.NotificationID]int32, seenCap),
-		ring:  make([]seenEntry, seenCap),
-		links: make(map[message.NodeID]int),
+// remember records a first-seen notification in the broker's forwarding
+// memory, counting the publisher it evicts if the window's publisher table
+// is full. The window keeps the publisher as a map key long after the
+// publish, so it is an interned copy, never a string aliasing a relay-form
+// note's bytes.
+func (b *Broker) remember(id message.NotificationID) *seenEntry {
+	id.Publisher = message.NodeID(b.names.Intern(string(id.Publisher)))
+	e, evicted := b.seen.Record(id)
+	if evicted {
+		b.NotifyMechanism(MeshPublishersEvicted, 1)
 	}
-}
-
-// lookup returns the entry for id, or nil when unseen.
-func (s *seenSet) lookup(id message.NotificationID) *seenEntry {
-	if i, ok := s.byID[id]; ok {
-		return &s.ring[i]
-	}
-	return nil
-}
-
-// record inserts a fresh entry (evicting the oldest beyond the cap) and
-// returns it.
-func (s *seenSet) record(id message.NotificationID) *seenEntry {
-	e := &s.ring[s.next]
-	if e.id != (message.NotificationID{}) {
-		delete(s.byID, e.id)
-	}
-	*e = seenEntry{id: id}
-	s.byID[id] = int32(s.next)
-	s.next = (s.next + 1) % len(s.ring)
 	return e
 }
 
-// remember records a first-seen notification in the broker's forwarding
-// memory. The ring keeps the ID long after the publish, so its publisher is
-// an interned copy, never a string aliasing a relay-form note's bytes.
-func (b *Broker) remember(id message.NotificationID) *seenEntry {
-	id.Publisher = message.NodeID(b.names.Intern(string(id.Publisher)))
-	return b.seen.record(id)
-}
-
 // sentOn reports whether e's notification already traveled the link to p.
-func (s *seenSet) sentOn(e *seenEntry, p message.NodeID) bool {
-	n, ok := s.links[p]
+func (b *Broker) sentOn(e *seenEntry, p message.NodeID) bool {
+	n, ok := b.seenLinks[p]
 	if !ok {
 		return false
 	}
@@ -374,11 +340,11 @@ func (s *seenSet) sentOn(e *seenEntry, p message.NodeID) bool {
 }
 
 // markSent notes that e's notification travels the link to p.
-func (s *seenSet) markSent(e *seenEntry, p message.NodeID) {
-	n, ok := s.links[p]
+func (b *Broker) markSent(e *seenEntry, p message.NodeID) {
+	n, ok := b.seenLinks[p]
 	if !ok {
-		n = len(s.links)
-		s.links[p] = n
+		n = len(b.seenLinks)
+		b.seenLinks[p] = n
 	}
 	if n < 64 {
 		e.sent |= 1 << n
@@ -401,7 +367,8 @@ func (b *Broker) EnableMesh() {
 		return
 	}
 	b.mesh = NewMesh(b.cfg.ID)
-	b.seen = newSeenSet()
+	b.seen = dedup.New[seenEntry](meshWindow)
+	b.seenLinks = make(map[message.NodeID]int)
 	b.waves = make(map[string]uint64)
 }
 
@@ -601,10 +568,10 @@ func (b *Broker) forwardFlood(e *seenEntry, from message.NodeID, m proto.Message
 	fw.Stale = true
 	fw.Hops++
 	for p := range b.peers {
-		if p == from || b.seen.sentOn(e, p) {
+		if p == from || b.sentOn(e, p) {
 			continue
 		}
-		b.seen.markSent(e, p)
+		b.markSent(e, p)
 		b.stats.Forwarded++
 		b.Send(p, fw)
 	}
@@ -629,14 +596,14 @@ func (b *Broker) forwardFlood(e *seenEntry, from message.NodeID, m proto.Message
 // iterating the table-owned match result; deliveries run after.
 func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message) {
 	id := noteID(&m)
-	e := b.seen.lookup(id)
+	e, _ := b.seen.Find(id)
 	if e == nil {
 		// Unidentified note (zero ID): no cross-copy memory possible;
 		// a throwaway entry still gives arrival-link exclusion (only a
 		// peer link can be retraced; a port is not worth a link number).
 		e = &seenEntry{}
 		if b.peers[from] {
-			b.seen.markSent(e, from)
+			b.markSent(e, from)
 		}
 	}
 	var buf [4]routing.LinkMatch
@@ -672,17 +639,19 @@ func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message) {
 			// unicast, so their other branches were never covered. The
 			// forwarding memory keeps the bounce wave finite and the
 			// first-sight delivery decision keeps it duplicate-free.
-			b.NotifyDrop(e.id, "flood-fallback")
+			b.NotifyDrop(message.NotificationID{
+				Publisher: message.NodeID(b.names.Intern(string(id.Publisher))), Seq: id.Seq,
+			}, "flood-fallback")
 			if b.log != nil {
 				b.log.Debug("flood fallback", "broker", b.cfg.ID, "note", id.String())
 			}
 			b.forwardFlood(e, "", m)
 		} else {
 			for _, p := range fwds {
-				if b.seen.sentOn(e, p) {
+				if b.sentOn(e, p) {
 					continue
 				}
-				b.seen.markSent(e, p)
+				b.markSent(e, p)
 				fw := m
 				fw.Hops++
 				b.stats.Forwarded++
@@ -710,15 +679,22 @@ func (b *Broker) ReforwardPending(removed message.NodeID, msgs []proto.Message) 
 		fw := m
 		fw.Stale = true
 		fw.Hops++
-		var e *seenEntry
-		if id := noteID(&m); id.IsZero() {
+		id := noteID(&m)
+		e, seen := b.seen.Find(id)
+		switch {
+		case id.IsZero():
 			e = &seenEntry{}
-		} else if e = b.seen.lookup(id); e == nil {
+		case !seen:
 			e = b.remember(id)
+		case e == nil:
+			// Below its publisher's floor: too old to tell which links it
+			// traveled, so it is not spread again.
+			b.NotifyMechanism(MeshBelowFloor, 1)
+			continue
 		}
 		for p := range b.peers {
-			if p != removed && !b.seen.sentOn(e, p) {
-				b.seen.markSent(e, p)
+			if p != removed && !b.sentOn(e, p) {
+				b.markSent(e, p)
 				b.stats.Forwarded++
 				b.Send(p, fw)
 			}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rebeca/internal/dedup"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
 )
@@ -172,79 +173,191 @@ func TestMeshSetTopologyChangeDetection(t *testing.T) {
 	}
 }
 
+// meshStar is a mesh broker X with tree links to P, Q and R, a local
+// subscriber port s and, when sub is set, subscriptions from s and R to
+// every note. to collects what X sends, per destination.
+func meshStar(sub bool, stages ...Middleware) (b *Broker, to map[message.NodeID][]proto.Message) {
+	to = make(map[message.NodeID][]proto.Message)
+	b = New(Config{ID: "X", Peers: []message.NodeID{"P", "Q", "R"},
+		Send: func(dst message.NodeID, m proto.Message) { to[dst] = append(to[dst], m) }})
+	b.EnableMesh()
+	b.SetMeshTopology([]message.NodeID{"X", "P", "Q", "R"},
+		[][2]message.NodeID{{"X", "P"}, {"X", "Q"}, {"X", "R"}})
+	for _, st := range stages {
+		b.UseMiddleware(st)
+	}
+	if sub {
+		b.AttachPort("s")
+		b.HandleMessage("s", subMsg("s/s1"))
+		b.HandleMessage("R", subMsg("r/s1"))
+	}
+	clear(to)
+	return b, to
+}
+
+// notePub is a publish of publisher pub's note seq.
+func notePub(pub message.NodeID, seq uint64, stale bool) proto.Message {
+	m := pubMsg(seq)
+	m.Note.ID.Publisher = pub
+	m.Stale = stale
+	return m
+}
+
+// carrying counts the messages of kind k carrying note id.
+func carrying(msgs []proto.Message, k proto.Kind, id message.NotificationID) int {
+	n := 0
+	for _, m := range msgs {
+		if m.Kind == k && m.Note != nil && m.Note.ID == id {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMeshMemoryOutlastsOtherPublishers: a flood copy that arrives after
+// 9 000 notes of 100 other publishers — more than meshWindow in all — still
+// meets the broker's memory of its first copy, so it is neither delivered
+// to the local port nor sent to R a second time.
+func TestMeshMemoryOutlastsOtherPublishers(t *testing.T) {
+	b, to := meshStar(true)
+	a1 := message.NotificationID{Publisher: "a", Seq: 1}
+	b.HandleMessage("P", notePub("a", 1, false))
+	for i := 0; i < 9000; i++ {
+		b.HandleMessage("P", notePub(message.NodeID(fmt.Sprintf("o%02d", i%100)), uint64(i/100+1), false))
+	}
+	b.HandleMessage("Q", notePub("a", 1, true))
+	if got, sent := carrying(to["s"], proto.KDeliver, a1), carrying(to["R"], proto.KPublish, a1); got != 1 || sent != 1 {
+		t.Errorf("a#1 delivered %d times to the local port and sent %d times to R, want 1 and 1", got, sent)
+	}
+}
+
+// TestMeshBelowFloorCounted: a copy of a note its publisher has since
+// outrun by more than meshWindow is neither delivered nor spread, whether
+// it arrives as a flood copy or comes back from a demoted link's pending
+// queue, and each such copy is counted.
+func TestMeshBelowFloorCounted(t *testing.T) {
+	tally := &MechanismTally{}
+	b, to := meshStar(true, tally)
+	for seq := uint64(1); seq <= meshWindow+1; seq++ {
+		b.HandleMessage("P", notePub("a", seq, false))
+	}
+	clear(to)
+	b.HandleMessage("Q", notePub("a", 1, true))
+	b.ReforwardPending("R", []proto.Message{notePub("a", 1, false)})
+	if len(to) != 0 {
+		t.Errorf("a copy below the floor went out: %v", to)
+	}
+	if got := tally.At("X", MeshBelowFloor); got != 2 {
+		t.Errorf("%s = %d, want 2", MeshBelowFloor, got)
+	}
+	if got := tally.At("X", MeshPublishersEvicted); got != 0 {
+		t.Errorf("%s = %d with one publisher, want 0", MeshPublishersEvicted, got)
+	}
+}
+
+// TestMeshPublishersEvictedCounted: one publisher past dedup.MaxPublishers
+// evicts the least recently recorded one, and the eviction is counted.
+func TestMeshPublishersEvictedCounted(t *testing.T) {
+	tally := &MechanismTally{}
+	b, _ := meshStar(false, tally)
+	for i := 0; i <= dedup.MaxPublishers; i++ {
+		b.HandleMessage("P", notePub(message.NodeID(fmt.Sprintf("p%04d", i)), 1, false))
+	}
+	if got := tally.At("X", MeshPublishersEvicted); got != 1 {
+		t.Errorf("%s = %d, want 1", MeshPublishersEvicted, got)
+	}
+	if _, seen := b.seen.Find(message.NotificationID{Publisher: "p0000", Seq: 1}); seen {
+		t.Error("the least recently recorded publisher was not the one evicted")
+	}
+}
+
 func TestSeenSetEviction(t *testing.T) {
-	s := newSeenSet()
-	mkID := func(i int) message.NotificationID {
-		return message.NotificationID{Publisher: "p", Seq: uint64(i + 1)}
+	b, _ := meshStar(false)
+	mkID := func(pub message.NodeID, i int) message.NotificationID {
+		return message.NotificationID{Publisher: pub, Seq: uint64(i + 1)}
 	}
-	for i := 0; i < seenCap; i++ {
-		s.record(mkID(i))
+	find := func(id message.NotificationID) *seenEntry {
+		e, _ := b.seen.Find(id)
+		return e
 	}
-	if s.lookup(mkID(0)) == nil || s.lookup(mkID(seenCap-1)) == nil {
-		t.Fatal("entries lost before capacity")
+	for i := 0; i < meshWindow; i++ {
+		b.remember(mkID("p", i))
 	}
-	// One past capacity evicts the oldest, keeps everything else.
-	s.record(mkID(seenCap))
-	if s.lookup(mkID(0)) != nil {
-		t.Error("oldest entry not evicted")
+	// Other publishers' notes evict nothing of p's.
+	for i := 0; i < 3*meshWindow; i++ {
+		b.remember(mkID(message.NodeID(fmt.Sprintf("q%d", i%3)), i/3))
 	}
-	if s.lookup(mkID(1)) == nil || s.lookup(mkID(seenCap)) == nil {
+	if find(mkID("p", 0)) == nil || find(mkID("p", meshWindow-1)) == nil {
+		t.Fatal("entries lost within the publisher's window")
+	}
+	// One past p's window drops p's oldest, keeps everything else.
+	b.remember(mkID("p", meshWindow))
+	if e, seen := b.seen.Find(mkID("p", 0)); e != nil || !seen {
+		t.Errorf("oldest entry: %v, seen %v; want no entry, below the floor", e, seen)
+	}
+	if find(mkID("p", 1)) == nil || find(mkID("p", meshWindow)) == nil {
 		t.Error("eviction took the wrong entry")
 	}
-	if len(s.byID) != seenCap {
-		t.Errorf("index size %d, want %d", len(s.byID), seenCap)
-	}
 	// The per-entry forwarding memory persists across lookups.
-	e := s.lookup(mkID(5))
-	s.markSent(e, "b2")
-	if !s.sentOn(s.lookup(mkID(5)), "b2") {
+	e := find(mkID("p", 5))
+	b.markSent(e, "b2")
+	if !b.sentOn(find(mkID("p", 5)), "b2") {
 		t.Error("sent-link memory not shared")
 	}
-	if s.sentOn(s.lookup(mkID(6)), "b2") || s.sentOn(e, "b3") {
+	if b.sentOn(find(mkID("p", 6)), "b2") || b.sentOn(e, "b3") {
 		t.Error("sent-link memory leaks across entries or links")
 	}
-	// Wrap-around hands mkID(5)'s ring slot to a new notification: the new
+	// A window later mkID(5)'s slot holds a new notification: the new
 	// tenant must not inherit the old one's links.
-	for i := seenCap + 1; s.lookup(mkID(5)) != nil; i++ {
-		s.record(mkID(i))
+	for i := meshWindow + 1; i <= 5+meshWindow; i++ {
+		b.remember(mkID("p", i))
 	}
-	if e.id == mkID(5) || e.sent != 0 || e.over != nil {
-		t.Errorf("reused ring slot kept its previous tenant's memory: %+v", *e)
+	if find(mkID("p", 5)) != nil || find(mkID("p", 5+meshWindow)) != e {
+		t.Fatal("the slot was not reused")
+	}
+	if e.sent != 0 || e.over != nil {
+		t.Errorf("reused slot kept its previous tenant's memory: %+v", *e)
 	}
 }
 
 // TestSeenSetManyLinks: link numbers past the 64-bit mask land in the
 // overflow set and behave the same — per entry, per link, cleared on reuse.
 func TestSeenSetManyLinks(t *testing.T) {
-	s := newSeenSet()
+	b, _ := meshStar(false)
 	peer := func(i int) message.NodeID { return message.NodeID(fmt.Sprintf("b%02d", i)) }
-	odd := s.record(message.NotificationID{Publisher: "p", Seq: 1})
-	all := s.record(message.NotificationID{Publisher: "p", Seq: 2})
+	id := func(seq uint64) message.NotificationID { return message.NotificationID{Publisher: "p", Seq: seq} }
+	find := func(seq uint64) *seenEntry {
+		e, _ := b.seen.Find(id(seq))
+		return e
+	}
+	b.remember(id(1))
+	b.remember(id(2))
+	odd, all := find(1), find(2)
 	for i := 0; i < 70; i++ {
 		if i%2 == 1 {
-			s.markSent(odd, peer(i))
+			b.markSent(odd, peer(i))
 		}
-		s.markSent(all, peer(i))
+		b.markSent(all, peer(i))
 	}
 	for i := 0; i < 70; i++ {
-		if got := s.sentOn(odd, peer(i)); got != (i%2 == 1) {
+		if got := b.sentOn(odd, peer(i)); got != (i%2 == 1) {
 			t.Errorf("odd entry, link %d: sentOn = %v", i, got)
 		}
-		if !s.sentOn(all, peer(i)) {
+		if !b.sentOn(all, peer(i)) {
 			t.Errorf("full entry, link %d: not remembered", i)
 		}
 	}
-	if s.sentOn(all, "stranger") {
+	if b.sentOn(all, "stranger") {
 		t.Error("a link never sent on reads as sent")
 	}
 	if len(all.over) != 6 {
 		t.Errorf("overflow set holds %d links, want the 6 numbered 64..69", len(all.over))
 	}
-	for i := 0; i < seenCap; i++ {
-		s.record(message.NotificationID{Publisher: "q", Seq: uint64(i + 1)})
+	for seq := uint64(3); seq <= 2+meshWindow; seq++ {
+		b.remember(id(seq))
 	}
-	if all.over != nil || s.sentOn(all, peer(69)) || s.sentOn(all, peer(0)) {
-		t.Errorf("reused ring slot kept its overflow set: %+v", *all)
+	if all = find(2 + meshWindow); all.over != nil || b.sentOn(all, peer(69)) || b.sentOn(all, peer(0)) {
+		t.Errorf("reused slot kept its overflow set: %+v", *all)
 	}
 }
 

@@ -18,11 +18,16 @@ import (
 	"sync"
 	"time"
 
+	"rebeca/internal/dedup"
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
 	"rebeca/internal/store"
 )
+
+// DefaultDedupWindow is the per-publisher window of sequence numbers a
+// session's duplicate suppression retains (dedup.Window).
+const DefaultDedupWindow = dedup.DefaultWindow
 
 // Delivery records one received notification with its arrival time and
 // the subscription identities it matched at the border broker (empty for
@@ -89,7 +94,7 @@ func (l *DeliveryLog) Total() uint64 { return l.total }
 // delivery log. Not safe for concurrent use; callers serialize.
 type Tally struct {
 	Log      DeliveryLog
-	seen     *DedupSet
+	seen     *dedup.Window[struct{}]
 	dups     int
 	lastSeq  map[message.NodeID]uint64
 	fifoViol int
@@ -98,7 +103,7 @@ type Tally struct {
 // NewTally builds an empty accounting state.
 func NewTally() *Tally {
 	return &Tally{
-		seen:    NewDedupSet(0),
+		seen:    dedup.New[struct{}](DefaultDedupWindow),
 		lastSeq: make(map[message.NodeID]uint64),
 	}
 }

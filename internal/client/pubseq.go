@@ -21,7 +21,7 @@ const PubSeqQuantum = 256
 // PubSequencer allocates a publisher's notification sequence numbers
 // against a persisted identity, so a restarted publisher continues its
 // (publisher, seq) ID space monotonically instead of restarting at 1 —
-// which would make every subscriber's DedupSet silently swallow the new
+// which would make every subscriber's dedup window silently swallow the new
 // notifications as replays of the old ones.
 //
 // Sequence reservation amortizes durability: the snapshot stores a

@@ -93,6 +93,7 @@ import (
 	"rebeca/internal/broker"
 	"rebeca/internal/buffer"
 	"rebeca/internal/codec"
+	"rebeca/internal/dedup"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
 	"rebeca/internal/store"
@@ -164,7 +165,7 @@ type session struct {
 	// buf holds undelivered notifications (ghost and relocating-in).
 	buf buffer.Policy
 	// seen dedups the relocation merge by notification ID.
-	seen map[message.NotificationID]bool
+	seen *dedup.Window[struct{}]
 	// tapTo is the new border while relocating out.
 	tapTo message.NodeID
 	// pendingReloc queues a KRelocReq that arrived mid-relocation.
@@ -436,12 +437,9 @@ func (m *Manager) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.No
 }
 
 func (m *Manager) bufferDedup(s *session, n message.Notification) {
-	if !n.ID.IsZero() && s.seen[n.ID] {
+	if !n.ID.IsZero() && s.seen.Seen(n.ID) {
 		m.b.NotifyMechanism(broker.MobilityDuplicatesDropped, 1)
 		return
-	}
-	if !n.ID.IsZero() {
-		s.seen[n.ID] = true
 	}
 	s.buf.Add(n, m.b.Now())
 	m.b.NotifyMechanism(broker.MobilityBuffered, 1)
@@ -555,7 +553,7 @@ func (m *Manager) newSession(c message.NodeID, st sessionState) *session {
 		state:  st,
 		subs:   make(map[message.SubID]proto.Subscription),
 		buf:    m.newBuffer(c),
-		seen:   make(map[message.NotificationID]bool),
+		seen:   dedup.New[struct{}](0),
 	}
 }
 
@@ -934,17 +932,17 @@ func (m *Manager) finishRelocation(s *session) {
 		nextEpoch := s.pendingEpoch
 		s.pendingReloc = ""
 		s.pendingEpoch = 0
-		s.seen = make(map[message.NotificationID]bool)
+		s.seen = dedup.New[struct{}](0)
 		m.beginRelocOut(s, next, nextEpoch)
 	case s.ghostOnComplete:
 		// The client disconnected while relocating in: keep the merged
 		// buffer for its return.
 		s.ghostOnComplete = false
 		s.state = stateGhost
-		s.seen = make(map[message.NotificationID]bool)
+		s.seen = dedup.New[struct{}](0)
 	default:
 		m.replay(s)
-		s.seen = make(map[message.NotificationID]bool)
+		s.seen = dedup.New[struct{}](0)
 	}
 }
 
@@ -978,7 +976,7 @@ func (m *Manager) onTapDeliver(msg proto.Message) bool {
 	case stateRelocatingIn:
 		m.bufferDedup(s, *msg.Note)
 	case stateConnected:
-		if !msg.Note.ID.IsZero() && s.seen[msg.Note.ID] {
+		if _, seen := s.seen.Find(msg.Note.ID); seen {
 			m.b.NotifyMechanism(broker.MobilityDuplicatesDropped, 1)
 			return true
 		}

@@ -6,7 +6,7 @@
 // The middleware appends a notification to a queue *before* attempting
 // delivery and acks the queue *after* delivery (or handover) is confirmed,
 // so a crash between the two redelivers rather than loses — the client
-// library's DedupSet turns that at-least-once replay into exactly-once
+// library's dedup.Window turns that at-least-once replay into exactly-once
 // delivery (per-publisher monotonic sequence numbers in every KDeliver).
 //
 // Two implementations ship with the package:

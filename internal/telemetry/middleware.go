@@ -141,7 +141,7 @@ func (t *Middleware) at(b message.NodeID) *instruments {
 	}
 	for ev := range ins.mechanisms {
 		m := broker.Mechanism(ev)
-		ins.mechanisms[ev] = t.reg.Counter(MechanismMetric(m), "Session-layer mechanism events "+m.String()+" (see broker.Mechanism).", labels)
+		ins.mechanisms[ev] = t.reg.Counter(MechanismMetric(m), "Mechanism events "+m.String()+" (see broker.Mechanism).", labels)
 	}
 	t.ins.Store(b, ins)
 	return ins
