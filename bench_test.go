@@ -1,7 +1,7 @@
 // Benchmarks timing the runs behind the paper's tables E1–E9
 // (internal/bench generates the tables; E10's cut-and-heal cycle is
 // BenchmarkOverlayReconverge) plus micro-benchmarks of what BENCHMARK.json
-// has no metric for (filter covering and merging, the facade's delivery
+// has no metric for (filter covering, the facade's delivery
 // and publish paths, the ops-on live pipeline). The hot paths it does
 // measure — matching, buffering, publish handling, handover, live
 // throughput — are benchmarked there and nowhere else.
@@ -22,7 +22,6 @@ import (
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/movement"
-	"rebeca/internal/routing"
 	"rebeca/internal/sim"
 )
 
@@ -80,21 +79,18 @@ func BenchmarkE2LogicalAdaptation(b *testing.B) {
 
 // --- E3: routing scalability (Fig. 2) ------------------------------------
 
-func benchE3(b *testing.B, brokers int, strat routing.Strategy) {
+func benchE3(b *testing.B, brokers int) {
 	g := movement.RandomTree(brokers, 1)
 	runOutcome(b, sim.Scenario{
 		Graph:       g,
-		Strategy:    strat,
 		Replication: sim.ReplicationPreSubscribe,
 		Duration:    500 * time.Millisecond,
 		NumMobiles:  2,
 	})
 }
 
-func BenchmarkE3RoutingSimple15(b *testing.B)   { benchE3(b, 15, routing.StrategySimple) }
-func BenchmarkE3RoutingCovering15(b *testing.B) { benchE3(b, 15, routing.StrategyCovering) }
-func BenchmarkE3RoutingSimple31(b *testing.B)   { benchE3(b, 31, routing.StrategySimple) }
-func BenchmarkE3RoutingCovering31(b *testing.B) { benchE3(b, 31, routing.StrategyCovering) }
+func BenchmarkE3RoutingSimple15(b *testing.B) { benchE3(b, 15) }
+func BenchmarkE3RoutingSimple31(b *testing.B) { benchE3(b, 31) }
 
 // --- E4: virtual-client indirection (Fig. 3) ------------------------------
 
@@ -219,17 +215,6 @@ func BenchmarkFilterCovers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !f.Covers(g) {
 			b.Fatal("covering broken")
-		}
-	}
-}
-
-func BenchmarkFilterMerge(b *testing.B) {
-	f := filter.New(filter.Eq("svc", message.String("a")), filter.Eq("loc", message.String("x")))
-	g := filter.New(filter.Eq("svc", message.String("a")), filter.Eq("loc", message.String("y")))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := filter.Merge(f, g); !ok {
-			b.Fatal("merge broken")
 		}
 	}
 }

@@ -1,7 +1,6 @@
-// rebeca-bench prints the paper's evaluation tables (E1–E10 with E3b and
-// E3c, internal/bench.Experiments) in the style of a paper's results
-// section. internal/bench/testdata holds each table as printed at the
-// default seed.
+// rebeca-bench prints the paper's evaluation tables (E1–E10,
+// internal/bench.Experiments) in the style of a paper's results section.
+// internal/bench/testdata holds each table as printed at the default seed.
 //
 // Usage:
 //

@@ -65,8 +65,6 @@ func main() {
 		dial      = flag.String("dial", "", "neighbors to dial, e.g. A=host:port,B=host:port (static mode)")
 		registry  = flag.String("registry", "", "membership registry URI (file:<path> or seed:<listen>[,<seed>...]); replaces -edges/-dial and enables mesh routing")
 		advertise = flag.String("advertise", "", "overlay address to register for peers to dial (default: the bound listen address with unspecified hosts rewritten to 127.0.0.1)")
-		strategy  = flag.String("strategy", "simple", "routing strategy: simple, covering, flooding")
-		linearM   = flag.Bool("linear-match", false, "revert routing tables to linear scans (matching-index ablation)")
 		replicate = flag.Bool("replicate", true, "attach the replicator layer (movement graph = overlay)")
 		mobilityM = flag.String("mobility", "transparent", "physical mobility: transparent, or none (the naive baseline: resubscribe on reconnect, lose the gap)")
 		stats     = flag.Duration("stats", 0, "print telemetry-registry metrics at this interval (0 = off)")
@@ -130,19 +128,6 @@ func main() {
 		rebeca.WithLogging(os.Stderr, *logLevel),
 		rebeca.WithHeartbeat(*hbEvery, *hbTimeout),
 	}
-	switch *strategy {
-	case "simple":
-		opts = append(opts, rebeca.WithRoutingStrategy(rebeca.StrategySimple))
-	case "covering":
-		opts = append(opts, rebeca.WithRoutingStrategy(rebeca.StrategyCovering))
-	case "flooding":
-		opts = append(opts, rebeca.WithRoutingStrategy(rebeca.StrategyFlooding))
-	default:
-		fatal(fmt.Errorf("unknown -strategy %q", *strategy))
-	}
-	if *linearM {
-		opts = append(opts, rebeca.WithLinearMatching())
-	}
 	if *registry != "" {
 		opts = append(opts, rebeca.WithRegistry(*registry))
 	}
@@ -202,9 +187,9 @@ func main() {
 		fatal(err)
 	}
 	if *registry != "" {
-		fmt.Printf("rebeca-broker %s listening on %s (registry-driven mesh, strategy %s)\n", spec.ID, node.Addr(), *strategy)
+		fmt.Printf("rebeca-broker %s listening on %s (registry-driven mesh)\n", spec.ID, node.Addr())
 	} else {
-		fmt.Printf("rebeca-broker %s listening on %s (%d edges, strategy %s)\n", spec.ID, node.Addr(), len(spec.Edges), *strategy)
+		fmt.Printf("rebeca-broker %s listening on %s (%d edges)\n", spec.ID, node.Addr(), len(spec.Edges))
 	}
 	if addr := node.OpsAddr(); addr != "" {
 		fmt.Printf("ops endpoint on http://%s (/metrics /healthz /readyz /trace /config /debug/pprof)\n", addr)

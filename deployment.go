@@ -127,23 +127,20 @@ func New(opts ...Option) (*System, error) {
 	// every broker installs.
 	ops := newOpsStack(cfg)
 	scfg := sim.ClusterConfig{
-		Movement:       cfg.movement,
-		Locations:      cfg.locations,
-		Context:        cfg.context,
-		Strategy:       cfg.strategy,
-		Advertisements: cfg.advertisements,
-		LinearMatching: cfg.linear,
-		Mobility:       sim.MobilityTransparent,
-		Replication:    repl,
-		SharedBuffers:  cfg.shared,
-		BufferFactory:  cfg.bufferFactory(),
-		Middleware:     cfg.middleware,
-		LinkLatency:    cfg.linkLatency,
-		LatencyJitter:  cfg.latencyJitter,
-		JitterSeed:     cfg.jitterSeed,
-		Store:          cfg.store,
-		OverlayLogger:  ops.logFor("overlay"),
-		BrokerLogger:   ops.logFor("broker"),
+		Movement:      cfg.movement,
+		Locations:     cfg.locations,
+		Context:       cfg.context,
+		Mobility:      sim.MobilityTransparent,
+		Replication:   repl,
+		SharedBuffers: cfg.shared,
+		BufferFactory: cfg.bufferFactory(),
+		Middleware:    cfg.middleware,
+		LinkLatency:   cfg.linkLatency,
+		LatencyJitter: cfg.latencyJitter,
+		JitterSeed:    cfg.jitterSeed,
+		Store:         cfg.store,
+		OverlayLogger: ops.logFor("overlay"),
+		BrokerLogger:  ops.logFor("broker"),
 	}
 	if cfg.overlay {
 		set := cfg.overlaySettings()

@@ -14,7 +14,6 @@ import (
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
-	"rebeca/internal/routing"
 	"rebeca/internal/telemetry"
 	"rebeca/internal/telemetry/collector"
 	"rebeca/internal/wire"
@@ -43,7 +42,6 @@ func newFleetBroker(t *testing.T, id message.NodeID, peers map[message.NodeID]st
 		ID:         id,
 		Listen:     "127.0.0.1:0",
 		Peers:      peers,
-		Strategy:   routing.StrategySimple,
 		NextHop:    next,
 		Middleware: []broker.Middleware{mw},
 	})

@@ -97,19 +97,6 @@ func TestE3Shape(t *testing.T) {
 	}
 }
 
-func TestE3MergingShape(t *testing.T) {
-	tb := table("E3b")
-	for _, r := range tb.Rows {
-		n, after := parseInt(t, r[0]), parseInt(t, r[2])
-		if after >= n {
-			t.Errorf("no compaction for n=%d", n)
-		}
-		if after < 1 {
-			t.Errorf("merge produced nothing: %v", r)
-		}
-	}
-}
-
 func TestE4Shape(t *testing.T) {
 	tb := table("E4")
 	rows := rowsByFirst(tb)
@@ -229,21 +216,6 @@ func TestTableRendering(t *testing.T) {
 	for _, want := range []string{"EX", "caption", "a", "bb", "1", "2", "shape note"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestE3AdvertisementsShape(t *testing.T) {
-	tb := table("E3c")
-	for i := 0; i+1 < len(tb.Rows); i += 2 {
-		flood, adv := tb.Rows[i], tb.Rows[i+1]
-		fe, ae := parseInt(t, flood[3]), parseInt(t, adv[3])
-		if ae >= fe {
-			t.Errorf("size %s: advertised entries %d !< flood %d", flood[0], ae, fe)
-		}
-		fd, ad := parseInt(t, flood[5]), parseInt(t, adv[5])
-		if fd != ad {
-			t.Errorf("size %s: deliveries differ %d vs %d", flood[0], fd, ad)
 		}
 	}
 }

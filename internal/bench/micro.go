@@ -114,7 +114,7 @@ func officeFloorRun(mode sim.ReplicationMode) (intraPerMove, interPerMove, inter
 
 // E3Routing reproduces Fig. 2's router network at scale: routing-table
 // pressure and notification path cost under simple vs covering routing on
-// random trees, plus the merging ablation on synthetic filter sets.
+// random trees, with static clients (covering is not relocation-aware).
 func E3Routing(seed int64) Table {
 	t := Table{
 		ID:      "E3",
@@ -166,55 +166,6 @@ func routingRun(n int, strat routing.Strategy, seed int64) (tableEntries, subMsg
 	net.Run()
 	deliveries = net.Stats().ByKind[proto.KDeliver]
 	return tableEntries, subMsgs, deliveries
-}
-
-// E3Merging measures the merging optimization at the filter level: how far
-// perfect merging compacts realistic subscription sets.
-func E3Merging(seed int64) Table {
-	t := Table{
-		ID:      "E3b",
-		Caption: "Filter merging compaction (§2 'covering and merging')",
-		Header:  []string{"filters", "distinct-services", "after-merge", "compaction"},
-		Notes:   "perfect merging unions same-shape filters (Eq/In on one attribute)",
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for _, n := range []int{50, 200, 800} {
-		fs := make([]filter.Filter, 0, n)
-		services := 8
-		for i := 0; i < n; i++ {
-			svc := fmt.Sprintf("svc-%d", rng.Intn(services))
-			loc := fmt.Sprintf("loc-%d", rng.Intn(20))
-			fs = append(fs, filter.New(
-				filter.Eq("service", message.String(svc)),
-				filter.Eq("location", message.String(loc)),
-			))
-		}
-		merged := mergeAll(fs)
-		t.AddRow(itoa(n), itoa(services), itoa(len(merged)),
-			pct(1-float64(len(merged))/float64(n)))
-	}
-	return t
-}
-
-// mergeAll greedily merges filters until a fixpoint.
-func mergeAll(fs []filter.Filter) []filter.Filter {
-	out := append([]filter.Filter(nil), fs...)
-	for {
-		mergedAny := false
-		for i := 0; i < len(out) && !mergedAny; i++ {
-			for j := i + 1; j < len(out); j++ {
-				if m, ok := filter.Merge(out[i], out[j]); ok {
-					out[i] = m
-					out = append(out[:j], out[j+1:]...)
-					mergedAny = true
-					break
-				}
-			}
-		}
-		if !mergedAny {
-			return out
-		}
-	}
 }
 
 // E4VirtualClientOverhead measures the cost of the stub/virtual-client

@@ -1,8 +1,8 @@
 // Package bench implements the experiment harness: one generator per table
-// of the paper's evaluation, E1–E10 with E3b and E3c (Experiments lists
-// them), each producing a formatted result table in the style of a paper's
-// results section. cmd/rebeca-bench prints them and the root bench_test.go
-// wraps them in testing.B benchmarks. testdata/<ID>.txt holds each table as
+// of the paper's evaluation, E1–E10 (Experiments lists them), each
+// producing a formatted result table in the style of a paper's results
+// section. cmd/rebeca-bench prints them and the root bench_test.go wraps
+// them in testing.B benchmarks. testdata/<ID>.txt holds each table as
 // rendered at Seed, and TestGolden compares it; go test ./internal/bench
 // -run TestGolden -update re-records a table that moves on purpose.
 package bench
@@ -23,8 +23,6 @@ var Experiments = []Experiment{
 	{"E1", E1PhysicalHandover},
 	{"E2", E2LogicalAdaptation},
 	{"E3", E3Routing},
-	{"E3b", E3Merging},
-	{"E3c", E3Advertisements},
 	{"E4", E4VirtualClientOverhead},
 	{"E5", E5PreSubscription},
 	{"E6", E6NlbDegree},

@@ -31,15 +31,8 @@ type Config struct {
 	ID message.NodeID
 	// Peers are the neighboring brokers on the acyclic overlay.
 	Peers []message.NodeID
-	// Strategy selects the routing algorithm.
+	// Strategy selects the routing algorithm (default StrategySimple).
 	Strategy routing.Strategy
-	// Advertisements gates subscription forwarding on publisher
-	// advertisements (advertisement-based routing, REBECA [3]).
-	Advertisements bool
-	// LinearMatching reverts the routing table to linear scans. The
-	// access-predicate matching index is the default (same semantics, faster on
-	// large tables); linear matching remains as the E3 ablation baseline.
-	LinearMatching bool
 	// Send transmits a message to a directly linked node: an overlay peer
 	// or a local client port.
 	Send func(to message.NodeID, m proto.Message)
@@ -99,7 +92,7 @@ type Broker struct {
 	seen         *dedup.Window[seenEntry] // forwarding memory
 	seenLinks    map[message.NodeID]int   // its link numbers, never reused
 	waveSeq      uint64                   // re-anchor waves issued by this broker
-	waves        map[string]uint64        // highest wave epoch seen per (kind, anchor, id)
+	waves        map[string]uint64        // highest wave epoch seen per (anchor, id)
 	onTreeChange func(added, removed []message.NodeID)
 
 	// log receives structured broker-core events (spanning-tree
@@ -135,21 +128,14 @@ func New(cfg Config) *Broker {
 	if cfg.Strategy == routing.StrategyInvalid {
 		cfg.Strategy = routing.StrategySimple
 	}
-	newRouter := routing.NewIndexedRouter
-	if cfg.LinearMatching {
-		newRouter = routing.NewRouter
-	}
 	b := &Broker{
 		cfg:    cfg,
-		router: newRouter(cfg.Strategy),
+		router: routing.NewIndexedRouter(cfg.Strategy),
 		peers:  make(map[message.NodeID]bool),
 		ports:  make(map[message.NodeID]bool),
 	}
 	for _, p := range cfg.Peers {
 		b.peers[p] = true
-	}
-	if cfg.Advertisements {
-		b.router.EnableAdvertisements()
 	}
 	return b
 }
@@ -300,45 +286,6 @@ func (b *Broker) dispatch(from message.NodeID, m proto.Message) {
 		b.handleSubscribe(from, m)
 	case proto.KUnsubscribe:
 		b.handleUnsubscribe(from, m)
-	case proto.KAdvertise:
-		if m.Sub != nil {
-			// Same mesh discipline as handleSubscribe: replays never flip,
-			// re-anchor waves flip toward arrival and propagate
-			// unconditionally over the remaining tree links.
-			if b.mesh != nil && m.Stale {
-				if e, ok := b.router.AdvTable().Get(m.Sub.ID); ok && e.Link != from {
-					return
-				}
-			}
-			if b.mesh != nil && m.Fresh {
-				// Same wave dedup + anchor immunity as handleSubscribe.
-				key := "a|" + string(m.Origin) + "|" + string(m.Sub.ID)
-				if m.Epoch <= b.waves[key] {
-					return
-				}
-				b.waves[key] = m.Epoch
-				if e, ok := b.router.AdvTable().Get(m.Sub.ID); ok && !b.mesh.IsMember(e.Link) {
-					return
-				}
-				b.stats.SubsProcessed++
-				adv := *m.Sub
-				b.router.Advertise(adv, from, b.Peers())
-				fw := proto.Message{Kind: proto.KAdvertise, Sub: &adv, Origin: m.Origin, Epoch: m.Epoch, Fresh: true}
-				for p := range b.peers {
-					if p != from {
-						b.Send(p, fw)
-					}
-				}
-				return
-			}
-			b.stats.SubsProcessed++
-			b.emitForwards(b.router.Advertise(*m.Sub, from, b.Peers()))
-		}
-	case proto.KUnadvertise:
-		if m.Sub != nil {
-			b.stats.SubsProcessed++
-			b.emitForwards(b.router.Unadvertise(m.Sub.ID, b.Peers()))
-		}
 	case proto.KConnect:
 		// No session layer claimed the client — the naive baseline of
 		// reconnect-and-resubscribe: its static profile is installed
@@ -487,35 +434,17 @@ func (b *Broker) routePublish(from message.NodeID, m proto.Message) {
 
 	var buf [4]routing.LinkMatch
 	deliver := buf[:0] // on the stack unless more than four ports match
-	if b.router.Strategy() == routing.StrategyFlooding {
-		// Broadcast along the overlay; deliver to matching local ports.
-		for p := range b.peers {
-			if p == from {
-				continue
-			}
+	for _, lm := range b.matchPublish(&m, from) {
+		switch {
+		case b.peers[lm.Link]:
 			fw := m
 			fw.Hops++
 			b.stats.Forwarded++
-			b.Send(p, fw)
-		}
-		for _, lm := range b.matchPublish(&m, from) {
-			if b.ports[lm.Link] {
-				deliver = append(deliver, lm)
-			}
-		}
-	} else {
-		for _, lm := range b.matchPublish(&m, from) {
-			switch {
-			case b.peers[lm.Link]:
-				fw := m
-				fw.Hops++
-				b.stats.Forwarded++
-				b.Send(lm.Link, fw)
-			case b.ports[lm.Link]:
-				deliver = append(deliver, lm)
-			default:
-				// A stale entry for a detached port: skip.
-			}
+			b.Send(lm.Link, fw)
+		case b.ports[lm.Link]:
+			deliver = append(deliver, lm)
+		default:
+			// A stale entry for a detached port: skip.
 		}
 	}
 	b.deliverPublish(&m, deliver)
@@ -563,7 +492,7 @@ func (b *Broker) handleSubscribe(from message.NodeID, m proto.Message) {
 		// visit; and a broker holding the entry at a client port IS the
 		// anchor — an echo of its own wave (or a rival's) never flips
 		// the anchored direction.
-		key := "s|" + string(m.Origin) + "|" + string(sub.ID)
+		key := string(m.Origin) + "|" + string(sub.ID)
 		if m.Epoch <= b.waves[key] {
 			return
 		}
@@ -640,23 +569,17 @@ func (b *Broker) RemoveSub(id message.SubID) {
 }
 
 // SyncInstalls returns the routing state to replay to a peer on overlay
-// link (re-)establishment: every routing-table subscription and every
-// advertisement not learned from that peer itself. Together with
-// ApplySyncInstalls on the receiving side it makes broker start order
-// irrelevant — installs that were forwarded into a down link are
-// re-delivered by the handshake replay.
-func (b *Broker) SyncInstalls(peer message.NodeID) (subs, advs []proto.Subscription) {
+// link (re-)establishment: every routing-table subscription not learned
+// from that peer itself. Together with ApplySyncInstalls on the receiving
+// side it makes broker start order irrelevant — installs that were
+// forwarded into a down link are re-delivered by the handshake replay.
+func (b *Broker) SyncInstalls(peer message.NodeID) (subs []proto.Subscription) {
 	for _, e := range b.router.Table().Entries() {
 		if e.Link != peer {
 			subs = append(subs, e.Sub)
 		}
 	}
-	for _, e := range b.router.AdvTable().Entries() {
-		if e.Link != peer {
-			advs = append(advs, e.Sub)
-		}
-	}
-	return subs, advs
+	return subs
 }
 
 // ApplySyncInstalls reconciles a peer's handshake replay into local
@@ -664,10 +587,10 @@ func (b *Broker) SyncInstalls(peer message.NodeID) (subs, advs []proto.Subscript
 // previously learned from the peer but absent from the replay are
 // unsubscribed (propagating the removals — the peer processed an
 // unsubscription while the link was down), and every replayed install
-// runs through the normal subscribe/advertise path, which re-installs
+// runs through the normal subscribe path, which re-installs
 // idempotently (unchanged entries produce no forwards) and propagates
 // anything new further into the overlay.
-func (b *Broker) ApplySyncInstalls(peer message.NodeID, subs, advs []proto.Subscription) {
+func (b *Broker) ApplySyncInstalls(peer message.NodeID, subs []proto.Subscription) {
 	present := make(map[message.SubID]bool, len(subs))
 	for _, s := range subs {
 		present[s.ID] = true
@@ -678,24 +601,9 @@ func (b *Broker) ApplySyncInstalls(peer message.NodeID, subs, advs []proto.Subsc
 			b.emitForwards(b.router.Unsubscribe(e.Sub.ID, b.Peers()))
 		}
 	}
-	presentAdv := make(map[message.SubID]bool, len(advs))
-	for _, a := range advs {
-		presentAdv[a.ID] = true
-	}
-	for _, e := range b.router.AdvTable().ByLink(peer) {
-		if !presentAdv[e.Sub.ID] {
-			b.stats.SubsProcessed++
-			b.emitForwards(b.router.Unadvertise(e.Sub.ID, b.Peers()))
-		}
-	}
-	// Advertisements first: under advertisement-based routing they gate
-	// which of the replayed subscriptions propagate. Replays are marked
-	// Stale so mesh brokers can tell them from fresh directional claims:
-	// a replay flips stale broker-link routes onto the new tree but never
-	// steals a port-anchored entry (see handleSubscribe).
-	for i := range advs {
-		b.HandleMessage(peer, proto.Message{Kind: proto.KAdvertise, Sub: &advs[i], Origin: peer, Stale: true})
-	}
+	// Replays are marked Stale so mesh brokers can tell them from fresh
+	// directional claims: a replay flips stale broker-link routes onto the
+	// new tree but never steals a port-anchored entry (see handleSubscribe).
 	for i := range subs {
 		b.HandleMessage(peer, proto.Message{Kind: proto.KSubscribe, Sub: &subs[i], Origin: peer, Stale: true})
 	}
@@ -703,34 +611,22 @@ func (b *Broker) ApplySyncInstalls(peer message.NodeID, subs, advs []proto.Subsc
 
 // emitForwards sends a router call's forwards. The messages share one heap
 // copy per subscription: one call reads one table state, so its forwards
-// for an ID (in the subscription or the advertisement table) all carry the
-// same Subscription, and a received Sub is never written through.
+// for an ID all carry the same Subscription, and a received Sub is never
+// written through.
 func (b *Broker) emitForwards(fws []routing.Forward) {
-	type shared struct {
-		adv bool
-		sub *proto.Subscription
-	}
-	var buf [4]shared
+	var buf [4]*proto.Subscription
 	copies := buf[:0]
 	for _, f := range fws {
-		i := slices.IndexFunc(copies, func(c shared) bool { return c.adv == f.Advertisement && c.sub.ID == f.Sub.ID })
+		i := slices.IndexFunc(copies, func(s *proto.Subscription) bool { return s.ID == f.Sub.ID })
 		if i < 0 {
 			s := f.Sub
-			i, copies = len(copies), append(copies, shared{adv: f.Advertisement, sub: &s})
+			i, copies = len(copies), append(copies, &s)
 		}
-		sub := copies[i].sub
-		var kind proto.Kind
-		switch {
-		case f.Advertisement && f.Unsub:
-			kind = proto.KUnadvertise
-		case f.Advertisement:
-			kind = proto.KAdvertise
-		case f.Unsub:
+		kind := proto.KSubscribe
+		if f.Unsub {
 			kind = proto.KUnsubscribe
-		default:
-			kind = proto.KSubscribe
 		}
-		b.Send(f.Link, proto.Message{Kind: kind, Sub: sub, Origin: b.cfg.ID})
+		b.Send(f.Link, proto.Message{Kind: kind, Sub: copies[i], Origin: b.cfg.ID})
 	}
 }
 

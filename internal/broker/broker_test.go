@@ -245,24 +245,6 @@ func TestOverlappingSubsDeliverOnce(t *testing.T) {
 	}
 }
 
-func TestFloodingDeliversWithoutForwardedSubs(t *testing.T) {
-	h := newHarness(t, lineTopo(4), routing.StrategyFlooding)
-	h.connect("c", "D")
-	h.subscribe("c", "D", "s1", filter.New(filter.Eq("k", message.Int(1))))
-	// No subscription should have been forwarded.
-	for _, id := range []message.NodeID{"A", "B", "C"} {
-		if h.brokers[id].Router().Table().Len() != 0 {
-			t.Errorf("broker %s should have no entries under flooding", id)
-		}
-	}
-	h.connect("p", "A")
-	h.publish("p", "A", 1, attrInt("k", 1))
-	h.publish("p", "A", 2, attrInt("k", 2))
-	if got := h.delivered("c"); len(got) != 1 {
-		t.Errorf("flooding delivered %d, want 1", len(got))
-	}
-}
-
 func TestCoveringRoutingDeliversSame(t *testing.T) {
 	run := func(strategy routing.Strategy) []message.Notification {
 		h := newHarness(t, lineTopo(5), strategy)
@@ -411,9 +393,6 @@ func TestPluginInterceptsDeliver(t *testing.T) {
 
 func TestBrokerDefaults(t *testing.T) {
 	b := New(Config{ID: "X", Send: func(message.NodeID, proto.Message) {}})
-	if b.Router().Strategy() != routing.StrategySimple {
-		t.Error("default strategy should be simple")
-	}
 	if b.Now().IsZero() {
 		t.Error("default clock should be wall time")
 	}

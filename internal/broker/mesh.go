@@ -539,19 +539,8 @@ func (b *Broker) reanchor() {
 			continue
 		}
 		sub := e.Sub
-		b.waves["s|"+string(b.cfg.ID)+"|"+string(sub.ID)] = b.waveSeq
+		b.waves[string(b.cfg.ID)+"|"+string(sub.ID)] = b.waveSeq
 		fw := proto.Message{Kind: proto.KSubscribe, Sub: &sub, Origin: b.cfg.ID, Epoch: b.waveSeq, Fresh: true}
-		for p := range b.peers {
-			b.Send(p, fw)
-		}
-	}
-	for _, e := range b.router.AdvTable().Entries() {
-		if b.mesh.IsMember(e.Link) {
-			continue
-		}
-		adv := e.Sub
-		b.waves["a|"+string(b.cfg.ID)+"|"+string(adv.ID)] = b.waveSeq
-		fw := proto.Message{Kind: proto.KAdvertise, Sub: &adv, Origin: b.cfg.ID, Epoch: b.waveSeq, Fresh: true}
 		for p := range b.peers {
 			b.Send(p, fw)
 		}

@@ -411,22 +411,6 @@ func (c *Client) Subscriptions() []proto.Subscription {
 	return append([]proto.Subscription(nil), c.subs...)
 }
 
-// Advertise announces the notification space this client will publish
-// into (advertisement-based routing). Returns the advertisement's ID.
-func (c *Client) Advertise(f filter.Filter) message.SubID {
-	c.mu.Lock()
-	c.nextSubID++
-	id := message.SubID(fmt.Sprintf("%s/a%d", c.id, c.nextSubID))
-	c.mu.Unlock()
-	c.send(proto.Message{Kind: proto.KAdvertise, Client: c.id, Sub: &proto.Subscription{ID: id, Filter: f}})
-	return id
-}
-
-// Unadvertise withdraws an advertisement.
-func (c *Client) Unadvertise(id message.SubID) {
-	c.send(proto.Message{Kind: proto.KUnadvertise, Client: c.id, Sub: &proto.Subscription{ID: id}})
-}
-
 // Publish emits a notification and returns its assigned ID: the next
 // sequence number, stamped with the publish time. It needs a connection
 // (ErrNotConnected otherwise) and fails with the transport's send error.

@@ -18,7 +18,7 @@
 //	           credits:varint
 //	           [sub:subscription]           (flags&2)
 //	           subs:list<subscription>
-//	           advs:list<subscription>
+//	           retired:list<subscription>
 //	           watermarks:list<string uvarint>
 //	           reserved:uvarint epoch:uvarint hops:varint
 //	           [path:list<string uint64le>] (flags&16, version 2)
@@ -29,6 +29,8 @@
 // traced bit on links whose handshake negotiated version ≥ 2 — the trail
 // is stripped for older peers. reserved is written 0 and skipped on
 // decode: it held a handover flush wave's ID, a protocol since retired.
+// retired is written empty and its entries are read and discarded: it
+// held a sync handshake's advertisement table, also retired.
 // Strings are uvarint-length prefixed; lists are uvarint-count prefixed;
 // varint is the zig-zag signed encoding. A notification is
 // publisher+seq+timestamp+attribute list; a value is a one-byte kind tag
@@ -328,10 +330,7 @@ func AppendMessage(b []byte, m *proto.Message) []byte {
 	for _, s := range m.Subs {
 		b = appendSubscription(b, s)
 	}
-	b = binary.AppendUvarint(b, uint64(len(m.Advs)))
-	for _, s := range m.Advs {
-		b = appendSubscription(b, s)
-	}
+	b = append(b, 0) // retired: an empty advertisement list
 	b = binary.AppendUvarint(b, uint64(len(m.Watermarks)))
 	for node, seq := range m.Watermarks {
 		b = appendString(b, string(node))
@@ -753,11 +752,8 @@ func decodeMessage(data []byte, names *Interner, relay bool) (proto.Message, err
 			m.Subs = append(m.Subs, r.subscription())
 		}
 	}
-	if cnt := r.count(2); cnt > 0 {
-		m.Advs = make([]proto.Subscription, 0, cnt)
-		for i := 0; i < cnt && r.err == nil; i++ {
-			m.Advs = append(m.Advs, r.subscription())
-		}
+	for i, cnt := 0, r.count(2); i < cnt && r.err == nil; i++ {
+		r.subscription() // retired slot
 	}
 	if cnt := r.count(2); cnt > 0 {
 		m.Watermarks = make(map[message.NodeID]uint64, cnt)

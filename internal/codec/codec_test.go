@@ -53,8 +53,7 @@ func sampleMessages() []proto.Message {
 			m.SubIDs = []message.SubID{"alice/s1", "alice/s2"}
 		case proto.KPublishBatch, proto.KRelocTail, proto.KBufferFetchReply:
 			m.Notes = []message.Notification{sampleNote(1), sampleNote(2)}
-		case proto.KSubscribe, proto.KUnsubscribe, proto.KReplicaSub, proto.KReplicaUnsub,
-			proto.KAdvertise, proto.KUnadvertise:
+		case proto.KSubscribe, proto.KUnsubscribe, proto.KReplicaSub, proto.KReplicaUnsub:
 			m.Sub = &sub
 		case proto.KConnect:
 			m.Subs = []proto.Subscription{sub, all}
@@ -75,8 +74,7 @@ func sampleMessages() []proto.Message {
 			m.Subs = []proto.Subscription{sub}
 		case proto.KHello, proto.KSyncInstall:
 			m.Epoch = 12
-			m.Subs = []proto.Subscription{sub}
-			m.Advs = []proto.Subscription{all}
+			m.Subs = []proto.Subscription{sub, all}
 		}
 		m.Hops = int(k)
 		out = append(out, m)

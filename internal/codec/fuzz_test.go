@@ -87,11 +87,6 @@ func hasNaN(m *proto.Message) bool {
 			return true
 		}
 	}
-	for i := range m.Advs {
-		if subNaN(&m.Advs[i]) {
-			return true
-		}
-	}
 	return false
 }
 

@@ -1,7 +1,7 @@
 // Package filter implements the content-based filter language of REBECA
 // (§2): boolean-valued predicates over entire notification contents,
-// composed into conjunctive filters, together with the covering, overlap and
-// merging relations used by the routing optimizations, and the location
+// composed into conjunctive filters, together with the covering relation
+// used by the routing optimization, and the location
 // marker ("myloc") that makes subscriptions location dependent (§1).
 package filter
 
@@ -326,65 +326,6 @@ func rangeCovers(c, d Constraint) bool {
 		}
 	}
 	return false
-}
-
-// DisjointWith reports whether the two constraints on the same attribute
-// provably cannot both match one notification. Used by the overlap check.
-// Conservative: false means "may overlap".
-func (c Constraint) DisjointWith(d Constraint) bool {
-	if c.Attr != d.Attr {
-		return false
-	}
-	// Equality against ranges or other equalities.
-	if c.Op == OpEq && d.Op != OpMyloc {
-		return !d.matchesValue(c.Val)
-	}
-	if d.Op == OpEq && c.Op != OpMyloc {
-		return !c.matchesValue(d.Val)
-	}
-	if c.Op == OpIn && d.Op != OpMyloc {
-		for _, v := range c.Set {
-			if d.matchesValue(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if d.Op == OpIn && c.Op != OpMyloc {
-		for _, v := range d.Set {
-			if c.matchesValue(v) {
-				return false
-			}
-		}
-		return true
-	}
-	// Opposed open ranges: x < a vs x > b with a <= b, etc.
-	lowish := func(o Op) bool { return o == OpLt || o == OpLe }
-	highish := func(o Op) bool { return o == OpGt || o == OpGe }
-	if lowish(c.Op) && highish(d.Op) {
-		return rangesDisjoint(c, d)
-	}
-	if highish(c.Op) && lowish(d.Op) {
-		return rangesDisjoint(d, c)
-	}
-	return false
-}
-
-// rangesDisjoint reports whether upper bound lo ("x < a"/"x <= a") and lower
-// bound hi ("x > b"/"x >= b") exclude each other.
-func rangesDisjoint(lo, hi Constraint) bool {
-	cmp, ok := lo.Val.Compare(hi.Val)
-	if !ok {
-		return false
-	}
-	if cmp < 0 {
-		return true // a < b: x<a and x>b disjoint regardless of strictness
-	}
-	if cmp > 0 {
-		return false
-	}
-	// a == b: disjoint unless both bounds are inclusive.
-	return !(lo.Op == OpLe && hi.Op == OpGe)
 }
 
 // String renders the constraint, e.g. `temp <= 21`.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 
 	"rebeca/internal/message"
@@ -16,9 +15,9 @@ import (
 const AttrLocation = "location"
 
 // Filter is a conjunction of constraints: a notification matches iff it
-// satisfies every constraint. The empty filter matches everything (it is the
-// "true" filter used by the flooding baseline). Filters are immutable after
-// construction; all combinators return new filters.
+// satisfies every constraint. The empty filter matches everything (the
+// "true" filter). Filters are immutable after construction; all
+// combinators return new filters.
 type Filter struct {
 	cs []Constraint
 }
@@ -139,23 +138,6 @@ func (f Filter) Covers(g Filter) bool {
 	return true
 }
 
-// Equivalent reports mutual covering.
-func (f Filter) Equivalent(g Filter) bool { return f.Covers(g) && g.Covers(f) }
-
-// Overlaps reports whether f and g may both match some notification.
-// Conservative in the other direction than Covers: it returns false only
-// when the filters are provably disjoint on some shared attribute.
-func (f Filter) Overlaps(g Filter) bool {
-	for _, c := range f.cs {
-		for _, d := range g.cs {
-			if c.DisjointWith(d) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // And returns the conjunction of two filters.
 func (f Filter) And(g Filter) Filter {
 	return New(append(f.Constraints(), g.Constraints()...)...)
@@ -240,121 +222,4 @@ func (f Filter) ResolveMyloc(scope []string) Filter {
 // it appends the myloc marker on the conventional location attribute.
 func AtLocation(cs ...Constraint) Filter {
 	return New(append(cs, Constraint{Attr: AttrLocation, Op: OpMyloc})...)
-}
-
-// Merge attempts a perfect merger of two filters (routing optimization,
-// §2 "covering and merging"): if the filters are identical except on one
-// attribute whose constraints can be unioned exactly, the merged filter is
-// returned with ok=true. Mergers are exact: the result matches precisely
-// the union of the operands' matches.
-func Merge(f, g Filter) (Filter, bool) {
-	if f.Covers(g) {
-		return f, true
-	}
-	if g.Covers(f) {
-		return g, true
-	}
-	if len(f.cs) != len(g.cs) {
-		return Filter{}, false
-	}
-	diff := -1
-	for i := range f.cs {
-		if f.cs[i].Attr != g.cs[i].Attr {
-			return Filter{}, false
-		}
-		if constraintEqual(f.cs[i], g.cs[i]) {
-			continue
-		}
-		if diff >= 0 {
-			return Filter{}, false // differs on more than one constraint
-		}
-		diff = i
-	}
-	if diff < 0 {
-		return f, true // identical
-	}
-	merged, ok := unionConstraints(f.cs[diff], g.cs[diff])
-	if !ok {
-		return Filter{}, false
-	}
-	cs := f.Constraints()
-	cs[diff] = merged
-	return New(cs...), true
-}
-
-// unionConstraints unions two same-attribute constraints exactly when the
-// union is expressible as a single constraint.
-func unionConstraints(c, d Constraint) (Constraint, bool) {
-	if c.Covers(d) {
-		return c, true
-	}
-	if d.Covers(c) {
-		return d, true
-	}
-	// Eq ∪ Eq, Eq ∪ In, In ∪ In  ->  In.
-	toSet := func(x Constraint) ([]message.Value, bool) {
-		switch x.Op {
-		case OpEq:
-			return []message.Value{x.Val}, true
-		case OpIn:
-			return x.Set, true
-		default:
-			return nil, false
-		}
-	}
-	if cs, ok := toSet(c); ok {
-		if ds, ok := toSet(d); ok {
-			out := make([]message.Value, 0, len(cs)+len(ds))
-			out = append(out, cs...)
-			for _, v := range ds {
-				dup := false
-				for _, w := range out {
-					if w.Equal(v) {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					out = append(out, v)
-				}
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-			return Constraint{Attr: c.Attr, Op: OpIn, Set: out}, true
-		}
-	}
-	// Overlapping or touching ranges of the same direction are handled by
-	// the Covers fast path above; opposed ranges (x<a ∪ x>b with b<=a)
-	// union to "exists".
-	lowish := func(o Op) bool { return o == OpLt || o == OpLe }
-	highish := func(o Op) bool { return o == OpGt || o == OpGe }
-	lo, hi := c, d
-	if highish(c.Op) && lowish(d.Op) {
-		lo, hi = d, c
-	}
-	if lowish(lo.Op) && highish(hi.Op) {
-		if cmp, ok := hi.Val.Compare(lo.Val); ok {
-			if cmp < 0 || (cmp == 0 && (lo.Op == OpLe || hi.Op == OpGe)) {
-				return Constraint{Attr: c.Attr, Op: OpExists}, true
-			}
-		}
-	}
-	return Constraint{}, false
-}
-
-func constraintEqual(c, d Constraint) bool {
-	if c.Attr != d.Attr || c.Op != d.Op {
-		return false
-	}
-	if len(c.Set) != len(d.Set) {
-		return false
-	}
-	for i := range c.Set {
-		if !c.Set[i].Equal(d.Set[i]) {
-			return false
-		}
-	}
-	if c.Val.IsValid() != d.Val.IsValid() {
-		return false
-	}
-	return !c.Val.IsValid() || c.Val.Equal(d.Val)
 }

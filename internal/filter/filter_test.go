@@ -248,121 +248,6 @@ func TestCoversSoundProperty(t *testing.T) {
 	}
 }
 
-// Property: overlap is complete — if some notification matches both filters,
-// Overlaps must be true (it may only err towards true).
-func TestOverlapsCompleteProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 3000; i++ {
-		f := randomSimpleFilter(r)
-		g := randomSimpleFilter(r)
-		if f.Overlaps(g) {
-			continue
-		}
-		for j := 0; j < 100; j++ {
-			n := randomSmallNote(r)
-			if f.Matches(n) && g.Matches(n) {
-				t.Fatalf("overlap incomplete: f=%s g=%s n=%s", f, g, n)
-			}
-		}
-	}
-}
-
-func TestOverlapsDisjointRanges(t *testing.T) {
-	f := New(Lt("a", message.Int(3)))
-	g := New(Gt("a", message.Int(5)))
-	if f.Overlaps(g) {
-		t.Error("x<3 and x>5 should be disjoint")
-	}
-	h := New(Ge("a", message.Int(3)))
-	if !f.Overlaps(New(Lt("a", message.Int(10)))) {
-		t.Error("overlapping ranges misreported")
-	}
-	// Touching bounds: x<3 and x>=3 disjoint; x<=3 and x>=3 overlap.
-	if f.Overlaps(h) {
-		t.Error("x<3 and x>=3 should be disjoint")
-	}
-	if !New(Le("a", message.Int(3))).Overlaps(h) {
-		t.Error("x<=3 and x>=3 overlap at 3")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	f := New(Eq("svc", message.String("t")), Eq("loc", message.String("r1")))
-	g := New(Eq("svc", message.String("t")), Eq("loc", message.String("r2")))
-	m, ok := Merge(f, g)
-	if !ok {
-		t.Fatal("merge of eq/eq on one attr should succeed")
-	}
-	n1 := note(map[string]message.Value{"svc": message.String("t"), "loc": message.String("r1")})
-	n2 := note(map[string]message.Value{"svc": message.String("t"), "loc": message.String("r2")})
-	n3 := note(map[string]message.Value{"svc": message.String("t"), "loc": message.String("r3")})
-	if !m.Matches(n1) || !m.Matches(n2) {
-		t.Error("merged filter must match both operands' notifications")
-	}
-	if m.Matches(n3) {
-		t.Error("merger must be perfect, not a widening")
-	}
-}
-
-func TestMergeCoveringFastPath(t *testing.T) {
-	f := New(Lt("a", message.Int(10)))
-	g := New(Lt("a", message.Int(5)))
-	m, ok := Merge(f, g)
-	if !ok || !m.Equivalent(f) {
-		t.Error("merge should return the covering filter")
-	}
-}
-
-func TestMergeRejectsTwoDifferences(t *testing.T) {
-	f := New(Eq("a", message.Int(1)), Eq("b", message.Int(1)))
-	g := New(Eq("a", message.Int(2)), Eq("b", message.Int(2)))
-	if _, ok := Merge(f, g); ok {
-		t.Error("filters differing in two constraints must not merge")
-	}
-}
-
-func TestMergeOpposedRangesToExists(t *testing.T) {
-	f := New(Le("a", message.Int(5)))
-	g := New(Ge("a", message.Int(5)))
-	m, ok := Merge(f, g)
-	if !ok {
-		t.Fatal("x<=5 ∪ x>=5 should merge to exists(x)")
-	}
-	if !m.Matches(note(map[string]message.Value{"a": message.Int(100)})) {
-		t.Error("merged filter should behave as exists")
-	}
-	// Gap between ranges must not merge.
-	if _, ok := Merge(New(Lt("a", message.Int(3))), New(Gt("a", message.Int(5)))); ok {
-		t.Error("ranges with a gap must not merge")
-	}
-}
-
-// Property: merging is perfect — merged matches exactly f∪g.
-func TestMergePerfectProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	merged := 0
-	for i := 0; i < 20000 && merged < 1000; i++ {
-		f := randomSimpleFilter(r)
-		g := randomSimpleFilter(r)
-		m, ok := Merge(f, g)
-		if !ok {
-			continue
-		}
-		merged++
-		for j := 0; j < 40; j++ {
-			n := randomSmallNote(r)
-			want := f.Matches(n) || g.Matches(n)
-			if got := m.Matches(n); got != want {
-				t.Fatalf("imperfect merge: f=%s g=%s m=%s n=%s got=%v want=%v",
-					f, g, m, n, got, want)
-			}
-		}
-	}
-	if merged < 50 {
-		t.Fatalf("too few merges exercised: %d", merged)
-	}
-}
-
 func TestLocationDependentAndResolve(t *testing.T) {
 	f := AtLocation(Eq("service", message.String("temperature")))
 	if !f.LocationDependent() {
@@ -410,16 +295,5 @@ func TestConstraintsReturnsCopy(t *testing.T) {
 	cs[0] = Eq("a", message.Int(99))
 	if !f.Matches(note(map[string]message.Value{"a": message.Int(1)})) {
 		t.Error("mutating Constraints() result affected the filter")
-	}
-}
-
-func TestEquivalent(t *testing.T) {
-	a := New(Eq("x", message.Int(1)), Eq("y", message.Int(2)))
-	b := New(Eq("y", message.Int(2)), Eq("x", message.Int(1)))
-	if !a.Equivalent(b) {
-		t.Error("reordered filters should be equivalent")
-	}
-	if a.Equivalent(New(Eq("x", message.Int(1)))) {
-		t.Error("different filters misreported equivalent")
 	}
 }

@@ -39,8 +39,8 @@
 // (reconnect-and-resubscribe) is a broker with no manager at all: its
 // default handling installs a connecting client's profile and withdraws it
 // on disconnect. ModeJEDI (explicit moveOut/moveIn, related work [2]) is
-// this manager with the ordering turned off, the way WithLinearMatching is
-// routing's ablation: no relocating-out state and so no tap, no
+// this manager with the ordering turned off, the way covering is E3's
+// routing ablation: no relocating-out state and so no tap, no
 // KRelocActivate or KRelocTail. b1 withdraws c's entries as it ships the
 // profile, so a note routed toward b1 before b2's flips is lost. A JEDI
 // session runs through everything else here (connect, ghost buffering, the

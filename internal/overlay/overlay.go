@@ -15,12 +15,12 @@
 //   - handshaking: the physical link is up; the two ends run the
 //     versioned sync handshake. Each side sends a KHello stamped with
 //     its handshake generation; each side answers a KHello with a
-//     KSyncInstall replaying its local routing installs (subscriptions
-//     and advertisements) and echoing the hello's generation. A side is
-//     established once it receives a KSyncInstall matching its current
-//     generation; stale replies from superseded link generations are
-//     discarded. A handshake that does not complete within the
-//     heartbeat timeout tears the link down and starts over.
+//     KSyncInstall replaying its local routing installs (subscriptions)
+//     and echoing the hello's generation. A side is established once it
+//     receives a KSyncInstall matching its current generation; stale
+//     replies from superseded link generations are discarded. A
+//     handshake that does not complete within the heartbeat timeout
+//     tears the link down and starts over.
 //   - established: the link carries traffic. Messages queued while the
 //     link was down flush first (before the peer's replay is applied, so
 //     per-link FIFO order vs. the sender's earlier sync reply holds),
@@ -192,10 +192,10 @@ type Config struct {
 	Schedule func(d time.Duration, fn func()) (cancel func())
 	// SyncState returns the local installs to replay to the peer on
 	// link establishment (the broker's SyncInstalls).
-	SyncState func(peer message.NodeID) (subs, advs []proto.Subscription)
+	SyncState func(peer message.NodeID) []proto.Subscription
 	// ApplySync reconciles the peer's replayed installs into local
 	// routing state (the broker's ApplySyncInstalls).
-	ApplySync func(peer message.NodeID, subs, advs []proto.Subscription)
+	ApplySync func(peer message.NodeID, subs []proto.Subscription)
 	// Spill, when non-nil, extends every link's pending queue onto
 	// persistent storage: messages evicted by PendingCap move to a
 	// per-link store queue ("ovl/<self>/<peer>") instead of being
@@ -550,13 +550,13 @@ func (m *Manager) HandleControl(peer message.NodeID, gen uint64, msg proto.Messa
 			return true
 		}
 		m.mu.Unlock()
-		var subs, advs []proto.Subscription
+		var subs []proto.Subscription
 		if m.cfg.SyncState != nil {
-			subs, advs = m.cfg.SyncState(peer)
+			subs = m.cfg.SyncState(peer)
 		}
 		m.transmit(peer, curGen, proto.Message{
 			Kind: proto.KSyncInstall, Origin: m.cfg.Self,
-			Epoch: msg.Epoch, Subs: subs, Advs: advs,
+			Epoch: msg.Epoch, Subs: subs,
 		})
 	case proto.KSyncInstall:
 		if l.state == StateEstablished && msg.Epoch == curGen {
@@ -566,7 +566,7 @@ func (m *Manager) HandleControl(peer message.NodeID, gen uint64, msg proto.Messa
 			// resets.
 			m.mu.Unlock()
 			if m.cfg.ApplySync != nil {
-				m.cfg.ApplySync(peer, msg.Subs, msg.Advs)
+				m.cfg.ApplySync(peer, msg.Subs)
 			}
 			return true
 		}
@@ -587,7 +587,7 @@ func (m *Manager) HandleControl(peer message.NodeID, gen uint64, msg proto.Messa
 		l.cancelHB = m.schedule(m.set.HeartbeatInterval, func() { m.heartbeatTick(peer, curGen) })
 		m.mu.Unlock()
 		m.observe(peer, from, StateEstablished,
-			fmt.Sprintf("synced (%d installs replayed by peer)", len(msg.Subs)+len(msg.Advs)))
+			fmt.Sprintf("synced (%d installs replayed by peer)", len(msg.Subs)))
 		// The spilled backlog is strictly older than the in-memory pending
 		// queue (eviction moves the pending head to the spill tail), so it
 		// replays first. A mid-drain transmit failure marks the link down;
@@ -611,7 +611,7 @@ func (m *Manager) HandleControl(peer message.NodeID, gen uint64, msg proto.Messa
 			}
 		}
 		if m.cfg.ApplySync != nil {
-			m.cfg.ApplySync(peer, msg.Subs, msg.Advs)
+			m.cfg.ApplySync(peer, msg.Subs)
 		}
 	}
 	return true

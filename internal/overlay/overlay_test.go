@@ -79,10 +79,10 @@ func newHarness(t *testing.T, mut ...func(self message.NodeID, c *Config)) *harn
 				h.timers = append(h.timers, ft)
 				return func() { ft.cancelled = true }
 			},
-			SyncState: func(message.NodeID) ([]proto.Subscription, []proto.Subscription) {
-				return h.installs[s], nil
+			SyncState: func(message.NodeID) []proto.Subscription {
+				return h.installs[s]
 			},
-			ApplySync: func(_ message.NodeID, subs, _ []proto.Subscription) {
+			ApplySync: func(_ message.NodeID, subs []proto.Subscription) {
 				h.applied[s] = append(h.applied[s], subs)
 			},
 			Observer: func(ev Event) { h.events = append(h.events, ev) },

@@ -32,15 +32,15 @@ const (
 	// and routing semantics are unchanged — only the client->border framing
 	// is amortized.
 	KPublishBatch
-	// KSubscribe installs a subscription; forwarded per routing strategy.
+	// KSubscribe installs a subscription and is forwarded along the overlay.
 	KSubscribe
 	// KUnsubscribe removes a subscription.
 	KUnsubscribe
-	// KAdvertise announces a publisher's notification space; under
-	// advertisement-based routing it gates subscription forwarding.
-	KAdvertise
-	// KUnadvertise withdraws an advertisement.
-	KUnadvertise
+	// Two reserved kinds: an advertisement and its withdrawal held these
+	// numbers. They stay taken so every later kind keeps its wire number;
+	// a broker drops them like any kind no stage claims.
+	_
+	_
 
 	// --- client session (client <-> border broker) ---
 
@@ -108,9 +108,9 @@ const (
 	KHello
 	// KSyncInstall replays the sender's local routing installs to the peer:
 	// Subs carries every routing-table subscription not learned from that
-	// peer, Advs the advertisement table likewise, and Epoch echoes the
-	// KHello that solicited the replay. Receiving a matching KSyncInstall
-	// completes the handshake — only then does the link carry traffic.
+	// peer, and Epoch echoes the KHello that solicited the replay.
+	// Receiving a matching KSyncInstall completes the handshake — only
+	// then does the link carry traffic.
 	KSyncInstall
 	// KPing probes an established overlay link (heartbeat failure
 	// detection). Link-local; consumed by the overlay manager.
@@ -146,8 +146,6 @@ var kindNames = map[Kind]string{
 	KCredit:           "credit",
 	KSubscribe:        "subscribe",
 	KUnsubscribe:      "unsubscribe",
-	KAdvertise:        "advertise",
-	KUnadvertise:      "unadvertise",
 	KConnect:          "connect",
 	KDisconnect:       "disconnect",
 	KDeliver:          "deliver",
@@ -181,7 +179,7 @@ func (k Kind) String() string {
 // split for overhead accounting.
 func (k Kind) Control() bool {
 	switch k {
-	case KPublish, KPublishBatch, KSubscribe, KUnsubscribe, KDeliver, KAdvertise, KUnadvertise:
+	case KPublish, KPublishBatch, KSubscribe, KUnsubscribe, KDeliver:
 		return false
 	default:
 		return true
@@ -243,8 +241,6 @@ type Message struct {
 	// Subs carries a subscription profile (KConnect, KRelocProfile,
 	// KReplicaCreate) or the routing-table replay of a KSyncInstall.
 	Subs []Subscription
-	// Advs carries the advertisement-table replay of a KSyncInstall.
-	Advs []Subscription
 	// Watermarks carries per-publisher delivered sequence numbers for
 	// exactly-once replay (KRelocProfile).
 	Watermarks map[message.NodeID]uint64
@@ -312,9 +308,6 @@ func (m Message) WireSize() int {
 	}
 	for i := range m.Subs {
 		size += subSize(&m.Subs[i])
-	}
-	for i := range m.Advs {
-		size += subSize(&m.Advs[i])
 	}
 	size += len(m.Watermarks) * 16
 	for _, id := range m.SubIDs {

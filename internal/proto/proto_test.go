@@ -95,7 +95,6 @@ func oracleWireSize(m Message) int {
 		size += n.WireSize()
 	}
 	subs := append([]Subscription(nil), m.Subs...)
-	subs = append(subs, m.Advs...)
 	if m.Sub != nil {
 		subs = append(subs, *m.Sub)
 	}
@@ -232,9 +231,6 @@ func TestWireSizeMatchesRendering(t *testing.T) {
 		for j := rng.Intn(4); j > 0; j-- {
 			m.Subs = append(m.Subs, pick())
 		}
-		for j := rng.Intn(3); j > 0; j-- {
-			m.Advs = append(m.Advs, pick())
-		}
 		if got, want := m.WireSize(), oracleWireSize(m); got != want {
 			t.Fatalf("WireSize = %d, oracle %d for %+v", got, want, m)
 		}
@@ -260,7 +256,7 @@ func wireSizeCases() []wireSizeCase {
 		{"subscribe", Message{Kind: KSubscribe, From: "mob1", Sub: &Subscription{ID: "mob1#1", Filter: stock}}},
 		{"connect", Message{Kind: KConnect, From: "mob1", Client: "mob1", Origin: "b00",
 			Subs: []Subscription{{ID: "mob1#1", Filter: menu}, {ID: "mob1#2", Filter: stock}}}},
-		{"sync-install", Message{Kind: KSyncInstall, From: "b00", Origin: "b00", Subs: sync, Advs: sync[:5]}},
+		{"sync-install", Message{Kind: KSyncInstall, From: "b00", Origin: "b00", Subs: sync}},
 	}
 }
 

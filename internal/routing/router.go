@@ -15,10 +15,8 @@ import (
 type Forward struct {
 	Link message.NodeID
 	Sub  proto.Subscription
-	// Unsub marks the forward as an unsubscription (or unadvertisement).
+	// Unsub marks the forward as an unsubscription.
 	Unsub bool
-	// Advertisement marks advertisement-table traffic.
-	Advertisement bool
 }
 
 // Router augments a Table with the subscription-forwarding algorithm of the
@@ -33,17 +31,14 @@ type Forward struct {
 type Router struct {
 	table    *Table
 	strategy Strategy
-	// advBased gates subscription forwarding on advertisement overlap.
-	advBased bool
-	// advs is the advertisement table (lazily created).
-	advs *Table
 	// fwd and sent are Subscribe's and Unsubscribe's scratch (see their
 	// aliasing contract).
 	fwd  []Forward
 	sent []message.NodeID
 }
 
-// NewRouter returns a router with an empty, linear-matching table.
+// NewRouter returns a router with an empty, linear-matching table: the
+// tests' reference for NewIndexedRouter, which every broker runs.
 func NewRouter(s Strategy) *Router {
 	return &Router{table: NewTable(), strategy: s}
 }
@@ -58,9 +53,6 @@ func NewIndexedRouter(s Strategy) *Router {
 // Table exposes the underlying routing table (read-mostly access for the
 // broker's matching hot path).
 func (r *Router) Table() *Table { return r.table }
-
-// Strategy returns the configured strategy.
-func (r *Router) Strategy() Strategy { return r.strategy }
 
 // Subscribe records a subscription arriving on fromLink and returns the
 // forwards to emit on the broker's other links (brokerLinks excludes client
@@ -83,16 +75,10 @@ func (r *Router) Strategy() Strategy { return r.strategy }
 // run again, and must not retain it. The broker only hands each forward to
 // its transport, which never re-enters the router.
 func (r *Router) Subscribe(sub proto.Subscription, fromLink message.NodeID, brokerLinks []message.NodeID) []Forward {
-	if r.advBased {
-		return r.subscribeAdvGated(sub, fromLink, brokerLinks)
-	}
 	prev, existed := r.table.Get(sub.ID)
 	relocated := existed && prev.Link != fromLink
 	unchanged := existed && !relocated && sameFilter(prev.Sub.Filter, sub.Filter)
 	slot, _ := r.table.add(sub, fromLink)
-	if r.strategy == StrategyFlooding {
-		return nil
-	}
 	out := r.fwd[:0]
 	for _, link := range brokerLinks {
 		if link == fromLink {

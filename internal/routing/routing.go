@@ -1,9 +1,9 @@
 // Package routing implements the broker routing tables of §2: entries are
 // (filter, link) pairs; a matching notification is forwarded along every
-// link with a matching entry. The basic strategy is simple routing (active
-// filters flood to all other links); the covering optimization suppresses
-// forwarding of subscriptions already covered on a link, and flooding is
-// the strategy-free baseline.
+// link with a matching entry. Brokers route by simple routing (active
+// filters flood to all other links); the covering optimization, which
+// suppresses forwarding of subscriptions already covered on a link, is
+// E3's ablation with static clients.
 package routing
 
 import (
@@ -30,11 +30,9 @@ const (
 	StrategySimple
 	// StrategyCovering suppresses forwarding of subscriptions covered by a
 	// subscription already forwarded on the same link, and un-suppresses
-	// on unsubscription (the "covering" improvement of §2).
+	// on unsubscription (the "covering" improvement of §2). Static clients
+	// only; E3's ablation: it is not relocation-aware.
 	StrategyCovering
-	// StrategyFlooding forwards no subscriptions at all; notifications are
-	// broadcast along the overlay instead (baseline).
-	StrategyFlooding
 )
 
 // String names the strategy.
@@ -44,8 +42,6 @@ func (s Strategy) String() string {
 		return "simple"
 	case StrategyCovering:
 		return "covering"
-	case StrategyFlooding:
-		return "flooding"
 	default:
 		return fmt.Sprintf("strategy(%d)", int(s))
 	}
@@ -89,8 +85,8 @@ type Table struct {
 	// index, when non-nil, answers the Match methods from the
 	// access-predicate matching index, filed under the rows' slots: each
 	// entry's filter is filed under one of its constraints and only the
-	// entries a notification selects are evaluated (the default; linear
-	// scanning remains as the E3 ablation and the tests' reference).
+	// entries a notification selects are evaluated (every broker's table;
+	// linear scanning remains as the tests' reference).
 	index *filter.Index
 
 	// Reusable match scratch; the result slices are recycled across calls
@@ -142,7 +138,8 @@ type linkSeen struct {
 	subs bool
 }
 
-// NewTable returns an empty table using linear matching.
+// NewTable returns an empty table using linear matching: the tests'
+// reference for NewIndexedTable.
 func NewTable() *Table {
 	return &Table{
 		slotOf:  make(map[message.SubID]int),
@@ -268,8 +265,8 @@ func (t *Table) compact() {
 	t.dead = 0
 }
 
-// each calls fn with every row's slot in insertion order. fn may mark and
-// unmark rows but must not add or remove any.
+// each calls fn with every row's slot in insertion order. fn may mark rows
+// but must not add or remove any.
 func (t *Table) each(fn func(slot int)) {
 	for _, h := range t.order {
 		if t.live(h) {
@@ -342,21 +339,6 @@ func (t *Table) mark(slot int, link message.NodeID) {
 		r.over = make(map[int]bool)
 	}
 	r.over[n] = true
-}
-
-// unmark drops the row's mark on the link, if it has one.
-func (t *Table) unmark(slot int, link message.NodeID) {
-	n, ok := t.linkNum[link]
-	r := &t.rows[slot]
-	if !ok || !hasMark(r, n) {
-		return
-	}
-	if n < 64 {
-		r.marks &^= 1 << n
-	} else {
-		delete(r.over, n)
-	}
-	t.linkUnref(n)
 }
 
 // anyMarked reports whether some row other than skip is marked on the link

@@ -130,17 +130,6 @@ func TestRouterSimpleUnsubscribe(t *testing.T) {
 	}
 }
 
-func TestRouterFloodingForwardsNothing(t *testing.T) {
-	r := NewRouter(StrategyFlooding)
-	fw := r.Subscribe(sub("s1", eqF("a", 1)), "L1", []message.NodeID{"L1", "L2"})
-	if len(fw) != 0 {
-		t.Error("flooding must not forward subscriptions")
-	}
-	if r.Table().Len() != 1 {
-		t.Error("flooding still records local entries")
-	}
-}
-
 func TestRouterCoveringSuppression(t *testing.T) {
 	r := NewRouter(StrategyCovering)
 	links := []message.NodeID{"L1", "L2", "L3"}
@@ -285,26 +274,23 @@ func TestRouterFlipBypassesCoveringSuppression(t *testing.T) {
 // TestRouterDropsMarksOfRemovedSubscriptions: an unsubscription must take
 // the subscription's forward marks with it on every link, not only on the
 // links still in brokerLinks. After a tree change took L2 away, a mark
-// left there made an advertisement-gated re-subscription skip L2 when it
-// came back: the unsubscribed entry still counted as forwarded.
+// left there would hold L2's link number for a subscription that is gone.
 func TestRouterDropsMarksOfRemovedSubscriptions(t *testing.T) {
 	r := NewIndexedRouter(StrategySimple)
-	r.EnableAdvertisements()
 	both, left := []message.NodeID{"L1", "L2"}, []message.NodeID{"L1"}
-	r.Advertise(sub("adv", filter.New(filter.Exists("a"))), "L2", both)
 	s := sub("s", eqF("a", 1))
-	if fw := r.Subscribe(s, "port", both); len(fw) != 1 || fw[0].Link != "L2" {
-		t.Fatalf("first subscribe forwards %v, want one on L2", fw)
+	if fw := r.Subscribe(s, "port", both); len(fw) != 2 {
+		t.Fatalf("first subscribe forwards %v, want L1 and L2", fw)
 	}
-	if fw := r.Unsubscribe(s.ID, left); len(fw) != 0 {
-		t.Fatalf("unsubscribe over [L1] forwards %v, want none", fw)
+	if fw := r.Unsubscribe(s.ID, left); len(fw) != 1 || fw[0].Link != "L1" {
+		t.Fatalf("unsubscribe over [L1] forwards %v, want one on L1", fw)
 	}
 	// No row and no mark is left to hold a link number.
 	if len(r.table.linkNum) != 0 {
 		t.Errorf("the emptied table still numbers links %v", r.table.linkNum)
 	}
-	if fw := r.Subscribe(s, "port", both); len(fw) != 1 || fw[0].Link != "L2" {
-		t.Fatalf("re-subscribe after L2 returned forwards %v, want one on L2", fw)
+	if fw := r.Subscribe(s, "port", both); len(fw) != 2 {
+		t.Fatalf("re-subscribe after L2 returned forwards %v, want L1 and L2", fw)
 	}
 }
 
@@ -340,8 +326,7 @@ func TestCoveringNeverLosesDeliveries(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if StrategySimple.String() != "simple" || StrategyCovering.String() != "covering" ||
-		StrategyFlooding.String() != "flooding" {
+	if StrategySimple.String() != "simple" || StrategyCovering.String() != "covering" {
 		t.Error("strategy names wrong")
 	}
 	if Strategy(99).String() == "" {

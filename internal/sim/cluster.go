@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -40,12 +41,9 @@ type ClusterConfig struct {
 	// replicators are deployed.
 	Movement *movement.Graph
 	// Strategy selects the routing algorithm (default simple).
+	// StrategyCovering is E3's ablation with static clients: NewCluster
+	// refuses it beside a mobility or replication layer.
 	Strategy routing.Strategy
-	// Advertisements enables advertisement-based subscription forwarding.
-	Advertisements bool
-	// LinearMatching reverts routing tables to linear scans (the matching
-	// index is the default; this is the E3 ablation knob).
-	LinearMatching bool
 	// Locations maps brokers to logical scopes. Optional.
 	Locations *location.Model
 	// Context resolves generalized context markers per broker (§4).
@@ -179,8 +177,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	} else if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Strategy == routing.StrategyInvalid {
-		cfg.Strategy = routing.StrategySimple
+	if cfg.Strategy == routing.StrategyCovering && (cfg.Mobility != MobilityNone || cfg.Replication != ReplicationNone) {
+		return nil, errors.New("sim: covering routing is not relocation-aware; it runs with static clients only (no mobility or replication layer)")
 	}
 	if cfg.LinkLatency == 0 {
 		cfg.LinkLatency = DefaultLatency
@@ -241,11 +239,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			peerOf[p] = true
 		}
 		b := broker.New(broker.Config{
-			ID:             id,
-			Peers:          adj[id],
-			Strategy:       cfg.Strategy,
-			Advertisements: cfg.Advertisements,
-			LinearMatching: cfg.LinearMatching,
+			ID:       id,
+			Peers:    adj[id],
+			Strategy: cfg.Strategy,
 			Send: func(to message.NodeID, m proto.Message) {
 				// With an overlay deployed, peer links are supervised:
 				// messages for a down link queue and flush after its sync

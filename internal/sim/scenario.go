@@ -13,7 +13,6 @@ import (
 	"rebeca/internal/location"
 	"rebeca/internal/message"
 	"rebeca/internal/movement"
-	"rebeca/internal/routing"
 )
 
 // Scenario describes one experiment run: a movement graph with per-broker
@@ -24,8 +23,6 @@ type Scenario struct {
 	Name string
 	// Graph is the movement graph; the overlay is its spanning tree.
 	Graph *movement.Graph
-	// Strategy selects the routing algorithm (default simple).
-	Strategy routing.Strategy
 	// Replication selects the logical-mobility deployment.
 	Replication ReplicationMode
 	// Mobility selects the physical-mobility deployment (default
@@ -63,9 +60,6 @@ type Scenario struct {
 }
 
 func (s *Scenario) defaults() {
-	if s.Strategy == routing.StrategyInvalid {
-		s.Strategy = routing.StrategySimple
-	}
 	if s.Mobility == MobilityNone {
 		s.Mobility = MobilityTransparent
 	}
@@ -203,7 +197,6 @@ func (s Scenario) Run() (Outcome, error) {
 	tally := &broker.MechanismTally{}
 	cl, err := NewCluster(ClusterConfig{
 		Movement:      s.Graph,
-		Strategy:      s.Strategy,
 		Locations:     locs,
 		Mobility:      s.Mobility,
 		Replication:   s.Replication,

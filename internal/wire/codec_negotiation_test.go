@@ -19,7 +19,6 @@ import (
 	"rebeca/internal/message"
 	"rebeca/internal/overlay"
 	"rebeca/internal/proto"
-	"rebeca/internal/routing"
 )
 
 // legacyHello mirrors the gob handshake frame of the pre-binary releases
@@ -35,10 +34,9 @@ type legacyHello struct {
 func TestLegacyGobPeerRefused(t *testing.T) {
 	// Accept side: a legacy node dials our listener with a gob hello.
 	b := NewNode(NodeConfig{
-		ID:       "B",
-		Listen:   "127.0.0.1:0",
-		Peers:    map[message.NodeID]string{},
-		Strategy: routing.StrategySimple,
+		ID:     "B",
+		Listen: "127.0.0.1:0",
+		Peers:  map[message.NodeID]string{},
 	})
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
@@ -94,10 +92,9 @@ func TestLegacyGobPeerRefused(t *testing.T) {
 // published.
 func TestVersion1PeerGetsRelayedAndTracedPublishes(t *testing.T) {
 	b := NewNode(NodeConfig{
-		ID:       "B",
-		Listen:   "127.0.0.1:0",
-		Peers:    map[message.NodeID]string{"A": ""}, // A dials
-		Strategy: routing.StrategySimple,
+		ID:     "B",
+		Listen: "127.0.0.1:0",
+		Peers:  map[message.NodeID]string{"A": ""}, // A dials
 	})
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
@@ -208,10 +205,9 @@ func TestVersion1PeerGetsRelayedAndTracedPublishes(t *testing.T) {
 // goroutine, one fd and two bufio buffers per connect.
 func TestClientChurnReleasesFlushers(t *testing.T) {
 	b := NewNode(NodeConfig{
-		ID:       "B",
-		Listen:   "127.0.0.1:0",
-		Peers:    map[message.NodeID]string{},
-		Strategy: routing.StrategySimple,
+		ID:     "B",
+		Listen: "127.0.0.1:0",
+		Peers:  map[message.NodeID]string{},
 	})
 	if err := b.Start(); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"rebeca/internal/mobility"
 	"rebeca/internal/movement"
 	"rebeca/internal/proto"
-	"rebeca/internal/routing"
 )
 
 // startMobilityLine brings up a live 3-broker line A-B-C with transparent
@@ -43,11 +42,10 @@ func startMobilityLine(t *testing.T) map[message.NodeID]*Node {
 			}
 		}
 		node := NewNode(NodeConfig{
-			ID:       id,
-			Listen:   "127.0.0.1:0",
-			Peers:    peers,
-			Strategy: routing.StrategySimple,
-			NextHop:  hops[id],
+			ID:      id,
+			Listen:  "127.0.0.1:0",
+			Peers:   peers,
+			NextHop: hops[id],
 		})
 		core.New(core.Config{
 			Broker:       node.Broker(),

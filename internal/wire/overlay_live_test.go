@@ -13,7 +13,6 @@ import (
 	"rebeca/internal/mobility"
 	"rebeca/internal/overlay"
 	"rebeca/internal/proto"
-	"rebeca/internal/routing"
 	"rebeca/internal/store"
 )
 
@@ -49,12 +48,11 @@ func TestStartOrderActiveSideFirst(t *testing.T) {
 
 	// B dials A, but A is not up yet.
 	b := NewNode(NodeConfig{
-		ID:       "B",
-		Listen:   "127.0.0.1:0",
-		Peers:    map[message.NodeID]string{"A": addrA},
-		Strategy: routing.StrategySimple,
-		NextHop:  map[message.NodeID]message.NodeID{"A": "A"},
-		Overlay:  fastOverlay(),
+		ID:      "B",
+		Listen:  "127.0.0.1:0",
+		Peers:   map[message.NodeID]string{"A": addrA},
+		NextHop: map[message.NodeID]message.NodeID{"A": "A"},
+		Overlay: fastOverlay(),
 	})
 	if err := b.Start(); err != nil {
 		t.Fatalf("active-side-first Start must not fail on a dead peer: %v", err)
@@ -64,12 +62,11 @@ func TestStartOrderActiveSideFirst(t *testing.T) {
 	// Give the first dial time to fail, then boot the passive side.
 	time.Sleep(50 * time.Millisecond)
 	a := NewNode(NodeConfig{
-		ID:       "A",
-		Listen:   addrA,
-		Peers:    map[message.NodeID]string{"B": ""},
-		Strategy: routing.StrategySimple,
-		NextHop:  map[message.NodeID]message.NodeID{"B": "B"},
-		Overlay:  fastOverlay(),
+		ID:      "A",
+		Listen:  addrA,
+		Peers:   map[message.NodeID]string{"B": ""},
+		NextHop: map[message.NodeID]message.NodeID{"B": "B"},
+		Overlay: fastOverlay(),
 	})
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
@@ -119,12 +116,11 @@ func TestStartOrderActiveSideFirst(t *testing.T) {
 func TestSubscribeBeforeLinkEstablishedReplays(t *testing.T) {
 	addrA := reserveAddr(t)
 	b := NewNode(NodeConfig{
-		ID:       "B",
-		Listen:   "127.0.0.1:0",
-		Peers:    map[message.NodeID]string{"A": addrA},
-		Strategy: routing.StrategySimple,
-		NextHop:  map[message.NodeID]message.NodeID{"A": "A"},
-		Overlay:  fastOverlay(),
+		ID:      "B",
+		Listen:  "127.0.0.1:0",
+		Peers:   map[message.NodeID]string{"A": addrA},
+		NextHop: map[message.NodeID]message.NodeID{"A": "A"},
+		Overlay: fastOverlay(),
 	})
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
@@ -147,12 +143,11 @@ func TestSubscribeBeforeLinkEstablishedReplays(t *testing.T) {
 	}, "local install at B")
 
 	a := NewNode(NodeConfig{
-		ID:       "A",
-		Listen:   addrA,
-		Peers:    map[message.NodeID]string{"B": ""},
-		Strategy: routing.StrategySimple,
-		NextHop:  map[message.NodeID]message.NodeID{"B": "B"},
-		Overlay:  fastOverlay(),
+		ID:      "A",
+		Listen:  addrA,
+		Peers:   map[message.NodeID]string{"B": ""},
+		NextHop: map[message.NodeID]message.NodeID{"B": "B"},
+		Overlay: fastOverlay(),
 	})
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
@@ -177,12 +172,11 @@ func middleNode(t *testing.T, addrB, dir string) *Node {
 		t.Fatal(err)
 	}
 	node := NewNode(NodeConfig{
-		ID:       "B",
-		Listen:   addrB,
-		Peers:    map[message.NodeID]string{"A": "", "C": ""},
-		Strategy: routing.StrategySimple,
-		NextHop:  map[message.NodeID]message.NodeID{"A": "A", "C": "C"},
-		Overlay:  fastOverlay(),
+		ID:      "B",
+		Listen:  addrB,
+		Peers:   map[message.NodeID]string{"A": "", "C": ""},
+		NextHop: map[message.NodeID]message.NodeID{"A": "A", "C": "C"},
+		Overlay: fastOverlay(),
 	})
 	mgr := mobility.New(node.Broker(), mobility.ModeTransparent, mobility.WithStore(st))
 	if err := node.Start(); err != nil {
@@ -209,12 +203,11 @@ func TestMiddleBrokerRestartReconverges(t *testing.T) {
 
 	edge := func(id, far message.NodeID) *Node {
 		node := NewNode(NodeConfig{
-			ID:       id,
-			Listen:   "127.0.0.1:0",
-			Peers:    map[message.NodeID]string{"B": addrB},
-			Strategy: routing.StrategySimple,
-			NextHop:  map[message.NodeID]message.NodeID{"B": "B", far: "B"},
-			Overlay:  fastOverlay(),
+			ID:      id,
+			Listen:  "127.0.0.1:0",
+			Peers:   map[message.NodeID]string{"B": addrB},
+			NextHop: map[message.NodeID]message.NodeID{"B": "B", far: "B"},
+			Overlay: fastOverlay(),
 		})
 		mobility.New(node.Broker(), mobility.ModeTransparent)
 		if err := node.Start(); err != nil {

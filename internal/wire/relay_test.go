@@ -13,7 +13,6 @@ import (
 	"rebeca/internal/message"
 	"rebeca/internal/overlay"
 	"rebeca/internal/proto"
-	"rebeca/internal/routing"
 )
 
 // discardConn is a socket that takes every write and goes nowhere.
@@ -79,7 +78,7 @@ func TestRelayForwardAllocs(t *testing.T) {
 func TestPeerDataFrameTouchesLinkOnce(t *testing.T) {
 	quiet := overlay.Settings{HeartbeatInterval: time.Hour} // no heartbeat reads the clock meanwhile
 	a := NewNode(NodeConfig{ID: "A", Listen: "127.0.0.1:0", Peers: map[message.NodeID]string{"B": ""},
-		Strategy: routing.StrategySimple, Overlay: quiet})
+		Overlay: quiet})
 	var reads atomic.Int64
 	a.ov = a.newOverlay(func() time.Time { reads.Add(1); return time.Now() })
 	if err := a.Start(); err != nil {
@@ -87,7 +86,7 @@ func TestPeerDataFrameTouchesLinkOnce(t *testing.T) {
 	}
 	defer a.Close()
 	b := NewNode(NodeConfig{ID: "B", Listen: "127.0.0.1:0", Peers: map[message.NodeID]string{"A": a.Addr()},
-		Strategy: routing.StrategySimple, Overlay: quiet})
+		Overlay: quiet})
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}

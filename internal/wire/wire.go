@@ -49,7 +49,6 @@ import (
 	"rebeca/internal/message"
 	"rebeca/internal/overlay"
 	"rebeca/internal/proto"
-	"rebeca/internal/routing"
 	"rebeca/internal/store"
 )
 
@@ -239,11 +238,6 @@ type NodeConfig struct {
 	// configuration — nodes driven by a discovery registry leave it empty
 	// and manage peers at runtime via AddLink/RemoveLink.
 	Peers map[message.NodeID]string
-	// Strategy selects the routing algorithm.
-	Strategy routing.Strategy
-	// LinearMatching reverts the broker's routing table to linear scans
-	// (the matching index is the default; this is the E3 ablation knob).
-	LinearMatching bool
 	// NextHop is the unicast routing table (destination -> neighbor).
 	NextHop map[message.NodeID]message.NodeID
 	// Middleware is appended to the broker's extension chain at Start,
@@ -325,12 +319,10 @@ func NewNode(cfg NodeConfig) *Node {
 		n.peers[p] = addr
 	}
 	n.b = broker.New(broker.Config{
-		ID:             cfg.ID,
-		Peers:          peers,
-		Strategy:       cfg.Strategy,
-		LinearMatching: cfg.LinearMatching,
-		Send:           n.send,
-		NextHop:        cfg.NextHop,
+		ID:      cfg.ID,
+		Peers:   peers,
+		Send:    n.send,
+		NextHop: cfg.NextHop,
 	})
 	n.ov = n.newOverlay(time.Now)
 	if cfg.BrokerLogger != nil {

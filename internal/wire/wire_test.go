@@ -11,7 +11,6 @@ import (
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
-	"rebeca/internal/routing"
 )
 
 // startLine brings up a live 2-broker overlay on loopback and returns the
@@ -19,21 +18,19 @@ import (
 func startLine(t *testing.T) (*Node, *Node) {
 	t.Helper()
 	a := NewNode(NodeConfig{
-		ID:       "A",
-		Listen:   "127.0.0.1:0",
-		Peers:    map[message.NodeID]string{"B": ""}, // B dials us
-		Strategy: routing.StrategySimple,
-		NextHop:  map[message.NodeID]message.NodeID{"B": "B"},
+		ID:      "A",
+		Listen:  "127.0.0.1:0",
+		Peers:   map[message.NodeID]string{"B": ""}, // B dials us
+		NextHop: map[message.NodeID]message.NodeID{"B": "B"},
 	})
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
 	}
 	b := NewNode(NodeConfig{
-		ID:       "B",
-		Listen:   "127.0.0.1:0",
-		Peers:    map[message.NodeID]string{"A": a.Addr()},
-		Strategy: routing.StrategySimple,
-		NextHop:  map[message.NodeID]message.NodeID{"A": "A"},
+		ID:      "B",
+		Listen:  "127.0.0.1:0",
+		Peers:   map[message.NodeID]string{"A": a.Addr()},
+		NextHop: map[message.NodeID]message.NodeID{"A": "A"},
 	})
 	if err := b.Start(); err != nil {
 		_ = a.Close()

@@ -20,8 +20,8 @@ import (
 
 // BrokerSpec is what only a one-broker process knows about itself — the
 // part of a deployment that NewLive derives from the movement graph and a
-// distributed fleet has to be told per process. Everything else (routing
-// strategy, durability, heartbeat, link spill, registry, ops endpoint, push,
+// distributed fleet has to be told per process. Everything else
+// (durability, heartbeat, link spill, registry, ops endpoint, push,
 // sampling, logging, middleware) is configured with the same Options New and
 // NewLive take. The zero value of every field but ID is rebeca-broker's
 // default.
@@ -83,11 +83,9 @@ type BrokerNode struct {
 func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology, sessions session.Config) (*BrokerNode, error) {
 	neighbors := topo.Adjacency()[spec.ID]
 	ncfg := wire.NodeConfig{
-		ID:             spec.ID,
-		Listen:         spec.Listen,
-		Strategy:       cfg.strategy,
-		LinearMatching: cfg.linear,
-		NextHop:        topo.NextHops()[spec.ID],
+		ID:      spec.ID,
+		Listen:  spec.Listen,
+		NextHop: topo.NextHops()[spec.ID],
 		// Live brokers always run the overlay manager (WithHeartbeat only
 		// tunes it): links queue-then-flush across flaps and restarted
 		// neighbors are redialed with backoff.

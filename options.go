@@ -11,22 +11,8 @@ import (
 	"rebeca/internal/location"
 	"rebeca/internal/movement"
 	"rebeca/internal/overlay"
-	"rebeca/internal/routing"
 	"rebeca/internal/store"
 	"rebeca/internal/telemetry"
-)
-
-// RoutingStrategy selects the subscription-forwarding algorithm.
-type RoutingStrategy = routing.Strategy
-
-// Routing strategies.
-const (
-	// StrategySimple forwards every subscription on every other link.
-	StrategySimple = routing.StrategySimple
-	// StrategyCovering suppresses subscriptions covered by broader ones.
-	StrategyCovering = routing.StrategyCovering
-	// StrategyFlooding forwards no subscriptions; notifications flood.
-	StrategyFlooding = routing.StrategyFlooding
 )
 
 // config is the resolved deployment description New (virtual clock),
@@ -42,9 +28,6 @@ type config struct {
 	linkLatency    time.Duration
 	latencyJitter  time.Duration
 	jitterSeed     int64
-	strategy       routing.Strategy
-	advertisements bool
-	linear         bool
 	middleware     []broker.Middleware
 	settleQuiet    time.Duration
 	settleMax      time.Duration
@@ -101,7 +84,6 @@ type Option func(*config)
 // constructors.
 func applyOptions(opts []Option) (*config, error) {
 	c := &config{
-		strategy:    routing.StrategySimple,
 		settleQuiet: 50 * time.Millisecond,
 		settleMax:   10 * time.Second,
 	}
@@ -225,40 +207,6 @@ func WithLatencyJitter(d time.Duration, seed int64) Option {
 		c.latencyJitter = d
 		c.jitterSeed = seed
 	}
-}
-
-// WithRoutingStrategy selects the subscription-forwarding algorithm
-// (default StrategySimple).
-//
-// StrategyCovering is not relocation-aware: with roaming clients it loses
-// notes. A coverer's relocation flip strands the entries it covered, an
-// un-suppressed re-forward is read as a flip and steals the true border's
-// entry, and a flip reaching a broker that never knew the subscription is
-// itself suppressed as covered. Use it only where clients do not relocate.
-func WithRoutingStrategy(s RoutingStrategy) Option {
-	return func(c *config) {
-		switch s {
-		case routing.StrategySimple, routing.StrategyCovering, routing.StrategyFlooding:
-			c.strategy = s
-		default:
-			c.errs = append(c.errs, fmt.Errorf("rebeca: WithRoutingStrategy(%d): unknown strategy", s))
-		}
-	}
-}
-
-// WithAdvertisements gates subscription forwarding on publisher
-// advertisements (advertisement-based routing).
-func WithAdvertisements() Option {
-	return func(c *config) { c.advertisements = true }
-}
-
-// WithLinearMatching reverts every broker's routing table to linear scans
-// instead of the access-predicate matching index (filter.Index) — same
-// semantics, O(table) per publish where the index pays only for the
-// entries a notification selects. Only useful as the ablation baseline
-// for the E3 matching experiments.
-func WithLinearMatching() Option {
-	return func(c *config) { c.linear = true }
 }
 
 // WithMiddleware appends stages to every broker's extension chain, in the

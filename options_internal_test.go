@@ -7,7 +7,6 @@ import (
 
 	"rebeca/internal/buffer"
 	"rebeca/internal/message"
-	"rebeca/internal/routing"
 )
 
 func TestOptionDefaults(t *testing.T) {
@@ -25,10 +24,7 @@ func TestOptionDefaults(t *testing.T) {
 	if got := c.locations.Scope("B0"); len(got) != 1 || got[0] != "region-B0" {
 		t.Errorf("default location scope = %v, want [region-B0]", got)
 	}
-	if c.strategy != routing.StrategySimple {
-		t.Errorf("strategy = %v, want simple", c.strategy)
-	}
-	if c.reactive || c.shared || c.advertisements || c.linear {
+	if c.reactive || c.shared {
 		t.Error("boolean options should default to false")
 	}
 	if c.bufferFactory() != nil {
@@ -72,12 +68,6 @@ func TestOptionApplication(t *testing.T) {
 			func(c *config) bool { return c.linkLatency == 3*time.Millisecond }},
 		{"WithLatencyJitter", WithLatencyJitter(time.Millisecond, 42),
 			func(c *config) bool { return c.latencyJitter == time.Millisecond && c.jitterSeed == 42 }},
-		{"WithRoutingStrategy", WithRoutingStrategy(StrategyCovering),
-			func(c *config) bool { return c.strategy == routing.StrategyCovering }},
-		{"WithAdvertisements", WithAdvertisements(),
-			func(c *config) bool { return c.advertisements }},
-		{"WithLinearMatching", WithLinearMatching(),
-			func(c *config) bool { return c.linear }},
 		{"WithMiddleware", WithMiddleware(metrics, tracer),
 			func(c *config) bool {
 				return len(c.middleware) == 2 && c.middleware[0] == Middleware(metrics)
@@ -112,7 +102,6 @@ func TestOptionErrors(t *testing.T) {
 		{"negative cap", []Option{WithMovement(Line(2)), WithBufferCap(-1)}, "negative"},
 		{"negative latency", []Option{WithMovement(Line(2)), WithLinkLatency(-1)}, "negative"},
 		{"negative jitter", []Option{WithMovement(Line(2)), WithLatencyJitter(-1, 0)}, "negative"},
-		{"bad strategy", []Option{WithMovement(Line(2)), WithRoutingStrategy(0)}, "unknown strategy"},
 		{"nil middleware", []Option{WithMovement(Line(2)), WithMiddleware(nil)}, "WithMiddleware(nil)"},
 		{"bad settle window", []Option{WithMovement(Line(2)), WithSettleWindow(0, 0)}, "quiet"},
 		{"zero heartbeat", []Option{WithMovement(Line(2)), WithHeartbeat(0, time.Second)}, "interval > 0"},

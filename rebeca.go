@@ -5,8 +5,8 @@
 //
 // It provides:
 //
-//   - Content-based routing over an acyclic broker overlay (filters,
-//     covering, merging).
+//   - Content-based routing over an acyclic broker overlay (subscriptions
+//     forwarded on every link, notifications matched through an index).
 //   - Physical mobility: transparent relocation of roaming clients with no
 //     loss, no duplicates, and per-publisher FIFO across handovers.
 //   - Logical mobility: location-dependent subscriptions via the myloc

@@ -116,39 +116,67 @@ func TestSystemPublishBatch(t *testing.T) {
 	}
 }
 
+// TestSystemRoamingLossless: a mover and a static subscriber share the
+// mover's first broker while 400 paced notes arrive and the mover changes
+// broker 7 times. Both get every note once and in publisher order, on a
+// line and on a ring mesh: the one routing configuration delivers where
+// covering, flooding and advertisement-based routing lost notes.
 func TestSystemRoamingLossless(t *testing.T) {
-	sys := newSystem(t, rebeca.WithMovement(rebeca.Line(3)))
-	mob := sys.NewClient("mob")
-	connect(t, mob, "B0")
-	s := mob.Subscribe(rebeca.NewFilter(rebeca.Exists("n")),
-		rebeca.WithStreamBuffer(128))
-	sys.Settle()
+	const notes = 400
+	cases := []struct {
+		name string
+		opts []rebeca.Option
+		pub  rebeca.NodeID
+		path []rebeca.NodeID // the mover's brokers, first to last
+	}{
+		{"line4", []rebeca.Option{rebeca.WithMovement(rebeca.Line(4))},
+			"B3", []rebeca.NodeID{"B0", "B1", "B2", "B3", "B2", "B1", "B0", "B1"}},
+		{"ring4-mesh", []rebeca.Option{rebeca.WithMovement(rebeca.Ring(4)), rebeca.WithMeshRouting()},
+			"B2", []rebeca.NodeID{"B0", "B1", "B2", "B3", "B0", "B3", "B2", "B1"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newSystem(t, tc.opts...)
+			mob, static := sys.NewClient("mob"), sys.NewClient("static")
+			connect(t, mob, tc.path[0])
+			connect(t, static, tc.path[0])
+			ms := mob.Subscribe(rebeca.NewFilter(rebeca.Exists("n")), rebeca.WithStreamBuffer(notes))
+			ss := static.Subscribe(rebeca.NewFilter(rebeca.Gt("n", rebeca.Int(0))), rebeca.WithStreamBuffer(notes))
+			sys.Settle()
 
-	pub := sys.NewClient("pub")
-	connect(t, pub, "B2")
-	for i := 1; i <= 100; i++ {
-		i := i
-		sys.After(time.Duration(i)*time.Millisecond, func() {
-			_, _ = pub.Publish(map[string]rebeca.Value{"n": rebeca.Int(int64(i))})
+			pub := sys.NewClient("pub")
+			connect(t, pub, tc.pub)
+			for i := 1; i <= notes; i++ {
+				i := i
+				sys.After(time.Duration(i)*time.Millisecond, func() {
+					_, _ = pub.Publish(map[string]rebeca.Value{"n": rebeca.Int(int64(i))})
+				})
+			}
+			for k, b := range tc.path[1:] {
+				at := time.Duration(25+50*k) * time.Millisecond
+				b := b
+				sys.After(at, func() { _ = mob.Disconnect() })
+				sys.After(at+10*time.Millisecond, func() { _ = mob.Connect(b) })
+			}
+			sys.Settle()
+
+			for _, c := range []struct {
+				port rebeca.Port
+				sub  *rebeca.Subscription
+			}{{mob, ms}, {static, ss}} {
+				c.sub.Cancel()
+				got := 0
+				for range c.sub.Events() {
+					got++
+				}
+				if st := c.sub.Stats(); got != notes || st.Delivered != notes || st.Dropped != 0 {
+					t.Errorf("%s: stream carried %d of %d, stats %+v", c.port.ID(), got, notes, st)
+				}
+				if d, f := c.port.Duplicates(), c.port.FIFOViolations(); d != 0 || f != 0 {
+					t.Errorf("%s: dups=%d fifo=%d", c.port.ID(), d, f)
+				}
+			}
 		})
-	}
-	sys.After(30*time.Millisecond, func() { _ = mob.Disconnect() })
-	sys.After(40*time.Millisecond, func() { _ = mob.Connect("B1") })
-	sys.Settle()
-
-	s.Cancel()
-	got := 0
-	for range s.Events() {
-		got++
-	}
-	if got != 100 {
-		t.Errorf("stream carried %d of 100", got)
-	}
-	if st := s.Stats(); st.Delivered != 100 || st.Dropped != 0 {
-		t.Errorf("stats = %+v, want 100 delivered, 0 dropped", st)
-	}
-	if mob.Duplicates() != 0 || mob.FIFOViolations() != 0 {
-		t.Errorf("dups=%d fifo=%d", mob.Duplicates(), mob.FIFOViolations())
 	}
 }
 
