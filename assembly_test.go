@@ -110,8 +110,9 @@ var goldenFamilies = []string{
 	"rebeca_mobility_relocations_total", "rebeca_core_wasted_total",
 }
 
-// TestStartBrokerRejectsSpec: StartBroker refuses a contradictory or unknown
-// spec before it starts anything.
+// TestStartBrokerRejectsSpec: StartBroker refuses a contradictory spec
+// before it starts anything — among them a WithMovement graph beside the
+// spec's own edges, which would otherwise be silently replaced.
 func TestStartBrokerRejectsSpec(t *testing.T) {
 	registry := WithRegistry("file:" + filepath.Join(t.TempDir(), "peers.json"))
 	for _, tc := range []struct {
@@ -122,9 +123,7 @@ func TestStartBrokerRejectsSpec(t *testing.T) {
 	}{
 		{"edges and registry", BrokerSpec{ID: "A", Edges: lineABC}, []Option{registry}, "not both"},
 		{"dial under registry", BrokerSpec{ID: "A", Dial: map[NodeID]string{"B": "127.0.0.1:1"}}, []Option{registry}, "replaces BrokerSpec.Dial"},
-		{"mobility jedi", BrokerSpec{ID: "A", Edges: lineABC, Mobility: "jedi"}, nil, `unknown BrokerSpec.Mobility "jedi"`},
-		{"mobility naive", BrokerSpec{ID: "A", Edges: lineABC, Mobility: "naive"}, nil, `unknown BrokerSpec.Mobility "naive"`},
-		{"mobility bogus", BrokerSpec{ID: "A", Edges: lineABC, Mobility: "bogus"}, nil, `unknown BrokerSpec.Mobility "bogus"`},
+		{"movement beside edges", BrokerSpec{ID: "A", Edges: lineABC}, []Option{WithMovement(Line(3))}, "drop WithMovement"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, err := StartBroker(tc.spec, tc.opts...)

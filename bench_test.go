@@ -398,7 +398,6 @@ func BenchmarkOverlayReconverge(b *testing.B) {
 	sys, err := rebeca.New(
 		rebeca.WithMovement(g),
 		rebeca.WithHeartbeat(50*time.Millisecond, 150*time.Millisecond),
-		rebeca.WithDeliveryLog(16),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -408,7 +407,7 @@ func BenchmarkOverlayReconverge(b *testing.B) {
 	if err := sub.Connect("C"); err != nil {
 		b.Fatal(err)
 	}
-	sub.Subscribe(rebeca.NewFilter(rebeca.Exists("k")))
+	ks := &streamLog{s: sub.Subscribe(rebeca.NewFilter(rebeca.Exists("k")), rebeca.WithStreamBuffer(16))}
 	pub := sys.NewClient("pub")
 	if err := pub.Connect("A"); err != nil {
 		b.Fatal(err)
@@ -431,12 +430,8 @@ func BenchmarkOverlayReconverge(b *testing.B) {
 		sys.Step(2 * time.Second) // backoff redial + handshake + flush
 		sys.Settle()
 		delivered++
-		want := delivered
-		if want > 16 {
-			want = 16 // WithDeliveryLog cap
-		}
-		if got := len(sub.Received()); got < want {
-			b.Fatalf("iteration %d: %d deliveries retained, want %d (queued publish lost)", i, got, want)
+		if got := len(ks.received(b)); got != delivered {
+			b.Fatalf("iteration %d: stream carried %d deliveries, want %d (queued publish lost)", i, got, delivered)
 		}
 	}
 }

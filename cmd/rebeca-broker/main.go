@@ -65,8 +65,6 @@ func main() {
 		dial      = flag.String("dial", "", "neighbors to dial, e.g. A=host:port,B=host:port (static mode)")
 		registry  = flag.String("registry", "", "membership registry URI (file:<path> or seed:<listen>[,<seed>...]); replaces -edges/-dial and enables mesh routing")
 		advertise = flag.String("advertise", "", "overlay address to register for peers to dial (default: the bound listen address with unspecified hosts rewritten to 127.0.0.1)")
-		replicate = flag.Bool("replicate", true, "attach the replicator layer (movement graph = overlay)")
-		mobilityM = flag.String("mobility", "transparent", "physical mobility: transparent, or none (the naive baseline: resubscribe on reconnect, lose the gap)")
 		stats     = flag.Duration("stats", 0, "print telemetry-registry metrics at this interval (0 = off)")
 		opsAddr   = flag.String("ops", "", "HTTP operations endpoint address, e.g. :9090 (/metrics, /healthz, /readyz, /trace, /config, /debug/pprof)")
 		trace     = flag.Bool("trace", false, "log every publish, delivery and subscription")
@@ -80,13 +78,11 @@ func main() {
 		spillMax  = flag.Int64("link-spill-max", 0, "per-link spill byte budget for -link-spill (0 = default 256 MiB); past it the spill drops its own oldest records")
 		linkPend  = flag.Int("link-pending", 0, "in-memory pending-queue cap per overlay link (0 = default 4096)")
 		regTTL    = flag.Duration("registry-ttl", 0, "file-registry lease: stamp our entry with this TTL and refresh it, so a killed broker's registration ages out (file: registries only; 0 = entries never expire)")
-		linkLog   = flag.Bool("link-log", true, "log overlay link state transitions")
 		push      = flag.String("push", "", "push metrics (Prometheus text) and trace spans to this URL instead of (or besides) being scraped, e.g. http://collector:9091/ingest")
 		pushEvery = flag.Duration("push-interval", 15*time.Second, "metric push interval for -push")
 		logLevel  = flag.String("log-level", "info", "structured log verbosity for every subsystem: debug|info|warn|error (retune per subsystem via /config log.<subsystem>)")
 		sampleN   = flag.Int64("trace-sample", 0, "hop-trace sampling as 1-in-N notifications (0 or 1 = trace everything)")
 		slowThr   = flag.Duration("trace-slow", 0, "always trace deliveries slower than this, even unsampled (0 = off)")
-		pendCap   = flag.Int("trace-pending", 0, "pending-decision ring capacity: hop paths parked awaiting a retro-capture verdict (0 = default 1024)")
 	)
 	flag.Parse()
 	if *id == "" {
@@ -99,16 +95,12 @@ func main() {
 
 	// The spec is what only this process knows about itself; everything
 	// else is the same options a library deployment takes. StartBroker
-	// validates the combination (static wiring xor registry, tree edges,
-	// known mobility mode).
+	// validates the combination (static wiring xor registry, tree edges).
 	spec := rebeca.BrokerSpec{
-		ID:           rebeca.NodeID(*id),
-		Listen:       *listen,
-		Advertise:    *advertise,
-		Mobility:     *mobilityM,
-		NoReplicator: !*replicate,
-		RegistryTTL:  *regTTL,
-		QuietLinks:   !*linkLog,
+		ID:          rebeca.NodeID(*id),
+		Listen:      *listen,
+		Advertise:   *advertise,
+		RegistryTTL: *regTTL,
 	}
 	var err error
 	if spec.Edges, err = parseEdges(*edges); err != nil {
@@ -117,13 +109,15 @@ func main() {
 	if spec.Dial, err = parseDials(*dial); err != nil {
 		fatal(err)
 	}
-	if *replicate && *registry != "" {
+	if *registry != "" {
 		fmt.Println("note: replicator layer disabled under -registry (needs a static -edges movement graph)")
 	}
 
 	// One slog root on stderr, every subsystem gated at -log-level and
-	// retunable at runtime via the /config log.* knobs. -stats, -ops and
-	// -push are all fed by the registry that comes with it.
+	// retunable at runtime via the /config log.* knobs (log.overlay=warn
+	// quiets routine link transitions). -stats, -ops and -push are all fed
+	// by the registry that comes with it; the sampler's pending ring is the
+	// /config trace.pending knob.
 	opts := []rebeca.Option{
 		rebeca.WithLogging(os.Stderr, *logLevel),
 		rebeca.WithHeartbeat(*hbEvery, *hbTimeout),
@@ -142,9 +136,6 @@ func main() {
 	}
 	if *sampleN != 0 || *slowThr != 0 {
 		opts = append(opts, rebeca.WithTraceSampling(*sampleN, *slowThr))
-	}
-	if *pendCap > 0 {
-		opts = append(opts, rebeca.WithTracePendingCap(*pendCap))
 	}
 	if *trace {
 		opts = append(opts, rebeca.WithMiddleware(rebeca.NewTracer(func(e rebeca.TraceEvent) {

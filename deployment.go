@@ -43,11 +43,12 @@ type Deployment interface {
 }
 
 // Port is the deployment-independent client surface: the pub/sub triple,
-// roaming, and delivery inspection. Commands (Connect, Subscribe, Publish,
-// …) are driven from one goroutine; delivery streams — the Events channels
-// of Subscription handles and of the port itself — are consumed from any
-// goroutine. Deliveries arrive between calls (System) or concurrently
-// (Live).
+// roaming, and delivery accounting. Commands (Connect, Subscribe, Publish,
+// …) are driven from one goroutine. Deliveries reach the application only
+// through streams — each Subscription's Events, the port's catch-all
+// Events, or the OnNotify adapter over it — consumed from any goroutine;
+// the port keeps no delivery history. Deliveries arrive between calls
+// (System) or concurrently (Live).
 type Port interface {
 	// ID returns the client's node ID.
 	ID() NodeID
@@ -86,10 +87,6 @@ type Port interface {
 	// observes deliveries from registration on. Register either an
 	// observer or a consumer of Events, not both.
 	OnNotify(fn func(n Notification))
-	// Received returns the retained deliveries in arrival order. The log
-	// is opt-in: without WithDeliveryLog it stays empty (per-subscription
-	// streams and stats are the primary surface).
-	Received() []Delivery
 	// Duplicates counts suppressed duplicate deliveries.
 	Duplicates() int
 	// FIFOViolations counts per-publisher sequence inversions.
@@ -101,7 +98,6 @@ type Port interface {
 // experiments and tests. It implements Deployment.
 type System struct {
 	cluster *sim.Cluster
-	logCap  int
 	ops     *opsStack
 	ports   portSet
 }
@@ -132,12 +128,9 @@ func New(opts ...Option) (*System, error) {
 		Context:       cfg.context,
 		Mobility:      sim.MobilityTransparent,
 		Replication:   repl,
-		SharedBuffers: cfg.shared,
 		BufferFactory: cfg.bufferFactory(),
 		Middleware:    cfg.middleware,
 		LinkLatency:   cfg.linkLatency,
-		LatencyJitter: cfg.latencyJitter,
-		JitterSeed:    cfg.jitterSeed,
 		Store:         cfg.store,
 		OverlayLogger: ops.logFor("overlay"),
 		BrokerLogger:  ops.logFor("broker"),
@@ -164,7 +157,7 @@ func New(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cluster: cl, logCap: cfg.logCap(), ops: ops}
+	s := &System{cluster: cl, ops: ops}
 	if ops == nil {
 		return s, nil
 	}
@@ -191,7 +184,7 @@ func (s *System) OpsAddr() string { return s.ops.addr() }
 // NewClient creates a client endpoint: a session on the simulated network,
 // addressed by broker ID.
 func (s *System) NewClient(id NodeID) Port {
-	return s.ports.add(newPort(s.cluster.AddClient(id), s.brokerAddr, s.logCap))
+	return s.ports.add(newPort(s.cluster.AddClient(id), s.brokerAddr))
 }
 
 // Brokers lists the deployment's broker IDs.
@@ -295,9 +288,9 @@ type port struct {
 
 var _ Port = (*port)(nil)
 
-func newPort(c *client.Client, addr func(NodeID) string, logCap int) *port {
+func newPort(c *client.Client, addr func(NodeID) string) *port {
 	p := &port{c: c, addr: addr, streams: newStreamSet()}
-	c.SetDeliveryLog(logCap)
+	c.SetDeliveryLog(-1) // the streams are the port's only delivery record
 	c.OnDeliver = p.streams.dispatch
 	return p
 }
@@ -364,8 +357,6 @@ func (p *port) PublishBatch(ctx context.Context, batch []map[string]Value) ([]No
 func (p *port) Events() <-chan Delivery { return p.streams.catchAll.Events() }
 
 func (p *port) OnNotify(fn func(n Notification)) { p.streams.setNotify(fn) }
-
-func (p *port) Received() []Delivery { return p.c.Received() }
 
 func (p *port) Duplicates() int { return p.c.Duplicates() }
 

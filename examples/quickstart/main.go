@@ -83,10 +83,9 @@
 // that miss 2x their interval as stale — a SIGKILLed broker shows up
 // there within two push intervals, no scrape target churn involved.
 // A Prometheus/Mimir/Thanos TSDB joins by scraping that one endpoint (or
-// any broker's -ops /metrics); `-trace-pending 4096` (WithTracePendingCap)
-// bounds the
-// sampler's in-flight window, and the "trace.pending" /config knob
-// resizes it live. Registry gauges for the Go runtime (goroutines, GC
+// any broker's -ops /metrics); the "trace.pending" /config knob bounds
+// the sampler's in-flight window (default 1024; POST trace.pending=4096
+// to grow it) and resizes it live. Registry gauges for the Go runtime (goroutines, GC
 // pause, heap) ride along on every broker and on the collector itself.
 //
 // Run with: go run ./examples/quickstart [-live]

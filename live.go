@@ -8,7 +8,6 @@ import (
 
 	"rebeca/internal/broker"
 	"rebeca/internal/client"
-	"rebeca/internal/mobility"
 	"rebeca/internal/wire"
 )
 
@@ -85,7 +84,7 @@ func NewLive(opts ...Option) (*Live, error) {
 		ops: newOpsStack(cfg),
 	}
 	adj := topo.Adjacency()
-	sessions := cfg.sessions(mobility.ModeTransparent, true)
+	sessions := cfg.sessions(true)
 	for _, id := range l.ids {
 		// Dial the neighbors already started; the others dial us.
 		spec := BrokerSpec{ID: id, Listen: "127.0.0.1:0", Dial: make(map[NodeID]string)}
@@ -130,7 +129,7 @@ func (l *Live) NewClient(id NodeID) Port {
 	if l.cfg.store != nil {
 		c.UseDurablePublisher(l.cfg.store)
 	}
-	return l.ports.add(newPort(c, l.Addr, l.cfg.logCap()))
+	return l.ports.add(newPort(c, l.Addr))
 }
 
 // Brokers lists the deployment's broker IDs.

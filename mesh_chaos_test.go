@@ -56,13 +56,13 @@ func runMeshChaosScenario(t *testing.T, h *chaosHarness) {
 	// whichever tree carries it.
 	witness := h.d.NewClient("witness")
 	connect(t, witness, "b5")
-	witness.Subscribe(f, rebeca.Durable("mesh-witness"), rebeca.WithStreamBuffer(256))
+	wlog := &streamLog{s: witness.Subscribe(f, rebeca.Durable("mesh-witness"), rebeca.WithStreamBuffer(256))}
 
 	// A volatile subscriber at b4 — the junction both redundant paths
 	// share — must converge and never see a flood duplicate.
 	volatileSub := h.d.NewClient("volatile")
 	connect(t, volatileSub, "b4")
-	volatileSub.Subscribe(f, rebeca.WithStreamBuffer(256))
+	vlog := &streamLog{s: volatileSub.Subscribe(f, rebeca.WithStreamBuffer(256))}
 
 	pub := h.d.NewClient("pub")
 	connect(t, pub, "b1")
@@ -110,12 +110,12 @@ func runMeshChaosScenario(t *testing.T, h *chaosHarness) {
 	// Drain until the witness has the full sequence.
 	for i := 0; i < 50; i++ {
 		h.advance(100 * time.Millisecond)
-		if len(received(witness)) == seq {
+		if len(wlog.drain()) == seq {
 			break
 		}
 	}
 
-	got := received(witness)
+	got := wlog.received(t)
 	if len(got) != seq {
 		t.Fatalf("witness: %d deliveries, want %d (%s)", len(got), seq, gaps(got, seq))
 	}
@@ -126,7 +126,7 @@ func runMeshChaosScenario(t *testing.T, h *chaosHarness) {
 		t.Errorf("witness saw %d FIFO violations", v)
 	}
 
-	vGot := received(volatileSub)
+	vGot := vlog.received(t)
 	final := false
 	for _, d := range vGot {
 		if n, ok := d.Note.Attrs["n"]; ok && n.IntVal() == int64(seq) {
@@ -187,7 +187,6 @@ func TestMeshChaosSim(t *testing.T) {
 		rebeca.WithMovement(meshGraph()),
 		rebeca.WithMeshRouting(),
 		rebeca.WithDurable(rebeca.NewMemoryStore()),
-		rebeca.WithDeliveryLog(256),
 	)
 	runMeshChaosScenario(t, h)
 }
@@ -208,7 +207,6 @@ func TestMeshChaosLive(t *testing.T) {
 		rebeca.WithMovement(meshGraph()),
 		rebeca.WithRegistry(reg),
 		rebeca.WithDurable(rebeca.NewMemoryStore()),
-		rebeca.WithDeliveryLog(256),
 	)
 	// Registry-driven bring-up: no peer is dialed until discovered, so
 	// wait for the whole mesh to link up before publishing.

@@ -8,21 +8,21 @@ import (
 )
 
 // pubSubSystem builds a 3-broker line with a subscriber on B0 and a
-// publisher on B2, with the given middleware installed.
-func pubSubSystem(t *testing.T, mws ...rebeca.Middleware) (*rebeca.System, rebeca.Port, rebeca.Port) {
+// publisher on B2, with the given middleware installed; the subscriber's
+// stream is returned.
+func pubSubSystem(t *testing.T, mws ...rebeca.Middleware) (*rebeca.System, *streamLog, rebeca.Port) {
 	t.Helper()
 	sys := newSystem(t,
 		rebeca.WithMovement(rebeca.Line(3)),
 		rebeca.WithMiddleware(mws...),
-		rebeca.WithDeliveryLog(64),
 	)
 	sub := sys.NewClient("sub")
 	connect(t, sub, "B0")
-	sub.Subscribe(rebeca.NewFilter(rebeca.Exists("n")))
+	s := &streamLog{s: sub.Subscribe(rebeca.NewFilter(rebeca.Exists("n")), rebeca.WithStreamBuffer(64))}
 	sys.Settle()
 	pub := sys.NewClient("pub")
 	connect(t, pub, "B2")
-	return sys, sub, pub
+	return sys, s, pub
 }
 
 func TestMetricsMiddleware(t *testing.T) {
@@ -35,7 +35,7 @@ func TestMetricsMiddleware(t *testing.T) {
 	}
 	sys.Settle()
 
-	if got := len(sub.Received()); got != 4 {
+	if got := len(sub.received(t)); got != 4 {
 		t.Fatalf("received %d, want 4", got)
 	}
 	totals := metrics.Totals()
@@ -73,7 +73,7 @@ func TestTracerMiddleware(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Settle()
-	if got := len(sub.Received()); got != 1 {
+	if got := len(sub.received(t)); got != 1 {
 		t.Fatalf("received %d, want 1", got)
 	}
 
@@ -101,7 +101,7 @@ func TestRateLimiterMiddleware(t *testing.T) {
 		}
 	}
 	sys.Settle()
-	if got := len(sub.Received()); got != 2 {
+	if got := len(sub.received(t)); got != 2 {
 		t.Errorf("received %d, want 2 (burst)", got)
 	}
 	if got := limiter.Dropped(); got != 3 {
@@ -115,7 +115,7 @@ func TestRateLimiterMiddleware(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Settle()
-	if got := len(sub.Received()); got != 3 {
+	if got := len(sub.received(t)); got != 3 {
 		t.Errorf("received %d after refill, want 3", got)
 	}
 }
@@ -138,7 +138,7 @@ func TestCustomMiddlewareThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Settle()
-	recv := sub.Received()
+	recv := sub.received(t)
 	if len(recv) != 1 {
 		t.Fatalf("received %d, want 1", len(recv))
 	}

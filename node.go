@@ -3,7 +3,6 @@ package rebeca
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"net"
 	"time"
 
@@ -23,8 +22,9 @@ import (
 // distributed fleet has to be told per process. Everything else
 // (durability, heartbeat, link spill, registry, ops endpoint, push,
 // sampling, logging, middleware) is configured with the same Options New and
-// NewLive take. The zero value of every field but ID is rebeca-broker's
-// default.
+// NewLive take. Every broker runs the transparent mobility manager, and the
+// replicator wherever the movement graph is static (not under WithRegistry).
+// The zero value of every field but ID is rebeca-broker's default.
 type BrokerSpec struct {
 	// ID names this broker.
 	ID NodeID
@@ -44,21 +44,10 @@ type BrokerSpec struct {
 	// Dial maps the neighbors this broker actively connects to onto their
 	// addresses; exactly one side of each edge dials, the other accepts.
 	Dial map[NodeID]string
-	// Mobility selects the physical-mobility protocol: "transparent" (also
-	// "") or "none" for no manager — the naive baseline, which withdraws a
-	// client's subscriptions on disconnect and reinstalls the profile its
-	// next hello announces, losing whatever was published in between.
-	Mobility string
-	// NoReplicator leaves the replicator layer off. Under WithRegistry it
-	// is off regardless: the layer needs a static movement graph.
-	NoReplicator bool
 	// RegistryTTL stamps this broker's file-registry entry with a lease and
 	// keeps refreshing it, so a killed broker's registration ages out (0 =
 	// entries never expire; file: registries only).
 	RegistryTTL time.Duration
-	// QuietLinks demotes routine overlay link-transition logging to
-	// warnings (link loss still logs).
-	QuietLinks bool
 }
 
 // BrokerNode is one running live broker: the handle StartBroker returns,
@@ -209,10 +198,11 @@ func (n *BrokerNode) abort() {
 
 // StartBroker starts one live broker — what rebeca-broker runs, and the
 // same assembly NewLive runs once per broker of a loopback deployment. The
-// options are the ones New and NewLive take, less those that describe a
-// whole deployment's movement graph (WithMovement, WithLocations): the
-// graph is spec.Edges. The caller owns the stores it passes (WithDurable,
-// WithLinkSpill) and closes them after the node.
+// options are the ones New and NewLive take, less WithMovement, which it
+// refuses: the movement graph is spec.Edges. WithLocations maps the brokers
+// of spec.Edges (default: one region per broker). The caller owns the
+// stores it passes (WithDurable, WithLinkSpill) and closes them after the
+// node.
 func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 	cfg, err := applyOptions(opts)
 	if err != nil {
@@ -227,16 +217,11 @@ func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 	if cfg.registry != "" && len(spec.Dial) > 0 {
 		return nil, errors.New("rebeca: WithRegistry replaces BrokerSpec.Dial; drop the static wiring")
 	}
+	if cfg.movement != nil {
+		return nil, errors.New("rebeca: BrokerSpec.Edges is the movement graph; drop WithMovement")
+	}
 	if spec.Listen == "" {
 		spec.Listen = "127.0.0.1:0"
-	}
-	var mode mobility.Mode
-	switch spec.Mobility {
-	case "", "transparent":
-		mode = mobility.ModeTransparent
-	case "none":
-	default:
-		return nil, fmt.Errorf("rebeca: unknown BrokerSpec.Mobility %q", spec.Mobility)
 	}
 	topo := broker.Topology{Edges: spec.Edges}
 	if cfg.registry == "" {
@@ -261,11 +246,8 @@ func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 		}
 	}
 	ops := newOpsStack(cfg)
-	if spec.QuietLinks && ops != nil && ops.logger != nil {
-		_ = ops.logger.SetLevel("overlay", slog.LevelWarn)
-	}
 	// Under a registry the graph is dynamic, so the replicator stays off.
-	sessions := cfg.sessions(mode, !spec.NoReplicator && cfg.registry == "")
+	sessions := cfg.sessions(cfg.registry == "")
 	n, err := startNode(cfg, ops, spec, topo, sessions)
 	if err != nil {
 		return nil, err
@@ -280,11 +262,11 @@ func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 }
 
 // sessions resolves the options into the session layers every broker of the
-// deployment carries. replicate needs the movement graph.
-func (c *config) sessions(mode mobility.Mode, replicate bool) session.Config {
+// deployment carries: the transparent mobility manager, and the replicator
+// when replicate is set (it needs the movement graph).
+func (c *config) sessions(replicate bool) session.Config {
 	s := session.Config{
-		SharedBuffers: c.shared,
-		Mobility:      mode,
+		Mobility:      mobility.ModeTransparent,
 		BufferFactory: c.bufferFactory(),
 		Store:         c.store,
 		Middleware:    c.middleware,

@@ -310,6 +310,116 @@ func TestLoggingKnobsLive(t *testing.T) {
 	}
 }
 
+// postKnob sets one /config knob and fails the test unless it applied.
+func postKnob(t *testing.T, addr, knob, value string) {
+	t.Helper()
+	resp, err := http.PostForm("http://"+addr+"/config", url.Values{knob: {value}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s=%s: %s", knob, value, resp.Status)
+	}
+}
+
+// TestTracePendingKnob: the trace.pending knob sizes the sampler's
+// pending-decision ring at runtime (rebeca-broker's former -trace-pending
+// flag). Unsampled notes park their hop paths there; past the ring's
+// capacity the oldest are evicted and counted.
+func TestTracePendingKnob(t *testing.T) {
+	sys, err := rebeca.New(
+		rebeca.WithMovement(rebeca.Line(3)),
+		rebeca.WithOps("127.0.0.1:0"),
+		rebeca.WithTraceSampling(1<<30, 0),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	addr := sys.OpsAddr()
+	pub := sys.NewClient("pub")
+	connect(t, pub, "B0")
+	publish := func(lo, hi int) {
+		t.Helper()
+		for n := lo; n <= hi; n++ {
+			if _, err := pub.Publish(map[string]rebeca.Value{"n": rebeca.Int(int64(n))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.Settle()
+	}
+	evicted := func() float64 {
+		_, body := opsGet(t, addr, "/metrics")
+		return metricTotal(body, "rebeca_trace_pending_evicted_total")
+	}
+
+	publish(1, 10)
+	if got := evicted(); got != 0 {
+		t.Fatalf("evicted %g of 10 parked paths under the default ring", got)
+	}
+	postKnob(t, addr, "trace.pending", "4")
+	if got := configKnobs(t, addr)["trace.pending"]; got != "4" {
+		t.Fatalf("trace.pending reads %q after POST 4", got)
+	}
+	// Shrinking to 4 evicts the 6 oldest paths; each of 10 more unsampled
+	// notes then evicts one.
+	publish(11, 20)
+	if got := evicted(); got != 16 {
+		t.Errorf("evicted = %g, want 16", got)
+	}
+}
+
+// TestLogOverlayKnobQuietsLinkTransitions: log.overlay=warn (what
+// rebeca-broker's former -link-log=false did) silences the overlay's
+// routine link transitions at runtime.
+func TestLogOverlayKnobQuietsLinkTransitions(t *testing.T) {
+	var sink syncWriter
+	sys, err := rebeca.New(
+		rebeca.WithMovement(rebeca.Line(2)),
+		rebeca.WithOps("127.0.0.1:0"),
+		rebeca.WithHeartbeat(50*time.Millisecond, 200*time.Millisecond),
+		rebeca.WithLogging(&sink, "info"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.Settle()
+	// cycle cuts and heals the link and counts the overlay info lines it
+	// wrote.
+	cycle := func() int {
+		t.Helper()
+		from := len(sink.String())
+		if err := sys.CutLink("B0", "B1"); err != nil {
+			t.Fatal(err)
+		}
+		sys.Step(500 * time.Millisecond)
+		if err := sys.HealLink("B0", "B1"); err != nil {
+			t.Fatal(err)
+		}
+		sys.Step(2 * time.Second)
+		sys.Settle()
+		if st := sys.LinkStates("B0")["B1"]; st != rebeca.LinkEstablished {
+			t.Fatalf("link not re-established after heal: %s", st)
+		}
+		n := 0
+		for _, line := range strings.Split(sink.String()[from:], "\n") {
+			if strings.Contains(line, "level=INFO") && strings.Contains(line, "subsystem=overlay") {
+				n++
+			}
+		}
+		return n
+	}
+	if n := cycle(); n == 0 {
+		t.Fatalf("a cut/heal cycle at info wrote no overlay info lines:\n%s", sink.String())
+	}
+	postKnob(t, sys.OpsAddr(), "log.overlay", "warn")
+	if n := cycle(); n != 0 {
+		t.Errorf("log.overlay=warn: a cut/heal cycle still wrote %d overlay info lines", n)
+	}
+}
+
 // TestOpsPushDeployment: a deployment with WithOpsPush and no scrape
 // listener still delivers its metric families to the receiver.
 func TestOpsPushDeployment(t *testing.T) {

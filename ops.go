@@ -104,9 +104,6 @@ func newOpsStack(cfg *config) *opsStack {
 	}
 	spans := telemetry.NewSpanStore(0)
 	sampler := telemetry.NewSampler(spans, max(cfg.sampleN, 1), cfg.slowThresh)
-	if cfg.pendingCap > 0 {
-		sampler.SetPendingCap(cfg.pendingCap)
-	}
 	// A deployment has one telemetry stage and one registry: a Metrics view
 	// on the chain already carries both, so they are adopted where the
 	// caller put them; only otherwise is a stage built and appended.

@@ -21,17 +21,13 @@ type config struct {
 	movement       *movement.Graph
 	locations      *location.Model
 	reactive       bool
-	shared         bool
 	context        func(b NodeID) ContextResolverFunc
 	bufferTTL      time.Duration
 	bufferCap      int
 	linkLatency    time.Duration
-	latencyJitter  time.Duration
-	jitterSeed     int64
 	middleware     []broker.Middleware
 	settleQuiet    time.Duration
 	settleMax      time.Duration
-	deliveryLog    int
 	window         int
 	store          store.Store
 	overlay        bool
@@ -47,7 +43,6 @@ type config struct {
 	pushInterval   time.Duration
 	sampleN        int64
 	slowThresh     time.Duration
-	pendingCap     int
 	logWriter      io.Writer
 	logLevel       string
 	logging        bool
@@ -64,15 +59,6 @@ func (c *config) overlaySettings() overlay.Settings {
 		HeartbeatTimeout:  c.hbTimeout,
 		PendingCap:        c.linkPendingCap,
 	}
-}
-
-// logCap translates the WithDeliveryLog option to the client library's
-// convention: the log is opt-in, so "not configured" disables it.
-func (c *config) logCap() int {
-	if c.deliveryLog > 0 {
-		return c.deliveryLog
-	}
-	return -1
 }
 
 // Option configures a deployment built by New or NewLive.
@@ -147,21 +133,13 @@ func WithReactiveBaseline() Option {
 	return func(c *config) { c.reactive = true }
 }
 
-// WithSharedBuffers switches replicators to one refcounted notification
-// store per broker instead of one buffer per virtual client. The shared
-// digests are unbounded: WithBufferTTL and WithBufferCap then bound only
-// ghost buffers.
-func WithSharedBuffers() Option {
-	return func(c *config) { c.shared = true }
-}
-
 // WithContextResolver resolves generalized context markers (§4) per broker.
 func WithContextResolver(fn func(b NodeID) ContextResolverFunc) Option {
 	return func(c *config) { c.context = fn }
 }
 
-// WithBufferTTL bounds private virtual-client buffers and ghost buffers by
-// age (0 = unbounded); shared digests (WithSharedBuffers) stay unbounded.
+// WithBufferTTL bounds virtual-client buffers and ghost buffers by age (0 =
+// unbounded).
 func WithBufferTTL(d time.Duration) Option {
 	return func(c *config) {
 		if d < 0 {
@@ -172,8 +150,8 @@ func WithBufferTTL(d time.Duration) Option {
 	}
 }
 
-// WithBufferCap bounds private virtual-client buffers and ghost buffers by
-// count (0 = unbounded); shared digests (WithSharedBuffers) stay unbounded.
+// WithBufferCap bounds virtual-client buffers and ghost buffers by count,
+// keeping the newest (0 = unbounded).
 func WithBufferCap(n int) Option {
 	return func(c *config) {
 		if n < 0 {
@@ -196,19 +174,6 @@ func WithLinkLatency(d time.Duration) Option {
 	}
 }
 
-// WithLatencyJitter adds a deterministic uniform random delay in [0, d) to
-// every simulated transmission. NewLive ignores it.
-func WithLatencyJitter(d time.Duration, seed int64) Option {
-	return func(c *config) {
-		if d < 0 {
-			c.errs = append(c.errs, fmt.Errorf("rebeca: WithLatencyJitter(%s): negative", d))
-			return
-		}
-		c.latencyJitter = d
-		c.jitterSeed = seed
-	}
-}
-
 // WithMiddleware appends stages to every broker's extension chain, in the
 // given order, after the built-in session layers (mobility manager,
 // replicator) — stages observe the traffic the session layers pass
@@ -224,21 +189,6 @@ func WithMiddleware(ms ...Middleware) Option {
 			}
 		}
 		c.middleware = append(c.middleware, ms...)
-	}
-}
-
-// WithDeliveryLog makes every Port retain its last n deliveries for
-// inspection via Received. The log is opt-in: without this option ports
-// record no history (mobile consumers cannot absorb unbounded delivery
-// state), and the per-subscription streams plus their Stats are the
-// delivery surface.
-func WithDeliveryLog(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			c.errs = append(c.errs, fmt.Errorf("rebeca: WithDeliveryLog(%d): want n > 0", n))
-			return
-		}
-		c.deliveryLog = n
 	}
 }
 
@@ -462,25 +412,6 @@ func WithTraceSampling(n int64, slow time.Duration) Option {
 		}
 		c.sampleN = n
 		c.slowThresh = slow
-	}
-}
-
-// WithTracePendingCap bounds the trace sampler's pending-decision ring:
-// how many unsampled notifications keep their hop paths parked awaiting
-// a possible slow/drop retro-capture verdict (default 1024, drop-oldest;
-// evictions count in rebeca_trace_pending_evicted_total). Raise it on
-// high-fan-in brokers where verdicts lag arrivals; lower it to shrink
-// the tracing footprint. Runtime-tunable via the ops endpoint's
-// "trace.pending" knob. Every deployment with an ops stack has the
-// sampler, at rate 1 (trace everything) unless WithTraceSampling says
-// otherwise.
-func WithTracePendingCap(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			c.errs = append(c.errs, fmt.Errorf("rebeca: WithTracePendingCap(%d): want n > 0", n))
-			return
-		}
-		c.pendingCap = n
 	}
 }
 

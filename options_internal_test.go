@@ -24,7 +24,7 @@ func TestOptionDefaults(t *testing.T) {
 	if got := c.locations.Scope("B0"); len(got) != 1 || got[0] != "region-B0" {
 		t.Errorf("default location scope = %v, want [region-B0]", got)
 	}
-	if c.reactive || c.shared {
+	if c.reactive {
 		t.Error("boolean options should default to false")
 	}
 	if c.bufferFactory() != nil {
@@ -33,60 +33,11 @@ func TestOptionDefaults(t *testing.T) {
 	if c.settleQuiet != 50*time.Millisecond || c.settleMax != 10*time.Second {
 		t.Errorf("settle window = (%s, %s), want (50ms, 10s)", c.settleQuiet, c.settleMax)
 	}
-	if c.linkLatency != 0 || c.latencyJitter != 0 {
-		t.Error("latency options should default to zero (deployment default)")
+	if c.linkLatency != 0 {
+		t.Error("link latency should default to zero (deployment default)")
 	}
 	if len(c.middleware) != 0 {
 		t.Error("middleware chain should default to empty")
-	}
-}
-
-func TestOptionApplication(t *testing.T) {
-	locs := Regions([]NodeID{"B0", "B1"})
-	resolver := func(b NodeID) ContextResolverFunc { return nil }
-	metrics := NewMetrics()
-	tracer := NewTracer(nil)
-
-	cases := []struct {
-		name  string
-		opt   Option
-		check func(c *config) bool
-	}{
-		{"WithLocations", WithLocations(locs),
-			func(c *config) bool { return c.locations == locs }},
-		{"WithReactiveBaseline", WithReactiveBaseline(),
-			func(c *config) bool { return c.reactive }},
-		{"WithSharedBuffers", WithSharedBuffers(),
-			func(c *config) bool { return c.shared }},
-		{"WithContextResolver", WithContextResolver(resolver),
-			func(c *config) bool { return c.context != nil }},
-		{"WithBufferTTL", WithBufferTTL(time.Second),
-			func(c *config) bool { return c.bufferTTL == time.Second }},
-		{"WithBufferCap", WithBufferCap(7),
-			func(c *config) bool { return c.bufferCap == 7 }},
-		{"WithLinkLatency", WithLinkLatency(3 * time.Millisecond),
-			func(c *config) bool { return c.linkLatency == 3*time.Millisecond }},
-		{"WithLatencyJitter", WithLatencyJitter(time.Millisecond, 42),
-			func(c *config) bool { return c.latencyJitter == time.Millisecond && c.jitterSeed == 42 }},
-		{"WithMiddleware", WithMiddleware(metrics, tracer),
-			func(c *config) bool {
-				return len(c.middleware) == 2 && c.middleware[0] == Middleware(metrics)
-			}},
-		{"WithSettleWindow", WithSettleWindow(20*time.Millisecond, time.Second),
-			func(c *config) bool {
-				return c.settleQuiet == 20*time.Millisecond && c.settleMax == time.Second
-			}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := newConfig([]Option{WithMovement(Line(2)), tc.opt})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tc.check(c) {
-				t.Errorf("%s not applied", tc.name)
-			}
-		})
 	}
 }
 
@@ -101,7 +52,6 @@ func TestOptionErrors(t *testing.T) {
 		{"negative ttl", []Option{WithMovement(Line(2)), WithBufferTTL(-time.Second)}, "negative"},
 		{"negative cap", []Option{WithMovement(Line(2)), WithBufferCap(-1)}, "negative"},
 		{"negative latency", []Option{WithMovement(Line(2)), WithLinkLatency(-1)}, "negative"},
-		{"negative jitter", []Option{WithMovement(Line(2)), WithLatencyJitter(-1, 0)}, "negative"},
 		{"nil middleware", []Option{WithMovement(Line(2)), WithMiddleware(nil)}, "WithMiddleware(nil)"},
 		{"bad settle window", []Option{WithMovement(Line(2)), WithSettleWindow(0, 0)}, "quiet"},
 		{"zero heartbeat", []Option{WithMovement(Line(2)), WithHeartbeat(0, time.Second)}, "interval > 0"},
@@ -156,25 +106,5 @@ func TestBufferFactoryResolution(t *testing.T) {
 	}
 	if got := p.Snapshot(t0.Add(3 * time.Second)); len(got) != 1 || got[0].ID.Seq != 3 {
 		t.Errorf("ttl 1.5s at t=3s: snapshot = %v, want only seq 3", got)
-	}
-}
-
-func TestDeliveryLogOption(t *testing.T) {
-	c, err := newConfig([]Option{WithMovement(Line(2))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.logCap(); got != -1 {
-		t.Errorf("default logCap = %d, want -1 (disabled)", got)
-	}
-	c, err = newConfig([]Option{WithMovement(Line(2)), WithDeliveryLog(32)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.logCap(); got != 32 {
-		t.Errorf("logCap = %d, want 32", got)
-	}
-	if _, err := newConfig([]Option{WithMovement(Line(2)), WithDeliveryLog(0)}); err == nil {
-		t.Error("WithDeliveryLog(0) should fail")
 	}
 }

@@ -99,14 +99,13 @@ func runLinkFlapScenario(t *testing.T, h *chaosHarness) {
 		t.Fatal(err)
 	}
 	f := rebeca.NewFilter(rebeca.Eq("topic", rebeca.String("chaos")))
-	dsub := durable.Subscribe(f, rebeca.Durable("chaos"), rebeca.WithStreamBuffer(256))
-	_ = dsub
+	dlog := &streamLog{s: durable.Subscribe(f, rebeca.Durable("chaos"), rebeca.WithStreamBuffer(256))}
 
 	volatileSub := h.d.NewClient("volatile")
 	if err := volatileSub.Connect("C"); err != nil {
 		t.Fatal(err)
 	}
-	volatileSub.Subscribe(f, rebeca.WithStreamBuffer(256))
+	vlog := &streamLog{s: volatileSub.Subscribe(f, rebeca.WithStreamBuffer(256))}
 
 	pub := h.d.NewClient("pub")
 	if err := pub.Connect("A"); err != nil {
@@ -167,13 +166,13 @@ func runLinkFlapScenario(t *testing.T, h *chaosHarness) {
 	// Drain: everything queued must flush.
 	for i := 0; i < 50; i++ {
 		h.advance(100 * time.Millisecond)
-		if durable.Duplicates() >= 0 && len(received(durable)) == seq {
+		if len(dlog.drain()) == seq {
 			break
 		}
 	}
 
 	// Durable: gap-free, duplicate-free, in order.
-	got := received(durable)
+	got := dlog.received(t)
 	if len(got) != seq {
 		t.Fatalf("durable subscriber: %d deliveries, want %d (gap-free): %v", len(got), seq, gaps(got, seq))
 	}
@@ -185,7 +184,7 @@ func runLinkFlapScenario(t *testing.T, h *chaosHarness) {
 	}
 
 	// Volatile: must have converged — the final post-heal wave arrives.
-	vGot := received(volatileSub)
+	vGot := vlog.received(t)
 	final := false
 	for _, d := range vGot {
 		if n, ok := d.Note.Attrs["n"]; ok && n.IntVal() == int64(seq) {
@@ -199,8 +198,6 @@ func runLinkFlapScenario(t *testing.T, h *chaosHarness) {
 		t.Errorf("volatile subscriber saw %d duplicates", v)
 	}
 }
-
-func received(p rebeca.Port) []rebeca.Delivery { return p.Received() }
 
 // gaps summarizes which sequence numbers are missing (test diagnostics).
 func gaps(ds []rebeca.Delivery, want int) string {
@@ -227,7 +224,6 @@ func TestLinkFlapChaosSim(t *testing.T) {
 	h := simChaosHarness(t,
 		rebeca.WithMovement(g),
 		rebeca.WithDurable(rebeca.NewMemoryStore()),
-		rebeca.WithDeliveryLog(256),
 	)
 	runLinkFlapScenario(t, h)
 }
@@ -242,7 +238,6 @@ func TestLinkFlapChaosLive(t *testing.T) {
 	h := liveChaosHarness(t,
 		rebeca.WithMovement(g),
 		rebeca.WithDurable(rebeca.NewMemoryStore()),
-		rebeca.WithDeliveryLog(256),
 	)
 	runLinkFlapScenario(t, h)
 }

@@ -51,13 +51,13 @@ func runPartitionSoakScenario(t *testing.T, h *chaosHarness, cap int, exact bool
 		t.Fatal(err)
 	}
 	f := rebeca.NewFilter(rebeca.Eq("topic", rebeca.String("soak")))
-	durable.Subscribe(f, rebeca.Durable("soak"), rebeca.WithStreamBuffer(4096))
+	dlog := &streamLog{s: durable.Subscribe(f, rebeca.Durable("soak"), rebeca.WithStreamBuffer(4096))}
 
 	vol := h.d.NewClient("volatile")
 	if err := vol.Connect("C"); err != nil {
 		t.Fatal(err)
 	}
-	vol.Subscribe(f, rebeca.WithStreamBuffer(4096))
+	vlog := &streamLog{s: vol.Subscribe(f, rebeca.WithStreamBuffer(4096))}
 
 	pub := h.d.NewClient("pub")
 	if err := pub.Connect("A"); err != nil {
@@ -110,13 +110,13 @@ func runPartitionSoakScenario(t *testing.T, h *chaosHarness, cap int, exact bool
 	wave(10)
 	for i := 0; i < 200; i++ {
 		h.advance(100 * time.Millisecond)
-		if len(received(durable)) == seq && len(received(vol)) == seq {
+		if len(dlog.drain()) == seq && len(vlog.drain()) == seq {
 			break
 		}
 	}
 
 	// Zero volatile gaps: the spill preserved what the queue could not.
-	if got := received(vol); len(got) != seq {
+	if got := vlog.received(t); len(got) != seq {
 		t.Fatalf("volatile subscriber: %d deliveries, want %d: %s", len(got), seq, gaps(got, seq))
 	}
 	if d := vol.Duplicates(); d != 0 {
@@ -127,7 +127,7 @@ func runPartitionSoakScenario(t *testing.T, h *chaosHarness, cap int, exact bool
 	}
 
 	// Exactly-once durable replay.
-	if got := received(durable); len(got) != seq {
+	if got := dlog.received(t); len(got) != seq {
 		t.Fatalf("durable subscriber: %d deliveries, want %d: %s", len(got), seq, gaps(got, seq))
 	}
 	if d := durable.Duplicates(); d != 0 {
@@ -153,7 +153,6 @@ func TestPartitionSoakSim(t *testing.T) {
 	h := simChaosHarness(t,
 		rebeca.WithMovement(g),
 		rebeca.WithDurable(rebeca.NewMemoryStore()),
-		rebeca.WithDeliveryLog(4096),
 		rebeca.WithLinkSpill(rebeca.NewMemoryStore(), 0),
 		rebeca.WithLinkPendingCap(cap),
 	)
@@ -171,7 +170,6 @@ func TestPartitionSoakLive(t *testing.T) {
 	h := liveChaosHarness(t,
 		rebeca.WithMovement(g),
 		rebeca.WithDurable(rebeca.NewMemoryStore()),
-		rebeca.WithDeliveryLog(4096),
 		rebeca.WithLinkSpill(rebeca.NewMemoryStore(), 0),
 		rebeca.WithLinkPendingCap(cap),
 	)
@@ -187,7 +185,6 @@ func TestPartitionSoakSpillDisabledSim(t *testing.T) {
 	g := rebeca.NewGraph().AddEdge("A", "B").AddEdge("B", "C")
 	h := simChaosHarness(t,
 		rebeca.WithMovement(g),
-		rebeca.WithDeliveryLog(4096),
 		rebeca.WithLinkPendingCap(cap),
 	)
 
@@ -196,7 +193,7 @@ func TestPartitionSoakSpillDisabledSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := rebeca.NewFilter(rebeca.Eq("topic", rebeca.String("soak")))
-	vol.Subscribe(f, rebeca.WithStreamBuffer(4096))
+	vlog := &streamLog{s: vol.Subscribe(f, rebeca.WithStreamBuffer(4096))}
 	pub := h.d.NewClient("pub")
 	if err := pub.Connect("A"); err != nil {
 		t.Fatal(err)
@@ -243,12 +240,12 @@ func TestPartitionSoakSpillDisabledSim(t *testing.T) {
 	want := seq - wantDropped
 	for i := 0; i < 100; i++ {
 		h.advance(100 * time.Millisecond)
-		if len(received(vol)) == want {
+		if len(vlog.drain()) == want {
 			break
 		}
 	}
 	// Truthful accounting: published - dropped == delivered, no dupes.
-	if got := received(vol); len(got) != want {
+	if got := vlog.received(t); len(got) != want {
 		t.Fatalf("volatile subscriber: %d deliveries, want %d (= %d published - %d dropped)",
 			len(got), want, seq, wantDropped)
 	}

@@ -10,15 +10,17 @@ import (
 	"rebeca"
 )
 
-// streamLog accumulates what one subscription's stream has carried: the
-// "n" attribute of every delivery, and whether the stream is closed.
+// streamLog accumulates what one subscription's stream has carried: every
+// delivery in arrival order, and whether the stream is closed.
 type streamLog struct {
 	s      *rebeca.Subscription
-	ns     []int64
+	ds     []rebeca.Delivery
 	closed bool
 }
 
-func (l *streamLog) String() string {
+// drain takes whatever the stream holds now, without waiting, and returns
+// every delivery the stream has carried so far.
+func (l *streamLog) drain() []rebeca.Delivery {
 	for !l.closed {
 		select {
 		case d, ok := <-l.s.Events():
@@ -26,17 +28,39 @@ func (l *streamLog) String() string {
 				l.closed = true
 				continue
 			}
-			l.ns = append(l.ns, d.Note.Attrs["n"].IntVal())
+			l.ds = append(l.ds, d)
 			continue
 		default:
 		}
 		break
 	}
-	sort.Slice(l.ns, func(i, j int) bool { return l.ns[i] < l.ns[j] })
-	if l.closed {
-		return fmt.Sprint(l.ns, " closed")
+	return l.ds
+}
+
+// received is drain for an assertion: a stream whose overflow policy
+// discarded anything fails the test, so a bounded stream cannot pass a
+// count by losing deliveries.
+func (l *streamLog) received(t testing.TB) []rebeca.Delivery {
+	t.Helper()
+	ds := l.drain()
+	if st := l.s.Stats(); st.Dropped != 0 {
+		t.Errorf("stream %s dropped %d deliveries (stats %+v)", l.s.ID(), st.Dropped, st)
 	}
-	return fmt.Sprint(l.ns)
+	return ds
+}
+
+// String renders the "n" attribute of every delivery, sorted, and whether
+// the stream is closed.
+func (l *streamLog) String() string {
+	ns := make([]int64, 0, len(l.ds))
+	for _, d := range l.drain() {
+		ns = append(ns, d.Note.Attrs["n"].IntVal())
+	}
+	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+	if l.closed {
+		return fmt.Sprint(ns, " closed")
+	}
+	return fmt.Sprint(ns)
 }
 
 // portScript drives one client session script through a deployment's

@@ -16,7 +16,7 @@ import (
 func TestPublisherIdentitySurvivesRestartSim(t *testing.T) {
 	g := rebeca.NewGraph().AddEdge("A", "B")
 	st := rebeca.NewMemoryStore()
-	sys, err := rebeca.New(rebeca.WithMovement(g), rebeca.WithDurable(st), rebeca.WithDeliveryLog(64))
+	sys, err := rebeca.New(rebeca.WithMovement(g), rebeca.WithDurable(st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestPublisherIdentitySurvivesRestartSim(t *testing.T) {
 	if err := sub.Connect("B"); err != nil {
 		t.Fatal(err)
 	}
-	sub.Subscribe(rebeca.NewFilter(rebeca.Eq("k", rebeca.Int(1))))
+	ks := &streamLog{s: sub.Subscribe(rebeca.NewFilter(rebeca.Eq("k", rebeca.Int(1))), rebeca.WithStreamBuffer(64))}
 	sys.Settle()
 
 	publish := func(p rebeca.Port, n int) {
@@ -55,7 +55,7 @@ func TestPublisherIdentitySurvivesRestartSim(t *testing.T) {
 	}
 	publish(pub2, 5)
 
-	if got := len(sub.Received()); got != 10 {
+	if got := len(ks.received(t)); got != 10 {
 		t.Errorf("subscriber deliveries = %d, want 10 (restart must not alias old sequences)", got)
 	}
 	if got := sub.Duplicates(); got != 0 {
@@ -65,7 +65,8 @@ func TestPublisherIdentitySurvivesRestartSim(t *testing.T) {
 		t.Errorf("FIFO violations = %d, want 0 (sequences must stay monotonic across restarts)", got)
 	}
 	// The restarted incarnation resumed above the persisted reservation.
-	last := sub.Received()[len(sub.Received())-1]
+	got := ks.received(t)
+	last := got[len(got)-1]
 	if last.Note.ID.Seq <= 5 {
 		t.Errorf("post-restart sequence %d not above the first incarnation's", last.Note.ID.Seq)
 	}
@@ -77,7 +78,7 @@ func TestPublisherIdentitySurvivesRestartSim(t *testing.T) {
 // suppressed as a duplicate.
 func TestPublisherIdentityRestartWithoutStoreAliases(t *testing.T) {
 	g := rebeca.NewGraph().AddEdge("A", "B")
-	sys, err := rebeca.New(rebeca.WithMovement(g), rebeca.WithDeliveryLog(64))
+	sys, err := rebeca.New(rebeca.WithMovement(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestPublisherIdentityRestartWithoutStoreAliases(t *testing.T) {
 	if err := sub.Connect("B"); err != nil {
 		t.Fatal(err)
 	}
-	sub.Subscribe(rebeca.NewFilter(rebeca.Eq("k", rebeca.Int(1))))
+	ks := &streamLog{s: sub.Subscribe(rebeca.NewFilter(rebeca.Eq("k", rebeca.Int(1))), rebeca.WithStreamBuffer(64))}
 	sys.Settle()
 
 	for _, name := range []string{"first", "second"} {
@@ -107,7 +108,7 @@ func TestPublisherIdentityRestartWithoutStoreAliases(t *testing.T) {
 		sys.Settle()
 		_ = name
 	}
-	if got := len(sub.Received()); got != 3 {
+	if got := len(ks.received(t)); got != 3 {
 		t.Errorf("volatile restart delivered %d, want 3 (aliased sequences dedup away)", got)
 	}
 	if got := sub.Duplicates(); got != 3 {
@@ -121,7 +122,7 @@ func TestPublisherIdentitySurvivesRestartLive(t *testing.T) {
 	g := rebeca.NewGraph().AddEdge("A", "B")
 	st := rebeca.NewMemoryStore()
 	d, err := rebeca.NewLive(rebeca.WithMovement(g), rebeca.WithDurable(st),
-		rebeca.WithDeliveryLog(64), rebeca.WithSettleWindow(50*time.Millisecond, 5*time.Second))
+		rebeca.WithSettleWindow(50*time.Millisecond, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestPublisherIdentitySurvivesRestartLive(t *testing.T) {
 	if err := sub.Connect("B"); err != nil {
 		t.Fatal(err)
 	}
-	sub.Subscribe(rebeca.NewFilter(rebeca.Eq("k", rebeca.Int(1))))
+	ks := &streamLog{s: sub.Subscribe(rebeca.NewFilter(rebeca.Eq("k", rebeca.Int(1))), rebeca.WithStreamBuffer(64))}
 	d.Settle()
 
 	for round := 0; round < 2; round++ {
@@ -150,7 +151,7 @@ func TestPublisherIdentitySurvivesRestartLive(t *testing.T) {
 		}
 	}
 	d.Settle()
-	if got := len(sub.Received()); got != 8 {
+	if got := len(ks.received(t)); got != 8 {
 		t.Errorf("subscriber deliveries = %d, want 8", got)
 	}
 	if got := sub.Duplicates(); got != 0 {

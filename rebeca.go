@@ -47,10 +47,10 @@
 // (DropOldest, DropNewest, Block — see WithStreamBuffer / WithOverflow)
 // and lifecycle (Cancel). Under Live, a Block stream exerts credit-based
 // flow control through the broker overlay back to the publisher
-// (WithDeliveryWindow). Ports record no delivery history unless
-// WithDeliveryLog opts into a bounded log; OnNotify remains as a thin
-// callback adapter over the port's catch-all stream, and PublishBatch
-// frames many notifications per wire message.
+// (WithDeliveryWindow). Ports record no delivery history: the streams
+// are the delivery surface. OnNotify remains as a thin callback adapter
+// over the port's catch-all stream, and PublishBatch frames many
+// notifications per wire message.
 //
 // # Durable subscriptions
 //

@@ -182,11 +182,12 @@ func TestSystemRoamingLossless(t *testing.T) {
 
 func TestSystemLocationDependentSubscription(t *testing.T) {
 	g := rebeca.Line(3)
-	sys := newSystem(t, rebeca.WithMovement(g), rebeca.WithDeliveryLog(16))
+	sys := newSystem(t, rebeca.WithMovement(g))
 
 	mob := sys.NewClient("mob")
 	connect(t, mob, "B0")
-	mob.SubscribeAt(rebeca.Eq("service", rebeca.String("menu")))
+	menu := &streamLog{s: mob.Subscribe(rebeca.AtLocation(rebeca.Eq("service", rebeca.String("menu"))),
+		rebeca.WithStreamBuffer(16))}
 	sys.Settle()
 
 	pub := sys.NewClient("pub")
@@ -200,14 +201,14 @@ func TestSystemLocationDependentSubscription(t *testing.T) {
 	sys.Settle()
 
 	// Not delivered while at B0, but replayed on arrival at B1.
-	if got := len(mob.Received()); got != 0 {
+	if got := len(menu.received(t)); got != 0 {
 		t.Fatalf("received %d before arrival", got)
 	}
 	_ = mob.Disconnect()
 	sys.Step(5 * time.Millisecond)
 	connect(t, mob, "B1")
 	sys.Settle()
-	if got := len(mob.Received()); got != 1 {
+	if got := len(menu.received(t)); got != 1 {
 		t.Errorf("pre-subscription replay got %d, want 1", got)
 	}
 }
@@ -216,11 +217,11 @@ func TestSystemReactiveOption(t *testing.T) {
 	sys := newSystem(t,
 		rebeca.WithMovement(rebeca.Line(3)),
 		rebeca.WithReactiveBaseline(),
-		rebeca.WithDeliveryLog(16),
 	)
 	mob := sys.NewClient("mob")
 	connect(t, mob, "B0")
-	mob.SubscribeAt(rebeca.Eq("service", rebeca.String("menu")))
+	menu := &streamLog{s: mob.Subscribe(rebeca.AtLocation(rebeca.Eq("service", rebeca.String("menu"))),
+		rebeca.WithStreamBuffer(16))}
 	sys.Settle()
 
 	pub := sys.NewClient("pub")
@@ -233,7 +234,7 @@ func TestSystemReactiveOption(t *testing.T) {
 	sys.Step(5 * time.Millisecond)
 	connect(t, mob, "B1")
 	sys.Settle()
-	if got := len(mob.Received()); got != 0 {
+	if got := len(menu.received(t)); got != 0 {
 		t.Errorf("reactive mode replayed %d, want 0", got)
 	}
 }
@@ -242,11 +243,11 @@ func TestSystemBufferCapOption(t *testing.T) {
 	sys := newSystem(t,
 		rebeca.WithMovement(rebeca.Line(3)),
 		rebeca.WithBufferCap(2),
-		rebeca.WithDeliveryLog(16),
 	)
 	mob := sys.NewClient("mob")
 	connect(t, mob, "B0")
-	mob.SubscribeAt(rebeca.Eq("service", rebeca.String("menu")))
+	menu := &streamLog{s: mob.Subscribe(rebeca.AtLocation(rebeca.Eq("service", rebeca.String("menu"))),
+		rebeca.WithStreamBuffer(16))}
 	sys.Settle()
 	pub := sys.NewClient("pub")
 	connect(t, pub, "B1")
@@ -263,7 +264,7 @@ func TestSystemBufferCapOption(t *testing.T) {
 	sys.Step(2 * time.Millisecond)
 	connect(t, mob, "B1")
 	sys.Settle()
-	if got := len(mob.Received()); got != 2 {
+	if got := len(menu.received(t)); got != 2 {
 		t.Errorf("capped buffer replayed %d, want 2", got)
 	}
 }
