@@ -386,12 +386,8 @@ func TestSessionLayersPrecedeMiddleware(t *testing.T) {
 		}},
 		{"StartBroker", func(t *testing.T, probe Middleware) Deployment {
 			// Two separately started brokers, driven through Live's client
-			// ports: a Live is nothing but the BrokerNodes it holds.
-			cfg, err := applyOptions(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l := &Live{cfg: cfg, nodes: make(map[NodeID]*BrokerNode)}
+			// ports.
+			l := fleet(t)
 			edges := [][2]NodeID{{"A", "B"}}
 			for _, id := range []NodeID{"A", "B"} {
 				spec := BrokerSpec{ID: id, Edges: edges}
@@ -402,8 +398,7 @@ func TestSessionLayersPrecedeMiddleware(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				l.ids = append(l.ids, id)
-				l.nodes[id] = n
+				l.put(n)
 			}
 			waitReady(t, l.nodes["A"], l.nodes["B"])
 			return l

@@ -1,6 +1,8 @@
 // rebeca-broker runs one live broker over TCP — the deployment mode of §2:
 // one process per broker, point-to-point links to overlay neighbors,
-// physical-mobility manager and replicator attached at the border.
+// physical-mobility manager and replicator attached at the border. The
+// replicator's nlb is the overlay: the -edges neighbors, or under
+// -registry every registered broker.
 //
 // Two ways to describe the overlay:
 //
@@ -108,9 +110,6 @@ func main() {
 	}
 	if spec.Dial, err = parseDials(*dial); err != nil {
 		fatal(err)
-	}
-	if *registry != "" {
-		fmt.Println("note: replicator layer disabled under -registry (needs a static -edges movement graph)")
 	}
 
 	// One slog root on stderr, every subsystem gated at -log-level and

@@ -478,9 +478,13 @@ func (b *Broker) handleSubscribe(from message.NodeID, m proto.Message) {
 	// direction, up to and including stealing the entry off the
 	// subscriber's own border). Replays therefore never flip: they only
 	// fill entries that are missing outright. Directional repair is the
-	// re-anchor wave's job (see reanchor).
+	// re-anchor wave's job (see reanchor). Nor does a replay over a link
+	// outside the tree fill anything: its entry would pass on as a plain
+	// subscription that flips the next tree hop's correct entry — and,
+	// echoed back, the anchor's own. The link's resync replays again when
+	// it enters the tree.
 	if b.mesh != nil && m.Stale {
-		if e, ok := b.router.Table().Get(m.Sub.ID); ok && e.Link != from {
+		if e, ok := b.router.Table().Get(m.Sub.ID); (ok && e.Link != from) || !b.peers[from] {
 			return
 		}
 	}

@@ -418,3 +418,28 @@ func TestMeshScalesBeyondFixture(t *testing.T) {
 		t.Errorf("elected %d tree edges, want %d", treeEdges, len(members)-1)
 	}
 }
+
+// TestMeshReplayOffTreeInstallsNothing: on the triangle P-Q-X the election
+// (root P) leaves X-Q out of the tree. A handshake replay over X-Q installs
+// nothing and passes nothing on — a fill there would travel on as a plain
+// subscription and flip correct entries at the next tree hop — while the
+// same replay over the tree link X-P fills the table.
+func TestMeshReplayOffTreeInstallsNothing(t *testing.T) {
+	sent := 0
+	b := New(Config{ID: "X", Send: func(message.NodeID, proto.Message) { sent++ }})
+	b.EnableMesh()
+	b.SetMeshTopology([]message.NodeID{"P", "Q", "X"},
+		[][2]message.NodeID{{"P", "Q"}, {"P", "X"}, {"Q", "X"}})
+	if got := b.Peers(); !reflect.DeepEqual(got, []message.NodeID{"P"}) {
+		t.Fatalf("X's tree links = %v, want [P]", got)
+	}
+	replay := []proto.Subscription{*subMsg("q/s1").Sub}
+	b.ApplySyncInstalls("Q", replay)
+	if n := b.Router().Table().Len(); n != 0 || sent != 0 {
+		t.Errorf("replay over the off-tree link X-Q: %d entries installed, %d messages sent; want 0 and 0", n, sent)
+	}
+	b.ApplySyncInstalls("P", replay)
+	if e, ok := b.Router().Table().Get("q/s1"); !ok || e.Link != "P" {
+		t.Errorf("replay over the tree link X-P: entry %+v (present %v), want it learned from P", e, ok)
+	}
+}

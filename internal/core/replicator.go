@@ -23,6 +23,9 @@
 //     newset = nlb(b2).
 //   - Client removal (§3.2.4): the local virtual client and all nlb
 //     replicas are deleted.
+//   - Neighbor (re)join: when the link to a broker in nlb(b) comes up (it
+//     registered late, or restarted without its replicas), every client
+//     active at b gets its replica there, as newset\oldset does.
 //   - Exception mode (§4): a client popping up at a broker without a
 //     replica (movement-graph violation, e.g. power-off travel) gets a
 //     virtual client created on the fly; buffered notifications are
@@ -32,13 +35,15 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"rebeca/internal/broker"
 	"rebeca/internal/buffer"
 	"rebeca/internal/filter"
 	"rebeca/internal/location"
 	"rebeca/internal/message"
+	"rebeca/internal/overlay"
 	"rebeca/internal/proto"
 	"rebeca/internal/store"
 )
@@ -95,7 +100,10 @@ func (v *virtualClient) profile() []proto.Subscription {
 type Config struct {
 	// Broker is the border broker this replicator serves.
 	Broker *broker.Broker
-	// NLB is the movement graph's next-local-broker function.
+	// NLB returns nlb(b), a broker's movement-graph neighbors. A live broker
+	// passes the graph it routes on, which registry snapshots may change; it
+	// is read on a location-dependent (un)subscribe, a handover and a link
+	// establishment.
 	NLB func(message.NodeID) []message.NodeID
 	// Locations resolves myloc markers per broker.
 	Locations *location.Model
@@ -129,7 +137,8 @@ type Config struct {
 // Replicator is the per-border-broker replicator process of Fig. 4: a
 // stage of the broker's middleware chain that claims location-dependent
 // subscriptions and the replica protocol (MessageInterceptor) and the
-// deliveries to its virtual clients' ports (OnDeliver).
+// deliveries to its virtual clients' ports (OnDeliver), and re-creates
+// replicas on a neighbor whose link comes up (LinkObserver).
 type Replicator struct {
 	broker.PassMiddleware
 	b   *broker.Broker
@@ -401,7 +410,7 @@ func (r *Replicator) rebalance(c message.NodeID, vc *virtualClient, prev message
 		oldset[prev] = true
 	}
 	profile := vc.profile()
-	for _, nb := range sortedKeys(newset) {
+	for _, nb := range slices.Sorted(maps.Keys(newset)) {
 		if nb == here || oldset[nb] {
 			continue
 		}
@@ -409,13 +418,30 @@ func (r *Replicator) rebalance(c message.NodeID, vc *virtualClient, prev message
 			Kind: proto.KReplicaCreate, Client: c, Origin: here, Subs: profile,
 		})
 	}
-	for _, ob := range sortedKeys(oldset) {
+	for _, ob := range slices.Sorted(maps.Keys(oldset)) {
 		if ob == here || newset[ob] {
 			continue
 		}
 		r.b.Direct(ob, proto.Message{
 			Kind: proto.KReplicaDelete, Client: c, Origin: here,
 		})
+	}
+}
+
+// OnLinkChange implements broker.LinkObserver: a link that comes up to a
+// broker in nlb(here) gets a replica of every client active here, as
+// rebalance sends to newset\oldset. onReplicaCreate installs only what a
+// replica lacks, so one that survived the outage is left as it is.
+func (r *Replicator) OnLinkChange(_ *broker.Broker, ev overlay.Event) {
+	if !r.cfg.PreSubscribe || ev.To != overlay.StateEstablished || !slices.Contains(r.cfg.NLB(r.b.ID()), ev.Peer) {
+		return
+	}
+	for _, c := range slices.Sorted(maps.Keys(r.vcs)) {
+		if vc := r.vcs[c]; vc.active {
+			r.b.Direct(ev.Peer, proto.Message{
+				Kind: proto.KReplicaCreate, Client: c, Origin: r.b.ID(), Subs: vc.profile(),
+			})
+		}
 	}
 }
 
@@ -577,13 +603,5 @@ func toSet(ids []message.NodeID) map[message.NodeID]bool {
 	return out
 }
 
-func sortedKeys(m map[message.NodeID]bool) []message.NodeID {
-	out := make([]message.NodeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 var _ broker.MessageInterceptor = (*Replicator)(nil)
+var _ broker.LinkObserver = (*Replicator)(nil)

@@ -53,27 +53,9 @@ func NewLive(opts ...Option) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodesIDs := cfg.movement.Nodes()
-	var topo broker.Topology
-	if cfg.mesh {
-		topo = broker.Topology{Edges: cfg.movement.Edges()}
-		if err := topo.ValidateConnected(); err != nil {
-			return nil, err
-		}
-	} else {
-		edgeCount := 0
-		for _, id := range nodesIDs {
-			edgeCount += cfg.movement.Degree(id)
-		}
-		edgeCount /= 2
-		if !cfg.movement.Connected() || edgeCount != len(nodesIDs)-1 {
-			return nil, fmt.Errorf("rebeca: NewLive needs a tree movement graph (%d nodes, %d edges); opt into WithMeshRouting to run a cyclic mesh",
-				len(nodesIDs), edgeCount)
-		}
-		topo = broker.Topology{Edges: cfg.movement.SpanningTree()}
-		if err := topo.Validate(); err != nil {
-			return nil, err
-		}
+	topo := broker.Topology{Edges: cfg.movement.Edges()}
+	if err := cfg.validateOverlay(topo); err != nil {
+		return nil, err
 	}
 	l := &Live{
 		cfg:   cfg,
@@ -84,7 +66,6 @@ func NewLive(opts ...Option) (*Live, error) {
 		ops: newOpsStack(cfg),
 	}
 	adj := topo.Adjacency()
-	sessions := cfg.sessions(true)
 	for _, id := range l.ids {
 		// Dial the neighbors already started; the others dial us.
 		spec := BrokerSpec{ID: id, Listen: "127.0.0.1:0", Dial: make(map[NodeID]string)}
@@ -93,7 +74,7 @@ func NewLive(opts ...Option) (*Live, error) {
 				spec.Dial[p] = n.Addr()
 			}
 		}
-		n, err := startNode(cfg, l.ops, spec, topo, sessions)
+		n, err := startNode(cfg, l.ops, spec, topo)
 		if err != nil {
 			_ = l.Close()
 			return nil, err

@@ -213,3 +213,44 @@ func TestMeshChaosLive(t *testing.T) {
 	h.waitEstablished(t, meshEdges())
 	runMeshChaosScenario(t, h)
 }
+
+// TestMeshSubscribeDuringBringUp: a subscription issued the instant a
+// Ring(4) mesh NewLive returns, while its links still come up, must route.
+// The handshake replay of a link the election leaves off the tree used to
+// fill the receiver's table, and the plain subscription it passed on
+// flipped the subscriber's own border toward a peer: every later note was
+// lost, in a quarter to a half of the runs. Eight runs; each publishes
+// until one note arrives.
+func TestMeshSubscribeDuringBringUp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live mesh bring-up skipped in -short mode")
+	}
+	for run := 0; run < 8; run++ {
+		l, err := rebeca.NewLive(rebeca.WithMovement(rebeca.Ring(4)), rebeca.WithMeshRouting())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := l.Brokers()
+		sub, pub := l.NewClient("sub"), l.NewClient("pub")
+		connect(t, sub, ids[2])
+		events := sub.Subscribe(rebeca.NewFilter(rebeca.Eq("k", rebeca.String("v")))).Events()
+		connect(t, pub, ids[0])
+		deadline := time.Now().Add(2 * time.Second)
+	publish:
+		for {
+			if _, err := pub.Publish(map[string]rebeca.Value{"k": rebeca.String("v")}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-events:
+				break publish
+			case <-time.After(10 * time.Millisecond):
+			}
+			if time.Now().After(deadline) {
+				l.Close()
+				t.Fatalf("run %d: nothing reached the subscriber at %s in 2s", run, ids[2])
+			}
+		}
+		l.Close()
+	}
+}

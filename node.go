@@ -11,7 +11,6 @@ import (
 	"rebeca/internal/discovery"
 	"rebeca/internal/location"
 	"rebeca/internal/mobility"
-	"rebeca/internal/movement"
 	"rebeca/internal/session"
 	"rebeca/internal/telemetry"
 	"rebeca/internal/wire"
@@ -22,8 +21,8 @@ import (
 // distributed fleet has to be told per process. Everything else
 // (durability, heartbeat, link spill, registry, ops endpoint, push,
 // sampling, logging, middleware) is configured with the same Options New and
-// NewLive take. Every broker runs the transparent mobility manager, and the
-// replicator wherever the movement graph is static (not under WithRegistry).
+// NewLive take. Every broker runs the transparent mobility manager and the
+// replicator, whose nlb is the graph the broker routes on (see WithRegistry).
 // The zero value of every field but ID is rebeca-broker's default.
 type BrokerSpec struct {
 	// ID names this broker.
@@ -36,10 +35,10 @@ type BrokerSpec struct {
 	// rewritten to 127.0.0.1).
 	Advertise string
 	// Edges is the full static overlay, the same list on every broker of
-	// the fleet; this broker's neighbors and its unicast next hops derive
-	// from it, and it doubles as the replicator's movement graph. It must
-	// be a tree unless WithMeshRouting is given. Leave empty under
-	// WithRegistry, which links whatever brokers the registry names.
+	// the fleet; this broker's neighbors, its unicast next hops and the
+	// replicator's nlb derive from it. It must be a tree unless
+	// WithMeshRouting is given. Leave empty under WithRegistry, which links
+	// whatever brokers the registry names.
 	Edges [][2]NodeID
 	// Dial maps the neighbors this broker actively connects to onto their
 	// addresses; exactly one side of each edge dials, the other accepts.
@@ -67,10 +66,12 @@ type BrokerNode struct {
 // the node's probes on the ops stack — in that order. topo is the static
 // overlay (a lone broker under a registry has none): the broker's
 // neighbors — the links it configures or, under a registry, the adjacency
-// it registers — and its unicast next hops derive from it. A failure
-// closes what was started.
-func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology, sessions session.Config) (*BrokerNode, error) {
-	neighbors := topo.Adjacency()[spec.ID]
+// it registers — and its unicast next hops derive from it. The replicator's
+// nlb is topo's adjacency on a tree, and the mesh's declared graph (topo,
+// or the registry's snapshots) on a mesh. A failure closes what was started.
+func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology) (*BrokerNode, error) {
+	adj := topo.Adjacency()
+	neighbors := adj[spec.ID]
 	ncfg := wire.NodeConfig{
 		ID:      spec.ID,
 		Listen:  spec.Listen,
@@ -97,10 +98,23 @@ func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology
 		ncfg.FrameObserver = ops.frameObserver(spec.ID)
 	}
 	n := &BrokerNode{id: spec.ID, node: wire.NewNode(ncfg), ops: ops}
+	nlb := func(id NodeID) []NodeID { return adj[id] }
 	if cfg.mesh {
 		n.node.EnableMesh()
+		nlb = n.node.Broker().Mesh().Neighbors
 	}
-	n.layers = session.Attach(n.node.Broker(), sessions)
+	n.layers = session.Attach(n.node.Broker(), session.Config{
+		Replication: &core.Config{
+			NLB:          nlb,
+			Locations:    cfg.locations,
+			Context:      cfg.context,
+			PreSubscribe: !cfg.reactive,
+		},
+		Mobility:      mobility.ModeTransparent,
+		BufferFactory: cfg.bufferFactory(),
+		Store:         cfg.store,
+		Middleware:    cfg.middleware,
+	})
 	if cfg.registry != "" {
 		reg, err := discovery.Open(cfg.registry)
 		if err != nil {
@@ -199,10 +213,10 @@ func (n *BrokerNode) abort() {
 // StartBroker starts one live broker — what rebeca-broker runs, and the
 // same assembly NewLive runs once per broker of a loopback deployment. The
 // options are the ones New and NewLive take, less WithMovement, which it
-// refuses: the movement graph is spec.Edges. WithLocations maps the brokers
-// of spec.Edges (default: one region per broker). The caller owns the
-// stores it passes (WithDurable, WithLinkSpill) and closes them after the
-// node.
+// refuses: the movement graph is spec.Edges. WithLocations defaults to one
+// region for spec.ID, the one broker its replicator resolves myloc against.
+// The caller owns the stores it passes (WithDurable, WithLinkSpill) and
+// closes them after the node.
 func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 	cfg, err := applyOptions(opts)
 	if err != nil {
@@ -225,30 +239,18 @@ func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 	}
 	topo := broker.Topology{Edges: spec.Edges}
 	if cfg.registry == "" {
-		if cfg.mesh {
-			err = topo.ValidateConnected()
-		} else {
-			err = topo.Validate()
-		}
-		if err != nil {
+		if err := cfg.validateOverlay(topo); err != nil {
 			return nil, err
 		}
 		if _, ok := topo.Adjacency()[spec.ID]; !ok {
 			return nil, fmt.Errorf("rebeca: broker %s does not appear in BrokerSpec.Edges", spec.ID)
 		}
-		// The replicator's movement graph mirrors the static overlay.
-		cfg.movement = movement.NewGraph()
-		for _, e := range spec.Edges {
-			cfg.movement.AddEdge(e[0], e[1])
-		}
-		if cfg.locations == nil {
-			cfg.locations = location.Regions(topo.Nodes())
-		}
+	}
+	if cfg.locations == nil {
+		cfg.locations = location.Regions([]NodeID{spec.ID})
 	}
 	ops := newOpsStack(cfg)
-	// Under a registry the graph is dynamic, so the replicator stays off.
-	sessions := cfg.sessions(cfg.registry == "")
-	n, err := startNode(cfg, ops, spec, topo, sessions)
+	n, err := startNode(cfg, ops, spec, topo)
 	if err != nil {
 		return nil, err
 	}
@@ -261,25 +263,16 @@ func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 	return n, nil
 }
 
-// sessions resolves the options into the session layers every broker of the
-// deployment carries: the transparent mobility manager, and the replicator
-// when replicate is set (it needs the movement graph).
-func (c *config) sessions(replicate bool) session.Config {
-	s := session.Config{
-		Mobility:      mobility.ModeTransparent,
-		BufferFactory: c.bufferFactory(),
-		Store:         c.store,
-		Middleware:    c.middleware,
+// validateOverlay checks a static overlay for the routing the options
+// chose: connected under mesh routing, a tree otherwise.
+func (c *config) validateOverlay(topo broker.Topology) error {
+	if c.mesh {
+		return topo.ValidateConnected()
 	}
-	if replicate {
-		s.Replication = &core.Config{
-			NLB:          c.movement.NLB(),
-			Locations:    c.locations,
-			Context:      c.context,
-			PreSubscribe: !c.reactive,
-		}
+	if err := topo.Validate(); err != nil {
+		return fmt.Errorf("rebeca: a live deployment needs a tree movement graph (%w); opt into WithMeshRouting to run a cyclic mesh", err)
 	}
-	return s
+	return nil
 }
 
 // Addr returns the bound TCP address links and clients connect to.

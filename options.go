@@ -327,10 +327,11 @@ func WithMeshRouting() Option {
 // file:<path> or seed:<listen>[,<seed>…]) and a membership
 // supervisor per node watches it, dialing discovered peers under the
 // deterministic smaller-ID-dials rule and closing links to departed
-// ones. Each broker restricts its adjacency to its movement-graph
-// neighbors, so the registered mesh mirrors the movement graph. Implies
-// WithMeshRouting. NewLive only — the virtual-clock System has no
-// transport for a registry to point at.
+// ones. Under NewLive each broker registers its movement-graph neighbors,
+// so the mesh mirrors the movement graph; a StartBroker broker registers
+// none, so the registry links every broker to every other. The
+// replicator's nlb is that registered graph. Implies WithMeshRouting. New
+// refuses it: the virtual-clock System has no transport for a registry.
 func WithRegistry(uri string) Option {
 	return func(c *config) {
 		if uri == "" {

@@ -34,8 +34,8 @@
 // The broker overlay is the movement graph's spanning tree by default.
 // WithMeshRouting accepts arbitrary connected graphs instead: brokers run
 // a replicated spanning-tree election and treat the redundant edges as
-// failover paths. WithRegistry (NewLive) replaces static neighbor lists
-// with registry-driven membership — see internal/discovery.
+// failover paths. WithRegistry (NewLive, StartBroker) replaces static
+// neighbor lists with registry-driven membership — see internal/discovery.
 //
 // Clients are created through Deployment.NewClient and driven through the
 // Port interface, so the same scenario code runs against both flavors.
