@@ -663,8 +663,8 @@ func TestMechanismFamiliesOnBothDeployments(t *testing.T) {
 }
 
 // TestHopTraceNeedsSomewhereToShowIt: stamping every hop of every publish is
-// on only with an endpoint (/trace) or a push target to show the trace;
-// logging alone leaves the publish path unstamped.
+// on only with an endpoint (/trace) to show the trace; logging alone leaves
+// the publish path unstamped.
 func TestHopTraceNeedsSomewhereToShowIt(t *testing.T) {
 	builders := map[string]func(opts ...Option) (Deployment, *opsStack, error){
 		"New": func(opts ...Option) (Deployment, *opsStack, error) {
@@ -689,7 +689,6 @@ func TestHopTraceNeedsSomewhereToShowIt(t *testing.T) {
 	}{
 		{"logging only", WithLogging(io.Discard, "info"), false},
 		{"ops", WithOps("127.0.0.1:0"), true},
-		{"push", WithOpsPush("http://127.0.0.1:1/ingest", time.Hour), true},
 	}
 	for host, build := range builders {
 		for _, tc := range cases {
@@ -807,11 +806,14 @@ func TestOneAssembly(t *testing.T) {
 	// The session layers' counter structs went too: their events reach
 	// the simulator, the tests and /metrics through the chain. And the
 	// second and third dedup structures: internal/dedup is the one window.
+	// And the push exporter with its span encoding and ingest endpoint: the
+	// collector scrapes the endpoints the registry lists.
 	gone := []string{"RemoteWrite", "PushFormat", "pushFormat", "snapshotJSON", "ingestJSON", "foldCounterDel",
 		"ParseLabelKey", "NewDNSRegistry", "SRVLookup", "tracerCap", "MetricTracerDropped",
 		"WithLinkObserver", "SetDropHook", "dropHook",
 		"StartFlush", "FlushObserver", "OnFlushDone", "flushCont", "FlushID",
-		"ReplicatorStats", "DedupSet", "seenSet", "seenCap"}
+		"ReplicatorStats", "DedupSet", "seenSet", "seenCap",
+		"Pusher", "WithOpsPush", "SpanExport", "EncodeSpanBatch", "ContentTypeSpans", "InstanceHeader", "handleIngest"}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err

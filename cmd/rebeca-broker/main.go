@@ -44,6 +44,14 @@
 //	rebeca-broker -name A -listen :7471 -registry file:peers.json
 //	rebeca-broker -name B -listen :7472 -registry file:peers.json
 //	rebeca-broker -name C -listen :7473 -registry file:peers.json
+//
+// -ops serves the broker's /metrics, /readyz, /trace and /config. Under
+// -registry the ops address is registered too, so one rebeca-collector
+// reading the same registry scrapes the whole fleet; an unspecified -ops
+// host is registered as -advertise's host (127.0.0.1 without -advertise):
+//
+//	rebeca-broker -name A -listen :7471 -registry file:peers.json -ops :9281
+//	rebeca-collector -registry file:peers.json -interval 15s
 package main
 
 import (
@@ -66,7 +74,7 @@ func main() {
 		edges     = flag.String("edges", "", "full overlay edge list, e.g. A-B,B-C (static mode)")
 		dial      = flag.String("dial", "", "neighbors to dial, e.g. A=host:port,B=host:port (static mode)")
 		registry  = flag.String("registry", "", "membership registry URI (file:<path> or seed:<listen>[,<seed>...]); replaces -edges/-dial and enables mesh routing")
-		advertise = flag.String("advertise", "", "overlay address to register for peers to dial (default: the bound listen address with unspecified hosts rewritten to 127.0.0.1)")
+		advertise = flag.String("advertise", "", "overlay address to register for peers to dial (default: the bound listen address with unspecified hosts rewritten to 127.0.0.1); its host also stands in for an unspecified -ops host")
 		stats     = flag.Duration("stats", 0, "print telemetry-registry metrics at this interval (0 = off)")
 		opsAddr   = flag.String("ops", "", "HTTP operations endpoint address, e.g. :9090 (/metrics, /healthz, /readyz, /trace, /config, /debug/pprof)")
 		trace     = flag.Bool("trace", false, "log every publish, delivery and subscription")
@@ -80,8 +88,6 @@ func main() {
 		spillMax  = flag.Int64("link-spill-max", 0, "per-link spill byte budget for -link-spill (0 = default 256 MiB); past it the spill drops its own oldest records")
 		linkPend  = flag.Int("link-pending", 0, "in-memory pending-queue cap per overlay link (0 = default 4096)")
 		regTTL    = flag.Duration("registry-ttl", 0, "file-registry lease: stamp our entry with this TTL and refresh it, so a killed broker's registration ages out (file: registries only; 0 = entries never expire)")
-		push      = flag.String("push", "", "push metrics (Prometheus text) and trace spans to this URL instead of (or besides) being scraped, e.g. http://collector:9091/ingest")
-		pushEvery = flag.Duration("push-interval", 15*time.Second, "metric push interval for -push")
 		logLevel  = flag.String("log-level", "info", "structured log verbosity for every subsystem: debug|info|warn|error (retune per subsystem via /config log.<subsystem>)")
 		sampleN   = flag.Int64("trace-sample", 0, "hop-trace sampling as 1-in-N notifications (0 or 1 = trace everything)")
 		slowThr   = flag.Duration("trace-slow", 0, "always trace deliveries slower than this, even unsampled (0 = off)")
@@ -114,8 +120,8 @@ func main() {
 
 	// One slog root on stderr, every subsystem gated at -log-level and
 	// retunable at runtime via the /config log.* knobs (log.overlay=warn
-	// quiets routine link transitions). -stats, -ops and -push are all fed
-	// by the registry that comes with it; the sampler's pending ring is the
+	// quiets routine link transitions). -stats and -ops are both fed by the
+	// registry that comes with it; the sampler's pending ring is the
 	// /config trace.pending knob.
 	opts := []rebeca.Option{
 		rebeca.WithLogging(os.Stderr, *logLevel),
@@ -129,9 +135,6 @@ func main() {
 	}
 	if *opsAddr != "" {
 		opts = append(opts, rebeca.WithOps(*opsAddr))
-	}
-	if *push != "" {
-		opts = append(opts, rebeca.WithOpsPush(*push, *pushEvery))
 	}
 	if *sampleN != 0 || *slowThr != 0 {
 		opts = append(opts, rebeca.WithTraceSampling(*sampleN, *slowThr))
@@ -183,9 +186,6 @@ func main() {
 	}
 	if addr := node.OpsAddr(); addr != "" {
 		fmt.Printf("ops endpoint on http://%s (/metrics /healthz /readyz /trace /config /debug/pprof)\n", addr)
-	}
-	if *push != "" {
-		fmt.Printf("pushing metrics to %s every %s\n", *push, *pushEvery)
 	}
 
 	// -stats: a periodic one-line digest of the same registry /metrics

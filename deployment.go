@@ -121,7 +121,10 @@ func New(opts ...Option) (*System, error) {
 	}
 	// Before cluster construction: the telemetry stage joins the chain
 	// every broker installs.
-	ops := newOpsStack(cfg)
+	ops, err := newOpsStack(cfg)
+	if err != nil {
+		return nil, err
+	}
 	scfg := sim.ClusterConfig{
 		Movement:      cfg.movement,
 		Locations:     cfg.locations,
@@ -141,6 +144,7 @@ func New(opts ...Option) (*System, error) {
 	}
 	if cfg.spillStore != nil {
 		if !cfg.overlay {
+			ops.close()
 			return nil, errors.New("rebeca: WithLinkSpill under New needs the overlay deployed (WithHeartbeat)")
 		}
 		scfg.LinkSpill = cfg.spillStore
@@ -155,6 +159,7 @@ func New(opts ...Option) (*System, error) {
 	}
 	cl, err := sim.NewCluster(scfg)
 	if err != nil {
+		ops.close()
 		return nil, err
 	}
 	s := &System{cluster: cl, ops: ops}
@@ -171,9 +176,7 @@ func New(opts ...Option) (*System, error) {
 		}
 	}
 	ops.registerStreams(s.ports.emitStreams)
-	if err := ops.start(cfg, joinIDs(s.Brokers())); err != nil {
-		return nil, err
-	}
+	ops.start(cfg)
 	return s, nil
 }
 

@@ -42,14 +42,11 @@
 // (the lexicographically smaller ID dials), and departures re-elect the
 // tree; /readyz (with -ops) gates on membership + overlay convergence.
 //
-// Fleet observability (PR 8) rounds out the ops story. A broker behind
-// NAT that nothing can scrape reports outbound instead:
-//
-//	rebeca-broker -name b1 ... -push http://gateway:9091/ingest -push-interval 15s
-//
-// (The body is the Prometheus text exposition /metrics serves; facades use
-// WithOpsPush(url, interval).) Hop tracing scales to
-// production rates via sampling — `-trace-sample 64` stamps 1-in-64
+// Fleet observability (PR 8) rounds out the ops story. Every broker's
+// -ops endpoint (WithOps in a facade) serves the Prometheus text
+// exposition on /metrics, and under -registry its address is registered
+// with the broker, so whatever reads the registry can find and scrape it.
+// Hop tracing scales to production rates via sampling — `-trace-sample 64` stamps 1-in-64
 // notifications, deterministically by ID so every broker agrees, while
 // `-trace-slow 250ms` retro-captures any delivery that crosses the
 // threshold (and rate-limited/flood-fallback drops) with its full hop
@@ -64,24 +61,26 @@
 // its hop-by-hop path (bare /trace lists every retained span,
 // newest-first).
 //
-// Watching a fleet (PR 9): per-broker scrapes stop scaling once the
-// fleet does, so the push path now ships the whole story — each broker
-// POSTs its metric snapshot AND its completed trace spans to one
-// rebeca-collector, which reassembles the cross-process view:
+// Watching a fleet (PR 9): one rebeca-collector reads the registry the
+// brokers already share and scrapes every registered ops endpoint each
+// -interval — /metrics, and /trace?since= for the spans that changed since
+// its last read — so no broker is told where the collector is:
 //
-//	rebeca-collector -listen :9290
-//	rebeca-broker -name b1 ... -push http://collector:9290/ingest -push-interval 15s -trace-sample 64
-//	rebeca-broker -name b2 ... -push http://collector:9290/ingest -push-interval 15s -trace-sample 64
+//	rebeca-broker -name b1 ... -registry file:peers.json -ops :9281 -trace-sample 64
+//	rebeca-broker -name b2 ... -registry file:peers.json -ops :9282 -trace-sample 64
+//	rebeca-collector -listen :9290 -registry file:peers.json -interval 15s
 //
 // The collector's /metrics re-exports every broker's families tagged
 // instance="b1" etc. plus rebeca_fleet_* counter totals folded across
 // the fleet, so one Prometheus scrape covers N brokers. Its
 // /trace?note=pub#seq merges the partial spans different brokers
-// shipped for the same notification into one hop-ordered path (a trace
+// served for the same notification into one hop-ordered path (a trace
 // is flagged partial until every broker on the path has reported), and
-// /fleet lists each broker with its observed push cadence, flagging any
-// that miss 2x their interval as stale — a SIGKILLed broker shows up
-// there within two push intervals, no scrape target churn involved.
+// /fleet lists each broker, flagging it stale when its last scrape failed
+// or the registry stopped listing it — a SIGKILLed broker shows up there
+// one round later. A broker the collector cannot reach (behind NAT, say)
+// is not observed by it; brokers on several hosts set -advertise, whose
+// host replaces the unspecified host of -ops :9281 in the registry.
 // A Prometheus/Mimir/Thanos TSDB joins by scraping that one endpoint (or
 // any broker's -ops /metrics); the "trace.pending" /config knob bounds
 // the sampler's in-flight window (default 1024; POST trace.pending=4096

@@ -1,241 +1,273 @@
-package rebeca_test
+package rebeca
 
 import (
+	"context"
 	"encoding/json"
-	"io"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"rebeca/internal/broker"
-	"rebeca/internal/filter"
-	"rebeca/internal/message"
-	"rebeca/internal/proto"
-	"rebeca/internal/telemetry"
+	"rebeca/internal/discovery"
 	"rebeca/internal/telemetry/collector"
-	"rebeca/internal/wire"
 )
 
-// fleetBroker is one live TCP broker process with its own telemetry
-// stack — registry, span store, hop-tracing middleware, and a pusher
-// aimed at the shared collector — exactly what rebeca-broker assembles
-// from flags.
-type fleetBroker struct {
-	node   *wire.Node
-	reg    *telemetry.Registry
-	spans  *telemetry.SpanStore
-	pusher *telemetry.Pusher
+// collectorGet serves one GET from the collector's HTTP surface.
+func collectorGet(t *testing.T, c *collector.Collector, path string) (int, string) {
+	t.Helper()
+	w := httptest.NewRecorder()
+	c.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	return w.Code, w.Body.String()
 }
 
-func newFleetBroker(t *testing.T, id message.NodeID, peers map[message.NodeID]string, next map[message.NodeID]message.NodeID, collectorURL string) *fleetBroker {
+// runCollector starts a collector over the registry at uri, scraping every
+// 50 ms until the test ends.
+func runCollector(t *testing.T, uri string) *collector.Collector {
 	t.Helper()
-	reg := telemetry.NewRegistry()
-	spans := telemetry.NewSpanStore(0)
-	mw := telemetry.NewMiddleware(reg)
-	mw.SetSampler(telemetry.NewSampler(spans, 1, 0))
-	mw.EnableHopTrace(true)
-	telemetry.RegisterSpanMetrics(reg, spans)
-	node := wire.NewNode(wire.NodeConfig{
-		ID:         id,
-		Listen:     "127.0.0.1:0",
-		Peers:      peers,
-		NextHop:    next,
-		Middleware: []broker.Middleware{mw},
-	})
-	if err := node.Start(); err != nil {
-		t.Fatalf("start %s: %v", id, err)
-	}
-	p, err := telemetry.NewPusher(reg, telemetry.PusherConfig{
-		URL:      collectorURL,
-		Interval: time.Hour, // flushed by hand — the test controls push timing
-		Instance: string(id),
-		Spans:    spans,
-	})
+	reg, err := discovery.Open(uri)
 	if err != nil {
-		node.Close()
-		t.Fatalf("pusher %s: %v", id, err)
+		t.Fatal(err)
 	}
-	fb := &fleetBroker{node: node, reg: reg, spans: spans, pusher: p}
+	c := collector.New(collector.Config{Registry: reg, Interval: 50 * time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		c.Run(ctx)
+		close(done)
+	}()
 	t.Cleanup(func() {
-		fb.pusher.Close()
-		_ = fb.node.Close()
+		cancel()
+		<-done
+		_ = reg.Close()
 	})
-	return fb
+	return c
 }
 
-func collectorGet(t *testing.T, base, path string) (int, string) {
+// assembledTrace waits until the collector has assembled a complete trace
+// of note with at least minHops hops, and returns it.
+func assembledTrace(t *testing.T, c *collector.Collector, note NotificationID, minHops int) collector.AssembledTrace {
 	t.Helper()
-	resp, err := http.Get(base + path)
-	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
+	var tr collector.AssembledTrace
+	eventually(t, 10*time.Second, "a complete assembled trace of "+note.String(), func() bool {
+		code, body := collectorGet(t, c, "/trace?note="+url.QueryEscape(note.String()))
+		if code != http.StatusOK {
+			return false
+		}
+		if err := json.Unmarshal([]byte(body), &tr); err != nil {
+			t.Fatalf("trace json: %v (%s)", err, body)
+		}
+		return len(tr.Hops) >= minHops && !tr.Partial
+	})
+	for i, h := range tr.Hops {
+		if h.Hop != i || i > 0 && h.At.Before(tr.Hops[i-1].At) {
+			t.Fatalf("hops not in monotone stamp order: %+v", tr.Hops)
+		}
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET %s: read: %v", path, err)
-	}
-	return resp.StatusCode, string(body)
+	return tr
 }
 
-// TestFleetCollectorEndToEnd is the acceptance scenario: two broker
-// processes on a live TCP overlay each ship their partial spans for the
-// same notification to one collector, and the collector's /trace view
-// returns the merged multi-hop path with monotone hop timestamps.
-func TestFleetCollectorEndToEnd(t *testing.T) {
-	c := collector.New(collector.Config{})
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
+// fleetStatus reads the collector's /fleet view.
+func fleetStatus(t *testing.T, c *collector.Collector) collector.FleetStatus {
+	t.Helper()
+	_, body := collectorGet(t, c, "/fleet")
+	var f collector.FleetStatus
+	if err := json.Unmarshal([]byte(body), &f); err != nil {
+		t.Fatalf("fleet json: %v (%s)", err, body)
+	}
+	return f
+}
 
-	// A <-> B over real TCP; B dials A.
-	a := newFleetBroker(t, "A", map[message.NodeID]string{"B": ""},
-		map[message.NodeID]message.NodeID{"B": "B"}, srv.URL)
-	b := newFleetBroker(t, "B", map[message.NodeID]string{"A": a.node.Addr()},
-		map[message.NodeID]message.NodeID{"A": "A"}, srv.URL)
-
-	// Subscriber at B; wait for the subscription to propagate to A.
-	delivered := make(chan message.Notification, 1)
-	sub := wire.NewRemoteClient("sub", func(n message.Notification, _ []message.SubID) {
+// deliverOnce subscribes at to, waits until the subscription reaches from
+// and publishes one note there; it returns the note once delivered.
+func deliverOnce(t *testing.T, l *Live, from, to NodeID) NotificationID {
+	t.Helper()
+	got := make(chan NotificationID, 1)
+	sub := l.NewClient("sub")
+	sub.OnNotify(func(n Notification) {
 		select {
-		case delivered <- n:
+		case got <- n.ID:
 		default:
 		}
 	})
-	if err := sub.Connect(b.node.Addr(), "", nil, 1); err != nil {
+	if err := sub.Connect(to); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = sub.Disconnect() }()
-	f := filter.New(filter.Eq("kind", message.String("fleet")))
-	if err := sub.Send(proto.Message{Kind: proto.KSubscribe, Client: "sub",
-		Sub: &proto.Subscription{ID: "sub/s1", Filter: f}}); err != nil {
-		t.Fatal(err)
-	}
-	waitForCond(t, func() bool {
+	sub.Subscribe(NewFilter(Eq("kind", String("fleet"))))
+	eventually(t, 5*time.Second, "the subscription at "+string(from), func() bool {
 		n := 0
-		a.node.Inspect(func(br *broker.Broker) { n = br.Router().Table().Len() })
+		l.nodes[from].node.Inspect(func(b *Broker) { n = b.Router().Table().Len() })
 		return n >= 1
-	}, "subscription propagation to A")
-
-	// Publish at A: the notification transits A then B, stamping a hop at
-	// each — so A's span store holds the one-hop prefix and B's the full
-	// two-hop path. That split is what the collector must reassemble.
-	pub := wire.NewRemoteClient("pub", nil)
-	if err := pub.Connect(a.node.Addr(), "", nil, 1); err != nil {
+	})
+	pub := l.NewClient("pub")
+	if err := pub.Connect(from); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = pub.Disconnect() }()
-	note := message.NewNotification(map[string]message.Value{"kind": message.String("fleet")})
-	note.ID = message.NotificationID{Publisher: "pub", Seq: 1}
-	if err := pub.Send(proto.Message{Kind: proto.KPublish, Client: "pub", Note: &note}); err != nil {
+	if _, err := pub.Publish(map[string]Value{"kind": String("fleet")}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-delivered:
+	case id := <-got:
+		return id
 	case <-time.After(5 * time.Second):
-		t.Fatal("delivery never arrived at B")
+		t.Fatal("the note never arrived")
 	}
-	waitForCond(t, func() bool {
-		return len(a.spans.Get(note.ID)) >= 1 && len(b.spans.Get(note.ID)) >= 2
-	}, "hop spans recorded on both brokers")
+	return NotificationID{}
+}
 
-	// Each broker ships its snapshot + spans — B first, so the collector
-	// sees the full path before the prefix (order must not matter).
-	b.pusher.Flush()
-	a.pusher.Flush()
-	waitForCond(t, func() bool {
-		return a.pusher.SpansShipped() >= 1 && b.pusher.SpansShipped() >= 1
-	}, "span batches shipped")
+// TestFleetCollectorEndToEnd is the acceptance scenario: three brokers
+// started as rebeca-broker starts them, on one file: registry with an ops
+// endpoint each, and a collector that reads that registry. Nothing tells
+// a broker about the collector. The collector assembles the note's
+// multi-hop trace from the partial spans of the brokers it crossed, its
+// fleet total is the sum of its per-broker rows, and a broker whose
+// endpoint goes away turns stale.
+func TestFleetCollectorEndToEnd(t *testing.T) {
+	uri := "file:" + filepath.Join(t.TempDir(), "peers.json")
+	l := fleet(t)
+	defer l.Close()
+	for _, id := range []NodeID{"c1", "c2", "c3"} {
+		node, err := StartBroker(BrokerSpec{ID: id},
+			WithRegistry(uri), WithOps("127.0.0.1:0"), WithHeartbeat(100*time.Millisecond, 0))
+		if err != nil {
+			t.Fatalf("start %s: %v", id, err)
+		}
+		l.put(node)
+	}
+	waitFullMesh(t, l)
+	c := runCollector(t, uri)
 
-	// The merged trace: two hops, A then B, monotone timestamps, complete.
-	code, body := collectorGet(t, srv.URL, "/trace?note="+url.QueryEscape(note.ID.String()))
-	if code != http.StatusOK {
-		t.Fatalf("/trace = %d: %s", code, body)
+	// Published at c1, delivered at c3: c1 serves the one-hop prefix of
+	// the span, c3 the full path, and the collector merges them.
+	note := deliverOnce(t, l, "c1", "c3")
+	tr := assembledTrace(t, c, note, 2)
+	if tr.Hops[0].Broker != "c1" || tr.Hops[len(tr.Hops)-1].Broker != "c3" {
+		t.Fatalf("merged trace = %+v, want c1 first and c3 last", tr)
 	}
-	var tr struct {
-		Note      string   `json:"note"`
-		Partial   bool     `json:"partial"`
-		Reporters []string `json:"reporters"`
-		Hops      []struct {
-			Hop    int       `json:"hop"`
-			Broker string    `json:"broker"`
-			At     time.Time `json:"at"`
-		} `json:"hops"`
-	}
-	if err := json.Unmarshal([]byte(body), &tr); err != nil {
-		t.Fatalf("trace json: %v (%s)", err, body)
-	}
-	if len(tr.Hops) != 2 {
-		t.Fatalf("merged trace = %+v, want the 2-hop A->B path", tr)
-	}
-	for i, want := range []string{"A", "B"} {
-		if tr.Hops[i].Broker != want || tr.Hops[i].Hop != i {
-			t.Fatalf("hop %d = %+v, want broker %s", i, tr.Hops[i], want)
+
+	// The merged scrape re-exports each broker's families under its
+	// instance label and folds the fleet totals: within one render the
+	// total is the sum of the per-broker rows (every broker the note
+	// transits counts its publish).
+	var metrics string
+	eventually(t, 5*time.Second, "the publish on c1's and c3's rows", func() bool {
+		_, metrics = collectorGet(t, c, "/metrics")
+		return strings.Contains(metrics, `rebeca_publishes_total{broker="c1",instance="c1"} 1`) &&
+			strings.Contains(metrics, `rebeca_publishes_total{broker="c3",instance="c3"} 1`)
+	})
+	rows, total := 0.0, -1.0
+	for _, line := range strings.Split(metrics, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			continue
+		}
+		v, err := strconv.ParseFloat(f[1], 64)
+		if err != nil {
+			continue
+		}
+		switch {
+		case strings.HasPrefix(f[0], "rebeca_publishes_total{") && strings.Contains(f[0], `instance="`):
+			rows += v
+		case f[0] == "rebeca_fleet_publishes_total":
+			total = v
 		}
 	}
-	if tr.Hops[1].At.Before(tr.Hops[0].At) {
-		t.Fatalf("hop timestamps not monotone: %+v", tr.Hops)
-	}
-	if tr.Partial {
-		t.Fatalf("both reporters pushed; trace still partial: %+v", tr)
-	}
-	if len(tr.Reporters) != 2 {
-		t.Fatalf("reporters = %v, want [A B]", tr.Reporters)
-	}
-
-	// The aggregated scrape re-exports each broker's families under its
-	// instance label and folds fleet counter totals across both.
-	code, metrics := collectorGet(t, srv.URL, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("collector /metrics = %d", code)
+	if total != rows || total < 2 {
+		t.Fatalf("rebeca_fleet_publishes_total %v, but its per-broker rows sum to %v", total, rows)
 	}
 	for _, want := range []string{
-		`rebeca_publishes_total{broker="A",instance="A"} 1`,
-		`rebeca_publishes_total{broker="B",instance="B"} 1`,
-		"rebeca_fleet_publishes_total 2",
-		"rebeca_fleet_deliveries_total 1",
-		"rebeca_collector_pushes_total",
+		`rebeca_collector_scrapes_total{result="ok",instance="collector"}`,
 		"rebeca_go_goroutines",
 	} {
 		if !strings.Contains(metrics, want) {
-			t.Errorf("collector scrape missing %q:\n%s", want, grepLines(metrics, "rebeca_fleet"))
+			t.Errorf("collector scrape missing %q:\n%s", want, metrics)
 		}
 	}
 
-	// /fleet sees both brokers, fresh.
-	code, fleetBody := collectorGet(t, srv.URL, "/fleet")
-	if code != http.StatusOK {
-		t.Fatalf("/fleet = %d", code)
+	// /fleet lists all three, fresh.
+	f := fleetStatus(t, c)
+	if len(f.Brokers) != 3 || f.Stale != 0 {
+		t.Fatalf("fleet = %+v, want c1, c2 and c3 fresh", f)
 	}
-	var fleet struct {
-		Stale   int `json:"stale"`
-		Brokers []struct {
-			Instance string `json:"instance"`
-			Status   string `json:"status"`
-		} `json:"brokers"`
+	for i, b := range f.Brokers {
+		if want := fmt.Sprintf("c%d", i+1); b.Instance != want || b.Ops != advertiseAddr(l.nodes[NodeID(want)].OpsAddr(), "") {
+			t.Fatalf("fleet row %d = %+v, want %s at its ops endpoint", i, b, want)
+		}
 	}
-	if err := json.Unmarshal([]byte(fleetBody), &fleet); err != nil {
-		t.Fatalf("fleet json: %v (%s)", err, fleetBody)
-	}
-	if len(fleet.Brokers) != 2 || fleet.Stale != 0 {
-		t.Fatalf("fleet = %+v, want brokers A and B fresh", fleet)
-	}
-	for _, br := range fleet.Brokers {
-		if br.Status != "ok" {
-			t.Fatalf("broker %s status = %s", br.Instance, br.Status)
+
+	// c2's endpoint goes away while c2 stays registered: stale.
+	l.nodes["c2"].ops.close()
+	eventually(t, 5*time.Second, "c2 stale on /fleet", func() bool {
+		f = fleetStatus(t, c)
+		return f.Stale == 1
+	})
+	for _, b := range f.Brokers {
+		if (b.Status == "stale") != (b.Instance == "c2") {
+			t.Fatalf("fleet = %+v, want exactly c2 stale", f)
 		}
 	}
 }
 
-func waitForCond(t *testing.T, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+// TestFleetCollectorSharedEndpoint: the brokers of one NewLive share one
+// ops endpoint and register it under each of their IDs; the collector
+// scrapes it once per round, as one instance named by the joined IDs, and
+// that instance reports for every one of them.
+func TestFleetCollectorSharedEndpoint(t *testing.T) {
+	uri := "file:" + filepath.Join(t.TempDir(), "peers.json")
+	l, err := NewLive(WithMovement(Line(2)), WithRegistry(uri), WithOps("127.0.0.1:0"),
+		WithHeartbeat(100*time.Millisecond, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	defer l.Close()
+	waitFullMesh(t, l)
+	c := runCollector(t, uri)
+
+	note := deliverOnce(t, l, "B0", "B1")
+	tr := assembledTrace(t, c, note, 2)
+	if strings.Join(tr.Reporters, ",") != "B0,B1" {
+		t.Fatalf("reporters = %v, want both brokers of the one instance", tr.Reporters)
+	}
+	f := fleetStatus(t, c)
+	if len(f.Brokers) != 1 || f.Brokers[0].Instance != "B0,B1" || f.Brokers[0].Status != "ok" {
+		t.Fatalf("fleet = %+v, want one fresh instance B0,B1", f)
+	}
+	eventually(t, 5*time.Second, "the shared instance's rows", func() bool {
+		_, metrics := collectorGet(t, c, "/metrics")
+		return strings.Contains(metrics, `rebeca_publishes_total{broker="B0",instance="B0,B1"} 1`)
+	})
+}
+
+// TestOpsRegisteredOnAdvertisedHost: a broker whose ops endpoint binds an
+// unspecified host registers it on BrokerSpec.Advertise's host, so a
+// collector on another machine scrapes that broker, not its own loopback.
+func TestOpsRegisteredOnAdvertisedHost(t *testing.T) {
+	uri := "file:" + filepath.Join(t.TempDir(), "peers.json")
+	node, err := StartBroker(BrokerSpec{ID: "d1", Advertise: "10.1.2.3:7471"},
+		WithRegistry(uri), WithOps(":0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close(0)
+	_, port, err := net.SplitHostPort(node.OpsAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := discovery.Open(uri)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	entries, err := reg.Discover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Addr != "10.1.2.3:7471" || entries[0].Ops != "10.1.2.3:"+port {
+		t.Fatalf("registered %+v, want d1 at 10.1.2.3:7471 with ops 10.1.2.3:%s", entries, port)
+	}
 }

@@ -202,8 +202,8 @@ func TestRegistriesConform(t *testing.T) {
 			live = []*watchLog{onA, onB, onB2}
 
 			// Register: each view its own broker, the later ID first —
-			// snapshots are sorted by ID, and Peers round-trips.
-			b1 := Entry{ID: "b1", Addr: "127.0.0.1:1", Peers: []message.NodeID{"b2"}}
+			// snapshots are sorted by ID, and Peers and Ops round-trip.
+			b1 := Entry{ID: "b1", Addr: "127.0.0.1:1", Ops: "127.0.0.1:91", Peers: []message.NodeID{"b2"}}
 			b2 := Entry{ID: "b2", Addr: "127.0.0.1:2"}
 			if err := b.Register(b2); err != nil {
 				t.Fatal(err)
@@ -214,11 +214,19 @@ func TestRegistriesConform(t *testing.T) {
 			converge("registration", []Entry{b1, b2})
 
 			// Re-Register upserts Addr and Peers in place.
-			b1 = Entry{ID: "b1", Addr: "127.0.0.1:9", Peers: []message.NodeID{"b2", "b3"}}
+			b1 = Entry{ID: "b1", Addr: "127.0.0.1:9", Ops: "127.0.0.1:91", Peers: []message.NodeID{"b2", "b3"}}
 			if err := a.Register(b1); err != nil {
 				t.Fatal(err)
 			}
 			converge("upsert", []Entry{b1, b2})
+
+			// An entry that changes only its ops endpoint is a change too:
+			// a collector reading the registry must see the new address.
+			b1.Ops = "127.0.0.1:92"
+			if err := a.Register(b1); err != nil {
+				t.Fatal(err)
+			}
+			converge("ops change", []Entry{b1, b2})
 
 			// A stopped watcher never fires again; its sibling still does.
 			stopB2()
@@ -444,6 +452,66 @@ func TestGossipSelfRefutation(t *testing.T) {
 		}
 		return false
 	}, "the refutation to propagate back")
+}
+
+// TestGossipRestartWithChangedEntry: a broker that restarts at the same
+// address with a changed entry registers at version 1, below the record
+// its previous incarnation left on every other agent. It must refute that
+// record, or the fleet keeps the old entry for good.
+func TestGossipRestartWithChangedEntry(t *testing.T) {
+	a, err := NewGossipRegistry("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+	a.SetInterval(10 * time.Millisecond)
+	// No tombstone for the silent first incarnation within the test: the
+	// refutation is the only way the new entry can win.
+	a.SetFailureDetection(0, time.Hour)
+	if err := a.Register(Entry{ID: "A", Addr: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewGossipRegistry("127.0.0.1:0", []string{a.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetInterval(10 * time.Millisecond)
+	old := Entry{ID: "B", Addr: "127.0.0.1:2", Ops: "127.0.0.1:92", Peers: []message.NodeID{"A"}}
+	for i := 0; i < 3; i++ {
+		if err := b.Register(old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.records["B"].Version == 3
+	}, "B's third registration at A")
+	_ = b.Close() // a crash: no tombstone
+
+	b2, err := NewGossipRegistry("127.0.0.1:0", []string{a.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b2.Close() }()
+	b2.SetInterval(10 * time.Millisecond)
+	fresh := Entry{ID: "B", Addr: "127.0.0.1:2", Ops: "127.0.0.1:93", Peers: []message.NodeID{"A", "C"}}
+	if err := b2.Register(fresh); err != nil {
+		t.Fatal(err)
+	}
+	sees := func(r *GossipRegistry) bool {
+		es, err := r.Discover()
+		if err != nil {
+			return false
+		}
+		for _, e := range es {
+			if e.ID == "B" {
+				return reflect.DeepEqual(e, fresh)
+			}
+		}
+		return false
+	}
+	waitFor(t, func() bool { return sees(a) && sees(b2) }, "the restarted entry on both agents")
 }
 
 // scriptedRegistry drives Membership.apply directly: snapshots are pushed

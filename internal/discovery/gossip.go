@@ -253,10 +253,11 @@ func (g *GossipRegistry) broadcast() {
 	}
 }
 
-// merge folds remote records into ours; higher versions win. A stale or
-// tombstoned record about ourselves is refuted by out-versioning it —
-// the standard incarnation rule, so a restarted broker reclaims its
-// identity.
+// merge folds remote records into ours; higher versions win. A record
+// about ourselves that is tombstoned or differs from our entry in any
+// field is refuted by out-versioning it — the standard incarnation rule,
+// so a restarted broker reclaims its identity with whatever it registered
+// this time.
 func (g *GossipRegistry) merge(remote []gossipRecord) (changed bool) {
 	var refuted [][2]string
 	g.mu.Lock()
@@ -267,7 +268,8 @@ func (g *GossipRegistry) merge(remote []gossipRecord) (changed bool) {
 		}
 		cur, ok := g.records[id]
 		if id == g.self && g.self != "" {
-			if rec.Version >= cur.Version && (rec.Dead || rec.Entry.Addr != cur.Entry.Addr) {
+			if rec.Version >= cur.Version &&
+				(rec.Dead || fingerprint([]Entry{rec.Entry}) != fingerprint([]Entry{cur.Entry})) {
 				cur.Version = rec.Version + 1
 				cur.Dead = false
 				g.records[id] = cur

@@ -29,6 +29,9 @@ type MembershipConfig struct {
 	// registered for others to dial.
 	Self message.NodeID
 	Addr string
+	// Ops is the broker's ops endpoint address, registered for a collector
+	// to scrape ("" without one).
+	Ops string
 	// Peers optionally restricts this broker's adjacency (see
 	// Entry.Peers). Empty links to every discovered broker.
 	Peers []message.NodeID
@@ -79,7 +82,7 @@ func NewMembership(cfg MembershipConfig) *Membership {
 // snapshot, and apply closes the link), so verdicts are observability,
 // not a second removal path.
 func (m *Membership) Start() error {
-	err := m.cfg.Registry.Register(Entry{ID: m.cfg.Self, Addr: m.cfg.Addr, Peers: m.cfg.Peers})
+	err := m.cfg.Registry.Register(Entry{ID: m.cfg.Self, Addr: m.cfg.Addr, Ops: m.cfg.Ops, Peers: m.cfg.Peers})
 	if err != nil {
 		return err
 	}

@@ -19,10 +19,15 @@ import (
 )
 
 // Entry is one broker's registration: its identity, the address its
-// overlay transport listens on, and an optional adjacency restriction.
+// overlay transport listens on, an optional adjacency restriction and the
+// address of its ops endpoint.
 type Entry struct {
 	ID   message.NodeID `json:"id"`
 	Addr string         `json:"addr"`
+	// Ops is the broker's HTTP ops endpoint ("" without one): what
+	// rebeca-collector scrapes. Brokers sharing one endpoint (an in-process
+	// deployment) register the same address.
+	Ops string `json:"ops,omitempty"`
 	// Peers restricts which other brokers this one links to. Empty means
 	// "link to everyone" (full mesh). An edge (a, b) exists iff both sides
 	// accept it: each side either names the other or restricts nothing —
@@ -140,6 +145,8 @@ func fingerprint(es []Entry) string {
 		b.WriteString(string(e.ID))
 		b.WriteByte('=')
 		b.WriteString(e.Addr)
+		b.WriteByte('|')
+		b.WriteString(e.Ops)
 		b.WriteByte('[')
 		for i, p := range e.Peers {
 			if i > 0 {

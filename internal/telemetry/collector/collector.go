@@ -1,25 +1,26 @@
-// Package collector implements the fleet-side receiver for rebeca's
-// push-model telemetry: the component a broker's -push flag points at.
-// It ingests metric snapshots (Prometheus text exposition 0.0.4, the body
-// /metrics serves) and span batches from N brokers, assembles the
-// partial per-process hop traces into cross-broker end-to-end traces,
-// folds counter movement into fleet-wide totals, and re-exports the
-// whole fleet as one Prometheus /metrics endpoint with per-broker
-// instance labels preserved.
+// Package collector implements rebeca's fleet view: it reads the brokers'
+// discovery registry, scrapes every registered ops endpoint (GET /metrics,
+// the Prometheus text exposition 0.0.4, and GET /trace?since=<cursor>,
+// the spans changed since its last read), assembles the partial
+// per-process hop traces into cross-broker end-to-end traces, folds
+// counter movement into fleet-wide totals, and re-exports the whole fleet
+// as one Prometheus /metrics endpoint with per-broker instance labels
+// preserved.
 //
-// The collector is deliberately stateless across restarts: brokers keep
-// pushing, and within one push interval the fleet view rebuilds itself.
+// The collector is deliberately stateless across restarts: within one
+// scrape interval the fleet view rebuilds itself from the registry.
 package collector
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"rebeca/internal/discovery"
 	"rebeca/internal/message"
 	"rebeca/internal/telemetry"
 )
@@ -27,8 +28,7 @@ import (
 // Collector self-telemetry family names (exported on its own /metrics
 // next to the ingested fleet families).
 const (
-	MetricPushes        = "rebeca_collector_pushes_total"
-	MetricPushErrors    = "rebeca_collector_push_errors_total"
+	MetricScrapes       = "rebeca_collector_scrapes_total"
 	MetricSpanRecords   = "rebeca_collector_span_records_total"
 	MetricTraces        = "rebeca_collector_traces"
 	MetricTracesEvicted = "rebeca_collector_traces_evicted_total"
@@ -41,37 +41,25 @@ const FleetPrefix = "rebeca_fleet_"
 // DefaultTraceCap bounds assembled traces retained (drop-oldest).
 const DefaultTraceCap = 4096
 
-// DefaultStaleAfter is the staleness deadline used for a broker whose
-// push cadence is not yet known (fewer than two pushes seen) when no
-// explicit Config.StaleAfter overrides it.
-const DefaultStaleAfter = 30 * time.Second
-
-// burstFloor is the smallest inter-push gap accepted as a cadence
-// reading. A broker's flush posts its metric snapshot and span batch
-// back to back; treating that burst as the push interval would derive
-// a near-zero staleness deadline and flag every broker stale.
-const burstFloor = 250 * time.Millisecond
+// DefaultInterval is the scrape round cadence when Config.Interval is 0.
+const DefaultInterval = 15 * time.Second
 
 // Config configures a Collector.
 type Config struct {
 	// Instance labels the collector's own self-telemetry samples on the
 	// merged /metrics render (default "collector").
 	Instance string
-	// StaleAfter, when positive, is a fixed deadline after which a silent
-	// broker is reported stale on /fleet. Zero derives the deadline from
-	// each broker's observed push cadence: 2x the last inter-push gap
-	// (DefaultStaleAfter until a gap has been observed).
-	StaleAfter time.Duration
+	// Registry lists the brokers to scrape: every entry with an Ops
+	// address. Scrape and Run need it.
+	Registry discovery.Registry
+	// Interval is the cadence of Run's scrape rounds (default
+	// DefaultInterval).
+	Interval time.Duration
 	// TraceCap bounds assembled traces retained (default DefaultTraceCap).
 	TraceCap int
-	// Logger receives per-push debug lines (nil = silent).
+	// Logger receives a line each time a broker's scrapes start or stop
+	// failing (nil = silent).
 	Logger *slog.Logger
-	// Raw, when non-nil, receives every accepted push body verbatim
-	// (framed with a one-line header) — the rebeca-pushsink audit-trail
-	// behavior, kept for CI and debugging.
-	Raw io.Writer
-	// Now overrides the clock (tests). Nil means time.Now.
-	Now func() time.Time
 }
 
 // rowState is one re-exported sample: a series of some broker, with the
@@ -91,43 +79,46 @@ type familyState struct {
 	index map[string]int
 }
 
-// instanceState is everything known about one reporting process.
+// instanceState is everything known about one scraped ops endpoint: a
+// broker, or the brokers of an in-process deployment sharing it.
 type instanceState struct {
-	name        string
-	lastPush    time.Time
-	gap         time.Duration // last inter-push gap; cadence estimate
-	pushes      uint64
+	// name is the instance label: the endpoint's brokers' joined IDs, as
+	// the registry last listed them.
+	name string
+	// ok: the last round listed the instance and its scrape succeeded.
+	ok          bool
+	lastErr     string
+	scrapes     uint64
 	spanRecords uint64
+	// cursor resumes /trace?since= on the span store stamped start.
+	cursor uint64
+	start  int64
 }
 
 // traceState is one cross-broker trace under assembly: the union of hop
-// stamps shipped by every reporting process, keyed by broker so
-// duplicated shipments merge idempotently (earliest stamp wins).
+// stamps read from every reporting process, keyed by broker so repeated
+// reads merge idempotently (earliest stamp wins).
 type traceState struct {
 	id        message.NotificationID
 	hops      map[string]time.Time
 	reporters map[string]struct{}
 	latencyMS float64
 	reason    string
-	updated   time.Time
 }
 
-// Collector ingests broker pushes and serves the assembled fleet view.
-// Safe for concurrent use.
+// Collector scrapes the brokers its registry lists and serves the
+// assembled fleet view. Safe for concurrent use.
 type Collector struct {
-	cfg  Config
-	self *telemetry.Registry
+	cfg    Config
+	self   *telemetry.Registry
+	client *http.Client
 
-	pushMetrics *telemetry.Counter
-	pushSpans   *telemetry.Counter
-	pushErrors  *telemetry.Counter
+	scrapesOK   *telemetry.Counter
+	scrapesErr  *telemetry.Counter
 	spanRecords *telemetry.Counter
 
-	rawMu sync.Mutex // serializes Config.Raw appends
-
 	mu        sync.Mutex
-	instances map[string]*instanceState
-	instOrder []string
+	instances map[string]*instanceState // by ops endpoint
 	fams      map[string]*familyState
 	famOrder  []string
 	fleet     map[string]float64
@@ -136,7 +127,6 @@ type Collector struct {
 	ring      []message.NotificationID
 	head      int
 	evicted   uint64
-	accepted  uint64
 }
 
 // New builds a collector. Handler serves it.
@@ -147,20 +137,20 @@ func New(cfg Config) *Collector {
 	if cfg.TraceCap <= 0 {
 		cfg.TraceCap = DefaultTraceCap
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.Interval <= 0 {
+		cfg.Interval = DefaultInterval
 	}
 	c := &Collector{
 		cfg:       cfg,
 		self:      telemetry.NewRegistry(),
+		client:    &http.Client{Timeout: 5 * time.Second},
 		instances: make(map[string]*instanceState),
 		fams:      make(map[string]*familyState),
 		fleet:     make(map[string]float64),
 		traces:    make(map[message.NotificationID]*traceState),
 	}
-	c.pushMetrics = c.self.Counter(MetricPushes, "Push bodies accepted, by kind.", telemetry.Labels{"kind": "metrics"})
-	c.pushSpans = c.self.Counter(MetricPushes, "Push bodies accepted, by kind.", telemetry.Labels{"kind": "spans"})
-	c.pushErrors = c.self.Counter(MetricPushErrors, "Push bodies rejected as undecodable.", nil)
+	c.scrapesOK = c.self.Counter(MetricScrapes, "Broker ops endpoint scrapes, by result.", telemetry.Labels{"result": "ok"})
+	c.scrapesErr = c.self.Counter(MetricScrapes, "Broker ops endpoint scrapes, by result.", telemetry.Labels{"result": "error"})
 	c.spanRecords = c.self.Counter(MetricSpanRecords, "Span records ingested (before merge).", nil)
 	c.self.GaugeFunc(MetricTraces, "Cross-broker traces currently retained.",
 		func(emit func(telemetry.Labels, float64)) {
@@ -190,59 +180,14 @@ func New(cfg Config) *Collector {
 // appear on the merged /metrics render tagged with Config.Instance).
 func (c *Collector) Registry() *telemetry.Registry { return c.self }
 
-// Accepted counts push bodies accepted so far (the /count value).
-func (c *Collector) Accepted() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.accepted
-}
-
-// touchInstance records a push arrival from instance and returns its
-// state, deriving the cadence estimate from inter-push gaps.
-func (c *Collector) touchInstanceLocked(instance string) *instanceState {
-	inst, ok := c.instances[instance]
-	if !ok {
-		inst = &instanceState{name: instance}
-		c.instances[instance] = inst
-		c.instOrder = append(c.instOrder, instance)
-	}
-	now := c.cfg.Now()
-	if !inst.lastPush.IsZero() {
-		// A pusher flush drains its whole spool in one burst — the metric
-		// snapshot and the span batch land milliseconds apart. Those
-		// intra-burst gaps are not the push cadence; only gaps past the
-		// burst floor update the estimate.
-		if gap := now.Sub(inst.lastPush); gap >= burstFloor {
-			inst.gap = gap
-		}
-	}
-	inst.lastPush = now
-	inst.pushes++
-	return inst
-}
-
-// staleAfter is instance's current staleness deadline: the configured
-// override, else 2x its observed push cadence, else DefaultStaleAfter.
-func (c *Collector) staleAfter(inst *instanceState) time.Duration {
-	if c.cfg.StaleAfter > 0 {
-		return c.cfg.StaleAfter
-	}
-	if inst.gap > 0 {
-		return 2 * inst.gap
-	}
-	return DefaultStaleAfter
-}
-
 func (c *Collector) brokerCounts() (ok, stale int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
-	for _, name := range c.instOrder {
-		inst := c.instances[name]
-		if now.Sub(inst.lastPush) > c.staleAfter(inst) {
-			stale++
-		} else {
+	for _, inst := range c.instances {
+		if inst.ok {
 			ok++
+		} else {
+			stale++
 		}
 	}
 	return ok, stale
@@ -260,12 +205,11 @@ type ingestSample struct {
 	counter  bool
 }
 
-// applySamples merges one push body's samples into the per-instance
+// applySamples merges one scraped body's samples into the per-instance
 // re-export state and folds counter movement into the fleet totals.
 func (c *Collector) applySamples(instance string, samples []ingestSample) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.touchInstanceLocked(instance)
 	for _, s := range samples {
 		fam, ok := c.fams[s.family]
 		if !ok {
@@ -281,7 +225,7 @@ func (c *Collector) applySamples(instance string, samples []ingestSample) {
 		}
 		var delta float64
 		if s.counter {
-			// Fold the movement since the last push; a value going
+			// Fold the movement since the last scrape; a value going
 			// backwards means the broker restarted, so the whole reading
 			// is new movement.
 			delta = s.value
@@ -301,6 +245,41 @@ func (c *Collector) applySamples(instance string, samples []ingestSample) {
 	}
 }
 
+// renameLocked moves the rows labeled instance=old to instance=name, fold
+// baselines and all, so an endpoint whose brokers change is not folded a
+// second time under its new name. A row already under the new name — left
+// by an endpoint that name has moved away from — gives way.
+func (c *Collector) renameLocked(old, name string) {
+	from, to := fmt.Sprintf("instance=%q}", old), fmt.Sprintf("instance=%q}", name)
+	for _, fam := range c.fams {
+		moved := make(map[*rowState]bool)
+		for _, row := range fam.rows {
+			// mergeInstanceKey puts the label last.
+			if k, ok := strings.CutSuffix(row.labelKey, from); ok && (strings.HasSuffix(k, "{") || strings.HasSuffix(k, ",")) {
+				row.labelKey = k + to
+				moved[row] = true
+			}
+		}
+		if len(moved) == 0 {
+			continue
+		}
+		rows := make([]*rowState, 0, len(fam.rows))
+		index := make(map[string]int, len(fam.rows))
+		for _, row := range fam.rows {
+			key := row.fullName + "\x00" + row.labelKey
+			if i, ok := index[key]; ok {
+				if moved[row] {
+					rows[i] = row
+				}
+				continue
+			}
+			index[key] = len(rows)
+			rows = append(rows, row)
+		}
+		fam.rows, fam.index = rows, index
+	}
+}
+
 // fleetAddLocked folds counter movement into the fleet-wide total for
 // one family (only _total families fold — histogram series stay
 // per-instance).
@@ -312,41 +291,26 @@ func (c *Collector) fleetAddLocked(fullName string, delta float64) {
 	c.fleet[name] += delta
 }
 
-// ingestSpans merges one span batch into the assembled traces. The merge
-// is idempotent: duplicated shipments and out-of-order arrival converge
-// to the same trace (hop stamps keyed by broker, earliest stamp wins,
-// worst latency wins, first reason sticks).
-func (c *Collector) ingestSpans(header string, recs []telemetry.SpanExport) (applied int, firstErr error) {
+// ingestSpans merges the spans one instance served into the assembled
+// traces; a span whose note does not parse is skipped. The merge is
+// idempotent: repeated reads and out-of-order arrival converge to the
+// same trace (hop stamps keyed by broker, earliest stamp wins, worst
+// latency wins, first reason sticks).
+func (c *Collector) ingestSpans(instance string, spans []telemetry.TraceSpan) (applied int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	touched := make(map[string]bool)
-	for _, rec := range recs {
-		instance := rec.Instance
-		if instance == "" {
-			instance = header
-		}
-		if instance == "" {
-			instance = "unknown"
-		}
+	for _, rec := range spans {
 		id, err := telemetry.ParseNoteID(rec.Note)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("span record: %w", err)
-			}
 			continue
 		}
-		if !touched[instance] {
-			touched[instance] = true
-			c.touchInstanceLocked(instance)
-		}
-		c.instances[instance].spanRecords++
 		tr := c.traceLocked(id)
 		for _, h := range rec.Hops {
 			if old, ok := tr.hops[h.Broker]; !ok || h.At.Before(old) {
 				tr.hops[h.Broker] = h.At
 			}
 		}
-		// A deployment instance is the comma-joined IDs of its in-process
+		// An instance sharing one endpoint is the comma-joined IDs of its
 		// brokers; every one of them counts as having reported.
 		for _, b := range strings.Split(instance, ",") {
 			if b = strings.TrimSpace(b); b != "" {
@@ -359,10 +323,9 @@ func (c *Collector) ingestSpans(header string, recs []telemetry.SpanExport) (app
 		if tr.reason == "" {
 			tr.reason = rec.Reason
 		}
-		tr.updated = c.cfg.Now()
 		applied++
 	}
-	return applied, firstErr
+	return applied
 }
 
 // traceLocked returns (creating under the drop-oldest retention bound)
@@ -397,8 +360,8 @@ type AssembledHop struct {
 
 // AssembledTrace is the fleet view of one notification's journey: hops
 // merged across every reporting process, ordered by stamp time. Partial
-// flags a trace touching a broker that never reported to this collector
-// — the path seen cannot be assumed complete.
+// flags a trace touching a broker that has not reported this span to the
+// collector — the path seen cannot be assumed complete.
 type AssembledTrace struct {
 	Note      string         `json:"note"`
 	LatencyMS float64        `json:"latency_ms,omitempty"`
@@ -488,16 +451,17 @@ func (c *Collector) Traces(limit int) []AssembledTrace {
 
 // FleetBroker is one broker row of the /fleet status view.
 type FleetBroker struct {
-	Instance      string  `json:"instance"`
-	Status        string  `json:"status"` // "ok" | "stale"
-	LastPushAgoMS float64 `json:"last_push_ago_ms"`
-	IntervalMS    float64 `json:"interval_ms,omitempty"` // observed cadence
-	StaleAfterMS  float64 `json:"stale_after_ms"`
-	Pushes        uint64  `json:"pushes"`
-	SpanRecords   uint64  `json:"span_records"`
+	Instance string `json:"instance"`
+	Ops      string `json:"ops"`
+	Status   string `json:"status"` // "ok" | "stale"
+	// Error says why a stale broker is stale: its last scrape's failure,
+	// or that the registry stopped listing it.
+	Error       string `json:"error,omitempty"`
+	Scrapes     uint64 `json:"scrapes"` // successful
+	SpanRecords uint64 `json:"span_records"`
 	// SpillDepth sums the broker's per-link store-backed spill queues
-	// (rebeca_link_spill_depth) as of its last push — an operator watches
-	// a partition backlog drain fleet-wide from here.
+	// (rebeca_link_spill_depth) as of its last scrape — an operator
+	// watches a partition backlog drain fleet-wide from here.
 	SpillDepth float64 `json:"spill_depth,omitempty"`
 }
 
@@ -508,41 +472,37 @@ type FleetStatus struct {
 	Traces  int           `json:"traces"`
 }
 
-// Fleet reports every known broker's push freshness: a broker silent
-// past its deadline (StaleAfter, or 2x its observed push cadence) is
-// marked stale — the NAT'd-broker equivalent of a failed scrape.
+// Fleet reports every broker the collector has scraped: stale exactly
+// when its last round failed or the registry stopped listing it.
 func (c *Collector) Fleet() FleetStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
-	out := FleetStatus{Brokers: make([]FleetBroker, 0, len(c.instOrder)), Traces: len(c.traces)}
+	out := FleetStatus{Brokers: make([]FleetBroker, 0, len(c.instances)), Traces: len(c.traces)}
 	spill := make(map[string]float64)
 	if fam, ok := c.fams[telemetry.MetricLinkSpillDepth]; ok {
 		for _, row := range fam.rows {
 			spill[labelValue(row.labelKey, "instance")] += row.value
 		}
 	}
-	names := append([]string(nil), c.instOrder...)
-	sort.Strings(names)
-	for _, name := range names {
-		inst := c.instances[name]
-		deadline := c.staleAfter(inst)
+	for ops, inst := range c.instances {
 		b := FleetBroker{
-			Instance:      name,
-			Status:        "ok",
-			LastPushAgoMS: float64(now.Sub(inst.lastPush)) / float64(time.Millisecond),
-			IntervalMS:    float64(inst.gap) / float64(time.Millisecond),
-			StaleAfterMS:  float64(deadline) / float64(time.Millisecond),
-			Pushes:        inst.pushes,
-			SpanRecords:   inst.spanRecords,
-			SpillDepth:    spill[name],
+			Instance:    inst.name,
+			Ops:         ops,
+			Status:      "ok",
+			Scrapes:     inst.scrapes,
+			SpanRecords: inst.spanRecords,
+			SpillDepth:  spill[inst.name],
 		}
-		if now.Sub(inst.lastPush) > deadline {
-			b.Status = "stale"
+		if !inst.ok {
+			b.Status, b.Error = "stale", inst.lastErr
 			out.Stale++
 		}
 		out.Brokers = append(out.Brokers, b)
 	}
+	sort.Slice(out.Brokers, func(i, j int) bool {
+		a, b := out.Brokers[i], out.Brokers[j]
+		return a.Instance < b.Instance || a.Instance == b.Instance && a.Ops < b.Ops
+	})
 	return out
 }
 

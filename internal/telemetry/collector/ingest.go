@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// ingestProm parses a Prometheus text exposition 0.0.4 push body into
+// ingestProm parses a scraped Prometheus text exposition 0.0.4 body into
 // normalized samples. TYPE comments type the families; sample lines of a
 // histogram family (_bucket/_sum/_count) attach to the base family so
 // the re-export keeps one TYPE block per histogram.

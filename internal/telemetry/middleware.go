@@ -40,16 +40,11 @@ const (
 	MetricDiscoveryEvents    = "rebeca_discovery_events_total"
 	MetricTreeRecomputations = "rebeca_spanning_tree_recomputations_total"
 
-	// Fleet observability (trace sampling + push export).
+	// Fleet observability (trace sampling).
 	MetricTraceSampled        = "rebeca_trace_sampled_total"
 	MetricTraceRetro          = "rebeca_trace_retro_total"
 	MetricTracePending        = "rebeca_trace_pending"
 	MetricTracePendingEvicted = "rebeca_trace_pending_evicted_total"
-	MetricPushAttempts        = "rebeca_push_attempts_total"
-	MetricPushFailures        = "rebeca_push_failures_total"
-	MetricPushSpooled         = "rebeca_push_spooled"
-	MetricPushSpans           = "rebeca_push_spans_total"
-	MetricPushSpanFailures    = "rebeca_push_span_failures_total"
 
 	// Outage-proof links (store-backed spill for partition survival).
 	MetricLinkSpillDepth   = "rebeca_link_spill_depth"
@@ -294,22 +289,6 @@ func RegisterSamplerMetrics(reg *Registry, s *Sampler) {
 		func(emit func(Labels, float64)) { emit(nil, float64(s.PendingLen())) })
 	reg.CounterFunc(MetricTracePendingEvicted, "Parked hop paths evicted by the pending-ring bound before a verdict (retro-capture lost them).",
 		func(emit func(Labels, float64)) { emit(nil, float64(s.PendingDropped())) })
-}
-
-// RegisterPusherMetrics exposes a push exporter's delivery health on the
-// registry, so the pushed bodies themselves report spool pressure and
-// receiver outages.
-func RegisterPusherMetrics(reg *Registry, p *Pusher) {
-	reg.CounterFunc(MetricPushAttempts, "Metric push POSTs attempted.",
-		func(emit func(Labels, float64)) { emit(nil, float64(p.Attempts())) })
-	reg.CounterFunc(MetricPushFailures, "Metric push POSTs that failed.",
-		func(emit func(Labels, float64)) { emit(nil, float64(p.Failures())) })
-	reg.GaugeFunc(MetricPushSpooled, "Metric push bodies spooled awaiting delivery.",
-		func(emit func(Labels, float64)) { emit(nil, float64(p.SpoolLen())) })
-	reg.CounterFunc(MetricPushSpans, "Trace span records shipped to the push receiver.",
-		func(emit func(Labels, float64)) { emit(nil, float64(p.SpansShipped())) })
-	reg.CounterFunc(MetricPushSpanFailures, "Span batch POSTs that failed.",
-		func(emit func(Labels, float64)) { emit(nil, float64(p.SpanFailures())) })
 }
 
 // compile-time interface checks

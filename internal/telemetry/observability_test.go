@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,92 +98,6 @@ func TestSamplerPendingRingBound(t *testing.T) {
 	}
 	if s.PendingDropped() != 10 {
 		t.Fatalf("dropped = %d, want 10", s.PendingDropped())
-	}
-}
-
-func TestPusherPromBodyAndRetrySpool(t *testing.T) {
-	var (
-		fail   atomic.Int64
-		bodies atomic.Int64
-		last   atomic.Value
-	)
-	fail.Store(2)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if fail.Add(-1) >= 0 {
-			http.Error(w, "unavailable", http.StatusServiceUnavailable)
-			return
-		}
-		b, _ := io.ReadAll(r.Body)
-		last.Store(string(b))
-		bodies.Add(1)
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	defer srv.Close()
-
-	reg := telemetry.NewRegistry()
-	reg.Counter("rebeca_publishes_total", "Publishes.", telemetry.Labels{"broker": "A"}).Add(7)
-	p, err := telemetry.NewPusher(reg, telemetry.PusherConfig{
-		URL:      srv.URL,
-		Interval: 5 * time.Millisecond,
-		SpoolCap: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Two failed cycles spool their bodies and arm the backoff window.
-	p.Flush()
-	if p.Failures() != 1 || p.SpoolLen() != 1 {
-		t.Fatalf("after flush 1: failures=%d spool=%d, want 1/1", p.Failures(), p.SpoolLen())
-	}
-	time.Sleep(10 * time.Millisecond) // clear the 5ms backoff window
-	p.Flush()
-	if p.Failures() != 2 || p.SpoolLen() != 2 {
-		t.Fatalf("after flush 2: failures=%d spool=%d, want 2/2", p.Failures(), p.SpoolLen())
-	}
-
-	// Receiver recovers: the next cycle drains the spool in order.
-	time.Sleep(25 * time.Millisecond) // clear the doubled backoff window
-	p.Flush()
-	if got := bodies.Load(); got != 3 {
-		t.Fatalf("receiver accepted %d bodies, want 3 (2 spooled + 1 fresh)", got)
-	}
-	if p.SpoolLen() != 0 {
-		t.Fatalf("spool = %d after drain, want 0", p.SpoolLen())
-	}
-	body, _ := last.Load().(string)
-	for _, want := range []string{
-		"# TYPE rebeca_publishes_total counter",
-		`rebeca_publishes_total{broker="A"} 7`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("push body missing %q:\n%s", want, body)
-		}
-	}
-}
-
-func TestPusherSpoolBound(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusBadGateway)
-	}))
-	defer srv.Close()
-	reg := telemetry.NewRegistry()
-	reg.Counter("x_total", "X.", nil).Inc()
-	p, err := telemetry.NewPusher(reg, telemetry.PusherConfig{
-		URL: srv.URL, Interval: time.Millisecond, SpoolCap: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		p.Flush()
-		time.Sleep(3 * time.Millisecond)
-	}
-	if p.SpoolLen() > 2 {
-		t.Fatalf("spool = %d, want bounded at 2", p.SpoolLen())
-	}
-	if p.SpoolDropped() == 0 {
-		t.Fatal("expected drop-oldest evictions under a dead receiver")
 	}
 }
 

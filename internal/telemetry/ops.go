@@ -35,8 +35,9 @@ type Knob struct {
 // Ops is the HTTP operations endpoint a deployment hosts next to its
 // brokers: Prometheus /metrics, /healthz, /readyz (gated on registered
 // readiness probes — overlay convergence), /trace?note=<id> (hop-path
-// reconstruction from the span store), GET/POST /config (runtime knobs)
-// and net/http/pprof under /debug/pprof/.
+// reconstruction from the span store) and /trace?since=<cursor> (the
+// spans changed since a reader's cursor — what rebeca-collector reads),
+// GET/POST /config (runtime knobs) and net/http/pprof under /debug/pprof/.
 type Ops struct {
 	reg   *Registry
 	spans *SpanStore
@@ -56,7 +57,7 @@ type readyCheck struct {
 }
 
 // NewOps builds an ops endpoint over a registry and an optional span
-// store (nil disables /trace). Serve nothing until Start.
+// store (nil disables /trace). It serves nothing until Listen and Start.
 func NewOps(reg *Registry, spans *SpanStore) *Ops {
 	return &Ops{reg: reg, spans: spans, knobs: make(map[string]Knob)}
 }
@@ -99,28 +100,37 @@ func (o *Ops) Handler() http.Handler {
 	return mux
 }
 
-// Start listens on addr (e.g. ":9090", "127.0.0.1:0") and serves the ops
-// endpoint until Close.
-func (o *Ops) Start(addr string) error {
+// Listen binds addr (e.g. ":9090", "127.0.0.1:0"), so Addr is known
+// before anything is served: a broker registers it before its probes
+// exist. Connections wait in the listen backlog until Start.
+func (o *Ops) Listen(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("telemetry: ops listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: o.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	if o.closed {
-		o.mu.Unlock()
 		_ = ln.Close()
 		return errors.New("telemetry: ops endpoint closed")
 	}
 	o.ln = ln
-	o.srv = srv
-	o.mu.Unlock()
-	go func() { _ = srv.Serve(ln) }()
 	return nil
 }
 
-// Addr returns the bound listen address ("" before Start).
+// Start serves the bound endpoint until Close (a no-op without Listen).
+func (o *Ops) Start() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.ln == nil {
+		return
+	}
+	srv := &http.Server{Handler: o.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	o.srv = srv
+	go func(ln net.Listener) { _ = srv.Serve(ln) }(o.ln)
+}
+
+// Addr returns the bound listen address ("" before Listen).
 func (o *Ops) Addr() string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -130,18 +140,21 @@ func (o *Ops) Addr() string {
 	return o.ln.Addr().String()
 }
 
-// Close stops serving.
+// Close stops serving and releases the bound listener.
 func (o *Ops) Close() error {
 	o.mu.Lock()
-	srv := o.srv
+	srv, ln := o.srv, o.ln
 	o.srv = nil
 	o.ln = nil
 	o.closed = true
 	o.mu.Unlock()
-	if srv == nil {
-		return nil
+	switch {
+	case srv != nil:
+		return srv.Close()
+	case ln != nil:
+		return ln.Close()
 	}
-	return srv.Close()
+	return nil
 }
 
 func (o *Ops) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -198,19 +211,43 @@ func (o *Ops) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// traceHop is one hop of a /trace response.
-type traceHop struct {
+// TraceHop is one hop of a served span.
+type TraceHop struct {
 	Hop    int       `json:"hop"`
 	Broker string    `json:"broker"`
 	At     time.Time `json:"at"`
 }
 
-// traceResponse is the /trace?note=<id> JSON body.
-type traceResponse struct {
+// TraceSpan is one retained span as /trace serves it: the body of
+// /trace?note=<id>, and each record of a /trace?since=<cursor> export.
+type TraceSpan struct {
 	Note      string     `json:"note"`
 	LatencyMS float64    `json:"latency_ms,omitempty"`
 	Reason    string     `json:"reason,omitempty"`
-	Hops      []traceHop `json:"hops"`
+	Hops      []TraceHop `json:"hops"`
+}
+
+// TraceExport is the /trace?since=<cursor> body: the spans changed after
+// cursor, oldest change first, and the cursor to resume from. Start is
+// the span store's creation stamp: a cursor is valid only for the store
+// that issued it, so a reader that sees Start change re-reads from 0.
+type TraceExport struct {
+	Start int64       `json:"start"`
+	Next  uint64      `json:"next"`
+	Spans []TraceSpan `json:"spans"`
+}
+
+// traceSpan renders one retained span.
+func traceSpan(id message.NotificationID, span Span) TraceSpan {
+	out := TraceSpan{
+		Note:      id.String(),
+		LatencyMS: float64(span.Latency) / float64(time.Millisecond),
+		Reason:    span.Reason,
+	}
+	for i, h := range span.Path {
+		out.Hops = append(out.Hops, TraceHop{Hop: i, Broker: string(h.Broker), At: h.At})
+	}
+	return out
 }
 
 // traceListEntry is one row of the bare /trace listing.
@@ -229,7 +266,7 @@ type traceListResponse struct {
 }
 
 // ParseNoteID parses the "publisher#seq" rendering of a NotificationID —
-// the /trace?note= and span-export ID format.
+// the /trace?note= and TraceSpan.Note format.
 func ParseNoteID(s string) (message.NotificationID, error) {
 	i := strings.LastIndexByte(s, '#')
 	if i <= 0 || i == len(s)-1 {
@@ -245,6 +282,21 @@ func ParseNoteID(s string) (message.NotificationID, error) {
 func (o *Ops) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if o.spans == nil {
 		http.Error(w, "tracing not enabled", http.StatusNotFound)
+		return
+	}
+	if since := r.URL.Query().Get("since"); since != "" {
+		cursor, err := strconv.ParseUint(since, 10, 64)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad since %q", since), http.StatusBadRequest)
+			return
+		}
+		changes, next := o.spans.ExportSince(cursor)
+		out := TraceExport{Start: o.spans.Start(), Next: next, Spans: make([]TraceSpan, 0, len(changes))}
+		for _, ch := range changes {
+			out.Spans = append(out.Spans, traceSpan(ch.ID, ch.Span))
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(out)
 		return
 	}
 	note := r.URL.Query().Get("note")
@@ -285,18 +337,10 @@ func (o *Ops) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown notification (not traced, or evicted)", http.StatusNotFound)
 		return
 	}
-	resp := traceResponse{
-		Note:      id.String(),
-		LatencyMS: float64(span.Latency) / float64(time.Millisecond),
-		Reason:    span.Reason,
-	}
-	for i, h := range span.Path {
-		resp.Hops = append(resp.Hops, traceHop{Hop: i, Broker: string(h.Broker), At: h.At})
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	_ = enc.Encode(traceSpan(id, span))
 }
 
 func (o *Ops) handleConfig(w http.ResponseWriter, r *http.Request) {

@@ -8,8 +8,8 @@ import (
 )
 
 // Go runtime self-telemetry family names. Process health for the fleet
-// view: a collector aggregating broker pushes sees scheduler and GC
-// pressure next to the message-plane counters.
+// view: a collector scraping the brokers sees scheduler and GC pressure
+// next to the message-plane counters.
 const (
 	MetricGoGoroutines   = "rebeca_go_goroutines"
 	MetricGoHeapBytes    = "rebeca_go_heap_bytes"
@@ -135,8 +135,8 @@ func runtimeQuantile(samples []metrics.Sample, name string, q float64) float64 {
 //	rebeca_go_gc_pause_seconds{quantile} GC stop-the-world pause quantiles
 //	rebeca_go_sched_latency_seconds{quantile} goroutine scheduling latency
 //
-// Registered under WithOps/WithOpsPush so every pushed snapshot carries
-// process health, not just message-plane counters.
+// Every deployment's telemetry registry carries it, so each scrape
+// reports process health, not just message-plane counters.
 func RegisterGoRuntime(reg *Registry) *GoRuntimeCollector {
 	c := NewGoRuntimeCollector()
 	reg.GaugeFunc(MetricGoGoroutines, "Live goroutines in this process.",

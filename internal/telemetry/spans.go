@@ -21,10 +21,10 @@ type Span struct {
 	Latency time.Duration
 	Reason  string
 
-	// ver orders span mutations for the outbound exporter: every change
-	// (new span, longer path, worse latency, first reason) stamps the
-	// store's monotone clock, so ExportSince ships exactly the spans that
-	// moved since the last push cycle.
+	// ver orders span mutations for /trace?since=: every change (new
+	// span, longer path, worse latency, first reason) stamps the store's
+	// monotone clock, so ExportSince returns exactly the spans that moved
+	// since a reader's cursor.
 	ver uint64
 }
 
@@ -50,6 +50,7 @@ type SpanStore struct {
 	head    int
 	evicted uint64
 	clock   uint64 // monotone mutation counter feeding Span.ver
+	start   int64  // creation instant (unix ns); names the clock's epoch
 }
 
 // NewSpanStore returns a store retaining up to capacity notification
@@ -61,8 +62,14 @@ func NewSpanStore(capacity int) *SpanStore {
 	return &SpanStore{
 		cap:   capacity,
 		spans: make(map[message.NotificationID]*Span, capacity),
+		start: time.Now().UnixNano(),
 	}
 }
+
+// Start stamps the store's creation: an ExportSince cursor is valid only
+// for the store that issued it, so a reader that sees Start change (the
+// process restarted) re-reads from cursor 0.
+func (s *SpanStore) Start() int64 { return s.start }
 
 // Record stores a notification's hop path (copied). A notification seen
 // again — the same ID observed at a later hop — keeps the longer path: a
@@ -216,20 +223,19 @@ func (s *SpanStore) Evicted() uint64 {
 }
 
 // SpanChange is one span the store mutated since an export cursor: the
-// full current span (not a delta — re-shipping a grown span is how the
-// exporter stays idempotent) plus the ID it is retained under.
+// full current span (not a delta — re-reading a grown span is how a
+// reader stays idempotent) plus the ID it is retained under.
 type SpanChange struct {
 	ID   message.NotificationID
 	Span Span
 }
 
-// ExportSince returns up to max spans mutated after cursor, oldest
-// mutation first, and the cursor to resume from (pass 0 to start from the
-// beginning of the store's history; max <= 0 means no bound). A span that
-// changed again after the returned cursor will be returned again by the
-// next call — exports are at-least-once and consumers must merge
-// idempotently.
-func (s *SpanStore) ExportSince(cursor uint64, max int) ([]SpanChange, uint64) {
+// ExportSince returns the spans mutated after cursor, oldest mutation
+// first, and the cursor to resume from (pass 0 to start from the
+// beginning of the store's history). A span that changed again after the
+// returned cursor will be returned again by the next call — exports are
+// at-least-once and consumers must merge idempotently.
+func (s *SpanStore) ExportSince(cursor uint64) ([]SpanChange, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []SpanChange
@@ -248,9 +254,6 @@ func (s *SpanStore) ExportSince(cursor uint64, max int) ([]SpanChange, uint64) {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Span.ver < out[j].Span.ver })
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
 	next := cursor
 	if n := len(out); n > 0 {
 		next = out[n-1].Span.ver

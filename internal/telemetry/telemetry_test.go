@@ -2,7 +2,9 @@ package telemetry_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -231,6 +233,51 @@ func TestOpsTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestOpsTraceSince: /trace?since=<cursor> serves the spans changed after
+// the cursor in the /trace?note= shape, the cursor to resume from and the
+// store's start stamp.
+func TestOpsTraceSince(t *testing.T) {
+	spans := telemetry.NewSpanStore(0)
+	id := message.NotificationID{Publisher: "alice", Seq: 1}
+	spans.Record(id, []message.HopStamp{{Broker: "A", At: time.Unix(0, 1)}})
+	srv := httptest.NewServer(telemetry.NewOps(telemetry.NewRegistry(), spans).Handler())
+	defer srv.Close()
+	since := func(cursor uint64) telemetry.TraceExport {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/trace?since=%d", srv.URL, cursor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out telemetry.TraceExport
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("since=%d: %v", cursor, err)
+		}
+		return out
+	}
+	first := since(0)
+	if first.Start != spans.Start() || first.Next == 0 || len(first.Spans) != 1 ||
+		first.Spans[0].Note != "alice#1" || len(first.Spans[0].Hops) != 1 {
+		t.Fatalf("since=0 = %+v", first)
+	}
+	if idle := since(first.Next); idle.Next != first.Next || len(idle.Spans) != 0 {
+		t.Fatalf("idle read = %+v, want no spans at cursor %d", idle, first.Next)
+	}
+	// A grown path is served again, whole.
+	spans.Record(id, []message.HopStamp{{Broker: "A", At: time.Unix(0, 1)}, {Broker: "B", At: time.Unix(0, 2)}})
+	if grown := since(first.Next); len(grown.Spans) != 1 || len(grown.Spans[0].Hops) != 2 || grown.Spans[0].Hops[1].Broker != "B" {
+		t.Fatalf("after growth = %+v", grown)
+	}
+	resp, err := http.Get(srv.URL + "/trace?since=x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("since=x = %d, want 400", resp.StatusCode)
+	}
+}
+
 func TestOpsTraceListing(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	spans := telemetry.NewSpanStore(0)
@@ -391,9 +438,10 @@ func TestOpsMetricsAndHealthz(t *testing.T) {
 func TestOpsStartAndClose(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ops := telemetry.NewOps(reg, nil)
-	if err := ops.Start("127.0.0.1:0"); err != nil {
+	if err := ops.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
+	ops.Start()
 	addr := ops.Addr()
 	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
@@ -405,6 +453,20 @@ func TestOpsStartAndClose(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("endpoint still serving after Close")
+	}
+
+	// A bound endpoint that never started releases its port on Close.
+	bound := telemetry.NewOps(reg, nil)
+	if err := bound.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	addr = bound.Addr()
+	if err := bound.Close(); err != nil {
+		t.Fatalf("close before Start: %v", err)
+	}
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Fatal("listener still bound after Close")
 	}
 }
 

@@ -57,13 +57,17 @@ func NewLive(opts ...Option) (*Live, error) {
 	if err := cfg.validateOverlay(topo); err != nil {
 		return nil, err
 	}
+	// Before broker construction: the telemetry stage joins the chain
+	// every broker installs, and each registers the endpoint's address.
+	ops, err := newOpsStack(cfg)
+	if err != nil {
+		return nil, err
+	}
 	l := &Live{
 		cfg:   cfg,
 		ids:   topo.Nodes(),
 		nodes: make(map[NodeID]*BrokerNode),
-		// Before broker construction: the telemetry stage joins the chain
-		// every broker installs.
-		ops: newOpsStack(cfg),
+		ops:   ops,
 	}
 	adj := topo.Adjacency()
 	for _, id := range l.ids {
@@ -83,10 +87,7 @@ func NewLive(opts ...Option) (*Live, error) {
 	}
 	if l.ops != nil {
 		l.ops.registerStreams(l.ports.emitStreams)
-		if err := l.ops.start(cfg, joinIDs(l.ids)); err != nil {
-			_ = l.Close()
-			return nil, err
-		}
+		l.ops.start(cfg)
 	}
 	return l, nil
 }
@@ -215,7 +216,7 @@ func (l *Live) LinkInfos(b NodeID) []LinkInfo {
 // Close disconnects all clients and stops all broker nodes, in the order
 // BrokerNode.Close stops one: every broker leaves the registry first (any
 // observer of the shared registry converges without failure detection),
-// then the ops endpoint and pusher close, then the nodes stop — without a
+// then the ops endpoint closes, then the nodes stop — without a
 // drain wait: the deployment's own clients are disconnected by then.
 func (l *Live) Close() error {
 	l.mu.Lock()

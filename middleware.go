@@ -90,7 +90,7 @@ func (m BrokerMetrics) AvgDeliveryLatency() time.Duration {
 // latency. It counts nothing itself: it is a read-only view over the
 // telemetry stage (internal/telemetry) — the one implementation that counts
 // these events — so Snapshot and a /metrics scrape cannot disagree. In a
-// deployment that also has WithOps, WithOpsPush or WithLogging, the stage
+// deployment that also has WithOps or WithLogging, the stage
 // behind the view is the deployment's only telemetry stage and its registry
 // the one /metrics serves. Use one instance per deployment; it is shared by
 // every broker of it and safe for concurrent use, under both System and

@@ -19,8 +19,8 @@ import (
 // BrokerSpec is what only a one-broker process knows about itself — the
 // part of a deployment that NewLive derives from the movement graph and a
 // distributed fleet has to be told per process. Everything else
-// (durability, heartbeat, link spill, registry, ops endpoint, push,
-// sampling, logging, middleware) is configured with the same Options New and
+// (durability, heartbeat, link spill, registry, ops endpoint, sampling,
+// logging, middleware) is configured with the same Options New and
 // NewLive take. Every broker runs the transparent mobility manager and the
 // replicator, whose nlb is the graph the broker routes on (see WithRegistry).
 // The zero value of every field but ID is rebeca-broker's default.
@@ -32,7 +32,8 @@ type BrokerSpec struct {
 	Listen string
 	// Advertise is the address registered for peers to dial under
 	// WithRegistry ("" = the bound listen address, an unspecified host
-	// rewritten to 127.0.0.1).
+	// rewritten to 127.0.0.1). Its host also replaces an unspecified host
+	// of the WithOps address registered for a collector to scrape.
 	Advertise string
 	// Edges is the full static overlay, the same list on every broker of
 	// the fleet; this broker's neighbors, its unicast next hops and the
@@ -145,11 +146,14 @@ func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology
 		// manager: link bring-up is driven entirely by registry snapshots.
 		addr := spec.Advertise
 		if addr == "" {
-			addr = advertiseAddr(n.node.Addr())
+			addr = advertiseAddr(n.node.Addr(), "")
 		}
 		n.member = discovery.NewMembership(discovery.MembershipConfig{
-			Self:     spec.ID,
-			Addr:     addr,
+			Self: spec.ID,
+			Addr: addr,
+			// The ops endpoint is bound by now; a collector reading the
+			// registry scrapes it, on the advertised host.
+			Ops:      advertiseAddr(ops.addr(), spec.Advertise),
 			Peers:    neighbors,
 			Registry: n.reg,
 			Host:     n.node,
@@ -249,16 +253,17 @@ func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 	if cfg.locations == nil {
 		cfg.locations = location.Regions([]NodeID{spec.ID})
 	}
-	ops := newOpsStack(cfg)
-	n, err := startNode(cfg, ops, spec, topo)
+	ops, err := newOpsStack(cfg)
 	if err != nil {
 		return nil, err
 	}
+	n, err := startNode(cfg, ops, spec, topo)
+	if err != nil {
+		ops.close()
+		return nil, err
+	}
 	if ops != nil {
-		if err := ops.start(cfg, string(spec.ID)); err != nil {
-			_ = n.Close(0)
-			return nil, err
-		}
+		ops.start(cfg)
 	}
 	return n, nil
 }
@@ -293,8 +298,8 @@ func (n *BrokerNode) Ready() (ok bool, detail string) {
 }
 
 // StatsLine renders a one-line digest of the registry /metrics serves (when
-// WithOps, WithOpsPush or WithLogging put a telemetry stage on the chain)
-// and of every overlay link.
+// WithOps or WithLogging put a telemetry stage on the chain) and of every
+// overlay link.
 func (n *BrokerNode) StatsLine() string {
 	line := "stats:"
 	if n.ops != nil {
@@ -329,7 +334,7 @@ func (n *BrokerNode) StatsLine() string {
 
 // Close shuts the broker down in order: deregister from the registry (the
 // fleet converges on the departure without failure detection), close the
-// ops endpoint and flush the pusher, drain in-flight deliveries for at most
+// ops endpoint, drain in-flight deliveries for at most
 // drain (0 skips the wait), then stop the node and drop its links. Stores
 // passed in through options stay open: sync and close them afterwards, once
 // nothing can append anymore.
@@ -339,17 +344,20 @@ func (n *BrokerNode) Close(drain time.Duration) error {
 	return n.stop(drain)
 }
 
-// advertiseAddr turns a bound listen address into one peers can dial: an
-// unspecified host (":7471", "[::]:7471", "0.0.0.0:7471") becomes
-// 127.0.0.1 — right for single-machine fleets; multi-host deployments set
-// BrokerSpec.Advertise.
-func advertiseAddr(bound string) string {
+// advertiseAddr turns a bound listen address into one others can dial: an
+// unspecified host (":7471", "[::]:7471", "0.0.0.0:7471") becomes the host
+// of advertise (BrokerSpec.Advertise), or 127.0.0.1 without one — right
+// for single-machine fleets; multi-host deployments set Advertise.
+func advertiseAddr(bound, advertise string) string {
 	host, port, err := net.SplitHostPort(bound)
 	if err != nil {
 		return bound
 	}
 	if host == "" || host == "::" || host == "0.0.0.0" {
 		host = "127.0.0.1"
+		if h, _, err := net.SplitHostPort(advertise); err == nil && h != "" {
+			host = h
+		}
 	}
 	return net.JoinHostPort(host, port)
 }

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -417,87 +415,5 @@ func TestLogOverlayKnobQuietsLinkTransitions(t *testing.T) {
 	postKnob(t, sys.OpsAddr(), "log.overlay", "warn")
 	if n := cycle(); n != 0 {
 		t.Errorf("log.overlay=warn: a cut/heal cycle still wrote %d overlay info lines", n)
-	}
-}
-
-// TestOpsPushDeployment: a deployment with WithOpsPush and no scrape
-// listener still delivers its metric families to the receiver.
-func TestOpsPushDeployment(t *testing.T) {
-	// The pusher ships two body kinds: metric snapshots and (since PR 9)
-	// span batches, distinguished by Content-Type. Track the latest of
-	// each.
-	var pushes, spanPushes atomic.Int64
-	var last, lastSpans atomic.Value
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b := new(bytes.Buffer)
-		if _, err := b.ReadFrom(r.Body); err == nil && b.Len() > 0 {
-			if strings.Contains(r.Header.Get("Content-Type"), "x-rebeca-spans") {
-				lastSpans.Store(b.String())
-				spanPushes.Add(1)
-			} else {
-				last.Store(b.String())
-				pushes.Add(1)
-			}
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	defer srv.Close()
-
-	g := rebeca.NewGraph().AddEdge("A", "B")
-	sys, err := rebeca.New(
-		rebeca.WithMovement(g),
-		rebeca.WithOpsPush(srv.URL, 20*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if sys.OpsAddr() != "" {
-		t.Fatalf("OpsAddr = %q for a push-only deployment, want empty", sys.OpsAddr())
-	}
-
-	sub := sys.NewClient("bob")
-	if err := sub.Connect("B"); err != nil {
-		t.Fatal(err)
-	}
-	s := sub.Subscribe(rebeca.NewFilter())
-	defer s.Cancel()
-	pub := sys.NewClient("alice")
-	if err := pub.Connect("A"); err != nil {
-		t.Fatal(err)
-	}
-	sys.Settle()
-	if _, err := pub.Publish(map[string]rebeca.Value{"kind": rebeca.String("pushed")}); err != nil {
-		t.Fatal(err)
-	}
-	sys.Settle()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for pushes.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if pushes.Load() == 0 {
-		t.Fatal("no push arrived within 5s")
-	}
-	body, _ := last.Load().(string)
-	for _, want := range []string{
-		"# TYPE rebeca_publishes_total counter",
-		"# TYPE rebeca_push_attempts_total counter",
-		"rebeca_publishes_total",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("push body missing %q:\n%s", want, body)
-		}
-	}
-	// The traced publish above also ships outbound as a span batch.
-	for spanPushes.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if spanPushes.Load() == 0 {
-		t.Fatal("no span batch arrived within 5s")
-	}
-	spanBody, _ := lastSpans.Load().(string)
-	if !strings.Contains(spanBody, `"hops"`) || !strings.Contains(spanBody, `"broker":"A"`) {
-		t.Fatalf("span batch missing the traced hop path:\n%s", spanBody)
 	}
 }

@@ -17,18 +17,18 @@ import (
 // opsStack bundles one deployment's telemetry objects: the metric
 // registry, the hop-trace span store and the sampler that is its one way
 // in, the broker-chain middleware stage feeding both, the HTTP endpoint
-// serving them, and — when configured — the push exporter and the
-// structured log root. It is the only place any of them, or any instrument,
-// is built: New, NewLive and StartBroker (and so rebeca-broker) all get
-// theirs from newOpsStack. Without WithOps, WithOpsPush or WithLogging none
-// of it exists and the hot paths carry no instrumentation.
+// serving them (what operators and rebeca-collector scrape) and — when
+// configured — the structured log root. It is the only place any of them,
+// or any instrument, is built: New, NewLive and StartBroker (and so
+// rebeca-broker) all get theirs from newOpsStack. Without WithOps or
+// WithLogging none of it exists and the hot paths carry no
+// instrumentation.
 type opsStack struct {
 	reg     *telemetry.Registry
 	spans   *telemetry.SpanStore
 	mw      *telemetry.Middleware
 	ops     *telemetry.Ops
 	sampler *telemetry.Sampler
-	push    *telemetry.Pusher
 	logger  *telemetry.Logger
 	// spill reports WithLinkSpill: the spill families join the link ones.
 	spill bool
@@ -92,15 +92,17 @@ func (st *opsStack) frameObserver(id NodeID) func(bytes int) {
 	return func(bytes int) { hist.Observe(float64(bytes)) }
 }
 
-// newOpsStack builds the registry/span-store/sampler/middleware set and
-// puts the telemetry stage on the config's broker chain; nil when the
-// options ask for no endpoint, no push target and no log stream. Must run
-// before broker construction so every broker installs the stage. Push-only
-// and logging-only deployments get the stack too — they feed the same
-// registry — but never open the HTTP listener.
-func newOpsStack(cfg *config) *opsStack {
-	if cfg.opsAddr == "" && cfg.pushURL == "" && !cfg.logging {
-		return nil
+// newOpsStack builds the registry/span-store/sampler/middleware set,
+// puts the telemetry stage on the config's broker chain and, under
+// WithOps, binds the endpoint's listener — so its address is known when
+// the brokers register — without serving it yet; nil when the options ask
+// for no endpoint and no log stream. Must run before broker construction
+// so every broker installs the stage. Logging-only deployments get the
+// stack too — -stats reads its registry — but never open a listener. A
+// caller that fails after building the stack closes it.
+func newOpsStack(cfg *config) (*opsStack, error) {
+	if cfg.opsAddr == "" && !cfg.logging {
+		return nil, nil
 	}
 	spans := telemetry.NewSpanStore(0)
 	sampler := telemetry.NewSampler(spans, max(cfg.sampleN, 1), cfg.slowThresh)
@@ -121,12 +123,17 @@ func newOpsStack(cfg *config) *opsStack {
 	mw.SetSampler(sampler)
 	reg := mw.Registry()
 	// Stamping costs every hop of every publish: it is on only where
-	// something can show a trace (/trace, or a push target spans ship to).
-	mw.EnableHopTrace(cfg.opsAddr != "" || cfg.pushURL != "")
+	// something can show a trace (/trace).
+	mw.EnableHopTrace(cfg.opsAddr != "")
 	telemetry.RegisterSpanMetrics(reg, spans)
 	telemetry.RegisterSamplerMetrics(reg, sampler)
 	st := &opsStack{reg: reg, spans: spans, mw: mw, ops: telemetry.NewOps(reg, spans),
 		sampler: sampler, spill: cfg.spillStore != nil}
+	if cfg.opsAddr != "" {
+		if err := st.ops.Listen(cfg.opsAddr); err != nil {
+			return nil, err
+		}
+	}
 	telemetry.RegisterGoRuntime(reg)
 	if cfg.logging {
 		level := telemetry.ParseLevelDefault(cfg.logLevel)
@@ -142,52 +149,25 @@ func newOpsStack(cfg *config) *opsStack {
 			}
 		}
 	}
-	return st
+	return st, nil
 }
 
-// start registers the knobs and collectors every deployment flavor shares,
-// opens the HTTP endpoint under WithOps and launches the push exporter
-// under WithOpsPush. instance tags pushed payloads with the deployment's
-// identity. Call it once the host has registered its own probes.
-func (st *opsStack) start(cfg *config, instance string) error {
+// start registers the knobs and collectors every deployment flavor shares
+// and serves the endpoint bound under WithOps. Call it once the host has
+// registered its own probes: until then, connections wait in the listen
+// backlog, so /readyz never answers without them.
+func (st *opsStack) start(cfg *config) {
 	st.registerCommon(cfg)
-	if cfg.opsAddr != "" {
-		if err := st.ops.Start(cfg.opsAddr); err != nil {
-			return err
-		}
-	}
-	if cfg.pushURL == "" {
-		return nil
-	}
-	// Completed and retro-captured spans ship outbound alongside the
-	// metric snapshots.
-	p, err := telemetry.NewPusher(st.reg, telemetry.PusherConfig{
-		URL:      cfg.pushURL,
-		Interval: cfg.pushInterval,
-		Instance: instance,
-		Spans:    st.spans,
-		Logger:   st.logFor("wire"),
-	})
-	if err != nil {
-		return err
-	}
-	st.push = p
-	telemetry.RegisterPusherMetrics(st.reg, p)
-	p.Start()
-	return nil
+	st.ops.Start()
 }
 
-// close tears the stack's background pieces down: the endpoint, then the
-// pusher (whose final flush rides its Close, so the receiver sees the
-// shutdown state). No-op on a nil stack.
+// close stops the endpoint and releases its listener. No-op on a nil
+// stack.
 func (st *opsStack) close() {
 	if st == nil {
 		return
 	}
 	_ = st.ops.Close()
-	if st.push != nil {
-		st.push.Close()
-	}
 }
 
 // addr is the bound address of the HTTP endpoint ("" without WithOps).
@@ -400,15 +380,6 @@ func (st *opsStack) registerStreams(snap func(emit func(client NodeID, s streamS
 					float64(s.stats.Dropped))
 			})
 		})
-}
-
-// joinIDs renders broker IDs as the push exporter's instance tag.
-func joinIDs(ids []NodeID) string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = string(id)
-	}
-	return strings.Join(out, ",")
 }
 
 // subLabel renders a stream's metric label ("" is the port's catch-all).

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -299,6 +300,43 @@ func TestOpsWithoutOptionAbsent(t *testing.T) {
 	defer d.Close()
 	if d.OpsAddr() != "" {
 		t.Fatalf("OpsAddr = %q without WithOps", d.OpsAddr())
+	}
+}
+
+// TestOpsListenerReleasedOnFailedBuild: the ops listener is bound before
+// the brokers are built, so every constructor that fails after binding it
+// releases it again.
+func TestOpsListenerReleasedOnFailedBuild(t *testing.T) {
+	free := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	for name, build := range map[string]func(ops string) error{
+		// A spill needs the overlay, refused once the stack is built.
+		"New": func(ops string) error {
+			_, err := rebeca.New(rebeca.WithOps(ops), rebeca.WithLinkSpill(rebeca.NewMemoryStore(), 0))
+			return err
+		},
+		// The broker's own listener cannot bind.
+		"StartBroker": func(ops string) error {
+			_, err := rebeca.StartBroker(rebeca.BrokerSpec{ID: "A", Listen: "256.0.0.1:1", Edges: [][2]rebeca.NodeID{{"A", "B"}}},
+				rebeca.WithOps(ops))
+			return err
+		},
+	} {
+		ops := free()
+		if err := build(ops); err == nil {
+			t.Fatalf("%s: built, want an error", name)
+		}
+		ln, err := net.Listen("tcp", ops)
+		if err != nil {
+			t.Fatalf("%s left the ops listener bound: %v", name, err)
+		}
+		ln.Close()
 	}
 }
 

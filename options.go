@@ -39,8 +39,6 @@ type config struct {
 	opsAddr        string
 	mesh           bool
 	registry       string
-	pushURL        string
-	pushInterval   time.Duration
 	sampleN        int64
 	slowThresh     time.Duration
 	logWriter      io.Writer
@@ -354,8 +352,10 @@ func WithRegistry(uri string) Option {
 //
 // The option installs the telemetry middleware stage on every broker and
 // wires the deployment's collectors (overlay link state, WAL segments,
-// stream buffer depths, codec frame sizes) into one registry. Without it a
-// deployment carries no telemetry instrumentation and pays no cost.
+// stream buffer depths, codec frame sizes) into one registry. Under
+// WithRegistry every broker registers the endpoint's address, which is how
+// rebeca-collector finds it. Without it a deployment carries no telemetry
+// instrumentation and pays no cost.
 func WithOps(addr string) Option {
 	return func(c *config) {
 		if addr == "" {
@@ -363,30 +363,6 @@ func WithOps(addr string) Option {
 			return
 		}
 		c.opsAddr = addr
-	}
-}
-
-// WithOpsPush adds a push-model metric export path: a pusher goroutine
-// renders the telemetry registry every interval as the Prometheus text
-// exposition /metrics serves and POSTs it to url (rebeca-collector, or
-// anything that accepts the text format), followed by the hop-trace spans
-// that changed since the last cycle, with retry/backoff and a bounded
-// in-memory spool across receiver outages. This is how a broker behind NAT
-// reports without being scraped; it builds the same telemetry stack as
-// WithOps and composes with it, but does not require it — push-only
-// deployments never open a listen port. interval 0 defaults to 15s.
-func WithOpsPush(url string, interval time.Duration) Option {
-	return func(c *config) {
-		if url == "" {
-			c.errs = append(c.errs, errors.New("rebeca: WithOpsPush(\"\"): want a receiver URL"))
-			return
-		}
-		if interval < 0 {
-			c.errs = append(c.errs, fmt.Errorf("rebeca: WithOpsPush(%q, %s): negative interval", url, interval))
-			return
-		}
-		c.pushURL = url
-		c.pushInterval = interval
 	}
 }
 

@@ -6,15 +6,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -54,7 +50,6 @@ type optionRun struct {
 	d       rebeca.Deployment
 	sub     []rebeca.SubOption // the row's SubOption, on the run that applies it
 	log     *syncWriter        // a WithLogging sink
-	push    *pushSink          // a WithOpsPush receiver
 	metrics *rebeca.Metrics    // a Metrics view on the chain
 }
 
@@ -221,14 +216,6 @@ func optionRows() []optionRow {
 			opt:  func(*optionRun) rebeca.Option { return rebeca.WithTraceSampling(1<<30, 0) },
 			sim:  outcome{"deliveries 5, traces 0", "deliveries 5, traces 5"},
 			live: outcome{"deliveries 5, traces 0", "deliveries 5, traces 5"}},
-		{option: "WithOpsPush", script: pushed,
-			ctx: func(r *optionRun) []rebeca.Option {
-				r.push = newPushSink(r.t)
-				return nil
-			},
-			opt:  func(r *optionRun) rebeca.Option { return rebeca.WithOpsPush(r.push.url, time.Hour) },
-			sim:  outcome{"pushed deliveries 5", "pushed nothing"},
-			live: outcome{"pushed deliveries 5", "pushed nothing"}},
 		{option: "WithLogging", script: logged,
 			ctx: func(r *optionRun) []rebeca.Option {
 				r.log = &syncWriter{}
@@ -563,20 +550,6 @@ func scrape(r *optionRun) string {
 	return fmt.Sprintf("deliveries %g, traces %d", metricTotal(metrics, "rebeca_deliveries_total"), listing.Retained)
 }
 
-// pushed delivers five notes, closes the deployment — a pusher's final
-// flush rides its close — and observes what the receiver got.
-func pushed(r *optionRun) string {
-	deliver()(r)
-	if err := r.d.Close(); err != nil {
-		r.t.Fatal(err)
-	}
-	body := r.push.last()
-	if body == "" {
-		return "pushed nothing"
-	}
-	return fmt.Sprintf("pushed deliveries %g", metricTotal(body, "rebeca_deliveries_total"))
-}
-
 // logged settles the deployment and observes whether the overlay logged
 // its links coming up.
 func logged(r *optionRun) string {
@@ -667,35 +640,6 @@ func metricTotal(exposition, family string) float64 {
 		}
 	}
 	return total
-}
-
-// pushSink is a push receiver that keeps the latest metric body.
-type pushSink struct {
-	url  string
-	mu   sync.Mutex
-	body string
-}
-
-func newPushSink(t *testing.T) *pushSink {
-	p := &pushSink{}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		body, err := io.ReadAll(req.Body)
-		if err == nil && len(body) > 0 && !strings.Contains(req.Header.Get("Content-Type"), "x-rebeca-spans") {
-			p.mu.Lock()
-			p.body = string(body)
-			p.mu.Unlock()
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	t.Cleanup(srv.Close)
-	p.url = srv.URL
-	return p
-}
-
-func (p *pushSink) last() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.body
 }
 
 // TestOptionTableComplete parses the package's non-test files and requires

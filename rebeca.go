@@ -113,6 +113,8 @@
 // multi-hop path from span stamps each broker adds in transit (carried
 // across live links by the wire codec); and /config, runtime knobs —
 // heartbeat, rate limits, trace verbosity — applied without restart.
+// Under WithRegistry each broker registers the endpoint's address, and
+// cmd/rebeca-collector, reading the same registry, scrapes the fleet.
 // Without WithOps none of this exists and the hot paths carry no
 // instrumentation.
 //
