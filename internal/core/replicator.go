@@ -31,6 +31,14 @@
 //     virtual client created on the fly; buffered notifications are
 //     fetched from the previous broker's replica — degraded, but not
 //     empty-handed.
+//
+// Shared pre-subscriptions: the virtual clients at one broker that hold
+// one template resolve it to one filter, so the routing layer holds one
+// entry per broker and resolved filter (ID vc:<Filter.Key()>@<broker>),
+// installed on the replicator's one port vc:*@<broker> by its first holder
+// and removed with its last. A delivery on that port reaches each holder
+// of the matched entries once, in holder order; buffers stay per virtual
+// client (or digests of buffer.Shared, which shares their storage).
 package core
 
 import (
@@ -53,13 +61,15 @@ import (
 // clients is active system-wide.
 type virtualClient struct {
 	client message.NodeID
-	// port names the broker port this virtual client owns.
-	port   message.NodeID
 	active bool
 	// subs holds the client's location-dependent subscriptions in their
 	// original (unresolved myloc) form, keyed by the client-issued SubID.
 	subs     map[message.SubID]filter.Filter
 	subOrder []message.SubID
+	// keys names, per SubID, the shared entry its resolved filter holds.
+	keys map[message.SubID]message.SubID
+	// gen is the fan-out generation that last reached this virtual client.
+	gen uint64
 	// buf records location-relevant notifications while inactive.
 	buf buffer.Policy
 }
@@ -137,16 +147,22 @@ type Config struct {
 // Replicator is the per-border-broker replicator process of Fig. 4: a
 // stage of the broker's middleware chain that claims location-dependent
 // subscriptions and the replica protocol (MessageInterceptor) and the
-// deliveries to its virtual clients' ports (OnDeliver), and re-creates
+// deliveries to its virtual clients' port (OnDeliver), and re-creates
 // replicas on a neighbor whose link comes up (LinkObserver).
 type Replicator struct {
 	broker.PassMiddleware
 	b   *broker.Broker
 	cfg Config
 	vcs map[message.NodeID]*virtualClient
-	// byPort indexes vcs by the port each virtual client owns; ensureVC
-	// and dropVC maintain both maps together.
-	byPort map[message.NodeID]*virtualClient
+	// port is the broker port every shared entry is installed on.
+	port message.NodeID
+	// entries lists each shared entry's holders by its routing SubID: one
+	// element per (virtual client, SubID) whose filter resolves to it, in
+	// the order they came.
+	entries map[message.SubID][]*virtualClient
+	// gen stamps one fan-out, so that a virtual client holding several
+	// matched entries is reached once.
+	gen uint64
 }
 
 // New attaches a replicator to its border broker's middleware chain and
@@ -167,11 +183,13 @@ func New(cfg Config) *Replicator {
 		cfg.BufferFactory = func() buffer.Policy { return buffer.NewUnbounded() }
 	}
 	r := &Replicator{
-		b:      cfg.Broker,
-		cfg:    cfg,
-		vcs:    make(map[message.NodeID]*virtualClient),
-		byPort: make(map[message.NodeID]*virtualClient),
+		b:       cfg.Broker,
+		cfg:     cfg,
+		vcs:     make(map[message.NodeID]*virtualClient),
+		port:    "vc:*@" + cfg.Broker.ID(),
+		entries: make(map[message.SubID][]*virtualClient),
 	}
+	cfg.Broker.AttachPort(r.port)
 	cfg.Broker.UseMiddleware(r)
 	return r
 }
@@ -202,16 +220,6 @@ func (r *Replicator) HasReplica(c message.NodeID) bool {
 func (r *Replicator) ReplicaActive(c message.NodeID) bool {
 	vc, ok := r.vcs[c]
 	return ok && vc.active
-}
-
-// vcPort names the local broker port owned by c's virtual client.
-func (r *Replicator) vcPort(c message.NodeID) message.NodeID {
-	return "vc:" + c + "@" + r.b.ID()
-}
-
-// vcSubID derives the broker-unique routing SubID for a client sub.
-func (r *Replicator) vcSubID(id message.SubID) message.SubID {
-	return id + "@" + message.SubID(r.b.ID())
 }
 
 // resolve resolves myloc and context markers against this broker.
@@ -267,22 +275,31 @@ func (r *Replicator) OnMessage(_ *broker.Broker, from message.NodeID, m proto.Me
 	}
 }
 
-// OnDeliver implements broker.Middleware: deliveries to virtual-client
-// ports are forwarded to the live client or buffered. n is the broker's
-// copy for the duration of the hook only; what is kept or forwarded is a
-// copy of the value.
-func (r *Replicator) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.Notification, _ []message.SubID, next func()) {
-	vc, ok := r.byPort[port]
-	if !ok {
+// OnDeliver implements broker.Middleware: a delivery to the replicator's
+// port reaches every holder of the matched entries once, in holder order,
+// and is forwarded to the live client or buffered. n is the broker's copy
+// for the duration of the hook only; what is kept or forwarded is a copy
+// of the value.
+func (r *Replicator) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.Notification, subs []message.SubID, next func()) {
+	if port != r.port {
 		next()
 		return
 	}
-	if vc.active {
-		note := *n
-		r.b.Send(vc.client, proto.Message{Kind: proto.KDeliver, Client: vc.client, Note: &note})
-	} else {
-		vc.buf.Add(*n, r.b.Now())
-		r.b.NotifyMechanism(broker.CoreBuffered, 1)
+	r.gen++
+	for _, id := range subs {
+		for _, vc := range r.entries[id] {
+			if vc.gen == r.gen {
+				continue
+			}
+			vc.gen = r.gen
+			if vc.active {
+				note := *n
+				r.b.Send(vc.client, proto.Message{Kind: proto.KDeliver, Client: vc.client, Note: &note})
+			} else {
+				vc.buf.Add(*n, r.b.Now())
+				r.b.NotifyMechanism(broker.CoreBuffered, 1)
+			}
+		}
 	}
 }
 
@@ -326,22 +343,48 @@ func (r *Replicator) onUnsubscribe(from message.NodeID, m proto.Message) bool {
 	return true
 }
 
-// installVCSub adds a subscription to a virtual client and enters its
-// resolved form into the routing layer.
+// installVCSub adds a subscription to a virtual client and makes it a
+// holder of the shared entry for its resolved filter, installing the entry
+// in the routing layer for its first holder. A re-issued SubID whose
+// filter resolves elsewhere moves its holder to the new entry.
 func (r *Replicator) installVCSub(vc *virtualClient, id message.SubID, f filter.Filter) {
 	vc.addSub(id, f)
-	r.b.AttachPort(vc.port)
-	r.b.InstallSub(proto.Subscription{
-		ID:     r.vcSubID(id),
-		Filter: r.resolve(f),
-	}, vc.port)
+	resolved := r.resolve(f)
+	key := message.SubID("vc:" + resolved.Key() + "@" + string(r.b.ID()))
+	old, held := vc.keys[id]
+	if held && old == key {
+		return
+	}
+	holders, ok := r.entries[key]
+	if !ok {
+		r.b.InstallSub(proto.Subscription{ID: key, Filter: resolved}, r.port)
+	}
+	r.entries[key] = append(holders, vc)
+	vc.keys[id] = key
+	if held {
+		r.release(vc, old)
+	}
 }
 
 func (r *Replicator) removeVCSub(vc *virtualClient, id message.SubID) {
 	if !vc.removeSub(id) {
 		return
 	}
-	r.b.RemoveSub(r.vcSubID(id))
+	r.release(vc, vc.keys[id])
+	delete(vc.keys, id)
+}
+
+// release drops one of vc's holds on the shared entry key and removes the
+// entry from the routing layer with its last holder.
+func (r *Replicator) release(vc *virtualClient, key message.SubID) {
+	holders := r.entries[key]
+	i := slices.Index(holders, vc)
+	if holders = slices.Delete(holders, i, i+1); len(holders) > 0 {
+		r.entries[key] = holders
+		return
+	}
+	delete(r.entries, key)
+	r.b.RemoveSub(key)
 }
 
 // ensureVC returns the client's virtual client here, creating it if needed.
@@ -350,12 +393,11 @@ func (r *Replicator) ensureVC(c message.NodeID, active bool) *virtualClient {
 	if !ok {
 		vc = &virtualClient{
 			client: c,
-			port:   r.vcPort(c),
 			subs:   make(map[message.SubID]filter.Filter),
+			keys:   make(map[message.SubID]message.SubID),
 			buf:    r.newBuffer(c),
 		}
 		r.vcs[c] = vc
-		r.byPort[vc.port] = vc
 		r.b.NotifyMechanism(broker.CoreReplicasCreated, 1)
 	}
 	vc.active = vc.active || active
@@ -494,12 +536,10 @@ func (r *Replicator) dropVC(c message.NodeID) {
 	}
 	r.b.NotifyMechanism(broker.CoreWasted, vc.buf.Len())
 	vc.buf.Clear()
-	for _, id := range append([]message.SubID(nil), vc.subOrder...) {
-		r.b.RemoveSub(r.vcSubID(id))
+	for _, id := range vc.subOrder {
+		r.release(vc, vc.keys[id])
 	}
-	r.b.DetachPort(vc.port)
 	delete(r.vcs, c)
-	delete(r.byPort, vc.port)
 	r.b.NotifyMechanism(broker.CoreReplicasDeleted, 1)
 }
 
@@ -525,14 +565,13 @@ func (r *Replicator) onReplicaDelete(m proto.Message) bool {
 	return true
 }
 
+// onReplicaSub applies a subscription the client issued at its border,
+// re-issues included: a SubID the replica holds takes the new filter.
 func (r *Replicator) onReplicaSub(m proto.Message) bool {
 	if m.Sub == nil {
 		return true
 	}
-	vc := r.ensureVC(m.Client, false)
-	if _, ok := vc.subs[m.Sub.ID]; !ok {
-		r.installVCSub(vc, m.Sub.ID, m.Sub.Filter)
-	}
+	r.installVCSub(r.ensureVC(m.Client, false), m.Sub.ID, m.Sub.Filter)
 	return true
 }
 

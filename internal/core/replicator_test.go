@@ -79,14 +79,17 @@ func (c *corridor) dishes() []string {
 	return out
 }
 
-func contains(xs []string, x string) bool {
+func count(xs []string, x string) int {
+	n := 0
 	for _, v := range xs {
 		if v == x {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }
+
+func contains(xs []string, x string) bool { return count(xs, x) > 0 }
 
 func menuFilter() []filter.Constraint {
 	return []filter.Constraint{filter.Eq("service", message.String("menu"))}
@@ -244,9 +247,13 @@ func TestExceptionModePopUp(t *testing.T) {
 	if got := c.tally.At("B4", broker.CoreExceptionActivations); got != 1 {
 		t.Errorf("exception activations = %d, want 1", got)
 	}
-	// Degraded service: the old buffer is fetched across the network.
-	if got := c.dishes(); !contains(got, "leftover") {
-		t.Errorf("exception fetch should recover the old buffer: %v", got)
+	// Degraded service: the old buffer is fetched across the network, from
+	// B0's replica, and reaches the client once.
+	if got := c.tally.At("B0", broker.CoreFetchesServed); got != 1 {
+		t.Errorf("fetches served at B0 = %d, want 1", got)
+	}
+	if got := count(c.dishes(), "leftover"); got != 1 {
+		t.Errorf("exception fetch should recover the old buffer once, got %d: %v", got, c.dishes())
 	}
 	// Fresh local traffic flows after the pop-up.
 	c.publishMenu("B4", "fresh")

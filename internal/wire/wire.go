@@ -523,16 +523,24 @@ func (n *Node) acceptLoop() {
 
 // register adds a client link and starts its read pump. A replaced conn
 // (client reconnecting under the same ID) is closed, not just dropped:
-// every Conn owns a flusher goroutine that only Close releases.
+// every Conn owns a flusher goroutine that only Close releases. A link
+// whose handshake finishes after Close began is closed here: the closed
+// check and the pump's wg.Add share n.mu with Close's sweep of the conns,
+// so Close either closes the conn and waits for its pump or never sees it.
 func (n *Node) register(conn *Conn) {
 	conn.enc.OnFrame(n.cfg.FrameObserver) // before the conn carries traffic
 	n.mu.Lock()
+	if n.isClosed() {
+		n.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
 	if old := n.conns[conn.peer]; old != nil && old != conn {
 		_ = old.Close()
 	}
 	n.conns[conn.peer] = conn
-	n.mu.Unlock()
 	n.wg.Add(1)
+	n.mu.Unlock()
 	go n.readLoop(conn)
 }
 
@@ -558,13 +566,14 @@ func (n *Node) registerPeer(conn *Conn) {
 		_ = old.Close()
 	}
 	n.conns[conn.peer] = conn
+	n.wg.Add(1) // under n.mu, as in register
 	n.mu.Unlock()
 	gen, ok := n.ov.LinkUp(conn.peer)
 	if !ok {
 		_ = conn.Close()
+		n.wg.Done()
 		return
 	}
-	n.wg.Add(1)
 	go n.readPeerLoop(conn, gen)
 }
 
@@ -775,7 +784,10 @@ func (n *Node) eventLoop() {
 // deliveries and buffer appends complete, so an fsync after Drain captures
 // them. Returns true on quiescence, false when the timeout expired or the
 // node closed first. New messages can still arrive while draining; Drain
-// only guarantees a moment of observed emptiness.
+// only guarantees a moment of observed emptiness. It is no barrier for
+// frames still in a socket: a frame a peer or client has written but this
+// node's read pump has not yet put in the inbox (a KSubscribe sent just
+// before the call, say) is processed after Drain returns.
 func (n *Node) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {

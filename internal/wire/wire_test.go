@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bufio"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -240,5 +242,24 @@ func TestCoalescedWrites(t *testing.T) {
 		if m.Note == nil || m.Note.ID.Seq != uint64(i+1) {
 			t.Fatalf("message %d out of order: %+v", i, m)
 		}
+	}
+}
+
+// TestRegisterAfterCloseClosesTheConn: a client link whose handshake
+// finishes after Close has swept the node's conns is closed by register,
+// not left open with a read pump Close never waits for.
+func TestRegisterAfterCloseClosesTheConn(t *testing.T) {
+	n := NewNode(NodeConfig{ID: "A", Listen: "127.0.0.1:0"})
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	_ = n.Close()
+	near, far := net.Pipe()
+	defer far.Close()
+	bw := bufio.NewWriter(near)
+	n.register(newConn("late", near, codec.Version, bw, codec.NewEncoder(bw), codec.NewDecoder(bufio.NewReader(near))))
+	_ = far.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := far.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("the late conn's far end read %v, want io.EOF: register left the conn open", err)
 	}
 }
