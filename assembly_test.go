@@ -138,6 +138,95 @@ func TestStartBrokerRejectsSpec(t *testing.T) {
 	}
 }
 
+// TestDeploymentsAcceptRing: New, NewLive and a StartBroker fleet take
+// the same cyclic graph — the brokers elect their spanning tree over it —
+// and each carries a publish at B2 to a subscriber at B0.
+func TestDeploymentsAcceptRing(t *testing.T) {
+	ring := Ring(4)
+	for _, host := range []struct {
+		name  string
+		build func(...Option) (Deployment, error)
+	}{
+		{"New", func(o ...Option) (Deployment, error) { return New(o...) }},
+		{"NewLive", func(o ...Option) (Deployment, error) { return NewLive(o...) }},
+	} {
+		t.Run(host.name, func(t *testing.T) {
+			d, err := host.build(WithMovement(ring))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			sub, pub := d.NewClient("sub"), d.NewClient("pub")
+			if err := sub.Connect("B0"); err != nil {
+				t.Fatal(err)
+			}
+			events := sub.Subscribe(NewFilter(Exists("n"))).Events()
+			if err := pub.Connect("B2"); err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, 3*time.Second, "delivery B2 → B0", func() bool {
+				d.Settle()
+				if _, err := pub.Publish(map[string]Value{"n": Int(1)}); err != nil {
+					t.Fatal(err)
+				}
+				d.Settle()
+				select {
+				case <-events:
+					return true
+				case <-time.After(10 * time.Millisecond):
+					return false
+				}
+			})
+		})
+	}
+	t.Run("StartBroker", func(t *testing.T) {
+		ids, addrs := ring.Nodes(), freeAddrs(t, 4)
+		var nodes []*BrokerNode
+		for i, id := range ids {
+			// Each broker dials the neighbors started before it.
+			spec := BrokerSpec{ID: id, Listen: addrs[i], Edges: ring.Edges(), Dial: map[NodeID]string{}}
+			for j, p := range ids[:i] {
+				if ring.HasEdge(id, p) {
+					spec.Dial[p] = addrs[j]
+				}
+			}
+			n, err := StartBroker(spec)
+			if err != nil {
+				t.Fatalf("start %s: %v", id, err)
+			}
+			defer n.Close(0)
+			nodes = append(nodes, n)
+		}
+		waitReady(t, nodes...)
+		var got atomic.Int64
+		sub := wire.NewRemoteClient("sub", func(Notification, []SubID) { got.Add(1) })
+		if err := sub.Connect(addrs[0], "", nil, 1); err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Disconnect()
+		if err := sub.Send(proto.Message{Kind: proto.KSubscribe, Client: "sub",
+			Sub: &proto.Subscription{ID: "sub/s1", Filter: NewFilter(Exists("n"))}}); err != nil {
+			t.Fatal(err)
+		}
+		pub := wire.NewRemoteClient("pub", nil)
+		if err := pub.Connect(addrs[2], "", nil, 1); err != nil {
+			t.Fatal(err)
+		}
+		defer pub.Disconnect()
+		var seq uint64
+		eventually(t, 3*time.Second, "delivery B2 → B0", func() bool {
+			seq++
+			n := message.NewNotification(map[string]Value{"n": Int(1)})
+			n.ID = NotificationID{Publisher: "pub", Seq: seq}
+			if err := pub.Send(proto.Message{Kind: proto.KPublish, Client: "pub", Note: &n}); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(10 * time.Millisecond)
+			return got.Load() > 0
+		})
+	})
+}
+
 // TestStartBrokerAssembly drives the assembly rebeca-broker uses: a static
 // line A-B-C brought up out of order, end-to-end delivery through raw wire
 // clients, the ops surface CI's shell jobs check, and the durable restart

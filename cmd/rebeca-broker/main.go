@@ -9,16 +9,17 @@
 //   - Static (-edges/-dial): the full edge list is passed to every node,
 //     which derives its peers and unicast next-hop table; -dial lists the
 //     neighbors this node actively connects to (exactly one side of each
-//     edge should dial). The graph must be a tree.
+//     edge should dial). The graph may be any connected graph: the
+//     brokers elect a spanning tree over it (on a tree, the tree itself),
+//     and redundant edges serve as failover paths.
 //
 //   - Discovery (-registry/-name): the node registers itself with a
 //     membership registry (file: or seed: — see internal/discovery)
 //     and links to whichever brokers the registry names, no -edges or
 //     -dial flags. Dial direction is derived (the smaller ID dials),
-//     departed brokers are unlinked, and mesh routing is enabled: the
-//     overlay may be an arbitrary connected graph — brokers elect a
-//     spanning tree (re-elected on membership or link changes), and
-//     redundant edges serve as failover paths.
+//     departed brokers are unlinked, and the brokers elect their spanning
+//     tree over the registered graph (re-elected on membership or link
+//     changes).
 //
 // Start order does not matter either way: a dial to a neighbor that is
 // not up yet retries with jittered backoff, and every link
@@ -73,7 +74,7 @@ func main() {
 		listen    = flag.String("listen", ":7471", "TCP listen address")
 		edges     = flag.String("edges", "", "full overlay edge list, e.g. A-B,B-C (static mode)")
 		dial      = flag.String("dial", "", "neighbors to dial, e.g. A=host:port,B=host:port (static mode)")
-		registry  = flag.String("registry", "", "membership registry URI (file:<path> or seed:<listen>[,<seed>...]); replaces -edges/-dial and enables mesh routing")
+		registry  = flag.String("registry", "", "membership registry URI (file:<path> or seed:<listen>[,<seed>...]); replaces -edges/-dial")
 		advertise = flag.String("advertise", "", "overlay address to register for peers to dial (default: the bound listen address with unspecified hosts rewritten to 127.0.0.1); its host also stands in for an unspecified -ops host")
 		stats     = flag.Duration("stats", 0, "print telemetry-registry metrics at this interval (0 = off)")
 		opsAddr   = flag.String("ops", "", "HTTP operations endpoint address, e.g. :9090 (/metrics, /healthz, /readyz, /trace, /config, /debug/pprof)")

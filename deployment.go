@@ -104,16 +104,18 @@ type System struct {
 
 var _ Deployment = (*System)(nil)
 
-// New builds a full in-process deployment from the options: brokers on the
-// movement graph's spanning tree, a transparent physical-mobility manager
-// and a replicator on every broker, and the configured middleware chain.
+// New builds a full in-process deployment from the options: brokers linked
+// along every movement edge and routing on the spanning tree they elect
+// over it (a sorted BFS from the lowest ID, the graph's SpanningTree), a
+// transparent physical-mobility manager and a replicator on every broker,
+// and the configured middleware chain. NewLive accepts the same graphs.
 func New(opts ...Option) (*System, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.registry != "" {
-		return nil, errors.New("rebeca: WithRegistry needs a live deployment (NewLive); under New use WithMeshRouting and declare the mesh as the movement graph")
+		return nil, errors.New("rebeca: WithRegistry needs a live deployment (NewLive); under New declare the overlay as the movement graph")
 	}
 	repl := sim.ReplicationPreSubscribe
 	if cfg.reactive {
@@ -126,6 +128,9 @@ func New(opts ...Option) (*System, error) {
 		return nil, err
 	}
 	scfg := sim.ClusterConfig{
+		// The overlay is the movement graph itself, cycles and all; the
+		// brokers' replicated election picks the forwarding tree.
+		Topology:      broker.Topology{Edges: cfg.movement.Edges()},
 		Movement:      cfg.movement,
 		Locations:     cfg.locations,
 		Context:       cfg.context,
@@ -149,13 +154,6 @@ func New(opts ...Option) (*System, error) {
 		}
 		scfg.LinkSpill = cfg.spillStore
 		scfg.LinkSpillBudget = cfg.spillMax
-	}
-	if cfg.mesh {
-		// Mesh routing: the overlay is the movement graph itself (cycles
-		// and all) rather than its spanning tree; the brokers' replicated
-		// election picks the forwarding tree at runtime.
-		scfg.Mesh = true
-		scfg.Topology = broker.Topology{Edges: cfg.movement.Edges()}
 	}
 	cl, err := sim.NewCluster(scfg)
 	if err != nil {

@@ -410,14 +410,6 @@ func TestOverflowBlockLiveBackpressure(t *testing.T) {
 	t.Logf("publisher stalled at %d/%d before the consumer started", stalledAt, total)
 }
 
-// TestLiveRequiresTreeGraph documents the live deployment's topology
-// constraint.
-func TestLiveRequiresTreeGraph(t *testing.T) {
-	if _, err := rebeca.NewLive(rebeca.WithMovement(rebeca.Ring(4))); err == nil {
-		t.Error("NewLive on a ring graph should fail (tree required)")
-	}
-}
-
 // TestLiveLocationReplay runs the logical-mobility flow (pre-subscription,
 // roam, replay) over real TCP, consumed through the subscription stream.
 func TestLiveLocationReplay(t *testing.T) {

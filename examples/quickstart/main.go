@@ -25,14 +25,14 @@
 // configure here. (The transitional gob fallback is gone; a legacy peer
 // dialing in is refused with a clear error.)
 //
-// Topologies need not be trees anymore: WithMeshRouting() accepts a
-// cyclic movement graph — the brokers elect a spanning tree over it,
-// redundant edges become failover paths, and dedup keeps delivery
-// exactly-once while floods repair around a cut link. And instead of
-// wiring a fleet by hand, WithRegistry("file:peers.json") (or seed:, a
-// gossip mesh with no shared file) has every broker register itself and discover its peers; mesh routing
-// comes along automatically since a registry may describe any graph. The
-// distributed equivalent replaces all the static -edges/-dial flags:
+// Topologies need not be trees: a cyclic movement graph works as is — the
+// brokers elect a spanning tree over it, redundant edges become failover
+// paths, and dedup keeps delivery exactly-once while floods repair around
+// a cut link. And instead of wiring a fleet by hand,
+// WithRegistry("file:peers.json") (or seed:, a gossip mesh with no shared
+// file) has every broker register itself and discover its peers; the
+// registered graph may be any graph. The distributed equivalent replaces
+// all the static -edges/-dial flags:
 //
 //	rebeca-broker -name b1 -listen :7471 -registry file:peers.json
 //	rebeca-broker -name b2 -listen :7472 -registry file:peers.json

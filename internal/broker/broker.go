@@ -1,5 +1,6 @@
 // Package broker implements the REBECA broker process (§2): routing of
-// notifications along the acyclic overlay, subscription forwarding per the
+// notifications along the spanning tree elected over the overlay (on a
+// forest, every edge; see mesh.go), subscription forwarding per the
 // configured routing strategy, and unicast control-message routing via
 // next-hop tables. Border and inner brokers run the same state machine;
 // border brokers additionally host the session layers (the replicator and
@@ -29,7 +30,8 @@ import (
 type Config struct {
 	// ID names the broker.
 	ID message.NodeID
-	// Peers are the neighboring brokers on the acyclic overlay.
+	// Peers are the neighboring brokers until the host declares the overlay
+	// graph (SetMeshTopology), whose elected tree replaces them.
 	Peers []message.NodeID
 	// Strategy selects the routing algorithm (default StrategySimple).
 	Strategy routing.Strategy
@@ -42,8 +44,8 @@ type Config struct {
 	SendDirect func(to message.NodeID, m proto.Message)
 	// Now supplies (virtual) time.
 	Now func() time.Time
-	// NextHop maps a destination broker to the neighbor on the unique
-	// overlay path toward it.
+	// NextHop maps a destination broker to the neighbor toward it, until
+	// the host declares the graph.
 	NextHop map[message.NodeID]message.NodeID
 }
 
@@ -87,7 +89,8 @@ type Broker struct {
 	free          []*cursor
 	hook          *cursor
 
-	// Mesh routing (see mesh.go); all nil/unused unless EnableMesh.
+	// The spanning-tree election (see mesh.go). seen and seenLinks are nil
+	// while the declared graph is a forest.
 	mesh         *Mesh
 	seen         *dedup.Window[seenEntry] // forwarding memory
 	seenLinks    map[message.NodeID]int   // its link numbers, never reused
@@ -112,9 +115,9 @@ type Broker struct {
 // detaches). Call before the broker starts processing messages.
 func (b *Broker) SetLogger(l *slog.Logger) { b.log = l }
 
-// New builds a broker from the config. Under mesh routing (EnableMesh +
-// SetMeshTopology) the configured peers and next hops are replaced by the
-// elected spanning tree's.
+// New builds a broker from the config. Once its host declares the overlay
+// graph (SetMeshTopology) the configured peers and next hops are replaced
+// by the elected spanning tree's.
 func New(cfg Config) *Broker {
 	if cfg.Send == nil {
 		panic("broker: Config.Send is required")
@@ -133,6 +136,8 @@ func New(cfg Config) *Broker {
 		router: routing.NewIndexedRouter(cfg.Strategy),
 		peers:  make(map[message.NodeID]bool),
 		ports:  make(map[message.NodeID]bool),
+		mesh:   NewMesh(cfg.ID),
+		waves:  make(map[string]uint64),
 	}
 	for _, p := range cfg.Peers {
 		b.peers[p] = true
@@ -183,7 +188,7 @@ func (b *Broker) Middlewares() int { return len(b.chain) }
 
 // Peers returns the broker's overlay neighbors in ID order. The slice is
 // shared and read-only: callers must not modify it, nor keep it past a
-// peer change (a mesh re-election), which builds a new one.
+// peer change (a re-election), which builds a new one.
 func (b *Broker) Peers() []message.NodeID {
 	if b.peerList == nil {
 		out := make([]message.NodeID, 0, len(b.peers))
@@ -317,19 +322,20 @@ func (b *Broker) dispatch(from message.NodeID, m proto.Message) {
 	}
 }
 
-// handlePublish takes one KPublish through mesh dedup and the publish
-// stages to routing. The note keeps the form it arrived in — a relay-form
-// note stays encoded — unless a publish stage needs a Notification.
+// handlePublish takes one KPublish through the forwarding memory and the
+// publish stages to routing. The note keeps the form it arrived in — a
+// relay-form note stays encoded — unless a publish stage needs a
+// Notification.
 func (b *Broker) handlePublish(from message.NodeID, m proto.Message) {
 	if m.Note == nil && m.RawNote == nil {
 		return
 	}
-	// Mesh dedup: on a cyclic overlay the same notification can reach a
-	// broker more than once (flood copies during a tree transition). The
-	// forwarding memory decides before the middleware chain runs, so
-	// duplicates are invisible to stages and local ports alike.
+	// On a cyclic graph the same notification can reach a broker more than
+	// once (flood copies during a tree transition). The forwarding memory
+	// decides before the middleware chain runs, so duplicates are
+	// invisible to stages and local ports alike. A forest has no memory.
 	var id message.NotificationID
-	if b.mesh != nil {
+	if b.seen != nil {
 		id = noteID(&m)
 	}
 	if !id.IsZero() {
@@ -427,7 +433,7 @@ func (b *Broker) deliverPublish(m *proto.Message, deliver []routing.LinkMatch) {
 func (b *Broker) routePublish(from message.NodeID, m proto.Message) {
 	b.stats.PublishesRouted++
 
-	if b.mesh != nil {
+	if b.seen != nil {
 		b.routePublishMesh(from, m)
 		return
 	}
@@ -470,7 +476,7 @@ func (b *Broker) handleSubscribe(from message.NodeID, m proto.Message) {
 	if m.Sub == nil {
 		return
 	}
-	// Mesh replay guard: a handshake replay (Stale) is a copy of the
+	// Replay guard: a handshake replay (Stale) is a copy of the
 	// peer's old state, not a directional claim — the handshake replays
 	// BOTH sides' entries across the link, so accepting a cross-link
 	// flip from one would just as readily accept the mirror-image flip
@@ -483,13 +489,13 @@ func (b *Broker) handleSubscribe(from message.NodeID, m proto.Message) {
 	// subscription that flips the next tree hop's correct entry — and,
 	// echoed back, the anchor's own. The link's resync replays again when
 	// it enters the tree.
-	if b.mesh != nil && m.Stale {
+	if m.Stale {
 		if e, ok := b.router.Table().Get(m.Sub.ID); (ok && e.Link != from) || !b.peers[from] {
 			return
 		}
 	}
 	sub := *m.Sub
-	if b.mesh != nil && m.Fresh {
+	if m.Fresh {
 		// Wave dedup and anchor immunity (see reanchor): each (anchor,
 		// epoch) wave is processed at most once per broker, so a wave
 		// that crosses a transiently cyclic tree dies on its second
@@ -516,7 +522,7 @@ func (b *Broker) handleSubscribe(from message.NodeID, m proto.Message) {
 // the broker-local copy the stages saw.
 func (b *Broker) installSubscribe(from message.NodeID, sub *proto.Subscription, m proto.Message) {
 	b.stats.SubsProcessed++
-	if b.mesh != nil && m.Fresh {
+	if m.Fresh {
 		// Re-anchor wave (see reanchor): the subscriber's border re-issued
 		// this subscription after a tree change. Install or flip toward
 		// the arrival link — the wave came down the current tree from the
@@ -605,7 +611,7 @@ func (b *Broker) ApplySyncInstalls(peer message.NodeID, subs []proto.Subscriptio
 			b.emitForwards(b.router.Unsubscribe(e.Sub.ID, b.Peers()))
 		}
 	}
-	// Replays are marked Stale so mesh brokers can tell them from fresh
+	// Replays are marked Stale so brokers can tell them from fresh
 	// directional claims: a replay flips stale broker-link routes onto the
 	// new tree but never steals a port-anchored entry (see handleSubscribe).
 	for i := range subs {

@@ -1,13 +1,22 @@
-// Mesh mode lifts the acyclic-overlay restriction (§2): brokers on an
-// arbitrary connected graph elect a spanning tree and route on it, with
-// redundant edges as hot standbys. The election is distributed but
-// deterministic — every broker runs the same BFS (root = lowest member
-// ID, neighbors in sorted order) over the same replicated inputs: the
-// member/edge sets from the discovery registry and a flooded link-state
-// map (KLinkState records, versioned per reporter). When an edge dies,
-// its endpoints flood the observation, every broker recomputes the same
-// new tree, standby links take over, and three repair mechanisms close
-// the transition window without duplicates or gaps:
+// Every broker routes on a spanning tree of its declared graph (§2 routes
+// on an acyclic broker graph; here that graph is elected, not required).
+// The election is distributed but deterministic — every broker runs the
+// same computation over the same replicated inputs: the member/edge sets
+// its host declares (the static overlay, or the discovery registry's
+// snapshots) and a flooded link-state map (KLinkState records, versioned
+// per reporter). Up edges are preferred: a BFS over them from the lowest
+// member ID of each component (neighbors in sorted order), then a down edge
+// joins the tree only where no up path connects its two sides, in sorted
+// order. On a forest every declared edge is therefore always elected: a
+// cut link stays in the tree, keeps its traffic queued and flushes it on
+// heal, and link state never moves the tree. A partitioned cyclic graph
+// keeps the same property for a broker cut off on every side: one down
+// edge still joins it, so its backlog waits on that link instead of being
+// re-flooded into a component that cannot reach it.
+//
+// Only a graph with a cycle can elect a different tree when an edge dies.
+// There, standby links take over and three repair mechanisms close the
+// transition window without duplicates or gaps:
 //
 //   - Routing repair: links entering the tree re-run the sync handshake's
 //     state replay (overlay Resync); the replayed subscribes propagate
@@ -25,10 +34,35 @@
 //   - Pending re-route: traffic queued toward a link that left the tree
 //     is taken back from the overlay manager and re-flooded on the new
 //     tree, so a cut link's backlog is not stranded until heal.
+//
+// The forwarding memory and the two flood paths run only while the
+// declared graph has a cycle (Mesh.cyclic, |E| > |V| − components): on a
+// forest no copy can reach a broker twice, so a publish there records
+// nothing and takes the plain match-and-forward loop. Link-state records
+// are kept but not flooded on a forest either, since they cannot move its
+// tree; a broker re-floods all it holds when a cycle appears. The graph
+// can change shape under traffic (a registry snapshot adds or drops an
+// edge), and both switch directions are safe:
+//
+//   - Forest → cycle: the memory starts, as a fresh window, after the
+//     recompute the change triggers; a link that recompute demotes keeps
+//     its backlog queued, as on a forest. A note routed before the switch
+//     is not in the window, so a copy of it arriving later counts as first
+//     sight — delivered again at most once per broker, then remembered, so
+//     it cannot loop. The client's dedup.Window absorbs the extra copy:
+//     the paper's "err toward duplication" rather than loss.
+//   - Cycle → forest: the memory is dropped after the recompute, so a
+//     backlog that recompute takes off a demoted link is still re-flooded.
+//     A flood copy still in flight then meets brokers that route it by
+//     content like any publish; without a cycle it cannot come back, and a
+//     broker that sees both it and the unicast copy delivers twice, which
+//     the client's window absorbs again.
 package broker
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"rebeca/internal/dedup"
@@ -63,6 +97,12 @@ type Mesh struct {
 	self    message.NodeID
 	members map[message.NodeID]bool
 	edges   map[meshEdge]bool
+	// cyclic reports that the declared graph has a cycle: only then can a
+	// notification reach a broker twice (see the package doc). Compute
+	// sets it.
+	cyclic bool
+	// tree is the edge set the last Compute elected.
+	tree map[meshEdge]bool
 	// reports holds the latest link-state record per (reporter, edge).
 	// An edge is usable unless some reporter's latest record marks it
 	// down — optimistic default, so freshly declared edges carry traffic
@@ -83,9 +123,9 @@ func NewMesh(self message.NodeID) *Mesh {
 	}
 }
 
-// SetTopology replaces the member and edge sets (a discovery snapshot)
-// and reports whether anything changed. Reports from departed members
-// are dropped with them.
+// SetTopology replaces the member and edge sets (the declared overlay, or
+// a discovery snapshot) and reports whether anything changed. Reports from
+// departed members are dropped with them.
 func (m *Mesh) SetTopology(members []message.NodeID, edges [][2]message.NodeID) bool {
 	nm := make(map[message.NodeID]bool, len(members)+1)
 	nm[m.self] = true
@@ -142,14 +182,30 @@ func (m *Mesh) ReportLocal(peer message.NodeID, down bool) (proto.Message, bool)
 	}
 	m.seq++
 	own[e] = linkReport{seq: m.seq, down: down}
-	// The edge is identified by Origin (the reporter) and Client (the far
-	// end) — never Dest, which would make the record look like a unicast
-	// in transit to the brokers relaying the flood.
-	msg := proto.Message{
-		Kind: proto.KLinkState, Origin: m.self, Client: peer,
-		Epoch: m.seq, Stale: down,
+	return linkStateMsg(m.self, peer, own[e]), true
+}
+
+// linkStateMsg is the flood message of reporter's record r about its edge
+// to far. The edge is identified by Origin (the reporter) and Client (the
+// far end) — never Dest, which would make the record look like a unicast
+// in transit to the brokers relaying the flood.
+func linkStateMsg(reporter, far message.NodeID, r linkReport) proto.Message {
+	return proto.Message{Kind: proto.KLinkState, Origin: reporter, Client: far, Epoch: r.seq, Stale: r.down}
+}
+
+// records returns every stored record as its flood message.
+func (m *Mesh) records() []proto.Message {
+	var out []proto.Message
+	for reporter, rm := range m.reports {
+		for e, r := range rm {
+			far := e.A
+			if far == reporter {
+				far = e.B
+			}
+			out = append(out, linkStateMsg(reporter, far, r))
+		}
 	}
-	return msg, true
+	return out
 }
 
 // IsMember reports whether id is a known mesh broker.
@@ -208,21 +264,26 @@ func (m *Mesh) Neighbors(id message.NodeID) []message.NodeID {
 	return out
 }
 
-// Compute runs the deterministic election: BFS over usable edges from
-// the lowest member ID of each connected component, neighbors in sorted
-// order. It returns this broker's tree neighbors and its next-hop table
-// over its component's tree. Under a partition every component elects its
-// own tree (rooted at its lowest ID), so survivors keep forwarding among
-// themselves; next hops never cross a partition.
-func (m *Mesh) Compute() (active map[message.NodeID]bool, hops map[message.NodeID]message.NodeID) {
+// Compute runs the deterministic election. Up edges first: a BFS over
+// them from the lowest member ID of each component, neighbors in sorted
+// order. Then each down edge, in sorted order, joins the tree where no
+// elected path connects its two sides yet — so a broker cut off on every
+// side stays attached through its lowest-sorted edge, and on a forest
+// every declared edge is elected whatever the link state. It returns this
+// broker's tree neighbors, its next-hop table over the tree, and whether
+// the elected edge set differs from the previous Compute's.
+func (m *Mesh) Compute() (active map[message.NodeID]bool, hops map[message.NodeID]message.NodeID, changed bool) {
 	m.recomputes.Add(1)
 	// Usable adjacency.
 	adj := make(map[message.NodeID][]message.NodeID, len(m.members))
+	var down []meshEdge
 	for e := range m.edges {
-		if m.members[e.A] && m.members[e.B] && !m.edgeDown(e) {
-			adj[e.A] = append(adj[e.A], e.B)
-			adj[e.B] = append(adj[e.B], e.A)
+		if m.edgeDown(e) {
+			down = append(down, e)
+			continue
 		}
+		adj[e.A] = append(adj[e.A], e.B)
+		adj[e.B] = append(adj[e.B], e.A)
 	}
 	for _, ns := range adj {
 		sortNodeIDs(ns)
@@ -232,33 +293,61 @@ func (m *Mesh) Compute() (active map[message.NodeID]bool, hops map[message.NodeI
 		members = append(members, id)
 	}
 	sortNodeIDs(members)
-	// BFS per component, rooted at each component's lowest member ID —
-	// parent[] assignment defines the forest. Under a partition every
-	// component elects its own tree (its lowest ID is its root), so the
-	// survivors keep forwarding among themselves; the member list is
-	// walked in sorted order, which makes the component roots — and with
-	// them the whole forest — deterministic across replicas.
-	parent := make(map[message.NodeID]message.NodeID, len(members))
-	treeAdj := make(map[message.NodeID][]message.NodeID)
+	// BFS per component, rooted at each component's lowest member ID; the
+	// member list is walked in sorted order, which makes the roots — and
+	// with them the whole forest — deterministic across replicas. comp
+	// maps each member to its component's root.
+	tree := make(map[meshEdge]bool, len(members))
+	comp := make(map[message.NodeID]message.NodeID, len(members))
 	for _, root := range members {
-		if _, ok := parent[root]; ok {
+		if _, ok := comp[root]; ok {
 			continue
 		}
-		parent[root] = root
+		comp[root] = root
 		queue := []message.NodeID{root}
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
 			for _, n := range adj[cur] {
-				if _, ok := parent[n]; ok {
+				if _, ok := comp[n]; ok {
 					continue
 				}
-				parent[n] = cur
-				treeAdj[cur] = append(treeAdj[cur], n)
-				treeAdj[n] = append(treeAdj[n], cur)
+				comp[n] = root
+				tree[mkMeshEdge(cur, n)] = true
 				queue = append(queue, n)
 			}
 		}
+	}
+	// A down edge joins two components, and the second takes the first's
+	// root.
+	slices.SortFunc(down, func(x, y meshEdge) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+	})
+	for _, e := range down {
+		if ca, cb := comp[e.A], comp[e.B]; ca != cb {
+			tree[e] = true
+			for n, c := range comp {
+				if c == cb {
+					comp[n] = ca
+				}
+			}
+		}
+	}
+	// The tree spans every component of the declared graph, so the graph
+	// has a cycle iff it declares edges the tree leaves out.
+	m.cyclic = len(m.edges) > len(tree)
+	changed = len(tree) != len(m.tree)
+	for e := range tree {
+		if !m.tree[e] {
+			changed = true
+			break
+		}
+	}
+	m.tree = tree
+	treeAdj := make(map[message.NodeID][]message.NodeID)
+	for e := range tree {
+		treeAdj[e.A] = append(treeAdj[e.A], e.B)
+		treeAdj[e.B] = append(treeAdj[e.B], e.A)
 	}
 	active = make(map[message.NodeID]bool, len(treeAdj[m.self]))
 	for _, n := range treeAdj[m.self] {
@@ -284,7 +373,7 @@ func (m *Mesh) Compute() (active map[message.NodeID]bool, hops map[message.NodeI
 			}
 		}
 	}
-	return active, hops
+	return active, hops, changed
 }
 
 // Recomputations counts spanning-tree elections run — the
@@ -358,58 +447,58 @@ func (b *Broker) markSent(e *seenEntry, p message.NodeID) {
 
 // --- broker integration -------------------------------------------------
 
-// EnableMesh switches the broker to mesh routing: a Mesh replica is
-// installed, the bounded forwarding memory activates, and b.peers /
-// next hops are henceforth owned by the spanning-tree election
-// (SetMeshTopology) instead of the static config.
-func (b *Broker) EnableMesh() {
-	if b.mesh != nil {
-		return
-	}
-	b.mesh = NewMesh(b.cfg.ID)
-	b.seen = dedup.New[seenEntry](meshWindow)
-	b.seenLinks = make(map[message.NodeID]int)
-	b.waves = make(map[string]uint64)
-}
+// EnableMesh does nothing: every broker has its Mesh from construction.
+// It stays because the benchmark module calls it (benchmark/layers.go's
+// benchBroker and benchmark/path.go's newPath) and goes when the benchmark
+// moves off it.
+func (b *Broker) EnableMesh() {}
 
-// Mesh exposes the mesh replica (telemetry, tests); nil without
-// EnableMesh.
+// Mesh exposes the mesh replica (telemetry, nlb, tests).
 func (b *Broker) Mesh() *Mesh { return b.mesh }
 
-// OnTreeChange registers the hosting runtime's tree-transition hook:
-// added and removed name the peers whose links entered/left this
-// broker's spanning-tree neighborhood. Hosts resync added links
-// (overlay.Manager.Resync) and re-route removed links' pending backlog
-// (TakePending + ReforwardPending).
-func (b *Broker) OnTreeChange(fn func(added, removed []message.NodeID)) {
-	b.onTreeChange = fn
-}
-
 // RepairTreeThrough makes tree transitions repair through the overlay
-// manager that owns this broker's links — the glue every mesh host needs:
-// links promoted into the tree resync their routing state, and traffic
-// queued on demoted links re-floods on the new tree so nothing waits out a
-// dead link's pending queue.
+// manager that owns this broker's links — the glue every host with an
+// overlay needs: links promoted into the tree resync their routing state,
+// and on a cyclic graph traffic queued on demoted links re-floods on the
+// new tree so nothing waits out a dead link's pending queue. On a forest
+// there is no second path: a backlog stays queued on its link.
 func (b *Broker) RepairTreeThrough(ov *overlay.Manager) {
-	b.OnTreeChange(func(added, removed []message.NodeID) {
+	b.onTreeChange = func(added, removed []message.NodeID) {
 		for _, p := range added {
 			ov.Resync(p)
+		}
+		if b.seen == nil {
+			return
 		}
 		for _, p := range removed {
 			if msgs := ov.TakePending(p); len(msgs) > 0 {
 				b.ReforwardPending(p, msgs)
 			}
 		}
-	})
+	}
 }
 
-// SetMeshTopology feeds a discovery membership snapshot into the mesh
-// and recomputes the tree if it moved.
+// SetMeshTopology feeds the declared graph — the static overlay, or a
+// discovery membership snapshot — into the mesh and recomputes the tree if
+// it moved. Until a host calls it the broker routes on its configured
+// Peers and NextHop. The forwarding memory follows the graph's shape (see
+// the package doc for both switches).
 func (b *Broker) SetMeshTopology(members []message.NodeID, edges [][2]message.NodeID) {
-	if b.mesh == nil || !b.mesh.SetTopology(members, edges) {
+	if !b.mesh.SetTopology(members, edges) {
 		return
 	}
 	b.recomputeTree()
+	switch {
+	case !b.mesh.cyclic:
+		b.seen, b.seenLinks = nil, nil
+	case b.seen == nil:
+		b.seen = dedup.New[seenEntry](meshWindow)
+		b.seenLinks = make(map[message.NodeID]int)
+		// Link state went unflooded while the graph was a forest.
+		for _, r := range b.mesh.records() {
+			b.floodLinkState(r, "")
+		}
+	}
 }
 
 // meshLinkChange folds an overlay link transition into the link-state
@@ -441,9 +530,6 @@ func (b *Broker) meshLinkChange(ev overlay.Event) {
 // re-flood to every mesh neighbor except the arrival link; records that
 // moved the usable-edge set trigger a recompute.
 func (b *Broker) handleLinkState(from message.NodeID, m proto.Message) {
-	if b.mesh == nil {
-		return
-	}
 	fresh, changed := b.mesh.Apply(m)
 	if !fresh {
 		return
@@ -458,8 +544,13 @@ func (b *Broker) handleLinkState(from message.NodeID, m proto.Message) {
 // neighbor except the arrival link. Declared — not just tree — links
 // carry the flood, so the record still spreads when the tree link that
 // died is the one being reported; down links queue it in the overlay's
-// pending buffer (versioning discards it if stale by heal time).
+// pending buffer (versioning discards it if stale by heal time). On a
+// forest link state never moves the tree, so nothing is flooded: the
+// records are kept, and re-flooded when a cycle appears.
 func (b *Broker) floodLinkState(m proto.Message, except message.NodeID) {
+	if !b.mesh.cyclic {
+		return
+	}
 	for _, p := range b.mesh.Neighbors(b.cfg.ID) {
 		if p != except {
 			b.Send(p, m)
@@ -467,12 +558,17 @@ func (b *Broker) floodLinkState(m proto.Message, except message.NodeID) {
 	}
 }
 
-// recomputeTree re-runs the election and applies the result: b.peers
-// becomes the tree neighborhood (all forwarding — publishes,
-// subscription propagation, sync replays — follows it), next hops are
-// re-derived, and the host's tree-change hook fires with the diff.
+// recomputeTree re-runs the election and, when the elected edge set
+// moved, applies the result: b.peers becomes the tree neighborhood (all
+// forwarding — publishes, subscription propagation, sync replays —
+// follows it), next hops are re-derived, the host's tree-change hook fires
+// with the diff, and the broker re-anchors. An unchanged edge set — any
+// link flap on a forest — changes nothing.
 func (b *Broker) recomputeTree() {
-	active, hops := b.mesh.Compute()
+	active, hops, changed := b.mesh.Compute()
+	if !changed {
+		return
+	}
 	var added, removed []message.NodeID
 	for p := range b.peers {
 		if !active[p] {
@@ -503,10 +599,10 @@ func (b *Broker) recomputeTree() {
 			b.onTreeChange(added, removed)
 		}
 	}
-	// Every recompute re-anchors — even when this broker's own tree
-	// neighborhood is unchanged. The brokers whose forwarding sets DID
-	// change are elsewhere on the tree, and only the anchor can launch a
-	// directionally authoritative wave at them.
+	// Every change of the elected edge set re-anchors — even when this
+	// broker's own tree neighborhood is unchanged. The brokers whose
+	// forwarding sets DID change are elsewhere on the tree, and only the
+	// anchor can launch a directionally authoritative wave at them.
 	b.reanchor()
 }
 
@@ -566,7 +662,7 @@ func (b *Broker) forwardFlood(e *seenEntry, from message.NodeID, m proto.Message
 	}
 }
 
-// routePublishMesh is routePublish under mesh routing. Three cases:
+// routePublishMesh is routePublish on a cyclic graph. Three cases:
 //
 //   - Flood copy (Message.Stale): spread to uncovered tree links and
 //     deliver to matching local ports — content matching decides local
@@ -656,9 +752,10 @@ func (b *Broker) routePublishMesh(from message.NodeID, m proto.Message) {
 // that decision was made when the message was first routed here), marked
 // as flood copies so downstream brokers spread them to subtrees the old
 // route never covered; their forwarding memory keeps every copy
-// loop-free and delivery exactly-once.
+// loop-free and delivery exactly-once. Without the memory — on a forest —
+// it does nothing.
 func (b *Broker) ReforwardPending(removed message.NodeID, msgs []proto.Message) {
-	if b.mesh == nil {
+	if b.seen == nil {
 		return
 	}
 	for _, m := range msgs {

@@ -7,6 +7,7 @@ import (
 
 	"rebeca/internal/dedup"
 	"rebeca/internal/message"
+	"rebeca/internal/overlay"
 	"rebeca/internal/proto"
 )
 
@@ -29,7 +30,7 @@ func TestMeshElectionDeterministic(t *testing.T) {
 	for _, self := range members {
 		m := NewMesh(self)
 		m.SetTopology(members, edges)
-		a, hops := m.Compute()
+		a, hops, _ := m.Compute()
 		active[self] = a
 		// Every other member must be reachable through the tree.
 		for _, other := range members {
@@ -66,7 +67,7 @@ func TestMeshReElectionOnLinkDown(t *testing.T) {
 	members, edges := diamondChord()
 	m := NewMesh("b4")
 	m.SetTopology(members, edges)
-	a, _ := m.Compute()
+	a, _, _ := m.Compute()
 	if !a["b2"] || a["b3"] {
 		t.Fatalf("initial tree neighbors of b4 = %v", a)
 	}
@@ -78,7 +79,7 @@ func TestMeshReElectionOnLinkDown(t *testing.T) {
 	if !fresh || !changed {
 		t.Fatalf("Apply(down) = fresh %v changed %v", fresh, changed)
 	}
-	a, hops := m.Compute()
+	a, hops, _ := m.Compute()
 	if a["b2"] || !a["b3"] {
 		t.Fatalf("tree neighbors after b2-b4 down = %v", a)
 	}
@@ -102,7 +103,7 @@ func TestMeshReElectionOnLinkDown(t *testing.T) {
 	if fresh, changed := m.Apply(heal); !fresh || !changed {
 		t.Fatalf("heal not applied")
 	}
-	a, _ = m.Compute()
+	a, _, _ = m.Compute()
 	if !a["b2"] || a["b3"] {
 		t.Errorf("tree after heal = %v", a)
 	}
@@ -129,21 +130,98 @@ func TestMeshReportLocalVersioning(t *testing.T) {
 	}
 }
 
-func TestMeshPartitionElectsOwnRoot(t *testing.T) {
-	// Line b1-b2-b3-b4 (as a degenerate mesh). Cutting b2-b3 splits it;
-	// each side keeps a tree over its own component.
-	members := []message.NodeID{"b1", "b2", "b3", "b4"}
-	edges := [][2]message.NodeID{{"b1", "b2"}, {"b2", "b3"}, {"b3", "b4"}}
-	m := NewMesh("b4")
-	m.SetTopology(members, edges)
-	m.Apply(proto.Message{Kind: proto.KLinkState, Origin: "b2", Client: "b3", Epoch: 1, Stale: true})
-	a, hops := m.Compute()
-	if !a["b3"] {
-		t.Errorf("b4's surviving component tree = %v", a)
+// down is the flooded record of reporter's edge to far going down.
+func down(reporter, far message.NodeID, epoch uint64) proto.Message {
+	return proto.Message{Kind: proto.KLinkState, Origin: reporter, Client: far, Epoch: epoch, Stale: true}
+}
+
+// TestMeshElectionPrefersUpEdges pins the election rule: up edges first,
+// then a down edge only where no elected path joins its two sides. A cut
+// that splits the graph therefore keeps one tree over it, with the cut
+// edge in it, so the cut side's backlog waits on that link for the heal.
+func TestMeshElectionPrefersUpEdges(t *testing.T) {
+	ring := func(self message.NodeID) *Mesh {
+		m := NewMesh(self)
+		m.SetTopology([]message.NodeID{"b1", "b2", "b3", "b4"},
+			[][2]message.NodeID{{"b1", "b2"}, {"b2", "b3"}, {"b3", "b4"}, {"b1", "b4"}})
+		return m
 	}
-	if _, ok := hops["b1"]; ok {
-		t.Error("next hop across the partition retained")
-	}
+	t.Run("line, cut edge stays", func(t *testing.T) {
+		m := NewMesh("b4")
+		m.SetTopology([]message.NodeID{"b1", "b2", "b3", "b4"},
+			[][2]message.NodeID{{"b1", "b2"}, {"b2", "b3"}, {"b3", "b4"}})
+		m.Compute()
+		m.Apply(down("b2", "b3", 1))
+		a, hops, changed := m.Compute()
+		if !a["b3"] || hops["b1"] != "b3" {
+			t.Errorf("b4's tree links %v, next hop toward b1 %q; want [b3] and b3", a, hops["b1"])
+		}
+		if changed {
+			t.Error("a cut on a forest changed the elected edge set")
+		}
+	})
+	t.Run("ring, one cut leaves the cut edge out", func(t *testing.T) {
+		m := ring("b2")
+		m.Apply(down("b1", "b2", 1))
+		a, hops, _ := m.Compute()
+		if !reflect.DeepEqual(a, map[message.NodeID]bool{"b3": true}) || hops["b1"] != "b3" {
+			t.Errorf("b2's tree links %v, next hop toward b1 %q; want [b3] and b3", a, hops["b1"])
+		}
+	})
+	t.Run("ring, isolated broker rejoins through its lower edge", func(t *testing.T) {
+		for _, self := range []message.NodeID{"b1", "b2", "b3"} {
+			m := ring(self)
+			m.Apply(down("b1", "b2", 1))
+			m.Apply(down("b3", "b2", 1))
+			if self != "b2" {
+				// b2's own reports, as b2 floods them.
+				m.Apply(down("b2", "b1", 1))
+				m.Apply(down("b2", "b3", 2))
+			} else {
+				m.ReportLocal("b1", true)
+				m.ReportLocal("b3", true)
+			}
+			a, _, _ := m.Compute()
+			want := map[message.NodeID]map[message.NodeID]bool{
+				"b1": {"b2": true, "b4": true}, "b2": {"b1": true}, "b3": {"b4": true},
+			}[self]
+			if !reflect.DeepEqual(a, want) {
+				t.Errorf("%s's tree links = %v, want %v (b1-b2 joins b2, b2-b3 stays out)", self, a, want)
+			}
+		}
+	})
+	t.Run("unchanged edge set sends no wave", func(t *testing.T) {
+		sent := 0
+		b := New(Config{ID: "b4", Send: func(message.NodeID, proto.Message) { sent++ }})
+		b.SetMeshTopology([]message.NodeID{"b1", "b2", "b3", "b4"},
+			[][2]message.NodeID{{"b1", "b2"}, {"b2", "b3"}, {"b3", "b4"}})
+		b.AttachPort("s")
+		b.HandleMessage("s", subMsg("s/s1"))
+		sent = 0
+		b.HandleMessage("b3", down("b2", "b3", 1))
+		b.HandleMessage("b3", proto.Message{Kind: proto.KLinkState, Origin: "b2", Client: "b3", Epoch: 2})
+		if sent != 0 {
+			t.Errorf("a flap on a forest sent %d messages, want no re-anchor wave and no flood", sent)
+		}
+		b = New(Config{ID: "b4", Send: func(_ message.NodeID, m proto.Message) {
+			if m.Kind == proto.KSubscribe && m.Fresh {
+				sent++
+			}
+		}})
+		b.SetMeshTopology([]message.NodeID{"b1", "b2", "b3", "b4"},
+			[][2]message.NodeID{{"b1", "b2"}, {"b2", "b3"}, {"b3", "b4"}, {"b1", "b4"}})
+		b.AttachPort("s")
+		b.HandleMessage("s", subMsg("s/s1"))
+		b.HandleMessage("b1", down("b3", "b4", 1)) // b3-b4 is no tree edge
+		b.HandleMessage("b1", proto.Message{Kind: proto.KLinkState, Origin: "b3", Client: "b4", Epoch: 2})
+		if sent != 0 {
+			t.Errorf("a flap off the ring's tree sent %d re-anchor waves, want 0", sent)
+		}
+		b.HandleMessage("b1", down("b1", "b2", 1)) // b1-b2 is
+		if sent == 0 {
+			t.Error("a cut on the ring's tree sent no re-anchor wave")
+		}
+	})
 }
 
 func TestMeshSetTopologyChangeDetection(t *testing.T) {
@@ -173,16 +251,62 @@ func TestMeshSetTopologyChangeDetection(t *testing.T) {
 	}
 }
 
-// meshStar is a mesh broker X with tree links to P, Q and R, a local
-// subscriber port s and, when sub is set, subscriptions from s and R to
-// every note. to collects what X sends, per destination.
+// TestForwardingMemoryFollowsCycles: a broker whose declared graph is a
+// forest records no publish and floods no link state; the graph gaining a
+// cycle starts a fresh memory and floods the link state kept meanwhile;
+// losing it drops the memory again.
+func TestForwardingMemoryFollowsCycles(t *testing.T) {
+	to := make(map[message.NodeID][]proto.Message)
+	b := New(Config{ID: "X", Send: func(dst message.NodeID, m proto.Message) { to[dst] = append(to[dst], m) }})
+	members := []message.NodeID{"P", "Q", "X"}
+	line := [][2]message.NodeID{{"P", "X"}, {"Q", "X"}}
+	triangle := [][2]message.NodeID{{"P", "X"}, {"Q", "X"}, {"P", "Q"}}
+	note := func(seq uint64) message.NotificationID { return message.NotificationID{Publisher: "a", Seq: seq} }
+	remembered := func(seq uint64) bool {
+		if b.seen == nil {
+			return false
+		}
+		_, seen := b.seen.Find(note(seq))
+		return seen
+	}
+
+	b.SetMeshTopology(members, line)
+	b.HandleMessage("P", notePub("a", 1, false))
+	b.NotifyLinkChange(overlay.Event{Peer: "Q", From: overlay.StateEstablished, To: overlay.StateDegraded})
+	if b.seen != nil || len(to) != 0 {
+		t.Fatalf("forest: memory %v, sent %v; want no memory and nothing sent", b.seen, to)
+	}
+
+	b.SetMeshTopology(members, triangle)
+	if p := to["P"]; len(p) != 1 || p[0].Kind != proto.KLinkState || p[0].Client != "Q" || !p[0].Stale {
+		t.Errorf("cycle: sent to P %v, want the record of X-Q down kept from the forest", to["P"])
+	}
+	b.HandleMessage("P", notePub("a", 2, false))
+	if remembered(1) || !remembered(2) {
+		t.Errorf("cycle: a#1 remembered %v, a#2 remembered %v; want a fresh memory holding a#2", remembered(1), remembered(2))
+	}
+
+	b.SetMeshTopology(members, line)
+	b.HandleMessage("P", notePub("a", 3, false))
+	if b.seen != nil {
+		t.Error("forest again: the memory survived")
+	}
+	b.SetMeshTopology(members, triangle)
+	if remembered(2) {
+		t.Error("cycle again: the memory is not fresh")
+	}
+}
+
+// meshStar is a broker X with tree links to P, Q and R on a graph with the
+// cycle X-P-Z-Q-X (so its forwarding memory is on), a local subscriber
+// port s and, when sub is set, subscriptions from s and R to every note.
+// to collects what X sends, per destination.
 func meshStar(sub bool, stages ...Middleware) (b *Broker, to map[message.NodeID][]proto.Message) {
 	to = make(map[message.NodeID][]proto.Message)
 	b = New(Config{ID: "X", Peers: []message.NodeID{"P", "Q", "R"},
 		Send: func(dst message.NodeID, m proto.Message) { to[dst] = append(to[dst], m) }})
-	b.EnableMesh()
-	b.SetMeshTopology([]message.NodeID{"X", "P", "Q", "R"},
-		[][2]message.NodeID{{"X", "P"}, {"X", "Q"}, {"X", "R"}})
+	b.SetMeshTopology([]message.NodeID{"X", "P", "Q", "R", "Z"},
+		[][2]message.NodeID{{"X", "P"}, {"X", "Q"}, {"X", "R"}, {"P", "Z"}, {"Q", "Z"}})
 	for _, st := range stages {
 		b.UseMiddleware(st)
 	}
@@ -397,7 +521,7 @@ func TestMeshScalesBeyondFixture(t *testing.T) {
 	for _, self := range members {
 		m := NewMesh(self)
 		m.SetTopology(members, edges)
-		a, hops := m.Compute()
+		a, hops, _ := m.Compute()
 		ref[self] = a
 		if len(hops) != len(members)-1 {
 			t.Fatalf("%s: %d next hops, want %d", self, len(hops), len(members)-1)
@@ -427,7 +551,6 @@ func TestMeshScalesBeyondFixture(t *testing.T) {
 func TestMeshReplayOffTreeInstallsNothing(t *testing.T) {
 	sent := 0
 	b := New(Config{ID: "X", Send: func(message.NodeID, proto.Message) { sent++ }})
-	b.EnableMesh()
 	b.SetMeshTopology([]message.NodeID{"P", "Q", "X"},
 		[][2]message.NodeID{{"P", "Q"}, {"P", "X"}, {"Q", "X"}})
 	if got := b.Peers(); !reflect.DeepEqual(got, []message.NodeID{"P"}) {

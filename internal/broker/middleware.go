@@ -146,11 +146,9 @@ func (b *Broker) NotifyMechanism(ev Mechanism, n int) {
 // (live node event loop, simulator) — never by the overlay manager
 // directly, so observers run with broker state safely accessible.
 func (b *Broker) NotifyLinkChange(ev overlay.Event) {
-	// Mesh routing folds the transition into the link-state map first, so
+	// The election folds the transition into the link-state map first, so
 	// observers see the post-election broker state.
-	if b.mesh != nil {
-		b.meshLinkChange(ev)
-	}
+	b.meshLinkChange(ev)
 	for _, lo := range b.linkObservers {
 		lo.OnLinkChange(b, ev)
 	}

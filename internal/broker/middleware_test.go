@@ -688,12 +688,15 @@ func publishBench(stages int, relay, port bool, setup ...func(*Broker)) func() {
 // publish delivered to a local port costs, with no stages, the probe's own
 // allocation, the matched subscription IDs and the delivered copy — 3 —
 // and a relay-form note the map it is built into besides — 5. Pass-through
-// stages cost not one more, nor does mesh mode, and a relay-form publish
-// that is only forwarded costs nothing beyond the probe's own.
+// stages cost not one more, nor does the forwarding memory of a cyclic
+// graph, and a relay-form publish that is only forwarded costs nothing
+// beyond the probe's own.
 func TestHandlePublishAllocs(t *testing.T) {
+	// The square X-P-Z-R-X: X's tree links are P and R, and the cycle turns
+	// the forwarding memory on.
 	mesh := func(b *Broker) {
-		b.EnableMesh()
-		b.SetMeshTopology([]message.NodeID{"X", "P", "R"}, [][2]message.NodeID{{"X", "P"}, {"X", "R"}})
+		b.SetMeshTopology([]message.NodeID{"X", "P", "R", "Z"},
+			[][2]message.NodeID{{"X", "P"}, {"X", "R"}, {"P", "Z"}, {"R", "Z"}})
 	}
 	for _, form := range []struct {
 		name  string
@@ -709,19 +712,20 @@ func TestHandlePublishAllocs(t *testing.T) {
 				t.Errorf("HandleMessage(KPublish, %s), %d pass-through stages: %v allocs, want the empty chain's %v", form.name, stages, got, empty)
 			}
 		}
-		// Mesh mode adds the forwarding memory to every publish; recording a
-		// notification in it must cost no allocation.
+		// A cyclic graph adds the forwarding memory to every publish;
+		// recording a notification in it must cost no allocation.
 		if got := testing.AllocsPerRun(200, publishBench(0, form.relay, true, mesh)); got != empty {
-			t.Errorf("HandleMessage(KPublish, %s), mesh mode: %v allocs, want tree mode's %v", form.name, got, empty)
+			t.Errorf("HandleMessage(KPublish, %s), cyclic graph: %v allocs, want a forest's %v", form.name, got, empty)
 		}
 	}
 	// A broker that only forwards a relay-form publish builds nothing: the
-	// probe's buffer is the one allocation, on every chain and in mesh mode.
+	// probe's buffer is the one allocation, on every chain and on a cyclic
+	// graph.
 	for _, c := range []struct {
 		name   string
 		stages int
 		setup  []func(*Broker)
-	}{{"empty chain", 0, nil}, {"4 pass-through stages", 4, nil}, {"mesh mode", 0, []func(*Broker){mesh}}} {
+	}{{"empty chain", 0, nil}, {"4 pass-through stages", 4, nil}, {"cyclic graph", 0, []func(*Broker){mesh}}} {
 		if got := testing.AllocsPerRun(200, publishBench(c.stages, true, false, c.setup...)); got != 1 {
 			t.Errorf("HandleMessage(KPublish, relay form), forward only, %s: %v allocs, want the probe's 1", c.name, got)
 		}

@@ -6,8 +6,9 @@ import (
 	"rebeca/internal/message"
 )
 
-// Topology describes the acyclic broker overlay as an edge list. The graph
-// must be a tree (acyclic and connected, §2); Validate enforces this.
+// Topology describes the broker overlay as an edge list. The graph must be
+// connected (Validate); it may have cycles, since brokers route on the
+// spanning tree they elect over it (§2's acyclic graph, see mesh.go).
 type Topology struct {
 	Edges [][2]message.NodeID
 }
@@ -41,23 +42,9 @@ func (t Topology) Adjacency() map[message.NodeID][]message.NodeID {
 	return adj
 }
 
-// Validate checks that the overlay is a connected tree.
+// Validate checks that the overlay is connected. Cycles are legal: the
+// redundant edges become failover paths for the elected spanning tree.
 func (t Topology) Validate() error {
-	nodes := t.Nodes()
-	if len(nodes) == 0 {
-		return fmt.Errorf("broker: empty topology")
-	}
-	if len(t.Edges) != len(nodes)-1 {
-		return fmt.Errorf("broker: overlay must be a tree: %d nodes need %d edges, have %d",
-			len(nodes), len(nodes)-1, len(t.Edges))
-	}
-	return t.ValidateConnected()
-}
-
-// ValidateConnected checks only that the overlay is connected — the
-// requirement for mesh-routed deployments, where cycles are legal (the
-// redundant edges become failover paths for the elected spanning tree).
-func (t Topology) ValidateConnected() error {
 	nodes := t.Nodes()
 	if len(nodes) == 0 {
 		return fmt.Errorf("broker: empty topology")
@@ -81,9 +68,10 @@ func (t Topology) ValidateConnected() error {
 	return nil
 }
 
-// NextHops computes, for every broker, the neighbor on the unique tree path
-// toward every destination — the unicast routing table used for control
-// messages. O(n²) BFS, fine for experiment-scale overlays.
+// NextHops computes, for every broker, the neighbor on the BFS path toward
+// every destination — on a tree the unique path; the unicast routing table
+// brokers start from until they elect theirs. O(n²) BFS, fine for
+// experiment-scale overlays.
 func (t Topology) NextHops() map[message.NodeID]map[message.NodeID]message.NodeID {
 	adj := t.Adjacency()
 	nodes := t.Nodes()

@@ -29,8 +29,8 @@
 //     replays them to c and goes live.
 //
 // The handover thus costs messages on the b1–b2 path only, not on the
-// whole tree. Under mesh routing the flips and the unicasts both follow
-// the current elected tree; a re-election mid-handover can put them on
+// whole tree. On any graph the flips and the unicasts both follow the
+// current elected tree; a re-election mid-handover can put them on
 // different paths, which breaks this argument as it breaks the order of
 // routed notes in general.
 //

@@ -118,7 +118,7 @@ const (
 	// KPong answers a KPing.
 	KPong
 
-	// --- mesh routing (link-state flooding, internal/broker mesh mode) ---
+	// --- spanning-tree election (link-state flooding, internal/broker) ---
 
 	// KLinkState floods one broker's observation of an incident overlay
 	// edge through the mesh so every broker recomputes the same spanning

@@ -25,18 +25,16 @@ import (
 
 // ClusterConfig describes a complete middleware deployment for simulation.
 type ClusterConfig struct {
-	// Topology is the acyclic broker overlay. If empty, it is derived as a
-	// spanning tree of Movement.
+	// Topology is the broker overlay, any connected graph. If empty, it is
+	// derived as a spanning tree of Movement. Brokers run the replicated
+	// spanning-tree election over the declared edges (root = lowest ID) and
+	// forward on the elected tree, which on a tree is every edge; on a
+	// cyclic graph redundant links become failover paths. Combine with
+	// Overlay so CutLink feeds the election — the link managers report the
+	// failure, brokers re-elect, and traffic reroutes over a surviving
+	// edge. The election itself is message-driven (no timers), so Settle
+	// drains re-convergence like any other traffic.
 	Topology broker.Topology
-	// Mesh lifts the tree requirement: Topology may be any connected
-	// graph. Brokers run the replicated spanning-tree election over the
-	// declared edges (root = lowest ID) and forward on the elected tree;
-	// redundant links become failover paths. Combine with Overlay so
-	// CutLink feeds the election — the link managers report the failure,
-	// brokers re-elect, and traffic reroutes over a surviving edge. The
-	// election itself is message-driven (no timers), so Settle drains
-	// re-convergence like any other traffic.
-	Mesh bool
 	// Movement is the movement graph (defines nlb). Optional when no
 	// replicators are deployed.
 	Movement *movement.Graph
@@ -170,11 +168,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		topo = broker.Topology{Edges: cfg.Movement.SpanningTree()}
 	}
-	if cfg.Mesh {
-		if err := topo.ValidateConnected(); err != nil {
-			return nil, err
-		}
-	} else if err := topo.Validate(); err != nil {
+	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Strategy == routing.StrategyCovering && (cfg.Mobility != MobilityNone || cfg.Replication != ReplicationNone) {
@@ -210,7 +204,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	adj := topo.Adjacency()
-	hops := topo.NextHops()
 	var nlb func(message.NodeID) []message.NodeID
 	if cfg.Movement != nil {
 		nlb = cfg.Movement.NLB()
@@ -240,7 +233,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		b := broker.New(broker.Config{
 			ID:       id,
-			Peers:    adj[id],
 			Strategy: cfg.Strategy,
 			Send: func(to message.NodeID, m proto.Message) {
 				// With an overlay deployed, peer links are supervised:
@@ -255,20 +247,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			SendDirect: func(to message.NodeID, m proto.Message) {
 				net.SendDirect(id, to, m)
 			},
-			Now:     net.Now,
-			NextHop: hops[id],
+			Now: net.Now,
 		})
 		c.Brokers[id] = b
 		if cfg.BrokerLogger != nil {
 			b.SetLogger(cfg.BrokerLogger)
 		}
-		if cfg.Mesh {
-			// Seed the full declared graph before any link events: the
-			// first election replaces the raw adjacency in b.peers and
-			// the BFS next hops with the elected tree's.
-			b.EnableMesh()
-			b.SetMeshTopology(topo.Nodes(), topo.Edges)
-		}
+		// Seed the full declared graph before any link events: the first
+		// election gives the broker its tree links and next hops.
+		b.SetMeshTopology(topo.Nodes(), topo.Edges)
 		net.AddNode(id, EndpointFunc(func(from message.NodeID, m proto.Message) {
 			if mgr := c.Overlays[id]; mgr != nil && peerOf[from] {
 				if mgr.HandleControl(from, 0, m) {
@@ -324,9 +311,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				Observer:  b.NotifyLinkChange,
 				Logger:    cfg.OverlayLogger,
 			})
-			if cfg.Mesh {
-				b.RepairTreeThrough(c.Overlays[id])
-			}
+			b.RepairTreeThrough(c.Overlays[id])
 		}
 		// Passive sides first: the dialer's AddPeer dials synchronously,
 		// and the sim's "accept" is the peer manager's LinkUp — the peer

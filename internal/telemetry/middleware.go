@@ -35,7 +35,7 @@ const (
 	MetricStreamDropped  = "rebeca_stream_dropped_total"
 	MetricRateLimited    = "rebeca_rate_limited_total"
 
-	// Discovery subsystem (registry-driven membership + mesh routing).
+	// Discovery subsystem (registry-driven membership).
 	MetricDiscoveryPeers     = "rebeca_discovery_peers"
 	MetricDiscoveryEvents    = "rebeca_discovery_events_total"
 	MetricTreeRecomputations = "rebeca_spanning_tree_recomputations_total"

@@ -19,8 +19,8 @@
 //
 // Peer links can be declared statically (NodeConfig.Peers) or managed at
 // runtime (AddLink/RemoveLink) — the discovery subsystem's membership
-// supervisor drives the latter, and EnableMesh lets the hosted broker
-// route over arbitrary (cyclic) overlay graphs.
+// supervisor drives the latter, and its snapshots (MembersChanged) declare
+// the graph the hosted broker elects its spanning tree over.
 //
 // Broker↔broker links are owned by the node's overlay manager
 // (internal/overlay): dials retry with backoff instead of failing Start,
@@ -325,6 +325,9 @@ func NewNode(cfg NodeConfig) *Node {
 		NextHop: cfg.NextHop,
 	})
 	n.ov = n.newOverlay(time.Now)
+	// Links entering the elected tree get a routing resync; on a cyclic
+	// graph links leaving it get their pending backlog re-flooded.
+	n.b.RepairTreeThrough(n.ov)
 	if cfg.BrokerLogger != nil {
 		n.b.SetLogger(cfg.BrokerLogger)
 	}
@@ -420,27 +423,12 @@ func (n *Node) RemoveLink(peer message.NodeID) {
 	}
 }
 
-// EnableMesh switches the hosted broker to mesh routing (cycle-safe
-// forwarding over arbitrary graphs, see internal/broker mesh mode) and
-// wires the tree-transition hook: links entering the spanning tree get a
-// routing resync, links leaving it get their pending backlog re-flooded
-// on the new tree. Call before Start.
-func (n *Node) EnableMesh() {
-	n.b.EnableMesh()
-	n.b.RepairTreeThrough(n.ov)
-}
-
-// SetMeshTopology feeds a discovery membership snapshot (brokers and
-// declared edges) to the hosted broker's mesh, serialized on the event
-// loop. No-op until EnableMesh.
-func (n *Node) SetMeshTopology(members []message.NodeID, edges [][2]message.NodeID) {
-	n.Inspect(func(b *broker.Broker) { b.SetMeshTopology(members, edges) })
-}
-
-// MembersChanged feeds a discovery membership snapshot to the mesh's
-// spanning-tree election.
+// MembersChanged declares a discovery membership snapshot (brokers and
+// declared edges) as the graph the hosted broker elects its spanning tree
+// over, serialized on the event loop.
 func (n *Node) MembersChanged(entries []discovery.Entry) {
-	n.SetMeshTopology(discovery.Graph(entries))
+	members, edges := discovery.Graph(entries)
+	n.Inspect(func(b *broker.Broker) { b.SetMeshTopology(members, edges) })
 }
 
 var _ discovery.Host = (*Node)(nil)

@@ -37,24 +37,23 @@ type Live struct {
 
 var _ Deployment = (*Live)(nil)
 
-// NewLive builds and starts a loopback TCP deployment from the options.
-// By default the movement graph must be a tree: the replicator's
-// neighborhood and the broker overlay both derive from its edges, and the
-// spanning tree of a tree is the tree itself, so tree graphs behave
-// identically under New and NewLive. WithMeshRouting lifts the
-// restriction — every movement edge becomes a live link and the brokers'
-// replicated spanning-tree election picks the forwarding tree, with the
-// redundant links held as failover paths. WithRegistry additionally
-// replaces the static neighbor dial-out with registry-driven membership:
-// each broker registers itself and a supervisor dials/closes links as the
-// registry changes.
+// NewLive builds and starts a loopback TCP deployment from the options. The
+// movement graph, any connected graph, is the overlay: every movement edge
+// becomes a live link, the replicator's neighborhood derives from the same
+// edges, and the brokers' replicated spanning-tree election picks the
+// forwarding tree — the graph itself on a tree, with the redundant links of
+// a cyclic graph held as failover paths. New builds the same overlay, so
+// the two accept the same graphs. WithRegistry additionally replaces the
+// static neighbor dial-out with registry-driven membership: each broker
+// registers itself and a supervisor dials/closes links as the registry
+// changes.
 func NewLive(opts ...Option) (*Live, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, err
 	}
 	topo := broker.Topology{Edges: cfg.movement.Edges()}
-	if err := cfg.validateOverlay(topo); err != nil {
+	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
 	// Before broker construction: the telemetry stage joins the chain

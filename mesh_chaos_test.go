@@ -179,13 +179,12 @@ func runMeshChaosScenario(t *testing.T, h *chaosHarness) {
 	}
 }
 
-// TestMeshChaosSim runs the failover scenario on the virtual clock:
-// WithMeshRouting lifts the tree requirement, the movement graph IS the
-// broker mesh, and cut/heal detection rides the simulated heartbeats.
+// TestMeshChaosSim runs the failover scenario on the virtual clock: the
+// movement graph IS the broker mesh, and cut/heal detection rides the
+// simulated heartbeats.
 func TestMeshChaosSim(t *testing.T) {
 	h := simChaosHarness(t,
 		rebeca.WithMovement(meshGraph()),
-		rebeca.WithMeshRouting(),
 		rebeca.WithDurable(rebeca.NewMemoryStore()),
 	)
 	runMeshChaosScenario(t, h)
@@ -226,7 +225,7 @@ func TestMeshSubscribeDuringBringUp(t *testing.T) {
 		t.Skip("live mesh bring-up skipped in -short mode")
 	}
 	for run := 0; run < 8; run++ {
-		l, err := rebeca.NewLive(rebeca.WithMovement(rebeca.Ring(4)), rebeca.WithMeshRouting())
+		l, err := rebeca.NewLive(rebeca.WithMovement(rebeca.Ring(4)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,8 @@ import (
 // (durability, heartbeat, link spill, registry, ops endpoint, sampling,
 // logging, middleware) is configured with the same Options New and
 // NewLive take. Every broker runs the transparent mobility manager and the
-// replicator, whose nlb is the graph the broker routes on (see WithRegistry).
+// replicator, whose nlb is the graph the broker elects its spanning tree
+// over: Edges, or under WithRegistry the registered graph.
 // The zero value of every field but ID is rebeca-broker's default.
 type BrokerSpec struct {
 	// ID names this broker.
@@ -36,10 +37,10 @@ type BrokerSpec struct {
 	// of the WithOps address registered for a collector to scrape.
 	Advertise string
 	// Edges is the full static overlay, the same list on every broker of
-	// the fleet; this broker's neighbors, its unicast next hops and the
-	// replicator's nlb derive from it. It must be a tree unless
-	// WithMeshRouting is given. Leave empty under WithRegistry, which links
-	// whatever brokers the registry names.
+	// the fleet: any connected graph, cycles included. This broker's links,
+	// the spanning tree it routes on and the replicator's nlb derive from
+	// it. Leave empty under WithRegistry, which links whatever brokers the
+	// registry names.
 	Edges [][2]NodeID
 	// Dial maps the neighbors this broker actively connects to onto their
 	// addresses; exactly one side of each edge dials, the other accepts.
@@ -62,21 +63,21 @@ type BrokerNode struct {
 }
 
 // startNode is the one assembly of a live broker: the wire node and its
-// overlay manager, mesh routing, the session layers and middleware chain,
-// the listener, registry membership, recovery of persisted sessions, and
-// the node's probes on the ops stack — in that order. topo is the static
-// overlay (a lone broker under a registry has none): the broker's
-// neighbors — the links it configures or, under a registry, the adjacency
-// it registers — and its unicast next hops derive from it. The replicator's
-// nlb is topo's adjacency on a tree, and the mesh's declared graph (topo,
-// or the registry's snapshots) on a mesh. A failure closes what was started.
+// overlay manager, the session layers and middleware chain, the listener,
+// the declared graph or registry membership, recovery of persisted
+// sessions, and the node's probes on the ops stack — in that order. topo is
+// the static overlay (a lone broker under a registry has none): the
+// broker's neighbors — the links it configures or, under a registry, the
+// adjacency it registers — derive from it. The broker elects its spanning
+// tree over the declared graph — topo, or the registry's snapshots — and
+// the replicator's nlb is that graph's adjacency. A failure closes what was
+// started.
 func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology) (*BrokerNode, error) {
 	adj := topo.Adjacency()
 	neighbors := adj[spec.ID]
 	ncfg := wire.NodeConfig{
-		ID:      spec.ID,
-		Listen:  spec.Listen,
-		NextHop: topo.NextHops()[spec.ID],
+		ID:     spec.ID,
+		Listen: spec.Listen,
 		// Live brokers always run the overlay manager (WithHeartbeat only
 		// tunes it): links queue-then-flush across flaps and restarted
 		// neighbors are redialed with backoff.
@@ -99,14 +100,15 @@ func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology
 		ncfg.FrameObserver = ops.frameObserver(spec.ID)
 	}
 	n := &BrokerNode{id: spec.ID, node: wire.NewNode(ncfg), ops: ops}
-	nlb := func(id NodeID) []NodeID { return adj[id] }
-	if cfg.mesh {
-		n.node.EnableMesh()
-		nlb = n.node.Broker().Mesh().Neighbors
+	if cfg.registry == "" {
+		// The election gives the broker its tree links and next hops before
+		// traffic flows. Registry deployments get their graph from
+		// membership snapshots.
+		n.node.Broker().SetMeshTopology(topo.Nodes(), topo.Edges)
 	}
 	n.layers = session.Attach(n.node.Broker(), session.Config{
 		Replication: &core.Config{
-			NLB:          nlb,
+			NLB:          n.node.Broker().Mesh().Neighbors,
 			Locations:    cfg.locations,
 			Context:      cfg.context,
 			PreSubscribe: !cfg.reactive,
@@ -134,12 +136,6 @@ func startNode(cfg *config, ops *opsStack, spec BrokerSpec, topo broker.Topology
 	if err := n.node.Start(); err != nil {
 		n.abort()
 		return nil, err
-	}
-	if cfg.mesh && cfg.registry == "" {
-		// Static mesh: seed the full declared graph so the election
-		// replaces the raw adjacency before traffic flows. Registry
-		// deployments get their graph from membership snapshots.
-		n.node.SetMeshTopology(topo.Nodes(), topo.Edges)
 	}
 	if n.reg != nil {
 		// After the node serves, so link commands land on a live overlay
@@ -243,7 +239,7 @@ func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 	}
 	topo := broker.Topology{Edges: spec.Edges}
 	if cfg.registry == "" {
-		if err := cfg.validateOverlay(topo); err != nil {
+		if err := topo.Validate(); err != nil {
 			return nil, err
 		}
 		if _, ok := topo.Adjacency()[spec.ID]; !ok {
@@ -266,18 +262,6 @@ func StartBroker(spec BrokerSpec, opts ...Option) (*BrokerNode, error) {
 		ops.start(cfg)
 	}
 	return n, nil
-}
-
-// validateOverlay checks a static overlay for the routing the options
-// chose: connected under mesh routing, a tree otherwise.
-func (c *config) validateOverlay(topo broker.Topology) error {
-	if c.mesh {
-		return topo.ValidateConnected()
-	}
-	if err := topo.Validate(); err != nil {
-		return fmt.Errorf("rebeca: a live deployment needs a tree movement graph (%w); opt into WithMeshRouting to run a cyclic mesh", err)
-	}
-	return nil
 }
 
 // Addr returns the bound TCP address links and clients connect to.

@@ -214,11 +214,9 @@ func (st *opsStack) watchNode(id NodeID, node *wire.Node, member *discovery.Memb
 			}
 		})
 	st.reg.CounterFunc(telemetry.MetricTreeRecomputations,
-		"Spanning-tree elections run by the mesh routing layer.",
+		"Spanning-tree elections run by the brokers.",
 		func(emit func(telemetry.Labels, float64)) {
-			if m := node.Broker().Mesh(); m != nil {
-				emit(telemetry.Labels{"broker": string(id)}, float64(m.Recomputations()))
-			}
+			emit(telemetry.Labels{"broker": string(id)}, float64(node.Broker().Mesh().Recomputations()))
 		})
 }
 

@@ -37,7 +37,6 @@ type config struct {
 	spillStore     store.Store
 	spillMax       int64
 	opsAddr        string
-	mesh           bool
 	registry       string
 	sampleN        int64
 	slowThresh     time.Duration
@@ -64,8 +63,7 @@ type Option func(*config)
 
 // applyOptions applies the options over the defaults and reports what they
 // rejected. Deployment-specific validation (the movement graph New and
-// NewLive need, NewLive's tree-topology requirement) happens in the
-// constructors.
+// NewLive need, a connected overlay) happens in the constructors.
 func applyOptions(opts []Option) (*config, error) {
 	c := &config{
 		settleQuiet: 50 * time.Millisecond,
@@ -105,9 +103,10 @@ func (c *config) bufferFactory() buffer.Factory {
 	return func() buffer.Policy { return buffer.NewWindow(c.bufferTTL, c.bufferCap) }
 }
 
-// WithMovement sets the movement graph. The broker overlay is its spanning
-// tree and the replicator neighborhood (nlb) derives from its edges.
-// Required.
+// WithMovement sets the movement graph, any connected graph. The broker
+// overlay is the graph itself — the brokers route on the spanning tree
+// they elect over it — and the replicator neighborhood (nlb) derives from
+// its edges. Required.
 func WithMovement(g *Graph) Option {
 	return func(c *config) {
 		if g == nil {
@@ -306,17 +305,13 @@ func WithLinkPendingCap(n int) Option {
 	}
 }
 
-// WithMeshRouting lifts the tree requirement on the movement graph: the
-// broker overlay becomes the graph itself — every movement edge a broker
-// link, cycles legal — instead of its spanning tree. Brokers run a
-// replicated spanning-tree election over the declared edges (root =
-// lowest broker ID, re-elected on any membership or link change) and
-// forward on the elected tree, so the paper's acyclicity invariant holds
-// per election epoch while redundant links become failover paths: cut a
-// tree link and the next election routes around it. Works under both New
-// (combine with WithHeartbeat so CutLink feeds the election) and NewLive.
+// WithMeshRouting does nothing. Every deployment links its brokers along
+// every movement edge, cycles legal, and the brokers route on the spanning
+// tree they elect over it, so there is no other mode to opt into. It stays
+// because the benchmark module passes it (benchmark/live.go, the
+// mesh-fanout-paced workload) and goes when the benchmark moves off it.
 func WithMeshRouting() Option {
-	return func(c *config) { c.mesh = true }
+	return func(*config) {}
 }
 
 // WithRegistry switches a live deployment to registry-driven membership:
@@ -326,10 +321,11 @@ func WithMeshRouting() Option {
 // supervisor per node watches it, dialing discovered peers under the
 // deterministic smaller-ID-dials rule and closing links to departed
 // ones. Under NewLive each broker registers its movement-graph neighbors,
-// so the mesh mirrors the movement graph; a StartBroker broker registers
-// none, so the registry links every broker to every other. The
-// replicator's nlb is that registered graph. Implies WithMeshRouting. New
-// refuses it: the virtual-clock System has no transport for a registry.
+// so the registered graph mirrors the movement graph; a StartBroker broker
+// registers none, so the registry links every broker to every other. The
+// brokers elect their spanning tree over the registered graph, and the
+// replicator's nlb is that graph. New refuses it: the virtual-clock System
+// has no transport for a registry.
 func WithRegistry(uri string) Option {
 	return func(c *config) {
 		if uri == "" {
@@ -337,7 +333,6 @@ func WithRegistry(uri string) Option {
 			return
 		}
 		c.registry = uri
-		c.mesh = true
 	}
 }
 

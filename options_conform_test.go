@@ -91,10 +91,7 @@ func optionRows() []optionRow {
 	ring := func(r *optionRun) []rebeca.Option {
 		return append(heartbeat(r), rebeca.WithMovement(rebeca.Ring(4)))
 	}
-	const (
-		ringLinks = "links [B0-B1 B0-B3 B1-B2 B2-B3], delivered [1 2 3]"
-		treeLinks = "links [B0-B1 B0-B3 B1-B2], delivered [1 2 3]"
-	)
+	const ringLinks = "links [B0-B1 B0-B3 B1-B2 B2-B3], delivered [1 2 3]"
 	return []optionRow{
 		// The replicator's neighborhood is the movement graph's: on the
 		// line B0-B2-B1, B1 is no neighbor of B0 and holds no replica.
@@ -194,20 +191,21 @@ func optionRows() []optionRow {
 			opt:  func(*optionRun) rebeca.Option { return rebeca.WithLinkSpill(rebeca.NewMemoryStore(), 0) },
 			sim:  outcome{"[1 2 3 4 5 6 7 8 9 10]", "[9 10]"},
 			live: outcome{"[1 2 3 4 5 6 7 8 9 10]", "[9 10]"}},
-		// The overlay is the ring itself rather than its spanning tree;
-		// NewLive refuses a cyclic graph without it.
+		// A no-op: the overlay is the ring itself on both hosts, with the
+		// option or without it.
 		{option: "WithMeshRouting", script: links, ctx: ring,
 			opt:  func(*optionRun) rebeca.Option { return rebeca.WithMeshRouting() },
-			sim:  outcome{ringLinks, treeLinks},
-			live: outcome{ringLinks, "refused: needs a tree movement graph"}},
-		// Registry membership implies mesh routing; the virtual clock has
-		// no transport for a registry to point at.
+			sim:  outcome{same, ringLinks},
+			live: outcome{same, ringLinks}},
+		// Registry membership links the movement graph's neighbors as they
+		// register; the virtual clock has no transport for a registry to
+		// point at.
 		{option: "WithRegistry", script: links, ctx: ring,
 			opt: func(r *optionRun) rebeca.Option {
 				return rebeca.WithRegistry("file:" + filepath.Join(r.t.TempDir(), "peers.json"))
 			},
-			sim:  outcome{"refused: needs a live deployment", treeLinks},
-			live: outcome{ringLinks, "refused: needs a tree movement graph"}},
+			sim:  outcome{"refused: needs a live deployment", ringLinks},
+			live: outcome{ringLinks, ringLinks}},
 		{option: "WithOps", script: scrape,
 			opt:  func(*optionRun) rebeca.Option { return rebeca.WithOps("127.0.0.1:0") },
 			sim:  outcome{"deliveries 5, traces 5", "no endpoint"},
@@ -460,34 +458,52 @@ func linkCycle(r *optionRun) string {
 // partition cuts the B1-B2 link, publishes ten notes from B2 into the cut,
 // heals it and observes what the subscriber at B0 receives.
 func partition(r *optionRun) string {
+	return cutPublishHeal(r, [2]rebeca.NodeID{"B1", "B2"}).String()
+}
+
+// cutPublishHeal subscribes at B0, cuts the given links, publishes ten
+// notes from B2 into the cut and heals them. It returns the subscriber's
+// stream once every cut link is back and the stream has everything, or
+// has stopped growing.
+func cutPublishHeal(r *optionRun, cuts ...[2]rebeca.NodeID) *streamLog {
 	sub, pub := r.d.NewClient("sub"), r.d.NewClient("pub")
 	r.connect(sub, "B0")
 	s := &streamLog{s: sub.Subscribe(rebeca.NewFilter(rebeca.Exists("n")), rebeca.WithStreamBuffer(64))}
 	r.connect(pub, "B2")
 	r.d.Settle()
 	chaos := r.d.(linkChaos)
-	if err := chaos.CutLink("B1", "B2"); err != nil {
-		r.t.Fatal(err)
+	for _, c := range cuts {
+		if err := chaos.CutLink(c[0], c[1]); err != nil {
+			r.t.Fatal(err)
+		}
 	}
 	r.host.wait(r.d, 300*time.Millisecond)
 	r.publish(pub, nil, 1, 10)
 	r.host.wait(r.d, 100*time.Millisecond)
-	if err := chaos.HealLink("B1", "B2"); err != nil {
-		r.t.Fatal(err)
+	for _, c := range cuts {
+		if err := chaos.HealLink(c[0], c[1]); err != nil {
+			r.t.Fatal(err)
+		}
 	}
-	// Done once the link is back and the stream has everything, or has
-	// stopped growing.
+	healed := func() bool {
+		for _, c := range cuts {
+			if chaos.LinkStates(c[0])[c[1]] != rebeca.LinkEstablished {
+				return false
+			}
+		}
+		return true
+	}
 	for i, prev := 0, -1; i < 100; i++ {
 		r.host.wait(r.d, 50*time.Millisecond)
 		r.d.Settle()
 		n := len(s.drain())
-		if chaos.LinkStates("B2")["B1"] == rebeca.LinkEstablished && (n == 10 || n > 0 && n == prev) {
+		if healed() && (n == 10 || n > 0 && n == prev) {
 			break
 		}
 		prev = n
 	}
 	s.received(r.t)
-	return s.String()
+	return s
 }
 
 // links waits for the overlay to establish, publishes three notes from B2

@@ -31,11 +31,11 @@
 // process per broker, which is what cmd/rebeca-broker runs; NewLive runs
 // the same assembly once per broker.
 //
-// The broker overlay is the movement graph's spanning tree by default.
-// WithMeshRouting accepts arbitrary connected graphs instead: brokers run
-// a replicated spanning-tree election and treat the redundant edges as
-// failover paths. WithRegistry (NewLive, StartBroker) replaces static
-// neighbor lists with registry-driven membership — see internal/discovery.
+// The broker overlay is the movement graph, any connected graph: brokers
+// run a replicated spanning-tree election over it — on a tree the tree
+// itself — and treat the redundant edges of a cyclic graph as failover
+// paths. WithRegistry (NewLive, StartBroker) replaces static neighbor
+// lists with registry-driven membership — see internal/discovery.
 //
 // Clients are created through Deployment.NewClient and driven through the
 // Port interface, so the same scenario code runs against both flavors.

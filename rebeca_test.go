@@ -119,7 +119,7 @@ func TestSystemPublishBatch(t *testing.T) {
 // TestSystemRoamingLossless: a mover and a static subscriber share the
 // mover's first broker while 400 paced notes arrive and the mover changes
 // broker 7 times. Both get every note once and in publisher order, on a
-// line and on a ring mesh: the one routing configuration delivers where
+// line and on a ring: the one routing configuration delivers where
 // covering, flooding and advertisement-based routing lost notes.
 func TestSystemRoamingLossless(t *testing.T) {
 	const notes = 400
@@ -131,7 +131,7 @@ func TestSystemRoamingLossless(t *testing.T) {
 	}{
 		{"line4", []rebeca.Option{rebeca.WithMovement(rebeca.Line(4))},
 			"B3", []rebeca.NodeID{"B0", "B1", "B2", "B3", "B2", "B1", "B0", "B1"}},
-		{"ring4-mesh", []rebeca.Option{rebeca.WithMovement(rebeca.Ring(4)), rebeca.WithMeshRouting()},
+		{"ring4", []rebeca.Option{rebeca.WithMovement(rebeca.Ring(4))},
 			"B2", []rebeca.NodeID{"B0", "B1", "B2", "B3", "B0", "B3", "B2", "B1"}},
 	}
 	for _, tc := range cases {
