@@ -310,13 +310,6 @@ func (b *Broker) dispatch(from message.NodeID, m proto.Message) {
 		b.DetachPort(m.Client)
 	case proto.KLinkState:
 		b.handleLinkState(from, m)
-	case proto.KDeliver:
-		// A delivery unicast to this broker for a local client (e.g. a
-		// relocation tap forward) that no session layer claimed: deliver
-		// if the client is here.
-		if m.Note != nil && b.ports[m.Client] {
-			b.DeliverMatched(m.Client, *m.Note, m.SubIDs)
-		}
 	default:
 		// Control kinds no stage claimed are dropped.
 	}
@@ -462,9 +455,13 @@ func (b *Broker) routePublish(from message.NodeID, m proto.Message) {
 // subscription identities: they travel on the KDeliver so the client routes
 // the notification to its per-subscription streams without re-matching
 // (nil leaves the client to resolve target streams by filter).
+//
+// The stages see the cursor's copy of n, so a delivery a stage consumes
+// allocates nothing; the default processing copies it into the KDeliver.
 func (b *Broker) DeliverMatched(port message.NodeID, n message.Notification, subs []message.SubID) {
 	c := b.acquire(hookDeliver)
-	c.from, c.note, c.subs = port, &n, subs
+	c.from, c.n, c.subs = port, n, subs
+	c.note = &c.n
 	c.run()
 	if !c.delivered {
 		b.stats.Intercepted++

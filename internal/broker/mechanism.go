@@ -24,7 +24,7 @@ const (
 	MobilityRelocations                        // completed inbound relocations
 	MobilityBuffered                           // notifications buffered for ghosts or relocations
 	MobilityReplayed                           // notifications replayed to a client after handover
-	MobilityTapForwarded                       // stragglers forwarded to the new border
+	MobilityTapForwarded                       // stragglers the old border's KRelocTail carries to the new border
 	MobilityDuplicatesDropped                  // merge-time duplicate suppressions
 	MobilityRecoveredSessions                  // ghost sessions rebuilt from the store after a restart
 	MobilityRecoveryErrors                     // persisted sessions that could not be decoded

@@ -205,6 +205,7 @@ type cursor struct {
 	from      message.NodeID // the sender; the port, for hookDeliver
 	m         proto.Message  // hookMessage, hookPublish (m.Note is note), hookSubscribe
 	note      *message.Notification
+	n         message.Notification // hookDeliver: the note, note points here
 	subs      []message.SubID
 	sub       *proto.Subscription
 	delivered bool // hookDeliver: the default processing sent the KDeliver
@@ -275,7 +276,8 @@ func (c *cursor) run() {
 	case hookDeliver:
 		c.delivered = true
 		b.stats.Delivered++
-		b.Send(c.from, proto.Message{Kind: proto.KDeliver, Client: c.from, Note: c.note, SubIDs: c.subs})
+		note := *c.note
+		b.Send(c.from, proto.Message{Kind: proto.KDeliver, Client: c.from, Note: &note, SubIDs: c.subs})
 	case hookSubscribe:
 		b.installSubscribe(c.from, c.sub, c.m)
 	}

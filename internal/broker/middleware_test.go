@@ -684,6 +684,27 @@ func publishBench(stages int, relay, port bool, setup ...func(*Broker)) func() {
 	}
 }
 
+// TestConsumedDeliveryAllocs holds a delivery that a stage consumes — a
+// ghost buffering it, the replicator fanning it out — at no allocation:
+// the stages see the note in the pooled cursor. The default processing's
+// KDeliver carries the one copy a delivery sent to the port needs.
+func TestConsumedDeliveryAllocs(t *testing.T) {
+	b := New(Config{ID: "X", Send: func(message.NodeID, proto.Message) {}})
+	b.UseMiddleware(&consumingPlugin{intercept: "ghost"}, PassMiddleware{})
+	b.AttachPort("ghost")
+	b.AttachPort("s")
+	n := *pubMsg(1).Note
+	subs := []message.SubID{"s/s1"}
+	for _, c := range []struct {
+		port message.NodeID
+		want float64
+	}{{"ghost", 0}, {"s", 1}} {
+		if got := testing.AllocsPerRun(200, func() { b.DeliverMatched(c.port, n, subs) }); got != c.want {
+			t.Errorf("DeliverMatched to %s: %v allocs, want %v", c.port, got, c.want)
+		}
+	}
+}
+
 // TestHandlePublishAllocs holds the chain to its allocation budget. A
 // publish delivered to a local port costs, with no stages, the probe's own
 // allocation, the matched subscription IDs and the delivered copy — 3 —

@@ -11,22 +11,21 @@
 //     session that buffers every delivery, and unicasts KRelocReq to b1.
 //  2. b1 — which has been buffering for the disconnected ghost — replies
 //     KRelocProfile with c's subscription profile and buffer, and from now
-//     on tap-forwards new matches to b2 (KDeliver unicast) instead of
-//     buffering.
+//     on holds new matches (the stragglers) for the tail; a durable
+//     session appends each to its queue first, as a ghost does.
 //  3. b2 installs the profile's subscriptions and unicasts KRelocActivate
 //     to b1. Each installation is a relocation flip, which Router.Subscribe
-//     forwards on every other link, so it travels the whole b2→b1 path;
-//     the activate follows the same next-hop path after it. Links are
-//     FIFO, so on each link the activate arrives after the flip, and the
-//     flip after every note the sending broker routed toward b1 before it
-//     flipped.
+//     forwards on every link still routing away from b2, so it travels the
+//     whole b2→b1 path and goes no further; the activate follows the same
+//     next-hop path after it. Links are FIFO, so on each link the activate
+//     arrives after the flip, and the flip after every note the sending
+//     broker routed toward b1 before it flipped.
 //  4. b1 receives KRelocActivate. By then b1 has flipped, and every note
-//     routed toward b1 by a pre-flip entry has reached b1 and been
-//     tap-forwarded. b1 sends KRelocTail behind the last of them and
-//     forgets c.
-//  5. b2 merges profile buffer, tap copies and its own direct deliveries —
-//     deduplicated by notification ID, ordered by (publisher, seq) —
-//     replays them to c and goes live.
+//     routed toward b1 by a pre-flip entry has reached b1 and is held.
+//     b1 sends KRelocTail carrying the held stragglers and forgets c.
+//  5. b2 merges profile buffer, the tail's stragglers and its own direct
+//     deliveries — deduplicated by notification ID, ordered by
+//     (publisher, seq) — replays them to c and goes live.
 //
 // The handover thus costs messages on the b1–b2 path only, not on the
 // whole tree. On any graph the flips and the unicasts both follow the
@@ -40,8 +39,8 @@
 // default handling installs a connecting client's profile and withdraws it
 // on disconnect. ModeJEDI (explicit moveOut/moveIn, related work [2]) is
 // this manager with the ordering turned off, the way covering is E3's
-// routing ablation: no relocating-out state and so no tap, no
-// KRelocActivate or KRelocTail. b1 withdraws c's entries as it ships the
+// routing ablation: no relocating-out state and so no held stragglers,
+// no KRelocActivate or KRelocTail. b1 withdraws c's entries as it ships the
 // profile, so a note routed toward b1 before b2's flips is lost. A JEDI
 // session runs through everything else here (connect, ghost buffering, the
 // request and profile, the Stale and Fresh replies, finishRelocation,
@@ -63,6 +62,8 @@
 //     superseded request is declined, never silently dropped;
 //   - requests reaching a relocating-out session are redirected along the
 //     shipment chain to whatever session ends up holding the state;
+//   - a torn-down requester ships its buffer to the client's current
+//     border as a KRelocTail marked Stale, which ends no relocation run;
 //   - a border with no session replies Fresh, letting the requester go
 //     live from the client's announced profile, with no activate or tail;
 //   - unsubscription waves only remove routing entries still pointing at
@@ -71,7 +72,9 @@
 // A state shipment arriving at a session that no longer expects it (the
 // run was superseded) is absorbed — subscriptions merged, buffer delivered
 // or re-buffered — and the sender acknowledged, so no fragment is lost and
-// no sender strands in relocating-out.
+// no sender strands in relocating-out. A tail no run is waiting for is
+// absorbed the same way: its notes are delivered, buffered, or held for
+// the session's own tail, by the session's state.
 //
 // internal/sim's stress suite drives hundreds of seeded chaos schedules
 // through these paths and asserts the no-loss/no-dup/FIFO invariant plus
@@ -108,7 +111,7 @@ const (
 	// ModeTransparent runs the full relocation protocol described above.
 	ModeTransparent
 	// ModeJEDI ships profile and buffer once, without the activate/tail
-	// handshake or a tap: in-flight traffic can be lost during routing
+	// handshake: in-flight traffic can be lost during routing
 	// reconfiguration.
 	ModeJEDI
 )
@@ -135,7 +138,7 @@ const (
 	// buffered until the tail arrives.
 	stateRelocatingIn
 	// stateRelocatingOut: this broker is the old border; deliveries are
-	// tap-forwarded to the new border.
+	// held as stragglers, and the tail carries them to the new border.
 	stateRelocatingOut
 )
 
@@ -166,8 +169,11 @@ type session struct {
 	buf buffer.Policy
 	// seen dedups the relocation merge by notification ID.
 	seen *dedup.Window[struct{}]
-	// tapTo is the new border while relocating out.
-	tapTo message.NodeID
+	// shipTo is the new border while relocating out.
+	shipTo message.NodeID
+	// held are the stragglers: deliveries that reached this broker while
+	// it relocated out. The tail carries them.
+	held []message.Notification
 	// pendingReloc queues a KRelocReq that arrived mid-relocation.
 	pendingReloc message.NodeID
 	// ghostOnComplete marks that the client disconnected while relocating
@@ -282,8 +288,9 @@ func New(b *broker.Broker, mode Mode, opts ...Option) *Manager {
 // The durable image of one session is its subscription profile in issue
 // order, stored as the message that already means exactly that: a
 // KRelocProfile carrying Subs, in the codec's encoding. Everything else
-// (state, taps, epochs) is protocol-transient — after a crash every client
-// is disconnected, so recovered sessions restart as ghosts.
+// (state, epochs) is protocol-transient — after a crash every client is
+// disconnected, so recovered sessions restart as ghosts, and a
+// relocating-out session's stragglers are in its queue.
 
 // sessionKey names a session's snapshot and buffer queue in the store.
 // The broker ID is part of the key: in-process deployments share one
@@ -399,15 +406,13 @@ func (m *Manager) OnMessage(_ *broker.Broker, from message.NodeID, msg proto.Mes
 		consumed = m.onRelocActivate(msg)
 	case proto.KRelocTail:
 		consumed = m.onRelocTail(msg)
-	case proto.KDeliver:
-		consumed = m.onTapDeliver(msg)
 	}
 	if !consumed {
 		next()
 	}
 }
 
-// OnDeliver implements broker.Middleware: buffering and tap interception.
+// OnDeliver implements broker.Middleware: buffering and holding stragglers.
 // n is the broker's copy for the duration of the hook only; what is kept
 // or forwarded is a copy of the value.
 func (m *Manager) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.Notification, _ []message.SubID, next func()) {
@@ -423,17 +428,20 @@ func (m *Manager) OnDeliver(_ *broker.Broker, port message.NodeID, n *message.No
 	case stateRelocatingIn:
 		m.bufferDedup(s, *n)
 	case stateRelocatingOut:
-		m.b.NotifyMechanism(broker.MobilityTapForwarded, 1)
-		note := *n
-		m.b.Unicast(s.tapTo, proto.Message{
-			Kind:   proto.KDeliver,
-			Client: port,
-			Origin: m.b.ID(),
-			Note:   &note,
-		})
+		m.hold(s, *n)
 	default:
 		next()
 	}
+}
+
+// hold keeps a straggler for the tail. A durable session appends it to
+// its queue first, as a ghost does, so a crash before the activate keeps
+// it; the activate's Clear acks it with the shipped buffer.
+func (m *Manager) hold(s *session, n message.Notification) {
+	if m.store != nil {
+		s.buf.Add(n, m.b.Now())
+	}
+	s.held = append(s.held, n)
 }
 
 func (m *Manager) bufferDedup(s *session, n message.Notification) {
@@ -644,7 +652,7 @@ func (m *Manager) onRelocReq(msg proto.Message) bool {
 		m.queuePending(s, newBorder, msg.Epoch)
 		return true
 	case stateRelocatingOut:
-		if s.tapTo == newBorder {
+		if s.shipTo == newBorder {
 			// The requester is the very border this state is being
 			// shipped to: the in-flight profile will reach it and be
 			// absorbed. Tell it to go live from its announced profile.
@@ -658,7 +666,7 @@ func (m *Manager) onRelocReq(msg proto.Message) bool {
 		// it is being shipped to. The redirect chases the shipment chain
 		// and terminates at whatever session ends up holding the state.
 		fw := msg
-		m.b.Unicast(s.tapTo, fw)
+		m.b.Unicast(s.shipTo, fw)
 		return true
 	default:
 		m.beginRelocOut(s, newBorder, msg.Epoch)
@@ -703,7 +711,7 @@ func (m *Manager) beginRelocOut(s *session, newBorder message.NodeID, epoch uint
 	profile := s.profile()
 	if m.mode == ModeJEDI {
 		// Ship everything at once, unsubscribe immediately, forget. No
-		// activate, no tap: in-flight traffic may be lost.
+		// activate: in-flight traffic may be lost.
 		for _, id := range append([]message.SubID(nil), s.subOrder...) {
 			m.b.RemoveSub(id)
 		}
@@ -717,7 +725,7 @@ func (m *Manager) beginRelocOut(s *session, newBorder message.NodeID, epoch uint
 		return
 	}
 	s.state = stateRelocatingOut
-	s.tapTo = newBorder
+	s.shipTo = newBorder
 	s.outEpoch = epoch
 	m.b.Unicast(newBorder, proto.Message{
 		Kind: proto.KRelocProfile, Client: s.client, Origin: m.b.ID(),
@@ -807,26 +815,34 @@ func (m *Manager) absorb(s *session, msg proto.Message) {
 	if len(msg.Subs) > 0 {
 		m.persist(s)
 	}
-	message.ByID(msg.Notes)
-	for _, n := range msg.Notes {
-		note := n
-		switch s.state {
-		case stateConnected:
-			m.b.Send(s.client, proto.Message{Kind: proto.KDeliver, Client: s.client, Note: &note})
-		case stateRelocatingIn:
-			m.bufferDedup(s, note)
-		default:
-			s.buf.Add(note, m.b.Now())
-			m.b.NotifyMechanism(broker.MobilityBuffered, 1)
-		}
-	}
+	m.absorbNotes(s, msg.Notes)
 	m.b.Unicast(msg.Origin, proto.Message{
 		Kind: proto.KRelocActivate, Client: s.client, Origin: m.b.ID(), Epoch: msg.Epoch,
 	})
 }
 
+// absorbNotes takes notes no relocation run waits for into the session, by
+// its state: delivered if the client is connected here, deduplicated into
+// the buffer of a ghost or a relocating-in session, held for the tail of a
+// relocating-out one.
+func (m *Manager) absorbNotes(s *session, notes []message.Notification) {
+	message.ByID(notes)
+	for _, n := range notes {
+		switch s.state {
+		case stateConnected:
+			note := n
+			m.b.Send(s.client, proto.Message{Kind: proto.KDeliver, Client: s.client, Note: &note})
+		case stateRelocatingOut:
+			m.hold(s, n)
+		default:
+			m.bufferDedup(s, n)
+		}
+	}
+}
+
 // teardown dismantles a superseded session: intercepted notifications are
-// forwarded to the client's current border, locally owned routing entries
+// shipped to the client's current border in one KRelocTail, marked Stale
+// so that it ends no relocation run there, locally owned routing entries
 // are withdrawn (entries already flipped away are left alone — they belong
 // to the new border now), and the session is forgotten.
 func (m *Manager) teardown(s *session, currentBorder message.NodeID) {
@@ -839,16 +855,14 @@ func (m *Manager) teardown(s *session, currentBorder message.NodeID) {
 		s.pendingEpoch = 0
 		m.decline(s.client, target, epoch)
 	}
-	notes := s.buf.Snapshot(m.b.Now())
-	message.ByID(notes)
-	for _, n := range notes {
-		note := n
+	if notes := s.buf.Snapshot(m.b.Now()); len(notes) > 0 {
 		m.b.Unicast(currentBorder, proto.Message{
-			Kind: proto.KDeliver, Client: s.client, Origin: m.b.ID(), Note: &note,
+			Kind: proto.KRelocTail, Client: s.client, Origin: m.b.ID(),
+			Stale: true, Notes: notes,
 		})
 	}
-	// Ack (durable Clear) only after the forwards are handed to the
-	// transport — same append-before-deliver/ack-after contract as replay.
+	// Ack (durable Clear) only after the tail is handed to the transport —
+	// same append-before-deliver/ack-after contract as replay.
 	s.buf.Clear()
 	for _, id := range append([]message.SubID(nil), s.subOrder...) {
 		m.b.RemoveSub(id)
@@ -861,21 +875,24 @@ func (m *Manager) teardown(s *session, currentBorder message.NodeID) {
 func (m *Manager) onRelocActivate(msg proto.Message) bool {
 	c, newBorder := msg.Client, msg.Origin
 	s, ok := m.sessions[c]
-	if !ok || s.state != stateRelocatingOut || s.tapTo != newBorder ||
+	if !ok || s.state != stateRelocatingOut || s.shipTo != newBorder ||
 		msg.Epoch != s.outEpoch {
 		return true
 	}
-	// Handover confirmed: the new border holds the shipped buffer, so the
-	// durable queue behind it can be acked (no-op without a store — the
-	// buffer was already cleared at ship time).
-	s.buf.Clear()
 	// No unsubscription here: the new border's re-subscription has
 	// flipped every entry on the path toward itself, and the activate came
 	// behind those flips, so every straggler a pre-flip entry routed here
-	// has already been tap-forwarded (step 4). Close the tap.
+	// is held (step 4). The tail carries them.
 	m.b.Unicast(newBorder, proto.Message{
 		Kind: proto.KRelocTail, Client: c, Origin: m.b.ID(), Epoch: s.outEpoch,
+		Notes: s.held,
 	})
+	m.b.NotifyMechanism(broker.MobilityTapForwarded, len(s.held))
+	s.held = nil
+	// Handover confirmed: the new border holds the shipped buffer and the
+	// stragglers, so the durable queue behind them can be acked (no-op
+	// without a store — the buffer was already cleared at ship time).
+	s.buf.Clear()
 	if s.reconnectPending {
 		// Ping-pong: the client is physically back here. Pull the session
 		// state back with a fresh inbound relocation. The RelocReq follows
@@ -900,7 +917,13 @@ func (m *Manager) onRelocActivate(msg proto.Message) bool {
 
 func (m *Manager) onRelocTail(msg proto.Message) bool {
 	s, ok := m.sessions[msg.Client]
-	if !ok || s.state != stateRelocatingIn || msg.Epoch != s.reqEpoch {
+	if !ok {
+		return true
+	}
+	// The run's own tail merges its stragglers into the relocating-in
+	// buffer before the replay; any other tail's notes are absorbed.
+	m.absorbNotes(s, msg.Notes)
+	if msg.Stale || s.state != stateRelocatingIn || msg.Epoch != s.reqEpoch {
 		return true
 	}
 	s.state = stateConnected
@@ -960,36 +983,6 @@ func (m *Manager) replay(s *session) {
 		m.b.Send(s.client, proto.Message{Kind: proto.KDeliver, Client: s.client, Note: &note})
 	}
 	s.buf.Clear()
-}
-
-// onTapDeliver handles tap-forwarded stragglers arriving from the old
-// border (KDeliver unicast addressed to this broker).
-func (m *Manager) onTapDeliver(msg proto.Message) bool {
-	if msg.Note == nil || msg.Dest != m.b.ID() {
-		return false
-	}
-	s, ok := m.sessions[msg.Client]
-	if !ok {
-		return false
-	}
-	switch s.state {
-	case stateRelocatingIn:
-		m.bufferDedup(s, *msg.Note)
-	case stateConnected:
-		if _, seen := s.seen.Find(msg.Note.ID); seen {
-			m.b.NotifyMechanism(broker.MobilityDuplicatesDropped, 1)
-			return true
-		}
-		m.b.Send(s.client, proto.Message{Kind: proto.KDeliver, Client: s.client, Note: msg.Note})
-	case stateGhost:
-		m.bufferDedup(s, *msg.Note)
-	case stateRelocatingOut:
-		// The client has moved on again: chain the forward.
-		m.b.Unicast(s.tapTo, proto.Message{
-			Kind: proto.KDeliver, Client: msg.Client, Origin: m.b.ID(), Note: msg.Note,
-		})
-	}
-	return true
 }
 
 var _ broker.MessageInterceptor = (*Manager)(nil)

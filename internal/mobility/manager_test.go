@@ -7,6 +7,7 @@
 package mobility_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"rebeca/internal/client"
 	"rebeca/internal/filter"
 	"rebeca/internal/message"
+	"rebeca/internal/mobility"
 	"rebeca/internal/movement"
 	"rebeca/internal/proto"
 	"rebeca/internal/sim"
@@ -168,87 +170,164 @@ func TestHandoverCostIsPathNotTree(t *testing.T) {
 	}
 }
 
-// The ordering a handover relies on: a note a path broker routes toward
-// the old border before the new border's relocation flip reaches it
-// arrives at the old border ahead of KRelocActivate (the activate follows
-// the flip down the same FIFO path), is tap-forwarded, and reaches the
-// client exactly once and in order. The client moves B0 → B3 on B0-B1-B2-B3
-// while a publisher at B1, on the path, publishes every tick.
-func TestStragglersPrecedeActivate(t *testing.T) {
+// stragglerRun moves a subscriber B0 → B3 on B0-B1-B2-B3 while a publisher
+// at B1, on the path, publishes every tick, and records what the old border
+// B0 sees while it relocates out: after KRelocReq reaches it and before
+// KRelocActivate does.
+type stragglerRun struct {
+	mob   *client.Client
+	tally *broker.MechanismTally
+	// stragglers are the notes that reached B0 while it relocated out, in
+	// arrival order, and late those that reached it after the activate.
+	stragglers, late []message.NotificationID
+	// tail are the notes of the KRelocTail B0 sent; tapped those of the
+	// KDelivers it sent while relocating out.
+	tail, tapped []message.NotificationID
+	activated    bool
+}
+
+const stragglerNotes = 60
+
+// runStragglers runs the move. atActivate, when non-nil, runs as the
+// activate reaches B0, before B0 handles it.
+func runStragglers(t *testing.T, st store.Store, atActivate func()) *stragglerRun {
+	t.Helper()
+	r := &stragglerRun{tally: &broker.MechanismTally{}}
 	cl, err := sim.NewCluster(sim.ClusterConfig{
 		Movement:    movement.Line(4),
 		Mobility:    sim.MobilityTransparent,
 		LinkLatency: tick,
+		Store:       st,
+		Middleware:  []broker.Middleware{r.tally},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, mob := cl.AddClient("pub"), cl.AddClient("mob")
+	pub := cl.AddClient("pub")
+	r.mob = cl.AddClient("mob")
 	pub.ConnectTo("B1")
-	mob.ConnectTo("B0")
-	mob.Subscribe(filter.New(filter.Exists("k")))
+	r.mob.ConnectTo("B0")
+	r.mob.Subscribe(filter.New(filter.Exists("k")))
 	cl.Net.Run()
 
-	// At the old border B0: which notes arrive while it relocates out
-	// (after KRelocReq, before KRelocActivate), and which it tap-forwards.
-	var relocating, activated bool
-	stragglers := map[message.NotificationID]bool{}
-	tapped := map[message.NotificationID]bool{}
-	var late []message.NotificationID
+	var relocating bool
 	cl.Net.Trace = func(_ time.Time, from, to message.NodeID, m proto.Message) {
 		switch {
 		case to == "B0" && m.Kind == proto.KRelocReq:
 			relocating = true
-		case to == "B0" && m.Kind == proto.KRelocActivate:
-			activated = true
-		case to == "B0" && m.Kind == proto.KPublish && m.Note != nil:
-			if activated {
-				late = append(late, m.Note.ID)
-			} else if relocating {
-				stragglers[m.Note.ID] = true
+		case to == "B0" && m.Kind == proto.KRelocActivate && !r.activated:
+			if atActivate != nil {
+				atActivate()
 			}
-		case from == "B0" && m.Kind == proto.KDeliver && m.Note != nil:
-			tapped[m.Note.ID] = true
+			r.activated = true
+		case to == "B0" && m.Kind == proto.KPublish && m.Note != nil:
+			if r.activated {
+				r.late = append(r.late, m.Note.ID)
+			} else if relocating {
+				r.stragglers = append(r.stragglers, m.Note.ID)
+			}
+		case from == "B0" && m.Kind == proto.KRelocTail:
+			for _, n := range m.Notes {
+				r.tail = append(r.tail, n.ID)
+			}
+		case from == "B0" && m.Kind == proto.KDeliver && m.Note != nil && relocating && !r.activated:
+			r.tapped = append(r.tapped, m.Note.ID)
 		}
 	}
-
-	const notes = 60
-	for i := 1; i <= notes; i++ {
+	for i := 1; i <= stragglerNotes; i++ {
 		i := i
 		cl.Net.After(time.Duration(i)*tick, func() {
 			pub.Publish(map[string]message.Value{"k": message.Int(int64(i))})
 		})
 	}
-	cl.Net.After(20*tick, func() { mob.Disconnect() })
-	cl.Net.After(25*tick, func() { mob.ConnectTo("B3") })
+	cl.Net.After(20*tick, func() { r.mob.Disconnect() })
+	cl.Net.After(25*tick, func() { r.mob.ConnectTo("B3") })
 	cl.Net.Run()
 
-	if !activated {
+	if !r.activated {
 		t.Fatal("B0 never received KRelocActivate")
 	}
-	if len(stragglers) == 0 {
+	if len(r.stragglers) == 0 {
 		t.Fatal("no note reached B0 while it relocated out: the schedule tests nothing")
 	}
-	if len(late) != 0 {
-		t.Errorf("notes reached B0 after KRelocActivate: %v", late)
+	if len(r.late) != 0 {
+		t.Errorf("notes reached B0 after KRelocActivate: %v", r.late)
 	}
-	for id := range stragglers {
-		if !tapped[id] {
-			t.Errorf("straggler %v was not tap-forwarded", id)
-		}
-	}
+	return r
+}
+
+// checkDelivery fails unless the mobile client got every note once and in
+// order.
+func (r *stragglerRun) checkDelivery(t *testing.T) {
+	t.Helper()
 	got := map[uint64]int{}
-	for _, n := range mob.ReceivedNotes() {
+	for _, n := range r.mob.ReceivedNotes() {
 		got[n.ID.Seq]++
 	}
-	for s := uint64(1); s <= notes; s++ {
+	for s := uint64(1); s <= stragglerNotes; s++ {
 		if got[s] != 1 {
 			t.Errorf("note %d delivered %d times, want 1", s, got[s])
 		}
 	}
-	if d, v := mob.Duplicates(), mob.FIFOViolations(); d != 0 || v != 0 {
+	if d, v := r.mob.Duplicates(), r.mob.FIFOViolations(); d != 0 || v != 0 {
 		t.Errorf("dups=%d fifo=%d", d, v)
 	}
+}
+
+// The ordering a handover relies on: a note a path broker routes toward
+// the old border before the new border's relocation flip reaches it
+// arrives at the old border ahead of KRelocActivate (the activate follows
+// the flip down the same FIFO path). The old border holds it, and the tail
+// carries it: no note-carrying KDeliver leaves B0 while it relocates out,
+// the tail carries exactly the stragglers, each reaches the client once
+// and in order, and mobility.tap_forwarded counts them.
+func TestStragglersRideTheTail(t *testing.T) {
+	r := runStragglers(t, nil, nil)
+	if len(r.tapped) != 0 {
+		t.Errorf("B0 sent %d deliveries while relocating out: %v", len(r.tapped), r.tapped)
+	}
+	if !slices.Equal(r.tail, r.stragglers) {
+		t.Errorf("the tail carries %v, want the stragglers %v", r.tail, r.stragglers)
+	}
+	if got := r.tally.Total(broker.MobilityTapForwarded); got != len(r.stragglers) {
+		t.Errorf("mobility.tap_forwarded = %d, want the %d stragglers", got, len(r.stragglers))
+	}
+	r.checkDelivery(t)
+}
+
+// A durable old border appends each straggler to the session's queue
+// before holding it. A crash with the activate on its way loses none:
+// the session a process on the same store recovers replays every
+// straggler to the returning client.
+func TestStragglersSurviveACrashBeforeActivate(t *testing.T) {
+	mem := store.NewMemory()
+	var recovered []proto.Message
+	r := runStragglers(t, mem, func() {
+		mem.Crash()
+		b := broker.New(broker.Config{ID: "B0", Send: func(_ message.NodeID, m proto.Message) {
+			recovered = append(recovered, m)
+		}})
+		mgr := mobility.New(b, mobility.ModeTransparent, mobility.WithStore(mem))
+		if n := mgr.Recover(); n != 1 || mgr.SessionState("mob") != "ghost" {
+			t.Fatalf("recovered %d sessions, mob's in state %q", n, mgr.SessionState("mob"))
+		}
+		b.HandleMessage("mob", proto.Message{Kind: proto.KConnect, Client: "mob"})
+	})
+	replayed := map[message.NotificationID]bool{}
+	for _, m := range recovered {
+		if m.Kind == proto.KDeliver && m.Note != nil {
+			replayed[m.Note.ID] = true
+		}
+	}
+	for _, id := range r.stragglers {
+		if !replayed[id] {
+			t.Errorf("straggler %v is not in the recovered session", id)
+		}
+	}
+	if !slices.Equal(r.tail, r.stragglers) {
+		t.Errorf("the tail carries %v, want the stragglers %v", r.tail, r.stragglers)
+	}
+	r.checkDelivery(t)
 }
 
 func TestGhostReconnectSameBroker(t *testing.T) {
@@ -328,7 +407,7 @@ func TestJEDILosesOnlyInFlight(t *testing.T) {
 	naiveMiss := len(naive.missing())
 
 	if jediMiss == 0 {
-		t.Error("JEDI without a tap should lose some in-flight traffic")
+		t.Error("JEDI without the activate and tail should lose some in-flight traffic")
 	}
 	if jediMiss >= naiveMiss {
 		t.Errorf("JEDI (%d lost) should beat naive (%d lost): it buffers the gap",

@@ -69,10 +69,12 @@ const (
 	// KRelocActivate: new border has installed the client's subscriptions.
 	// It follows their relocation flips down the same FIFO path, so when it
 	// reaches the old border every note routed toward that border before a
-	// flip has arrived there and been tap-forwarded.
+	// flip has arrived there and is held.
 	KRelocActivate
-	// KRelocTail: old border closes the tap; the new border may replay and
-	// go live. The old border forgets the client.
+	// KRelocTail: old border ships the notes it held since the profile
+	// (Notes); the new border may replay and go live. The old border
+	// forgets the client. A tail marked Stale ends no relocation run: it
+	// carries a torn-down session's buffer to the client's current border.
 	KRelocTail
 
 	// Two reserved kinds: a handover flush wave and its convergecast ack

@@ -60,9 +60,15 @@ func (r *Router) Table() *Table { return r.table }
 //
 // A subscription re-arriving under the same ID from a *different* link is a
 // relocation flip (the client moved; its new border re-issued the
-// subscription): the entry migrates to the new link and the flip is
-// forwarded unconditionally so the whole tree re-points toward the new
-// border. No unsubscription is emitted — the flip wave is the cleanup.
+// subscription): the entry migrates to the new link, and the arrival link
+// loses its forward mark, since the neighbour there now routes away from
+// this broker. With the filter unchanged, the flip goes only on the links
+// not marked: a marked link's neighbour already routes toward this broker,
+// and so toward the new border. The old arrival link is never marked, so
+// the flip travels the whole path from the new border to the old one and
+// stops there. A flip with a changed filter goes on every other link, and
+// covering never suppresses a flip. No unsubscription is emitted — the flip
+// wave is the cleanup.
 //
 // A subscription re-arriving unchanged (same ID, same link, same filter) is
 // an idempotent re-install — the overlay's sync handshake replays installs
@@ -77,8 +83,11 @@ func (r *Router) Table() *Table { return r.table }
 func (r *Router) Subscribe(sub proto.Subscription, fromLink message.NodeID, brokerLinks []message.NodeID) []Forward {
 	prev, existed := r.table.Get(sub.ID)
 	relocated := existed && prev.Link != fromLink
-	unchanged := existed && !relocated && sameFilter(prev.Sub.Filter, sub.Filter)
+	unchanged := existed && sameFilter(prev.Sub.Filter, sub.Filter)
 	slot, _ := r.table.add(sub, fromLink)
+	if relocated {
+		r.table.unmark(slot, fromLink)
+	}
 	out := r.fwd[:0]
 	for _, link := range brokerLinks {
 		if link == fromLink {

@@ -341,6 +341,24 @@ func (t *Table) mark(slot int, link message.NodeID) {
 	r.over[n] = true
 }
 
+// unmark drops the row's mark on the link, if it has one.
+func (t *Table) unmark(slot int, link message.NodeID) {
+	n, ok := t.linkNum[link]
+	if !ok {
+		return
+	}
+	r := &t.rows[slot]
+	switch {
+	case n < 64 && r.marks&(1<<n) != 0:
+		r.marks &^= 1 << n
+	case n >= 64 && r.over[n]:
+		delete(r.over, n)
+	default:
+		return
+	}
+	t.linkUnref(n)
+}
+
 // anyMarked reports whether some row other than skip is marked on the link
 // and satisfies pred.
 func (t *Table) anyMarked(link message.NodeID, skip message.SubID, pred func(*Entry) bool) bool {

@@ -136,26 +136,30 @@ func TestScenarioDeterminism(t *testing.T) {
 // DataMsgs, TotalBytes and TableEntries were re-recorded when a broker's
 // virtual clients came to share one routing entry per resolved filter (at
 // seed 2003, 36 840 subscribe and unsubscribe messages went, and the
-// tables hold 736 entries instead of 2 432). Every delivery, loss,
-// duplicate and FIFO counter kept its value.
+// tables hold 736 entries instead of 2 432). DataMsgs and TotalBytes were
+// re-recorded when a relocation flip stopped going to brokers off the
+// handover path and the old border's stragglers came to ride the tail
+// instead of one deliver unicast each (at seed 2003, DataMsgs 29 012 →
+// 25 559). Every delivery, loss, duplicate and FIFO counter kept its
+// value.
 func TestScenarioOutcomeGolden(t *testing.T) {
 	golden := map[int64]Outcome{
 		2003: {PreArrivalExpected: 5349, PreArrivalGot: 5257, LiveExpected: 1256, LiveGot: 1256,
 			FirstDeliveryLatency: 2 * time.Millisecond, FirstDeliverySamples: 536,
 			StaticExpected: 5910, StaticGot: 5910, Handovers: 536,
-			ControlMsgs: 8559, DataMsgs: 29012, DirectMsgs: 2448, TotalBytes: 2824513,
+			ControlMsgs: 8559, DataMsgs: 25559, DirectMsgs: 2448, TotalBytes: 2709282,
 			Buffered: 19684, Replayed: 5880, Wasted: 13291, PeakResidentVC: 135,
 			TableEntries: 736, BufferedBytes: 35098},
 		7: {PreArrivalExpected: 5338, PreArrivalGot: 5251, LiveExpected: 1254, LiveGot: 1254,
 			FirstDeliveryLatency: 2 * time.Millisecond, FirstDeliverySamples: 535,
 			StaticExpected: 5910, StaticGot: 5910, Handovers: 535,
-			ControlMsgs: 8948, DataMsgs: 29324, DirectMsgs: 2387, TotalBytes: 2877587,
+			ControlMsgs: 8948, DataMsgs: 25650, DirectMsgs: 2387, TotalBytes: 2757463,
 			Buffered: 19419, Replayed: 5874, Wasted: 13034, PeakResidentVC: 132,
 			TableEntries: 736, BufferedBytes: 34998},
 		11: {PreArrivalExpected: 5316, PreArrivalGot: 5257, LiveExpected: 1276, LiveGot: 1276,
 			FirstDeliveryLatency: 2 * time.Millisecond, FirstDeliverySamples: 533,
 			StaticExpected: 5910, StaticGot: 5910, Handovers: 533,
-			ControlMsgs: 8782, DataMsgs: 29344, DirectMsgs: 2329, TotalBytes: 2873249,
+			ControlMsgs: 8782, DataMsgs: 25689, DirectMsgs: 2329, TotalBytes: 2752633,
 			Buffered: 19097, Replayed: 5892, Wasted: 12697, PeakResidentVC: 129,
 			TableEntries: 736, BufferedBytes: 34854},
 	}
