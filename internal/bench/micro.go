@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"rebeca/internal/client"
 	"rebeca/internal/filter"
 	"rebeca/internal/location"
 	"rebeca/internal/message"
@@ -147,8 +148,10 @@ func routingRun(n int, strat routing.Strategy, seed int64) (tableEntries, subMsg
 	brokers := g.Nodes()
 
 	// Two subscribers per broker: one wide range, one narrow (covered).
+	subs := make([]*client.Client, len(brokers))
 	for i, b := range brokers {
 		sub := cl.AddClient(message.NodeID(fmt.Sprintf("sub%d", i)))
+		subs[i] = sub
 		sub.ConnectTo(b)
 		bound := int64(50 + rng.Intn(50))
 		sub.Subscribe(filter.New(filter.Lt("v", message.Int(bound))))
@@ -164,7 +167,9 @@ func routingRun(n int, strat routing.Strategy, seed int64) (tableEntries, subMsg
 		pub.Publish(map[string]message.Value{"v": message.Int(int64(rng.Intn(120)))})
 	}
 	net.Run()
-	deliveries = net.Stats().ByKind[proto.KDeliver]
+	for _, sub := range subs {
+		deliveries += int(sub.Delivered())
+	}
 	return tableEntries, subMsgs, deliveries
 }
 
@@ -222,7 +227,7 @@ func overheadRun(mode sim.ReplicationMode, seed int64) (perPublish, perSubscribe
 	pub := cl.AddClient("pub")
 	pub.ConnectTo("B1")
 	before = net.Stats().Total()
-	beforeDeliv := net.Stats().ByKind[proto.KDeliver]
+	beforeDeliv := sub.Delivered()
 	const nPubs = 50
 	for i := 0; i < nPubs; i++ {
 		attrs := map[string]message.Value{"topic": message.Int(int64(i % nSubs))}
@@ -232,7 +237,7 @@ func overheadRun(mode sim.ReplicationMode, seed int64) (perPublish, perSubscribe
 	}
 	net.Run()
 	perPublish = float64(net.Stats().Total()-before) / nPubs
-	deliveriesPerPublish = float64(net.Stats().ByKind[proto.KDeliver]-beforeDeliv) / nPubs
+	deliveriesPerPublish = float64(sub.Delivered()-beforeDeliv) / nPubs
 	return perPublish, perSubscribe, deliveriesPerPublish
 }
 

@@ -460,11 +460,18 @@ func (c *Client) PublishBatch(batch []map[string]message.Value) ([]message.Notif
 	return ids, nil
 }
 
-// Receive is the session's endpoint on the simulator's network: KDeliver
-// messages go to Deliver, everything else is ignored.
+// Receive is the session's endpoint on the simulator's network: each note
+// a KDeliver carries (its Note, then its Notes in order) goes to Deliver,
+// everything else is ignored.
 func (c *Client) Receive(_ message.NodeID, m proto.Message) {
-	if m.Kind == proto.KDeliver && m.Note != nil {
+	if m.Kind != proto.KDeliver {
+		return
+	}
+	if m.Note != nil {
 		c.Deliver(*m.Note, m.SubIDs)
+	}
+	for i := range m.Notes {
+		c.Deliver(m.Notes[i], m.SubIDs)
 	}
 }
 

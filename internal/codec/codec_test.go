@@ -82,6 +82,16 @@ func sampleMessages() []proto.Message {
 	return out
 }
 
+// deliverBatch is a replay: one KDeliver carrying its notes in Notes,
+// with the subscription identities a live delivery carries.
+func deliverBatch() proto.Message {
+	return proto.Message{
+		Kind: proto.KDeliver, From: "B1", Client: "alice",
+		Notes:  []message.Notification{sampleNote(1), sampleNote(2), sampleNote(3)},
+		SubIDs: []message.SubID{"alice/s1", "alice/s2"},
+	}
+}
+
 // normalize strips the encoding-invisible differences (monotonic clock
 // readings) so reflect.DeepEqual compares wire content.
 func normalize(m proto.Message) proto.Message {
@@ -111,6 +121,19 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 		if want := normalize(m); !reflect.DeepEqual(back, want) {
 			t.Errorf("%s: round trip mismatch\n got %+v\nwant %+v", m.Kind, back, want)
 		}
+	}
+}
+
+// A replay batch rides KDeliver's Notes: the notes come back in order,
+// with the subscription identities.
+func TestCodecRoundTripDeliverBatch(t *testing.T) {
+	m := deliverBatch()
+	back, err := codec.DecodeMessage(codec.AppendMessage(nil, &m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := normalize(m); !reflect.DeepEqual(back, want) {
+		t.Errorf("round trip mismatch\n got %+v\nwant %+v", back, want)
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 // FuzzCodecRoundTrip feeds arbitrary bytes to the decoder: it must reject
 // or accept without ever panicking, and anything it accepts must re-encode
 // and re-decode to the same message (the decoder's output is canonical).
-// The seed corpus contains one valid payload per proto kind — covering
-// every message shape, all value kinds and filter constraints — so the
-// fuzzer starts from the interesting region of the input space and
-// mutation produces realistic torn/corrupt frames.
+// The seed corpus contains one valid payload per proto kind, plus a
+// replay's batched KDeliver — covering every message shape, all value
+// kinds and filter constraints — so the fuzzer starts from the
+// interesting region of the input space and mutation produces realistic
+// torn/corrupt frames.
 func FuzzCodecRoundTrip(f *testing.F) {
-	for _, m := range sampleMessages() {
+	for _, m := range append(sampleMessages(), deliverBatch()) {
 		f.Add(codec.AppendMessage(nil, &m))
 		// Truncated variant: a torn frame straight in the corpus.
 		if data := codec.AppendMessage(nil, &m); len(data) > 3 {

@@ -17,10 +17,10 @@
 //     applied locally and propagated to all nlb(b) replicas over direct
 //     (out-of-band) replicator links.
 //   - Client handover (§3.2.3): on arrival at b2 the local virtual client
-//     is activated and its buffer replayed — the "subscription in the
-//     past". The replicator then creates replicas on newset\oldset and
-//     garbage-collects oldset\newset, where oldset = nlb(b1),
-//     newset = nlb(b2).
+//     is activated and its buffer replayed in one KDeliver — the
+//     "subscription in the past". The replicator then creates replicas
+//     on newset\oldset and garbage-collects oldset\newset, where
+//     oldset = nlb(b1), newset = nlb(b2).
 //   - Client removal (§3.2.4): the local virtual client and all nlb
 //     replicas are deleted.
 //   - Neighbor (re)join: when the link to a broker in nlb(b) comes up (it
@@ -502,18 +502,22 @@ func (r *Replicator) onDisconnect(m proto.Message) {
 }
 
 // replay delivers a virtual client's buffer to the (now local) client in
-// (publisher, seq) order: the "listen for a while" semantics of §1.
+// one KDeliver: the "listen for a while" semantics of §1.
 func (r *Replicator) replay(vc *virtualClient) {
-	notes := vc.buf.Snapshot(r.b.Now())
-	message.ByID(notes)
-	r.b.NotifyMechanism(broker.CoreReplayed, len(notes))
-	for _, n := range notes {
-		note := n
-		r.b.Send(vc.client, proto.Message{Kind: proto.KDeliver, Client: vc.client, Note: &note})
-	}
+	r.deliverBatch(vc.client, vc.buf.Snapshot(r.b.Now()))
 	// For a store-backed buffer the Clear acks the queue — only after the
 	// replay has been handed to the transport.
 	vc.buf.Clear()
+}
+
+// deliverBatch replays notes to client c as one KDeliver whose Notes are
+// in (publisher, seq) order; an empty replay sends nothing.
+func (r *Replicator) deliverBatch(c message.NodeID, notes []message.Notification) {
+	message.ByID(notes)
+	r.b.NotifyMechanism(broker.CoreReplayed, len(notes))
+	if len(notes) > 0 {
+		r.b.Send(c, proto.Message{Kind: proto.KDeliver, Client: c, Notes: notes})
+	}
 }
 
 // Remove implements client removal (§3.2.4): delete the local virtual
@@ -606,12 +610,7 @@ func (r *Replicator) onBufferFetchReply(m proto.Message) bool {
 		return true
 	}
 	if vc.active {
-		message.ByID(m.Notes)
-		r.b.NotifyMechanism(broker.CoreReplayed, len(m.Notes))
-		for _, n := range m.Notes {
-			note := n
-			r.b.Send(m.Client, proto.Message{Kind: proto.KDeliver, Client: m.Client, Note: &note})
-		}
+		r.deliverBatch(m.Client, m.Notes)
 		return true
 	}
 	now := r.b.Now()

@@ -25,7 +25,8 @@
 //     b1 sends KRelocTail carrying the held stragglers and forgets c.
 //  5. b2 merges profile buffer, the tail's stragglers and its own direct
 //     deliveries — deduplicated by notification ID, ordered by
-//     (publisher, seq) — replays them to c and goes live.
+//     (publisher, seq) — replays them to c in one KDeliver and goes
+//     live.
 //
 // The handover thus costs messages on the b1–b2 path only, not on the
 // whole tree. On any graph the flips and the unicasts both follow the
@@ -822,19 +823,19 @@ func (m *Manager) absorb(s *session, msg proto.Message) {
 }
 
 // absorbNotes takes notes no relocation run waits for into the session, by
-// its state: delivered if the client is connected here, deduplicated into
-// the buffer of a ghost or a relocating-in session, held for the tail of a
-// relocating-out one.
+// its state: delivered in one KDeliver if the client is connected here,
+// deduplicated into the buffer of a ghost or a relocating-in session, held
+// for the tail of a relocating-out one.
 func (m *Manager) absorbNotes(s *session, notes []message.Notification) {
 	message.ByID(notes)
+	if s.state == stateConnected {
+		m.deliverBatch(s, notes)
+		return
+	}
 	for _, n := range notes {
-		switch s.state {
-		case stateConnected:
-			note := n
-			m.b.Send(s.client, proto.Message{Kind: proto.KDeliver, Client: s.client, Note: &note})
-		case stateRelocatingOut:
+		if s.state == stateRelocatingOut {
 			m.hold(s, n)
-		default:
+		} else {
 			m.bufferDedup(s, n)
 		}
 	}
@@ -969,20 +970,25 @@ func (m *Manager) finishRelocation(s *session) {
 	}
 }
 
-// replay delivers the session buffer in (publisher, seq) order, then
-// clears it — for a durable buffer the Clear is the delivery ack, so it
-// runs only after every KDeliver has been handed to the transport. A crash
-// in between redelivers on the next reconnect; the client's dedup set
-// keeps the stream exactly-once.
+// replay delivers the session buffer in one KDeliver whose Notes are in
+// (publisher, seq) order, then clears it — for a durable buffer the Clear
+// is the delivery ack, so it runs only after the transport has taken the
+// whole batch. A crash in between redelivers on the next reconnect; the
+// client's dedup set keeps the stream exactly-once.
 func (m *Manager) replay(s *session) {
 	notes := s.buf.Snapshot(m.b.Now())
 	message.ByID(notes)
 	m.b.NotifyMechanism(broker.MobilityReplayed, len(notes))
-	for _, n := range notes {
-		note := n
-		m.b.Send(s.client, proto.Message{Kind: proto.KDeliver, Client: s.client, Note: &note})
-	}
+	m.deliverBatch(s, notes)
 	s.buf.Clear()
+}
+
+// deliverBatch hands notes, already in (publisher, seq) order, to the
+// connected client as one KDeliver; an empty batch sends nothing.
+func (m *Manager) deliverBatch(s *session, notes []message.Notification) {
+	if len(notes) > 0 {
+		m.b.Send(s.client, proto.Message{Kind: proto.KDeliver, Client: s.client, Notes: notes})
+	}
 }
 
 var _ broker.MessageInterceptor = (*Manager)(nil)

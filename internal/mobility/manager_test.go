@@ -188,6 +188,22 @@ type stragglerRun struct {
 
 const stragglerNotes = 60
 
+// deliveredIDs lists the notes a KDeliver carries: its Note, then a
+// replay batch's Notes.
+func deliveredIDs(m proto.Message) []message.NotificationID {
+	if m.Kind != proto.KDeliver {
+		return nil
+	}
+	var ids []message.NotificationID
+	if m.Note != nil {
+		ids = append(ids, m.Note.ID)
+	}
+	for _, n := range m.Notes {
+		ids = append(ids, n.ID)
+	}
+	return ids
+}
+
 // runStragglers runs the move. atActivate, when non-nil, runs as the
 // activate reaches B0, before B0 handles it.
 func runStragglers(t *testing.T, st store.Store, atActivate func()) *stragglerRun {
@@ -230,8 +246,8 @@ func runStragglers(t *testing.T, st store.Store, atActivate func()) *stragglerRu
 			for _, n := range m.Notes {
 				r.tail = append(r.tail, n.ID)
 			}
-		case from == "B0" && m.Kind == proto.KDeliver && m.Note != nil && relocating && !r.activated:
-			r.tapped = append(r.tapped, m.Note.ID)
+		case from == "B0" && m.Kind == proto.KDeliver && relocating && !r.activated:
+			r.tapped = append(r.tapped, deliveredIDs(m)...)
 		}
 	}
 	for i := 1; i <= stragglerNotes; i++ {
@@ -315,8 +331,8 @@ func TestStragglersSurviveACrashBeforeActivate(t *testing.T) {
 	})
 	replayed := map[message.NotificationID]bool{}
 	for _, m := range recovered {
-		if m.Kind == proto.KDeliver && m.Note != nil {
-			replayed[m.Note.ID] = true
+		for _, id := range deliveredIDs(m) {
+			replayed[id] = true
 		}
 	}
 	for _, id := range r.stragglers {

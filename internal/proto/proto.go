@@ -50,9 +50,12 @@ const (
 	KConnect
 	// KDisconnect announces that the client's wireless link dropped.
 	KDisconnect
-	// KDeliver hands a matching notification to a client. SubIDs, when
-	// set, names the client subscriptions the notification matched at the
-	// border broker (per-subscription stream routing client-side).
+	// KDeliver hands a matching notification to a client (Note). A replay
+	// — a handover's buffered notes — rides Notes instead, in (publisher,
+	// seq) order, and the client takes them one by one as if each had come
+	// alone. SubIDs, when set, names the client subscriptions the
+	// notification matched at the border broker (per-subscription stream
+	// routing client-side).
 	KDeliver
 	// KCredit grants the border broker delivery credits for this client
 	// link (credit-based flow control). It travels client -> border only
@@ -226,12 +229,11 @@ type Message struct {
 	// modified.
 	RawNote []byte
 	// Notes carries a notification batch (KPublishBatch, KRelocProfile,
-	// KRelocTail, KBufferFetchReply).
+	// KRelocTail, KBufferFetchReply, and a replaying KDeliver).
 	Notes []message.Notification
 	// SubIDs names the subscriptions a KDeliver matched at the border
-	// broker. Empty on deliveries emitted by the session layers (ghost
-	// replay, relocation taps); clients then resolve the target streams
-	// by filter.
+	// broker. Empty on deliveries emitted by the session layers (the
+	// replays); clients then resolve the target streams by filter.
 	SubIDs []message.SubID
 	// Credits is the number of delivery credits granted by a KCredit, and
 	// the initial delivery window announced by a KConnect (0 = the link is

@@ -103,7 +103,8 @@ type TrafficStats struct {
 	ControlMsgs int
 	// DataMsgs counts pub/sub data-plane traffic.
 	DataMsgs int
-	// DirectMsgs counts out-of-band (replicator) messages.
+	// DirectMsgs counts out-of-band (replicator) messages. They are a
+	// subset of ControlMsgs + DataMsgs, already counted there.
 	DirectMsgs int
 	// Dropped counts messages removed by fault injection.
 	Dropped int

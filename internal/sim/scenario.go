@@ -151,6 +151,12 @@ type Outcome struct {
 	BufferedBytes        int
 	ExceptionActivations int
 	FetchesServed        int
+
+	// Physical-mobility economy, read off the same mechanism events.
+	Relocations       int
+	MobilityReplayed  int
+	TapForwarded      int
+	DuplicatesDropped int
 }
 
 // PreArrivalCoverage returns the fraction of pre-arrival-relevant
@@ -400,6 +406,10 @@ func (s Scenario) Run() (Outcome, error) {
 	out.Wasted = tally.Total(broker.CoreWasted)
 	out.ExceptionActivations = tally.Total(broker.CoreExceptionActivations)
 	out.FetchesServed = tally.Total(broker.CoreFetchesServed)
+	out.Relocations = tally.Total(broker.MobilityRelocations)
+	out.MobilityReplayed = tally.Total(broker.MobilityReplayed)
+	out.TapForwarded = tally.Total(broker.MobilityTapForwarded)
+	out.DuplicatesDropped = tally.Total(broker.MobilityDuplicatesDropped)
 	out.PeakResidentVC = peakVC
 	out.TableEntries = cl.TotalTableEntries()
 	for _, r := range cl.Replicators {

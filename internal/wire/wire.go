@@ -62,11 +62,11 @@ type inboxMsg struct {
 
 // flowState is the broker-side half of the credit-based delivery flow
 // control on a client link: the client's KConnect announces a delivery
-// window, every KDeliver consumes one credit, and the client grants
-// credits back (KCredit) as its application consumes the deliveries. At
-// zero credits the sender blocks — on a live node that is the broker's
-// event loop, so a stalled consumer exerts backpressure through the
-// overlay's TCP links all the way to the publisher.
+// window, every note a KDeliver carries consumes one credit, and the
+// client grants credits back (KCredit) as its application consumes the
+// notes. At zero credits the sender blocks — on a live node that is the
+// broker's event loop, so a stalled consumer exerts backpressure through
+// the overlay's TCP links all the way to the publisher.
 type flowState struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -99,21 +99,23 @@ func (f *flowState) grant(n int) {
 	f.cond.Broadcast()
 }
 
-// acquire takes one delivery credit, blocking while the window is empty.
-// It returns false when the link closed instead.
-func (f *flowState) acquire() bool {
+// take takes up to n delivery credits, blocking only while the window is
+// empty, and returns how many it took: n on a link without a window, 0
+// when the link closed instead.
+func (f *flowState) take(n int) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for f.enabled && f.credits <= 0 && !f.closed {
 		f.cond.Wait()
 	}
 	if f.closed {
-		return false
+		return 0
 	}
 	if f.enabled {
-		f.credits--
+		n = min(n, f.credits)
+		f.credits -= n
 	}
-	return true
+	return n
 }
 
 // close releases all waiters (link teardown).
@@ -816,9 +818,9 @@ func (n *Node) Inspect(fn func(b *broker.Broker)) {
 // overlay manager: messages for a link that is down or mid-handshake queue
 // in its bounded pending buffer and flush after the sync handshake, so a
 // flapped or slow-starting neighbor loses nothing the queue can hold.
-// Deliveries on a flow-controlled client link first take a credit, which
-// blocks the event loop while the client's window is exhausted — the
-// backpressure path of the Block overflow policy.
+// Deliveries on a flow-controlled client link first take a credit per
+// note, which blocks the event loop while the client's window is
+// exhausted — the backpressure path of the Block overflow policy.
 func (n *Node) send(to message.NodeID, m proto.Message) {
 	if n.isPeer(to) {
 		n.ov.Send(to, m)
@@ -830,10 +832,28 @@ func (n *Node) send(to message.NodeID, m proto.Message) {
 	if !ok {
 		return // client not (yet) linked; drop like a down link
 	}
-	if m.Kind == proto.KDeliver && !conn.fc.acquire() {
-		return // link closed while waiting for credits
+	if m.Kind != proto.KDeliver {
+		_ = conn.Send(m)
+		return
 	}
-	_ = conn.Send(m)
+	if m.Note != nil {
+		if conn.fc.take(1) > 0 {
+			_ = conn.Send(m)
+		}
+		return
+	}
+	// A batch is cut at the credits on hand, so one larger than the window
+	// goes out in frames the client can grant back, never waiting for
+	// credits it cannot earn. Send encodes before it returns, so the
+	// frames may share the batch's backing array.
+	for rest := m.Notes; len(rest) > 0; {
+		k := conn.fc.take(len(rest))
+		if k == 0 {
+			return // link closed while waiting for credits
+		}
+		m.Notes, rest = rest[:k], rest[k:]
+		_ = conn.Send(m)
+	}
 }
 
 // DialLink connects to a remote node and performs the binary handshake,
@@ -964,10 +984,10 @@ const DefaultWindow = 64
 // pumps deliveries to a callback — the session itself, with its profile,
 // epochs, sequencing and dedup, lives in internal/client. Deliveries are
 // credit flow controlled: the connect announces a window, and the pump
-// grants one credit back per delivery the onDeliver callback has fully
-// consumed — a callback that blocks (a full Block-policy stream) therefore
-// stalls the broker's deliveries to this client after at most Window
-// in-flight notifications.
+// grants one credit back per note the onDeliver callback has fully
+// consumed, whether it came alone or in a batch — a callback that blocks
+// (a full Block-policy stream) therefore stalls the broker's deliveries
+// to this client after at most Window in-flight notifications.
 type RemoteClient struct {
 	ID message.NodeID
 	// Window is the delivery credit window announced on Connect
@@ -1038,21 +1058,30 @@ func (r *RemoteClient) pump(conn *Conn) {
 	}
 	consumed := 0
 	dec := conn.dec
+	deliver := r.onDeliver
+	if deliver == nil {
+		deliver = func(message.Notification, []message.SubID) {}
+	}
 	for {
 		var m proto.Message
 		if err := dec.Decode(&m); err != nil {
 			return
 		}
-		if m.Kind != proto.KDeliver || m.Note == nil {
+		if m.Kind != proto.KDeliver {
 			continue
 		}
-		if r.onDeliver != nil {
-			r.onDeliver(*m.Note, m.SubIDs)
+		notes := len(m.Notes)
+		if m.Note != nil {
+			notes++
+			deliver(*m.Note, m.SubIDs)
 		}
-		if window > 0 {
-			// The delivery has been consumed (or buffered) end to end;
-			// hand the broker its credits back.
-			if consumed++; consumed >= grantAt {
+		for i := range m.Notes {
+			deliver(m.Notes[i], m.SubIDs)
+		}
+		if window > 0 && notes > 0 {
+			// The notes have been consumed (or buffered) end to end;
+			// hand the broker their credits back.
+			if consumed += notes; consumed >= grantAt {
 				_ = conn.Send(proto.Message{Kind: proto.KCredit, Client: r.ID, Credits: consumed})
 				consumed = 0
 			}
